@@ -1,5 +1,7 @@
 """Baselines sharing the runtime's plumbing: FedAvg, FedProx, Average
-Ensembles, and a FedMix-style all-experts mixture with per-client gates.
+Ensembles, and a FedMix-style all-experts mixture with per-client gates;
+`make_stepper` is the one training entry point of every method, FedJETs
+included.
 
 All baselines sample their active clients uniformly from the full training
 pool (anchor shards are ordinary clients to them), reuse the same client
@@ -14,7 +16,7 @@ import numpy as np
 from . import nn, runtime
 from .config import RunConfig
 from .data import ClientShard, LabeledDataset
-from .errors import ConfigError, NumericError
+from .errors import ConfigError
 from .gating import GateNet
 from .runtime import RoundPlan, RunContext, ServerState, UpdatePacket
 from .seeding import rng_stream
@@ -37,8 +39,7 @@ def _sgd_client_update(
     for rows in runtime._client_batches(shard, cfg, round_idx):
         batch = nn.Batch(ds.inputs[shard.indices[rows]], ds.labels[shard.indices[rows]])
         loss, grad = nn.loss_and_grad(spec, params, batch, "ce_on_logits")
-        if not np.isfinite(loss):
-            raise NumericError("non-finite training loss", context=f"client {shard.client_id}")
+        runtime._check_finite_loss(loss)
         if prox_mu != 0.0:
             grad = nn.ParamVector(
                 grad.values + prox_mu * (params.values - global_params.values),
@@ -78,91 +79,57 @@ def avg_ensemble_predict(models: list[tuple[nn.NetSpec, nn.ParamVector]], inputs
     return (mean / len(models)).argmax(axis=1)
 
 
-def _full_pool(ctx: RunContext, t: int) -> list[int]:
-    """Baselines treat every training shard alike; a scenario restricts the
-    pool to exactly the listed ids."""
-    all_ids = [s.client_id for s in ctx.anchor_shards + ctx.normal_shards]
-    if ctx.cfg.scenario is None:
-        return all_ids
-    for r in ctx.cfg.scenario:
-        if r.start <= t < r.end:
-            pool = [cid for cid in all_ids if cid in set(r.active_clients)]
-            if not pool:
-                raise ConfigError(f"scenario range [{r.start}, {r.end}) has no active clients")
-            return pool
-    raise ConfigError(f"round {t} not covered by the scenario schedule")
-
-
-def baseline_plan(ctx: RunContext, t: int) -> RoundPlan:
+def baseline_plan(ctx: RunContext, t: int, *key) -> RoundPlan:
+    """Uniform draw from the full training pool: baselines treat every
+    training shard alike, and a scenario restricts the pool to exactly the
+    listed ids. A `key` (an ensemble member's index) gives an independent
+    draw."""
     cfg = ctx.cfg
     n = cfg.federation.anchors_per_round + cfg.federation.normals_per_round
-    pool = _full_pool(ctx, t)
+    pool = [s.client_id for s in ctx.anchor_shards + ctx.normal_shards]
+    current = runtime.scenario_range(cfg, t)
+    if current is not None:
+        active = set(current.active_clients)
+        pool = [cid for cid in pool if cid in active]
+        if not pool:
+            raise ConfigError(f"scenario range [{current.start}, {current.end}) has no active clients")
     if n > len(pool):
         raise ConfigError(f"round {t}: need {n} clients but pool has {len(pool)}")
-    rng = rng_stream(cfg.seed, "plan", t)
+    rng = rng_stream(cfg.seed, "plan", t, *key)
     ids = sorted(rng.choice(pool, size=n, replace=False).tolist())
     return RoundPlan(t, [], ids)
 
 
-def _init_model(ctx: RunContext, stream_index: int) -> nn.ParamVector:
-    """Initial model per the expert_init policy: a seeded scratch draw (the
-    same stream an expert with this index would use) or the common expert."""
-    if ctx.cfg.federation.expert_init == "from_common":
-        if ctx.common.spec != ctx.expert_spec:
-            raise ConfigError("expert_init=from_common requires matching expert/common specs")
-        return ctx.common.params.copy()
-    return nn.init_params(ctx.expert_spec, rng_stream(ctx.cfg.seed, "expert-init", stream_index))
-
-
-def fedavg_like_round(
-    ctx: RunContext, state: ServerState, t: int, mu: float, threads: int
-) -> tuple[ServerState, RoundPlan]:
+def fedavg_like_round(ctx: RunContext, state: ServerState, t: int, mu: float) -> tuple[ServerState, RoundPlan]:
     plan = baseline_plan(ctx, t)
     shards = ctx.shards_by_id
-    jobs = [
-        lambda cid=cid: _sgd_client_update(
+    packets = runtime.update_clients(
+        t,
+        plan.normal_ids,
+        lambda cid: _sgd_client_update(
             state.expert_spec, state.expert_params[0], shards[cid], ctx.train_ds, ctx.cfg, t, mu
-        )
-        for cid in plan.normal_ids
-    ]
-    try:
-        packets = runtime._run_clients(jobs, threads)
-    except NumericError as exc:
-        raise NumericError(str(exc), context=f"round {t}") from exc
+        ),
+    )
     return runtime.aggregate(state, packets, ctx.cfg.federation.uniform_weighting), plan
 
 
-def ensemble_round(
-    ctx: RunContext, state: ServerState, t: int, threads: int
-) -> tuple[ServerState, RoundPlan]:
+def ensemble_round(ctx: RunContext, state: ServerState, t: int) -> tuple[ServerState, RoundPlan]:
     """Each ensemble member runs an independent FedAvg round with its own
     client draw (different random seeds per member)."""
     cfg = ctx.cfg
-    n = cfg.federation.anchors_per_round + cfg.federation.normals_per_round
     shards = ctx.shards_by_id
+    plans = [baseline_plan(ctx, t, m) for m in range(state.num_experts)]
     new_members = []
-    first_plan = None
-    for m, member in enumerate(state.expert_params):
-        pool = _full_pool(ctx, t)
-        rng = rng_stream(cfg.seed, "plan", t, m)
-        if n > len(pool):
-            raise ConfigError(f"round {t}: need {n} clients but pool has {len(pool)}")
-        ids = sorted(rng.choice(pool, size=n, replace=False).tolist())
-        plan = RoundPlan(t, [], ids)
-        if first_plan is None:
-            first_plan = plan
+    for member, plan in zip(state.expert_params, plans):
+        packets = runtime.update_clients(
+            t,
+            plan.normal_ids,
+            lambda cid: _sgd_client_update(state.expert_spec, member, shards[cid], ctx.train_ds, cfg, t),
+        )
         member_state = ServerState(state.expert_spec, None, [member], None, state.round)
-        jobs = [
-            lambda cid=cid: _sgd_client_update(
-                state.expert_spec, member, shards[cid], ctx.train_ds, cfg, t, 0.0
-            )
-            for cid in ids
-        ]
-        packets = runtime._run_clients(jobs, threads)
         member_state = runtime.aggregate(member_state, packets, cfg.federation.uniform_weighting)
         new_members.append(member_state.expert_params[0])
-    out = ServerState(state.expert_spec, None, new_members, None, state.round + 1)
-    return out, first_plan
+    return ServerState(state.expert_spec, None, new_members, None, state.round + 1), plans[0]
 
 
 def fedmix_client_update(
@@ -174,36 +141,11 @@ def fedmix_client_update(
 ) -> tuple[UpdatePacket, GateNet]:
     """FedMix client: receives all M experts, trains them through its
     persistent local gate (mixture cross-entropy); the gate stays local."""
-    cfg = ctx.cfg
-    tr = cfg.training
     experts = {i: p.copy() for i, p in enumerate(state.expert_params)}
     gate = local_gate.copy()
-    selected = tuple(range(state.num_experts))
-    opt_e = {
-        i: nn.OptimizerState.fresh(state.expert_spec, tr.lr, tr.momentum) for i in selected
-    }
-    opt_g = nn.OptimizerState.fresh(gate.spec, tr.gate_lr, tr.gate_momentum)
-    emb = ctx.cache[shard.client_id]
-
-    for rows in runtime._client_batches(shard, cfg, t):
-        x = ctx.train_ds.inputs[shard.indices[rows]]
-        y = ctx.train_ds.labels[shard.indices[rows]]
-        loss, e_grads, g_grad = runtime.mixture_loss_and_grads(
-            state.expert_spec,
-            [experts[i] for i in selected],
-            gate,
-            selected,
-            x,
-            emb[rows],
-            y,
-            tr.renormalize_gate_weights,
-        )
-        if not np.isfinite(loss):
-            raise NumericError("non-finite training loss", context=f"client {shard.client_id}")
-        for j, i in enumerate(selected):
-            experts[i], opt_e[i] = nn.sgdm_step(experts[i], e_grads[j], opt_e[i])
-        gate.params, opt_g = nn.sgdm_step(gate.params, g_grad, opt_g)
-
+    runtime._mixture_local_steps(
+        state.expert_spec, experts, gate, shard, ctx.train_ds, ctx.cache[shard.client_id], ctx.cfg, t
+    )
     packet = UpdatePacket(shard.client_id, shard.kind, None, experts, len(shard))
     return packet, gate
 
@@ -213,7 +155,6 @@ def fedmix_round(
     state: ServerState,
     local_gates: dict[int, GateNet],
     t: int,
-    threads: int,
 ) -> tuple[ServerState, RoundPlan]:
     cfg = ctx.cfg
     plan = baseline_plan(ctx, t)
@@ -223,14 +164,9 @@ def fedmix_round(
             local_gates[cid] = GateNet(
                 ctx.gate_spec, nn.init_params(ctx.gate_spec, rng_stream(cfg.seed, "fedmix-gate", cid))
             )
-    jobs = [
-        lambda cid=cid: fedmix_client_update(ctx, state, local_gates[cid], shards[cid], t)
-        for cid in plan.normal_ids
-    ]
-    try:
-        results = runtime._run_clients(jobs, threads)
-    except NumericError as exc:
-        raise NumericError(str(exc), context=f"round {t}") from exc
+    results = runtime.update_clients(
+        t, plan.normal_ids, lambda cid: fedmix_client_update(ctx, state, local_gates[cid], shards[cid], t)
+    )
     packets = []
     for packet, gate in results:
         packets.append(packet)
@@ -238,20 +174,23 @@ def fedmix_round(
     return runtime.aggregate(state, packets, cfg.federation.uniform_weighting), plan
 
 
-def make_stepper(ctx: RunContext, method: str, threads: int):
-    """Initial state and per-round step function for a baseline method."""
+def make_stepper(ctx: RunContext, method: str):
+    """Initial server state and per-round step(state, t) -> (state, plan)
+    for any method; the one training dispatch point."""
     cfg = ctx.cfg
+    if method == "fedjets":
+        return runtime.init_server_state(ctx), lambda st, t: runtime.fedjets_round(ctx, st, t)
     if method in ("fedavg", "fedprox"):
-        state = ServerState(ctx.expert_spec, None, [_init_model(ctx, 0)], None, 0)
+        state = ServerState(ctx.expert_spec, None, [runtime.init_expert(ctx, 0)], None, 0)
         mu = cfg.federation.fedprox_mu if method == "fedprox" else 0.0
-        return state, lambda st, t: fedavg_like_round(ctx, st, t, mu, threads)
+        return state, lambda st, t: fedavg_like_round(ctx, st, t, mu)
     if method == "avg_ensemble":
-        members = [_init_model(ctx, m) for m in range(cfg.federation.ensemble_size)]
+        members = [runtime.init_expert(ctx, m) for m in range(cfg.federation.ensemble_size)]
         state = ServerState(ctx.expert_spec, None, members, None, 0)
-        return state, lambda st, t: ensemble_round(ctx, st, t, threads)
+        return state, lambda st, t: ensemble_round(ctx, st, t)
     if method == "fedmix":
-        experts = [_init_model(ctx, i) for i in range(cfg.num_experts)]
+        experts = [runtime.init_expert(ctx, i) for i in range(cfg.num_experts)]
         state = ServerState(ctx.expert_spec, ctx.gate_spec, experts, None, 0)
         local_gates: dict[int, GateNet] = {}
-        return state, lambda st, t: fedmix_round(ctx, st, local_gates, t, threads)
-    raise ConfigError(f"unknown baseline method {method!r}")
+        return state, lambda st, t: fedmix_round(ctx, st, local_gates, t)
+    raise ConfigError(f"unknown method {method!r}")

@@ -93,7 +93,7 @@ def cmd_partition(args) -> int:
 
 def cmd_run(args) -> int:
     cfg = _load_config(args)
-    experiment.run_to_directory(cfg, args.out, threads=args.threads)
+    experiment.run_to_directory(cfg, args.out)
     print(f"run complete: method={cfg.federation.method} rounds={cfg.rounds} -> {args.out}")
     return EXIT_OK
 
@@ -103,36 +103,26 @@ def cmd_eval(args) -> int:
     state, state_meta = experiment.load_run_state(args.state)
     ctx = experiment.build_context(cfg)
     method = state_meta.get("method", cfg.federation.method)
-    report: dict = {"method": method, "seed": cfg.seed, "round": state.round}
+    report: dict = {
+        "method": method,
+        "seed": cfg.seed,
+        "round": state.round,
+        "global_accuracy": evaluation.global_accuracy(ctx, state, method),
+    }
     if state.gate_params is not None:
         zs = evaluation.zero_shot_eval(
             state, ctx.common, ctx.test_shards, ctx.test_ds, cfg.top_k, cache=ctx.test_cache
         )
         report["zero_shot"] = zs.to_dict()
-        truth = evaluation.routing_ground_truth(ctx.anchor_shards)
-        if truth is not None:
-            routing = evaluation.per_sample_routing_report(
-                state, ctx.common, ctx.test_shards, ctx.test_ds, truth, cfg.top_k, cache=ctx.test_cache
-            )
+        routing = evaluation.routing_of(ctx, state)
+        if routing is None:
+            report["routing"] = None  # disabled: no label -> expert ground truth for the test labels
+        else:
             report["routing"] = {
                 "average_error_rate": routing.average_error_rate,
                 "rows": routing.rows,
             }
-            csv_path = Path(args.report).with_suffix(".routing.csv")
-            csv_path.write_text(routing.to_csv())
-        else:
-            report["routing"] = None  # disabled: anchors overlap, no ground truth
-    else:
-        accs = [
-            central.model_accuracy(
-                state.expert_spec,
-                state.expert_params[0],
-                ctx.test_ds.inputs[s.indices],
-                ctx.test_ds.labels[s.indices],
-            )
-            for s in ctx.test_shards
-        ]
-        report["global_accuracy"] = float(sum(accs) / len(accs))
+            Path(args.report).with_suffix(".routing.csv").write_text(routing.to_csv())
     Path(args.report).write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
     print(f"evaluation report -> {args.report}")
     return EXIT_OK
@@ -176,7 +166,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("run", help="run federated training")
     add_common(p)
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--threads", type=int, default=1, help="worker cap (does not affect results)")
     p.set_defaults(func=cmd_run)
 
     p = sub.add_parser("eval", help="zero-shot evaluation of a saved state")

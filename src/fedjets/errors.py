@@ -24,6 +24,7 @@ class NumericError(FedjetsError):
     """Non-finite values encountered during training or inference."""
 
     def __init__(self, message: str, *, layer: int | None = None, context: str | None = None):
+        self.message = message
         self.layer = layer
         self.context = context
         parts = [message]
@@ -32,6 +33,11 @@ class NumericError(FedjetsError):
         if context:
             parts.append(context)
         super().__init__(" | ".join(parts))
+
+    def within(self, context: str) -> "NumericError":
+        """The same error with `context` appended to its own."""
+        joined = f"{self.context} | {context}" if self.context else context
+        return NumericError(self.message, layer=self.layer, context=joined)
 
 
 class ArtifactError(FedjetsError):

@@ -3,7 +3,9 @@
 Test clients are never adapted: the gate picks top-K experts from the
 client's unlabeled embeddings, then every sample is predicted by the single
 selected expert with the highest per-sample gate score. Labels enter only
-when scoring the finished predictions.
+when scoring the finished predictions. `client_predictor` is the one place
+that knows how each method predicts an unseen client; `run`'s metrics and
+`eval`'s report both score through it.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import nn
+from .baselines import avg_ensemble_predict
 from .central import model_accuracy
 from .config import ScenarioRange
 from .data import ClientShard, LabeledDataset
@@ -173,22 +176,63 @@ def per_sample_routing_report(
 
 
 # ---------------------------------------------------------------------------
-# Per-round metric evaluation (all methods)
+# Per-method scoring of unseen test clients (all methods)
 
 
-def _fedmix_test_accuracy(ctx: RunContext, state: ServerState, shard: ClientShard) -> float:
+def _fedmix_predict(ctx: RunContext, state: ServerState, shard: ClientShard) -> np.ndarray:
     """FedMix zero-shot: an unseen client starts a fresh local gate and
     predicts with the mixture over all experts (nothing to rank with)."""
     gate = GateNet(
         ctx.gate_spec,
         nn.init_params(ctx.gate_spec, rng_stream(ctx.cfg.seed, "fedmix-test-gate", shard.client_id)),
     )
+    weights = gate_scores(gate, ctx.test_cache[shard.client_id])
     inputs = ctx.test_ds.inputs[shard.indices]
-    emb = ctx.test_cache[shard.client_id]
-    weights = gate_scores(gate, emb)
-    combined = nn.mixture_forward(ctx.expert_spec, state.expert_params, weights, inputs)
-    labels = ctx.test_ds.labels[shard.indices]
-    return float(np.mean(combined.argmax(axis=1) == labels))
+    return nn.mixture_forward(ctx.expert_spec, state.expert_params, weights, inputs).argmax(axis=1)
+
+
+def client_predictor(ctx: RunContext, state: ServerState, method: str):
+    """The method's prediction rule for one unseen test client: a function
+    from a test shard to its predicted labels; it never sees the labels."""
+    inputs = ctx.test_ds.inputs
+    if method == "fedjets":
+        return lambda s: _predict_client(
+            state, ctx.common, inputs[s.indices], ctx.cfg.top_k, s.client_id, ctx.test_cache[s.client_id]
+        )[2]
+    if method in ("fedavg", "fedprox"):
+        return lambda s: nn.forward(state.expert_spec, state.expert_params[0], inputs[s.indices]).argmax(axis=1)
+    if method == "avg_ensemble":
+        models = [(state.expert_spec, p) for p in state.expert_params]
+        return lambda s: avg_ensemble_predict(models, inputs[s.indices])
+    if method == "fedmix":
+        return lambda s: _fedmix_predict(ctx, state, s)
+    raise ConfigError(f"unknown method {method!r}")
+
+
+def global_accuracy(ctx: RunContext, state: ServerState, method: str) -> float:
+    """Mean of the per-client accuracies on the unseen test clients, each
+    client predicted by the method's own rule."""
+    predict = client_predictor(ctx, state, method)
+    per_acc = [
+        float(np.mean(predict(s) == ctx.test_ds.labels[s.indices]))
+        for s in sorted(ctx.test_shards, key=lambda s: s.client_id)
+    ]
+    return float(np.mean(per_acc))
+
+
+def routing_of(ctx: RunContext, state: ServerState) -> RoutingReport | None:
+    """Per-sample routing of the state on the test clients; None for a state
+    without a gate, or when the anchors give no ground truth for every test
+    label."""
+    if state.gate_params is None:
+        return None
+    truth = routing_ground_truth(ctx.anchor_shards)
+    test_labels = set().union(*(s.label_set for s in ctx.test_shards))
+    if truth is None or not test_labels <= set(truth):
+        return None
+    return per_sample_routing_report(
+        state, ctx.common, ctx.test_shards, ctx.test_ds, truth, ctx.cfg.top_k, cache=ctx.test_cache
+    )
 
 
 def evaluate_round(
@@ -199,60 +243,19 @@ def evaluate_round(
     floats_down_cum: float,
     floats_up_cum: float,
 ) -> MetricsRecord:
-    from .baselines import avg_ensemble_predict
-
-    cfg = ctx.cfg
     test_ds = ctx.test_ds
     per_expert = [
         model_accuracy(state.expert_spec, p, test_ds.inputs, test_ds.labels)
         for p in state.expert_params
     ]
-    routing_acc = None
-
-    if method == "fedjets":
-        report = zero_shot_eval(
-            state, ctx.common, ctx.test_shards, test_ds, cfg.top_k, cache=ctx.test_cache
-        )
-        global_acc = report.average_accuracy
-        truth = routing_ground_truth(ctx.anchor_shards)
-        test_labels = set()
-        for s in ctx.test_shards:
-            test_labels |= s.label_set
-        if truth is not None and test_labels <= set(truth):
-            routing = per_sample_routing_report(
-                state, ctx.common, ctx.test_shards, test_ds, truth, cfg.top_k, cache=ctx.test_cache
-            )
-            routing_acc = 1.0 - routing.average_error_rate
-    elif method in ("fedavg", "fedprox"):
-        accs = [
-            model_accuracy(
-                state.expert_spec,
-                state.expert_params[0],
-                test_ds.inputs[s.indices],
-                test_ds.labels[s.indices],
-            )
-            for s in ctx.test_shards
-        ]
-        global_acc = float(np.mean(accs))
-    elif method == "avg_ensemble":
-        models = [(state.expert_spec, p) for p in state.expert_params]
-        accs = []
-        for s in ctx.test_shards:
-            preds = avg_ensemble_predict(models, test_ds.inputs[s.indices])
-            accs.append(float(np.mean(preds == test_ds.labels[s.indices])))
-        global_acc = float(np.mean(accs))
-    elif method == "fedmix":
-        accs = [_fedmix_test_accuracy(ctx, state, s) for s in ctx.test_shards]
-        global_acc = float(np.mean(accs))
-    else:
-        raise ConfigError(f"unknown method {method!r}")
-
+    global_acc = global_accuracy(ctx, state, method)
+    routing = routing_of(ctx, state)
     return MetricsRecord(
         round=round_idx,
         method=method,
         global_acc=global_acc,
         per_expert_acc=per_expert,
-        routing_acc=routing_acc,
+        routing_acc=None if routing is None else 1.0 - routing.average_error_rate,
         floats_down_cum=floats_down_cum,
         floats_up_cum=floats_up_cum,
     )

@@ -211,13 +211,13 @@ def load_run_state(path) -> tuple[runtime.ServerState, dict]:
     return state, meta
 
 
-def run_to_directory(cfg: config_mod.RunConfig, out_dir, threads: int = 1):
+def run_to_directory(cfg: config_mod.RunConfig, out_dir):
     """Execute one training run and write the artifact layout:
     config.echo.json, metrics.jsonl, metrics.csv, state.ckpt, comm.csv."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     ctx = build_context(cfg)
-    state, history, ledger = runtime.run_training(ctx, threads=threads)
+    state, history, ledger = runtime.run_training(ctx)
     config_mod.dump(cfg, out / "config.echo.json")
     metrics.write_jsonl(out / "metrics.jsonl", history)
     metrics.write_csv(out / "metrics.csv", history, seed=cfg.seed)

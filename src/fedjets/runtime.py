@@ -7,20 +7,19 @@ jointly training its top-K experts and the gate through the mixture
 cross-entropy). The server then averages the returned copies.
 
 Every client update draws its randomness from a stream keyed by
-(seed, "client", round, client_id), so results do not depend on execution
-order and client updates may run in parallel.
+(seed, "client", round, client_id), so results do not depend on the order
+in which a round's clients are updated; they run one after another.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import gating, nn
-from .config import RunConfig
+from .config import RunConfig, ScenarioRange
 from .data import KIND_ANCHOR, ClientShard, LabeledDataset
 from .errors import ConfigError, NumericError, ProtocolError
 from .gating import CommonExpert, ExpertSelection, GateNet
@@ -194,9 +193,21 @@ def _client_batches(shard: ClientShard, cfg: RunConfig, round_idx: int) -> list[
     return minibatch_indices(len(shard), cfg.training.batch_size, rng, iters)
 
 
-def _check_finite_loss(loss: float, shard: ClientShard) -> None:
+def _check_finite_loss(loss: float) -> None:
     if not np.isfinite(loss):
-        raise NumericError("non-finite training loss", context=f"client {shard.client_id}")
+        raise NumericError("non-finite training loss")
+
+
+def update_clients(t: int, client_ids: list[int], update) -> list:
+    """`update(cid)` for each client in turn; a NumericError raised by one
+    client's update is re-raised naming round `t` and that client."""
+    results = []
+    for cid in client_ids:
+        try:
+            results.append(update(cid))
+        except NumericError as exc:
+            raise exc.within(f"round {t} | client {cid}") from exc
+    return results
 
 
 def anchor_client_update(
@@ -221,11 +232,11 @@ def anchor_client_update(
     for rows in _client_batches(shard, cfg, round_idx):
         batch = nn.Batch(ds.inputs[shard.indices[rows]], ds.labels[shard.indices[rows]])
         loss, grad = nn.loss_and_grad(state.expert_spec, expert, batch, "ce_on_logits")
-        _check_finite_loss(loss, shard)
+        _check_finite_loss(loss)
         expert, opt_e = nn.sgdm_step(expert, grad, opt_e)
 
         g_loss, g_grad = gating.gate_independent_loss_grad(gate, embeddings[rows], q)
-        _check_finite_loss(g_loss, shard)
+        _check_finite_loss(g_loss)
         gate.params, opt_g = nn.sgdm_step(gate.params, g_grad, opt_g)
 
     return UpdatePacket(shard.client_id, KIND_ANCHOR, gate.params, {q: expert}, len(shard))
@@ -297,6 +308,39 @@ def mixture_loss_and_grads(
     return loss, expert_grads, gate_grad
 
 
+def _mixture_local_steps(
+    expert_spec: nn.NetSpec,
+    experts: dict[int, nn.ParamVector],
+    gate: GateNet,
+    shard: ClientShard,
+    ds: LabeledDataset,
+    embeddings: np.ndarray,
+    cfg: RunConfig,
+    round_idx: int,
+) -> None:
+    """l1 local SGDM steps of the mixture cross-entropy over `experts` (keyed
+    by expert index, in selection order) and `gate`, both updated in place."""
+    tr = cfg.training
+    selected = tuple(experts)
+    opt_e = {i: nn.OptimizerState.fresh(expert_spec, tr.lr, tr.momentum) for i in selected}
+    opt_g = nn.OptimizerState.fresh(gate.spec, tr.gate_lr, tr.gate_momentum)
+    for rows in _client_batches(shard, cfg, round_idx):
+        loss, e_grads, g_grad = mixture_loss_and_grads(
+            expert_spec,
+            [experts[i] for i in selected],
+            gate,
+            selected,
+            ds.inputs[shard.indices[rows]],
+            embeddings[rows],
+            ds.labels[shard.indices[rows]],
+            tr.renormalize_gate_weights,
+        )
+        _check_finite_loss(loss)
+        for j, i in enumerate(selected):
+            experts[i], opt_e[i] = nn.sgdm_step(experts[i], e_grads[j], opt_e[i])
+        gate.params, opt_g = nn.sgdm_step(gate.params, g_grad, opt_g)
+
+
 def normal_client_update(
     state: ServerState,
     shard: ClientShard,
@@ -312,30 +356,9 @@ def normal_client_update(
         raise ConfigError(
             f"client {shard.client_id}: selection size {len(selection.indices)} != top_k"
         )
-    tr = cfg.training
     experts = {i: state.expert_params[i].copy() for i in selection.indices}
     gate = GateNet(state.gate_spec, state.gate_params.copy())
-    opt_e = {i: nn.OptimizerState.fresh(state.expert_spec, tr.lr, tr.momentum) for i in selection.indices}
-    opt_g = nn.OptimizerState.fresh(state.gate_spec, tr.gate_lr, tr.gate_momentum)
-
-    for rows in _client_batches(shard, cfg, round_idx):
-        x = ds.inputs[shard.indices[rows]]
-        y = ds.labels[shard.indices[rows]]
-        loss, e_grads, g_grad = mixture_loss_and_grads(
-            state.expert_spec,
-            [experts[i] for i in selection.indices],
-            gate,
-            selection.indices,
-            x,
-            embeddings[rows],
-            y,
-            tr.renormalize_gate_weights,
-        )
-        _check_finite_loss(loss, shard)
-        for j, i in enumerate(selection.indices):
-            experts[i], opt_e[i] = nn.sgdm_step(experts[i], e_grads[j], opt_e[i])
-        gate.params, opt_g = nn.sgdm_step(gate.params, g_grad, opt_g)
-
+    _mixture_local_steps(state.expert_spec, experts, gate, shard, ds, embeddings, cfg, round_idx)
     return UpdatePacket(shard.client_id, shard.kind, gate.params, experts, len(shard))
 
 
@@ -449,19 +472,30 @@ class RunContext:
         )
 
 
-def init_server_state(ctx: RunContext) -> ServerState:
-    cfg = ctx.cfg
-    if cfg.federation.expert_init == "from_common":
+def init_expert(ctx: RunContext, stream_index: int) -> nn.ParamVector:
+    """Initial model per the expert_init policy: a seeded scratch draw from
+    the stream of expert `stream_index`, or a copy of the common expert."""
+    if ctx.cfg.federation.expert_init == "from_common":
         if ctx.common.spec != ctx.expert_spec:
             raise ConfigError("expert_init=from_common requires matching expert/common specs")
-        experts = [ctx.common.params.copy() for _ in range(cfg.num_experts)]
-    else:
-        experts = [
-            nn.init_params(ctx.expert_spec, rng_stream(cfg.seed, "expert-init", i))
-            for i in range(cfg.num_experts)
-        ]
-    gate = nn.init_params(ctx.gate_spec, rng_stream(cfg.seed, "gate-init"))
+        return ctx.common.params.copy()
+    return nn.init_params(ctx.expert_spec, rng_stream(ctx.cfg.seed, "expert-init", stream_index))
+
+
+def init_server_state(ctx: RunContext) -> ServerState:
+    experts = [init_expert(ctx, i) for i in range(ctx.cfg.num_experts)]
+    gate = nn.init_params(ctx.gate_spec, rng_stream(ctx.cfg.seed, "gate-init"))
     return ServerState(ctx.expert_spec, ctx.gate_spec, experts, gate, 0)
+
+
+def scenario_range(cfg: RunConfig, t: int) -> ScenarioRange | None:
+    """The scenario range covering round t, or None without a schedule."""
+    if cfg.scenario is None:
+        return None
+    for r in cfg.scenario:
+        if r.start <= t < r.end:
+            return r
+    raise ConfigError(f"round {t} not covered by the scenario schedule")
 
 
 def _active_pools(ctx: RunContext, t: int):
@@ -472,16 +506,9 @@ def _active_pools(ctx: RunContext, t: int):
     """
     anchor_ids = [s.client_id for s in ctx.anchor_shards]
     normal_ids = [s.client_id for s in ctx.normal_shards]
-    scenario = ctx.cfg.scenario
-    if scenario is None:
-        return anchor_ids, normal_ids
-    current = None
-    for r in scenario:
-        if r.start <= t < r.end:
-            current = r
-            break
+    current = scenario_range(ctx.cfg, t)
     if current is None:
-        raise ConfigError(f"round {t} not covered by the scenario schedule")
+        return anchor_ids, normal_ids
     active = set(current.active_clients)
     normals = [cid for cid in normal_ids if cid in active]
     anchors_in_active = [cid for cid in anchor_ids if cid in active]
@@ -491,17 +518,7 @@ def _active_pools(ctx: RunContext, t: int):
     return anchors, normals
 
 
-def _run_clients(jobs, threads: int):
-    """Execute client-update thunks, optionally on a thread pool; results
-    are re-ordered by client id downstream, so scheduling cannot matter."""
-    if threads <= 1 or len(jobs) <= 1:
-        return [job() for job in jobs]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        futures = [pool.submit(job) for job in jobs]
-        return [f.result() for f in futures]
-
-
-def fedjets_round(ctx: RunContext, state: ServerState, t: int, threads: int = 1) -> tuple[ServerState, RoundPlan]:
+def fedjets_round(ctx: RunContext, state: ServerState, t: int) -> tuple[ServerState, RoundPlan]:
     cfg = ctx.cfg
     anchor_pool, normal_pool = _active_pools(ctx, t)
     gate = GateNet(ctx.gate_spec, state.gate_params)
@@ -509,34 +526,29 @@ def fedjets_round(ctx: RunContext, state: ServerState, t: int, threads: int = 1)
         t, cfg, rng_stream(cfg.seed, "plan", t), anchor_pool, normal_pool, gate=gate, embeddings=ctx.cache
     )
     shards = ctx.shards_by_id
-    jobs = []
-    for cid in plan.anchor_ids:
-        jobs.append(
-            lambda cid=cid: anchor_client_update(
-                state, shards[cid], ctx.train_ds, ctx.cache[cid], cfg, t
-            )
-        )
-    for cid in plan.normal_ids:
-        jobs.append(
-            lambda cid=cid: normal_client_update(
-                state, shards[cid], ctx.train_ds, ctx.cache[cid], plan.selections[cid], cfg, t
-            )
-        )
-    try:
-        packets = _run_clients(jobs, threads)
-    except NumericError as exc:
-        raise NumericError(str(exc), context=f"round {t}") from exc
+    packets = update_clients(
+        t,
+        plan.anchor_ids,
+        lambda cid: anchor_client_update(state, shards[cid], ctx.train_ds, ctx.cache[cid], cfg, t),
+    ) + update_clients(
+        t,
+        plan.normal_ids,
+        lambda cid: normal_client_update(
+            state, shards[cid], ctx.train_ds, ctx.cache[cid], plan.selections[cid], cfg, t
+        ),
+    )
     new_state = aggregate(state, packets, cfg.federation.uniform_weighting)
     return new_state, plan
 
 
-def run_training(ctx: RunContext, threads: int = 1):
+def run_training(ctx: RunContext):
     """Full training: T rounds of plan -> client updates -> aggregate,
     with metrics every eval interval and a communication ledger.
 
-    Returns (final ServerState, list[MetricsRecord], CommLedger). For
-    baseline methods the loop is dispatched to the baselines module but the
-    plumbing (planning rng, ledger, metrics cadence) is identical.
+    Returns (final ServerState, list[MetricsRecord], CommLedger). Every
+    method gets its initial state and round step from
+    `baselines.make_stepper`; the plumbing (ledger, metrics cadence) is
+    shared.
     """
     from . import baselines, evaluation  # runtime <-> baselines/evaluation are mutually aware
 
@@ -547,12 +559,7 @@ def run_training(ctx: RunContext, threads: int = 1):
     for name in comm_cost(RoundPlan(0, [], []), cfg, ctx.sizes):
         ledger.add(SETUP_ROUND, name, setup_down, 0.0)
 
-    if method == "fedjets":
-        state = init_server_state(ctx)
-        stepper = lambda st, t: fedjets_round(ctx, st, t, threads)
-    else:
-        state, stepper = baselines.make_stepper(ctx, method, threads)
-
+    state, stepper = baselines.make_stepper(ctx, method)
     history = []
     for t in range(cfg.rounds):
         state, plan = stepper(state, t)

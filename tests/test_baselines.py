@@ -129,7 +129,7 @@ class TestAvgEnsemble:
 
 class TestFedMix:
     def test_client_receives_all_experts_and_keeps_gate_local(self, ctx):
-        state, stepper = baselines.make_stepper(ctx, "fedmix", threads=1)
+        state, stepper = baselines.make_stepper(ctx, "fedmix")
         new_state, plan = stepper(state, 0)
         assert state.gate_params is None  # server never holds a fedmix gate
         cfg = ctx.cfg
@@ -140,10 +140,10 @@ class TestFedMix:
 
     def test_local_gate_persists_across_activations(self, ctx):
         local_gates = {}
-        state, _ = baselines.make_stepper(ctx, "fedmix", threads=1)
-        state2, plan0 = baselines.fedmix_round(ctx, state, local_gates, 0, threads=1)
+        state, _ = baselines.make_stepper(ctx, "fedmix")
+        state2, plan0 = baselines.fedmix_round(ctx, state, local_gates, 0)
         first = {cid: g.params.values.copy() for cid, g in local_gates.items()}
-        _, plan1 = baselines.fedmix_round(ctx, state2, local_gates, 1, threads=1)
+        _, plan1 = baselines.fedmix_round(ctx, state2, local_gates, 1)
         reactivated = set(plan0.normal_ids) & set(plan1.normal_ids)
         for cid in reactivated:
             fresh = nn.init_params(
@@ -158,7 +158,7 @@ class TestFedMix:
     def test_two_expert_toy_matches_hand_stepped_reference(self, ctx):
         cfg = mini_cfg(federation={"num_experts": 2, "top_k": 2})
         c = experiment.build_context(cfg)
-        state, _ = baselines.make_stepper(c, "fedmix", threads=1)
+        state, _ = baselines.make_stepper(c, "fedmix")
         shard = c.normal_shards[0]
         gate = gating.GateNet(
             c.gate_spec, nn.init_params(c.gate_spec, rng_stream(cfg.seed, "fedmix-gate", shard.client_id))
@@ -191,4 +191,4 @@ class TestFedMix:
 
     def test_unknown_method_rejected(self, ctx):
         with pytest.raises(ConfigError):
-            baselines.make_stepper(ctx, "scaffold", threads=1)
+            baselines.make_stepper(ctx, "scaffold")

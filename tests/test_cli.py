@@ -132,6 +132,19 @@ class TestEval:
         lines = routing_csv.read_text().splitlines()
         assert lines[0] == "client,incorrect,correct,error_rate"
 
+    @pytest.mark.parametrize("method", ["fedjets", "fedavg", "fedprox", "avg_ensemble", "fedmix"])
+    def test_eval_global_accuracy_equals_runs_last_record(self, tmp_path, method):
+        cfg_path = write_mini_config(tmp_path / "config.json", federation={"method": method})
+        out = tmp_path / "run"
+        assert cli.main(["run", "--config", str(cfg_path), "--out", str(out)]) == 0
+        report = tmp_path / "report.json"
+        args = ["eval", "--config", str(cfg_path), "--state", str(out / "state.ckpt"), "--report", str(report)]
+        assert cli.main(args) == 0
+        doc = json.loads(report.read_text())
+        assert doc["method"] == method
+        assert doc["global_accuracy"] == metrics.read_jsonl(out / "metrics.jsonl")[-1].global_acc
+        assert ("zero_shot" in doc) == (method == "fedjets")
+
 
 class TestReport:
     def test_single_run_best_of_last_k(self, cfg_path, tmp_path, capsys):
