@@ -120,11 +120,12 @@ def ensemble_round(ctx: RunContext, state: ServerState, t: int) -> tuple[ServerS
     shards = ctx.shards_by_id
     plans = [baseline_plan(ctx, t, m) for m in range(state.num_experts)]
     new_members = []
-    for member, plan in zip(state.expert_params, plans):
+    for m, (member, plan) in enumerate(zip(state.expert_params, plans)):
         packets = runtime.update_clients(
             t,
             plan.normal_ids,
             lambda cid: _sgd_client_update(state.expert_spec, member, shards[cid], ctx.train_ds, cfg, t),
+            scope=f"ensemble member {m}",
         )
         member_state = ServerState(state.expert_spec, None, [member], None, state.round)
         member_state = runtime.aggregate(member_state, packets, cfg.federation.uniform_weighting)

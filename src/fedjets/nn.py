@@ -4,6 +4,16 @@ Everything here is a pure function of its inputs. Parameters live in flat
 float64 vectors (`ParamVector`) so that federated averaging, checkpointing
 and finite-difference checks all operate on one representation.
 
+Trace contract: each entry point runs the forward pass once, in
+`_forward_trace`; `backprop` consumes the `Trace` it returns and never
+recomputes it. `loss_and_grad` thus does one forward per step, and a caller
+mixing k networks takes each one's output and trace from `forward_with_trace`.
+
+Finiteness is checked on network outputs, on batch inputs and on every new
+`ParamVector`, which scans each flat gradient and each update once. Only a
+gradient failing that scan is re-scanned layer by layer, top-down, so that
+`NumericError.layer` names the first layer backprop reached.
+
 Parameter layout for layer dims (d0, d1, ..., dL): for each layer l the
 weight matrix W_l of shape (d_l, d_{l+1}) in row-major order, followed by
 the bias b_l of length d_{l+1}.
@@ -14,6 +24,8 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -79,8 +91,24 @@ class NetSpec:
         return self.layer_dims[-1]
 
     def param_count(self) -> int:
-        dims = self.layer_dims
-        return sum(dims[l] * dims[l + 1] + dims[l + 1] for l in range(self.num_layers))
+        return self._layout[-1][2]
+
+    @cached_property
+    def _layout(self) -> tuple[tuple[int, int, int, int, int], ...]:
+        """Per layer: (weight start, bias start, bias end, fan_in, fan_out)
+        within the flat parameter vector."""
+        out, off = [], 0
+        for fan_in, fan_out in zip(self.layer_dims, self.layer_dims[1:]):
+            bias = off + fan_in * fan_out
+            out.append((off, bias, bias + fan_out, fan_in, fan_out))
+            off = bias + fan_out
+        return tuple(out)
+
+    @cached_property
+    def _checksum(self) -> str:
+        """`spec_hash`'s value, computed on first use and kept on the spec."""
+        blob = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
+        return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
     def to_dict(self) -> dict:
         return {
@@ -98,9 +126,9 @@ class NetSpec:
 
 
 def spec_hash(spec: NetSpec) -> str:
-    """Short stable checksum binding a ParamVector to its NetSpec."""
-    blob = json.dumps(spec.to_dict(), sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode()).hexdigest()[:16]
+    """Short stable checksum binding a ParamVector to its NetSpec: the first
+    16 hex digits of the sha256 of its canonical JSON, hashed once per spec."""
+    return spec._checksum
 
 
 @dataclass
@@ -114,7 +142,7 @@ class ParamVector:
         self.values = np.asarray(self.values, dtype=np.float64)
         if self.values.ndim != 1:
             raise ConfigError(f"ParamVector must be 1-D, got shape {self.values.shape}")
-        if not np.all(np.isfinite(self.values)):
+        if not np.isfinite(self.values).all():
             raise NumericError("ParamVector contains non-finite values")
 
     def copy(self) -> "ParamVector":
@@ -135,7 +163,7 @@ class Batch:
             raise ConfigError(f"batch inputs must be [n x d] with n >= 1, got {self.inputs.shape}")
         if self.labels.shape != (self.inputs.shape[0],):
             raise ConfigError("batch labels must be one integer per input row")
-        if not np.all(np.isfinite(self.inputs)):
+        if not np.isfinite(self.inputs).all():
             raise NumericError("batch inputs contain non-finite values")
 
     def __len__(self) -> int:
@@ -190,17 +218,10 @@ def zeros_like(spec: NetSpec) -> ParamVector:
 
 def unpack(spec: NetSpec, values: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
     """Split a flat vector into per-layer (W, b) views."""
-    dims = spec.layer_dims
-    out = []
-    off = 0
-    for l in range(spec.num_layers):
-        fan_in, fan_out = dims[l], dims[l + 1]
-        w = values[off : off + fan_in * fan_out].reshape(fan_in, fan_out)
-        off += fan_in * fan_out
-        b = values[off : off + fan_out]
-        off += fan_out
-        out.append((w, b))
-    return out
+    return [
+        (values[w:b].reshape(fan_in, fan_out), values[b:end])
+        for w, b, end, fan_in, fan_out in spec._layout
+    ]
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
@@ -223,49 +244,51 @@ def cross_entropy(probs: np.ndarray, labels: np.ndarray) -> float:
     return float(-np.mean(np.log(np.maximum(picked, LOG_CLAMP))))
 
 
-def _apply_activation(z: np.ndarray, act: str) -> np.ndarray:
-    if act == "relu":
-        return np.maximum(z, 0.0)
-    return z
+class Trace(NamedTuple):
+    """What one forward pass keeps for backprop: the per-layer (W, b) views
+    into the parameters, each layer's pre-activation, and the activations
+    (acts[0] is the input, acts[l+1] the output of layer l, no head applied)."""
+
+    layers: list[tuple[np.ndarray, np.ndarray]]
+    pre_acts: list[np.ndarray]
+    acts: list[np.ndarray]
 
 
-def _forward_trace(spec: NetSpec, params: ParamVector, inputs: np.ndarray):
-    """Forward pass keeping every layer's pre-activation and activation.
-
-    Returns (pre_acts, acts) where acts[0] is the input and acts[l+1] the
-    output of layer l (post-activation for hidden layers, raw for the
-    output layer, no head applied).
-    """
+def _forward_trace(spec: NetSpec, params: ParamVector, inputs: np.ndarray) -> Trace:
+    """The one forward pass every engine entry point runs."""
     x = np.asarray(inputs, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != spec.input_dim:
         raise ConfigError(
             f"input shape {x.shape} incompatible with spec input dim {spec.input_dim}"
         )
     layers = unpack(spec, params.values)
+    last = spec.num_layers - 1
     pre_acts = []
     acts = [x]
     h = x
     for l, (w, b) in enumerate(layers):
         z = h @ w + b
         pre_acts.append(z)
-        if l < spec.num_layers - 1:
-            h = _apply_activation(z, spec.activations[l])
-        else:
-            h = z
+        h = np.maximum(z, 0.0) if l < last and spec.activations[l] == "relu" else z
         acts.append(h)
-    return pre_acts, acts
+    return Trace(layers, pre_acts, acts)
+
+
+def forward_with_trace(spec: NetSpec, params: ParamVector, inputs: np.ndarray) -> tuple[np.ndarray, Trace]:
+    """`forward`'s output together with the trace `backprop` consumes."""
+    check_compat(spec, params, where="(forward)")
+    trace = _forward_trace(spec, params, inputs)
+    out = trace.acts[-1]
+    if spec.head == "softmax":
+        out = softmax(out)
+    if not np.isfinite(out).all():
+        raise NumericError("non-finite network output", context="forward")
+    return out, trace
 
 
 def forward(spec: NetSpec, params: ParamVector, inputs: np.ndarray) -> np.ndarray:
     """Network output: raw logits for a `logits` head, probabilities for `softmax`."""
-    check_compat(spec, params, where="(forward)")
-    _, acts = _forward_trace(spec, params, inputs)
-    out = acts[-1]
-    if spec.head == "softmax":
-        out = softmax(out)
-    if not np.all(np.isfinite(out)):
-        raise NumericError("non-finite network output", context="forward")
-    return out
+    return forward_with_trace(spec, params, inputs)[0]
 
 
 def forward_to_layer(spec: NetSpec, params: ParamVector, inputs: np.ndarray, layer: int) -> np.ndarray:
@@ -277,39 +300,34 @@ def forward_to_layer(spec: NetSpec, params: ParamVector, inputs: np.ndarray, lay
     check_compat(spec, params, where="(forward_to_layer)")
     if not (0 <= layer < spec.num_layers):
         raise ConfigError(f"layer index {layer} out of range for {spec.num_layers} layers")
-    _, acts = _forward_trace(spec, params, inputs)
-    return acts[layer + 1]
+    return _forward_trace(spec, params, inputs).acts[layer + 1]
 
 
-def backward_from_output_grad(
-    spec: NetSpec,
-    params: ParamVector,
-    inputs: np.ndarray,
-    output_grad: np.ndarray,
-) -> np.ndarray:
-    """Vector-Jacobian product: gradient of sum(output * output_grad) w.r.t. params.
-
-    `output_grad` is the loss gradient at the network's pre-head output.
-    Returns a flat float64 gradient; raises NumericError naming the first
-    layer whose gradient turns non-finite.
+def backprop(spec: NetSpec, trace: Trace, output_grad: np.ndarray) -> ParamVector:
+    """Vector-Jacobian product: gradient of sum(output * output_grad) w.r.t.
+    the parameters that produced `trace`, where `output_grad` is the loss
+    gradient at the pre-head output. A non-finite gradient raises a
+    NumericError naming the first layer, top-down, where it appears.
     """
-    layers = unpack(spec, params.values)
-    pre_acts, acts = _forward_trace(spec, params, inputs)
+    layers, pre_acts, acts = trace
+    last = spec.num_layers - 1
     grads = [None] * spec.num_layers
     dz = np.asarray(output_grad, dtype=np.float64)
-    for l in range(spec.num_layers - 1, -1, -1):
-        if l < spec.num_layers - 1 and spec.activations[l] == "relu":
+    for l in range(last, -1, -1):
+        if l < last and spec.activations[l] == "relu":
             dz = dz * (pre_acts[l] > 0.0)
-        w, _ = layers[l]
-        gw = acts[l].T @ dz
-        gb = dz.sum(axis=0)
-        if not (np.all(np.isfinite(gw)) and np.all(np.isfinite(gb))):
-            raise NumericError("non-finite gradient", layer=l)
-        grads[l] = (gw, gb)
+        grads[l] = (acts[l].T @ dz, dz.sum(axis=0))
         if l > 0:
-            dz = dz @ w.T
-    flat = np.concatenate([np.concatenate([gw.ravel(), gb]) for gw, gb in grads])
-    return flat
+            dz = dz @ layers[l][0].T
+    flat = np.concatenate([part for gw, gb in grads for part in (gw.ravel(), gb)])
+    try:
+        return ParamVector(flat, spec_hash(spec))
+    except NumericError:
+        for l in range(last, -1, -1):
+            gw, gb = grads[l]
+            if not (np.isfinite(gw).all() and np.isfinite(gb).all()):
+                raise NumericError("non-finite gradient", layer=l) from None
+        raise
 
 
 def softmax_vjp(probs: np.ndarray, grad_probs: np.ndarray) -> np.ndarray:
@@ -319,7 +337,7 @@ def softmax_vjp(probs: np.ndarray, grad_probs: np.ndarray) -> np.ndarray:
 
 
 def loss_and_grad(spec: NetSpec, params: ParamVector, batch: Batch, loss_kind: str):
-    """Mean cross-entropy loss and its parameter gradient.
+    """Mean cross-entropy loss and its parameter gradient, from one forward.
 
     `ce_on_logits` (requires a `logits` head): CE applied to softmax of the
     network output. `ce_on_mixture` (requires a `softmax` head): CE applied
@@ -328,46 +346,33 @@ def loss_and_grad(spec: NetSpec, params: ParamVector, batch: Batch, loss_kind: s
     check_compat(spec, params, where="(backward)")
     if loss_kind not in LOSS_KINDS:
         raise ConfigError(f"unknown loss kind {loss_kind!r}")
+    head = "logits" if loss_kind == "ce_on_logits" else "softmax"
+    if spec.head != head:
+        raise ConfigError(f"{loss_kind} requires a {head} head")
     n = len(batch)
     if batch.labels.min() < 0 or batch.labels.max() >= spec.output_dim:
         raise ConfigError("batch labels out of range for network output dim")
-    _, acts = _forward_trace(spec, params, batch.inputs)
-    z_out = acts[-1]
-    onehot = np.zeros((n, spec.output_dim))
-    onehot[np.arange(n), batch.labels] = 1.0
-
+    trace = _forward_trace(spec, params, batch.inputs)
+    probs = softmax(trace.acts[-1])
+    loss = cross_entropy(probs, batch.labels)
     if loss_kind == "ce_on_logits":
-        if spec.head != "logits":
-            raise ConfigError("ce_on_logits requires a logits head")
-        probs = softmax(z_out)
-        loss = cross_entropy(probs, batch.labels)
+        onehot = np.zeros((n, spec.output_dim))
+        onehot[np.arange(n), batch.labels] = 1.0
         dz = (probs - onehot) / n
     else:
-        if spec.head != "softmax":
-            raise ConfigError("ce_on_mixture requires a softmax head")
-        probs = softmax(z_out)
-        loss = cross_entropy(probs, batch.labels)
         picked = probs[np.arange(n), batch.labels]
         dprobs = np.zeros_like(probs)
         # clamped entries contribute zero gradient
         live = picked > LOG_CLAMP
         dprobs[np.arange(n)[live], batch.labels[live]] = -1.0 / (n * picked[live])
         dz = softmax_vjp(probs, dprobs)
-
-    grad = backward_from_output_grad(spec, params, batch.inputs, dz)
-    return loss, ParamVector(grad, params.spec_hash)
-
-
-def backward(spec: NetSpec, params: ParamVector, batch: Batch, loss_kind: str) -> ParamVector:
-    """Gradient of the mean cross-entropy loss w.r.t. all parameters."""
-    return loss_and_grad(spec, params, batch, loss_kind)[1]
+    return loss, backprop(spec, trace, dz)
 
 
 def loss_value(spec: NetSpec, params: ParamVector, batch: Batch, loss_kind: str) -> float:
-    """Loss alone, on the exact code path used by `backward` (handy for oracles)."""
+    """Loss alone, on the forward path `loss_and_grad` uses (handy for oracles)."""
     check_compat(spec, params, where="(loss)")
-    _, acts = _forward_trace(spec, params, batch.inputs)
-    probs = softmax(acts[-1])
+    probs = softmax(_forward_trace(spec, params, batch.inputs).acts[-1])
     return cross_entropy(probs, batch.labels)
 
 

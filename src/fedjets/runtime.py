@@ -198,15 +198,17 @@ def _check_finite_loss(loss: float) -> None:
         raise NumericError("non-finite training loss")
 
 
-def update_clients(t: int, client_ids: list[int], update) -> list:
+def update_clients(t: int, client_ids: list[int], update, scope: str | None = None) -> list:
     """`update(cid)` for each client in turn; a NumericError raised by one
-    client's update is re-raised naming round `t` and that client."""
+    client's update is re-raised naming `scope` (when given), round `t` and
+    that client."""
+    where = f"round {t}" if scope is None else f"{scope} | round {t}"
     results = []
     for cid in client_ids:
         try:
             results.append(update(cid))
         except NumericError as exc:
-            raise exc.within(f"round {t} | client {cid}") from exc
+            raise exc.within(f"{where} | client {cid}") from exc
     return results
 
 
@@ -262,7 +264,8 @@ def mixture_loss_and_grads(
     k = len(selected)
     if k == 0 or len(expert_params) != k:
         raise ConfigError("selection and expert parameter list must match and be non-empty")
-    probs_full = gating.gate_scores(gate, embeddings)  # [n x M]
+    # one forward per network; backprop reuses each trace
+    probs_full, gate_trace = nn.forward_with_trace(gate.spec, gate.params, embeddings)  # [n x M]
     w_raw = probs_full[:, list(selected)]  # [n x k]
     if renormalize:
         denom = w_raw.sum(axis=1, keepdims=True)
@@ -270,9 +273,9 @@ def mixture_loss_and_grads(
     else:
         w = w_raw
 
-    expert_logits = [
-        nn.forward(expert_spec, p, inputs) for p in expert_params
-    ]  # k x [n x C]
+    expert_logits, expert_traces = zip(
+        *(nn.forward_with_trace(expert_spec, p, inputs) for p in expert_params)
+    )  # k x [n x C]
     combined = sum(w[:, j : j + 1] * expert_logits[j] for j in range(k))
     probs_out = nn.softmax(combined)
     loss = nn.cross_entropy(probs_out, labels)
@@ -282,13 +285,7 @@ def mixture_loss_and_grads(
     delta = (probs_out - onehot) / n  # dL/d(combined)
 
     expert_grads = [
-        nn.ParamVector(
-            nn.backward_from_output_grad(
-                expert_spec, expert_params[j], inputs, w[:, j : j + 1] * delta
-            ),
-            expert_params[j].spec_hash,
-        )
-        for j in range(k)
+        nn.backprop(expert_spec, expert_traces[j], w[:, j : j + 1] * delta) for j in range(k)
     ]
 
     # dL/dw[:, j] = <delta_i, f_j(x_i)> per sample
@@ -301,10 +298,7 @@ def mixture_loss_and_grads(
     grad_probs = np.zeros_like(probs_full)
     grad_probs[:, list(selected)] = g_raw
     dz_gate = nn.softmax_vjp(probs_full, grad_probs)
-    gate_grad = nn.ParamVector(
-        nn.backward_from_output_grad(gate.spec, gate.params, embeddings, dz_gate),
-        gate.params.spec_hash,
-    )
+    gate_grad = nn.backprop(gate.spec, gate_trace, dz_gate)
     return loss, expert_grads, gate_grad
 
 

@@ -30,7 +30,7 @@ def rel_error(a: np.ndarray, b: np.ndarray) -> float:
 
 def min_hidden_preact(spec: nn.NetSpec, params: nn.ParamVector, inputs: np.ndarray) -> float:
     """Smallest |pre-activation| over all hidden relu units for this batch."""
-    pre, _ = nn._forward_trace(spec, params, inputs)
+    pre = nn._forward_trace(spec, params, inputs).pre_acts
     hidden = [np.abs(z) for z, act in zip(pre[:-1], spec.activations) if act == "relu"]
     if not hidden:
         return np.inf

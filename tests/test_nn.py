@@ -3,12 +3,15 @@ SGDM, and the checkpoint format."""
 
 from __future__ import annotations
 
+import hashlib
+import inspect
+
 import numpy as np
 import pytest
 
 from conftest import central_diff, kink_safe_net, rel_error
-from fedjets import checkpoint, nn
-from fedjets.errors import ArtifactError, ConfigError
+from fedjets import benchmarks, checkpoint, gating, nn
+from fedjets.errors import ArtifactError, ConfigError, NumericError
 from fedjets.seeding import rng_stream
 
 
@@ -33,6 +36,25 @@ class TestNetSpec:
     def test_activation_arity_checked(self):
         with pytest.raises(ConfigError):
             nn.NetSpec((4, 3, 2), ("relu", "relu"))
+
+    def test_spec_hash_of_synth10_specs_is_stable(self):
+        # checkpoints store these checksums, so caching must not change them
+        cfg = benchmarks.synth10_config()
+        common = nn.NetSpec.mlp(cfg.model.common_dims or cfg.model.expert_dims)
+        gate = gating.gate_spec(common.layer_dims[-2], cfg.num_experts, cfg.model.gate_hidden)
+        assert nn.spec_hash(nn.NetSpec.mlp(cfg.model.expert_dims)) == "c87ac9c1fe516baf"
+        assert nn.spec_hash(gate) == "3ea32d3dc24e1f5d"
+
+    def test_spec_hash_is_computed_once_per_spec(self, monkeypatch):
+        spec = nn.NetSpec.mlp([3, 5, 2])
+        digests = []
+        sha256 = hashlib.sha256
+        monkeypatch.setattr(hashlib, "sha256", lambda blob: digests.append(blob) or sha256(blob))
+        first = nn.spec_hash(spec)
+        assert nn.spec_hash(spec) == first
+        assert len(digests) == 1
+        # a plain function, so call tracers that wrap functions still see it
+        assert inspect.isfunction(nn.spec_hash)
 
 
 class TestForward:
@@ -123,7 +145,7 @@ class TestBackward:
         x = np.array([[1.0, 2.0, -1.0], [-1.0, -2.0, 1.0]])  # symmetric batch
         labels = np.array([0, 1])
         batch = nn.Batch(x, labels)
-        grad = nn.backward(spec, params, batch, "ce_on_logits")
+        grad = nn.loss_and_grad(spec, params, batch, "ce_on_logits")[1]
         _, bias_grad = nn.unpack(spec, grad.values)[0]
         onehot = np.eye(4)[labels]
         expect = (np.full((2, 4), 0.25) - onehot).mean(axis=0)
@@ -142,7 +164,7 @@ class TestBackward:
             nn.spec_hash(spec),
         )
         batch = nn.Batch(np.array([[1.0, 0.0], [0.0, 1.0]]), np.array([0, 1]))
-        grad = nn.backward(spec, params, batch, "ce_on_logits")
+        grad = nn.loss_and_grad(spec, params, batch, "ce_on_logits")[1]
         assert np.linalg.norm(grad.values) < 1e-8
 
     @pytest.mark.parametrize("kind,head", [("ce_on_logits", "logits"), ("ce_on_mixture", "softmax")])
@@ -162,24 +184,41 @@ class TestBackward:
         spec, params = make_net(1, [3, 4])
         batch = nn.Batch(np.zeros((2, 3)), np.array([0, 1]))
         with pytest.raises(ConfigError):
-            nn.backward(spec, params, batch, "ce_on_mixture")
+            nn.loss_and_grad(spec, params, batch, "ce_on_mixture")[1]
 
     def test_unknown_loss_kind_rejected(self):
         spec, params = make_net(1, [3, 4])
         batch = nn.Batch(np.zeros((2, 3)), np.array([0, 1]))
         with pytest.raises(ConfigError):
-            nn.backward(spec, params, batch, "mse")
+            nn.loss_and_grad(spec, params, batch, "mse")[1]
+
+    def test_loss_and_grad_runs_one_forward(self, monkeypatch):
+        spec, params, batch = kink_safe_net(3, [5, 8, 4])
+        traces = []
+        forward_trace = nn._forward_trace
+        monkeypatch.setattr(nn, "_forward_trace", lambda *a: traces.append(a) or forward_trace(*a))
+        nn.loss_and_grad(spec, params, batch, "ce_on_logits")
+        assert len(traces) == 1
+
+    def test_top_layer_overflow_names_top_layer(self):
+        # every layer's gradient turns non-finite; backprop reaches the top
+        # layer first, so that is the one named
+        spec = nn.NetSpec.mlp([2, 3, 3, 2])
+        params = nn.ParamVector(np.full(spec.param_count(), 1e200), nn.spec_hash(spec))
+        batch = nn.Batch(np.array([[1.0, 1.0]]), np.array([0]))
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NumericError) as err:
+                nn.loss_and_grad(spec, params, batch, "ce_on_logits")
+        assert err.value.layer == spec.num_layers - 1
 
     def test_non_finite_gradient_names_layer(self):
-        from fedjets.errors import NumericError
-
         spec = nn.NetSpec.mlp([2, 2, 2])
         values = np.full(spec.param_count(), 1e200)
         params = nn.ParamVector(values, nn.spec_hash(spec))
         batch = nn.Batch(np.array([[1.0, 1.0]]), np.array([0]))
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(NumericError) as err:
-                nn.backward(spec, params, batch, "ce_on_logits")
+                nn.loss_and_grad(spec, params, batch, "ce_on_logits")[1]
         assert err.value.layer is not None
 
 
@@ -310,8 +349,8 @@ class TestCheckpoint:
 class TestPurity:
     def test_backward_bit_identical_on_repeat(self):
         spec, params, batch = kink_safe_net(99, [4, 6, 3])
-        g1 = nn.backward(spec, params, batch, "ce_on_logits")
-        g2 = nn.backward(spec, params, batch, "ce_on_logits")
+        g1 = nn.loss_and_grad(spec, params, batch, "ce_on_logits")[1]
+        g2 = nn.loss_and_grad(spec, params, batch, "ce_on_logits")[1]
         assert np.array_equal(g1.values, g2.values)
         # inputs untouched
         assert np.all(np.isfinite(params.values))

@@ -168,6 +168,35 @@ class TestNormalUpdate:
         assert abs(loss - plain_loss) < 1e-6
         assert np.max(np.abs(e_grads[0].values - plain_grad.values)) < 1e-6
 
+    @pytest.mark.parametrize("k", [2, 5])  # fedjets' top-2 step, fedmix's all-M step
+    def test_mixture_runs_one_forward_per_network(self, k, monkeypatch):
+        traces = []
+        forward_trace = nn._forward_trace
+        monkeypatch.setattr(nn, "_forward_trace", lambda *a: traces.append(a) or forward_trace(*a))
+        r = rng_stream(8, "one-forward")
+        expert_spec = nn.NetSpec.mlp([4, 5, 3])
+        gate_sp = gating.gate_spec(3, 5)
+        experts = [nn.init_params(expert_spec, r) for _ in range(k)]
+        gate = gating.GateNet(gate_sp, nn.init_params(gate_sp, r))
+        x, emb, y = r.normal(size=(6, 4)), r.normal(size=(6, 3)), r.integers(0, 3, size=6)
+        runtime.mixture_loss_and_grads(expert_spec, experts, gate, tuple(range(k)), x, emb, y)
+        assert len(traces) == k + 1
+
+    def test_top_layer_overflow_names_top_layer(self):
+        # finite outputs whose logit gap overflows the gate's gradient: every
+        # gate layer turns non-finite and the top one, reached first, is named
+        expert_spec = nn.NetSpec.mlp([2, 3])
+        values = np.zeros(expert_spec.param_count())
+        values[:2] = [1.5e308, -1.5e308]  # logits (1.5e308, -1.5e308, 0) for x = (1, 0)
+        expert = nn.ParamVector(values, nn.spec_hash(expert_spec))
+        gate_sp = gating.gate_spec(2, 2)
+        gate = gating.GateNet(gate_sp, nn.init_params(gate_sp, rng_stream(9, "overflow-gate")))
+        x, emb, y = np.array([[1.0, 0.0]]), np.array([[0.5, -0.3]]), np.array([1])
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NumericError) as err:
+                runtime.mixture_loss_and_grads(expert_spec, [expert, expert], gate, (0, 1), x, emb, y)
+        assert err.value.layer == gate_sp.num_layers - 1
+
     def test_joint_gradient_matches_central_differences(self):
         # 2 experts + gate, < 300 parameters total, drawn kink-safe
         expert_spec = nn.NetSpec.mlp([4, 5, 3])
@@ -399,7 +428,12 @@ class TestRunTraining:
             with pytest.raises(NumericError) as err:
                 runtime.run_training(c)
         training_ids = {s.client_id for s in c.anchor_shards + c.normal_shards}
-        round_part, client_part = err.value.context.split(" | ")[-2:]
+        parts = err.value.context.split(" | ")
+        round_part, client_part = parts[-2:]
+        if method == "avg_ensemble":  # names the member whose client blew up
+            member_part = parts[-3]
+            assert member_part.startswith("ensemble member ")
+            assert 0 <= int(member_part[16:]) < cfg.federation.ensemble_size
         assert round_part.startswith("round ") and 0 <= int(round_part[6:]) < cfg.rounds
         assert client_part.startswith("client ") and int(client_part[7:]) in training_ids
         assert str(err.value).endswith(err.value.context)
