@@ -38,14 +38,14 @@ opt = nn.OptimizerState.fresh(gate.spec, 0.05, 0.0)
 for step in range(401):
     if step % 100 == 0:
         state.gate_params = gate.params
-        report = evaluation.per_sample_routing_report(
-            state, common, tests, test, truth, k=2, cache=test_cache
-        )
+        zero_shot = evaluation.zero_shot_eval(state, common, tests, test, k=2, cache=test_cache)
+        report = evaluation.per_sample_routing_report(zero_shot, tests, test, truth)
         print(f"step {step:4d}: routing error {report.average_error_rate:.3f} (chance 0.80)")
     q = step % M
     loss, grad = gating.gate_independent_loss_grad(gate, cache[q], q)
     gate.params, opt = nn.sgdm_step(gate.params, grad, opt)
 
-sel = gating.select_topk(gate, test_cache[tests[0].client_id], 2, tests[0].client_id)
+scores = gating.gate_scores(gate, test_cache[tests[0].client_id])
+sel = gating.select_topk(scores, 2, tests[0].client_id)
 print(f"test client {tests[0].client_id} holds labels {sorted(tests[0].label_set)} "
       f"-> selected experts {sel.indices}")

@@ -35,7 +35,7 @@ def build_ctx(cfg):
     tests = group_shards(test_ds, range(0, 5), [200, 201, 202], 36, 3)
     for t in tests:
         t.kind = data.KIND_TEST
-    common, _ = experiment.build_common(cfg, train_ds, test_ds)
+    common, _ = experiment.build_common(cfg, train_ds)
     return runtime.RunContext(
         cfg=cfg,
         train_ds=train_ds,

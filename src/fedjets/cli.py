@@ -12,7 +12,7 @@ import json
 import sys
 from pathlib import Path
 
-from . import central, checkpoint, config as config_mod, evaluation, experiment, metrics, nn
+from . import checkpoint, config as config_mod, evaluation, experiment, metrics
 from .errors import ArtifactError, ConfigError, NumericError, ProtocolError
 
 EXIT_OK = 0
@@ -46,19 +46,7 @@ def cmd_pretrain(args) -> int:
     cfg = _load_config(args)
     target = args.target_acc if args.target_acc is not None else cfg.model.pretrain_target_accuracy
     train_ds, _ = experiment.build_datasets(cfg)
-    fit_ds, valid_ds = experiment.pretrain_split(cfg, train_ds)
-    spec = nn.NetSpec.mlp(cfg.model.common_dims or cfg.model.expert_dims)
-    result = central.pretrain(
-        spec,
-        fit_ds,
-        valid_ds,
-        target,
-        args.epochs if args.epochs is not None else cfg.model.pretrain_max_epochs,
-        cfg.training.lr,
-        cfg.training.momentum,
-        cfg.training.batch_size,
-        experiment.derive_seed(cfg.seed, "pretrain"),
-    )
+    spec, result = experiment.pretrain_common(cfg, train_ds, target, args.epochs)
     meta = {
         "achieved_accuracy": result.accuracy,
         "target_accuracy": target,
@@ -103,18 +91,16 @@ def cmd_eval(args) -> int:
     state, state_meta = experiment.load_run_state(args.state)
     ctx = experiment.build_context(cfg)
     method = state_meta.get("method", cfg.federation.method)
+    scores = evaluation.score_test_clients(ctx, state, method)
     report: dict = {
         "method": method,
         "seed": cfg.seed,
         "round": state.round,
-        "global_accuracy": evaluation.global_accuracy(ctx, state, method),
+        "global_accuracy": scores.global_acc,
     }
-    if state.gate_params is not None:
-        zs = evaluation.zero_shot_eval(
-            state, ctx.common, ctx.test_shards, ctx.test_ds, cfg.top_k, cache=ctx.test_cache
-        )
-        report["zero_shot"] = zs.to_dict()
-        routing = evaluation.routing_of(ctx, state)
+    if scores.zero_shot is not None:
+        report["zero_shot"] = scores.zero_shot.to_dict()
+        routing = scores.routing
         if routing is None:
             report["routing"] = None  # disabled: no label -> expert ground truth for the test labels
         else:

@@ -131,8 +131,10 @@ class RunConfig:
             raise ConfigError(f"unknown expert_init {f.expert_init!r}")
         if d.partition_strategy not in PARTITION_STRATEGIES:
             raise ConfigError(f"unknown partition_strategy {d.partition_strategy!r}")
-        if min(f.rounds, f.num_experts, f.top_k, d.num_clients, d.num_test_clients) < 0:
+        if min(f.rounds, f.num_experts, f.top_k, d.num_clients) < 0:
             raise ConfigError("counts must be non-negative")
+        if d.num_test_clients < 1:
+            raise ConfigError("num_test_clients must be at least 1: every method is scored on the test clients")
         if f.num_experts < 1 or f.top_k < 1:
             raise ConfigError("num_experts and top_k must be positive")
         if f.top_k > f.num_experts:

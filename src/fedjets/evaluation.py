@@ -1,11 +1,13 @@
-"""Zero-shot testing, per-sample routing diagnostics, scenario runner.
+"""Scoring of unseen test clients, per-sample routing, scenario runner.
 
-Test clients are never adapted: the gate picks top-K experts from the
-client's unlabeled embeddings, then every sample is predicted by the single
-selected expert with the highest per-sample gate score. Labels enter only
-when scoring the finished predictions. `client_predictor` is the one place
-that knows how each method predicts an unseen client; `run`'s metrics and
-`eval`'s report both score through it.
+Test clients are never adapted. Under FedJETs the gate scores a client's
+unlabeled embeddings once; the top-K experts and each sample's expert (the
+selected expert with the highest gate score) both read those scores, and
+that expert predicts the sample. Labels enter only when the finished
+predictions are scored. `score_test_clients` is the one pass over the test
+clients: it predicts each client once by the method's rule, and `run`'s
+metrics and `eval`'s report both read their global accuracy, zero-shot
+detail and routing from it.
 """
 
 from __future__ import annotations
@@ -70,20 +72,20 @@ def _predict_client(
     embeddings: np.ndarray | None = None,
 ):
     """Prediction path for one unseen client; sees inputs only, no labels.
+    One gate forward: the top-K selection and each sample's expert read the
+    same scores.
 
     Returns (selection, per-sample chosen expert ids, predicted labels).
     """
     if embeddings is None:
         embeddings = embed_inputs(common, inputs)
-    gate = GateNet(state.gate_spec, state.gate_params)
-    selection = select_topk(gate, embeddings, k, client_id=client_id)
-    scores = gate_scores(gate, embeddings)
-    cols = list(selection.indices)
+    scores = gate_scores(GateNet(state.gate_spec, state.gate_params), embeddings)
+    selection = select_topk(scores, k, client_id)
+    cols = np.array(selection.indices, dtype=np.int64)
     # raw scores restricted to the selected set; argmax unchanged by renormalization
-    local_best = scores[:, cols].argmax(axis=1)
-    chosen = np.array([cols[j] for j in local_best], dtype=np.int64)
+    chosen = cols[scores[:, cols].argmax(axis=1)]
     preds = np.empty(inputs.shape[0], dtype=np.int64)
-    for e in sorted(set(chosen.tolist())):
+    for e in np.unique(chosen):
         rows = np.flatnonzero(chosen == e)
         logits = nn.forward(state.expert_spec, state.expert_params[e], inputs[rows])
         preds[rows] = logits.argmax(axis=1)
@@ -98,7 +100,8 @@ def zero_shot_eval(
     k: int,
     cache: dict[int, np.ndarray] | None = None,
 ) -> ZeroShotReport:
-    """Zero-shot personalization score over unseen test clients."""
+    """Zero-shot personalization score over unseen test clients, each
+    predicted once."""
     if state.gate_params is None:
         raise ConfigError("zero-shot evaluation needs a server-side gate")
     per_acc, selections, chosen_map = {}, {}, {}
@@ -141,27 +144,24 @@ def routing_ground_truth(anchor_shards: list[ClientShard]) -> dict[int, int] | N
 
 
 def per_sample_routing_report(
-    state: ServerState,
-    common: CommonExpert,
+    zero_shot: ZeroShotReport,
     test_shards: list[ClientShard],
     test_ds: LabeledDataset,
     label_to_expert: dict[int, int],
-    k: int,
-    cache: dict[int, np.ndarray] | None = None,
 ) -> RoutingReport:
-    """A sample routes correctly iff its per-sample argmax expert (within
-    the client's top-K) matches the ground-truth expert of its label."""
+    """A sample routes correctly iff its expert in the zero-shot pass (the
+    per-sample argmax within the client's top-K) is the ground-truth expert
+    of its label. Reads the pass's chosen experts; predicts nothing."""
+    lookup = np.full(test_ds.num_classes, -1, dtype=np.int64)
+    lookup[list(label_to_expert)] = list(label_to_expert.values())
     rows = []
     for shard in sorted(test_shards, key=lambda s: s.client_id):
         labels = test_ds.labels[shard.indices]
-        unknown = [int(l) for l in np.unique(labels) if int(l) not in label_to_expert]
-        if unknown:
+        truth = lookup[labels]
+        if (truth < 0).any():
+            unknown = np.unique(labels[truth < 0]).tolist()
             raise ConfigError(f"labels {unknown} missing from the label->expert map")
-        inputs = test_ds.inputs[shard.indices]
-        emb = None if cache is None else cache[shard.client_id]
-        _, chosen, _ = _predict_client(state, common, inputs, k, shard.client_id, embeddings=emb)
-        truth = np.array([label_to_expert[int(l)] for l in labels])
-        correct = int(np.sum(chosen == truth))
+        correct = int(np.sum(zero_shot.chosen_experts[shard.client_id] == truth))
         incorrect = len(shard) - correct
         rows.append(
             {
@@ -171,8 +171,7 @@ def per_sample_routing_report(
                 "error_rate": incorrect / len(shard),
             }
         )
-    avg = float(np.mean([r["error_rate"] for r in rows])) if rows else 0.0
-    return RoutingReport(rows, avg)
+    return RoutingReport(rows, float(np.mean([r["error_rate"] for r in rows])))
 
 
 # ---------------------------------------------------------------------------
@@ -192,13 +191,10 @@ def _fedmix_predict(ctx: RunContext, state: ServerState, shard: ClientShard) -> 
 
 
 def client_predictor(ctx: RunContext, state: ServerState, method: str):
-    """The method's prediction rule for one unseen test client: a function
-    from a test shard to its predicted labels; it never sees the labels."""
+    """A baseline's prediction rule for one unseen test client: a function
+    from a test shard to its predicted labels; it never sees the labels.
+    FedJETs predicts through `zero_shot_eval`."""
     inputs = ctx.test_ds.inputs
-    if method == "fedjets":
-        return lambda s: _predict_client(
-            state, ctx.common, inputs[s.indices], ctx.cfg.top_k, s.client_id, ctx.test_cache[s.client_id]
-        )[2]
     if method in ("fedavg", "fedprox"):
         return lambda s: nn.forward(state.expert_spec, state.expert_params[0], inputs[s.indices]).argmax(axis=1)
     if method == "avg_ensemble":
@@ -209,30 +205,31 @@ def client_predictor(ctx: RunContext, state: ServerState, method: str):
     raise ConfigError(f"unknown method {method!r}")
 
 
-def global_accuracy(ctx: RunContext, state: ServerState, method: str) -> float:
-    """Mean of the per-client accuracies on the unseen test clients, each
-    client predicted by the method's own rule."""
-    predict = client_predictor(ctx, state, method)
-    per_acc = [
-        float(np.mean(predict(s) == ctx.test_ds.labels[s.indices]))
-        for s in sorted(ctx.test_shards, key=lambda s: s.client_id)
-    ]
-    return float(np.mean(per_acc))
+@dataclass
+class ScoringPass:
+    """What one pass over the unseen test clients gives: every method's
+    global accuracy (mean per-client accuracy); under FedJETs also the
+    zero-shot detail and, when the anchors give ground truth for every test
+    label, the per-sample routing of the same predictions."""
+
+    global_acc: float
+    zero_shot: ZeroShotReport | None = None
+    routing: RoutingReport | None = None
 
 
-def routing_of(ctx: RunContext, state: ServerState) -> RoutingReport | None:
-    """Per-sample routing of the state on the test clients; None for a state
-    without a gate, or when the anchors give no ground truth for every test
-    label."""
-    if state.gate_params is None:
-        return None
+def score_test_clients(ctx: RunContext, state: ServerState, method: str) -> ScoringPass:
+    """Predict each unseen test client once by the method's rule and score
+    the predictions."""
+    shards = sorted(ctx.test_shards, key=lambda s: s.client_id)
+    if method != "fedjets":
+        predict = client_predictor(ctx, state, method)
+        per_acc = [float(np.mean(predict(s) == ctx.test_ds.labels[s.indices])) for s in shards]
+        return ScoringPass(float(np.mean(per_acc)))
+    zs = zero_shot_eval(state, ctx.common, shards, ctx.test_ds, ctx.cfg.top_k, cache=ctx.test_cache)
     truth = routing_ground_truth(ctx.anchor_shards)
-    test_labels = set().union(*(s.label_set for s in ctx.test_shards))
-    if truth is None or not test_labels <= set(truth):
-        return None
-    return per_sample_routing_report(
-        state, ctx.common, ctx.test_shards, ctx.test_ds, truth, ctx.cfg.top_k, cache=ctx.test_cache
-    )
+    if truth is None or not set().union(*(s.label_set for s in shards)) <= set(truth):
+        return ScoringPass(zs.average_accuracy, zs)
+    return ScoringPass(zs.average_accuracy, zs, per_sample_routing_report(zs, shards, ctx.test_ds, truth))
 
 
 def evaluate_round(
@@ -248,14 +245,13 @@ def evaluate_round(
         model_accuracy(state.expert_spec, p, test_ds.inputs, test_ds.labels)
         for p in state.expert_params
     ]
-    global_acc = global_accuracy(ctx, state, method)
-    routing = routing_of(ctx, state)
+    scores = score_test_clients(ctx, state, method)
     return MetricsRecord(
         round=round_idx,
         method=method,
-        global_acc=global_acc,
+        global_acc=scores.global_acc,
         per_expert_acc=per_expert,
-        routing_acc=None if routing is None else 1.0 - routing.average_error_rate,
+        routing_acc=None if scores.routing is None else 1.0 - scores.routing.average_error_rate,
         floats_down_cum=floats_down_cum,
         floats_up_cum=floats_up_cum,
     )

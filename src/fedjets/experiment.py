@@ -119,7 +119,29 @@ def build_shards(cfg: config_mod.RunConfig, train_ds, test_ds):
     return anchors, normals, tests
 
 
-def build_common(cfg: config_mod.RunConfig, train_ds, test_ds) -> tuple[CommonExpert, dict]:
+def pretrain_common(
+    cfg: config_mod.RunConfig, train_ds, target: float | None = None, epochs: int | None = None
+) -> tuple[nn.NetSpec, central.PretrainResult]:
+    """Pretrain the common expert centrally on `pretrain_split(cfg, train_ds)`.
+    `target` and `epochs` override the config's accuracy target and epoch cap."""
+    m = cfg.model
+    spec = nn.NetSpec.mlp(m.common_dims or m.expert_dims)
+    fit_ds, valid_ds = pretrain_split(cfg, train_ds)
+    result = central.pretrain(
+        spec,
+        fit_ds,
+        valid_ds,
+        m.pretrain_target_accuracy if target is None else target,
+        m.pretrain_max_epochs if epochs is None else epochs,
+        cfg.training.lr,
+        cfg.training.momentum,
+        cfg.training.batch_size,
+        derive_seed(cfg.seed, "pretrain"),
+    )
+    return spec, result
+
+
+def build_common(cfg: config_mod.RunConfig, train_ds) -> tuple[CommonExpert, dict]:
     """Load the common expert from a checkpoint, or pretrain it centrally
     (early-stopping on the held-out split of `pretrain_split`, never the
     test set)."""
@@ -134,19 +156,7 @@ def build_common(cfg: config_mod.RunConfig, train_ds, test_ds) -> tuple[CommonEx
         common = CommonExpert.from_net(spec, params, m.embed_layer)
         return common, {"source": str(m.common_ckpt), **meta}
 
-    spec = nn.NetSpec.mlp(m.common_dims or m.expert_dims)
-    fit_ds, valid_ds = pretrain_split(cfg, train_ds)
-    result = central.pretrain(
-        spec,
-        fit_ds,
-        valid_ds,
-        m.pretrain_target_accuracy,
-        m.pretrain_max_epochs,
-        cfg.training.lr,
-        cfg.training.momentum,
-        cfg.training.batch_size,
-        derive_seed(cfg.seed, "pretrain"),
-    )
+    spec, result = pretrain_common(cfg, train_ds)
     common = CommonExpert.from_net(spec, result.params, m.embed_layer)
     meta = {
         "source": "inline-pretrain",
@@ -160,7 +170,7 @@ def build_common(cfg: config_mod.RunConfig, train_ds, test_ds) -> tuple[CommonEx
 def build_context(cfg: config_mod.RunConfig) -> runtime.RunContext:
     train_ds, test_ds = build_datasets(cfg)
     anchors, normals, tests = build_shards(cfg, train_ds, test_ds)
-    common, _ = build_common(cfg, train_ds, test_ds)
+    common, _ = build_common(cfg, train_ds)
     expert_spec = nn.NetSpec.mlp(cfg.model.expert_dims)
     g_spec = gating.gate_spec(common.embed_dim, cfg.num_experts, cfg.model.gate_hidden)
     cache = gating.build_embedding_cache(common, train_ds, anchors + normals)

@@ -106,13 +106,14 @@ def gate_scores(gate: GateNet, embeddings: np.ndarray) -> np.ndarray:
     return nn.forward(gate.spec, gate.params, embeddings)
 
 
-def select_topk(gate: GateNet, embeddings: np.ndarray, k: int, client_id: int = -1) -> ExpertSelection:
-    """TopK of the column-summed gate scores; ties broken toward the lowest
-    expert index; returned indices sorted ascending."""
-    m = gate.num_experts
+def select_topk(scores: np.ndarray, k: int, client_id: int = -1) -> ExpertSelection:
+    """TopK of the column-summed gate scores ([n x M], from `gate_scores`);
+    ties broken toward the lowest expert index; returned indices sorted
+    ascending."""
+    m = scores.shape[1]
     if not (1 <= k <= m):
         raise ConfigError(f"top_k {k} out of range for {m} experts")
-    aggregate = gate_scores(gate, embeddings).sum(axis=0)
+    aggregate = scores.sum(axis=0)
     # lexsort: primary key descending score, secondary ascending index
     order = np.lexsort((np.arange(m), -aggregate))
     chosen = np.sort(order[:k])

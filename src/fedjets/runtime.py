@@ -179,7 +179,7 @@ def plan_round(
         if embeddings is None:
             raise ConfigError("expert selection requires cached embeddings")
         for cid in normal_ids:
-            selections[cid] = gating.select_topk(gate, embeddings[cid], fed.top_k, client_id=cid)
+            selections[cid] = gating.select_topk(gating.gate_scores(gate, embeddings[cid]), fed.top_k, cid)
     return RoundPlan(t, anchor_ids, normal_ids, selections)
 
 

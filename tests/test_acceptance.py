@@ -53,11 +53,7 @@ def test_criterion_1_gradient_correctness():
 def test_criterion_2_routing_specialization():
     """Final per-sample routing error on synth-10 below 5% (chance is 80%)."""
     _, ctx, state, history, _ = cached_run("fedjets-s1")
-    truth = evaluation.routing_ground_truth(ctx.anchor_shards)
-    report = evaluation.per_sample_routing_report(
-        state, ctx.common, ctx.test_shards, ctx.test_ds, truth, ctx.cfg.top_k, cache=ctx.test_cache
-    )
-    err = report.average_error_rate
+    err = evaluation.score_test_clients(ctx, state, "fedjets").routing.average_error_rate
     ok = err < 0.05
     assert criterion(
         2, ok, f"routing error {err:.3%} (need < 5%; chance level is 80.0%)"
@@ -294,7 +290,7 @@ def test_criterion_9_incremental_scenario_sanity():
     g1_tests = _group_shards(test_ds, list(range(0, 5)), [200, 201, 202, 203], 2, 36, 73)
     for s in g1_tests:
         s.kind = data.KIND_TEST
-    common, _ = experiment.build_common(cfg, train_ds, test_ds)
+    common, _ = experiment.build_common(cfg, train_ds)
     ctx = runtime.RunContext(
         cfg=cfg,
         train_ds=train_ds,

@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from fedjets import central, checkpoint, cli, experiment, metrics
+from fedjets import central, checkpoint, cli, experiment, metrics, nn
 from fedjets import config as config_mod
 from test_runtime import MINI
 
@@ -142,8 +142,25 @@ class TestEval:
         assert cli.main(args) == 0
         doc = json.loads(report.read_text())
         assert doc["method"] == method
-        assert doc["global_accuracy"] == metrics.read_jsonl(out / "metrics.jsonl")[-1].global_acc
+        last = metrics.read_jsonl(out / "metrics.jsonl")[-1]
+        assert doc["global_accuracy"] == last.global_acc
         assert ("zero_shot" in doc) == (method == "fedjets")
+        if method == "fedjets":  # zero-shot detail and routing come from the same pass
+            assert doc["zero_shot"]["average_accuracy"] == doc["global_accuracy"]
+            assert 1 - doc["routing"]["average_error_rate"] == last.routing_acc
+
+    def test_eval_makes_one_gate_forward_per_test_client(self, cfg_path, tmp_path, monkeypatch):
+        out = tmp_path / "run"
+        assert cli.main(["run", "--config", str(cfg_path), "--out", str(out)]) == 0
+        state, _ = experiment.load_run_state(out / "state.ckpt")
+        traces = []
+        forward_trace = nn._forward_trace
+        monkeypatch.setattr(nn, "_forward_trace", lambda *a: traces.append(a[0]) or forward_trace(*a))
+        report = tmp_path / "report.json"
+        args = ["eval", "--config", str(cfg_path), "--state", str(out / "state.ckpt"), "--report", str(report)]
+        assert cli.main(args) == 0
+        # building the context pretrains and embeds with the common expert; only scoring runs the gate
+        assert sum(spec == state.gate_spec for spec in traces) == config_mod.load(cfg_path).data.num_test_clients
 
 
 class TestReport:
@@ -181,6 +198,13 @@ class TestReport:
 
 
 class TestExitCodes:
+    def test_no_test_clients_is_exit_2(self, tmp_path, capsys):
+        path = write_mini_config(tmp_path / "c.json", data={"num_test_clients": 0})
+        rc = cli.main(["run", "--config", str(path), "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert "num_test_clients" in capsys.readouterr().err
+        assert not (tmp_path / "o" / "metrics.jsonl").exists()
+
     def test_unknown_config_key_is_exit_2(self, tmp_path, capsys):
         path = write_mini_config(tmp_path / "c.json", federation={"typo_key": 1})
         rc = cli.main(["run", "--config", str(path), "--out", str(tmp_path / "o")])

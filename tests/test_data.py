@@ -289,7 +289,7 @@ class TestFeatureFiles:
             data={"train_features": str(tr_path), "test_features": str(te_path)}
         )
         train_ds, test_ds = experiment.build_datasets(cfg)
-        common, meta = experiment.build_common(cfg, train_ds, test_ds)
+        common, meta = experiment.build_common(cfg, train_ds)
         assert meta["achieved_accuracy"] >= cfg.model.pretrain_target_accuracy
         assert meta["epochs"] < cfg.model.pretrain_max_epochs
 

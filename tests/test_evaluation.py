@@ -146,13 +146,17 @@ class TestRoutingReport:
     def label_map(self):
         return {c: q for q, group in GROUPS.items() for c in group}
 
+    @staticmethod
+    def routing(state, common, shards, ds, label_map, k):
+        """Routing of one zero-shot pass over the shards."""
+        zero_shot = evaluation.zero_shot_eval(state, common, shards, ds, k)
+        return evaluation.per_sample_routing_report(zero_shot, shards, ds, label_map)
+
     def test_perfect_gate_zero_error(self):
         ds = onehot_dataset(seed=10)
         state = perfect_state()
         shards = [shard_with_labels(ds, (0, 2), 20, 600), shard_with_labels(ds, (1, 3), 20, 601)]
-        report = evaluation.per_sample_routing_report(
-            state, identity_common(), shards, ds, self.label_map(), k=2
-        )
+        report = self.routing(state, identity_common(), shards, ds, self.label_map(), k=2)
         assert report.average_error_rate == 0.0
         for row in report.rows:
             assert row["incorrect"] == 0
@@ -166,9 +170,7 @@ class TestRoutingReport:
         shards = [
             shard_with_labels(ds, GROUPS[q], 80, 700 + q) for q in range(M)
         ]
-        report = evaluation.per_sample_routing_report(
-            state, identity_common(), shards, ds, self.label_map(), k=2
-        )
+        report = self.routing(state, identity_common(), shards, ds, self.label_map(), k=2)
         chance_error = 1.0 - 1.0 / M
         assert abs(report.average_error_rate - chance_error) <= 0.05
         total = sum(r["correct"] + r["incorrect"] for r in report.rows)
@@ -207,7 +209,7 @@ class TestRoutingReport:
             hist = np.bincount(ds.labels[idx], minlength=C10)
             shards.append(data.ClientShard(900 + q, idx, hist, data.KIND_TEST))
         label_map = {c: c // 2 for c in range(C10)}
-        report = evaluation.per_sample_routing_report(state, common, shards, ds, label_map, k=2)
+        report = self.routing(state, common, shards, ds, label_map, k=2)
         total = sum(r["correct"] + r["incorrect"] for r in report.rows)
         assert total >= 2000
         assert abs(report.average_error_rate - 0.8) <= 0.05
@@ -217,9 +219,7 @@ class TestRoutingReport:
         state = perfect_state()
         state.gate_params = nn.init_params(state.gate_spec, rng_stream(13, "g"))
         shard = shard_with_labels(ds, (2, 4), 25, 800)
-        report = evaluation.per_sample_routing_report(
-            state, identity_common(), [shard], ds, self.label_map(), k=2
-        )
+        report = self.routing(state, identity_common(), [shard], ds, self.label_map(), k=2)
         _, chosen, _ = evaluation._predict_client(
             state, identity_common(), ds.inputs[shard.indices], 2, 800
         )
@@ -234,9 +234,7 @@ class TestRoutingReport:
         shard = shard_with_labels(ds, (0, 5), 10, 900)
         partial = {0: 0, 1: 0, 2: 1, 3: 1}  # labels 4,5 missing
         with pytest.raises(ConfigError):
-            evaluation.per_sample_routing_report(
-                state, identity_common(), [shard], ds, partial, k=2
-            )
+            self.routing(state, identity_common(), [shard], ds, partial, k=2)
 
     def test_ground_truth_requires_disjoint_anchors(self):
         ds = onehot_dataset(seed=14)
@@ -337,3 +335,14 @@ class TestEvaluateRound:
         _, history, _ = runtime.run_training(ctx)
         assert len(history[-1].per_expert_acc) == 1
         assert history[-1].routing_acc is None
+
+    def test_fedjets_scores_each_test_client_with_one_gate_forward(self, monkeypatch):
+        ctx = experiment.build_context(mini_cfg())
+        state = runtime.init_server_state(ctx)
+        traces, topk = [], []
+        forward_trace, select_topk = nn._forward_trace, evaluation.select_topk
+        monkeypatch.setattr(nn, "_forward_trace", lambda *a: traces.append(a[0]) or forward_trace(*a))
+        monkeypatch.setattr(evaluation, "select_topk", lambda *a, **k: topk.append(a) or select_topk(*a, **k))
+        evaluation.evaluate_round(ctx, state, "fedjets", 1, 0.0, 0.0)
+        assert sum(spec == ctx.gate_spec for spec in traces) == len(ctx.test_shards)
+        assert len(topk) == len(ctx.test_shards)

@@ -101,7 +101,7 @@ class TestGateScores:
 class TestSelectTopK:
     def test_uniform_scores_tie_break_lowest_indices(self, rng):
         gate = zero_gate(6, 5)
-        sel = gating.select_topk(gate, rng.normal(size=(10, 6)), 2)
+        sel = gating.select_topk(gating.gate_scores(gate, rng.normal(size=(10, 6))), 2)
         assert sel.indices == (0, 1)
 
     def test_dominant_expert_always_selected(self):
@@ -119,7 +119,7 @@ class TestSelectTopK:
         x, score = best
         assert score > 0.5, "could not craft a dominant-expert embedding"
         emb = np.repeat(x, 8, axis=0)
-        sel = gating.select_topk(gate, emb, 2)
+        sel = gating.select_topk(gating.gate_scores(gate, emb), 2)
         # brute-force oracle: column sums sorted
         agg = gating.gate_scores(gate, emb).sum(axis=0)
         order = sorted(range(5), key=lambda i: (-agg[i], i))
@@ -128,18 +128,18 @@ class TestSelectTopK:
 
     def test_k_equals_m_selects_all(self, rng):
         gate = random_gate(13, 6, 4)
-        sel = gating.select_topk(gate, rng.normal(size=(6, 6)), 4)
+        sel = gating.select_topk(gating.gate_scores(gate, rng.normal(size=(6, 6))), 4)
         assert sel.indices == (0, 1, 2, 3)
 
     def test_k_out_of_range(self, rng):
         gate = random_gate(14, 6, 4)
         with pytest.raises(ConfigError):
-            gating.select_topk(gate, rng.normal(size=(6, 6)), 5)
+            gating.select_topk(gating.gate_scores(gate, rng.normal(size=(6, 6))), 5)
 
     def test_permuting_expert_columns_permutes_selection(self, rng):
         gate = random_gate(15, 6, 5)
         emb = rng.normal(size=(12, 6))
-        sel = gating.select_topk(gate, emb, 2)
+        sel = gating.select_topk(gating.gate_scores(gate, emb), 2)
         perm = np.array([3, 0, 4, 1, 2])  # expert i -> position perm[i]
         layers = nn.unpack(gate.spec, gate.params.values.copy())
         w_out, b_out = layers[-1]
@@ -151,14 +151,14 @@ class TestSelectTopK:
             + [np.concatenate([w_new.ravel(), b_new])]
         )
         gate_p = gating.GateNet(gate.spec, nn.ParamVector(permuted_values, gate.params.spec_hash))
-        sel_p = gating.select_topk(gate_p, emb, 2)
+        sel_p = gating.select_topk(gating.gate_scores(gate_p, emb), 2)
         assert sel_p.indices == tuple(sorted(int(perm[i]) for i in sel.indices))
 
     def test_same_inputs_same_selection(self, rng):
         gate = random_gate(16, 6, 5)
         emb = rng.normal(size=(9, 6))
-        a = gating.select_topk(gate, emb, 3)
-        b = gating.select_topk(gate, emb, 3)
+        a = gating.select_topk(gating.gate_scores(gate, emb), 3)
+        b = gating.select_topk(gating.gate_scores(gate, emb), 3)
         assert a.indices == b.indices
         assert np.array_equal(a.aggregate_scores, b.aggregate_scores)
 

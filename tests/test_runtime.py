@@ -140,7 +140,7 @@ class TestNormalUpdate:
         state = runtime.init_server_state(ctx)
         shard = ctx.normal_shards[0]
         gate = gating.GateNet(ctx.gate_spec, state.gate_params)
-        sel = gating.select_topk(gate, ctx.cache[shard.client_id], 2, shard.client_id)
+        sel = gating.select_topk(gating.gate_scores(gate, ctx.cache[shard.client_id]), 2, shard.client_id)
         pkt = runtime.normal_client_update(
             state, shard, ctx.train_ds, ctx.cache[shard.client_id], sel, ctx.cfg, 0
         )
