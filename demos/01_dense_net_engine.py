@@ -38,13 +38,13 @@ for i in coords:
     worst = max(worst, abs(fd - grad.values[i]))
 print(f"finite-difference spot check, worst abs deviation: {worst:.2e}")
 
-opt = nn.OptimizerState.fresh(spec, lr=0.05, momentum=0.9)
+velocity = np.zeros_like(params.values)  # SGDM steps params and velocity in place
 order = rng.permutation(len(ds))
 for step in range(300):
     rows = order[(step * 16) % (len(ds) - 16) : (step * 16) % (len(ds) - 16) + 16]
     b = nn.Batch(ds.inputs[rows], ds.labels[rows])
     _, g = nn.loss_and_grad(spec, params, b, "ce_on_logits")
-    params, opt = nn.sgdm_step(params, g, opt)
+    nn.sgdm_step(params.values, velocity, g.values, lr=0.05, momentum=0.9)
 
 acc = central.model_accuracy(spec, params, holdout.inputs, holdout.labels)
 print(f"accuracy after 300 SGDM steps: {acc:.3f}")

@@ -5,6 +5,8 @@ gate on nothing but the anchors' independent loss and watches per-sample
 routing accuracy on held-out clients climb.
 """
 
+import numpy as np
+
 from fedjets import central, data, evaluation, gating, nn, runtime
 from fedjets.seeding import rng_stream
 
@@ -34,7 +36,7 @@ state = runtime.ServerState(
     expert_spec, gate.spec, [nn.zeros_like(expert_spec) for _ in range(M)], gate.params
 )
 
-opt = nn.OptimizerState.fresh(gate.spec, 0.05, 0.0)
+velocity = np.zeros_like(gate.params.values)
 for step in range(401):
     if step % 100 == 0:
         state.gate_params = gate.params
@@ -43,7 +45,7 @@ for step in range(401):
         print(f"step {step:4d}: routing error {report.average_error_rate:.3f} (chance 0.80)")
     q = step % M
     loss, grad = gating.gate_independent_loss_grad(gate, cache[q], q)
-    gate.params, opt = nn.sgdm_step(gate.params, grad, opt)
+    nn.sgdm_step(gate.params.values, velocity, grad.values, 0.05, 0.0)
 
 scores = gating.gate_scores(gate, test_cache[tests[0].client_id])
 sel = gating.select_topk(scores, 2, tests[0].client_id)

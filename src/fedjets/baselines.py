@@ -35,17 +35,16 @@ def _sgd_client_update(
     FedProx pull mu*(w_local - w_global) to the gradient."""
     tr = cfg.training
     params = global_params.copy()
-    opt = nn.OptimizerState.fresh(spec, tr.lr, tr.momentum)
-    for rows in runtime._client_batches(shard, cfg, round_idx):
+
+    def grads(rows):
         batch = nn.Batch(ds.inputs[shard.indices[rows]], ds.labels[shard.indices[rows]])
         loss, grad = nn.loss_and_grad(spec, params, batch, "ce_on_logits")
         runtime._check_finite_loss(loss)
         if prox_mu != 0.0:
-            grad = nn.ParamVector(
-                grad.values + prox_mu * (params.values - global_params.values),
-                grad.spec_hash,
-            )
-        params, opt = nn.sgdm_step(params, grad, opt)
+            grad.values += prox_mu * (params.values - global_params.values)
+        return [grad.values]
+
+    runtime.local_steps(shard, cfg, round_idx, [(params, tr.lr, tr.momentum)], grads)
     return UpdatePacket(shard.client_id, shard.kind, None, {0: params}, len(shard))
 
 

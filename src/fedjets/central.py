@@ -7,6 +7,7 @@ conservation tests.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,9 +52,11 @@ def pretrain(
         raise ConfigError("target accuracy must lie in [0, 1]")
     if max_epochs < 0:
         raise ConfigError("max_epochs must be non-negative")
+    if not (0.0 < lr < math.inf and 0.0 <= momentum < 1.0):
+        raise ConfigError(f"need a finite lr > 0 and momentum in [0, 1), got lr={lr}, momentum={momentum}")
     rng = rng_stream(seed, "pretrain")
     params = nn.init_params(spec, rng)
-    opt = nn.OptimizerState.fresh(spec, lr, momentum)
+    velocity = np.zeros_like(params.values)
     n = len(train_ds)
 
     acc = model_accuracy(spec, params, holdout_ds.inputs, holdout_ds.labels)
@@ -66,7 +69,8 @@ def pretrain(
             loss, grad = nn.loss_and_grad(spec, params, batch, "ce_on_logits")
             if not np.isfinite(loss):
                 raise NumericError("non-finite pretraining loss", context=f"epoch {epochs}")
-            params, opt = nn.sgdm_step(params, grad, opt)
+            nn.sgdm_step(params.values, velocity, grad.values, lr, momentum)
         epochs += 1
         acc = model_accuracy(spec, params, holdout_ds.inputs, holdout_ds.labels)
+    params.check_finite()
     return PretrainResult(params, acc, epochs, acc >= target_accuracy)

@@ -22,24 +22,7 @@ EXIT_IO = 4
 
 
 def _load_config(args) -> config_mod.RunConfig:
-    try:
-        text = Path(args.config).read_text()
-    except OSError as exc:
-        raise ArtifactError(f"cannot read config {args.config}: {exc}") from exc
-    try:
-        raw = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{args.config}: invalid JSON ({exc})") from exc
-    if not isinstance(raw, dict):
-        raise ConfigError(f"{args.config}: config root must be a JSON object")
-    for item in args.set or []:
-        if "=" not in item:
-            raise ConfigError(f"--set expects dot.path=value, got {item!r}")
-        dotted, value = item.split("=", 1)
-        config_mod.apply_override(raw, dotted, value)
-    if args.seed is not None:
-        raw["seed"] = args.seed
-    return config_mod.from_dict(raw)
+    return config_mod.load(args.config, args.set or (), args.seed)
 
 
 def cmd_pretrain(args) -> int:

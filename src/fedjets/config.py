@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -125,6 +126,10 @@ class RunConfig:
 
     def validate(self) -> "RunConfig":
         d, m, f, t = self.data, self.model, self.federation, self.training
+        for name in ("data", "model", "federation", "training", "eval"):
+            for key, value in vars(getattr(self, name)).items():
+                if isinstance(value, float) and not math.isfinite(value):
+                    raise ConfigError(f"{name}.{key} must be finite, got {value}")
         if f.method not in METHODS:
             raise ConfigError(f"unknown method {f.method!r}; expected one of {METHODS}")
         if f.expert_init not in EXPERT_INITS:
@@ -192,14 +197,32 @@ class RunConfig:
         return self
 
 
+_JSON_TYPES = {"int": int, "float": (int, float), "str": str, "bool": bool}
+
+
+def _fits(annotation: str, value) -> bool:
+    """Whether a JSON value has a field's annotated type ("int", "float | None",
+    "list[int]", ...); a bool is not a number, an int passes for a float."""
+    base, *rest = annotation.split(" | ")
+    if value is None:
+        return rest == ["None"]
+    if base.startswith("list["):
+        return isinstance(value, list) and all(_fits(base[5:-1], v) for v in value)
+    return isinstance(value, _JSON_TYPES[base]) and isinstance(value, bool) == (base == "bool")
+
+
 def _build(cls, obj, path: str):
-    """Construct a dataclass from a plain dict, rejecting unknown keys."""
+    """Construct a dataclass from a plain dict, rejecting unknown keys and
+    values of the wrong JSON type."""
     if not isinstance(obj, dict):
         raise ConfigError(f"{path}: expected an object")
-    allowed = {f.name for f in dataclasses.fields(cls)}
-    unknown = set(obj) - allowed
+    fields = {f.name: f.type for f in dataclasses.fields(cls)}
+    unknown = set(obj) - set(fields)
     if unknown:
         raise ConfigError(f"{path}: unknown key(s) {sorted(unknown)}")
+    for key, value in obj.items():
+        if not _fits(fields[key], value):
+            raise ConfigError(f"{path}.{key}: expected {fields[key]}, got {value!r}")
     return cls(**obj)
 
 
@@ -224,8 +247,10 @@ def from_dict(raw: dict) -> RunConfig:
                 for i, r in enumerate(_scenario_ranges(raw["scenario"]))
             ]
         ),
-        seed=int(raw.get("seed", 0)),
+        seed=raw.get("seed", 0),
     )
+    if not _fits("int", cfg.seed):
+        raise ConfigError(f"seed: expected int, got {cfg.seed!r}")
     return cfg.validate()
 
 
@@ -247,12 +272,22 @@ def to_dict(cfg: RunConfig) -> dict:
     return out
 
 
-def load(path) -> RunConfig:
+def load(path, overrides=(), seed: int | None = None) -> RunConfig:
+    """Read a JSON config, apply `--set` overrides ("dot.path=value") and
+    the seed when given, then validate."""
     text = Path(path).read_text()  # OSError surfaces as an I/O error upstream
     try:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON ({exc})") from exc
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{path}: config root must be a JSON object")
+    for item in overrides:
+        if "=" not in item:
+            raise ConfigError(f"--set expects dot.path=value, got {item!r}")
+        apply_override(raw, *item.split("=", 1))
+    if seed is not None:
+        raw["seed"] = seed
     return from_dict(raw)
 
 

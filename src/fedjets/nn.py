@@ -9,10 +9,11 @@ Trace contract: each entry point runs the forward pass once, in
 recomputes it. `loss_and_grad` thus does one forward per step, and a caller
 mixing k networks takes each one's output and trace from `forward_with_trace`.
 
-Finiteness is checked on network outputs, on batch inputs and on every new
-`ParamVector`, which scans each flat gradient and each update once. Only a
-gradient failing that scan is re-scanned layer by layer, top-down, so that
-`NumericError.layer` names the first layer backprop reached.
+Finiteness is checked at boundaries, not per step: batch inputs, network
+outputs, each gradient `backprop` returns (scanned once, as a `ParamVector`)
+and parameters as they leave training; `sgdm_step` updates in place and
+checks nothing. Only a gradient failing its scan is re-scanned layer by
+layer, top-down, so that `NumericError.layer` names the first layer reached.
 
 Parameter layout for layer dims (d0, d1, ..., dL): for each layer l the
 weight matrix W_l of shape (d_l, d_{l+1}) in row-major order, followed by
@@ -142,6 +143,10 @@ class ParamVector:
         self.values = np.asarray(self.values, dtype=np.float64)
         if self.values.ndim != 1:
             raise ConfigError(f"ParamVector must be 1-D, got shape {self.values.shape}")
+        self.check_finite()
+
+    def check_finite(self) -> None:
+        """Scan the values; in-place updates bypass the scan at construction."""
         if not np.isfinite(self.values).all():
             raise NumericError("ParamVector contains non-finite values")
 
@@ -168,26 +173,6 @@ class Batch:
 
     def __len__(self) -> int:
         return self.inputs.shape[0]
-
-
-@dataclass
-class OptimizerState:
-    """SGD-with-momentum state for one ParamVector."""
-
-    velocity: np.ndarray
-    lr: float
-    momentum: float
-
-    def __post_init__(self):
-        self.velocity = np.asarray(self.velocity, dtype=np.float64)
-        if self.lr <= 0:
-            raise ConfigError(f"learning rate must be positive, got {self.lr}")
-        if not (0.0 <= self.momentum < 1.0):
-            raise ConfigError(f"momentum must lie in [0, 1), got {self.momentum}")
-
-    @classmethod
-    def fresh(cls, spec: NetSpec, lr: float, momentum: float) -> "OptimizerState":
-        return cls(np.zeros(spec.param_count()), lr, momentum)
 
 
 def check_compat(spec: NetSpec, params: ParamVector, *, where: str = "") -> None:
@@ -403,18 +388,11 @@ def mixture_forward(
     return combined
 
 
-def sgdm_step(params: ParamVector, grad: ParamVector, opt: OptimizerState):
-    """One SGD-with-momentum step: v' = m*v + g; p' = p - lr*v'.
-
-    Returns (new_params, new_state); inputs are left untouched.
-    """
-    if grad.values.shape != params.values.shape:
-        raise ConfigError("gradient length does not match parameters")
-    if opt.velocity.shape != params.values.shape:
-        raise ConfigError("velocity length does not match parameters")
-    v = opt.momentum * opt.velocity + grad.values
-    new_values = params.values - opt.lr * v
-    return (
-        ParamVector(new_values, params.spec_hash),
-        OptimizerState(v, opt.lr, opt.momentum),
-    )
+def sgdm_step(params: np.ndarray, velocity: np.ndarray, grad: np.ndarray, lr: float, momentum: float) -> None:
+    """One SGD-with-momentum step on float64 arrays, in place:
+    v <- m*v + g; p <- p - lr*v. The rates are the caller's to validate."""
+    if not (params.shape == velocity.shape == grad.shape):
+        raise ConfigError("parameters, velocity and gradient lengths differ")
+    velocity *= momentum
+    velocity += grad
+    params -= lr * velocity

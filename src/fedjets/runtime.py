@@ -9,6 +9,10 @@ cross-entropy). The server then averages the returned copies.
 Every client update draws its randomness from a stream keyed by
 (seed, "client", round, client_id), so results do not depend on the order
 in which a round's clients are updated; they run one after another.
+
+Every client, the baselines' included, steps copies of its parameters in
+place through `local_steps`, which scans them for finiteness once, at the
+end; `update_clients` names the round and client of any NumericError.
 """
 
 from __future__ import annotations
@@ -212,6 +216,22 @@ def update_clients(t: int, client_ids: list[int], update, scope: str | None = No
     return results
 
 
+def local_steps(shard: ClientShard, cfg: RunConfig, round_idx: int, nets, grads) -> None:
+    """l1 local SGDM steps, the one loop over a client's minibatches.
+
+    `nets` lists (ParamVector, lr, momentum) working copies, each updated in
+    place with its own velocity; `grads(rows)` returns one gradient array
+    per net for the shard rows `rows` and checks its own losses. Each
+    working copy is scanned for finiteness once, when the steps are done.
+    """
+    velocities = [np.zeros_like(params.values) for params, _, _ in nets]
+    for rows in _client_batches(shard, cfg, round_idx):
+        for (params, lr, momentum), velocity, grad in zip(nets, velocities, grads(rows), strict=True):
+            nn.sgdm_step(params.values, velocity, grad, lr, momentum)
+    for params, _, _ in nets:
+        params.check_finite()
+
+
 def anchor_client_update(
     state: ServerState,
     shard: ClientShard,
@@ -228,19 +248,17 @@ def anchor_client_update(
     tr = cfg.training
     expert = state.expert_params[q].copy()
     gate = GateNet(state.gate_spec, state.gate_params.copy())
-    opt_e = nn.OptimizerState.fresh(state.expert_spec, tr.lr, tr.momentum)
-    opt_g = nn.OptimizerState.fresh(state.gate_spec, tr.gate_lr, tr.gate_momentum)
 
-    for rows in _client_batches(shard, cfg, round_idx):
+    def grads(rows):
         batch = nn.Batch(ds.inputs[shard.indices[rows]], ds.labels[shard.indices[rows]])
-        loss, grad = nn.loss_and_grad(state.expert_spec, expert, batch, "ce_on_logits")
+        loss, e_grad = nn.loss_and_grad(state.expert_spec, expert, batch, "ce_on_logits")
         _check_finite_loss(loss)
-        expert, opt_e = nn.sgdm_step(expert, grad, opt_e)
-
         g_loss, g_grad = gating.gate_independent_loss_grad(gate, embeddings[rows], q)
         _check_finite_loss(g_loss)
-        gate.params, opt_g = nn.sgdm_step(gate.params, g_grad, opt_g)
+        return e_grad.values, g_grad.values
 
+    nets = [(expert, tr.lr, tr.momentum), (gate.params, tr.gate_lr, tr.gate_momentum)]
+    local_steps(shard, cfg, round_idx, nets, grads)
     return UpdatePacket(shard.client_id, KIND_ANCHOR, gate.params, {q: expert}, len(shard))
 
 
@@ -316,23 +334,18 @@ def _mixture_local_steps(
     by expert index, in selection order) and `gate`, both updated in place."""
     tr = cfg.training
     selected = tuple(experts)
-    opt_e = {i: nn.OptimizerState.fresh(expert_spec, tr.lr, tr.momentum) for i in selected}
-    opt_g = nn.OptimizerState.fresh(gate.spec, tr.gate_lr, tr.gate_momentum)
-    for rows in _client_batches(shard, cfg, round_idx):
+    params = [experts[i] for i in selected]
+
+    def grads(rows):
+        x, y = ds.inputs[shard.indices[rows]], ds.labels[shard.indices[rows]]
         loss, e_grads, g_grad = mixture_loss_and_grads(
-            expert_spec,
-            [experts[i] for i in selected],
-            gate,
-            selected,
-            ds.inputs[shard.indices[rows]],
-            embeddings[rows],
-            ds.labels[shard.indices[rows]],
-            tr.renormalize_gate_weights,
+            expert_spec, params, gate, selected, x, embeddings[rows], y, tr.renormalize_gate_weights
         )
         _check_finite_loss(loss)
-        for j, i in enumerate(selected):
-            experts[i], opt_e[i] = nn.sgdm_step(experts[i], e_grads[j], opt_e[i])
-        gate.params, opt_g = nn.sgdm_step(gate.params, g_grad, opt_g)
+        return [g.values for g in e_grads] + [g_grad.values]
+
+    nets = [(p, tr.lr, tr.momentum) for p in params] + [(gate.params, tr.gate_lr, tr.gate_momentum)]
+    local_steps(shard, cfg, round_idx, nets, grads)
 
 
 def normal_client_update(
@@ -368,41 +381,28 @@ def aggregate(state: ServerState, packets: list[UpdatePacket], uniform: bool = F
     """
     new_state = state.copy()
     new_state.round = state.round + 1
-    if not packets:
-        return new_state
     ordered = sorted(packets, key=lambda p: p.client_id)
-    e_hash = nn.spec_hash(state.expert_spec)
-    g_hash = None if state.gate_spec is None else nn.spec_hash(state.gate_spec)
 
-    def weights(pkts):
-        w = np.array([1.0 if uniform else float(p.num_samples) for p in pkts])
-        return w / w.sum()
+    def average(name: str, spec: nn.NetSpec, held: list[tuple[UpdatePacket, nn.ParamVector]]):
+        h = nn.spec_hash(spec)
+        for p, params in held:
+            if params.spec_hash != h:
+                raise ProtocolError(f"client {p.client_id}: {name} checksum mismatch")
+        w = np.array([1.0 if uniform else float(p.num_samples) for p, _ in held])
+        acc = np.zeros(spec.param_count())
+        for wi, (_, params) in zip(w / w.sum(), held):
+            acc += wi * params.values
+        return nn.ParamVector(acc, h)
 
-    gate_pkts = [p for p in ordered if p.gate is not None]
-    if gate_pkts:
+    gates = [(p, p.gate) for p in ordered if p.gate is not None]
+    if gates:
         if state.gate_params is None:
             raise ProtocolError("gate update received but server holds no gate")
-        for p in gate_pkts:
-            if p.gate.spec_hash != g_hash:
-                raise ProtocolError(f"client {p.client_id}: gate checksum mismatch")
-        w = weights(gate_pkts)
-        acc = np.zeros_like(state.gate_params.values)
-        for wi, p in zip(w, gate_pkts):
-            acc += wi * p.gate.values
-        new_state.gate_params = nn.ParamVector(acc, g_hash)
-
+        new_state.gate_params = average("gate", state.gate_spec, gates)
     for i in range(state.num_experts):
-        holders = [p for p in ordered if i in p.experts]
-        if not holders:
-            continue
-        for p in holders:
-            if p.experts[i].spec_hash != e_hash:
-                raise ProtocolError(f"client {p.client_id}: expert {i} checksum mismatch")
-        w = weights(holders)
-        acc = np.zeros_like(state.expert_params[i].values)
-        for wi, p in zip(w, holders):
-            acc += wi * p.experts[i].values
-        new_state.expert_params[i] = nn.ParamVector(acc, e_hash)
+        held = [(p, p.experts[i]) for p in ordered if i in p.experts]
+        if held:
+            new_state.expert_params[i] = average(f"expert {i}", state.expert_spec, held)
     return new_state
 
 
@@ -419,7 +419,7 @@ def comm_cost(plan: RoundPlan, cfg: RunConfig, sizes: ModelSizes) -> dict[str, t
     n = n_a + n_c
     k, m = cfg.federation.top_k, cfg.federation.num_experts
     fedjets_down = n_a * (sizes.gate + sizes.expert) + n_c * (sizes.gate + k * sizes.expert)
-    out = {
+    return {
         "fedjets": (float(fedjets_down), float(fedjets_down)),
         "fedmix": (float(n * m * sizes.expert), float(n * m * sizes.expert)),
         "fedavg": (float(n * sizes.expert), float(n * sizes.expert)),
@@ -429,7 +429,6 @@ def comm_cost(plan: RoundPlan, cfg: RunConfig, sizes: ModelSizes) -> dict[str, t
             float(n * cfg.federation.ensemble_size * sizes.expert),
         ),
     }
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -454,8 +453,7 @@ class RunContext:
 
     @property
     def shards_by_id(self) -> dict[int, ClientShard]:
-        out = {s.client_id: s for s in self.anchor_shards + self.normal_shards}
-        return out
+        return {s.client_id: s for s in self.anchor_shards + self.normal_shards}
 
     @property
     def sizes(self) -> ModelSizes:

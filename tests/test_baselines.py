@@ -28,14 +28,16 @@ class TestFedAvgClient:
         rng = rng_stream(cfg.seed, "client", 2, shard.client_id)
         iters = runtime.local_iteration_count(cfg, len(shard))
         batches = runtime.minibatch_indices(len(shard), cfg.training.batch_size, rng, iters)
-        params = global_params.copy()
-        opt = nn.OptimizerState.fresh(ctx.expert_spec, cfg.training.lr, cfg.training.momentum)
+        # SGDM written out, independent of nn.sgdm_step: v = m*v + g; p = p - lr*v
+        lr, m = cfg.training.lr, cfg.training.momentum
+        params, v = global_params.copy(), 0.0
         for rows in batches:
             b = nn.Batch(
                 ctx.train_ds.inputs[shard.indices[rows]], ctx.train_ds.labels[shard.indices[rows]]
             )
             _, grad = nn.loss_and_grad(ctx.expert_spec, params, b, "ce_on_logits")
-            params, opt = nn.sgdm_step(params, grad, opt)
+            v = m * v + grad.values
+            params = nn.ParamVector(params.values - lr * v, params.spec_hash)
         assert np.array_equal(pkt.experts[0].values, params.values)
 
     def test_equals_fedprox_with_zero_mu(self, ctx):
@@ -165,14 +167,12 @@ class TestFedMix:
         )
         pkt, new_gate = baselines.fedmix_client_update(c, state, gate, shard, 1)
 
-        # hand-stepped reference over the same batch stream
+        # hand-stepped reference over the same batch stream, SGDM written
+        # out: v = m*v + g; p = p - lr*v
+        tr = cfg.training
         experts = {i: p.copy() for i, p in enumerate(state.expert_params)}
         gate_ref = gate.copy()
-        opt_e = {
-            i: nn.OptimizerState.fresh(c.expert_spec, cfg.training.lr, cfg.training.momentum)
-            for i in experts
-        }
-        opt_g = nn.OptimizerState.fresh(c.gate_spec, cfg.training.gate_lr, cfg.training.gate_momentum)
+        v_e, v_g = {0: 0.0, 1: 0.0}, 0.0
         rng = rng_stream(cfg.seed, "client", 1, shard.client_id)
         iters = runtime.local_iteration_count(cfg, len(shard))
         for rows in runtime.minibatch_indices(len(shard), cfg.training.batch_size, rng, iters):
@@ -183,8 +183,10 @@ class TestFedMix:
                 c.expert_spec, [experts[0], experts[1]], gate_ref, (0, 1), x, emb, y
             )
             for j in (0, 1):
-                experts[j], opt_e[j] = nn.sgdm_step(experts[j], e_grads[j], opt_e[j])
-            gate_ref.params, opt_g = nn.sgdm_step(gate_ref.params, g_grad, opt_g)
+                v_e[j] = tr.momentum * v_e[j] + e_grads[j].values
+                experts[j] = nn.ParamVector(experts[j].values - tr.lr * v_e[j], experts[j].spec_hash)
+            v_g = tr.gate_momentum * v_g + g_grad.values
+            gate_ref.params = nn.ParamVector(gate_ref.params.values - tr.gate_lr * v_g, g_grad.spec_hash)
         assert np.array_equal(pkt.experts[0].values, experts[0].values)
         assert np.array_equal(pkt.experts[1].values, experts[1].values)
         assert np.array_equal(new_gate.params.values, gate_ref.params.values)

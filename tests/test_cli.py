@@ -232,3 +232,39 @@ class TestExitCodes:
             ["run", "--config", str(cfg_path), "--out", str(tmp_path / "o"), "--set", "federation.rounds=-3"]
         )
         assert rc == 2
+
+    @pytest.mark.parametrize(
+        "override", ["training.lr=NaN", "training.gate_lr=Infinity", "federation.fedprox_mu=-Infinity"]
+    )
+    def test_non_finite_rate_is_exit_2(self, cfg_path, tmp_path, capsys, override):
+        rc = cli.main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "o"), "--set", override])
+        assert rc == 2
+        assert override.split("=")[0] in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize(
+        "override",
+        [
+            "training.lr=abc",  # not JSON: kept as a string
+            'training.lr="0.1"',
+            "training.momentum=true",  # a bool is not a number
+            "federation.rounds=2.5",
+            "federation.uniform_weighting=1",
+            "model.expert_dims=[6,\"8\",6]",
+            "data.train_features=3",
+        ],
+    )
+    def test_mistyped_value_is_exit_2(self, cfg_path, tmp_path, capsys, override):
+        rc = cli.main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "o"), "--set", override])
+        assert rc == 2
+        assert override.split("=")[0] in capsys.readouterr().err
+
+    def test_mistyped_value_in_file_is_exit_2(self, tmp_path, capsys):
+        path = write_mini_config(tmp_path / "c.json", training={"lr": "0.1"})
+        rc = cli.main(["partition", "--config", str(path)])
+        assert rc == 2
+        assert "training.lr" in capsys.readouterr().err
+
+    def test_int_accepted_for_float(self, cfg_path, capsys):
+        rc = cli.main(["partition", "--config", str(cfg_path), "--set", "training.lr=1"])
+        assert rc == 0

@@ -209,11 +209,11 @@ class TestIndependentLoss:
             r = rng_stream(seed, "gate-train")
             gate = random_gate(seed + 40, 6, 5)
             emb = r.normal(size=(30, 6))
-            opt = nn.OptimizerState.fresh(gate.spec, 0.001, 0.0)
+            velocity = np.zeros_like(gate.params.values)
             prev = None
             for _ in range(50):
                 loss, grad = gating.gate_independent_loss_grad(gate, emb, seed % 5)
                 if prev is not None:
                     assert loss < prev
                 prev = loss
-                gate.params, opt = nn.sgdm_step(gate.params, grad, opt)
+                nn.sgdm_step(gate.params.values, velocity, grad.values, 0.001, 0.0)

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from conftest import central_diff, kink_safe_net, rel_error
-from fedjets import benchmarks, checkpoint, gating, nn
+from fedjets import benchmarks, central, checkpoint, data, gating, nn
 from fedjets.errors import ArtifactError, ConfigError, NumericError
 from fedjets.seeding import rng_stream
 
@@ -266,39 +266,62 @@ class TestMixtureForward:
 
 class TestSGDM:
     def test_zero_momentum_is_plain_sgd(self, rng):
-        spec, params = make_net(20, [3, 4])
-        grad = nn.ParamVector(rng.normal(size=params.values.size), params.spec_hash)
-        opt = nn.OptimizerState.fresh(spec, 0.1, 0.0)
-        new, _ = nn.sgdm_step(params, grad, opt)
-        assert np.array_equal(new.values, params.values - 0.1 * grad.values)
+        _, params = make_net(20, [3, 4])
+        grad = rng.normal(size=params.values.size)
+        p, v = params.values.copy(), np.zeros_like(params.values)
+        nn.sgdm_step(p, v, grad, 0.1, 0.0)
+        assert np.array_equal(p, params.values - 0.1 * grad)
 
     def test_zero_grad_zero_velocity_no_change(self):
-        spec, params = make_net(21, [3, 4])
-        grad = nn.ParamVector(np.zeros(params.values.size), params.spec_hash)
-        opt = nn.OptimizerState.fresh(spec, 0.1, 0.9)
-        new, new_opt = nn.sgdm_step(params, grad, opt)
-        assert np.array_equal(new.values, params.values)
-        assert np.all(new_opt.velocity == 0.0)
+        _, params = make_net(21, [3, 4])
+        p, v = params.values.copy(), np.zeros_like(params.values)
+        nn.sgdm_step(p, v, np.zeros_like(p), 0.1, 0.9)
+        assert np.array_equal(p, params.values)
+        assert np.all(v == 0.0)
 
     def test_two_steps_match_unrolled_recurrence(self, rng):
-        spec, params = make_net(22, [3, 4])
+        _, params = make_net(22, [3, 4])
         g1 = rng.normal(size=params.values.size)
         g2 = rng.normal(size=params.values.size)
-        opt = nn.OptimizerState.fresh(spec, 0.05, 0.9)
-        p1, opt1 = nn.sgdm_step(params, nn.ParamVector(g1, params.spec_hash), opt)
-        p2, _ = nn.sgdm_step(p1, nn.ParamVector(g2, params.spec_hash), opt1)
+        p, v = params.values.copy(), np.zeros_like(params.values)
+        nn.sgdm_step(p, v, g1, 0.05, 0.9)
+        nn.sgdm_step(p, v, g2, 0.05, 0.9)
         v1 = g1
         v2 = 0.9 * v1 + g2
         expect = params.values - 0.05 * v1 - 0.05 * v2
-        assert np.max(np.abs(p2.values - expect)) < 1e-12
+        assert np.max(np.abs(p - expect)) < 1e-12
+        assert np.array_equal(v, v2)
+
+    def test_steps_in_place_bit_identical_to_recurrence(self, rng):
+        _, params = make_net(23, [3, 4])
+        p, v = params.values.copy(), np.zeros_like(params.values)
+        ref_p, ref_v = params.values.copy(), np.zeros_like(params.values)
+        for _ in range(3):
+            g = rng.normal(size=p.size)
+            nn.sgdm_step(p, v, g, 0.05, 0.9)
+            ref_v = 0.9 * ref_v + g
+            ref_p = ref_p - 0.05 * ref_v
+        assert np.array_equal(p, ref_p) and np.array_equal(v, ref_v)
+
+    def test_length_mismatch_rejected(self):
+        with pytest.raises(ConfigError):
+            nn.sgdm_step(np.zeros(3), np.zeros(3), np.zeros(4), 0.1, 0.9)
 
     def test_lr_must_be_positive(self):
-        with pytest.raises(ConfigError):
-            nn.OptimizerState(np.zeros(3), 0.0, 0.9)
+        # the rates are checked once, by the config or on entry to pretraining
+        for lr in [0.0, -0.1, float("nan"), float("inf")]:
+            with pytest.raises(ConfigError):
+                self._pretrain(lr=lr)
 
     def test_momentum_range_checked(self):
-        with pytest.raises(ConfigError):
-            nn.OptimizerState(np.zeros(3), 0.1, 1.0)
+        for momentum in [1.0, -0.1, float("nan")]:
+            with pytest.raises(ConfigError):
+                self._pretrain(momentum=momentum)
+
+    @staticmethod
+    def _pretrain(lr=0.1, momentum=0.9):
+        ds = data.LabeledDataset(np.zeros((4, 3)), np.array([0, 1, 2, 3]), 4)
+        return central.pretrain(nn.NetSpec.mlp([3, 4]), ds, ds, 1.0, 1, lr, momentum, 2, 0)
 
 
 class TestCheckpoint:

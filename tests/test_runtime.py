@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import central_diff, min_hidden_preact, rel_error
-from fedjets import benchmarks, experiment, gating, nn, runtime
+from fedjets import baselines, benchmarks, experiment, gating, nn, runtime
 from fedjets.errors import ConfigError, NumericError, ProtocolError
 from fedjets.seeding import rng_stream
 
@@ -126,12 +126,14 @@ class TestAnchorUpdate:
         rng = rng_stream(cfg.seed, "client", t, shard.client_id)
         iters = runtime.local_iteration_count(cfg, len(shard))
         batches = runtime.minibatch_indices(len(shard), cfg.training.batch_size, rng, iters)
-        params = state.expert_params[0].copy()
-        opt = nn.OptimizerState.fresh(ctx.expert_spec, cfg.training.lr, cfg.training.momentum)
+        # SGDM written out, independent of nn.sgdm_step: v = m*v + g; p = p - lr*v
+        lr, m = cfg.training.lr, cfg.training.momentum
+        params, v = state.expert_params[0].copy(), 0.0
         for rows in batches:
             b = nn.Batch(ctx.train_ds.inputs[shard.indices[rows]], ctx.train_ds.labels[shard.indices[rows]])
             _, grad = nn.loss_and_grad(ctx.expert_spec, params, b, "ce_on_logits")
-            params, opt = nn.sgdm_step(params, grad, opt)
+            v = m * v + grad.values
+            params = nn.ParamVector(params.values - lr * v, params.spec_hash)
         assert np.array_equal(pkt.experts[0].values, params.values)
 
 
@@ -276,6 +278,66 @@ class TestNormalUpdate:
         assert rel_error(analytic, fd) < 1e-4
 
 
+class TestLocalSteps:
+    @staticmethod
+    def _raw(state, *gates):
+        """Bytes of every expert, the gate and any extra gates, so -0.0 and 0.0 differ."""
+        nets = [*state.expert_params, state.gate_params, *(g.params for g in gates)]
+        return [p.values.tobytes() for p in nets]
+
+    @pytest.mark.parametrize("kind", ["anchor", "normal", "fedavg", "fedprox", "fedmix"])
+    def test_client_update_leaves_its_inputs_unchanged(self, ctx, kind):
+        # working copies are stepped in place; what the client was sent is not
+        state = runtime.init_server_state(ctx)
+        local_gate = gating.GateNet(ctx.gate_spec, nn.init_params(ctx.gate_spec, rng_stream(3, "local-gate")))
+        before = self._raw(state, local_gate)
+        anchor, shard = ctx.anchor_shards[0], ctx.normal_shards[0]
+        emb = ctx.cache[shard.client_id]
+        if kind == "anchor":
+            pkt = runtime.anchor_client_update(state, anchor, ctx.train_ds, ctx.cache[anchor.client_id], ctx.cfg, 0)
+        elif kind == "normal":
+            sel = gating.select_topk(gating.gate_scores(gating.GateNet(ctx.gate_spec, state.gate_params), emb), 2)
+            pkt = runtime.normal_client_update(state, shard, ctx.train_ds, emb, sel, ctx.cfg, 0)
+        elif kind == "fedmix":
+            pkt, _ = baselines.fedmix_client_update(ctx, state, local_gate, shard, 0)
+        elif kind == "fedavg":
+            pkt = baselines.fedavg_client_update(ctx.expert_spec, state.expert_params[0], shard, ctx.train_ds, ctx.cfg, 0)
+        else:
+            pkt = baselines.fedprox_client_update(
+                ctx.expert_spec, state.expert_params[0], shard, ctx.train_ds, ctx.cfg, 0, mu=0.5
+            )
+        assert self._raw(state, local_gate) == before
+        i, trained = next(iter(pkt.experts.items()))
+        assert not np.array_equal(trained.values, state.expert_params[i].values)
+
+    def test_overflow_on_last_step_raises_naming_round_and_client(self, ctx):
+        # finite until the last step, whose gradient overflows the parameters;
+        # the one scan, after the loop, catches it
+        shard = ctx.normal_shards[0]
+        iters = runtime.local_iteration_count(ctx.cfg, len(shard))
+        assert iters > 1
+
+        def train(cid):
+            params = nn.ParamVector(np.ones(4), "toy")
+            steps = []
+
+            def grads(rows):
+                steps.append(rows)
+                return [np.full(4, 1e300 if len(steps) == iters else 0.0)]
+
+            try:
+                runtime.local_steps(shard, ctx.cfg, 7, [(params, 1e10, 0.9)], grads)
+            finally:
+                assert len(steps) == iters
+
+        with np.errstate(over="ignore"):
+            with pytest.raises(NumericError):
+                train(shard.client_id)
+            with pytest.raises(NumericError) as err:
+                runtime.update_clients(7, [shard.client_id], train)
+        assert err.value.context == f"round 7 | client {shard.client_id}"
+
+
 class TestAggregate:
     def _state(self, ctx):
         return runtime.init_server_state(ctx)
@@ -405,13 +467,14 @@ class TestRunTraining:
             for t in range(cfg.rounds):
                 rng = rng_stream(cfg.seed, "client", t, shard.client_id)
                 batches = runtime.minibatch_indices(len(shard), cfg.training.batch_size, rng, 4)
-                opt = nn.OptimizerState.fresh(c.expert_spec, cfg.training.lr, momentum)
+                v = 0.0  # SGDM written out: v = m*v + g; p = p - lr*v
                 for rows in batches:
                     b = nn.Batch(
                         c.train_ds.inputs[shard.indices[rows]], c.train_ds.labels[shard.indices[rows]]
                     )
                     _, grad = nn.loss_and_grad(c.expert_spec, params, b, "ce_on_logits")
-                    params, opt = nn.sgdm_step(params, grad, opt)
+                    v = momentum * v + grad.values
+                    params = nn.ParamVector(params.values - cfg.training.lr * v, params.spec_hash)
             assert np.array_equal(final.expert_params[0].values, params.values)
 
     @pytest.mark.parametrize("method", ["fedjets", "fedavg", "fedprox", "avg_ensemble", "fedmix"])

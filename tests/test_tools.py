@@ -1,0 +1,28 @@
+"""Smoke test: tools/artifact_digest.py prints the same digests on a rerun."""
+
+from __future__ import annotations
+
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+METHODS = ("fedjets", "fedavg", "fedprox", "avg_ensemble", "fedmix")
+ARTIFACTS = ("metrics.jsonl", "metrics.csv", "comm.csv", "state.ckpt", "config.echo.json")
+
+
+def test_artifact_digest_reruns_identically(tmp_path):
+    outputs = []
+    for name in ("a", "b"):
+        proc = subprocess.run(
+            [sys.executable, str(ROOT / "tools" / "artifact_digest.py"), "--rounds", "1", "--out", str(tmp_path / name)],
+            capture_output=True,
+            text=True,
+            timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(proc.stdout)
+    assert outputs[0] == outputs[1]
+    lines = [line.split("  ") for line in outputs[0].splitlines()]
+    assert [path for _, path in lines] == [f"{m}/{f}" for m in METHODS for f in ARTIFACTS]
+    assert all(len(digest) == 64 for digest, _ in lines)

@@ -1,0 +1,48 @@
+"""Digest of the synth-10 run artifacts of every method.
+
+    python3 tools/artifact_digest.py --rounds 30 --out /tmp/digest
+
+Run from the root of a checkout; fedjets is imported from that checkout's
+`src/`. Each of the five methods trains `--rounds` rounds on synth-10 with
+BLAS pinned to one thread and writes its artifacts under `--out/<method>/`.
+The tool prints one `sha256  method/file` line per artifact, so two
+checkouts produce byte-identical artifacts exactly when their outputs are
+identical: `diff <(python3 tools/artifact_digest.py ...) <(...)`.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import os
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+ARTIFACTS = ("metrics.jsonl", "metrics.csv", "comm.csv", "state.ckpt", "config.echo.json")
+METHODS = ("fedjets", "fedavg", "fedprox", "avg_ensemble", "fedmix")
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--rounds", type=int, required=True, help="training rounds per method")
+    parser.add_argument("--out", required=True, help="directory for the per-method artifacts")
+    args = parser.parse_args(argv)
+
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ[var] = "1"  # before numpy is imported
+    sys.path.insert(0, str(ROOT / "src"))
+    from fedjets import benchmarks, experiment
+
+    out = Path(args.out)
+    for method in METHODS:
+        cfg = benchmarks.synth10_config(federation={"method": method, "rounds": args.rounds})
+        experiment.run_to_directory(cfg, out / method)
+        for name in ARTIFACTS:
+            digest = hashlib.sha256((out / method / name).read_bytes()).hexdigest()
+            print(f"{digest}  {method}/{name}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
