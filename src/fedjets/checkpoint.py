@@ -1,19 +1,19 @@
-"""Binary checkpoint formats.
+"""The binary container every fedjets artifact is stored in.
 
-Single-network checkpoint (`.ckpt`):
-
-    magic    4 bytes  b"FJET"
-    version  u16 LE   (currently 1)
+    magic    4 bytes  b"FJST"
+    version  u16 LE   (currently 2)
     hdr_len  u32 LE
-    header   hdr_len bytes of canonical JSON:
-             {"meta": {...}, "net": {"activations": [...], "head": ..., "layer_dims": [...]}}
-    values   remaining bytes, little-endian float32
+    header   hdr_len bytes of canonical JSON: {"blocks": [{"name": ...}, ...], "meta": {...}}
+    blocks   per header entry, in order: a u32 LE value count, then that
+             many little-endian float64 values
 
-The header JSON is serialized with sorted keys and compact separators, so
-parsing a file and re-serializing it reproduces the bytes exactly.
-
-Multi-network server-state container (`state.ckpt`) reuses the same layout
-under magic b"FJST", with one length-prefixed float32 block per network.
+Sorted keys and compact separators make the header canonical, so writing
+back what was read reproduces a file's bytes, and float64 blocks read back
+bit for bit. Anything that does not parse exactly, version-1 files (float32
+blocks, the single-network magic b"FJET") included, raises ArtifactError.
+A server state (`state.ckpt`) holds one block per network, each entry
+carrying its spec under "net"; a single network (`common.ckpt`) is one such
+block named "net"; a feature dataset is one block named "features".
 """
 
 from __future__ import annotations
@@ -27,92 +27,88 @@ import numpy as np
 from .errors import ArtifactError, ConfigError
 from .nn import NetSpec, ParamVector, spec_hash
 
-MAGIC_NET = b"FJET"
-MAGIC_STATE = b"FJST"
-FORMAT_VERSION = 1
+MAGIC = b"FJST"
+FORMAT_VERSION = 2
+_PREFIX = struct.Struct("<4sHI")  # magic, version, header length
 
 
-def _canonical_json(obj) -> bytes:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":")).encode()
+def write(path, entries: list[dict], blocks: list[np.ndarray], meta: dict) -> None:
+    """Write one container; `entries[i]`, a JSON object with a "name",
+    describes the float64 block `blocks[i]`."""
+    if len(entries) != len(blocks):
+        raise ConfigError(f"{len(entries)} block entries for {len(blocks)} blocks")
+    header = json.dumps({"blocks": entries, "meta": meta}, sort_keys=True, separators=(",", ":")).encode()
+    parts = [_PREFIX.pack(MAGIC, FORMAT_VERSION, len(header)), header]
+    for block in blocks:
+        values = np.asarray(block, dtype="<f8").ravel()
+        parts += [struct.pack("<I", values.size), values.tobytes()]
+    Path(path).write_bytes(b"".join(parts))
 
 
-def _pack_header(magic: bytes, header: dict) -> bytes:
-    blob = _canonical_json(header)
-    return magic + struct.pack("<H", FORMAT_VERSION) + struct.pack("<I", len(blob)) + blob
-
-
-def _read_header(raw: bytes, magic: bytes, path) -> tuple[dict, int]:
-    if len(raw) < 10 or raw[:4] != magic:
-        raise ArtifactError(f"{path}: not a {magic.decode()} file")
-    (version,) = struct.unpack_from("<H", raw, 4)
+def read(path) -> tuple[list[dict], list[np.ndarray], dict]:
+    """Read a container written by `write`; returns (entries, blocks, meta)."""
+    raw = Path(path).read_bytes()
+    if len(raw) < _PREFIX.size or raw[:4] != MAGIC:
+        raise ArtifactError(f"{path}: not a {MAGIC.decode()} container")
+    _, version, hdr_len = _PREFIX.unpack_from(raw)
     if version != FORMAT_VERSION:
         raise ArtifactError(f"{path}: unsupported format version {version}")
-    (hdr_len,) = struct.unpack_from("<I", raw, 6)
-    end = 10 + hdr_len
-    if end > len(raw):
+    off = _PREFIX.size + hdr_len
+    if off > len(raw):
         raise ArtifactError(f"{path}: truncated header")
     try:
-        header = json.loads(raw[10:end].decode())
+        header = json.loads(raw[_PREFIX.size : off].decode())
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ArtifactError(f"{path}: malformed header JSON ({exc})") from exc
-    return header, end
-
-
-def save_net(path, spec: NetSpec, params: ParamVector, meta: dict | None = None) -> None:
-    """Write one network to a FJET checkpoint (values stored as float32)."""
-    if params.values.shape[0] != spec.param_count():
-        raise ConfigError("parameter length does not match spec")
-    header = {"meta": meta or {}, "net": spec.to_dict()}
-    data = _pack_header(MAGIC_NET, header) + params.values.astype("<f4").tobytes()
-    Path(path).write_bytes(data)
-
-
-def load_net(path) -> tuple[NetSpec, ParamVector, dict]:
-    """Read a FJET checkpoint; returns (spec, params, meta)."""
-    raw = Path(path).read_bytes()
-    header, off = _read_header(raw, MAGIC_NET, path)
-    if "net" not in header:
-        raise ArtifactError(f"{path}: header missing net spec")
-    spec = NetSpec.from_dict(header["net"])
-    values = np.frombuffer(raw[off:], dtype="<f4").astype(np.float64)
-    if values.shape[0] != spec.param_count():
-        raise ArtifactError(
-            f"{path}: {values.shape[0]} stored values, spec implies {spec.param_count()}"
-        )
-    return spec, ParamVector(values, spec_hash(spec)), header.get("meta", {})
+    entries, meta = (header.get("blocks"), header.get("meta")) if isinstance(header, dict) else (None, None)
+    if not (isinstance(entries, list) and isinstance(meta, dict)) or not all(
+        isinstance(e, dict) and isinstance(e.get("name"), str) for e in entries
+    ):
+        raise ArtifactError(f'{path}: header is not {{"blocks": [{{"name": ...}}, ...], "meta": {{...}}}}')
+    blocks = []
+    for entry in entries:
+        count = int.from_bytes(raw[off : off + 4], "little")  # a short tail reads short and fails below
+        if off + 4 + 8 * count > len(raw):
+            raise ArtifactError(f"{path}: truncated block {entry['name']!r}")
+        blocks.append(np.frombuffer(raw, dtype="<f8", count=count, offset=off + 4).astype(np.float64))
+        off += 4 + 8 * count
+    if off != len(raw):
+        raise ArtifactError(f"{path}: {len(raw) - off} trailing bytes after the last block")
+    return entries, blocks, meta
 
 
 def save_state(path, named_nets: list[tuple[str, NetSpec, ParamVector]], meta: dict | None = None) -> None:
-    """Write several networks (server state) to one FJST container."""
-    entries = []
-    blocks = []
+    """Write several networks (a server state), one block each."""
     for name, spec, params in named_nets:
         if params.values.shape[0] != spec.param_count():
             raise ConfigError(f"parameter length does not match spec for {name!r}")
-        entries.append({"name": name, "net": spec.to_dict()})
-        block = params.values.astype("<f4").tobytes()
-        blocks.append(struct.pack("<I", params.values.shape[0]) + block)
-    header = {"meta": meta or {}, "nets": entries}
-    Path(path).write_bytes(_pack_header(MAGIC_STATE, header) + b"".join(blocks))
+    entries = [{"name": name, "net": spec.to_dict()} for name, spec, _ in named_nets]
+    write(path, entries, [params.values for _, _, params in named_nets], meta or {})
 
 
 def load_state(path) -> tuple[list[tuple[str, NetSpec, ParamVector]], dict]:
-    """Read a FJST container; returns ([(name, spec, params), ...], meta)."""
-    raw = Path(path).read_bytes()
-    header, off = _read_header(raw, MAGIC_STATE, path)
-    out = []
-    for entry in header.get("nets", []):
-        spec = NetSpec.from_dict(entry["net"])
-        if off + 4 > len(raw):
-            raise ArtifactError(f"{path}: truncated block table")
-        (count,) = struct.unpack_from("<I", raw, off)
-        off += 4
-        end = off + 4 * count
-        if end > len(raw):
-            raise ArtifactError(f"{path}: truncated parameter block for {entry['name']!r}")
-        values = np.frombuffer(raw[off:end], dtype="<f4").astype(np.float64)
-        off = end
+    """Read networks written by `save_state`; returns ([(name, spec, params), ...], meta)."""
+    entries, blocks, meta = read(path)
+    nets = []
+    for entry, values in zip(entries, blocks):
+        try:
+            spec = NetSpec.from_dict(entry["net"])
+        except (ConfigError, KeyError, TypeError, ValueError) as exc:
+            raise ArtifactError(f"{path}: block {entry['name']!r} has no valid net spec ({exc!r})") from exc
         if values.shape[0] != spec.param_count():
-            raise ArtifactError(f"{path}: block size mismatch for {entry['name']!r}")
-        out.append((entry["name"], spec, ParamVector(values, spec_hash(spec))))
-    return out, header.get("meta", {})
+            raise ArtifactError(f"{path}: block {entry['name']!r} does not hold {spec.param_count()} values")
+        nets.append((entry["name"], spec, ParamVector(values, spec_hash(spec))))
+    return nets, meta
+
+
+def save_net(path, spec: NetSpec, params: ParamVector, meta: dict | None = None) -> None:
+    """Write one network: a container with a single block named "net"."""
+    save_state(path, [("net", spec, params)], meta)
+
+
+def load_net(path) -> tuple[NetSpec, ParamVector, dict]:
+    """Read a checkpoint written by `save_net`; returns (spec, params, meta)."""
+    nets, meta = load_state(path)
+    if [name for name, _, _ in nets] != ["net"]:
+        raise ArtifactError(f'{path}: not a single-network checkpoint (want one block named "net")')
+    return nets[0][1], nets[0][2], meta

@@ -15,7 +15,6 @@ import numpy as np
 
 from . import checkpoint
 from .errors import ArtifactError, ConfigError
-from .nn import NetSpec
 from .seeding import rng_stream
 
 KIND_ANCHOR = "anchor"
@@ -328,37 +327,31 @@ def make_test_clients(
 
 
 def save_feature_dataset(path, ds: LabeledDataset, meta: dict | None = None) -> None:
-    """Ingestion hook: persist a pre-embedded feature dataset in the
-    checkpoint container (float32 features, labels in the header)."""
-    header = {
-        "meta": {
-            "kind": "feature_dataset",
-            "num_classes": int(ds.num_classes),
-            "dim": int(ds.dim),
-            "labels": ds.labels.tolist(),
-            **(meta or {}),
-        },
-        "net": NetSpec.mlp((ds.dim, ds.num_classes)).to_dict(),
+    """Ingestion hook: persist a pre-embedded feature dataset as a checkpoint
+    container with one float64 block named "features" (the row-major
+    N x dim matrix); labels, dim and class count ride in the meta."""
+    info = {
+        "kind": "feature_dataset",
+        "num_classes": int(ds.num_classes),
+        "dim": int(ds.dim),
+        "labels": ds.labels.tolist(),
+        **(meta or {}),
     }
-    blob = checkpoint._pack_header(checkpoint.MAGIC_NET, header)
-    data = blob + ds.inputs.astype("<f4").tobytes()
-    from pathlib import Path
-
-    Path(path).write_bytes(data)
+    checkpoint.write(path, [{"name": "features"}], [ds.inputs], info)
 
 
 def load_feature_dataset(path) -> LabeledDataset:
-    """Read a feature dataset written by `save_feature_dataset`."""
-    from pathlib import Path
-
-    raw = Path(path).read_bytes()
-    header, off = checkpoint._read_header(raw, checkpoint.MAGIC_NET, path)
-    meta = header.get("meta", {})
-    if meta.get("kind") != "feature_dataset":
+    """Read a feature dataset written by `save_feature_dataset`; a file that
+    is not one, or whose header does not describe its block, raises
+    ArtifactError."""
+    entries, blocks, meta = checkpoint.read(path)
+    if meta.get("kind") != "feature_dataset" or [e["name"] for e in entries] != ["features"]:
         raise ArtifactError(f"{path}: not a feature dataset checkpoint")
-    labels = np.asarray(meta["labels"], dtype=np.int64)
-    dim = int(meta["dim"])
-    values = np.frombuffer(raw[off:], dtype="<f4").astype(np.float64)
-    if values.size != labels.size * dim:
-        raise ArtifactError(f"{path}: feature block does not match {labels.size} x {dim}")
-    return LabeledDataset(values.reshape(labels.size, dim), labels, int(meta["num_classes"]))
+    try:
+        labels = np.asarray(meta["labels"], dtype=np.int64)
+        dim, num_classes = int(meta["dim"]), int(meta["num_classes"])
+        if blocks[0].size != labels.size * dim:
+            raise ArtifactError(f"{path}: feature block does not match {labels.size} labels x {dim}")
+        return LabeledDataset(blocks[0].reshape(labels.size, dim), labels, num_classes)
+    except (ConfigError, KeyError, TypeError, ValueError) as exc:
+        raise ArtifactError(f"{path}: malformed feature dataset ({exc!r})") from exc

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 
 from . import central, checkpoint, config as config_mod, data, gating, metrics, nn, runtime
-from .errors import ConfigError
+from .errors import ArtifactError, ConfigError
 from .gating import CommonExpert
 from .seeding import rng_stream
 
@@ -209,7 +209,7 @@ def load_run_state(path) -> tuple[runtime.ServerState, dict]:
     experts = [(name, spec, p) for name, spec, p in nets if name.startswith("expert_")]
     gates = [(name, spec, p) for name, spec, p in nets if name == "gate"]
     if not experts:
-        raise ConfigError(f"{path}: state holds no experts")
+        raise ArtifactError(f"{path}: state holds no experts")
     expert_spec = experts[0][1]
     state = runtime.ServerState(
         expert_spec,

@@ -1,0 +1,107 @@
+"""The float64 checkpoint container: exact round-trips, canonical bytes and
+strict parsing, over random network specs and values."""
+
+from __future__ import annotations
+
+import json
+import struct
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from fedjets import checkpoint, nn
+from fedjets.errors import ArtifactError
+
+PROPERTY = settings(
+    max_examples=40,
+    deadline=None,
+    derandomize=True,  # the same examples on every run
+    database=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+
+# values that a float32 or a text format would not carry exactly
+SPECIAL = [-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e300, -1e300, 1 / 3]
+values_st = st.one_of(st.sampled_from(SPECIAL), st.floats(allow_nan=False, allow_infinity=False))
+
+
+@st.composite
+def nets(draw):
+    dims = draw(st.lists(st.integers(1, 4), min_size=2, max_size=4))
+    activation = draw(st.sampled_from(sorted(nn.HIDDEN_ACTIVATIONS)))
+    spec = nn.NetSpec.mlp(dims, activation, draw(st.sampled_from(sorted(nn.OUTPUT_HEADS))))
+    values = draw(st.lists(values_st, min_size=spec.param_count(), max_size=spec.param_count()))
+    return spec, nn.ParamVector(np.array(values, dtype=np.float64), nn.spec_hash(spec))
+
+
+metas = st.dictionaries(
+    st.text(max_size=4),
+    st.one_of(st.integers(), st.floats(allow_nan=False, allow_infinity=False), st.text(max_size=4)),
+    max_size=3,
+)
+
+
+@PROPERTY
+@given(net=nets(), meta=metas)
+def test_values_roundtrip_bit_for_bit(tmp_path, net, meta):
+    spec, params = net
+    path = tmp_path / "net.ckpt"
+    checkpoint.save_net(path, spec, params, meta)
+    spec2, params2, meta2 = checkpoint.load_net(path)
+    assert spec2 == spec and meta2 == meta
+    assert params2.values.tobytes() == params.values.tobytes()
+
+
+@PROPERTY
+@given(experts=st.lists(nets(), min_size=1, max_size=3), meta=metas)
+def test_rewriting_a_loaded_state_reproduces_its_bytes(tmp_path, experts, meta):
+    path = tmp_path / "state.ckpt"
+    checkpoint.save_state(path, [(f"expert_{i}", spec, p) for i, (spec, p) in enumerate(experts)], meta)
+    raw = path.read_bytes()
+    checkpoint.save_state(path, *checkpoint.load_state(path))
+    assert path.read_bytes() == raw
+    checkpoint.write(path, *checkpoint.read(path))
+    assert path.read_bytes() == raw
+
+
+@PROPERTY
+@given(net=nets())
+def test_every_strict_prefix_and_an_appended_byte_rejected(tmp_path, net):
+    spec, params = net
+    path = tmp_path / "net.ckpt"
+    checkpoint.save_net(path, spec, params, {"round": 3})
+    raw = path.read_bytes()
+    for bad in [raw[:cut] for cut in range(len(raw))] + [raw + b"\x00"]:
+        path.write_bytes(bad)
+        with pytest.raises(ArtifactError):
+            checkpoint.read(path)
+
+
+def test_version_1_files_rejected(tmp_path):
+    # the float32 formats this container replaced: a single-network FJET
+    # checkpoint and a version-1 FJST state
+    spec = nn.NetSpec.mlp([4, 3])
+    values = np.zeros(spec.param_count(), dtype="<f4").tobytes()
+    for magic, header, body in [
+        (b"FJET", {"meta": {}, "net": spec.to_dict()}, values),
+        (b"FJST", {"meta": {}, "nets": [{"name": "net", "net": spec.to_dict()}]}, struct.pack("<I", 15) + values),
+    ]:
+        blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
+        path = tmp_path / "v1.ckpt"
+        path.write_bytes(magic + struct.pack("<HI", 1, len(blob)) + blob + body)
+        with pytest.raises(ArtifactError):
+            checkpoint.load_net(path)
+
+
+def test_load_net_rejects_a_state_and_load_state_a_feature_file(tmp_path):
+    spec = nn.NetSpec.mlp([2, 3])
+    params = nn.zeros_like(spec)
+    path = tmp_path / "x.ckpt"
+    checkpoint.save_state(path, [("expert_0", spec, params), ("expert_1", spec, params)])
+    with pytest.raises(ArtifactError):
+        checkpoint.load_net(path)
+    checkpoint.write(path, [{"name": "features"}], [np.zeros(4)], {"kind": "feature_dataset"})
+    with pytest.raises(ArtifactError):
+        checkpoint.load_state(path)

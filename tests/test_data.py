@@ -235,7 +235,7 @@ class TestFeatureFiles:
         loaded = data.load_feature_dataset(path)
         assert loaded.num_classes == ds.num_classes
         assert np.array_equal(loaded.labels, ds.labels)
-        assert np.allclose(loaded.inputs, ds.inputs, atol=1e-6)  # float32 storage
+        assert loaded.inputs.tobytes() == ds.inputs.tobytes()  # float64 blocks, bit for bit
 
     def test_wrong_kind_rejected(self, tmp_path):
         from fedjets import checkpoint
@@ -244,6 +244,15 @@ class TestFeatureFiles:
         params = nn.zeros_like(spec)
         path = tmp_path / "net.ckpt"
         checkpoint.save_net(path, spec, params)
+        with pytest.raises(ArtifactError):
+            data.load_feature_dataset(path)
+
+    def test_header_without_labels_rejected(self, tmp_path):
+        from fedjets import checkpoint
+
+        path = tmp_path / "features.ckpt"
+        meta = {"kind": "feature_dataset", "dim": 2, "num_classes": 3}
+        checkpoint.write(path, [{"name": "features"}], [np.zeros(6)], meta)
         with pytest.raises(ArtifactError):
             data.load_feature_dataset(path)
 

@@ -335,14 +335,14 @@ class TestCheckpoint:
         assert path.read_bytes() == raw1
         assert spec2 == spec and meta["acc"] == 0.75
 
-    def test_float32_grid_values_roundtrip_exactly(self, tmp_path):
+    def test_float64_values_roundtrip_exactly(self, tmp_path):
         spec = nn.NetSpec.mlp([3, 2])
-        values = np.array([0.5, -1.25, 3.0, 0.0, 2.0, -0.75, 1.5, 8.0], dtype=np.float64)
+        values = np.array([np.pi, -0.0, 5e-324, -2.2e-308, 1e300, -1e300, 0.1, 1 / 3], dtype=np.float64)
         params = nn.ParamVector(values, nn.spec_hash(spec))
-        path = tmp_path / "grid.ckpt"
+        path = tmp_path / "values.ckpt"
         checkpoint.save_net(path, spec, params)
         _, loaded, _ = checkpoint.load_net(path)
-        assert np.array_equal(loaded.values, values)
+        assert loaded.values.tobytes() == values.tobytes()  # bit for bit, -0.0 included
 
     def test_wrong_magic_rejected(self, tmp_path):
         path = tmp_path / "bad.ckpt"
@@ -366,7 +366,8 @@ class TestCheckpoint:
         nets, meta = checkpoint.load_state(path)
         assert [n[0] for n in nets] == ["expert_0", "gate"]
         assert meta["round"] == 7
-        assert np.allclose(nets[0][2].values, p1.values.astype(np.float32))
+        assert np.array_equal(nets[0][2].values, p1.values)
+        assert np.array_equal(nets[1][2].values, g.values)
 
 
 class TestPurity:
