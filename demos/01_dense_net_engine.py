@@ -32,8 +32,8 @@ for i in coords:
     up[i] += h
     down[i] -= h
     fd = (
-        nn.loss_value(spec, nn.ParamVector(up, params.spec_hash), batch, "ce_on_logits")
-        - nn.loss_value(spec, nn.ParamVector(down, params.spec_hash), batch, "ce_on_logits")
+        nn.loss_value(spec, nn.ParamVector(up, spec), batch, "ce_on_logits")
+        - nn.loss_value(spec, nn.ParamVector(down, spec), batch, "ce_on_logits")
     ) / (2 * h)
     worst = max(worst, abs(fd - grad.values[i]))
 print(f"finite-difference spot check, worst abs deviation: {worst:.2e}")
@@ -46,5 +46,5 @@ for step in range(300):
     _, g = nn.loss_and_grad(spec, params, b, "ce_on_logits")
     nn.sgdm_step(params.values, velocity, g.values, lr=0.05, momentum=0.9)
 
-acc = central.model_accuracy(spec, params, holdout.inputs, holdout.labels)
+acc = central.model_accuracy(params, holdout.inputs, holdout.labels)
 print(f"accuracy after 300 SGDM steps: {acc:.3f}")

@@ -16,7 +16,7 @@ test = data.synth_dataset(C, D, 100, 4.0, seed=1, means_seed=0)
 
 spec = nn.NetSpec.mlp([D, 32, 32, C])
 pre = central.pretrain(spec, train, test, 0.93, 40, 0.01, 0.9, 64, seed=0)
-common = gating.CommonExpert.from_net(spec, pre.params)
+common = gating.CommonExpert.from_net(pre.params)
 print(f"common expert: {pre.accuracy:.3f} accuracy, embeddings at layer {common.embed_layer} "
       f"(dim {common.embed_dim})")
 
@@ -24,28 +24,24 @@ anchors = data.make_anchor_shards(train, M, 2, seed=0, disjoint=True)
 truth = evaluation.routing_ground_truth(anchors)
 print("label -> expert map:", truth)
 
-gate = gating.GateNet(
-    gating.gate_spec(common.embed_dim, M), nn.init_params(gating.gate_spec(common.embed_dim, M), rng_stream(0, "g"))
-)
+gate = nn.init_params(gating.gate_spec(common.embed_dim, M), rng_stream(0, "g"))
 cache = gating.build_embedding_cache(common, train, anchors)
 
 tests = data.make_test_clients(test, 6, 2, seed=2, training_shards=anchors)
 test_cache = gating.build_embedding_cache(common, test, tests)
 expert_spec = nn.NetSpec.mlp([D, 32, 32, C])
-state = runtime.ServerState(
-    expert_spec, gate.spec, [nn.zeros_like(expert_spec) for _ in range(M)], gate.params
-)
+experts = [nn.zeros_like(expert_spec) for _ in range(M)]
 
-velocity = np.zeros_like(gate.params.values)
+velocity = np.zeros_like(gate.values)
 for step in range(401):
     if step % 100 == 0:
-        state.gate_params = gate.params
+        state = runtime.ServerState(experts, gate.copy())
         zero_shot = evaluation.zero_shot_eval(state, common, tests, test, k=2, cache=test_cache)
         report = evaluation.per_sample_routing_report(zero_shot, tests, test, truth)
         print(f"step {step:4d}: routing error {report.average_error_rate:.3f} (chance 0.80)")
     q = step % M
     loss, grad = gating.gate_independent_loss_grad(gate, cache[q], q)
-    nn.sgdm_step(gate.params.values, velocity, grad.values, 0.05, 0.0)
+    nn.sgdm_step(gate.values, velocity, grad.values, 0.05, 0.0)
 
 scores = gating.gate_scores(gate, test_cache[tests[0].client_id])
 sel = gating.select_topk(scores, 2, tests[0].client_id)

@@ -17,13 +17,11 @@ from . import nn, runtime
 from .config import RunConfig
 from .data import ClientShard, LabeledDataset
 from .errors import ConfigError
-from .gating import GateNet
 from .runtime import RoundPlan, RunContext, ServerState, UpdatePacket
 from .seeding import rng_stream
 
 
 def _sgd_client_update(
-    spec: nn.NetSpec,
     global_params: nn.ParamVector,
     shard: ClientShard,
     ds: LabeledDataset,
@@ -38,7 +36,7 @@ def _sgd_client_update(
 
     def grads(rows):
         batch = nn.Batch(ds.inputs[shard.indices[rows]], ds.labels[shard.indices[rows]])
-        loss, grad = nn.loss_and_grad(spec, params, batch, "ce_on_logits")
+        loss, grad = nn.loss_and_grad(params.spec, params, batch, "ce_on_logits")
         runtime._check_finite_loss(loss)
         if prox_mu != 0.0:
             grad.values += prox_mu * (params.values - global_params.values)
@@ -48,32 +46,32 @@ def _sgd_client_update(
     return UpdatePacket(shard.client_id, shard.kind, None, {0: params}, len(shard))
 
 
-def fedavg_client_update(spec, global_params, shard, ds, cfg, round_idx) -> UpdatePacket:
-    return _sgd_client_update(spec, global_params, shard, ds, cfg, round_idx, prox_mu=0.0)
+def fedavg_client_update(global_params, shard, ds, cfg, round_idx) -> UpdatePacket:
+    return _sgd_client_update(global_params, shard, ds, cfg, round_idx, prox_mu=0.0)
 
 
-def fedprox_client_update(spec, global_params, shard, ds, cfg, round_idx, mu) -> UpdatePacket:
+def fedprox_client_update(global_params, shard, ds, cfg, round_idx, mu) -> UpdatePacket:
     if mu < 0:
         raise ConfigError("fedprox mu must be non-negative")
-    return _sgd_client_update(spec, global_params, shard, ds, cfg, round_idx, prox_mu=mu)
+    return _sgd_client_update(global_params, shard, ds, cfg, round_idx, prox_mu=mu)
 
 
-def prox_loss(spec, params, global_params, batch, mu) -> float:
+def prox_loss(params, global_params, batch, mu) -> float:
     """The augmented objective FedProx steps descend (for gradient checks)."""
-    base = nn.loss_value(spec, params, batch, "ce_on_logits")
+    base = nn.loss_value(params.spec, params, batch, "ce_on_logits")
     return base + 0.5 * mu * float(np.sum((params.values - global_params.values) ** 2))
 
 
-def avg_ensemble_predict(models: list[tuple[nn.NetSpec, nn.ParamVector]], inputs: np.ndarray) -> np.ndarray:
+def avg_ensemble_predict(models: list[nn.ParamVector], inputs: np.ndarray) -> np.ndarray:
     """Argmax of the mean of per-model softmax probabilities."""
     if len(models) < 2:
         raise ConfigError("ensemble prediction needs at least 2 models")
-    out_dim = models[0][0].output_dim
-    if any(spec.output_dim != out_dim for spec, _ in models):
+    out_dim = models[0].spec.output_dim
+    if any(params.spec.output_dim != out_dim for params in models):
         raise ConfigError("ensemble members must share the output dimension")
     mean = None
-    for spec, params in models:
-        probs = nn.softmax(nn.forward(spec, params, inputs))
+    for params in models:
+        probs = nn.softmax(nn.forward(params.spec, params, inputs))
         mean = probs if mean is None else mean + probs
     return (mean / len(models)).argmax(axis=1)
 
@@ -105,9 +103,7 @@ def fedavg_like_round(ctx: RunContext, state: ServerState, t: int, mu: float) ->
     packets = runtime.update_clients(
         t,
         plan.normal_ids,
-        lambda cid: _sgd_client_update(
-            state.expert_spec, state.expert_params[0], shards[cid], ctx.train_ds, ctx.cfg, t, mu
-        ),
+        lambda cid: _sgd_client_update(state.expert_params[0], shards[cid], ctx.train_ds, ctx.cfg, t, mu),
     )
     return runtime.aggregate(state, packets, ctx.cfg.federation.uniform_weighting), plan
 
@@ -123,29 +119,26 @@ def ensemble_round(ctx: RunContext, state: ServerState, t: int) -> tuple[ServerS
         packets = runtime.update_clients(
             t,
             plan.normal_ids,
-            lambda cid: _sgd_client_update(state.expert_spec, member, shards[cid], ctx.train_ds, cfg, t),
+            lambda cid: _sgd_client_update(member, shards[cid], ctx.train_ds, cfg, t),
             scope=f"ensemble member {m}",
         )
-        member_state = ServerState(state.expert_spec, None, [member], None, state.round)
-        member_state = runtime.aggregate(member_state, packets, cfg.federation.uniform_weighting)
-        new_members.append(member_state.expert_params[0])
-    return ServerState(state.expert_spec, None, new_members, None, state.round + 1), plans[0]
+        member_state = ServerState([member], None, state.round)
+        new_members.append(runtime.aggregate(member_state, packets, cfg.federation.uniform_weighting).expert_params[0])
+    return ServerState(new_members, None, state.round + 1), plans[0]
 
 
 def fedmix_client_update(
     ctx: RunContext,
     state: ServerState,
-    local_gate: GateNet,
+    local_gate: nn.ParamVector,
     shard: ClientShard,
     t: int,
-) -> tuple[UpdatePacket, GateNet]:
+) -> tuple[UpdatePacket, nn.ParamVector]:
     """FedMix client: receives all M experts, trains them through its
     persistent local gate (mixture cross-entropy); the gate stays local."""
     experts = {i: p.copy() for i, p in enumerate(state.expert_params)}
     gate = local_gate.copy()
-    runtime._mixture_local_steps(
-        state.expert_spec, experts, gate, shard, ctx.train_ds, ctx.cache[shard.client_id], ctx.cfg, t
-    )
+    runtime._mixture_local_steps(experts, gate, shard, ctx.train_ds, ctx.cache[shard.client_id], ctx.cfg, t)
     packet = UpdatePacket(shard.client_id, shard.kind, None, experts, len(shard))
     return packet, gate
 
@@ -153,7 +146,7 @@ def fedmix_client_update(
 def fedmix_round(
     ctx: RunContext,
     state: ServerState,
-    local_gates: dict[int, GateNet],
+    local_gates: dict[int, nn.ParamVector],
     t: int,
 ) -> tuple[ServerState, RoundPlan]:
     cfg = ctx.cfg
@@ -161,9 +154,7 @@ def fedmix_round(
     shards = ctx.shards_by_id
     for cid in plan.normal_ids:
         if cid not in local_gates:
-            local_gates[cid] = GateNet(
-                ctx.gate_spec, nn.init_params(ctx.gate_spec, rng_stream(cfg.seed, "fedmix-gate", cid))
-            )
+            local_gates[cid] = nn.init_params(ctx.gate_spec, rng_stream(cfg.seed, "fedmix-gate", cid))
     results = runtime.update_clients(
         t, plan.normal_ids, lambda cid: fedmix_client_update(ctx, state, local_gates[cid], shards[cid], t)
     )
@@ -181,16 +172,16 @@ def make_stepper(ctx: RunContext, method: str):
     if method == "fedjets":
         return runtime.init_server_state(ctx), lambda st, t: runtime.fedjets_round(ctx, st, t)
     if method in ("fedavg", "fedprox"):
-        state = ServerState(ctx.expert_spec, None, [runtime.init_expert(ctx, 0)], None, 0)
+        state = ServerState([runtime.init_expert(ctx, 0)], None, 0)
         mu = cfg.federation.fedprox_mu if method == "fedprox" else 0.0
         return state, lambda st, t: fedavg_like_round(ctx, st, t, mu)
     if method == "avg_ensemble":
         members = [runtime.init_expert(ctx, m) for m in range(cfg.federation.ensemble_size)]
-        state = ServerState(ctx.expert_spec, None, members, None, 0)
+        state = ServerState(members, None, 0)
         return state, lambda st, t: ensemble_round(ctx, st, t)
     if method == "fedmix":
         experts = [runtime.init_expert(ctx, i) for i in range(cfg.num_experts)]
-        state = ServerState(ctx.expert_spec, ctx.gate_spec, experts, None, 0)
-        local_gates: dict[int, GateNet] = {}
+        state = ServerState(experts, None, 0)
+        local_gates: dict[int, nn.ParamVector] = {}
         return state, lambda st, t: fedmix_round(ctx, st, local_gates, t)
     raise ConfigError(f"unknown method {method!r}")

@@ -18,9 +18,9 @@ from .errors import ConfigError, NumericError
 from .seeding import rng_stream
 
 
-def model_accuracy(spec: nn.NetSpec, params: nn.ParamVector, inputs: np.ndarray, labels: np.ndarray) -> float:
+def model_accuracy(params: nn.ParamVector, inputs: np.ndarray, labels: np.ndarray) -> float:
     """Fraction of argmax predictions matching the labels."""
-    out = nn.forward(spec, params, inputs)
+    out = nn.forward(params.spec, params, inputs)
     return float(np.mean(out.argmax(axis=1) == labels))
 
 
@@ -59,7 +59,7 @@ def pretrain(
     velocity = np.zeros_like(params.values)
     n = len(train_ds)
 
-    acc = model_accuracy(spec, params, holdout_ds.inputs, holdout_ds.labels)
+    acc = model_accuracy(params, holdout_ds.inputs, holdout_ds.labels)
     epochs = 0
     while acc < target_accuracy and epochs < max_epochs:
         order = rng.permutation(n)
@@ -71,6 +71,6 @@ def pretrain(
                 raise NumericError("non-finite pretraining loss", context=f"epoch {epochs}")
             nn.sgdm_step(params.values, velocity, grad.values, lr, momentum)
         epochs += 1
-        acc = model_accuracy(spec, params, holdout_ds.inputs, holdout_ds.labels)
+        acc = model_accuracy(params, holdout_ds.inputs, holdout_ds.labels)
     params.check_finite()
     return PretrainResult(params, acc, epochs, acc >= target_accuracy)

@@ -24,8 +24,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ArtifactError, ConfigError
-from .nn import NetSpec, ParamVector, spec_hash
+from .errors import ArtifactError, ConfigError, NumericError
+from .nn import NetSpec, ParamVector
 
 MAGIC = b"FJST"
 FORMAT_VERSION = 2
@@ -77,38 +77,36 @@ def read(path) -> tuple[list[dict], list[np.ndarray], dict]:
     return entries, blocks, meta
 
 
-def save_state(path, named_nets: list[tuple[str, NetSpec, ParamVector]], meta: dict | None = None) -> None:
+def save_state(path, named_nets: list[tuple[str, ParamVector]], meta: dict | None = None) -> None:
     """Write several networks (a server state), one block each."""
-    for name, spec, params in named_nets:
-        if params.values.shape[0] != spec.param_count():
-            raise ConfigError(f"parameter length does not match spec for {name!r}")
-    entries = [{"name": name, "net": spec.to_dict()} for name, spec, _ in named_nets]
-    write(path, entries, [params.values for _, _, params in named_nets], meta or {})
+    entries = [{"name": name, "net": params.spec.to_dict()} for name, params in named_nets]
+    write(path, entries, [params.values for _, params in named_nets], meta or {})
 
 
-def load_state(path) -> tuple[list[tuple[str, NetSpec, ParamVector]], dict]:
-    """Read networks written by `save_state`; returns ([(name, spec, params), ...], meta)."""
+def load_state(path) -> tuple[list[tuple[str, ParamVector]], dict]:
+    """Read networks written by `save_state`; returns ([(name, params), ...], meta)."""
     entries, blocks, meta = read(path)
     nets = []
     for entry, values in zip(entries, blocks):
+        name = entry["name"]
         try:
-            spec = NetSpec.from_dict(entry["net"])
+            params = ParamVector(values, NetSpec.from_dict(entry["net"]))
+        except NumericError as exc:
+            raise exc.within(f"{path}: block {name!r}") from exc
         except (ConfigError, KeyError, TypeError, ValueError) as exc:
-            raise ArtifactError(f"{path}: block {entry['name']!r} has no valid net spec ({exc!r})") from exc
-        if values.shape[0] != spec.param_count():
-            raise ArtifactError(f"{path}: block {entry['name']!r} does not hold {spec.param_count()} values")
-        nets.append((entry["name"], spec, ParamVector(values, spec_hash(spec))))
+            raise ArtifactError(f"{path}: block {name!r} holds no valid network ({exc!r})") from exc
+        nets.append((name, params))
     return nets, meta
 
 
-def save_net(path, spec: NetSpec, params: ParamVector, meta: dict | None = None) -> None:
+def save_net(path, params: ParamVector, meta: dict | None = None) -> None:
     """Write one network: a container with a single block named "net"."""
-    save_state(path, [("net", spec, params)], meta)
+    save_state(path, [("net", params)], meta)
 
 
-def load_net(path) -> tuple[NetSpec, ParamVector, dict]:
-    """Read a checkpoint written by `save_net`; returns (spec, params, meta)."""
+def load_net(path) -> tuple[ParamVector, dict]:
+    """Read a checkpoint written by `save_net`; returns (params, meta)."""
     nets, meta = load_state(path)
-    if [name for name, _, _ in nets] != ["net"]:
+    if [name for name, _ in nets] != ["net"]:
         raise ArtifactError(f'{path}: not a single-network checkpoint (want one block named "net")')
-    return nets[0][1], nets[0][2], meta
+    return nets[0][1], meta

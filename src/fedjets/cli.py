@@ -29,14 +29,14 @@ def cmd_pretrain(args) -> int:
     cfg = _load_config(args)
     target = args.target_acc if args.target_acc is not None else cfg.model.pretrain_target_accuracy
     train_ds, _ = experiment.build_datasets(cfg)
-    spec, result = experiment.pretrain_common(cfg, train_ds, target, args.epochs)
+    result = experiment.pretrain_common(cfg, train_ds, target, args.epochs)
     meta = {
         "achieved_accuracy": result.accuracy,
         "target_accuracy": target,
         "epochs": result.epochs,
         "seed": cfg.seed,
     }
-    checkpoint.save_net(args.out, spec, result.params, meta)
+    checkpoint.save_net(args.out, result.params, meta)
     print(f"pretrained common expert: accuracy={result.accuracy:.4f} epochs={result.epochs} -> {args.out}")
     if not result.reached_target:
         print(f"target {target} not reached within {result.epochs} epochs", file=sys.stderr)

@@ -34,6 +34,10 @@ class LabeledDataset:
         self.labels = np.asarray(self.labels, dtype=np.int64)
         if self.inputs.ndim != 2 or self.inputs.shape[0] != self.labels.shape[0]:
             raise ConfigError("dataset inputs/labels shape mismatch")
+        if self.labels.size and not (0 <= self.labels.min() and self.labels.max() < self.num_classes):
+            raise ConfigError(
+                f"labels span [{self.labels.min()}, {self.labels.max()}], outside [0, {self.num_classes})"
+            )
         if not self.class_index:
             self.class_index = [np.flatnonzero(self.labels == c) for c in range(self.num_classes)]
         for c, idx in enumerate(self.class_index):

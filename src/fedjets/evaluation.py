@@ -23,7 +23,7 @@ from .central import model_accuracy
 from .config import ScenarioRange
 from .data import ClientShard, LabeledDataset
 from .errors import ConfigError
-from .gating import CommonExpert, ExpertSelection, GateNet, embed_inputs, gate_scores, select_topk
+from .gating import CommonExpert, ExpertSelection, embed_inputs, gate_scores, select_topk
 from .metrics import MetricsRecord
 from .runtime import RunContext, ServerState
 from .seeding import rng_stream
@@ -79,7 +79,7 @@ def _predict_client(
     """
     if embeddings is None:
         embeddings = embed_inputs(common, inputs)
-    scores = gate_scores(GateNet(state.gate_spec, state.gate_params), embeddings)
+    scores = gate_scores(state.gate_params, embeddings)
     selection = select_topk(scores, k, client_id)
     cols = np.array(selection.indices, dtype=np.int64)
     # raw scores restricted to the selected set; argmax unchanged by renormalization
@@ -87,8 +87,8 @@ def _predict_client(
     preds = np.empty(inputs.shape[0], dtype=np.int64)
     for e in np.unique(chosen):
         rows = np.flatnonzero(chosen == e)
-        logits = nn.forward(state.expert_spec, state.expert_params[e], inputs[rows])
-        preds[rows] = logits.argmax(axis=1)
+        expert = state.expert_params[e]
+        preds[rows] = nn.forward(expert.spec, expert, inputs[rows]).argmax(axis=1)
     return selection, chosen, preds
 
 
@@ -125,7 +125,7 @@ def common_expert_accuracy(
     """The common expert's own head as the baseline classifier, scored like
     `zero_shot_eval`: mean of the per-client accuracies on the test clients."""
     per_acc = [
-        model_accuracy(common.spec, common.params, test_ds.inputs[s.indices], test_ds.labels[s.indices])
+        model_accuracy(common.params, test_ds.inputs[s.indices], test_ds.labels[s.indices])
         for s in sorted(test_shards, key=lambda s: s.client_id)
     ]
     return float(np.mean(per_acc))
@@ -181,10 +181,7 @@ def per_sample_routing_report(
 def _fedmix_predict(ctx: RunContext, state: ServerState, shard: ClientShard) -> np.ndarray:
     """FedMix zero-shot: an unseen client starts a fresh local gate and
     predicts with the mixture over all experts (nothing to rank with)."""
-    gate = GateNet(
-        ctx.gate_spec,
-        nn.init_params(ctx.gate_spec, rng_stream(ctx.cfg.seed, "fedmix-test-gate", shard.client_id)),
-    )
+    gate = nn.init_params(ctx.gate_spec, rng_stream(ctx.cfg.seed, "fedmix-test-gate", shard.client_id))
     weights = gate_scores(gate, ctx.test_cache[shard.client_id])
     inputs = ctx.test_ds.inputs[shard.indices]
     return nn.mixture_forward(ctx.expert_spec, state.expert_params, weights, inputs).argmax(axis=1)
@@ -196,10 +193,10 @@ def client_predictor(ctx: RunContext, state: ServerState, method: str):
     FedJETs predicts through `zero_shot_eval`."""
     inputs = ctx.test_ds.inputs
     if method in ("fedavg", "fedprox"):
-        return lambda s: nn.forward(state.expert_spec, state.expert_params[0], inputs[s.indices]).argmax(axis=1)
+        model = state.expert_params[0]
+        return lambda s: nn.forward(model.spec, model, inputs[s.indices]).argmax(axis=1)
     if method == "avg_ensemble":
-        models = [(state.expert_spec, p) for p in state.expert_params]
-        return lambda s: avg_ensemble_predict(models, inputs[s.indices])
+        return lambda s: avg_ensemble_predict(state.expert_params, inputs[s.indices])
     if method == "fedmix":
         return lambda s: _fedmix_predict(ctx, state, s)
     raise ConfigError(f"unknown method {method!r}")
@@ -241,10 +238,7 @@ def evaluate_round(
     floats_up_cum: float,
 ) -> MetricsRecord:
     test_ds = ctx.test_ds
-    per_expert = [
-        model_accuracy(state.expert_spec, p, test_ds.inputs, test_ds.labels)
-        for p in state.expert_params
-    ]
+    per_expert = [model_accuracy(p, test_ds.inputs, test_ds.labels) for p in state.expert_params]
     scores = score_test_clients(ctx, state, method)
     return MetricsRecord(
         round=round_idx,

@@ -121,14 +121,13 @@ def build_shards(cfg: config_mod.RunConfig, train_ds, test_ds):
 
 def pretrain_common(
     cfg: config_mod.RunConfig, train_ds, target: float | None = None, epochs: int | None = None
-) -> tuple[nn.NetSpec, central.PretrainResult]:
+) -> central.PretrainResult:
     """Pretrain the common expert centrally on `pretrain_split(cfg, train_ds)`.
     `target` and `epochs` override the config's accuracy target and epoch cap."""
     m = cfg.model
-    spec = nn.NetSpec.mlp(m.common_dims or m.expert_dims)
     fit_ds, valid_ds = pretrain_split(cfg, train_ds)
-    result = central.pretrain(
-        spec,
+    return central.pretrain(
+        nn.NetSpec.mlp(m.common_dims or m.expert_dims),
         fit_ds,
         valid_ds,
         m.pretrain_target_accuracy if target is None else target,
@@ -138,7 +137,6 @@ def pretrain_common(
         cfg.training.batch_size,
         derive_seed(cfg.seed, "pretrain"),
     )
-    return spec, result
 
 
 def build_common(cfg: config_mod.RunConfig, train_ds) -> tuple[CommonExpert, dict]:
@@ -147,17 +145,17 @@ def build_common(cfg: config_mod.RunConfig, train_ds) -> tuple[CommonExpert, dic
     test set)."""
     m = cfg.model
     if m.common_ckpt:
-        spec, params, meta = checkpoint.load_net(m.common_ckpt)
+        params, meta = checkpoint.load_net(m.common_ckpt)
+        spec = params.spec
         if spec.input_dim != cfg.data.dim or spec.output_dim != cfg.data.num_classes:
             raise ConfigError(
                 f"common checkpoint maps {spec.input_dim}->{spec.output_dim}, "
                 f"config expects {cfg.data.dim}->{cfg.data.num_classes}"
             )
-        common = CommonExpert.from_net(spec, params, m.embed_layer)
-        return common, {"source": str(m.common_ckpt), **meta}
+        return CommonExpert.from_net(params, m.embed_layer), {"source": str(m.common_ckpt), **meta}
 
-    spec, result = pretrain_common(cfg, train_ds)
-    common = CommonExpert.from_net(spec, result.params, m.embed_layer)
+    result = pretrain_common(cfg, train_ds)
+    common = CommonExpert.from_net(result.params, m.embed_layer)
     meta = {
         "source": "inline-pretrain",
         "achieved_accuracy": result.accuracy,
@@ -191,11 +189,9 @@ def build_context(cfg: config_mod.RunConfig) -> runtime.RunContext:
 
 
 def save_run_state(path, state: runtime.ServerState, cfg: config_mod.RunConfig) -> None:
-    nets = [
-        (f"expert_{i}", state.expert_spec, p) for i, p in enumerate(state.expert_params)
-    ]
+    nets = [(f"expert_{i}", p) for i, p in enumerate(state.expert_params)]
     if state.gate_params is not None:
-        nets.append(("gate", state.gate_spec, state.gate_params))
+        nets.append(("gate", state.gate_params))
     meta = {
         "method": cfg.federation.method,
         "round": state.round,
@@ -205,20 +201,23 @@ def save_run_state(path, state: runtime.ServerState, cfg: config_mod.RunConfig) 
 
 
 def load_run_state(path) -> tuple[runtime.ServerState, dict]:
+    """Read a state written by `save_run_state`. The experts must share one
+    spec, and a gate must have a softmax head scoring exactly those experts;
+    anything else is a malformed artifact."""
     nets, meta = checkpoint.load_state(path)
-    experts = [(name, spec, p) for name, spec, p in nets if name.startswith("expert_")]
-    gates = [(name, spec, p) for name, spec, p in nets if name == "gate"]
+    experts = [(name, p) for name, p in nets if name.startswith("expert_")]
+    gates = [p for name, p in nets if name == "gate"]
     if not experts:
         raise ArtifactError(f"{path}: state holds no experts")
-    expert_spec = experts[0][1]
-    state = runtime.ServerState(
-        expert_spec,
-        gates[0][1] if gates else None,
-        [p for _, _, p in experts],
-        gates[0][2] if gates else None,
-        int(meta.get("round", 0)),
-    )
-    return state, meta
+    for name, p in experts:
+        if p.spec != experts[0][1].spec:
+            raise ArtifactError(f"{path}: {name} has another spec than {experts[0][0]}")
+    gate = gates[0] if gates else None
+    if gate is not None and gate.spec.head != "softmax":
+        raise ArtifactError(f"{path}: gate has a {gate.spec.head!r} head, not softmax")
+    if gate is not None and gate.spec.output_dim != len(experts):
+        raise ArtifactError(f"{path}: gate scores {gate.spec.output_dim} experts, state holds {len(experts)}")
+    return runtime.ServerState([p for _, p in experts], gate, int(meta.get("round", 0))), meta
 
 
 def run_to_directory(cfg: config_mod.RunConfig, out_dir):

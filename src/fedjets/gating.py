@@ -3,7 +3,7 @@
 The common expert is a frozen feature extractor: each client embeds its
 local data once and the cache is reused for every gate decision afterwards.
 The gate is a small MLP with a softmax head whose output dimension is the
-number of experts.
+number of experts; it is a plain `nn.ParamVector` whose spec has that head.
 """
 
 from __future__ import annotations
@@ -21,31 +21,29 @@ from .errors import ConfigError
 class CommonExpert:
     """Frozen pretrained network used only through its embeddings."""
 
-    spec: nn.NetSpec
     params: nn.ParamVector
     embed_layer: int
 
     def __post_init__(self):
-        if not (0 <= self.embed_layer < self.spec.num_layers):
-            raise ConfigError(
-                f"embed_layer {self.embed_layer} out of range for {self.spec.num_layers} layers"
-            )
+        layers = self.params.spec.num_layers
+        if not (0 <= self.embed_layer < layers):
+            raise ConfigError(f"embed_layer {self.embed_layer} out of range for {layers} layers")
 
     @classmethod
-    def from_net(cls, spec: nn.NetSpec, params: nn.ParamVector, embed_layer: int | None = None):
+    def from_net(cls, params: nn.ParamVector, embed_layer: int | None = None):
         """Default embedding point: the penultimate layer."""
         if embed_layer is None:
-            embed_layer = max(0, spec.num_layers - 2)
-        return cls(spec, params.copy(), embed_layer)
+            embed_layer = max(0, params.spec.num_layers - 2)
+        return cls(params.copy(), embed_layer)
 
     @property
     def embed_dim(self) -> int:
-        return self.spec.layer_dims[self.embed_layer + 1]
+        return self.params.spec.layer_dims[self.embed_layer + 1]
 
 
 def embed_inputs(common: CommonExpert, inputs: np.ndarray) -> np.ndarray:
     """One-time inference: activations of the common expert at embed_layer."""
-    return nn.forward_to_layer(common.spec, common.params, inputs, common.embed_layer)
+    return nn.forward_to_layer(common.params.spec, common.params, inputs, common.embed_layer)
 
 
 def embed_all(common: CommonExpert, shard: ClientShard, ds: LabeledDataset) -> np.ndarray:
@@ -58,25 +56,6 @@ def build_embedding_cache(
     common: CommonExpert, ds: LabeledDataset, shards: list[ClientShard]
 ) -> dict[int, np.ndarray]:
     return {shard.client_id: embed_all(common, shard, ds) for shard in shards}
-
-
-@dataclass
-class GateNet:
-    """Expert-ranking network: embeddings -> softmax scores over M experts."""
-
-    spec: nn.NetSpec
-    params: nn.ParamVector
-
-    def __post_init__(self):
-        if self.spec.head != "softmax":
-            raise ConfigError("gate network must have a softmax head")
-
-    @property
-    def num_experts(self) -> int:
-        return self.spec.output_dim
-
-    def copy(self) -> "GateNet":
-        return GateNet(self.spec, self.params.copy())
 
 
 def gate_spec(embed_dim: int, num_experts: int, hidden: int | None = None) -> nn.NetSpec:
@@ -101,9 +80,11 @@ class ExpertSelection:
             raise ConfigError("selection indices must be sorted and distinct")
 
 
-def gate_scores(gate: GateNet, embeddings: np.ndarray) -> np.ndarray:
+def gate_scores(gate: nn.ParamVector, embeddings: np.ndarray) -> np.ndarray:
     """Per-sample softmax distribution over experts, [n x M]."""
-    return nn.forward(gate.spec, gate.params, embeddings)
+    if gate.spec.head != "softmax":
+        raise ConfigError("gate network must have a softmax head")
+    return nn.forward(gate.spec, gate, embeddings)
 
 
 def select_topk(scores: np.ndarray, k: int, client_id: int = -1) -> ExpertSelection:
@@ -121,12 +102,12 @@ def select_topk(scores: np.ndarray, k: int, client_id: int = -1) -> ExpertSelect
 
 
 def gate_independent_loss_grad(
-    gate: GateNet, embeddings: np.ndarray, anchor_expert: int
+    gate: nn.ParamVector, embeddings: np.ndarray, anchor_expert: int
 ) -> tuple[float, nn.ParamVector]:
     """Anchor loss: cross-entropy between the gate output and the one-hot
     encoding of the anchor's assigned expert, averaged over the shard."""
-    if not (0 <= anchor_expert < gate.num_experts):
+    if not (0 <= anchor_expert < gate.spec.output_dim):
         raise ConfigError(f"anchor expert {anchor_expert} out of range")
     labels = np.full(embeddings.shape[0], anchor_expert, dtype=np.int64)
     batch = nn.Batch(embeddings, labels)
-    return nn.loss_and_grad(gate.spec, gate.params, batch, "ce_on_mixture")
+    return nn.loss_and_grad(gate.spec, gate, batch, "ce_on_mixture")

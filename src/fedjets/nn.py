@@ -2,7 +2,10 @@
 
 Everything here is a pure function of its inputs. Parameters live in flat
 float64 vectors (`ParamVector`) so that federated averaging, checkpointing
-and finite-difference checks all operate on one representation.
+and finite-difference checks all operate on one representation. A
+ParamVector carries the NetSpec it belongs to: construction checks once that
+the values are 1-D, `spec.param_count()` long and finite, and the engine's
+entry points check only that the spec they are given is that spec.
 
 Trace contract: each entry point runs the forward pass once, in
 `_forward_trace`; `backprop` consumes the `Trace` it returns and never
@@ -22,8 +25,6 @@ the bias b_l of length d_{l+1}.
 
 from __future__ import annotations
 
-import hashlib
-import json
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
@@ -105,12 +106,6 @@ class NetSpec:
             off = bias + fan_out
         return tuple(out)
 
-    @cached_property
-    def _checksum(self) -> str:
-        """`spec_hash`'s value, computed on first use and kept on the spec."""
-        blob = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(blob.encode()).hexdigest()[:16]
-
     def to_dict(self) -> dict:
         return {
             "layer_dims": list(self.layer_dims),
@@ -126,23 +121,18 @@ class NetSpec:
             raise ConfigError(f"net spec dict missing key {exc}") from exc
 
 
-def spec_hash(spec: NetSpec) -> str:
-    """Short stable checksum binding a ParamVector to its NetSpec: the first
-    16 hex digits of the sha256 of its canonical JSON, hashed once per spec."""
-    return spec._checksum
-
-
 @dataclass
 class ParamVector:
-    """Flat parameter block for one network."""
+    """Flat parameter block of one network, bound to the network's spec."""
 
     values: np.ndarray
-    spec_hash: str
+    spec: NetSpec
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=np.float64)
-        if self.values.ndim != 1:
-            raise ConfigError(f"ParamVector must be 1-D, got shape {self.values.shape}")
+        count = self.spec.param_count()
+        if self.values.shape != (count,):
+            raise ConfigError(f"ParamVector needs shape ({count},) for its spec, got {self.values.shape}")
         self.check_finite()
 
     def check_finite(self) -> None:
@@ -151,7 +141,7 @@ class ParamVector:
             raise NumericError("ParamVector contains non-finite values")
 
     def copy(self) -> "ParamVector":
-        return ParamVector(self.values.copy(), self.spec_hash)
+        return ParamVector(self.values.copy(), self.spec)
 
 
 @dataclass
@@ -177,12 +167,8 @@ class Batch:
 
 def check_compat(spec: NetSpec, params: ParamVector, *, where: str = "") -> None:
     """Raise ConfigError unless `params` belongs to `spec`."""
-    if params.spec_hash != spec_hash(spec):
-        raise ConfigError(f"parameter/spec checksum mismatch {where}".strip())
-    if params.values.shape[0] != spec.param_count():
-        raise ConfigError(
-            f"parameter length {params.values.shape[0]} != spec count {spec.param_count()} {where}".strip()
-        )
+    if params.spec is not spec and params.spec != spec:
+        raise ConfigError(f"parameter/spec mismatch {where}".strip())
 
 
 def init_params(spec: NetSpec, rng: np.random.Generator) -> ParamVector:
@@ -194,11 +180,11 @@ def init_params(spec: NetSpec, rng: np.random.Generator) -> ParamVector:
         a = np.sqrt(6.0 / (fan_in + fan_out))
         chunks.append(rng.uniform(-a, a, size=fan_in * fan_out))
         chunks.append(np.zeros(fan_out))
-    return ParamVector(np.concatenate(chunks), spec_hash(spec))
+    return ParamVector(np.concatenate(chunks), spec)
 
 
 def zeros_like(spec: NetSpec) -> ParamVector:
-    return ParamVector(np.zeros(spec.param_count()), spec_hash(spec))
+    return ParamVector(np.zeros(spec.param_count()), spec)
 
 
 def unpack(spec: NetSpec, values: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -306,7 +292,7 @@ def backprop(spec: NetSpec, trace: Trace, output_grad: np.ndarray) -> ParamVecto
             dz = dz @ layers[l][0].T
     flat = np.concatenate([part for gw, gb in grads for part in (gw.ravel(), gb)])
     try:
-        return ParamVector(flat, spec_hash(spec))
+        return ParamVector(flat, spec)
     except NumericError:
         for l in range(last, -1, -1):
             gw, gb = grads[l]

@@ -10,9 +10,12 @@ Every client update draws its randomness from a stream keyed by
 (seed, "client", round, client_id), so results do not depend on the order
 in which a round's clients are updated; they run one after another.
 
-Every client, the baselines' included, steps copies of its parameters in
-place through `local_steps`, which scans them for finiteness once, at the
-end; `update_clients` names the round and client of any NumericError.
+Every network is one `nn.ParamVector`, which carries its spec. Every
+client, the baselines' included, steps copies of its parameters in place
+through `local_steps`, which scans them for finiteness once, at the end;
+`update_clients` names the round and client of any NumericError. Server
+networks are never updated in place, so `aggregate` carries the ones no
+packet updated over by reference.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from . import gating, nn
 from .config import RunConfig, ScenarioRange
 from .data import KIND_ANCHOR, ClientShard, LabeledDataset
 from .errors import ConfigError, NumericError, ProtocolError
-from .gating import CommonExpert, ExpertSelection, GateNet
+from .gating import CommonExpert, ExpertSelection
 from .seeding import rng_stream
 
 SETUP_ROUND = -1  # ledger row for the one-time common-expert broadcast
@@ -34,10 +37,9 @@ SETUP_ROUND = -1  # ledger row for the one-time common-expert broadcast
 
 @dataclass
 class ServerState:
-    """Everything the server holds between rounds."""
+    """Everything the server holds between rounds. Its networks are never
+    updated in place: clients step copies and `aggregate` builds a new state."""
 
-    expert_spec: nn.NetSpec
-    gate_spec: nn.NetSpec | None
     expert_params: list[nn.ParamVector]
     gate_params: nn.ParamVector | None
     round: int = 0
@@ -45,15 +47,6 @@ class ServerState:
     @property
     def num_experts(self) -> int:
         return len(self.expert_params)
-
-    def copy(self) -> "ServerState":
-        return ServerState(
-            self.expert_spec,
-            self.gate_spec,
-            [p.copy() for p in self.expert_params],
-            None if self.gate_params is None else self.gate_params.copy(),
-            self.round,
-        )
 
 
 @dataclass
@@ -162,7 +155,7 @@ def plan_round(
     rng: np.random.Generator,
     anchor_pool: list[int],
     normal_pool: list[int],
-    gate: GateNet | None = None,
+    gate: nn.ParamVector | None = None,
     embeddings: dict[int, np.ndarray] | None = None,
 ) -> RoundPlan:
     """Sample this round's active clients (uniform, without replacement) and,
@@ -247,25 +240,24 @@ def anchor_client_update(
         raise ConfigError(f"client {shard.client_id} is not a valid anchor")
     tr = cfg.training
     expert = state.expert_params[q].copy()
-    gate = GateNet(state.gate_spec, state.gate_params.copy())
+    gate = state.gate_params.copy()
 
     def grads(rows):
         batch = nn.Batch(ds.inputs[shard.indices[rows]], ds.labels[shard.indices[rows]])
-        loss, e_grad = nn.loss_and_grad(state.expert_spec, expert, batch, "ce_on_logits")
+        loss, e_grad = nn.loss_and_grad(expert.spec, expert, batch, "ce_on_logits")
         _check_finite_loss(loss)
         g_loss, g_grad = gating.gate_independent_loss_grad(gate, embeddings[rows], q)
         _check_finite_loss(g_loss)
         return e_grad.values, g_grad.values
 
-    nets = [(expert, tr.lr, tr.momentum), (gate.params, tr.gate_lr, tr.gate_momentum)]
+    nets = [(expert, tr.lr, tr.momentum), (gate, tr.gate_lr, tr.gate_momentum)]
     local_steps(shard, cfg, round_idx, nets, grads)
-    return UpdatePacket(shard.client_id, KIND_ANCHOR, gate.params, {q: expert}, len(shard))
+    return UpdatePacket(shard.client_id, KIND_ANCHOR, gate, {q: expert}, len(shard))
 
 
 def mixture_loss_and_grads(
-    expert_spec: nn.NetSpec,
     expert_params: list[nn.ParamVector],
-    gate: GateNet,
+    gate: nn.ParamVector,
     selected: tuple[int, ...],
     inputs: np.ndarray,
     embeddings: np.ndarray,
@@ -283,7 +275,7 @@ def mixture_loss_and_grads(
     if k == 0 or len(expert_params) != k:
         raise ConfigError("selection and expert parameter list must match and be non-empty")
     # one forward per network; backprop reuses each trace
-    probs_full, gate_trace = nn.forward_with_trace(gate.spec, gate.params, embeddings)  # [n x M]
+    probs_full, gate_trace = nn.forward_with_trace(gate.spec, gate, embeddings)  # [n x M]
     w_raw = probs_full[:, list(selected)]  # [n x k]
     if renormalize:
         denom = w_raw.sum(axis=1, keepdims=True)
@@ -292,7 +284,7 @@ def mixture_loss_and_grads(
         w = w_raw
 
     expert_logits, expert_traces = zip(
-        *(nn.forward_with_trace(expert_spec, p, inputs) for p in expert_params)
+        *(nn.forward_with_trace(p.spec, p, inputs) for p in expert_params)
     )  # k x [n x C]
     combined = sum(w[:, j : j + 1] * expert_logits[j] for j in range(k))
     probs_out = nn.softmax(combined)
@@ -303,7 +295,7 @@ def mixture_loss_and_grads(
     delta = (probs_out - onehot) / n  # dL/d(combined)
 
     expert_grads = [
-        nn.backprop(expert_spec, expert_traces[j], w[:, j : j + 1] * delta) for j in range(k)
+        nn.backprop(expert_params[j].spec, expert_traces[j], w[:, j : j + 1] * delta) for j in range(k)
     ]
 
     # dL/dw[:, j] = <delta_i, f_j(x_i)> per sample
@@ -321,9 +313,8 @@ def mixture_loss_and_grads(
 
 
 def _mixture_local_steps(
-    expert_spec: nn.NetSpec,
     experts: dict[int, nn.ParamVector],
-    gate: GateNet,
+    gate: nn.ParamVector,
     shard: ClientShard,
     ds: LabeledDataset,
     embeddings: np.ndarray,
@@ -339,12 +330,12 @@ def _mixture_local_steps(
     def grads(rows):
         x, y = ds.inputs[shard.indices[rows]], ds.labels[shard.indices[rows]]
         loss, e_grads, g_grad = mixture_loss_and_grads(
-            expert_spec, params, gate, selected, x, embeddings[rows], y, tr.renormalize_gate_weights
+            params, gate, selected, x, embeddings[rows], y, tr.renormalize_gate_weights
         )
         _check_finite_loss(loss)
         return [g.values for g in e_grads] + [g_grad.values]
 
-    nets = [(p, tr.lr, tr.momentum) for p in params] + [(gate.params, tr.gate_lr, tr.gate_momentum)]
+    nets = [(p, tr.lr, tr.momentum) for p in params] + [(gate, tr.gate_lr, tr.gate_momentum)]
     local_steps(shard, cfg, round_idx, nets, grads)
 
 
@@ -364,9 +355,9 @@ def normal_client_update(
             f"client {shard.client_id}: selection size {len(selection.indices)} != top_k"
         )
     experts = {i: state.expert_params[i].copy() for i in selection.indices}
-    gate = GateNet(state.gate_spec, state.gate_params.copy())
-    _mixture_local_steps(state.expert_spec, experts, gate, shard, ds, embeddings, cfg, round_idx)
-    return UpdatePacket(shard.client_id, shard.kind, gate.params, experts, len(shard))
+    gate = state.gate_params.copy()
+    _mixture_local_steps(experts, gate, shard, ds, embeddings, cfg, round_idx)
+    return UpdatePacket(shard.client_id, shard.kind, gate, experts, len(shard))
 
 
 # ---------------------------------------------------------------------------
@@ -377,33 +368,31 @@ def aggregate(state: ServerState, packets: list[UpdatePacket], uniform: bool = F
     """Sample-count-weighted FedAvg of gate and expert copies.
 
     Packets are folded in ascending client id so the result does not depend
-    on arrival order; experts updated by no packet are left unchanged.
+    on arrival order; networks updated by no packet carry over by reference.
     """
-    new_state = state.copy()
-    new_state.round = state.round + 1
     ordered = sorted(packets, key=lambda p: p.client_id)
 
-    def average(name: str, spec: nn.NetSpec, held: list[tuple[UpdatePacket, nn.ParamVector]]):
-        h = nn.spec_hash(spec)
+    def average(name: str, current: nn.ParamVector, held: list[tuple[UpdatePacket, nn.ParamVector]]):
         for p, params in held:
-            if params.spec_hash != h:
-                raise ProtocolError(f"client {p.client_id}: {name} checksum mismatch")
+            if params.spec != current.spec:
+                raise ProtocolError(f"client {p.client_id}: {name} spec mismatch")
         w = np.array([1.0 if uniform else float(p.num_samples) for p, _ in held])
-        acc = np.zeros(spec.param_count())
+        acc = np.zeros(current.spec.param_count())
         for wi, (_, params) in zip(w / w.sum(), held):
             acc += wi * params.values
-        return nn.ParamVector(acc, h)
+        return nn.ParamVector(acc, current.spec)
 
+    gate = state.gate_params
     gates = [(p, p.gate) for p in ordered if p.gate is not None]
     if gates:
-        if state.gate_params is None:
+        if gate is None:
             raise ProtocolError("gate update received but server holds no gate")
-        new_state.gate_params = average("gate", state.gate_spec, gates)
-    for i in range(state.num_experts):
+        gate = average("gate", gate, gates)
+    experts = []
+    for i, current in enumerate(state.expert_params):
         held = [(p, p.experts[i]) for p in ordered if i in p.experts]
-        if held:
-            new_state.expert_params[i] = average(f"expert {i}", state.expert_spec, held)
-    return new_state
+        experts.append(average(f"expert {i}", current, held) if held else current)
+    return ServerState(experts, gate, state.round + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -460,7 +449,7 @@ class RunContext:
         return ModelSizes(
             self.expert_spec.param_count(),
             self.gate_spec.param_count(),
-            self.common.spec.param_count(),
+            self.common.params.spec.param_count(),
         )
 
 
@@ -468,7 +457,7 @@ def init_expert(ctx: RunContext, stream_index: int) -> nn.ParamVector:
     """Initial model per the expert_init policy: a seeded scratch draw from
     the stream of expert `stream_index`, or a copy of the common expert."""
     if ctx.cfg.federation.expert_init == "from_common":
-        if ctx.common.spec != ctx.expert_spec:
+        if ctx.common.params.spec != ctx.expert_spec:
             raise ConfigError("expert_init=from_common requires matching expert/common specs")
         return ctx.common.params.copy()
     return nn.init_params(ctx.expert_spec, rng_stream(ctx.cfg.seed, "expert-init", stream_index))
@@ -477,7 +466,7 @@ def init_expert(ctx: RunContext, stream_index: int) -> nn.ParamVector:
 def init_server_state(ctx: RunContext) -> ServerState:
     experts = [init_expert(ctx, i) for i in range(ctx.cfg.num_experts)]
     gate = nn.init_params(ctx.gate_spec, rng_stream(ctx.cfg.seed, "gate-init"))
-    return ServerState(ctx.expert_spec, ctx.gate_spec, experts, gate, 0)
+    return ServerState(experts, gate, 0)
 
 
 def scenario_range(cfg: RunConfig, t: int) -> ScenarioRange | None:
@@ -513,9 +502,8 @@ def _active_pools(ctx: RunContext, t: int):
 def fedjets_round(ctx: RunContext, state: ServerState, t: int) -> tuple[ServerState, RoundPlan]:
     cfg = ctx.cfg
     anchor_pool, normal_pool = _active_pools(ctx, t)
-    gate = GateNet(ctx.gate_spec, state.gate_params)
     plan = plan_round(
-        t, cfg, rng_stream(cfg.seed, "plan", t), anchor_pool, normal_pool, gate=gate, embeddings=ctx.cache
+        t, cfg, rng_stream(cfg.seed, "plan", t), anchor_pool, normal_pool, gate=state.gate_params, embeddings=ctx.cache
     )
     shards = ctx.shards_by_id
     packets = update_clients(

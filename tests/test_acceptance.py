@@ -41,7 +41,7 @@ def test_criterion_1_gradient_correctness():
             assert spec.param_count() <= 500
             _, grad = nn.loss_and_grad(spec, params, batch, kind)
             fd = central_diff(
-                lambda v: nn.loss_value(spec, nn.ParamVector(v, params.spec_hash), batch, kind),
+                lambda v: nn.loss_value(spec, nn.ParamVector(v, spec), batch, kind),
                 params.values,
                 h=1e-4,
             )
@@ -144,11 +144,11 @@ def test_criterion_5_baseline_identities():
 
     from fedjets.baselines import avg_ensemble_predict
 
-    spec = st_avg.expert_spec
     params = st_avg.expert_params[0]
+    spec = params.spec
     x = rng_stream(123, "ens").normal(size=(64, spec.input_dim))
     single = nn.forward(spec, params, x).argmax(axis=1)
-    ens_ok = np.array_equal(avg_ensemble_predict([(spec, params), (spec, params)], x), single)
+    ens_ok = np.array_equal(avg_ensemble_predict([params, params], x), single)
 
     ok = prox_ok and mix_ok and ens_ok
     assert criterion(

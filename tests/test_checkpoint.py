@@ -12,7 +12,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from fedjets import checkpoint, nn
-from fedjets.errors import ArtifactError
+from fedjets.errors import ArtifactError, NumericError
 
 PROPERTY = settings(
     max_examples=40,
@@ -33,7 +33,7 @@ def nets(draw):
     activation = draw(st.sampled_from(sorted(nn.HIDDEN_ACTIVATIONS)))
     spec = nn.NetSpec.mlp(dims, activation, draw(st.sampled_from(sorted(nn.OUTPUT_HEADS))))
     values = draw(st.lists(values_st, min_size=spec.param_count(), max_size=spec.param_count()))
-    return spec, nn.ParamVector(np.array(values, dtype=np.float64), nn.spec_hash(spec))
+    return nn.ParamVector(np.array(values, dtype=np.float64), spec)
 
 
 metas = st.dictionaries(
@@ -46,19 +46,18 @@ metas = st.dictionaries(
 @PROPERTY
 @given(net=nets(), meta=metas)
 def test_values_roundtrip_bit_for_bit(tmp_path, net, meta):
-    spec, params = net
     path = tmp_path / "net.ckpt"
-    checkpoint.save_net(path, spec, params, meta)
-    spec2, params2, meta2 = checkpoint.load_net(path)
-    assert spec2 == spec and meta2 == meta
-    assert params2.values.tobytes() == params.values.tobytes()
+    checkpoint.save_net(path, net, meta)
+    params2, meta2 = checkpoint.load_net(path)
+    assert params2.spec == net.spec and meta2 == meta
+    assert params2.values.tobytes() == net.values.tobytes()
 
 
 @PROPERTY
 @given(experts=st.lists(nets(), min_size=1, max_size=3), meta=metas)
 def test_rewriting_a_loaded_state_reproduces_its_bytes(tmp_path, experts, meta):
     path = tmp_path / "state.ckpt"
-    checkpoint.save_state(path, [(f"expert_{i}", spec, p) for i, (spec, p) in enumerate(experts)], meta)
+    checkpoint.save_state(path, [(f"expert_{i}", p) for i, p in enumerate(experts)], meta)
     raw = path.read_bytes()
     checkpoint.save_state(path, *checkpoint.load_state(path))
     assert path.read_bytes() == raw
@@ -69,9 +68,8 @@ def test_rewriting_a_loaded_state_reproduces_its_bytes(tmp_path, experts, meta):
 @PROPERTY
 @given(net=nets())
 def test_every_strict_prefix_and_an_appended_byte_rejected(tmp_path, net):
-    spec, params = net
     path = tmp_path / "net.ckpt"
-    checkpoint.save_net(path, spec, params, {"round": 3})
+    checkpoint.save_net(path, net, {"round": 3})
     raw = path.read_bytes()
     for bad in [raw[:cut] for cut in range(len(raw))] + [raw + b"\x00"]:
         path.write_bytes(bad)
@@ -99,9 +97,19 @@ def test_load_net_rejects_a_state_and_load_state_a_feature_file(tmp_path):
     spec = nn.NetSpec.mlp([2, 3])
     params = nn.zeros_like(spec)
     path = tmp_path / "x.ckpt"
-    checkpoint.save_state(path, [("expert_0", spec, params), ("expert_1", spec, params)])
+    checkpoint.save_state(path, [("expert_0", params), ("expert_1", params)])
     with pytest.raises(ArtifactError):
         checkpoint.load_net(path)
     checkpoint.write(path, [{"name": "features"}], [np.zeros(4)], {"kind": "feature_dataset"})
     with pytest.raises(ArtifactError):
         checkpoint.load_state(path)
+
+
+def test_non_finite_block_names_the_file_and_the_block(tmp_path):
+    spec = nn.NetSpec.mlp([2, 3])
+    path = tmp_path / "nan.ckpt"
+    checkpoint.write(path, [{"name": "net", "net": spec.to_dict()}], [np.full(spec.param_count(), np.nan)], {})
+    with pytest.raises(NumericError) as err:
+        checkpoint.load_net(path)
+    assert err.value.context == f"{path}: block 'net'"
+    assert str(err.value) == f"ParamVector contains non-finite values | {path}: block 'net'"

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import struct
 
+import numpy as np
 import pytest
 
 from fedjets import benchmarks, central, checkpoint, cli, experiment, metrics, nn
@@ -85,24 +86,24 @@ class TestPretrain:
             ["pretrain", "--config", str(cfg_path), "--target-acc", "0.05", "--out", str(ckpt)]
         )
         assert rc == 0
-        _, _, meta = checkpoint.load_net(ckpt)
+        _, meta = checkpoint.load_net(ckpt)
         assert meta["epochs"] == 0
 
     def test_monotone_epoch_budget(self, cfg_path, tmp_path):
         low, high = tmp_path / "low.ckpt", tmp_path / "high.ckpt"
         assert cli.main(["pretrain", "--config", str(cfg_path), "--target-acc", "0.5", "--out", str(low)]) == 0
         assert cli.main(["pretrain", "--config", str(cfg_path), "--target-acc", "0.8", "--out", str(high)]) == 0
-        _, _, meta_low = checkpoint.load_net(low)
-        _, _, meta_high = checkpoint.load_net(high)
+        _, meta_low = checkpoint.load_net(low)
+        _, meta_high = checkpoint.load_net(high)
         assert meta_low["epochs"] <= meta_high["epochs"]
 
     def test_header_accuracy_matches_reevaluation(self, cfg_path, tmp_path):
         ckpt = tmp_path / "c.ckpt"
         assert cli.main(["pretrain", "--config", str(cfg_path), "--target-acc", "0.7", "--out", str(ckpt)]) == 0
-        spec, params, meta = checkpoint.load_net(ckpt)
+        params, meta = checkpoint.load_net(ckpt)
         cfg = config_mod.load(cfg_path)
         _, valid = experiment.pretrain_split(cfg, experiment.build_datasets(cfg)[0])
-        acc = central.model_accuracy(spec, params, valid.inputs, valid.labels)
+        acc = central.model_accuracy(params, valid.inputs, valid.labels)
         # the checkpoint holds the float64 net pretraining scored, so the accuracy is reproduced exactly
         assert acc == meta["achieved_accuracy"]
 
@@ -172,11 +173,12 @@ class TestEval:
         cfg = config_mod.load(write_mini_config(tmp_path / "config.json", federation={"method": method}))
         state, _, _ = experiment.run_to_directory(cfg, tmp_path / "run")
         loaded, meta = experiment.load_run_state(tmp_path / "run" / "state.ckpt")
-        assert (meta["method"], loaded.round, loaded.expert_spec) == (method, state.round, state.expert_spec)
+        assert (meta["method"], loaded.round) == (method, state.round)
+        assert [p.spec for p in loaded.expert_params] == [p.spec for p in state.expert_params]
         want = [p.values for p in state.expert_params]
         got = [p.values for p in loaded.expert_params]
         if state.gate_params is not None:
-            assert loaded.gate_spec == state.gate_spec
+            assert loaded.gate_params.spec == state.gate_params.spec
             want.append(state.gate_params.values)
             got.append(loaded.gate_params.values)
         else:
@@ -194,7 +196,8 @@ class TestEval:
         args = ["eval", "--config", str(cfg_path), "--state", str(out / "state.ckpt"), "--report", str(report)]
         assert cli.main(args) == 0
         # building the context pretrains and embeds with the common expert; only scoring runs the gate
-        assert sum(spec == state.gate_spec for spec in traces) == config_mod.load(cfg_path).data.num_test_clients
+        gate_spec = state.gate_params.spec
+        assert sum(spec == gate_spec for spec in traces) == config_mod.load(cfg_path).data.num_test_clients
 
 
 class TestReport:
@@ -268,8 +271,10 @@ class TestExitCodes:
             b'{"blocks":[{"name":"expert_0"}],"meta":{}}',  # a block without a net spec
             b'{"blocks":[{"name":"expert_0","net":{"activations":[],"head":"logits","layer_dims":[4]}}],"meta":{}}',
             b"[1,2,3]",  # not a JSON object
+            # a valid spec of 15 parameters over an empty block
+            b'{"blocks":[{"name":"expert_0","net":{"activations":[],"head":"logits","layer_dims":[4,3]}}],"meta":{}}',
         ],
-        ids=["nets-header", "no-net-spec", "invalid-net-spec", "non-object"],
+        ids=["nets-header", "no-net-spec", "invalid-net-spec", "non-object", "wrong-value-count"],
     )
     def test_malformed_state_header_is_exit_4(self, cfg_path, tmp_path, header):
         state = tmp_path / "state.ckpt"
@@ -289,9 +294,71 @@ class TestExitCodes:
     def test_state_without_experts_is_exit_4(self, cfg_path, tmp_path):
         state = tmp_path / "common.ckpt"  # a single-network checkpoint is no server state
         spec = nn.NetSpec.mlp([4, 3])
-        checkpoint.save_net(state, spec, nn.zeros_like(spec))
+        checkpoint.save_net(state, nn.zeros_like(spec))
         rc = cli.main(["eval", "--config", str(cfg_path), "--state", str(state), "--report", str(tmp_path / "r.json")])
         assert rc == 4
+
+    @staticmethod
+    def _eval_edited_state(cfg_path, tmp_path, capsys, edit):
+        """`fedjets eval` on a run's state.ckpt whose networks `edit` rewrote;
+        returns the exit code and stderr."""
+        out = tmp_path / "run"
+        assert cli.main(["run", "--config", str(cfg_path), "--out", str(out)]) == 0
+        state = out / "state.ckpt"
+        nets, meta = checkpoint.load_state(state)
+        checkpoint.save_state(state, edit(dict(nets)), meta)
+        capsys.readouterr()
+        rc = cli.main(["eval", "--config", str(cfg_path), "--state", str(state), "--report", str(tmp_path / "r.json")])
+        return rc, capsys.readouterr().err
+
+    def test_state_with_fewer_experts_than_gate_outputs_is_exit_4(self, cfg_path, tmp_path, capsys):
+        rc, err = self._eval_edited_state(
+            cfg_path, tmp_path, capsys, lambda nets: [(n, nets[n]) for n in ("expert_0", "expert_1", "gate")]
+        )
+        assert rc == 4 and "gate scores 3 experts, state holds 2" in err
+
+    def test_state_with_an_expert_of_another_spec_is_exit_4(self, cfg_path, tmp_path, capsys):
+        def edit(nets):
+            other = nn.NetSpec.mlp([6, 4, 6])
+            return [*nets.items()][:1] + [("expert_1", nn.zeros_like(other))] + [*nets.items()][2:]
+
+        rc, err = self._eval_edited_state(cfg_path, tmp_path, capsys, edit)
+        assert rc == 4 and "expert_1 has another spec than expert_0" in err
+
+    def test_state_with_a_logits_gate_is_exit_4(self, cfg_path, tmp_path, capsys):
+        def edit(nets):
+            gate = nets["gate"]
+            logits = nn.NetSpec(gate.spec.layer_dims, gate.spec.activations, "logits")
+            return [*nets.items()][:-1] + [("gate", nn.ParamVector(gate.values, logits))]
+
+        rc, err = self._eval_edited_state(cfg_path, tmp_path, capsys, edit)
+        assert rc == 4 and "gate has a 'logits' head" in err
+
+    def test_non_finite_state_block_is_exit_3_naming_file_and_block(self, cfg_path, tmp_path, capsys):
+        out = tmp_path / "run"
+        assert cli.main(["run", "--config", str(cfg_path), "--out", str(out)]) == 0
+        state = out / "state.ckpt"
+        entries, blocks, meta = checkpoint.read(state)
+        blocks[1][:] = np.nan
+        checkpoint.write(state, entries, blocks, meta)
+        capsys.readouterr()
+        rc = cli.main(["eval", "--config", str(cfg_path), "--state", str(state), "--report", str(tmp_path / "r.json")])
+        assert rc == 3
+        assert f"{state}: block 'expert_1'" in capsys.readouterr().err
+
+    def test_feature_labels_past_num_classes_is_exit_4(self, tmp_path, capsys):
+        paths = {}
+        for name, n in [("train", 60), ("test", 30)]:
+            labels = [i % 7 for i in range(n)]  # classes 0..6, but the file says 6
+            meta = {"kind": "feature_dataset", "num_classes": 6, "dim": 6, "labels": labels}
+            paths[name] = tmp_path / f"{name}.ckpt"
+            checkpoint.write(paths[name], [{"name": "features"}], [np.zeros(6 * n)], meta)
+        cfg_path = write_mini_config(
+            tmp_path / "c.json", data={"train_features": str(paths["train"]), "test_features": str(paths["test"])}
+        )
+        rc = cli.main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "o")])
+        assert rc == 4
+        assert "outside [0, 6)" in capsys.readouterr().err
 
     def test_invalid_override_value_semantics(self, cfg_path, tmp_path, capsys):
         rc = cli.main(

@@ -51,6 +51,13 @@ class TestSynthDataset:
             data.synth_dataset(4, 8, 20, -1.0, 0)
 
 
+class TestLabeledDataset:
+    @pytest.mark.parametrize("labels", [[0, 1, 5], [-1, 0, 1], [0, 1, 2]])
+    def test_labels_outside_class_range_rejected(self, labels):
+        with pytest.raises(ConfigError):
+            data.LabeledDataset(np.zeros((3, 2)), labels, 2)
+
+
 class TestPartitionQuantity:
     def test_exact_label_count_per_shard(self):
         ds = small_ds()
@@ -243,7 +250,7 @@ class TestFeatureFiles:
         spec = nn.NetSpec.mlp([4, 3])
         params = nn.zeros_like(spec)
         path = tmp_path / "net.ckpt"
-        checkpoint.save_net(path, spec, params)
+        checkpoint.save_net(path, params)
         with pytest.raises(ArtifactError):
             data.load_feature_dataset(path)
 
@@ -254,6 +261,15 @@ class TestFeatureFiles:
         meta = {"kind": "feature_dataset", "dim": 2, "num_classes": 3}
         checkpoint.write(path, [{"name": "features"}], [np.zeros(6)], meta)
         with pytest.raises(ArtifactError):
+            data.load_feature_dataset(path)
+
+    def test_labels_past_num_classes_rejected(self, tmp_path):
+        from fedjets import checkpoint
+
+        path = tmp_path / "features.ckpt"
+        meta = {"kind": "feature_dataset", "dim": 2, "num_classes": 2, "labels": [0, 1, 2]}
+        checkpoint.write(path, [{"name": "features"}], [np.zeros(6)], meta)
+        with pytest.raises(ArtifactError, match=r"outside \[0, 2\)"):
             data.load_feature_dataset(path)
 
     def test_experiment_ingests_feature_files(self, tmp_path):
@@ -307,6 +323,6 @@ class TestFeatureFiles:
         valid_rows = {row.tobytes() for row in valid.inputs}
         assert fit_rows.isdisjoint(valid_rows)
         assert len(fit_rows | valid_rows) == len(train_ds)
-        held_out_acc = central.model_accuracy(common.spec, common.params, valid.inputs, valid.labels)
+        held_out_acc = central.model_accuracy(common.params, valid.inputs, valid.labels)
         assert meta["achieved_accuracy"] == held_out_acc
-        assert central.model_accuracy(common.spec, common.params, test_ds.inputs, test_ds.labels) >= 0.9
+        assert central.model_accuracy(common.params, test_ds.inputs, test_ds.labels) >= 0.9

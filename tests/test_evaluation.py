@@ -33,7 +33,7 @@ def specialist_expert(spec, group, scale=8.0):
     w = np.full((D, C), 0.0)
     for c in range(C):
         w[c, c] = scale if c in group else -scale
-    return nn.ParamVector(np.concatenate([w.ravel(), np.zeros(C)]), nn.spec_hash(spec))
+    return nn.ParamVector(np.concatenate([w.ravel(), np.zeros(C)]), spec)
 
 
 def routing_gate():
@@ -44,20 +44,19 @@ def routing_gate():
             w1[c, q] = 10.0
     w2 = 10.0 * np.eye(M)
     values = np.concatenate([w1.ravel(), np.zeros(M), w2.ravel(), np.zeros(M)])
-    return spec, nn.ParamVector(values, nn.spec_hash(spec))
+    return nn.ParamVector(values, spec)
 
 
 def perfect_state():
     expert_spec = nn.NetSpec.mlp([D, C])
-    gate_spec, gate_params = routing_gate()
     experts = [specialist_expert(expert_spec, GROUPS[q]) for q in range(M)]
-    return runtime.ServerState(expert_spec, gate_spec, experts, gate_params)
+    return runtime.ServerState(experts, routing_gate())
 
 
 def identity_common():
     spec = nn.NetSpec.mlp([D, D])
-    params = nn.ParamVector(np.concatenate([np.eye(D).ravel(), np.zeros(D)]), nn.spec_hash(spec))
-    return gating.CommonExpert(spec, params, embed_layer=0)
+    params = nn.ParamVector(np.concatenate([np.eye(D).ravel(), np.zeros(D)]), spec)
+    return gating.CommonExpert(params, embed_layer=0)
 
 
 def shard_with_labels(ds, labels, n_per, client_id, kind=data.KIND_TEST, expert=None):
@@ -91,20 +90,16 @@ class TestZeroShot:
         expert_spec = nn.NetSpec.mlp([D, C])
         params = nn.init_params(expert_spec, rng_stream(4, "e"))
         gate_spec = gating.gate_spec(D, 1, hidden=2)
-        state = runtime.ServerState(
-            expert_spec, gate_spec, [params], nn.init_params(gate_spec, rng_stream(5, "g"))
-        )
+        state = runtime.ServerState([params], nn.init_params(gate_spec, rng_stream(5, "g")))
         shards = [shard_with_labels(ds, (1, 4), 20, 200)]
         report = evaluation.zero_shot_eval(state, identity_common(), shards, ds, k=1)
-        plain = central.model_accuracy(
-            expert_spec, params, ds.inputs[shards[0].indices], ds.labels[shards[0].indices]
-        )
+        plain = central.model_accuracy(params, ds.inputs[shards[0].indices], ds.labels[shards[0].indices])
         assert report.per_client_accuracy[200] == plain
 
     def test_chosen_experts_subset_of_selection(self):
         ds = onehot_dataset(seed=6)
         state = perfect_state()
-        state.gate_params = nn.init_params(state.gate_spec, rng_stream(9, "rnd-gate"))
+        state.gate_params = nn.init_params(state.gate_params.spec, rng_stream(9, "rnd-gate"))
         shards = [shard_with_labels(ds, (0, 3), 20, 300), shard_with_labels(ds, (2, 5), 20, 301)]
         report = evaluation.zero_shot_eval(state, identity_common(), shards, ds, k=2)
         for cid in report.per_client_accuracy:
@@ -166,7 +161,7 @@ class TestRoutingReport:
         # per-sample argmax lands on expert 0; balanced groups -> 2/3 error here
         ds = onehot_dataset(per_class=100, seed=11)
         state = perfect_state()
-        state.gate_params = nn.zeros_like(state.gate_spec)
+        state.gate_params = nn.zeros_like(state.gate_params.spec)
         shards = [
             shard_with_labels(ds, GROUPS[q], 80, 700 + q) for q in range(M)
         ]
@@ -189,16 +184,10 @@ class TestRoutingReport:
         ds = data.LabeledDataset(np.concatenate(inputs), np.concatenate(labels), C10)
         expert_spec = nn.NetSpec.mlp([C10, C10])
         gate_sp = gating.gate_spec(C10, M5)
-        state = runtime.ServerState(
-            expert_spec, gate_sp, [nn.zeros_like(expert_spec) for _ in range(M5)],
-            nn.zeros_like(gate_sp),
-        )
+        state = runtime.ServerState([nn.zeros_like(expert_spec) for _ in range(M5)], nn.zeros_like(gate_sp))
         common_spec = nn.NetSpec.mlp([C10, C10])
         common = gating.CommonExpert(
-            common_spec,
-            nn.ParamVector(
-                np.concatenate([np.eye(C10).ravel(), np.zeros(C10)]), nn.spec_hash(common_spec)
-            ),
+            nn.ParamVector(np.concatenate([np.eye(C10).ravel(), np.zeros(C10)]), common_spec),
             embed_layer=0,
         )
         shards = []
@@ -217,7 +206,7 @@ class TestRoutingReport:
     def test_counts_match_exhaustive_scan(self):
         ds = onehot_dataset(seed=12)
         state = perfect_state()
-        state.gate_params = nn.init_params(state.gate_spec, rng_stream(13, "g"))
+        state.gate_params = nn.init_params(state.gate_params.spec, rng_stream(13, "g"))
         shard = shard_with_labels(ds, (2, 4), 25, 800)
         report = self.routing(state, identity_common(), [shard], ds, self.label_map(), k=2)
         _, chosen, _ = evaluation._predict_client(

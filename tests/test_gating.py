@@ -13,26 +13,24 @@ from fedjets.seeding import rng_stream
 
 def identity_common(dim):
     spec = nn.NetSpec.mlp([dim, dim])
-    params = nn.ParamVector(
-        np.concatenate([np.eye(dim).ravel(), np.zeros(dim)]), nn.spec_hash(spec)
-    )
-    return gating.CommonExpert(spec, params, embed_layer=0)
+    params = nn.ParamVector(np.concatenate([np.eye(dim).ravel(), np.zeros(dim)]), spec)
+    return gating.CommonExpert(params, embed_layer=0)
 
 
 def random_common(seed, dims, embed_layer=None):
     spec = nn.NetSpec.mlp(dims)
     params = nn.init_params(spec, rng_stream(seed, "common"))
-    return gating.CommonExpert.from_net(spec, params, embed_layer)
+    return gating.CommonExpert.from_net(params, embed_layer)
 
 
 def random_gate(seed, embed_dim, m, hidden=None):
     spec = gating.gate_spec(embed_dim, m, hidden)
-    return gating.GateNet(spec, nn.init_params(spec, rng_stream(seed, "gate")))
+    return nn.init_params(spec, rng_stream(seed, "gate"))
 
 
 def zero_gate(embed_dim, m):
     spec = gating.gate_spec(embed_dim, m)
-    return gating.GateNet(spec, nn.zeros_like(spec))
+    return nn.zeros_like(spec)
 
 
 class TestEmbedding:
@@ -55,7 +53,7 @@ class TestEmbedding:
         common = random_common(3, [6, 8, 7, 4])  # penultimate: layer 1, width 7
         assert common.embed_layer == 1 and common.embed_dim == 7
         x = rng.normal(size=(9, 6))
-        (w0, b0), (w1, b1), _ = nn.unpack(common.spec, common.params.values)
+        (w0, b0), (w1, b1), _ = nn.unpack(common.params.spec, common.params.values)
         manual = np.maximum(np.maximum(x @ w0 + b0, 0.0) @ w1 + b1, 0.0)
         assert np.max(np.abs(gating.embed_inputs(common, x) - manual)) < 1e-12
 
@@ -88,14 +86,14 @@ class TestGateScores:
         gate = random_gate(7, 6, 4)
         x = rng.normal(size=(5, 6))
         plain_spec = nn.NetSpec.mlp(gate.spec.layer_dims)  # same net, logits head
-        plain = nn.ParamVector(gate.params.values.copy(), nn.spec_hash(plain_spec))
+        plain = nn.ParamVector(gate.values.copy(), plain_spec)
         oracle = nn.softmax(nn.forward(plain_spec, plain, x))
         assert np.max(np.abs(gating.gate_scores(gate, x) - oracle)) < 1e-12
 
     def test_gate_requires_softmax_head(self):
         spec = nn.NetSpec.mlp([6, 8, 4])
         with pytest.raises(ConfigError):
-            gating.GateNet(spec, nn.zeros_like(spec))
+            gating.gate_scores(nn.zeros_like(spec), np.zeros((2, 6)))
 
 
 class TestSelectTopK:
@@ -141,7 +139,7 @@ class TestSelectTopK:
         emb = rng.normal(size=(12, 6))
         sel = gating.select_topk(gating.gate_scores(gate, emb), 2)
         perm = np.array([3, 0, 4, 1, 2])  # expert i -> position perm[i]
-        layers = nn.unpack(gate.spec, gate.params.values.copy())
+        layers = nn.unpack(gate.spec, gate.values.copy())
         w_out, b_out = layers[-1]
         w_new, b_new = w_out.copy(), b_out.copy()
         w_new[:, perm] = w_out
@@ -150,7 +148,7 @@ class TestSelectTopK:
             [np.concatenate([w.ravel(), b]) for w, b in layers[:-1]]
             + [np.concatenate([w_new.ravel(), b_new])]
         )
-        gate_p = gating.GateNet(gate.spec, nn.ParamVector(permuted_values, gate.params.spec_hash))
+        gate_p = nn.ParamVector(permuted_values, gate.spec)
         sel_p = gating.select_topk(gating.gate_scores(gate_p, emb), 2)
         assert sel_p.indices == tuple(sorted(int(perm[i]) for i in sel.indices))
 
@@ -168,7 +166,7 @@ class TestIndependentLoss:
         spec = gating.gate_spec(6, 5)
         values = np.zeros(spec.param_count())
         values[-5:] = [0.0, 0.0, 0.0, 50.0, 0.0]  # output bias pins expert 3
-        gate = gating.GateNet(spec, nn.ParamVector(values, nn.spec_hash(spec)))
+        gate = nn.ParamVector(values, spec)
         emb = rng.normal(size=(10, 6))
         loss, grad = gating.gate_independent_loss_grad(gate, emb, 3)
         assert loss < 1e-6
@@ -185,16 +183,14 @@ class TestIndependentLoss:
                 r = rng_stream(seed, "fd-gate", attempt)
                 gate = random_gate(int(r.integers(1 << 30)), 5, 4, hidden=6)
                 emb = r.normal(size=(5, 5))
-                if min_hidden_preact(gate.spec, gate.params, emb) >= 0.05:
+                if min_hidden_preact(gate.spec, gate, emb) >= 0.05:
                     break
             loss, grad = gating.gate_independent_loss_grad(gate, emb, 1)
             labels = np.full(5, 1, dtype=np.int64)
             batch = nn.Batch(emb, labels)
             fd = central_diff(
-                lambda v: nn.loss_value(
-                    gate.spec, nn.ParamVector(v, gate.params.spec_hash), batch, "ce_on_mixture"
-                ),
-                gate.params.values,
+                lambda v: nn.loss_value(gate.spec, nn.ParamVector(v, gate.spec), batch, "ce_on_mixture"),
+                gate.values,
             )
             assert rel_error(grad.values, fd) < 1e-4
 
@@ -209,11 +205,11 @@ class TestIndependentLoss:
             r = rng_stream(seed, "gate-train")
             gate = random_gate(seed + 40, 6, 5)
             emb = r.normal(size=(30, 6))
-            velocity = np.zeros_like(gate.params.values)
+            velocity = np.zeros_like(gate.values)
             prev = None
             for _ in range(50):
                 loss, grad = gating.gate_independent_loss_grad(gate, emb, seed % 5)
                 if prev is not None:
                     assert loss < prev
                 prev = loss
-                nn.sgdm_step(gate.params.values, velocity, grad.values, 0.001, 0.0)
+                nn.sgdm_step(gate.values, velocity, grad.values, 0.001, 0.0)

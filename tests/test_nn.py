@@ -3,14 +3,11 @@ SGDM, and the checkpoint format."""
 
 from __future__ import annotations
 
-import hashlib
-import inspect
-
 import numpy as np
 import pytest
 
 from conftest import central_diff, kink_safe_net, rel_error
-from fedjets import benchmarks, central, checkpoint, data, gating, nn
+from fedjets import central, checkpoint, data, nn
 from fedjets.errors import ArtifactError, ConfigError, NumericError
 from fedjets.seeding import rng_stream
 
@@ -37,24 +34,26 @@ class TestNetSpec:
         with pytest.raises(ConfigError):
             nn.NetSpec((4, 3, 2), ("relu", "relu"))
 
-    def test_spec_hash_of_synth10_specs_is_stable(self):
-        # checkpoints store these checksums, so caching must not change them
-        cfg = benchmarks.synth10_config()
-        common = nn.NetSpec.mlp(cfg.model.common_dims or cfg.model.expert_dims)
-        gate = gating.gate_spec(common.layer_dims[-2], cfg.num_experts, cfg.model.gate_hidden)
-        assert nn.spec_hash(nn.NetSpec.mlp(cfg.model.expert_dims)) == "c87ac9c1fe516baf"
-        assert nn.spec_hash(gate) == "3ea32d3dc24e1f5d"
 
-    def test_spec_hash_is_computed_once_per_spec(self, monkeypatch):
-        spec = nn.NetSpec.mlp([3, 5, 2])
-        digests = []
-        sha256 = hashlib.sha256
-        monkeypatch.setattr(hashlib, "sha256", lambda blob: digests.append(blob) or sha256(blob))
-        first = nn.spec_hash(spec)
-        assert nn.spec_hash(spec) == first
-        assert len(digests) == 1
-        # a plain function, so call tracers that wrap functions still see it
-        assert inspect.isfunction(nn.spec_hash)
+class TestParamVector:
+    def test_construction_checks_shape_length_and_finiteness(self):
+        spec = nn.NetSpec.mlp([3, 2])  # 8 parameters
+        with pytest.raises(ConfigError):
+            nn.ParamVector(np.zeros((2, 4)), spec)
+        with pytest.raises(ConfigError):
+            nn.ParamVector(np.zeros(7), spec)
+        with pytest.raises(NumericError):
+            nn.ParamVector(np.full(8, np.nan), spec)
+        assert nn.ParamVector(np.zeros(8), spec).spec is spec
+
+    def test_engine_rejects_params_of_another_spec(self, rng):
+        spec = nn.NetSpec.mlp([3, 4, 2])
+        other = nn.NetSpec((3, 4, 2), ("identity",))  # same length, other network
+        params = nn.init_params(other, rng)
+        with pytest.raises(ConfigError):
+            nn.forward(spec, params, rng.normal(size=(2, 3)))
+        equal = nn.NetSpec.mlp([3, 4, 2], activation="identity")  # equal, not identical
+        assert nn.forward(equal, params, np.ones((1, 3))).shape == (1, 2)
 
 
 class TestForward:
@@ -62,7 +61,7 @@ class TestForward:
         # one linear layer, weights = identity, zero bias
         spec = nn.NetSpec.mlp([3, 3])
         params = nn.ParamVector(
-            np.concatenate([np.eye(3).ravel(), np.zeros(3)]), nn.spec_hash(spec)
+            np.concatenate([np.eye(3).ravel(), np.zeros(3)]), spec
         )
         x = np.array([[1.0, -2.0, 0.5], [0.0, 3.0, -1.0]])
         assert np.array_equal(nn.forward(spec, params, x), x)
@@ -151,7 +150,7 @@ class TestBackward:
         expect = (np.full((2, 4), 0.25) - onehot).mean(axis=0)
         assert np.max(np.abs(bias_grad - expect)) < 1e-12
         fd = central_diff(
-            lambda v: nn.loss_value(spec, nn.ParamVector(v, params.spec_hash), batch, "ce_on_logits"),
+            lambda v: nn.loss_value(spec, nn.ParamVector(v, params.spec), batch, "ce_on_logits"),
             params.values,
         )
         assert rel_error(grad.values, fd) < 1e-4
@@ -161,7 +160,7 @@ class TestBackward:
         spec = nn.NetSpec.mlp([2, 2])
         params = nn.ParamVector(
             np.concatenate([np.array([[40.0, -40.0], [-40.0, 40.0]]).ravel(), np.zeros(2)]),
-            nn.spec_hash(spec),
+            spec,
         )
         batch = nn.Batch(np.array([[1.0, 0.0], [0.0, 1.0]]), np.array([0, 1]))
         grad = nn.loss_and_grad(spec, params, batch, "ce_on_logits")[1]
@@ -175,7 +174,7 @@ class TestBackward:
             spec, params, batch = kink_safe_net(seed, [5, 8, 4], head=head)
             loss, grad = nn.loss_and_grad(spec, params, batch, kind)
             fd = central_diff(
-                lambda v: nn.loss_value(spec, nn.ParamVector(v, params.spec_hash), batch, kind),
+                lambda v: nn.loss_value(spec, nn.ParamVector(v, params.spec), batch, kind),
                 params.values,
             )
             assert rel_error(grad.values, fd) < 1e-4
@@ -204,7 +203,7 @@ class TestBackward:
         # every layer's gradient turns non-finite; backprop reaches the top
         # layer first, so that is the one named
         spec = nn.NetSpec.mlp([2, 3, 3, 2])
-        params = nn.ParamVector(np.full(spec.param_count(), 1e200), nn.spec_hash(spec))
+        params = nn.ParamVector(np.full(spec.param_count(), 1e200), spec)
         batch = nn.Batch(np.array([[1.0, 1.0]]), np.array([0]))
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(NumericError) as err:
@@ -214,7 +213,7 @@ class TestBackward:
     def test_non_finite_gradient_names_layer(self):
         spec = nn.NetSpec.mlp([2, 2, 2])
         values = np.full(spec.param_count(), 1e200)
-        params = nn.ParamVector(values, nn.spec_hash(spec))
+        params = nn.ParamVector(values, spec)
         batch = nn.Batch(np.array([[1.0, 1.0]]), np.array([0]))
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(NumericError) as err:
@@ -328,20 +327,20 @@ class TestCheckpoint:
     def test_file_roundtrip_bytes_identical(self, tmp_path, rng):
         spec, params = make_net(30, [4, 6, 3])
         path = tmp_path / "net.ckpt"
-        checkpoint.save_net(path, spec, params, {"note": "x", "acc": 0.75})
+        checkpoint.save_net(path, params, {"note": "x", "acc": 0.75})
         raw1 = path.read_bytes()
-        spec2, params2, meta = checkpoint.load_net(path)
-        checkpoint.save_net(path, spec2, params2, meta)
+        params2, meta = checkpoint.load_net(path)
+        checkpoint.save_net(path, params2, meta)
         assert path.read_bytes() == raw1
-        assert spec2 == spec and meta["acc"] == 0.75
+        assert params2.spec == spec and meta["acc"] == 0.75
 
     def test_float64_values_roundtrip_exactly(self, tmp_path):
         spec = nn.NetSpec.mlp([3, 2])
         values = np.array([np.pi, -0.0, 5e-324, -2.2e-308, 1e300, -1e300, 0.1, 1 / 3], dtype=np.float64)
-        params = nn.ParamVector(values, nn.spec_hash(spec))
+        params = nn.ParamVector(values, spec)
         path = tmp_path / "values.ckpt"
-        checkpoint.save_net(path, spec, params)
-        _, loaded, _ = checkpoint.load_net(path)
+        checkpoint.save_net(path, params)
+        loaded, _ = checkpoint.load_net(path)
         assert loaded.values.tobytes() == values.tobytes()  # bit for bit, -0.0 included
 
     def test_wrong_magic_rejected(self, tmp_path):
@@ -353,7 +352,7 @@ class TestCheckpoint:
     def test_truncated_values_rejected(self, tmp_path):
         spec, params = make_net(31, [4, 3])
         path = tmp_path / "trunc.ckpt"
-        checkpoint.save_net(path, spec, params)
+        checkpoint.save_net(path, params)
         path.write_bytes(path.read_bytes()[:-8])
         with pytest.raises(ArtifactError):
             checkpoint.load_net(path)
@@ -362,12 +361,13 @@ class TestCheckpoint:
         spec, p1 = make_net(32, [4, 6, 3])
         gspec, g = make_net(33, [6, 8, 2])
         path = tmp_path / "state.ckpt"
-        checkpoint.save_state(path, [("expert_0", spec, p1), ("gate", gspec, g)], {"round": 7})
+        checkpoint.save_state(path, [("expert_0", p1), ("gate", g)], {"round": 7})
         nets, meta = checkpoint.load_state(path)
         assert [n[0] for n in nets] == ["expert_0", "gate"]
         assert meta["round"] == 7
-        assert np.array_equal(nets[0][2].values, p1.values)
-        assert np.array_equal(nets[1][2].values, g.values)
+        assert np.array_equal(nets[0][1].values, p1.values)
+        assert np.array_equal(nets[1][1].values, g.values)
+        assert (nets[0][1].spec, nets[1][1].spec) == (spec, gspec)
 
 
 class TestPurity:

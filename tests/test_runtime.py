@@ -5,6 +5,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import central_diff, min_hidden_preact, rel_error
 from fedjets import baselines, benchmarks, experiment, gating, nn, runtime
@@ -67,7 +69,7 @@ class TestPlanRound:
 
     def test_fixed_seed_identical_plan_sequence(self, ctx):
         cfg = ctx.cfg
-        gate = gating.GateNet(ctx.gate_spec, runtime.init_server_state(ctx).gate_params)
+        gate = runtime.init_server_state(ctx).gate_params
         ids = [s.client_id for s in ctx.normal_shards]
         for t in range(3):
             a = runtime.plan_round(t, cfg, rng_stream(cfg.seed, "plan", t), [0, 1, 2], ids, gate, ctx.cache)
@@ -77,9 +79,8 @@ class TestPlanRound:
 
     def test_selection_size_is_top_k(self, ctx):
         state = runtime.init_server_state(ctx)
-        gate = gating.GateNet(ctx.gate_spec, state.gate_params)
         ids = [s.client_id for s in ctx.normal_shards]
-        plan = runtime.plan_round(0, ctx.cfg, rng_stream(9, "p"), [0, 1, 2], ids, gate, ctx.cache)
+        plan = runtime.plan_round(0, ctx.cfg, rng_stream(9, "p"), [0, 1, 2], ids, state.gate_params, ctx.cache)
         for cid in plan.normal_ids:
             assert len(plan.selections[cid].indices) == ctx.cfg.top_k
 
@@ -109,11 +110,9 @@ class TestAnchorUpdate:
         state = runtime.init_server_state(ctx)
         shard = ctx.anchor_shards[0]
         emb = ctx.cache[shard.client_id]
-        gate_before = gating.GateNet(ctx.gate_spec, state.gate_params)
-        loss_before, _ = gating.gate_independent_loss_grad(gate_before, emb, 0)
+        loss_before, _ = gating.gate_independent_loss_grad(state.gate_params, emb, 0)
         pkt = runtime.anchor_client_update(state, shard, ctx.train_ds, emb, cfg, 0)
-        gate_after = gating.GateNet(ctx.gate_spec, pkt.gate)
-        loss_after, _ = gating.gate_independent_loss_grad(gate_after, emb, 0)
+        loss_after, _ = gating.gate_independent_loss_grad(pkt.gate, emb, 0)
         assert loss_after <= loss_before
 
     def test_expert_update_matches_replayed_trajectory(self, ctx):
@@ -133,7 +132,7 @@ class TestAnchorUpdate:
             b = nn.Batch(ctx.train_ds.inputs[shard.indices[rows]], ctx.train_ds.labels[shard.indices[rows]])
             _, grad = nn.loss_and_grad(ctx.expert_spec, params, b, "ce_on_logits")
             v = m * v + grad.values
-            params = nn.ParamVector(params.values - lr * v, params.spec_hash)
+            params = nn.ParamVector(params.values - lr * v, params.spec)
         assert np.array_equal(pkt.experts[0].values, params.values)
 
 
@@ -141,8 +140,7 @@ class TestNormalUpdate:
     def test_packet_contains_exactly_selected_experts(self, ctx):
         state = runtime.init_server_state(ctx)
         shard = ctx.normal_shards[0]
-        gate = gating.GateNet(ctx.gate_spec, state.gate_params)
-        sel = gating.select_topk(gating.gate_scores(gate, ctx.cache[shard.client_id]), 2, shard.client_id)
+        sel = gating.select_topk(gating.gate_scores(state.gate_params, ctx.cache[shard.client_id]), 2, shard.client_id)
         pkt = runtime.normal_client_update(
             state, shard, ctx.train_ds, ctx.cache[shard.client_id], sel, ctx.cfg, 0
         )
@@ -155,15 +153,12 @@ class TestNormalUpdate:
         values = np.zeros(ctx.gate_spec.param_count())
         values[-3:] = [0.0, 60.0, 0.0]
         state = runtime.init_server_state(ctx)
-        state.gate_params = nn.ParamVector(values, state.gate_params.spec_hash)
+        gate = nn.ParamVector(values, state.gate_params.spec)
         shard = ctx.normal_shards[1]
         emb = ctx.cache[shard.client_id]
-        gate = gating.GateNet(ctx.gate_spec, state.gate_params)
         x = ctx.train_ds.inputs[shard.indices]
         y = ctx.train_ds.labels[shard.indices]
-        loss, e_grads, g_grad = runtime.mixture_loss_and_grads(
-            ctx.expert_spec, [state.expert_params[1]], gate, (1,), x, emb, y
-        )
+        loss, e_grads, g_grad = runtime.mixture_loss_and_grads([state.expert_params[1]], gate, (1,), x, emb, y)
         plain_loss, plain_grad = nn.loss_and_grad(
             ctx.expert_spec, state.expert_params[1], nn.Batch(x, y), "ce_on_logits"
         )
@@ -179,9 +174,9 @@ class TestNormalUpdate:
         expert_spec = nn.NetSpec.mlp([4, 5, 3])
         gate_sp = gating.gate_spec(3, 5)
         experts = [nn.init_params(expert_spec, r) for _ in range(k)]
-        gate = gating.GateNet(gate_sp, nn.init_params(gate_sp, r))
+        gate = nn.init_params(gate_sp, r)
         x, emb, y = r.normal(size=(6, 4)), r.normal(size=(6, 3)), r.integers(0, 3, size=6)
-        runtime.mixture_loss_and_grads(expert_spec, experts, gate, tuple(range(k)), x, emb, y)
+        runtime.mixture_loss_and_grads(experts, gate, tuple(range(k)), x, emb, y)
         assert len(traces) == k + 1
 
     def test_top_layer_overflow_names_top_layer(self):
@@ -190,13 +185,13 @@ class TestNormalUpdate:
         expert_spec = nn.NetSpec.mlp([2, 3])
         values = np.zeros(expert_spec.param_count())
         values[:2] = [1.5e308, -1.5e308]  # logits (1.5e308, -1.5e308, 0) for x = (1, 0)
-        expert = nn.ParamVector(values, nn.spec_hash(expert_spec))
+        expert = nn.ParamVector(values, expert_spec)
         gate_sp = gating.gate_spec(2, 2)
-        gate = gating.GateNet(gate_sp, nn.init_params(gate_sp, rng_stream(9, "overflow-gate")))
+        gate = nn.init_params(gate_sp, rng_stream(9, "overflow-gate"))
         x, emb, y = np.array([[1.0, 0.0]]), np.array([[0.5, -0.3]]), np.array([1])
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(NumericError) as err:
-                runtime.mixture_loss_and_grads(expert_spec, [expert, expert], gate, (0, 1), x, emb, y)
+                runtime.mixture_loss_and_grads([expert, expert], gate, (0, 1), x, emb, y)
         assert err.value.layer == gate_sp.num_layers - 1
 
     def test_joint_gradient_matches_central_differences(self):
@@ -207,30 +202,28 @@ class TestNormalUpdate:
             r = rng_stream(31, "joint-fd", attempt)
             e1 = nn.init_params(expert_spec, r)
             e2 = nn.init_params(expert_spec, r)
-            gate = gating.GateNet(gate_sp, nn.init_params(gate_sp, r))
+            gate = nn.init_params(gate_sp, r)
             x = r.normal(size=(4, 4))
             emb = r.normal(size=(4, 3))
             y = r.integers(0, 3, size=4)
             safe = min(
                 min_hidden_preact(expert_spec, e1, x),
                 min_hidden_preact(expert_spec, e2, x),
-                min_hidden_preact(gate_sp, gate.params, emb),
+                min_hidden_preact(gate_sp, gate, emb),
             )
             if safe >= 0.05:
                 break
         total = 2 * expert_spec.param_count() + gate_sp.param_count()
         assert total < 300
 
-        loss, e_grads, g_grad = runtime.mixture_loss_and_grads(
-            expert_spec, [e1, e2], gate, (0, 1), x, emb, y
-        )
-        joint = np.concatenate([e1.values, e2.values, gate.params.values])
+        loss, e_grads, g_grad = runtime.mixture_loss_and_grads([e1, e2], gate, (0, 1), x, emb, y)
+        joint = np.concatenate([e1.values, e2.values, gate.values])
         n_e = expert_spec.param_count()
 
         def joint_loss(v):
-            p1 = nn.ParamVector(v[:n_e], e1.spec_hash)
-            p2 = nn.ParamVector(v[n_e : 2 * n_e], e2.spec_hash)
-            g = gating.GateNet(gate_sp, nn.ParamVector(v[2 * n_e :], gate.params.spec_hash))
+            p1 = nn.ParamVector(v[:n_e], expert_spec)
+            p2 = nn.ParamVector(v[n_e : 2 * n_e], expert_spec)
+            g = nn.ParamVector(v[2 * n_e :], gate_sp)
             w = gating.gate_scores(g, emb)[:, [0, 1]]
             combined = nn.mixture_forward(expert_spec, [p1, p2], w, x)
             return nn.cross_entropy(nn.softmax(combined), y)
@@ -247,27 +240,25 @@ class TestNormalUpdate:
             r = rng_stream(77, "renorm-fd", attempt)
             e1 = nn.init_params(expert_spec, r)
             e2 = nn.init_params(expert_spec, r)
-            gate = gating.GateNet(gate_sp, nn.init_params(gate_sp, r))
+            gate = nn.init_params(gate_sp, r)
             x = r.normal(size=(4, 4))
             emb = r.normal(size=(4, 3))
             y = r.integers(0, 3, size=4)
             safe = min(
                 min_hidden_preact(expert_spec, e1, x),
                 min_hidden_preact(expert_spec, e2, x),
-                min_hidden_preact(gate_sp, gate.params, emb),
+                min_hidden_preact(gate_sp, gate, emb),
             )
             if safe >= 0.05:
                 break
-        loss, e_grads, g_grad = runtime.mixture_loss_and_grads(
-            expert_spec, [e1, e2], gate, (0, 2), x, emb, y, renormalize=True
-        )
-        joint = np.concatenate([e1.values, e2.values, gate.params.values])
+        loss, e_grads, g_grad = runtime.mixture_loss_and_grads([e1, e2], gate, (0, 2), x, emb, y, renormalize=True)
+        joint = np.concatenate([e1.values, e2.values, gate.values])
         n_e = expert_spec.param_count()
 
         def joint_loss(v):
-            p1 = nn.ParamVector(v[:n_e], e1.spec_hash)
-            p2 = nn.ParamVector(v[n_e : 2 * n_e], e2.spec_hash)
-            g = gating.GateNet(gate_sp, nn.ParamVector(v[2 * n_e :], gate.params.spec_hash))
+            p1 = nn.ParamVector(v[:n_e], expert_spec)
+            p2 = nn.ParamVector(v[n_e : 2 * n_e], expert_spec)
+            g = nn.ParamVector(v[2 * n_e :], gate_sp)
             w = gating.gate_scores(g, emb)[:, [0, 2]]
             w = w / w.sum(axis=1, keepdims=True)
             combined = nn.mixture_forward(expert_spec, [p1, p2], w, x)
@@ -282,30 +273,28 @@ class TestLocalSteps:
     @staticmethod
     def _raw(state, *gates):
         """Bytes of every expert, the gate and any extra gates, so -0.0 and 0.0 differ."""
-        nets = [*state.expert_params, state.gate_params, *(g.params for g in gates)]
+        nets = [*state.expert_params, state.gate_params, *gates]
         return [p.values.tobytes() for p in nets]
 
     @pytest.mark.parametrize("kind", ["anchor", "normal", "fedavg", "fedprox", "fedmix"])
     def test_client_update_leaves_its_inputs_unchanged(self, ctx, kind):
         # working copies are stepped in place; what the client was sent is not
         state = runtime.init_server_state(ctx)
-        local_gate = gating.GateNet(ctx.gate_spec, nn.init_params(ctx.gate_spec, rng_stream(3, "local-gate")))
+        local_gate = nn.init_params(ctx.gate_spec, rng_stream(3, "local-gate"))
         before = self._raw(state, local_gate)
         anchor, shard = ctx.anchor_shards[0], ctx.normal_shards[0]
         emb = ctx.cache[shard.client_id]
         if kind == "anchor":
             pkt = runtime.anchor_client_update(state, anchor, ctx.train_ds, ctx.cache[anchor.client_id], ctx.cfg, 0)
         elif kind == "normal":
-            sel = gating.select_topk(gating.gate_scores(gating.GateNet(ctx.gate_spec, state.gate_params), emb), 2)
+            sel = gating.select_topk(gating.gate_scores(state.gate_params, emb), 2)
             pkt = runtime.normal_client_update(state, shard, ctx.train_ds, emb, sel, ctx.cfg, 0)
         elif kind == "fedmix":
             pkt, _ = baselines.fedmix_client_update(ctx, state, local_gate, shard, 0)
         elif kind == "fedavg":
-            pkt = baselines.fedavg_client_update(ctx.expert_spec, state.expert_params[0], shard, ctx.train_ds, ctx.cfg, 0)
+            pkt = baselines.fedavg_client_update(state.expert_params[0], shard, ctx.train_ds, ctx.cfg, 0)
         else:
-            pkt = baselines.fedprox_client_update(
-                ctx.expert_spec, state.expert_params[0], shard, ctx.train_ds, ctx.cfg, 0, mu=0.5
-            )
+            pkt = baselines.fedprox_client_update(state.expert_params[0], shard, ctx.train_ds, ctx.cfg, 0, mu=0.5)
         assert self._raw(state, local_gate) == before
         i, trained = next(iter(pkt.experts.items()))
         assert not np.array_equal(trained.values, state.expert_params[i].values)
@@ -318,7 +307,7 @@ class TestLocalSteps:
         assert iters > 1
 
         def train(cid):
-            params = nn.ParamVector(np.ones(4), "toy")
+            params = nn.ParamVector(np.ones(4), nn.NetSpec.mlp([1, 2]))
             steps = []
 
             def grads(rows):
@@ -344,8 +333,8 @@ class TestAggregate:
 
     def test_single_packet_adopted_exactly(self, ctx):
         state = self._state(ctx)
-        new_gate = nn.ParamVector(state.gate_params.values + 1.0, state.gate_params.spec_hash)
-        new_e = nn.ParamVector(state.expert_params[1].values * 2.0, state.expert_params[1].spec_hash)
+        new_gate = nn.ParamVector(state.gate_params.values + 1.0, state.gate_params.spec)
+        new_e = nn.ParamVector(state.expert_params[1].values * 2.0, state.expert_params[1].spec)
         pkt = runtime.UpdatePacket(4, "normal", new_gate, {1: new_e}, 17)
         out = runtime.aggregate(state, [pkt])
         assert np.array_equal(out.gate_params.values, new_gate.values)
@@ -355,7 +344,7 @@ class TestAggregate:
 
     def test_equal_weights_midpoint(self, ctx):
         state = self._state(ctx)
-        h = state.expert_params[0].spec_hash
+        h = state.expert_params[0].spec
         a = nn.ParamVector(np.full_like(state.expert_params[0].values, 2.0), h)
         b = nn.ParamVector(np.full_like(state.expert_params[0].values, 4.0), h)
         pkts = [
@@ -367,7 +356,7 @@ class TestAggregate:
 
     def test_one_three_weighting(self, ctx):
         state = self._state(ctx)
-        h = state.expert_params[0].spec_hash
+        h = state.expert_params[0].spec
         w1 = nn.ParamVector(np.ones_like(state.expert_params[0].values), h)
         w2 = nn.ParamVector(np.full_like(state.expert_params[0].values, 5.0), h)
         pkts = [
@@ -379,7 +368,7 @@ class TestAggregate:
 
     def test_uniform_flag_ignores_sample_counts(self, ctx):
         state = self._state(ctx)
-        h = state.expert_params[0].spec_hash
+        h = state.expert_params[0].spec
         w1 = nn.ParamVector(np.zeros_like(state.expert_params[0].values), h)
         w2 = nn.ParamVector(np.full_like(state.expert_params[0].values, 2.0), h)
         pkts = [
@@ -389,24 +378,41 @@ class TestAggregate:
         out = runtime.aggregate(state, pkts, uniform=True)
         assert np.allclose(out.expert_params[0].values, 1.0, atol=1e-12)
 
-    def test_packet_order_invariance(self, ctx):
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_packet_order_invariance(self, ctx, data):
+        # any arrival order, sample counts and expert subsets fold to the same
+        # bits; the input state is never written, and what no packet updated
+        # is carried over as the same object
         state = self._state(ctx)
-        rng = rng_stream(55, "agg")
+        before = [p.values.tobytes() for p in [*state.expert_params, state.gate_params]]
+        ids = data.draw(st.lists(st.integers(0, 99), min_size=1, max_size=6, unique=True))
+        rng = rng_stream(data.draw(st.integers(0, 2**31 - 1)), "agg")
         pkts = []
-        for cid in [7, 3, 5]:
-            gate = nn.ParamVector(rng.normal(size=state.gate_params.values.size), state.gate_params.spec_hash)
-            e = nn.ParamVector(
-                rng.normal(size=state.expert_params[0].values.size), state.expert_params[0].spec_hash
-            )
-            pkts.append(runtime.UpdatePacket(cid, "normal", gate, {0: e}, int(rng.integers(1, 50))))
+        for cid in ids:
+            subset = data.draw(st.sets(st.integers(0, state.num_experts - 1)))
+            gate = nn.ParamVector(rng.normal(size=state.gate_params.values.size), state.gate_params.spec)
+            experts = {
+                i: nn.ParamVector(rng.normal(size=state.expert_params[i].values.size), state.expert_params[i].spec)
+                for i in subset
+            }
+            pkts.append(runtime.UpdatePacket(cid, "normal", gate, experts, data.draw(st.integers(1, 500))))
         out1 = runtime.aggregate(state, pkts)
-        out2 = runtime.aggregate(state, list(reversed(pkts)))
-        assert np.array_equal(out1.gate_params.values, out2.gate_params.values)
-        assert np.array_equal(out1.expert_params[0].values, out2.expert_params[0].values)
+        out2 = runtime.aggregate(state, data.draw(st.permutations(pkts)))
+        assert [p.values.tobytes() for p in [*out1.expert_params, out1.gate_params]] == [
+            p.values.tobytes() for p in [*out2.expert_params, out2.gate_params]
+        ]
+        assert [p.values.tobytes() for p in [*state.expert_params, state.gate_params]] == before
+        updated = set().union(*(p.experts for p in pkts))
+        for i in set(range(state.num_experts)) - updated:
+            assert out1.expert_params[i] is state.expert_params[i]
 
-    def test_spec_hash_mismatch_is_protocol_error(self, ctx):
+    def test_spec_mismatch_is_protocol_error(self, ctx):
         state = self._state(ctx)
-        bad = nn.ParamVector(np.zeros_like(state.expert_params[0].values), "deadbeef")
+        spec = state.expert_params[0].spec
+        other = nn.NetSpec(spec.layer_dims, ("identity",) * len(spec.activations), spec.head)
+        assert other.param_count() == spec.param_count()
+        bad = nn.ParamVector(np.zeros(other.param_count()), other)
         pkt = runtime.UpdatePacket(3, "normal", None, {0: bad}, 5)
         with pytest.raises(ProtocolError):
             runtime.aggregate(state, [pkt])
@@ -474,7 +480,7 @@ class TestRunTraining:
                     )
                     _, grad = nn.loss_and_grad(c.expert_spec, params, b, "ce_on_logits")
                     v = momentum * v + grad.values
-                    params = nn.ParamVector(params.values - cfg.training.lr * v, params.spec_hash)
+                    params = nn.ParamVector(params.values - cfg.training.lr * v, params.spec)
             assert np.array_equal(final.expert_params[0].values, params.values)
 
     @pytest.mark.parametrize("method", ["fedjets", "fedavg", "fedprox", "avg_ensemble", "fedmix"])
@@ -528,6 +534,33 @@ class TestCommCost:
             base.federation.top_k = k
             costs = runtime.comm_cost(plan, base, self.sizes(gate=37))
             assert costs["fedjets"][0] <= costs["fedmix"][0]
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n_a=st.integers(0, 6),
+        n_c=st.integers(0, 6),
+        m=st.integers(1, 8),
+        k_frac=st.floats(0.0, 1.0),
+        ensemble=st.integers(2, 5),
+        expert=st.integers(1, 10**6),
+        gate=st.integers(0, 10**5),
+    )
+    def test_comm_cost_equals_readme_closed_forms(self, n_a, n_c, m, k_frac, ensemble, expert, gate):
+        k = 1 + int(k_frac * (m - 1))
+        cfg = benchmarks.synth10_config()
+        cfg.federation.num_experts, cfg.federation.top_k, cfg.federation.ensemble_size = m, k, ensemble
+        plan = runtime.RoundPlan(0, list(range(n_a)), list(range(100, 100 + n_c)))
+        n = n_a + n_c
+        fedjets = n_a * (gate + expert) + n_c * (gate + k * expert)
+        want = {
+            "fedjets": fedjets,
+            "fedmix": n * m * expert,
+            "fedavg": n * expert,
+            "fedprox": n * expert,
+            "avg_ensemble": n * ensemble * expert,
+        }
+        costs = runtime.comm_cost(plan, cfg, self.sizes(expert=expert, gate=gate))
+        assert costs == {name: (float(f), float(f)) for name, f in want.items()}
 
     def test_three_round_ledger_matches_hand_sum(self):
         cfg = mini_cfg(federation={"rounds": 3})
