@@ -72,7 +72,7 @@ for name, ranges in schedules.items():
         scenario={"ranges": ranges},
     )
     ctx = build_ctx(cfg)
-    state, history, _ = evaluation.run_scenario(ctx)
+    state, history, _ = runtime.run_training(ctx)
     report = evaluation.zero_shot_eval(
         state, ctx.common, ctx.test_shards, ctx.test_ds, cfg.top_k, cache=ctx.test_cache
     )

@@ -4,8 +4,9 @@ Ensembles, and a FedMix-style all-experts mixture with per-client gates;
 included.
 
 All baselines sample their active clients uniformly from the full training
-pool (anchor shards are ordinary clients to them), reuse the same client
-RNG streams, and aggregate through `runtime.aggregate`, so method
+pool (anchor shards are ordinary clients to them) through
+`runtime.active_ids` and `runtime.draw_clients`, reuse the same client RNG
+streams, and run each round through `runtime.train_round`, so method
 differences are isolated to the update rule itself.
 """
 
@@ -21,16 +22,18 @@ from .runtime import RoundPlan, RunContext, ServerState, UpdatePacket
 from .seeding import rng_stream
 
 
-def _sgd_client_update(
+def sgd_client_update(
     global_params: nn.ParamVector,
     shard: ClientShard,
     ds: LabeledDataset,
     cfg: RunConfig,
     round_idx: int,
-    prox_mu: float = 0.0,
+    mu: float = 0.0,
 ) -> UpdatePacket:
-    """Local SGDM on cross-entropy; with prox_mu > 0 each step adds the
-    FedProx pull mu*(w_local - w_global) to the gradient."""
+    """FedAvg client: local SGDM on cross-entropy. FedProx is mu > 0: each
+    step adds the pull mu*(w_local - w_global) to the gradient."""
+    if mu < 0:
+        raise ConfigError("fedprox mu must be non-negative")
     tr = cfg.training
     params = global_params.copy()
 
@@ -38,22 +41,12 @@ def _sgd_client_update(
         batch = nn.Batch(ds.inputs[shard.indices[rows]], ds.labels[shard.indices[rows]])
         loss, grad = nn.loss_and_grad(params.spec, params, batch, "ce_on_logits")
         runtime._check_finite_loss(loss)
-        if prox_mu != 0.0:
-            grad.values += prox_mu * (params.values - global_params.values)
+        if mu != 0.0:
+            grad.values += mu * (params.values - global_params.values)
         return [grad.values]
 
     runtime.local_steps(shard, cfg, round_idx, [(params, tr.lr, tr.momentum)], grads)
-    return UpdatePacket(shard.client_id, shard.kind, None, {0: params}, len(shard))
-
-
-def fedavg_client_update(global_params, shard, ds, cfg, round_idx) -> UpdatePacket:
-    return _sgd_client_update(global_params, shard, ds, cfg, round_idx, prox_mu=0.0)
-
-
-def fedprox_client_update(global_params, shard, ds, cfg, round_idx, mu) -> UpdatePacket:
-    if mu < 0:
-        raise ConfigError("fedprox mu must be non-negative")
-    return _sgd_client_update(global_params, shard, ds, cfg, round_idx, prox_mu=mu)
+    return UpdatePacket(shard.client_id, None, {0: params}, len(shard))
 
 
 def prox_loss(params, global_params, batch, mu) -> float:
@@ -77,70 +70,60 @@ def avg_ensemble_predict(models: list[nn.ParamVector], inputs: np.ndarray) -> np
 
 
 def baseline_plan(ctx: RunContext, t: int, *key) -> RoundPlan:
-    """Uniform draw from the full training pool: baselines treat every
-    training shard alike, and a scenario restricts the pool to exactly the
-    listed ids. A `key` (an ensemble member's index) gives an independent
-    draw."""
+    """Uniform draw from the full training pool, which a scenario restricts
+    to exactly its listed ids: baselines treat every training shard alike.
+    A `key` (an ensemble member's index) gives an independent draw."""
     cfg = ctx.cfg
     n = cfg.federation.anchors_per_round + cfg.federation.normals_per_round
-    pool = [s.client_id for s in ctx.anchor_shards + ctx.normal_shards]
-    current = runtime.scenario_range(cfg, t)
-    if current is not None:
-        active = set(current.active_clients)
-        pool = [cid for cid in pool if cid in active]
-        if not pool:
-            raise ConfigError(f"scenario range [{current.start}, {current.end}) has no active clients")
-    if n > len(pool):
-        raise ConfigError(f"round {t}: need {n} clients but pool has {len(pool)}")
-    rng = rng_stream(cfg.seed, "plan", t, *key)
-    ids = sorted(rng.choice(pool, size=n, replace=False).tolist())
-    return RoundPlan(t, [], ids)
+    pool = runtime.active_ids(cfg, t, [s.client_id for s in ctx.anchor_shards + ctx.normal_shards])
+    return RoundPlan(t, [], runtime.draw_clients(rng_stream(cfg.seed, "plan", t, *key), pool, n, t, "clients"))
 
 
 def fedavg_like_round(ctx: RunContext, state: ServerState, t: int, mu: float) -> tuple[ServerState, RoundPlan]:
     plan = baseline_plan(ctx, t)
-    shards = ctx.shards_by_id
-    packets = runtime.update_clients(
-        t,
-        plan.normal_ids,
-        lambda cid: _sgd_client_update(state.expert_params[0], shards[cid], ctx.train_ds, ctx.cfg, t, mu),
-    )
-    return runtime.aggregate(state, packets, ctx.cfg.federation.uniform_weighting), plan
+
+    def update(shard):
+        return sgd_client_update(state.expert_params[0], shard, ctx.train_ds, ctx.cfg, t, mu)
+
+    return runtime.train_round(ctx, state, t, plan.normal_ids, update), plan
 
 
 def ensemble_round(ctx: RunContext, state: ServerState, t: int) -> tuple[ServerState, RoundPlan]:
     """Each ensemble member runs an independent FedAvg round with its own
     client draw (different random seeds per member)."""
-    cfg = ctx.cfg
-    shards = ctx.shards_by_id
     plans = [baseline_plan(ctx, t, m) for m in range(state.num_experts)]
-    new_members = []
+    members = []
     for m, (member, plan) in enumerate(zip(state.expert_params, plans)):
-        packets = runtime.update_clients(
-            t,
-            plan.normal_ids,
-            lambda cid: _sgd_client_update(member, shards[cid], ctx.train_ds, cfg, t),
-            scope=f"ensemble member {m}",
-        )
+
+        def update(shard):
+            return sgd_client_update(member, shard, ctx.train_ds, ctx.cfg, t)
+
         member_state = ServerState([member], None, state.round)
-        new_members.append(runtime.aggregate(member_state, packets, cfg.federation.uniform_weighting).expert_params[0])
-    return ServerState(new_members, None, state.round + 1), plans[0]
+        member_state = runtime.train_round(ctx, member_state, t, plan.normal_ids, update, f"ensemble member {m}")
+        members.append(member_state.expert_params[0])
+    return ServerState(members, None, state.round + 1), plans[0]
 
 
 def fedmix_client_update(
     ctx: RunContext,
     state: ServerState,
-    local_gate: nn.ParamVector,
+    local_gates: dict[int, nn.ParamVector],
     shard: ClientShard,
     t: int,
-) -> tuple[UpdatePacket, nn.ParamVector]:
-    """FedMix client: receives all M experts, trains them through its
-    persistent local gate (mixture cross-entropy); the gate stays local."""
+) -> UpdatePacket:
+    """FedMix client: receives all M experts and trains them through its
+    persistent local gate (mixture cross-entropy). The gate is drawn on the
+    client's first activation; a trained copy replaces it in `local_gates`
+    and never leaves the client."""
+    cid = shard.client_id
+    if cid in local_gates:
+        gate = local_gates[cid].copy()
+    else:
+        gate = nn.init_params(ctx.gate_spec, rng_stream(ctx.cfg.seed, "fedmix-gate", cid))
     experts = {i: p.copy() for i, p in enumerate(state.expert_params)}
-    gate = local_gate.copy()
-    runtime._mixture_local_steps(experts, gate, shard, ctx.train_ds, ctx.cache[shard.client_id], ctx.cfg, t)
-    packet = UpdatePacket(shard.client_id, shard.kind, None, experts, len(shard))
-    return packet, gate
+    runtime._mixture_local_steps(experts, gate, shard, ctx.train_ds, ctx.cache[cid], ctx.cfg, t)
+    local_gates[cid] = gate
+    return UpdatePacket(cid, None, experts, len(shard))
 
 
 def fedmix_round(
@@ -149,39 +132,28 @@ def fedmix_round(
     local_gates: dict[int, nn.ParamVector],
     t: int,
 ) -> tuple[ServerState, RoundPlan]:
-    cfg = ctx.cfg
     plan = baseline_plan(ctx, t)
-    shards = ctx.shards_by_id
-    for cid in plan.normal_ids:
-        if cid not in local_gates:
-            local_gates[cid] = nn.init_params(ctx.gate_spec, rng_stream(cfg.seed, "fedmix-gate", cid))
-    results = runtime.update_clients(
-        t, plan.normal_ids, lambda cid: fedmix_client_update(ctx, state, local_gates[cid], shards[cid], t)
-    )
-    packets = []
-    for packet, gate in results:
-        packets.append(packet)
-        local_gates[packet.client_id] = gate  # persists across activations
-    return runtime.aggregate(state, packets, cfg.federation.uniform_weighting), plan
+
+    def update(shard):
+        return fedmix_client_update(ctx, state, local_gates, shard, t)
+
+    return runtime.train_round(ctx, state, t, plan.normal_ids, update), plan
 
 
 def make_stepper(ctx: RunContext, method: str):
     """Initial server state and per-round step(state, t) -> (state, plan)
     for any method; the one training dispatch point."""
-    cfg = ctx.cfg
+    fed = ctx.cfg.federation
     if method == "fedjets":
         return runtime.init_server_state(ctx), lambda st, t: runtime.fedjets_round(ctx, st, t)
-    if method in ("fedavg", "fedprox"):
-        state = ServerState([runtime.init_expert(ctx, 0)], None, 0)
-        mu = cfg.federation.fedprox_mu if method == "fedprox" else 0.0
-        return state, lambda st, t: fedavg_like_round(ctx, st, t, mu)
+    model_counts = {"fedavg": 1, "fedprox": 1, "avg_ensemble": fed.ensemble_size, "fedmix": fed.num_experts}
+    if method not in model_counts:
+        raise ConfigError(f"unknown method {method!r}")
+    state = ServerState([runtime.init_expert(ctx, i) for i in range(model_counts[method])], None, 0)
     if method == "avg_ensemble":
-        members = [runtime.init_expert(ctx, m) for m in range(cfg.federation.ensemble_size)]
-        state = ServerState(members, None, 0)
         return state, lambda st, t: ensemble_round(ctx, st, t)
     if method == "fedmix":
-        experts = [runtime.init_expert(ctx, i) for i in range(cfg.num_experts)]
-        state = ServerState(experts, None, 0)
         local_gates: dict[int, nn.ParamVector] = {}
         return state, lambda st, t: fedmix_round(ctx, st, local_gates, t)
-    raise ConfigError(f"unknown method {method!r}")
+    mu = fed.fedprox_mu if method == "fedprox" else 0.0
+    return state, lambda st, t: fedavg_like_round(ctx, st, t, mu)

@@ -73,7 +73,7 @@ def cmd_eval(args) -> int:
     cfg = _load_config(args)
     state, state_meta = experiment.load_run_state(args.state)
     ctx = experiment.build_context(cfg)
-    method = state_meta.get("method", cfg.federation.method)
+    method = state_meta["method"]
     scores = evaluation.score_test_clients(ctx, state, method)
     report: dict = {
         "method": method,

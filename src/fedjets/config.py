@@ -191,6 +191,9 @@ class RunConfig:
                     )
                 if r.end <= r.start:
                     raise ConfigError("scenario range end must exceed start")
+                bad = [cid for cid in r.active_clients if not 0 <= cid < d.num_clients]
+                if bad:
+                    raise ConfigError(f"scenario range [{r.start}, {r.end}): client ids {bad} outside [0, {d.num_clients})")
                 prev_end = r.end
             if prev_end < f.rounds:
                 raise ConfigError(f"scenario covers [0, {prev_end}) but the run has {f.rounds} rounds")
@@ -244,7 +247,7 @@ def from_dict(raw: dict) -> RunConfig:
             if raw.get("scenario") is None
             else [
                 _build(ScenarioRange, r, f"scenario[{i}]")
-                for i, r in enumerate(_scenario_ranges(raw["scenario"]))
+                for i, r in enumerate(_range_dicts(raw["scenario"]))
             ]
         ),
         seed=raw.get("seed", 0),
@@ -254,7 +257,7 @@ def from_dict(raw: dict) -> RunConfig:
     return cfg.validate()
 
 
-def _scenario_ranges(obj):
+def _range_dicts(obj):
     if isinstance(obj, dict):
         extra = set(obj) - {"ranges"}
         if extra:

@@ -1,4 +1,4 @@
-"""Scoring of unseen test clients, per-sample routing, scenario runner.
+"""Scoring of unseen test clients and per-sample routing.
 
 Test clients are never adapted. Under FedJETs the gate scores a client's
 unlabeled embeddings once; the top-K experts and each sample's expert (the
@@ -12,7 +12,6 @@ detail and routing from it.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -20,7 +19,6 @@ import numpy as np
 from . import nn
 from .baselines import avg_ensemble_predict
 from .central import model_accuracy
-from .config import ScenarioRange
 from .data import ClientShard, LabeledDataset
 from .errors import ConfigError
 from .gating import CommonExpert, ExpertSelection, embed_inputs, gate_scores, select_topk
@@ -250,17 +248,3 @@ def evaluate_round(
         floats_up_cum=floats_up_cum,
     )
 
-
-def run_scenario(ctx: RunContext, schedule: list[ScenarioRange] | None = None):
-    """Training under an incremental-learning schedule: each round's normal
-    clients are drawn only from the schedule range covering that round.
-
-    With schedule=None the context's own scenario config applies; a single
-    range covering every round with the full pool reproduces run_training.
-    """
-    from .runtime import run_training
-
-    if schedule is not None:
-        cfg = dataclasses.replace(ctx.cfg, scenario=schedule).validate()
-        ctx = dataclasses.replace(ctx, cfg=cfg)
-    return run_training(ctx)

@@ -201,14 +201,24 @@ def save_run_state(path, state: runtime.ServerState, cfg: config_mod.RunConfig) 
 
 
 def load_run_state(path) -> tuple[runtime.ServerState, dict]:
-    """Read a state written by `save_run_state`. The experts must share one
-    spec, and a gate must have a softmax head scoring exactly those experts;
-    anything else is a malformed artifact."""
+    """Read a state written by `save_run_state`. Its meta must name a method
+    and a non-negative round. The experts share one spec: one for fedavg and
+    fedprox, two or more for avg_ensemble. A fedjets state, and no other, has
+    a gate: a softmax head scoring exactly those experts. Else it is malformed."""
     nets, meta = checkpoint.load_state(path)
     experts = [(name, p) for name, p in nets if name.startswith("expert_")]
     gates = [p for name, p in nets if name == "gate"]
     if not experts:
         raise ArtifactError(f"{path}: state holds no experts")
+    method, round_idx = meta.get("method"), meta.get("round")
+    if method not in config_mod.METHODS:
+        raise ArtifactError(f"{path}: unknown method {method!r}")
+    if type(round_idx) is not int or round_idx < 0:
+        raise ArtifactError(f"{path}: round must be a non-negative int, got {round_idx!r}")
+    if bool(gates) != (method == "fedjets"):
+        raise ArtifactError(f"{path}: a gate is {'stored' if gates else 'missing'} for method {method!r}")
+    if (method in ("fedavg", "fedprox") and len(experts) > 1) or (method == "avg_ensemble" and len(experts) < 2):
+        raise ArtifactError(f"{path}: method {method!r} cannot hold {len(experts)} expert(s)")
     for name, p in experts:
         if p.spec != experts[0][1].spec:
             raise ArtifactError(f"{path}: {name} has another spec than {experts[0][0]}")
@@ -217,7 +227,7 @@ def load_run_state(path) -> tuple[runtime.ServerState, dict]:
         raise ArtifactError(f"{path}: gate has a {gate.spec.head!r} head, not softmax")
     if gate is not None and gate.spec.output_dim != len(experts):
         raise ArtifactError(f"{path}: gate scores {gate.spec.output_dim} experts, state holds {len(experts)}")
-    return runtime.ServerState([p for _, p in experts], gate, int(meta.get("round", 0))), meta
+    return runtime.ServerState([p for _, p in experts], gate, round_idx), meta
 
 
 def run_to_directory(cfg: config_mod.RunConfig, out_dir):

@@ -46,16 +46,11 @@ def embed_inputs(common: CommonExpert, inputs: np.ndarray) -> np.ndarray:
     return nn.forward_to_layer(common.params.spec, common.params, inputs, common.embed_layer)
 
 
-def embed_all(common: CommonExpert, shard: ClientShard, ds: LabeledDataset) -> np.ndarray:
-    """Embeddings for every sample of one client's shard (row-aligned with
-    shard.indices)."""
-    return embed_inputs(common, ds.inputs[shard.indices])
-
-
 def build_embedding_cache(
     common: CommonExpert, ds: LabeledDataset, shards: list[ClientShard]
 ) -> dict[int, np.ndarray]:
-    return {shard.client_id: embed_all(common, shard, ds) for shard in shards}
+    """Embeddings of every client's shard, row-aligned with shard.indices."""
+    return {shard.client_id: embed_inputs(common, ds.inputs[shard.indices]) for shard in shards}
 
 
 def gate_spec(embed_dim: int, num_experts: int, hidden: int | None = None) -> nn.NetSpec:

@@ -11,7 +11,7 @@ import json
 from dataclasses import dataclass
 from pathlib import Path
 
-from .errors import ArtifactError
+from .errors import ArtifactError, ConfigError
 
 JSONL_FIELDS = (
     "round",
@@ -48,19 +48,22 @@ class MetricsRecord:
 
 
 def parse_record(obj: dict, where: str) -> MetricsRecord:
-    missing = [k for k in JSONL_FIELDS if k not in obj]
-    extra = [k for k in obj if k not in JSONL_FIELDS]
-    if missing or extra:
-        raise ArtifactError(f"{where}: metrics schema mismatch (missing {missing}, extra {extra})")
-    return MetricsRecord(
-        round=int(obj["round"]),
-        method=str(obj["method"]),
-        global_acc=float(obj["global_acc"]),
-        per_expert_acc=[float(v) for v in obj["per_expert_acc"]],
-        routing_acc=None if obj["routing_acc"] is None else float(obj["routing_acc"]),
-        floats_down_cum=float(obj["floats_down_cum"]),
-        floats_up_cum=float(obj["floats_up_cum"]),
-    )
+    try:
+        missing = [k for k in JSONL_FIELDS if k not in obj]
+        extra = [k for k in obj if k not in JSONL_FIELDS]
+        if missing or extra:
+            raise ArtifactError(f"{where}: metrics schema mismatch (missing {missing}, extra {extra})")
+        return MetricsRecord(
+            round=int(obj["round"]),
+            method=str(obj["method"]),
+            global_acc=float(obj["global_acc"]),
+            per_expert_acc=[float(v) for v in obj["per_expert_acc"]],
+            routing_acc=None if obj["routing_acc"] is None else float(obj["routing_acc"]),
+            floats_down_cum=float(obj["floats_down_cum"]),
+            floats_up_cum=float(obj["floats_up_cum"]),
+        )
+    except (ValueError, TypeError) as exc:
+        raise ArtifactError(f"{where}: malformed metrics record ({exc})") from exc
 
 
 def write_jsonl(path, records: list[MetricsRecord]) -> None:
@@ -106,6 +109,8 @@ def write_csv(path, records: list[MetricsRecord], seed: int | None = None) -> No
 
 def best_of_last(records: list[MetricsRecord], last_k: int) -> float:
     """Best global accuracy among the last `last_k` evaluation records."""
+    if last_k < 1:
+        raise ConfigError(f"last_k must be at least 1, got {last_k}")
     if not records:
         raise ArtifactError("metrics file holds no records")
     tail = records[-last_k:]

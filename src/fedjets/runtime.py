@@ -6,16 +6,17 @@ expert plus the gate's independent loss) and N_c normal clients (each
 jointly training its top-K experts and the gate through the mixture
 cross-entropy). The server then averages the returned copies.
 
-Every client update draws its randomness from a stream keyed by
-(seed, "client", round, client_id), so results do not depend on the order
-in which a round's clients are updated; they run one after another.
+Every method's round is a plan, then `train_round`: `active_ids` is the
+one scenario-pool lookup and `draw_clients` the one client draw; then the
+clients update one after another and `aggregate` averages their packets.
+Each client draws its randomness from a stream keyed by (seed, "client",
+round, client_id), so results do not depend on the order of the updates.
 
 Every network is one `nn.ParamVector`, which carries its spec. Every
 client, the baselines' included, steps copies of its parameters in place
-through `local_steps`, which scans them for finiteness once, at the end;
-`update_clients` names the round and client of any NumericError. Server
-networks are never updated in place, so `aggregate` carries the ones no
-packet updated over by reference.
+through `local_steps`, which scans them for finiteness once, at the end.
+Server networks are never updated in place, so `aggregate` carries the
+ones no packet updated over by reference.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import gating, nn
-from .config import RunConfig, ScenarioRange
+from .config import RunConfig
 from .data import KIND_ANCHOR, ClientShard, LabeledDataset
 from .errors import ConfigError, NumericError, ProtocolError
 from .gating import CommonExpert, ExpertSelection
@@ -65,7 +66,6 @@ class RoundPlan:
 @dataclass
 class UpdatePacket:
     client_id: int
-    kind: str
     gate: nn.ParamVector | None
     experts: dict[int, nn.ParamVector]
     num_samples: int
@@ -149,6 +149,25 @@ def minibatch_indices(n: int, batch_size: int, rng: np.random.Generator, count: 
 # Planning
 
 
+def active_ids(cfg: RunConfig, t: int, ids: list[int]) -> list[int]:
+    """The ids among `ids` active in round t: all of them without a scenario
+    schedule, else those the range covering round t lists."""
+    if cfg.scenario is None:
+        return list(ids)
+    for r in cfg.scenario:
+        if r.start <= t < r.end:
+            active = set(r.active_clients)
+            return [cid for cid in ids if cid in active]
+    raise ConfigError(f"round {t} not covered by the scenario schedule")
+
+
+def draw_clients(rng: np.random.Generator, pool: list[int], n: int, t: int, what: str) -> list[int]:
+    """`n` ids drawn uniformly without replacement from `pool`, sorted."""
+    if n > len(pool):
+        raise ConfigError(f"round {t}: need {n} {what} but pool has {len(pool)}")
+    return sorted(rng.choice(pool, size=n, replace=False).tolist()) if n else []
+
+
 def plan_round(
     t: int,
     cfg: RunConfig,
@@ -161,15 +180,8 @@ def plan_round(
     """Sample this round's active clients (uniform, without replacement) and,
     when a gate is supplied, compute each normal client's expert selection."""
     fed = cfg.federation
-    n_a, n_c = fed.anchors_per_round, fed.normals_per_round
-
-    if n_a > 0 and len(anchor_pool) < n_a:
-        raise ConfigError(f"round {t}: need {n_a} anchors but pool has {len(anchor_pool)}")
-    if n_c > 0 and len(normal_pool) < n_c:
-        raise ConfigError(f"round {t}: need {n_c} normal clients but pool has {len(normal_pool)}")
-
-    anchor_ids = sorted(rng.choice(anchor_pool, size=n_a, replace=False).tolist()) if n_a else []
-    normal_ids = sorted(rng.choice(normal_pool, size=n_c, replace=False).tolist()) if n_c else []
+    anchor_ids = draw_clients(rng, anchor_pool, fed.anchors_per_round, t, "anchors")
+    normal_ids = draw_clients(rng, normal_pool, fed.normals_per_round, t, "normal clients")
 
     selections = {}
     if gate is not None:
@@ -184,29 +196,9 @@ def plan_round(
 # Client updates
 
 
-def _client_batches(shard: ClientShard, cfg: RunConfig, round_idx: int) -> list[np.ndarray]:
-    rng = rng_stream(cfg.seed, "client", round_idx, shard.client_id)
-    iters = local_iteration_count(cfg, len(shard))
-    return minibatch_indices(len(shard), cfg.training.batch_size, rng, iters)
-
-
 def _check_finite_loss(loss: float) -> None:
     if not np.isfinite(loss):
         raise NumericError("non-finite training loss")
-
-
-def update_clients(t: int, client_ids: list[int], update, scope: str | None = None) -> list:
-    """`update(cid)` for each client in turn; a NumericError raised by one
-    client's update is re-raised naming `scope` (when given), round `t` and
-    that client."""
-    where = f"round {t}" if scope is None else f"{scope} | round {t}"
-    results = []
-    for cid in client_ids:
-        try:
-            results.append(update(cid))
-        except NumericError as exc:
-            raise exc.within(f"{where} | client {cid}") from exc
-    return results
 
 
 def local_steps(shard: ClientShard, cfg: RunConfig, round_idx: int, nets, grads) -> None:
@@ -217,8 +209,10 @@ def local_steps(shard: ClientShard, cfg: RunConfig, round_idx: int, nets, grads)
     per net for the shard rows `rows` and checks its own losses. Each
     working copy is scanned for finiteness once, when the steps are done.
     """
+    rng = rng_stream(cfg.seed, "client", round_idx, shard.client_id)
+    batches = minibatch_indices(len(shard), cfg.training.batch_size, rng, local_iteration_count(cfg, len(shard)))
     velocities = [np.zeros_like(params.values) for params, _, _ in nets]
-    for rows in _client_batches(shard, cfg, round_idx):
+    for rows in batches:
         for (params, lr, momentum), velocity, grad in zip(nets, velocities, grads(rows), strict=True):
             nn.sgdm_step(params.values, velocity, grad, lr, momentum)
     for params, _, _ in nets:
@@ -252,7 +246,7 @@ def anchor_client_update(
 
     nets = [(expert, tr.lr, tr.momentum), (gate, tr.gate_lr, tr.gate_momentum)]
     local_steps(shard, cfg, round_idx, nets, grads)
-    return UpdatePacket(shard.client_id, KIND_ANCHOR, gate, {q: expert}, len(shard))
+    return UpdatePacket(shard.client_id, gate, {q: expert}, len(shard))
 
 
 def mixture_loss_and_grads(
@@ -357,7 +351,7 @@ def normal_client_update(
     experts = {i: state.expert_params[i].copy() for i in selection.indices}
     gate = state.gate_params.copy()
     _mixture_local_steps(experts, gate, shard, ds, embeddings, cfg, round_idx)
-    return UpdatePacket(shard.client_id, shard.kind, gate, experts, len(shard))
+    return UpdatePacket(shard.client_id, gate, experts, len(shard))
 
 
 # ---------------------------------------------------------------------------
@@ -393,6 +387,23 @@ def aggregate(state: ServerState, packets: list[UpdatePacket], uniform: bool = F
         held = [(p, p.experts[i]) for p in ordered if i in p.experts]
         experts.append(average(f"expert {i}", current, held) if held else current)
     return ServerState(experts, gate, state.round + 1)
+
+
+def train_round(
+    ctx: RunContext, state: ServerState, t: int, client_ids: list[int], update, scope: str | None = None
+) -> ServerState:
+    """`update(shard)` for each client in turn, then `aggregate` with the
+    config's weighting. A NumericError raised by one client's update is
+    re-raised naming `scope` (when given), round `t` and that client."""
+    where = f"round {t}" if scope is None else f"{scope} | round {t}"
+    shards = ctx.shards_by_id
+    packets = []
+    for cid in client_ids:
+        try:
+            packets.append(update(shards[cid]))
+        except NumericError as exc:
+            raise exc.within(f"{where} | client {cid}") from exc
+    return aggregate(state, packets, ctx.cfg.federation.uniform_weighting)
 
 
 # ---------------------------------------------------------------------------
@@ -469,56 +480,23 @@ def init_server_state(ctx: RunContext) -> ServerState:
     return ServerState(experts, gate, 0)
 
 
-def scenario_range(cfg: RunConfig, t: int) -> ScenarioRange | None:
-    """The scenario range covering round t, or None without a schedule."""
-    if cfg.scenario is None:
-        return None
-    for r in cfg.scenario:
-        if r.start <= t < r.end:
-            return r
-    raise ConfigError(f"round {t} not covered by the scenario schedule")
-
-
-def _active_pools(ctx: RunContext, t: int):
-    """Anchor/normal id pools for round t, honoring a scenario schedule.
-
-    The schedule's active set restricts normal clients; anchors are only
-    restricted when the active set explicitly names anchor ids.
-    """
-    anchor_ids = [s.client_id for s in ctx.anchor_shards]
-    normal_ids = [s.client_id for s in ctx.normal_shards]
-    current = scenario_range(ctx.cfg, t)
-    if current is None:
-        return anchor_ids, normal_ids
-    active = set(current.active_clients)
-    normals = [cid for cid in normal_ids if cid in active]
-    anchors_in_active = [cid for cid in anchor_ids if cid in active]
-    anchors = anchors_in_active if anchors_in_active else anchor_ids
-    if ctx.cfg.federation.normals_per_round > 0 and not normals:
-        raise ConfigError(f"scenario range [{current.start}, {current.end}) has no active normal clients")
-    return anchors, normals
-
-
 def fedjets_round(ctx: RunContext, state: ServerState, t: int) -> tuple[ServerState, RoundPlan]:
+    """One FedJETs round. A scenario schedule restricts the normal clients to
+    the ids it lists, and the anchors only when it lists anchor ids."""
     cfg = ctx.cfg
-    anchor_pool, normal_pool = _active_pools(ctx, t)
-    plan = plan_round(
-        t, cfg, rng_stream(cfg.seed, "plan", t), anchor_pool, normal_pool, gate=state.gate_params, embeddings=ctx.cache
-    )
-    shards = ctx.shards_by_id
-    packets = update_clients(
-        t,
-        plan.anchor_ids,
-        lambda cid: anchor_client_update(state, shards[cid], ctx.train_ds, ctx.cache[cid], cfg, t),
-    ) + update_clients(
-        t,
-        plan.normal_ids,
-        lambda cid: normal_client_update(
-            state, shards[cid], ctx.train_ds, ctx.cache[cid], plan.selections[cid], cfg, t
-        ),
-    )
-    new_state = aggregate(state, packets, cfg.federation.uniform_weighting)
-    return new_state, plan
+    anchors = [s.client_id for s in ctx.anchor_shards]
+    normals = [s.client_id for s in ctx.normal_shards]
+    anchor_pool = active_ids(cfg, t, anchors) or anchors
+    rng = rng_stream(cfg.seed, "plan", t)
+    plan = plan_round(t, cfg, rng, anchor_pool, active_ids(cfg, t, normals), state.gate_params, ctx.cache)
+
+    def update(shard: ClientShard) -> UpdatePacket:
+        emb = ctx.cache[shard.client_id]
+        if shard.kind == KIND_ANCHOR:
+            return anchor_client_update(state, shard, ctx.train_ds, emb, cfg, t)
+        return normal_client_update(state, shard, ctx.train_ds, emb, plan.selections[shard.client_id], cfg, t)
+
+    return train_round(ctx, state, t, plan.anchor_ids + plan.normal_ids, update), plan
 
 
 def run_training(ctx: RunContext):

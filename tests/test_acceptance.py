@@ -304,7 +304,7 @@ def test_criterion_9_incremental_scenario_sanity():
         expert_spec=nn.NetSpec.mlp(cfg.model.expert_dims),
         gate_spec=gating.gate_spec(common.embed_dim, cfg.num_experts, cfg.model.gate_hidden),
     )
-    state, history, _ = evaluation.run_scenario(ctx)
+    state, history, _ = runtime.run_training(ctx)
     report = evaluation.zero_shot_eval(
         state, common, g1_tests, test_ds, cfg.top_k, cache=ctx.test_cache
     )

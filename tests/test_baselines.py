@@ -22,7 +22,7 @@ class TestFedAvgClient:
         cfg = ctx.cfg
         shard = ctx.normal_shards[0]
         global_params = runtime.init_server_state(ctx).expert_params[0]
-        pkt = baselines.fedavg_client_update(global_params, shard, ctx.train_ds, cfg, 2)
+        pkt = baselines.sgd_client_update(global_params, shard, ctx.train_ds, cfg, 2)
         rng = rng_stream(cfg.seed, "client", 2, shard.client_id)
         iters = runtime.local_iteration_count(cfg, len(shard))
         batches = runtime.minibatch_indices(len(shard), cfg.training.batch_size, rng, iters)
@@ -41,8 +41,8 @@ class TestFedAvgClient:
     def test_equals_fedprox_with_zero_mu(self, ctx):
         shard = ctx.normal_shards[1]
         global_params = runtime.init_server_state(ctx).expert_params[0]
-        a = baselines.fedavg_client_update(global_params, shard, ctx.train_ds, ctx.cfg, 0)
-        p = baselines.fedprox_client_update(global_params, shard, ctx.train_ds, ctx.cfg, 0, mu=0.0)
+        a = baselines.sgd_client_update(global_params, shard, ctx.train_ds, ctx.cfg, 0)
+        p = baselines.sgd_client_update(global_params, shard, ctx.train_ds, ctx.cfg, 0, mu=0.0)
         assert np.array_equal(a.experts[0].values, p.experts[0].values)
 
 
@@ -51,14 +51,14 @@ class TestFedProx:
         shard = ctx.normal_shards[0]
         global_params = runtime.init_server_state(ctx).expert_params[0]
         with pytest.raises(ConfigError):
-            baselines.fedprox_client_update(global_params, shard, ctx.train_ds, ctx.cfg, 0, mu=-1.0)
+            baselines.sgd_client_update(global_params, shard, ctx.train_ds, ctx.cfg, 0, mu=-1.0)
 
     def test_huge_mu_pins_local_to_global(self, ctx):
         # with lr*mu < 1 the proximal pull dominates: displacement ~ |g|/mu
         cfg = mini_cfg(training={"lr": 1e-7, "local_iterations": 10})
         shard = ctx.normal_shards[0]
         global_params = runtime.init_server_state(ctx).expert_params[0]
-        pkt = baselines.fedprox_client_update(global_params, shard, ctx.train_ds, cfg, 0, mu=1e6)
+        pkt = baselines.sgd_client_update(global_params, shard, ctx.train_ds, cfg, 0, mu=1e6)
         assert np.max(np.abs(pkt.experts[0].values - global_params.values)) < 1e-3
 
     def test_prox_gradient_matches_augmented_objective(self):
@@ -152,7 +152,9 @@ class TestFedMix:
         state, _ = baselines.make_stepper(c, "fedmix")
         shard = c.normal_shards[0]
         gate = nn.init_params(c.gate_spec, rng_stream(cfg.seed, "fedmix-gate", shard.client_id))
-        pkt, new_gate = baselines.fedmix_client_update(c, state, gate, shard, 1)
+        local_gates = {shard.client_id: gate}
+        pkt = baselines.fedmix_client_update(c, state, local_gates, shard, 1)
+        new_gate = local_gates[shard.client_id]
 
         # hand-stepped reference over the same batch stream, SGDM written
         # out: v = m*v + g; p = p - lr*v

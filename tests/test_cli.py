@@ -234,7 +234,64 @@ class TestReport:
         assert "bad.jsonl:1" in err
 
 
+def _unchanged(nets):
+    return list(nets.items())
+
+
+def _without_gate(nets):
+    return [(n, p) for n, p in nets.items() if n != "gate"]
+
+
+def _first_expert(nets):
+    return [("expert_0", nets["expert_0"])]
+
+
+def _one_expert_and_its_gate(nets):
+    """expert_0 and a softmax gate that scores one expert."""
+    spec = nets["gate"].spec
+    gate = nn.zeros_like(nn.NetSpec(spec.layer_dims[:-1] + (1,), spec.activations, "softmax"))
+    return _first_expert(nets) + [("gate", gate)]
+
+
+def _record_line(**fields):
+    """A metrics record as a JSON line, with `fields` replaced."""
+    record = metrics.MetricsRecord(10, "fedjets", 0.9, [0.5, 0.6], 0.95, 100.0, 50.0)
+    return json.dumps({**json.loads(record.to_json_line()), **fields})
+
+
 class TestExitCodes:
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "5",
+            _record_line(round="x"),
+            _record_line(global_acc="abc"),
+            _record_line(per_expert_acc=5),
+            _record_line(routing_acc={}),
+        ],
+        ids=["not-an-object", "round", "global_acc", "per_expert_acc", "routing_acc"],
+    )
+    def test_malformed_metrics_record_is_exit_4(self, tmp_path, capsys, line):
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text(_record_line() + "\n" + line + "\n")
+        assert cli.main(["report", str(bad)]) == 4
+        assert "bad.jsonl:2" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("last_k", [0, -1])
+    def test_last_k_below_one_is_exit_2(self, tmp_path, capsys, last_k):
+        path = tmp_path / "metrics.jsonl"
+        accs = [0.9, 0.5, 0.6]
+        metrics.write_jsonl(path, [metrics.MetricsRecord(10 * i, "fedavg", a, [a], None, 0.0, 0.0) for i, a in enumerate(accs)])
+        assert cli.main(["report", f"--last-k={last_k}", str(path)]) == 2
+        assert "last_k must be at least 1" in capsys.readouterr().err
+
+    def test_scenario_id_outside_the_training_clients_is_exit_2(self, cfg_path, tmp_path, capsys):
+        schedule = '{"ranges":[{"start":0,"end":4,"active_clients":[3,4,5,6,7,999,-3]}]}'
+        rc = cli.main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "o"), "--set", f"scenario={schedule}"])
+        assert rc == 2
+        assert "client ids [999, -3] outside [0, 8)" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_no_test_clients_is_exit_2(self, tmp_path, capsys):
         path = write_mini_config(tmp_path / "c.json", data={"num_test_clients": 0})
         rc = cli.main(["run", "--config", str(path), "--out", str(tmp_path / "o")])
@@ -299,14 +356,15 @@ class TestExitCodes:
         assert rc == 4
 
     @staticmethod
-    def _eval_edited_state(cfg_path, tmp_path, capsys, edit):
-        """`fedjets eval` on a run's state.ckpt whose networks `edit` rewrote;
-        returns the exit code and stderr."""
+    def _eval_edited_state(cfg_path, tmp_path, capsys, edit, **meta_edits):
+        """`fedjets eval` on a run's state.ckpt whose networks `edit` rewrote
+        and whose meta entries `meta_edits` replaced; returns the exit code
+        and stderr."""
         out = tmp_path / "run"
         assert cli.main(["run", "--config", str(cfg_path), "--out", str(out)]) == 0
         state = out / "state.ckpt"
         nets, meta = checkpoint.load_state(state)
-        checkpoint.save_state(state, edit(dict(nets)), meta)
+        checkpoint.save_state(state, edit(dict(nets)), {**meta, **meta_edits})
         capsys.readouterr()
         rc = cli.main(["eval", "--config", str(cfg_path), "--state", str(state), "--report", str(tmp_path / "r.json")])
         return rc, capsys.readouterr().err
@@ -333,6 +391,34 @@ class TestExitCodes:
 
         rc, err = self._eval_edited_state(cfg_path, tmp_path, capsys, edit)
         assert rc == 4 and "gate has a 'logits' head" in err
+
+    @pytest.mark.parametrize(
+        "method, edit, meta_edits, message",
+        [
+            ("fedjets", _unchanged, {"round": "x"}, "round must be a non-negative int, got 'x'"),
+            ("fedjets", _unchanged, {"round": -1}, "round must be a non-negative int, got -1"),
+            ("fedjets", _unchanged, {"method": "foo"}, "unknown method 'foo'"),
+            ("fedjets", _unchanged, {"method": 5}, "unknown method 5"),
+            ("fedjets", _without_gate, {}, "a gate is missing for method 'fedjets'"),
+            ("fedjets", _one_expert_and_its_gate, {"method": "fedavg"}, "a gate is stored for method 'fedavg'"),
+            ("fedjets", _without_gate, {"method": "fedprox"}, "method 'fedprox' cannot hold 3 expert(s)"),
+            ("avg_ensemble", _first_expert, {}, "method 'avg_ensemble' cannot hold 1 expert(s)"),
+        ],
+        ids=[
+            "round-not-int",
+            "round-negative",
+            "unknown-method",
+            "method-not-a-string",
+            "fedjets-without-gate",
+            "fedavg-with-gate",
+            "fedprox-with-3-experts",
+            "ensemble-of-1",
+        ],
+    )
+    def test_state_whose_meta_does_not_fit_it_is_exit_4(self, tmp_path, capsys, method, edit, meta_edits, message):
+        cfg_path = write_mini_config(tmp_path / "config.json", federation={"method": method})
+        rc, err = self._eval_edited_state(cfg_path, tmp_path, capsys, edit, **meta_edits)
+        assert rc == 4 and message in err
 
     def test_non_finite_state_block_is_exit_3_naming_file_and_block(self, cfg_path, tmp_path, capsys):
         out = tmp_path / "run"

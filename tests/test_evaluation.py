@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import inspect
 
 import numpy as np
@@ -242,12 +243,13 @@ class TestScenario:
         plain = runtime.run_training(ctx)
         normal_ids = [s.client_id for s in ctx.normal_shards]
         full = [ScenarioRange(0, cfg.rounds, normal_ids)]
-        state2, history2, _ = evaluation.run_scenario(ctx, full)
+        scheduled = dataclasses.replace(ctx, cfg=dataclasses.replace(cfg, scenario=full).validate())
+        state2, history2, _ = runtime.run_training(scheduled)
         assert [r.to_json_line() for r in plain[1]] == [r.to_json_line() for r in history2]
         for a, b in zip(plain[0].expert_params, state2.expert_params):
             assert np.array_equal(a.values, b.values)
 
-    def test_active_pools_follow_schedule(self):
+    def test_active_ids_follow_schedule(self):
         cfg = mini_cfg(
             federation={"rounds": 4, "normals_per_round": 2},
             scenario={"ranges": [
@@ -256,11 +258,13 @@ class TestScenario:
             ]},
         )
         ctx = experiment.build_context(cfg)
-        anchors, normals = runtime._active_pools(ctx, 1)
-        assert normals == [3, 4, 5]
+        anchor_ids = [s.client_id for s in ctx.anchor_shards]
+        normal_ids = [s.client_id for s in ctx.normal_shards]
+        assert runtime.active_ids(cfg, 1, normal_ids) == [3, 4, 5]
+        assert runtime.active_ids(cfg, 1, anchor_ids) == []
+        anchors = runtime.active_ids(cfg, 1, anchor_ids) or anchor_ids  # fedjets_round's anchor rule
         assert anchors == [0, 1, 2]  # schedule lists no anchors: unaffected
-        anchors, normals = runtime._active_pools(ctx, 3)
-        assert normals == [6, 7]
+        assert runtime.active_ids(cfg, 3, normal_ids) == [6, 7]
 
     def test_anchor_ids_in_schedule_restrict_anchors(self):
         cfg = mini_cfg(
@@ -268,9 +272,8 @@ class TestScenario:
             scenario={"ranges": [{"start": 0, "end": 2, "active_clients": [0, 3, 4, 5]}]},
         )
         ctx = experiment.build_context(cfg)
-        anchors, normals = runtime._active_pools(ctx, 0)
-        assert anchors == [0]
-        assert normals == [3, 4, 5]
+        assert runtime.active_ids(cfg, 0, [s.client_id for s in ctx.anchor_shards]) == [0]
+        assert runtime.active_ids(cfg, 0, [s.client_id for s in ctx.normal_shards]) == [3, 4, 5]
 
     def test_empty_active_normals_is_config_error(self):
         cfg = mini_cfg(
@@ -298,6 +301,14 @@ class TestScenario:
                 t, cfg, rng_stream(cfg.seed, "plan", t), [0, 1, 2], [3, 4]
             )
             assert set(plan.normal_ids) <= {3, 4}
+
+    @pytest.mark.parametrize("cid", [8, 999, -1])
+    def test_active_id_outside_the_training_clients_is_config_error(self, cid):
+        ranges = [{"start": 0, "end": 4, "active_clients": [0, 7]}]
+        assert mini_cfg(scenario={"ranges": ranges}).scenario[0].active_clients == [0, 7]  # ids 0..7 are clients
+        ranges[0]["active_clients"].append(cid)
+        with pytest.raises(ConfigError, match=rf"client ids \[{cid}\] outside \[0, 8\)"):
+            mini_cfg(scenario={"ranges": ranges})
 
     def test_schedule_must_tile_rounds(self):
         with pytest.raises(ConfigError):

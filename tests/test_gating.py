@@ -38,15 +38,15 @@ class TestEmbedding:
         common = identity_common(5)
         ds = data.synth_dataset(3, 5, 10, 2.0, 1)
         shard = data.partition_quantity(ds, 1, 3, 0)[0]
-        emb = gating.embed_all(common, shard, ds)
+        emb = gating.build_embedding_cache(common, ds, [shard])[shard.client_id]
         assert np.array_equal(emb, ds.inputs[shard.indices])
 
     def test_repeated_call_identical(self):
         common = random_common(2, [6, 8, 8, 4])
         ds = data.synth_dataset(4, 6, 10, 2.0, 2)
         shard = data.partition_quantity(ds, 1, 2, 0)[0]
-        a = gating.embed_all(common, shard, ds)
-        b = gating.embed_all(common, shard, ds)
+        a = gating.build_embedding_cache(common, ds, [shard])[shard.client_id]
+        b = gating.build_embedding_cache(common, ds, [shard])[shard.client_id]
         assert np.array_equal(a, b)
 
     def test_matches_truncated_forward_oracle(self, rng):

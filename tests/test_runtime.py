@@ -145,7 +145,6 @@ class TestNormalUpdate:
             state, shard, ctx.train_ds, ctx.cache[shard.client_id], sel, ctx.cfg, 0
         )
         assert set(pkt.experts) == set(sel.indices)
-        assert pkt.kind == "normal"
 
     def test_saturated_gate_reduces_to_single_expert_training(self, ctx):
         # output bias pins expert 1: its mixture weight is 1 - O(1e-20)
@@ -290,11 +289,11 @@ class TestLocalSteps:
             sel = gating.select_topk(gating.gate_scores(state.gate_params, emb), 2)
             pkt = runtime.normal_client_update(state, shard, ctx.train_ds, emb, sel, ctx.cfg, 0)
         elif kind == "fedmix":
-            pkt, _ = baselines.fedmix_client_update(ctx, state, local_gate, shard, 0)
+            pkt = baselines.fedmix_client_update(ctx, state, {shard.client_id: local_gate}, shard, 0)
         elif kind == "fedavg":
-            pkt = baselines.fedavg_client_update(state.expert_params[0], shard, ctx.train_ds, ctx.cfg, 0)
+            pkt = baselines.sgd_client_update(state.expert_params[0], shard, ctx.train_ds, ctx.cfg, 0)
         else:
-            pkt = baselines.fedprox_client_update(state.expert_params[0], shard, ctx.train_ds, ctx.cfg, 0, mu=0.5)
+            pkt = baselines.sgd_client_update(state.expert_params[0], shard, ctx.train_ds, ctx.cfg, 0, mu=0.5)
         assert self._raw(state, local_gate) == before
         i, trained = next(iter(pkt.experts.items()))
         assert not np.array_equal(trained.values, state.expert_params[i].values)
@@ -306,7 +305,7 @@ class TestLocalSteps:
         iters = runtime.local_iteration_count(ctx.cfg, len(shard))
         assert iters > 1
 
-        def train(cid):
+        def train(shard):
             params = nn.ParamVector(np.ones(4), nn.NetSpec.mlp([1, 2]))
             steps = []
 
@@ -321,9 +320,9 @@ class TestLocalSteps:
 
         with np.errstate(over="ignore"):
             with pytest.raises(NumericError):
-                train(shard.client_id)
+                train(shard)
             with pytest.raises(NumericError) as err:
-                runtime.update_clients(7, [shard.client_id], train)
+                runtime.train_round(ctx, runtime.init_server_state(ctx), 7, [shard.client_id], train)
         assert err.value.context == f"round 7 | client {shard.client_id}"
 
 
@@ -335,7 +334,7 @@ class TestAggregate:
         state = self._state(ctx)
         new_gate = nn.ParamVector(state.gate_params.values + 1.0, state.gate_params.spec)
         new_e = nn.ParamVector(state.expert_params[1].values * 2.0, state.expert_params[1].spec)
-        pkt = runtime.UpdatePacket(4, "normal", new_gate, {1: new_e}, 17)
+        pkt = runtime.UpdatePacket(4, new_gate, {1: new_e}, 17)
         out = runtime.aggregate(state, [pkt])
         assert np.array_equal(out.gate_params.values, new_gate.values)
         assert np.array_equal(out.expert_params[1].values, new_e.values)
@@ -348,8 +347,8 @@ class TestAggregate:
         a = nn.ParamVector(np.full_like(state.expert_params[0].values, 2.0), h)
         b = nn.ParamVector(np.full_like(state.expert_params[0].values, 4.0), h)
         pkts = [
-            runtime.UpdatePacket(3, "normal", None, {0: a}, 5),
-            runtime.UpdatePacket(4, "normal", None, {0: b}, 5),
+            runtime.UpdatePacket(3, None, {0: a}, 5),
+            runtime.UpdatePacket(4, None, {0: b}, 5),
         ]
         out = runtime.aggregate(state, pkts)
         assert np.allclose(out.expert_params[0].values, 3.0, atol=1e-12)
@@ -360,8 +359,8 @@ class TestAggregate:
         w1 = nn.ParamVector(np.ones_like(state.expert_params[0].values), h)
         w2 = nn.ParamVector(np.full_like(state.expert_params[0].values, 5.0), h)
         pkts = [
-            runtime.UpdatePacket(3, "normal", None, {0: w1}, 1),
-            runtime.UpdatePacket(4, "normal", None, {0: w2}, 3),
+            runtime.UpdatePacket(3, None, {0: w1}, 1),
+            runtime.UpdatePacket(4, None, {0: w2}, 3),
         ]
         out = runtime.aggregate(state, pkts)
         assert np.allclose(out.expert_params[0].values, (1.0 + 3 * 5.0) / 4, atol=1e-12)
@@ -372,8 +371,8 @@ class TestAggregate:
         w1 = nn.ParamVector(np.zeros_like(state.expert_params[0].values), h)
         w2 = nn.ParamVector(np.full_like(state.expert_params[0].values, 2.0), h)
         pkts = [
-            runtime.UpdatePacket(3, "normal", None, {0: w1}, 1),
-            runtime.UpdatePacket(4, "normal", None, {0: w2}, 99),
+            runtime.UpdatePacket(3, None, {0: w1}, 1),
+            runtime.UpdatePacket(4, None, {0: w2}, 99),
         ]
         out = runtime.aggregate(state, pkts, uniform=True)
         assert np.allclose(out.expert_params[0].values, 1.0, atol=1e-12)
@@ -396,7 +395,7 @@ class TestAggregate:
                 i: nn.ParamVector(rng.normal(size=state.expert_params[i].values.size), state.expert_params[i].spec)
                 for i in subset
             }
-            pkts.append(runtime.UpdatePacket(cid, "normal", gate, experts, data.draw(st.integers(1, 500))))
+            pkts.append(runtime.UpdatePacket(cid, gate, experts, data.draw(st.integers(1, 500))))
         out1 = runtime.aggregate(state, pkts)
         out2 = runtime.aggregate(state, data.draw(st.permutations(pkts)))
         assert [p.values.tobytes() for p in [*out1.expert_params, out1.gate_params]] == [
@@ -413,7 +412,7 @@ class TestAggregate:
         other = nn.NetSpec(spec.layer_dims, ("identity",) * len(spec.activations), spec.head)
         assert other.param_count() == spec.param_count()
         bad = nn.ParamVector(np.zeros(other.param_count()), other)
-        pkt = runtime.UpdatePacket(3, "normal", None, {0: bad}, 5)
+        pkt = runtime.UpdatePacket(3, None, {0: bad}, 5)
         with pytest.raises(ProtocolError):
             runtime.aggregate(state, [pkt])
 

@@ -5,7 +5,11 @@
 Run from the root of a checkout; fedjets is imported from that checkout's
 `src/`. Each of the five methods trains `--rounds` rounds on synth-10 with
 BLAS pinned to one thread and writes its artifacts under `--out/<method>/`.
-The tool prints one `sha256  method/file` line per artifact, so two
+Then each method trains again under a scenario schedule, one range over all
+rounds whose active set is anchors 0 and 1 plus normal clients 5..29 with
+two anchors a round, and writes under `--out/<method>-scheduled/`. The
+schedule restricts the FedJETs anchors and normal clients and the
+baselines' pool. The tool prints one `sha256  method/file` line per artifact, so two
 checkouts produce byte-identical artifacts exactly when their outputs are
 identical: `diff <(python3 tools/artifact_digest.py ...) <(...)`.
 """
@@ -35,12 +39,15 @@ def main(argv=None) -> int:
     from fedjets import benchmarks, experiment
 
     out = Path(args.out)
-    for method in METHODS:
-        cfg = benchmarks.synth10_config(federation={"method": method, "rounds": args.rounds})
-        experiment.run_to_directory(cfg, out / method)
+    schedule = {"ranges": [{"start": 0, "end": args.rounds, "active_clients": [0, 1, *range(5, 30)]}]}
+    runs = [(method, {"method": method}, None) for method in METHODS]
+    runs += [(f"{method}-scheduled", {"method": method, "anchors_per_round": 2}, schedule) for method in METHODS]
+    for run, federation, scenario in runs:
+        cfg = benchmarks.synth10_config(federation={**federation, "rounds": args.rounds}, scenario=scenario)
+        experiment.run_to_directory(cfg, out / run)
         for name in ARTIFACTS:
-            digest = hashlib.sha256((out / method / name).read_bytes()).hexdigest()
-            print(f"{digest}  {method}/{name}")
+            digest = hashlib.sha256((out / run / name).read_bytes()).hexdigest()
+            print(f"{digest}  {run}/{name}")
     return 0
 
 
