@@ -6,8 +6,11 @@ included.
 All baselines sample their active clients uniformly from the full training
 pool (anchor shards are ordinary clients to them) through
 `runtime.active_ids` and `runtime.draw_clients`, reuse the same client RNG
-streams, and run each round through `runtime.train_round`, so method
-differences are isolated to the update rule itself.
+streams, and run each round through `runtime.client_updates` (FedMix,
+whose trained gates stay on the clients) or `runtime.train_round`, so
+method differences are isolated to the update rule itself: each method
+names a `runtime.Work` per client, and the runtime's group kernel steps
+them.
 """
 
 from __future__ import annotations
@@ -15,38 +18,19 @@ from __future__ import annotations
 import numpy as np
 
 from . import nn, runtime
-from .config import RunConfig
-from .data import ClientShard, LabeledDataset
+from .data import ClientShard
 from .errors import ConfigError
 from .runtime import RoundPlan, RunContext, ServerState, UpdatePacket
 from .seeding import rng_stream
 
 
-def sgd_client_update(
-    global_params: nn.ParamVector,
-    shard: ClientShard,
-    ds: LabeledDataset,
-    cfg: RunConfig,
-    round_idx: int,
-    mu: float = 0.0,
-) -> UpdatePacket:
-    """FedAvg client: local SGDM on cross-entropy. FedProx is mu > 0: each
-    step adds the pull mu*(w_local - w_global) to the gradient."""
+def sgd_work(mu: float = 0.0):
+    """`work(shard)` of a FedAvg round: local SGDM on cross-entropy of the
+    server's expert 0. FedProx is mu > 0: each step adds the pull
+    mu*(w_local - w_global) to the gradient."""
     if mu < 0:
         raise ConfigError("fedprox mu must be non-negative")
-    tr = cfg.training
-    params = global_params.copy()
-
-    def grads(rows):
-        batch = nn.Batch(ds.inputs[shard.indices[rows]], ds.labels[shard.indices[rows]])
-        loss, grad = nn.loss_and_grad(params.spec, params, batch, "ce_on_logits")
-        runtime._check_finite_loss(loss)
-        if mu != 0.0:
-            grad.values += mu * (params.values - global_params.values)
-        return [grad.values]
-
-    runtime.local_steps(shard, cfg, round_idx, [(params, tr.lr, tr.momentum)], grads)
-    return UpdatePacket(shard.client_id, None, {0: params}, len(shard))
+    return lambda shard: runtime.Work("sgd", (0,), None, mu)
 
 
 def prox_loss(params, global_params, batch, mu) -> float:
@@ -81,11 +65,7 @@ def baseline_plan(ctx: RunContext, t: int, *key) -> RoundPlan:
 
 def fedavg_like_round(ctx: RunContext, state: ServerState, t: int, mu: float) -> tuple[ServerState, RoundPlan]:
     plan = baseline_plan(ctx, t)
-
-    def update(shard):
-        return sgd_client_update(state.expert_params[0], shard, ctx.train_ds, ctx.cfg, t, mu)
-
-    return runtime.train_round(ctx, state, t, plan.normal_ids, update), plan
+    return runtime.train_round(ctx, state, t, plan.normal_ids, sgd_work(mu)), plan
 
 
 def ensemble_round(ctx: RunContext, state: ServerState, t: int) -> tuple[ServerState, RoundPlan]:
@@ -94,36 +74,35 @@ def ensemble_round(ctx: RunContext, state: ServerState, t: int) -> tuple[ServerS
     plans = [baseline_plan(ctx, t, m) for m in range(state.num_experts)]
     members = []
     for m, (member, plan) in enumerate(zip(state.expert_params, plans)):
-
-        def update(shard):
-            return sgd_client_update(member, shard, ctx.train_ds, ctx.cfg, t)
-
         member_state = ServerState([member], None, state.round)
-        member_state = runtime.train_round(ctx, member_state, t, plan.normal_ids, update, f"ensemble member {m}")
+        member_state = runtime.train_round(ctx, member_state, t, plan.normal_ids, sgd_work(), f"ensemble member {m}")
         members.append(member_state.expert_params[0])
     return ServerState(members, None, state.round + 1), plans[0]
 
 
-def fedmix_client_update(
+def fedmix_updates(
     ctx: RunContext,
     state: ServerState,
     local_gates: dict[int, nn.ParamVector],
-    shard: ClientShard,
     t: int,
-) -> UpdatePacket:
-    """FedMix client: receives all M experts and trains them through its
-    persistent local gate (mixture cross-entropy). The gate is drawn on the
-    client's first activation; a trained copy replaces it in `local_gates`
-    and never leaves the client."""
-    cid = shard.client_id
-    if cid in local_gates:
-        gate = local_gates[cid].copy()
-    else:
-        gate = nn.init_params(ctx.gate_spec, rng_stream(ctx.cfg.seed, "fedmix-gate", cid))
-    experts = {i: p.copy() for i, p in enumerate(state.expert_params)}
-    runtime._mixture_local_steps(experts, gate, shard, ctx.train_ds, ctx.cache[cid], ctx.cfg, t)
-    local_gates[cid] = gate
-    return UpdatePacket(cid, None, experts, len(shard))
+    client_ids: list[int],
+) -> list[UpdatePacket]:
+    """FedMix clients: each receives all M experts and trains them through
+    its persistent local gate (mixture cross-entropy). The gate is drawn on
+    the client's first activation; a trained copy replaces it in
+    `local_gates` and never leaves the client, so no packet carries it."""
+    m = tuple(range(state.num_experts))
+
+    def work(shard: ClientShard) -> runtime.Work:
+        gate = local_gates.get(shard.client_id)
+        if gate is None:
+            gate = nn.init_params(ctx.gate_spec, rng_stream(ctx.cfg.seed, "fedmix-gate", shard.client_id))
+        return runtime.Work("mixture", m, gate)
+
+    packets = runtime.client_updates(ctx, state, t, client_ids, work)
+    for p in packets:
+        local_gates[p.client_id], p.gate = p.gate, None
+    return packets
 
 
 def fedmix_round(
@@ -133,11 +112,8 @@ def fedmix_round(
     t: int,
 ) -> tuple[ServerState, RoundPlan]:
     plan = baseline_plan(ctx, t)
-
-    def update(shard):
-        return fedmix_client_update(ctx, state, local_gates, shard, t)
-
-    return runtime.train_round(ctx, state, t, plan.normal_ids, update), plan
+    packets = fedmix_updates(ctx, state, local_gates, t, plan.normal_ids)
+    return runtime.aggregate(state, packets, ctx.cfg.federation.uniform_weighting), plan
 
 
 def make_stepper(ctx: RunContext, method: str):

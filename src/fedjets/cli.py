@@ -72,6 +72,10 @@ def cmd_run(args) -> int:
 def cmd_eval(args) -> int:
     cfg = _load_config(args)
     state, state_meta = experiment.load_run_state(args.state)
+    if state_meta["seed"] != cfg.seed:
+        # the seed draws the data, the test clients and the common expert the state was trained against
+        seed = state_meta["seed"]
+        raise ConfigError(f"config seed {cfg.seed} differs from the seed {seed} the state was trained with")
     ctx = experiment.build_context(cfg)
     method = state_meta["method"]
     scores = evaluation.score_test_clients(ctx, state, method)

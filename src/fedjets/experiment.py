@@ -201,10 +201,11 @@ def save_run_state(path, state: runtime.ServerState, cfg: config_mod.RunConfig) 
 
 
 def load_run_state(path) -> tuple[runtime.ServerState, dict]:
-    """Read a state written by `save_run_state`. Its meta must name a method
-    and a non-negative round. The experts share one spec: one for fedavg and
-    fedprox, two or more for avg_ensemble. A fedjets state, and no other, has
-    a gate: a softmax head scoring exactly those experts. Else it is malformed."""
+    """Read a state written by `save_run_state`. Its meta must name a method,
+    a non-negative round and an int seed. The experts share one spec: one for
+    fedavg and fedprox, two or more for avg_ensemble. A fedjets state, and no
+    other, has a gate: a softmax head scoring exactly those experts. Else it
+    is malformed."""
     nets, meta = checkpoint.load_state(path)
     experts = [(name, p) for name, p in nets if name.startswith("expert_")]
     gates = [p for name, p in nets if name == "gate"]
@@ -215,6 +216,8 @@ def load_run_state(path) -> tuple[runtime.ServerState, dict]:
         raise ArtifactError(f"{path}: unknown method {method!r}")
     if type(round_idx) is not int or round_idx < 0:
         raise ArtifactError(f"{path}: round must be a non-negative int, got {round_idx!r}")
+    if type(meta.get("seed")) is not int:
+        raise ArtifactError(f"{path}: seed must be an int, got {meta.get('seed')!r}")
     if bool(gates) != (method == "fedjets"):
         raise ArtifactError(f"{path}: a gate is {'stored' if gates else 'missing'} for method {method!r}")
     if (method in ("fedavg", "fedprox") and len(experts) > 1) or (method == "avg_ensemble" and len(experts) < 2):

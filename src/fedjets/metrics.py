@@ -8,6 +8,7 @@ spreadsheet use.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -47,23 +48,44 @@ class MetricsRecord:
         return json.dumps(obj, separators=(", ", ": "))
 
 
-def parse_record(obj: dict, where: str) -> MetricsRecord:
-    try:
-        missing = [k for k in JSONL_FIELDS if k not in obj]
-        extra = [k for k in obj if k not in JSONL_FIELDS]
-        if missing or extra:
-            raise ArtifactError(f"{where}: metrics schema mismatch (missing {missing}, extra {extra})")
-        return MetricsRecord(
-            round=int(obj["round"]),
-            method=str(obj["method"]),
-            global_acc=float(obj["global_acc"]),
-            per_expert_acc=[float(v) for v in obj["per_expert_acc"]],
-            routing_acc=None if obj["routing_acc"] is None else float(obj["routing_acc"]),
-            floats_down_cum=float(obj["floats_down_cum"]),
-            floats_up_cum=float(obj["floats_up_cum"]),
-        )
-    except (ValueError, TypeError) as exc:
-        raise ArtifactError(f"{where}: malformed metrics record ({exc})") from exc
+def _number(value, name: str, where: str) -> float:
+    """A finite real number read from JSON: an int or a float, not a bool."""
+    if type(value) in (int, float):
+        try:
+            if math.isfinite(value):
+                return float(value)
+        except OverflowError:
+            pass
+    raise ArtifactError(f"{where}: {name} must be a finite number, got {value!r}")
+
+
+def parse_record(obj, where: str) -> MetricsRecord:
+    """A record from one parsed JSON line. Each field must have its type:
+    an int round, a str method, finite numbers for the accuracies and the
+    cumulative counts, a list of them for `per_expert_acc` and None or one
+    for `routing_acc`. Nothing is coerced; anything else is an ArtifactError."""
+    if not isinstance(obj, dict):
+        raise ArtifactError(f"{where}: malformed metrics record (not a JSON object)")
+    missing = [k for k in JSONL_FIELDS if k not in obj]
+    extra = [k for k in obj if k not in JSONL_FIELDS]
+    if missing or extra:
+        raise ArtifactError(f"{where}: metrics schema mismatch (missing {missing}, extra {extra})")
+    if type(obj["round"]) is not int:
+        raise ArtifactError(f"{where}: round must be an int, got {obj['round']!r}")
+    if type(obj["method"]) is not str:
+        raise ArtifactError(f"{where}: method must be a string, got {obj['method']!r}")
+    if type(obj["per_expert_acc"]) is not list:
+        raise ArtifactError(f"{where}: per_expert_acc must be a list, got {obj['per_expert_acc']!r}")
+    routing = obj["routing_acc"]
+    return MetricsRecord(
+        round=obj["round"],
+        method=obj["method"],
+        global_acc=_number(obj["global_acc"], "global_acc", where),
+        per_expert_acc=[_number(v, "per_expert_acc entry", where) for v in obj["per_expert_acc"]],
+        routing_acc=None if routing is None else _number(routing, "routing_acc", where),
+        floats_down_cum=_number(obj["floats_down_cum"], "floats_down_cum", where),
+        floats_up_cum=_number(obj["floats_up_cum"], "floats_up_cum", where),
+    )
 
 
 def write_jsonl(path, records: list[MetricsRecord]) -> None:

@@ -12,11 +12,22 @@ Trace contract: each entry point runs the forward pass once, in
 recomputes it. `loss_and_grad` thus does one forward per step, and a caller
 mixing k networks takes each one's output and trace from `forward_with_trace`.
 
+Stack axis: `_forward_trace`, `forward_with_trace`, `ce_grad` and
+`backprop` also take a stack of B networks of one spec, as `[B, P]`
+parameter rows applied to `[B, n, d]` inputs; every matmul, reduction and
+elementwise op then runs per slice, so row b is bit for bit what the single
+network b gives. This is how a round's clients step as one stack. The 2-D
+case (one `ParamVector`, `[n, d]` inputs) is the single-network path that
+pretraining, evaluation and the gradient oracles use.
+
 Finiteness is checked at boundaries, not per step: batch inputs, network
 outputs, each gradient `backprop` returns (scanned once, as a `ParamVector`)
 and parameters as they leave training; `sgdm_step` updates in place and
 checks nothing. Only a gradient failing its scan is re-scanned layer by
-layer, top-down, so that `NumericError.layer` names the first layer reached.
+layer, top-down, so that `NumericError.layer` names the first layer reached
+(`nonfinite_layer`). On a stack nothing is scanned: outputs and gradients
+come back raw, and the caller scans each row, so that one client's overflow
+is charged to that client alone.
 
 Parameter layout for layer dims (d0, d1, ..., dL): for each layer l the
 weight matrix W_l of shape (d_l, d_{l+1}) in row-major order, followed by
@@ -38,6 +49,12 @@ LOG_CLAMP = 1e-12
 HIDDEN_ACTIVATIONS = ("relu", "identity")
 OUTPUT_HEADS = ("logits", "softmax")
 LOSS_KINDS = ("ce_on_logits", "ce_on_mixture")
+
+# What each finiteness check raises, on one network or for one stack row.
+NONFINITE_INPUTS = "batch inputs contain non-finite values"
+NONFINITE_OUTPUT = "non-finite network output"
+NONFINITE_GRADIENT = "non-finite gradient"
+NONFINITE_PARAMS = "ParamVector contains non-finite values"
 
 
 @dataclass(frozen=True)
@@ -138,7 +155,7 @@ class ParamVector:
     def check_finite(self) -> None:
         """Scan the values; in-place updates bypass the scan at construction."""
         if not np.isfinite(self.values).all():
-            raise NumericError("ParamVector contains non-finite values")
+            raise NumericError(NONFINITE_PARAMS)
 
     def copy(self) -> "ParamVector":
         return ParamVector(self.values.copy(), self.spec)
@@ -159,7 +176,7 @@ class Batch:
         if self.labels.shape != (self.inputs.shape[0],):
             raise ConfigError("batch labels must be one integer per input row")
         if not np.isfinite(self.inputs).all():
-            raise NumericError("batch inputs contain non-finite values")
+            raise NumericError(NONFINITE_INPUTS)
 
     def __len__(self) -> int:
         return self.inputs.shape[0]
@@ -188,9 +205,17 @@ def zeros_like(spec: NetSpec) -> ParamVector:
 
 
 def unpack(spec: NetSpec, values: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Split a flat vector into per-layer (W, b) views."""
+    """Split a flat vector into per-layer (W, b) views. Stacked `[..., P]`
+    rows give `[..., fan_in, fan_out]` weights and `[..., 1, fan_out]` biases,
+    so that `h @ W + b` works on either."""
+    if values.ndim == 1:
+        return [
+            (values[w:b].reshape(fan_in, fan_out), values[b:end])
+            for w, b, end, fan_in, fan_out in spec._layout
+        ]
+    lead = values.shape[:-1]
     return [
-        (values[w:b].reshape(fan_in, fan_out), values[b:end])
+        (values[..., w:b].reshape(*lead, fan_in, fan_out), values[..., None, b:end])
         for w, b, end, fan_in, fan_out in spec._layout
     ]
 
@@ -225,14 +250,22 @@ class Trace(NamedTuple):
     acts: list[np.ndarray]
 
 
-def _forward_trace(spec: NetSpec, params: ParamVector, inputs: np.ndarray) -> Trace:
-    """The one forward pass every engine entry point runs."""
+def _forward_trace(spec: NetSpec, params, inputs: np.ndarray) -> Trace:
+    """The one forward pass every engine entry point runs. `params` is one
+    network's ParamVector with `[n, d]` inputs, or `[B, P]` rows of `spec`
+    with `[B, n, d]` inputs."""
     x = np.asarray(inputs, dtype=np.float64)
-    if x.ndim != 2 or x.shape[1] != spec.input_dim:
+    if x.ndim < 2 or x.shape[-1] != spec.input_dim:
         raise ConfigError(
             f"input shape {x.shape} incompatible with spec input dim {spec.input_dim}"
         )
-    layers = unpack(spec, params.values)
+    if isinstance(params, ParamVector):
+        values = params.values
+    else:
+        values = params
+        if values.shape[-1] != spec.param_count():
+            raise ConfigError(f"parameter rows {values.shape} do not match spec ({spec.param_count()},)")
+    layers = unpack(spec, values)
     last = spec.num_layers - 1
     pre_acts = []
     acts = [x]
@@ -245,15 +278,18 @@ def _forward_trace(spec: NetSpec, params: ParamVector, inputs: np.ndarray) -> Tr
     return Trace(layers, pre_acts, acts)
 
 
-def forward_with_trace(spec: NetSpec, params: ParamVector, inputs: np.ndarray) -> tuple[np.ndarray, Trace]:
-    """`forward`'s output together with the trace `backprop` consumes."""
-    check_compat(spec, params, where="(forward)")
+def forward_with_trace(spec: NetSpec, params, inputs: np.ndarray) -> tuple[np.ndarray, Trace]:
+    """`forward`'s output together with the trace `backprop` consumes. On a
+    stack the output is returned unscanned."""
+    single = isinstance(params, ParamVector)
+    if single:
+        check_compat(spec, params, where="(forward)")
     trace = _forward_trace(spec, params, inputs)
     out = trace.acts[-1]
     if spec.head == "softmax":
         out = softmax(out)
-    if not np.isfinite(out).all():
-        raise NumericError("non-finite network output", context="forward")
+    if single and not np.isfinite(out).all():
+        raise NumericError(NONFINITE_OUTPUT, context="forward")
     return out, trace
 
 
@@ -274,37 +310,76 @@ def forward_to_layer(spec: NetSpec, params: ParamVector, inputs: np.ndarray, lay
     return _forward_trace(spec, params, inputs).acts[layer + 1]
 
 
-def backprop(spec: NetSpec, trace: Trace, output_grad: np.ndarray) -> ParamVector:
+def backprop(spec: NetSpec, trace: Trace, output_grad: np.ndarray):
     """Vector-Jacobian product: gradient of sum(output * output_grad) w.r.t.
     the parameters that produced `trace`, where `output_grad` is the loss
-    gradient at the pre-head output. A non-finite gradient raises a
-    NumericError naming the first layer, top-down, where it appears.
+    gradient at the pre-head output. For one network it is a ParamVector,
+    and a non-finite gradient raises a NumericError naming the first layer,
+    top-down, where it appears. For a stack it is the raw `[B, P]` rows.
     """
     layers, pre_acts, acts = trace
     last = spec.num_layers - 1
     grads = [None] * spec.num_layers
     dz = np.asarray(output_grad, dtype=np.float64)
+    lead = dz.shape[:-2]
     for l in range(last, -1, -1):
         if l < last and spec.activations[l] == "relu":
             dz = dz * (pre_acts[l] > 0.0)
-        grads[l] = (acts[l].T @ dz, dz.sum(axis=0))
+        grads[l] = (acts[l].swapaxes(-1, -2) @ dz, dz.sum(axis=-2))
         if l > 0:
-            dz = dz @ layers[l][0].T
-    flat = np.concatenate([part for gw, gb in grads for part in (gw.ravel(), gb)])
+            dz = dz @ layers[l][0].swapaxes(-1, -2)
+    flat = np.concatenate([part for gw, gb in grads for part in (gw.reshape(*lead, -1), gb)], axis=-1)
+    if lead:
+        return flat
     try:
         return ParamVector(flat, spec)
     except NumericError:
-        for l in range(last, -1, -1):
-            gw, gb = grads[l]
-            if not (np.isfinite(gw).all() and np.isfinite(gb).all()):
-                raise NumericError("non-finite gradient", layer=l) from None
-        raise
+        raise NumericError(NONFINITE_GRADIENT, layer=nonfinite_layer(spec, flat)) from None
+
+
+def nonfinite_layer(spec: NetSpec, flat: np.ndarray) -> int | None:
+    """The top-most layer whose weights or bias in the flat vector `flat`
+    hold a non-finite value (None if all are finite)."""
+    for l in range(spec.num_layers - 1, -1, -1):
+        w, _, end, _, _ = spec._layout[l]
+        if not np.isfinite(flat[w:end]).all():
+            return l
+    return None
 
 
 def softmax_vjp(probs: np.ndarray, grad_probs: np.ndarray) -> np.ndarray:
     """Backprop through a row-wise softmax: dL/dz = p * (g - sum(g*p))."""
     inner = np.sum(grad_probs * probs, axis=-1, keepdims=True)
     return probs * (grad_probs - inner)
+
+
+def one_hot(labels: np.ndarray, num_classes: int) -> np.ndarray:
+    """`[..., n, num_classes]` float64 one-hot rows of integer labels `[..., n]`."""
+    out = np.zeros((*labels.shape, num_classes))
+    out.reshape(-1, num_classes)[np.arange(labels.size), labels.reshape(-1)] = 1.0
+    return out
+
+
+def ce_grad(spec: NetSpec, params, inputs: np.ndarray, labels: np.ndarray, loss_kind: str):
+    """Softmax probabilities and the parameter gradient of the mean
+    cross-entropy, from one forward, on one network or a stack (labels
+    `[n]` or `[B, n]`). `ce_on_logits` is CE on the softmax of the output;
+    `ce_on_mixture` is CE on the probabilities themselves, with the 1e-12 log
+    clamp. The caller validates the head and the labels."""
+    trace = _forward_trace(spec, params, inputs)
+    probs = softmax(trace.acts[-1])
+    n = labels.shape[-1]
+    if loss_kind == "ce_on_logits":
+        dz = (probs - one_hot(labels, spec.output_dim)) / n
+    else:
+        rows, cols = np.arange(labels.size), labels.reshape(-1)  # each label's entry in the [-1, C] view
+        picked = probs.reshape(-1, spec.output_dim)[rows, cols]
+        dprobs = np.zeros_like(probs)
+        # clamped entries contribute zero gradient
+        live = picked > LOG_CLAMP
+        dprobs.reshape(-1, spec.output_dim)[rows[live], cols[live]] = -1.0 / (n * picked[live])
+        dz = softmax_vjp(probs, dprobs)
+    return probs, backprop(spec, trace, dz)
 
 
 def loss_and_grad(spec: NetSpec, params: ParamVector, batch: Batch, loss_kind: str):
@@ -320,24 +395,10 @@ def loss_and_grad(spec: NetSpec, params: ParamVector, batch: Batch, loss_kind: s
     head = "logits" if loss_kind == "ce_on_logits" else "softmax"
     if spec.head != head:
         raise ConfigError(f"{loss_kind} requires a {head} head")
-    n = len(batch)
     if batch.labels.min() < 0 or batch.labels.max() >= spec.output_dim:
         raise ConfigError("batch labels out of range for network output dim")
-    trace = _forward_trace(spec, params, batch.inputs)
-    probs = softmax(trace.acts[-1])
-    loss = cross_entropy(probs, batch.labels)
-    if loss_kind == "ce_on_logits":
-        onehot = np.zeros((n, spec.output_dim))
-        onehot[np.arange(n), batch.labels] = 1.0
-        dz = (probs - onehot) / n
-    else:
-        picked = probs[np.arange(n), batch.labels]
-        dprobs = np.zeros_like(probs)
-        # clamped entries contribute zero gradient
-        live = picked > LOG_CLAMP
-        dprobs[np.arange(n)[live], batch.labels[live]] = -1.0 / (n * picked[live])
-        dz = softmax_vjp(probs, dprobs)
-    return loss, backprop(spec, trace, dz)
+    probs, grad = ce_grad(spec, params, batch.inputs, batch.labels, loss_kind)
+    return cross_entropy(probs, batch.labels), grad
 
 
 def loss_value(spec: NetSpec, params: ParamVector, batch: Batch, loss_kind: str) -> float:

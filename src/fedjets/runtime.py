@@ -7,16 +7,26 @@ jointly training its top-K experts and the gate through the mixture
 cross-entropy). The server then averages the returned copies.
 
 Every method's round is a plan, then `train_round`: `active_ids` is the
-one scenario-pool lookup and `draw_clients` the one client draw; then the
-clients update one after another and `aggregate` averages their packets.
+one scenario-pool lookup and `draw_clients` the one client draw; then
+`client_updates` steps the clients and `aggregate` averages their packets.
 Each client draws its randomness from a stream keyed by (seed, "client",
 round, client_id), so results do not depend on the order of the updates.
 
-Every network is one `nn.ParamVector`, which carries its spec. Every
-client, the baselines' included, steps copies of its parameters in place
-through `local_steps`, which scans them for finiteness once, at the end.
-Server networks are never updated in place, so `aggregate` carries the
-ones no packet updated over by reference.
+Local training is one group kernel. A method describes each client's
+update as a `Work` (anchor, mixture or sgd); `group_clients` puts the
+clients that share the update kind, the rows per step
+(`min(batch_size, len(shard))`) and the step count into one group (cut
+into stacks of at most STACK_ROWS network rows), and `_step_group` steps
+each stack's copies as `[B, P]` arrays through the `nn` engine's stack
+axis, so each client's result is bit for bit what it gives stepped alone.
+No client is padded and no step is shared. Packets come out in client
+order. A client's first non-finite value is recorded per row, in the order
+it would meet it alone, and the first failing client in `client_ids` order
+is the one raised.
+
+Every network is one `nn.ParamVector`, which carries its spec. Server
+networks are never updated in place (clients step stacked copies), so
+`aggregate` carries the ones no packet updated over by reference.
 """
 
 from __future__ import annotations
@@ -193,60 +203,116 @@ def plan_round(
 
 
 # ---------------------------------------------------------------------------
-# Client updates
+# Client updates: one group kernel
 
 
-def _check_finite_loss(loss: float) -> None:
-    if not np.isfinite(loss):
-        raise NumericError("non-finite training loss")
+WORK_KINDS = ("anchor", "mixture", "sgd")
+# Network rows (clients x networks x rows per step) one stack steps at most.
+# A step keeps the forward trace of every row at once, so this bounds the
+# kernel's working memory whatever the number of clients per round.
+STACK_ROWS = 1024
 
 
-def local_steps(shard: ClientShard, cfg: RunConfig, round_idx: int, nets, grads) -> None:
-    """l1 local SGDM steps, the one loop over a client's minibatches.
+@dataclass(frozen=True)
+class Work:
+    """What one client trains in a round; the group kernel serves it.
 
-    `nets` lists (ParamVector, lr, momentum) working copies, each updated in
-    place with its own velocity; `grads(rows)` returns one gradient array
-    per net for the shard rows `rows` and checks its own losses. Each
-    working copy is scanned for finiteness once, when the steps are done.
+    - `anchor`: cross-entropy on its one expert, plus the gate's independent
+      loss toward that expert's index;
+    - `mixture`: the mixture cross-entropy over `experts` (in order) and the
+      gate, jointly;
+    - `sgd`: cross-entropy on its one expert, plus the FedProx pull
+      `mu * (w_local - w_global)` when `mu` is non-zero.
+
+    `experts` index the round's server experts; the client steps copies of
+    them and of `gate` (None for `sgd`), and its packet carries them back.
     """
-    rng = rng_stream(cfg.seed, "client", round_idx, shard.client_id)
-    batches = minibatch_indices(len(shard), cfg.training.batch_size, rng, local_iteration_count(cfg, len(shard)))
-    velocities = [np.zeros_like(params.values) for params, _, _ in nets]
-    for rows in batches:
-        for (params, lr, momentum), velocity, grad in zip(nets, velocities, grads(rows), strict=True):
-            nn.sgdm_step(params.values, velocity, grad, lr, momentum)
-    for params, _, _ in nets:
-        params.check_finite()
+
+    kind: str
+    experts: tuple[int, ...]
+    gate: nn.ParamVector | None = None
+    mu: float = 0.0
+
+    def __post_init__(self):
+        if self.kind not in WORK_KINDS:
+            raise ConfigError(f"unknown update kind {self.kind!r}")
 
 
-def anchor_client_update(
-    state: ServerState,
-    shard: ClientShard,
-    ds: LabeledDataset,
-    embeddings: np.ndarray,
-    cfg: RunConfig,
-    round_idx: int,
-) -> UpdatePacket:
-    """Anchor client: l1 iterations of (a) cross-entropy on its assigned
-    expert and (b) the gate independent loss toward its one-hot expert id."""
-    q = shard.assigned_expert
-    if q is None or not (0 <= q < state.num_experts):
-        raise ConfigError(f"client {shard.client_id} is not a valid anchor")
-    tr = cfg.training
-    expert = state.expert_params[q].copy()
-    gate = state.gate_params.copy()
+class _RowScan:
+    """Each client's first NumericError, met in the order a client stepped
+    alone would meet it: the checks of one step are made in that order, and
+    a client keeps the first one it fails. `ids` names the group's rows."""
 
-    def grads(rows):
-        batch = nn.Batch(ds.inputs[shard.indices[rows]], ds.labels[shard.indices[rows]])
-        loss, e_grad = nn.loss_and_grad(expert.spec, expert, batch, "ce_on_logits")
-        _check_finite_loss(loss)
-        g_loss, g_grad = gating.gate_independent_loss_grad(gate, embeddings[rows], q)
-        _check_finite_loss(g_loss)
-        return e_grad.values, g_grad.values
+    def __init__(self, ids: list[int], failures: dict[int, NumericError]):
+        self.ids = ids
+        self.failures = failures
 
-    nets = [(expert, tr.lr, tr.momentum), (gate, tr.gate_lr, tr.gate_momentum)]
-    local_steps(shard, cfg, round_idx, nets, grads)
-    return UpdatePacket(shard.client_id, gate, {q: expert}, len(shard))
+    def _record(self, bad: np.ndarray, error) -> None:
+        for b in np.flatnonzero(bad):
+            self.failures.setdefault(self.ids[b], error(b))
+
+    def rows(self, values: np.ndarray, message: str, context: str | None = None) -> None:
+        """Fail every row of `values` ([B, ...]) holding a non-finite value."""
+        ok = np.isfinite(values)
+        if not ok.all():
+            self._record(~ok.reshape(len(values), -1).all(axis=1), lambda b: NumericError(message, context=context))
+
+    def grads(self, spec: nn.NetSpec, grads: np.ndarray) -> None:
+        """Scan `[B, P]` gradient rows as `nn.backprop` scans one gradient."""
+        ok = np.isfinite(grads)
+        if not ok.all():
+            bad = ~ok.all(axis=1)
+            self._record(bad, lambda b: NumericError(nn.NONFINITE_GRADIENT, layer=nn.nonfinite_layer(spec, grads[b])))
+
+
+def _mixture_grads(expert_spec, experts, gate_spec, gates, selected, inputs, embeddings, labels, renormalize, scan):
+    """Joint mixture cross-entropy on a stack of B clients: the combined
+    softmax, then K expert gradient stacks and the gate's.
+
+    `experts` lists K `[B, P]` stacks (each client's k-th selected expert),
+    `gates` is `[B, P_g]` and `selected` the `[B, K]` expert indices. The
+    combined logits are sum_k w_k * f_k(x) with w the `selected` columns of
+    the gate softmax (renormalized over the selection only when asked);
+    gradients flow into both the experts and the gate. Non-finite outputs
+    and gradients are recorded on `scan`.
+    """
+    n = labels.shape[-1]
+    # one forward per network; backprop reuses each trace
+    probs_full, gate_trace = nn.forward_with_trace(gate_spec, gates, embeddings)  # [B, n, M]
+    expert_logits, expert_traces = zip(*(nn.forward_with_trace(expert_spec, e, inputs) for e in experts))
+    for out in (probs_full, *expert_logits):
+        scan.rows(out, nn.NONFINITE_OUTPUT, "forward")
+    at_selected = (np.arange(len(selected))[:, None, None], np.arange(n)[:, None], selected[:, None, :])
+    w_raw = probs_full[at_selected]  # [B, n, K]
+    if renormalize:
+        denom = w_raw.sum(axis=-1, keepdims=True)
+        w = w_raw / denom
+    else:
+        w = w_raw
+
+    combined = sum(w[..., j : j + 1] * logits for j, logits in enumerate(expert_logits))
+    probs_out = nn.softmax(combined)
+    delta = (probs_out - nn.one_hot(labels, probs_out.shape[-1])) / n  # dL/d(combined)
+
+    expert_grads = [
+        nn.backprop(expert_spec, trace, w[..., j : j + 1] * delta) for j, trace in enumerate(expert_traces)
+    ]
+    for g in expert_grads:
+        scan.grads(expert_spec, g)
+
+    # dL/dw[:, j] = <delta_i, f_j(x_i)> per sample
+    g_sel = np.stack([np.sum(delta * logits, axis=-1) for logits in expert_logits], axis=-1)
+    if renormalize:
+        inner = np.sum(g_sel * w, axis=-1, keepdims=True)
+        g_raw = (g_sel - inner) / denom
+    else:
+        g_raw = g_sel
+    grad_probs = np.zeros_like(probs_full)
+    grad_probs[at_selected] = g_raw
+    dz_gate = nn.softmax_vjp(probs_full, grad_probs)
+    gate_grad = nn.backprop(gate_spec, gate_trace, dz_gate)
+    scan.grads(gate_spec, gate_grad)
+    return probs_out, expert_grads, gate_grad
 
 
 def mixture_loss_and_grads(
@@ -258,100 +324,199 @@ def mixture_loss_and_grads(
     labels: np.ndarray,
     renormalize: bool = False,
 ):
-    """Joint mixture cross-entropy: loss, per-expert gradients, gate gradient.
-
-    The combined logits are sum_k w_k * f_k(x) with w the `selected` columns
-    of the gate softmax (renormalized over the selection only when asked);
-    gradients flow into both the experts and the gate.
-    """
-    n = labels.shape[0]
+    """Joint mixture cross-entropy of one client: loss, per-expert
+    gradients, gate gradient. It is the group kernel's mixture on a stack of
+    one, and raises the first NumericError that client meets."""
     k = len(selected)
     if k == 0 or len(expert_params) != k:
         raise ConfigError("selection and expert parameter list must match and be non-empty")
-    # one forward per network; backprop reuses each trace
-    probs_full, gate_trace = nn.forward_with_trace(gate.spec, gate, embeddings)  # [n x M]
-    w_raw = probs_full[:, list(selected)]  # [n x k]
-    if renormalize:
-        denom = w_raw.sum(axis=1, keepdims=True)
-        w = w_raw / denom
-    else:
-        w = w_raw
+    spec = expert_params[0].spec
+    for p in expert_params:
+        nn.check_compat(spec, p, where="(mixture)")
+    failures: dict[int, NumericError] = {}
+    probs_out, e_grads, g_grad = _mixture_grads(
+        spec,
+        [p.values[None] for p in expert_params],
+        gate.spec,
+        gate.values[None],
+        np.array([selected]),
+        np.asarray(inputs, dtype=np.float64)[None],
+        np.asarray(embeddings, dtype=np.float64)[None],
+        np.asarray(labels)[None],
+        renormalize,
+        _RowScan([0], failures),
+    )
+    if failures:
+        raise failures[0]
+    loss = nn.cross_entropy(probs_out[0], labels)
+    return loss, [nn.ParamVector(g[0], spec) for g in e_grads], nn.ParamVector(g_grad[0], gate.spec)
 
-    expert_logits, expert_traces = zip(
-        *(nn.forward_with_trace(p.spec, p, inputs) for p in expert_params)
-    )  # k x [n x C]
-    combined = sum(w[:, j : j + 1] * expert_logits[j] for j in range(k))
-    probs_out = nn.softmax(combined)
-    loss = nn.cross_entropy(probs_out, labels)
 
-    onehot = np.zeros_like(probs_out)
-    onehot[np.arange(n), labels] = 1.0
-    delta = (probs_out - onehot) / n  # dL/d(combined)
+def group_clients(ctx: RunContext, client_ids: list[int], work) -> list[list[tuple[ClientShard, Work]]]:
+    """The clients of `client_ids` (with `work(shard)`) in groups that step
+    as one stack, each in `client_ids` order: a group shares its update kind
+    (with its expert count and `mu`), its rows per step and its step count,
+    so no client is padded. A group is cut into stacks of at most
+    STACK_ROWS network rows per step."""
+    cfg = ctx.cfg
+    shards = ctx.shards_by_id
+    groups: dict[tuple, list[tuple[ClientShard, Work]]] = {}
+    for cid in client_ids:
+        shard = shards[cid]
+        w = work(shard)
+        n = min(cfg.training.batch_size, len(shard))
+        key = (w.kind, len(w.experts), w.mu, n, local_iteration_count(cfg, len(shard)))
+        groups.setdefault(key, []).append((shard, w))
+    stacks = []
+    for (kind, k, _, n, _), members in groups.items():
+        per_stack = max(1, STACK_ROWS // ((k + (kind != "sgd")) * n))
+        stacks += [members[i : i + per_stack] for i in range(0, len(members), per_stack)]
+    return stacks
 
-    expert_grads = [
-        nn.backprop(expert_params[j].spec, expert_traces[j], w[:, j : j + 1] * delta) for j in range(k)
+
+def _step_group(ctx: RunContext, state: ServerState, t: int, group, failures) -> list[list[np.ndarray]]:
+    """l1 local SGDM steps of every client in `group`, as `[B, ...]` stacks.
+
+    Each client draws its minibatches from its own stream keyed by (seed,
+    "client", t, client id), and every net has its own velocity. Returns
+    each client's stepped rows (its experts in `Work.experts` order, then its
+    gate), and records its first NumericError in `failures`. No loss is
+    computed: a non-finite cross-entropy needs a NaN row in the softmax,
+    which makes that row's bias gradient NaN, and the gradient is scanned
+    before a client stepped alone would check its loss.
+    """
+    cfg, tr = ctx.cfg, ctx.cfg.training
+    shards = [shard for shard, _ in group]
+    works = [w for _, w in group]
+    kind, mu = works[0].kind, works[0].mu
+    size = len(shards[0])
+    steps, n = local_iteration_count(cfg, size), min(tr.batch_size, size)
+    scan = _RowScan([s.client_id for s in shards], failures)
+
+    local = [
+        np.array(
+            minibatch_indices(len(s), tr.batch_size, rng_stream(cfg.seed, "client", t, s.client_id), steps),
+            dtype=np.intp,
+        ).reshape(steps, n)
+        for s in shards
     ]
+    rows = np.stack([s.indices[r] for s, r in zip(shards, local)], axis=1)  # [steps, B, n] dataset rows
+    inputs, labels = ctx.train_ds.inputs, ctx.train_ds.labels
+    x_ok = np.isfinite(inputs).all()  # else each step scans the rows it reads
 
-    # dL/dw[:, j] = <delta_i, f_j(x_i)> per sample
-    g_sel = np.stack([np.sum(delta * expert_logits[j], axis=1) for j in range(k)], axis=1)
-    if renormalize:
-        inner = np.sum(g_sel * w, axis=1, keepdims=True)
-        g_raw = (g_sel - inner) / denom
+    expert_spec = state.expert_params[works[0].experts[0]].spec
+    experts = []
+    for j in range(len(works[0].experts)):
+        sent = [state.expert_params[w.experts[j]] for w in works]
+        for p in sent:
+            nn.check_compat(expert_spec, p, where="(client group)")
+        experts.append(np.stack([p.values for p in sent]))
+    nets = [(e, tr.lr, tr.momentum) for e in experts]
+    if kind != "sgd":
+        gate_spec = works[0].gate.spec
+        for w in works:
+            nn.check_compat(gate_spec, w.gate, where="(client group)")
+        gates = np.stack([w.gate.values for w in works])
+        nets.append((gates, tr.gate_lr, tr.gate_momentum))
+        caches = [ctx.cache[s.client_id] for s in shards]
+        offsets = np.cumsum([0] + [len(c) for c in caches[:-1]])
+        cache = np.concatenate(caches)
+        emb_rows = np.stack([r + o for r, o in zip(local, offsets)], axis=1)  # [steps, B, n] rows of `cache`
+        emb_ok = np.isfinite(cache).all()
+
+    if kind == "sgd":
+        start = experts[0].copy() if mu else None  # each client's global model, for the FedProx pull
+
+        def grads(s):
+            x = inputs[rows[s]]
+            if not x_ok:
+                scan.rows(x, nn.NONFINITE_INPUTS)
+            grad = nn.ce_grad(expert_spec, experts[0], x, labels[rows[s]], "ce_on_logits")[1]
+            scan.grads(expert_spec, grad)
+            if start is not None:
+                grad += mu * (experts[0] - start)
+            return [grad]
+
+    elif kind == "anchor":
+        targets = np.repeat(np.array([w.experts for w in works]), n, axis=1)  # [B, n]
+
+        def grads(s):
+            x, emb = inputs[rows[s]], cache[emb_rows[s]]
+            if not x_ok:
+                scan.rows(x, nn.NONFINITE_INPUTS)
+            e_grad = nn.ce_grad(expert_spec, experts[0], x, labels[rows[s]], "ce_on_logits")[1]
+            scan.grads(expert_spec, e_grad)
+            if not emb_ok:
+                scan.rows(emb, nn.NONFINITE_INPUTS)
+            g_grad = nn.ce_grad(gate_spec, gates, emb, targets, "ce_on_mixture")[1]
+            scan.grads(gate_spec, g_grad)
+            return [e_grad, g_grad]
+
     else:
-        g_raw = g_sel
-    grad_probs = np.zeros_like(probs_full)
-    grad_probs[:, list(selected)] = g_raw
-    dz_gate = nn.softmax_vjp(probs_full, grad_probs)
-    gate_grad = nn.backprop(gate.spec, gate_trace, dz_gate)
-    return loss, expert_grads, gate_grad
+        selected = np.array([w.experts for w in works])
+        renormalize = tr.renormalize_gate_weights
+
+        def grads(s):
+            x, emb, y = inputs[rows[s]], cache[emb_rows[s]], labels[rows[s]]
+            _, e_grads, g_grad = _mixture_grads(
+                expert_spec, experts, gate_spec, gates, selected, x, emb, y, renormalize, scan
+            )
+            return [*e_grads, g_grad]
+
+    velocities = [np.zeros_like(values) for values, _, _ in nets]
+    for s in range(steps):
+        for (values, lr, momentum), velocity, grad in zip(nets, velocities, grads(s), strict=True):
+            nn.sgdm_step(values, velocity, grad, lr, momentum)
+    for values, _, _ in nets:
+        scan.rows(values, nn.NONFINITE_PARAMS)
+    return [[values[b] for values, _, _ in nets] for b in range(len(shards))]
 
 
-def _mixture_local_steps(
-    experts: dict[int, nn.ParamVector],
-    gate: nn.ParamVector,
-    shard: ClientShard,
-    ds: LabeledDataset,
-    embeddings: np.ndarray,
-    cfg: RunConfig,
-    round_idx: int,
-) -> None:
-    """l1 local SGDM steps of the mixture cross-entropy over `experts` (keyed
-    by expert index, in selection order) and `gate`, both updated in place."""
-    tr = cfg.training
-    selected = tuple(experts)
-    params = [experts[i] for i in selected]
+def client_updates(
+    ctx: RunContext, state: ServerState, t: int, client_ids: list[int], work, scope: str | None = None
+) -> list[UpdatePacket]:
+    """Each client's packet, in `client_ids` order: `work(shard)` says what
+    the client trains, and each group of `group_clients` steps as one stack.
 
-    def grads(rows):
-        x, y = ds.inputs[shard.indices[rows]], ds.labels[shard.indices[rows]]
-        loss, e_grads, g_grad = mixture_loss_and_grads(
-            params, gate, selected, x, embeddings[rows], y, tr.renormalize_gate_weights
-        )
-        _check_finite_loss(loss)
-        return [g.values for g in e_grads] + [g_grad.values]
+    The first client in `client_ids` order whose steps meet a non-finite
+    value raises the NumericError it would raise stepped alone, re-raised
+    naming `scope` (when given), round `t` and that client.
+    """
+    failures: dict[int, NumericError] = {}
+    stepped = {}
+    for group in group_clients(ctx, client_ids, work):
+        for (shard, w), values in zip(group, _step_group(ctx, state, t, group, failures)):
+            stepped[shard.client_id] = (shard, w, values)
+    where = f"round {t}" if scope is None else f"{scope} | round {t}"
+    for cid in client_ids:
+        if cid in failures:
+            raise failures[cid].within(f"{where} | client {cid}") from failures[cid]
+    packets = []
+    for cid in client_ids:
+        shard, w, values = stepped[cid]
+        experts = {i: nn.ParamVector(v, state.expert_params[i].spec) for i, v in zip(w.experts, values)}
+        gate = None if w.gate is None else nn.ParamVector(values[-1], w.gate.spec)
+        packets.append(UpdatePacket(cid, gate, experts, len(shard)))
+    return packets
 
-    nets = [(p, tr.lr, tr.momentum) for p in params] + [(gate, tr.gate_lr, tr.gate_momentum)]
-    local_steps(shard, cfg, round_idx, nets, grads)
 
+def fedjets_work(cfg: RunConfig, state: ServerState, selections: dict[int, ExpertSelection]):
+    """`work(shard)` of a FedJETs round: an anchor trains its assigned
+    expert and the gate's independent loss, a normal client its selected
+    top-K experts and the gate through the mixture."""
 
-def normal_client_update(
-    state: ServerState,
-    shard: ClientShard,
-    ds: LabeledDataset,
-    embeddings: np.ndarray,
-    selection: ExpertSelection,
-    cfg: RunConfig,
-    round_idx: int,
-) -> UpdatePacket:
-    """Normal client: l1 iterations jointly updating the K selected experts
-    and the gate copy by gradients of the mixture cross-entropy."""
-    if len(selection.indices) != cfg.federation.top_k:
-        raise ConfigError(
-            f"client {shard.client_id}: selection size {len(selection.indices)} != top_k"
-        )
-    experts = {i: state.expert_params[i].copy() for i in selection.indices}
-    gate = state.gate_params.copy()
-    _mixture_local_steps(experts, gate, shard, ds, embeddings, cfg, round_idx)
-    return UpdatePacket(shard.client_id, gate, experts, len(shard))
+    def work(shard: ClientShard) -> Work:
+        if shard.kind == KIND_ANCHOR:
+            q = shard.assigned_expert
+            if q is None or not (0 <= q < state.num_experts):
+                raise ConfigError(f"client {shard.client_id} is not a valid anchor")
+            return Work("anchor", (q,), state.gate_params)
+        selection = selections[shard.client_id]
+        if len(selection.indices) != cfg.federation.top_k:
+            raise ConfigError(f"client {shard.client_id}: selection size {len(selection.indices)} != top_k")
+        return Work("mixture", selection.indices, state.gate_params)
+
+    return work
 
 
 # ---------------------------------------------------------------------------
@@ -390,19 +555,10 @@ def aggregate(state: ServerState, packets: list[UpdatePacket], uniform: bool = F
 
 
 def train_round(
-    ctx: RunContext, state: ServerState, t: int, client_ids: list[int], update, scope: str | None = None
+    ctx: RunContext, state: ServerState, t: int, client_ids: list[int], work, scope: str | None = None
 ) -> ServerState:
-    """`update(shard)` for each client in turn, then `aggregate` with the
-    config's weighting. A NumericError raised by one client's update is
-    re-raised naming `scope` (when given), round `t` and that client."""
-    where = f"round {t}" if scope is None else f"{scope} | round {t}"
-    shards = ctx.shards_by_id
-    packets = []
-    for cid in client_ids:
-        try:
-            packets.append(update(shards[cid]))
-        except NumericError as exc:
-            raise exc.within(f"{where} | client {cid}") from exc
+    """`client_updates`, then `aggregate` with the config's weighting."""
+    packets = client_updates(ctx, state, t, client_ids, work, scope)
     return aggregate(state, packets, ctx.cfg.federation.uniform_weighting)
 
 
@@ -490,13 +646,8 @@ def fedjets_round(ctx: RunContext, state: ServerState, t: int) -> tuple[ServerSt
     rng = rng_stream(cfg.seed, "plan", t)
     plan = plan_round(t, cfg, rng, anchor_pool, active_ids(cfg, t, normals), state.gate_params, ctx.cache)
 
-    def update(shard: ClientShard) -> UpdatePacket:
-        emb = ctx.cache[shard.client_id]
-        if shard.kind == KIND_ANCHOR:
-            return anchor_client_update(state, shard, ctx.train_ds, emb, cfg, t)
-        return normal_client_update(state, shard, ctx.train_ds, emb, plan.selections[shard.client_id], cfg, t)
-
-    return train_round(ctx, state, t, plan.anchor_ids + plan.normal_ids, update), plan
+    work = fedjets_work(cfg, state, plan.selections)
+    return train_round(ctx, state, t, plan.anchor_ids + plan.normal_ids, work), plan
 
 
 def run_training(ctx: RunContext):

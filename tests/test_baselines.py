@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -9,7 +11,7 @@ from conftest import central_diff, kink_safe_net, rel_error
 from fedjets import baselines, experiment, nn, runtime
 from fedjets.errors import ConfigError
 from fedjets.seeding import rng_stream
-from test_runtime import mini_cfg
+from test_runtime import mini_cfg, one_update
 
 
 @pytest.fixture(scope="module")
@@ -21,8 +23,9 @@ class TestFedAvgClient:
     def test_single_client_matches_centralized_replay(self, ctx):
         cfg = ctx.cfg
         shard = ctx.normal_shards[0]
-        global_params = runtime.init_server_state(ctx).expert_params[0]
-        pkt = baselines.sgd_client_update(global_params, shard, ctx.train_ds, cfg, 2)
+        state = runtime.init_server_state(ctx)
+        global_params = state.expert_params[0]
+        pkt = one_update(ctx, state, 2, shard, baselines.sgd_work())
         rng = rng_stream(cfg.seed, "client", 2, shard.client_id)
         iters = runtime.local_iteration_count(cfg, len(shard))
         batches = runtime.minibatch_indices(len(shard), cfg.training.batch_size, rng, iters)
@@ -40,25 +43,26 @@ class TestFedAvgClient:
 
     def test_equals_fedprox_with_zero_mu(self, ctx):
         shard = ctx.normal_shards[1]
-        global_params = runtime.init_server_state(ctx).expert_params[0]
-        a = baselines.sgd_client_update(global_params, shard, ctx.train_ds, ctx.cfg, 0)
-        p = baselines.sgd_client_update(global_params, shard, ctx.train_ds, ctx.cfg, 0, mu=0.0)
+        state = runtime.init_server_state(ctx)
+        a = one_update(ctx, state, 0, shard, baselines.sgd_work())
+        p = one_update(ctx, state, 0, shard, baselines.sgd_work(mu=0.0))
         assert np.array_equal(a.experts[0].values, p.experts[0].values)
 
 
 class TestFedProx:
     def test_negative_mu_rejected(self, ctx):
         shard = ctx.normal_shards[0]
-        global_params = runtime.init_server_state(ctx).expert_params[0]
+        state = runtime.init_server_state(ctx)
         with pytest.raises(ConfigError):
-            baselines.sgd_client_update(global_params, shard, ctx.train_ds, ctx.cfg, 0, mu=-1.0)
+            one_update(ctx, state, 0, shard, baselines.sgd_work(mu=-1.0))
 
     def test_huge_mu_pins_local_to_global(self, ctx):
         # with lr*mu < 1 the proximal pull dominates: displacement ~ |g|/mu
-        cfg = mini_cfg(training={"lr": 1e-7, "local_iterations": 10})
+        c = dataclasses.replace(ctx, cfg=mini_cfg(training={"lr": 1e-7, "local_iterations": 10}))
         shard = ctx.normal_shards[0]
-        global_params = runtime.init_server_state(ctx).expert_params[0]
-        pkt = baselines.sgd_client_update(global_params, shard, ctx.train_ds, cfg, 0, mu=1e6)
+        state = runtime.init_server_state(ctx)
+        global_params = state.expert_params[0]
+        pkt = one_update(c, state, 0, shard, baselines.sgd_work(mu=1e6))
         assert np.max(np.abs(pkt.experts[0].values - global_params.values)) < 1e-3
 
     def test_prox_gradient_matches_augmented_objective(self):
@@ -153,7 +157,7 @@ class TestFedMix:
         shard = c.normal_shards[0]
         gate = nn.init_params(c.gate_spec, rng_stream(cfg.seed, "fedmix-gate", shard.client_id))
         local_gates = {shard.client_id: gate}
-        pkt = baselines.fedmix_client_update(c, state, local_gates, shard, 1)
+        pkt = baselines.fedmix_updates(c, state, local_gates, 1, [shard.client_id])[0]
         new_gate = local_gates[shard.client_id]
 
         # hand-stepped reference over the same batch stream, SGDM written

@@ -167,6 +167,19 @@ class TestEval:
             assert doc["zero_shot"]["average_accuracy"] == doc["global_accuracy"]
             assert 1 - doc["routing"]["average_error_rate"] == last.routing_acc
 
+    def test_eval_rejects_a_seed_other_than_the_states(self, cfg_path, tmp_path, capsys):
+        out = tmp_path / "run"
+        assert cli.main(["run", "--config", str(cfg_path), "--seed", "5", "--out", str(out)]) == 0
+        report = tmp_path / "report.json"
+        args = ["eval", "--config", str(cfg_path), "--state", str(out / "state.ckpt"), "--report", str(report)]
+        capsys.readouterr()
+        assert cli.main([*args, "--seed", "6"]) == 2
+        assert "config seed 6 differs from the seed 5" in capsys.readouterr().err
+        assert not report.exists()
+        assert cli.main([*args, "--seed", "5"]) == 0
+        last = metrics.read_jsonl(out / "metrics.jsonl")[-1]
+        assert json.loads(report.read_text())["global_accuracy"] == last.global_acc
+
     @pytest.mark.parametrize("method", ["fedjets", "fedavg", "fedprox", "avg_ensemble", "fedmix"])
     def test_saved_state_reloads_bit_equal(self, tmp_path, method):
         # eval scores exactly the arrays run scored: the checkpoint stores float64
@@ -268,8 +281,35 @@ class TestExitCodes:
             _record_line(global_acc="abc"),
             _record_line(per_expert_acc=5),
             _record_line(routing_acc={}),
+            # each field of a record that once parsed by coercion
+            _record_line(round=1.7),
+            _record_line(round=True),
+            _record_line(method=5),
+            _record_line(global_acc=True),
+            _record_line(per_expert_acc="12"),
+            _record_line(per_expert_acc=[0.5, False]),
+            _record_line(routing_acc="NaN"),
+            _record_line(routing_acc=float("nan")),
+            _record_line(floats_down_cum=float("inf")),
+            _record_line(floats_up_cum="50"),
         ],
-        ids=["not-an-object", "round", "global_acc", "per_expert_acc", "routing_acc"],
+        ids=[
+            "not-an-object",
+            "round",
+            "global_acc",
+            "per_expert_acc",
+            "routing_acc",
+            "round-float",
+            "round-bool",
+            "method-int",
+            "global_acc-bool",
+            "per_expert_acc-string",
+            "per_expert_acc-bool-entry",
+            "routing_acc-string",
+            "routing_acc-nan",
+            "floats_down_cum-inf",
+            "floats_up_cum-string",
+        ],
     )
     def test_malformed_metrics_record_is_exit_4(self, tmp_path, capsys, line):
         bad = tmp_path / "bad.jsonl"
@@ -399,6 +439,9 @@ class TestExitCodes:
             ("fedjets", _unchanged, {"round": -1}, "round must be a non-negative int, got -1"),
             ("fedjets", _unchanged, {"method": "foo"}, "unknown method 'foo'"),
             ("fedjets", _unchanged, {"method": 5}, "unknown method 5"),
+            ("fedjets", _unchanged, {"seed": "5"}, "seed must be an int, got '5'"),
+            ("fedjets", _unchanged, {"seed": True}, "seed must be an int, got True"),
+            ("fedjets", _unchanged, {"seed": None}, "seed must be an int, got None"),
             ("fedjets", _without_gate, {}, "a gate is missing for method 'fedjets'"),
             ("fedjets", _one_expert_and_its_gate, {"method": "fedavg"}, "a gate is stored for method 'fedavg'"),
             ("fedjets", _without_gate, {"method": "fedprox"}, "method 'fedprox' cannot hold 3 expert(s)"),
@@ -409,6 +452,9 @@ class TestExitCodes:
             "round-negative",
             "unknown-method",
             "method-not-a-string",
+            "seed-a-string",
+            "seed-a-bool",
+            "seed-missing",
             "fedjets-without-gate",
             "fedavg-with-gate",
             "fedprox-with-3-experts",

@@ -3,13 +3,15 @@ training loop, and communication accounting."""
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import central_diff, min_hidden_preact, rel_error
-from fedjets import baselines, benchmarks, experiment, gating, nn, runtime
+from fedjets import baselines, benchmarks, data, experiment, gating, nn, runtime
 from fedjets.errors import ConfigError, NumericError, ProtocolError
 from fedjets.seeding import rng_stream
 
@@ -55,6 +57,17 @@ def ctx():
     return experiment.build_context(mini_cfg())
 
 
+def one_update(ctx, state, t, shard, work):
+    """One client's packet, stepped as a stack of one."""
+    return runtime.client_updates(ctx, state, t, [shard.client_id], work)[0]
+
+
+def fedjets_update(ctx, state, t, shard, selection=None):
+    """One FedJETs client's packet: an anchor, or a normal client with `selection`."""
+    selections = {} if selection is None else {shard.client_id: selection}
+    return one_update(ctx, state, t, shard, runtime.fedjets_work(ctx.cfg, state, selections))
+
+
 class TestPlanRound:
     def test_all_anchors_active_when_na_equals_m(self, ctx):
         cfg = mini_cfg(federation={"anchors_per_round": 3})
@@ -91,10 +104,10 @@ class TestPlanRound:
 
 class TestAnchorUpdate:
     def test_zero_iterations_returns_snapshot(self, ctx):
-        cfg = mini_cfg(training={"local_iterations": 0})
+        c = dataclasses.replace(ctx, cfg=mini_cfg(training={"local_iterations": 0}))
         state = runtime.init_server_state(ctx)
         shard = ctx.anchor_shards[1]
-        pkt = runtime.anchor_client_update(state, shard, ctx.train_ds, ctx.cache[shard.client_id], cfg, 0)
+        pkt = fedjets_update(c, state, 0, shard)
         assert np.array_equal(pkt.experts[1].values, state.expert_params[1].values)
         assert np.array_equal(pkt.gate.values, state.gate_params.values)
         assert pkt.num_samples == len(shard)
@@ -102,16 +115,16 @@ class TestAnchorUpdate:
     def test_packet_contains_only_assigned_expert(self, ctx):
         state = runtime.init_server_state(ctx)
         shard = ctx.anchor_shards[2]
-        pkt = runtime.anchor_client_update(state, shard, ctx.train_ds, ctx.cache[shard.client_id], ctx.cfg, 0)
+        pkt = fedjets_update(ctx, state, 0, shard)
         assert set(pkt.experts) == {2}
 
     def test_gate_loss_decreases_on_fixed_shard(self, ctx):
-        cfg = mini_cfg(training={"gate_lr": 0.001, "local_iterations": 4})
+        c = dataclasses.replace(ctx, cfg=mini_cfg(training={"gate_lr": 0.001, "local_iterations": 4}))
         state = runtime.init_server_state(ctx)
         shard = ctx.anchor_shards[0]
         emb = ctx.cache[shard.client_id]
         loss_before, _ = gating.gate_independent_loss_grad(state.gate_params, emb, 0)
-        pkt = runtime.anchor_client_update(state, shard, ctx.train_ds, emb, cfg, 0)
+        pkt = fedjets_update(c, state, 0, shard)
         loss_after, _ = gating.gate_independent_loss_grad(pkt.gate, emb, 0)
         assert loss_after <= loss_before
 
@@ -120,7 +133,7 @@ class TestAnchorUpdate:
         state = runtime.init_server_state(ctx)
         shard = ctx.anchor_shards[0]
         t = 3
-        pkt = runtime.anchor_client_update(state, shard, ctx.train_ds, ctx.cache[shard.client_id], cfg, t)
+        pkt = fedjets_update(ctx, state, t, shard)
         # independent replay with the same derived stream
         rng = rng_stream(cfg.seed, "client", t, shard.client_id)
         iters = runtime.local_iteration_count(cfg, len(shard))
@@ -134,6 +147,14 @@ class TestAnchorUpdate:
             v = m * v + grad.values
             params = nn.ParamVector(params.values - lr * v, params.spec)
         assert np.array_equal(pkt.experts[0].values, params.values)
+        # and the gate, by the gate's independent loss toward expert 0
+        lr, m = cfg.training.gate_lr, cfg.training.gate_momentum
+        gate, v = state.gate_params.copy(), 0.0
+        for rows in batches:
+            _, grad = gating.gate_independent_loss_grad(gate, ctx.cache[shard.client_id][rows], 0)
+            v = m * v + grad.values
+            gate = nn.ParamVector(gate.values - lr * v, gate.spec)
+        assert np.array_equal(pkt.gate.values, gate.values)
 
 
 class TestNormalUpdate:
@@ -141,9 +162,7 @@ class TestNormalUpdate:
         state = runtime.init_server_state(ctx)
         shard = ctx.normal_shards[0]
         sel = gating.select_topk(gating.gate_scores(state.gate_params, ctx.cache[shard.client_id]), 2, shard.client_id)
-        pkt = runtime.normal_client_update(
-            state, shard, ctx.train_ds, ctx.cache[shard.client_id], sel, ctx.cfg, 0
-        )
+        pkt = fedjets_update(ctx, state, 0, shard, sel)
         assert set(pkt.experts) == set(sel.indices)
 
     def test_saturated_gate_reduces_to_single_expert_training(self, ctx):
@@ -284,46 +303,171 @@ class TestLocalSteps:
         anchor, shard = ctx.anchor_shards[0], ctx.normal_shards[0]
         emb = ctx.cache[shard.client_id]
         if kind == "anchor":
-            pkt = runtime.anchor_client_update(state, anchor, ctx.train_ds, ctx.cache[anchor.client_id], ctx.cfg, 0)
+            pkt = fedjets_update(ctx, state, 0, anchor)
         elif kind == "normal":
             sel = gating.select_topk(gating.gate_scores(state.gate_params, emb), 2)
-            pkt = runtime.normal_client_update(state, shard, ctx.train_ds, emb, sel, ctx.cfg, 0)
+            pkt = fedjets_update(ctx, state, 0, shard, sel)
         elif kind == "fedmix":
-            pkt = baselines.fedmix_client_update(ctx, state, {shard.client_id: local_gate}, shard, 0)
+            pkt = baselines.fedmix_updates(ctx, state, {shard.client_id: local_gate}, 0, [shard.client_id])[0]
         elif kind == "fedavg":
-            pkt = baselines.sgd_client_update(state.expert_params[0], shard, ctx.train_ds, ctx.cfg, 0)
+            pkt = one_update(ctx, state, 0, shard, baselines.sgd_work())
         else:
-            pkt = baselines.sgd_client_update(state.expert_params[0], shard, ctx.train_ds, ctx.cfg, 0, mu=0.5)
+            pkt = one_update(ctx, state, 0, shard, baselines.sgd_work(mu=0.5))
         assert self._raw(state, local_gate) == before
         i, trained = next(iter(pkt.experts.items()))
         assert not np.array_equal(trained.values, state.expert_params[i].values)
 
-    def test_overflow_on_last_step_raises_naming_round_and_client(self, ctx):
+    def test_overflow_on_last_step_raises_naming_round_and_client(self, ctx, monkeypatch):
         # finite until the last step, whose gradient overflows the parameters;
         # the one scan, after the loop, catches it
         shard = ctx.normal_shards[0]
         iters = runtime.local_iteration_count(ctx.cfg, len(shard))
         assert iters > 1
+        steps = []
+        sgdm_step = nn.sgdm_step
 
-        def train(shard):
-            params = nn.ParamVector(np.ones(4), nn.NetSpec.mlp([1, 2]))
-            steps = []
+        def step(params, velocity, grad, lr, momentum):
+            steps.append(lr)
+            if len(steps) == iters:
+                grad, lr = np.full_like(grad, 1e300), 1e10
+            sgdm_step(params, velocity, grad, lr, momentum)
 
-            def grads(rows):
-                steps.append(rows)
-                return [np.full(4, 1e300 if len(steps) == iters else 0.0)]
-
-            try:
-                runtime.local_steps(shard, ctx.cfg, 7, [(params, 1e10, 0.9)], grads)
-            finally:
-                assert len(steps) == iters
-
+        monkeypatch.setattr(nn, "sgdm_step", step)
+        state = runtime.init_server_state(ctx)
         with np.errstate(over="ignore"):
             with pytest.raises(NumericError):
-                train(shard)
+                try:
+                    runtime.client_updates(ctx, state, 7, [shard.client_id], baselines.sgd_work())
+                finally:
+                    assert len(steps) == iters
+            steps.clear()
             with pytest.raises(NumericError) as err:
-                runtime.train_round(ctx, runtime.init_server_state(ctx), 7, [shard.client_id], train)
+                runtime.train_round(ctx, state, 7, [shard.client_id], baselines.sgd_work())
         assert err.value.context == f"round 7 | client {shard.client_id}"
+
+
+def packet_bytes(packets):
+    """Every field of every packet, with each network as bytes (so -0.0 and 0.0 differ)."""
+    return [
+        (
+            p.client_id,
+            p.num_samples,
+            None if p.gate is None else p.gate.values.tobytes(),
+            sorted((i, e.values.tobytes()) for i, e in p.experts.items()),
+        )
+        for p in packets
+    ]
+
+
+def state_bytes(state):
+    gate = [] if state.gate_params is None else [state.gate_params]
+    return [p.values.tobytes() for p in [*state.expert_params, *gate]], state.round
+
+
+UNEQUAL = dict(data={"partition_strategy": "dirichlet", "alpha": 1.0}, training={"local_iterations": None})
+
+
+class TestClientGroups:
+    """Stepping clients as one stack gives each client the bits it gets alone."""
+
+    @staticmethod
+    def _round(ctx, method):
+        """(state, client ids, work) of a round of `method` over every training client."""
+        state, _ = baselines.make_stepper(ctx, method)
+        ids = [s.client_id for s in ctx.anchor_shards + ctx.normal_shards]
+        if method == "fedjets":
+            selections = {
+                s.client_id: gating.select_topk(gating.gate_scores(state.gate_params, ctx.cache[s.client_id]), 2)
+                for s in ctx.normal_shards
+            }
+            return state, ids, runtime.fedjets_work(ctx.cfg, state, selections)
+        if method == "fedmix":
+            return state, ids, None
+        return state, ids, baselines.sgd_work(ctx.cfg.federation.fedprox_mu if method == "fedprox" else 0.0)
+
+    @staticmethod
+    def _updates(ctx, state, t, ids, work, local_gates):
+        if work is None:  # fedmix: trained gates stay in `local_gates`
+            return baselines.fedmix_updates(ctx, state, local_gates, t, ids)
+        return runtime.client_updates(ctx, state, t, ids, work)
+
+    @pytest.mark.parametrize("kind", ["anchor", "normal", "fedavg", "fedprox", "fedmix"])
+    def test_group_equals_stacks_of_one(self, ctx, kind):
+        method = {"anchor": "fedjets", "normal": "fedjets"}.get(kind, kind)
+        state, ids, work = self._round(ctx, method)
+        ids = [cid for cid in ids if (ctx.shards_by_id[cid].kind == "anchor") == (kind == "anchor")]
+        assert len(ids) >= 3
+        kinds = runtime.Work("mixture", tuple(range(state.num_experts)), None) if work is None else None
+        groups = runtime.group_clients(ctx, ids, work or (lambda shard: kinds))
+        assert [[s.client_id for s, _ in g] for g in groups] == [ids]  # one stack
+        together, alone = {}, {}
+        stacked = self._updates(ctx, state, 3, ids, work, together)
+        single = [self._updates(ctx, state, 3, [cid], work, alone)[0] for cid in ids]
+        assert packet_bytes(stacked) == packet_bytes(single)
+        assert {c: g.values.tobytes() for c, g in together.items()} == {c: g.values.tobytes() for c, g in alone.items()}
+
+    def test_group_cut_into_stacks_gives_the_same_packets(self, ctx, monkeypatch):
+        state, ids, work = self._round(ctx, "fedjets")
+        whole = runtime.client_updates(ctx, state, 2, ids, work)
+        # 96 network rows: three anchors (expert and gate, 16 rows each) or two normal clients (K=2 and the gate)
+        monkeypatch.setattr(runtime, "STACK_ROWS", 96)
+        assert [len(stack) for stack in runtime.group_clients(ctx, ids, work)] == [3, 2, 2, 1]
+        assert packet_bytes(runtime.client_updates(ctx, state, 2, ids, work)) == packet_bytes(whole)
+
+    @pytest.mark.parametrize("method", ["fedjets", "fedavg", "fedprox", "fedmix"])
+    def test_several_groups_aggregate_unchanged(self, method):
+        # unequal shards: rows per step and step counts differ between clients
+        c = experiment.build_context(mini_cfg(**UNEQUAL))
+        state, ids, work = self._round(c, method)
+        kinds = runtime.Work("mixture", tuple(range(state.num_experts)), None) if work is None else None
+        groups = runtime.group_clients(c, ids, work or (lambda shard: kinds))
+        assert len(groups) > 2 and max(len(g) for g in groups) >= 2
+        together, alone = {}, {}
+        stacked = self._updates(c, state, 1, ids, work, together)
+        single = [self._updates(c, state, 1, [cid], work, alone)[0] for cid in ids]
+        assert [p.client_id for p in stacked] == ids  # packets in client order
+        assert packet_bytes(stacked) == packet_bytes(single)
+        uniform = c.cfg.federation.uniform_weighting
+        want = state_bytes(runtime.aggregate(state, single, uniform))
+        if work is None:  # fedmix aggregates its gate-free packets itself
+            got = runtime.aggregate(state, stacked, uniform)
+        else:
+            got = runtime.train_round(c, state, 1, ids, work)
+        assert state_bytes(got) == want
+
+    def test_first_failing_client_in_order_is_named(self, ctx):
+        # client 5's rows, scaled up, blow up at an earlier step than client
+        # 3's; stepped as one stack, the error is still client 3's, as a
+        # sequential loop over [3, 5] would raise it
+        earlier, later = 3, 5
+        x = ctx.train_ds.inputs.copy()
+        x[ctx.shards_by_id[later].indices] *= 1e100
+        ds = data.LabeledDataset(x, ctx.train_ds.labels, ctx.train_ds.num_classes)
+
+        def failure(ids, iters):
+            """The NumericError `ids` raise stepping `iters` steps at lr 1e20, or None."""
+            c = dataclasses.replace(ctx, train_ds=ds, cfg=mini_cfg(training={"lr": 1e20, "local_iterations": iters}))
+            try:
+                with np.errstate(all="ignore"):
+                    runtime.client_updates(c, runtime.init_server_state(c), 0, ids, baselines.sgd_work())
+            except NumericError as exc:
+                return exc
+            return None
+
+        def first_failing_step(cid):
+            return next((iters, err) for iters in range(1, 11) if (err := failure([cid], iters)))
+
+        step_earlier, alone = first_failing_step(earlier)
+        step_later, _ = first_failing_step(later)
+        assert step_later < step_earlier
+        # the first failure that client meets, not the scan of its parameters after the steps
+        assert alone.message == "non-finite gradient" and alone.layer is not None
+        err = failure([earlier, later], step_earlier)
+        assert (str(err), err.message, err.context, err.layer) == (
+            str(alone), alone.message, alone.context, alone.layer
+        )
+        assert err.context == f"round 0 | client {earlier}"
+        assert err.__cause__.layer == err.layer
 
 
 class TestAggregate:
@@ -436,9 +580,7 @@ class TestRunTraining:
             0, cfg, rng_stream(cfg.seed, "plan", 0), [0, 1, 2], [s.client_id for s in c.normal_shards]
         )
         (q,) = plan.anchor_ids
-        pkt = runtime.anchor_client_update(
-            state0, c.anchor_shards[q], c.train_ds, c.cache[q], cfg, 0
-        )
+        pkt = fedjets_update(c, state0, 0, c.anchor_shards[q])
         assert np.array_equal(final.expert_params[q].values, pkt.experts[q].values)
         assert np.array_equal(final.gate_params.values, pkt.gate.values)
 

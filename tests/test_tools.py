@@ -24,6 +24,6 @@ def test_artifact_digest_reruns_identically(tmp_path):
         outputs.append(proc.stdout)
     assert outputs[0] == outputs[1]
     lines = [line.split("  ") for line in outputs[0].splitlines()]
-    runs = [*METHODS, *(f"{m}-scheduled" for m in METHODS)]
+    runs = [*METHODS, *(f"{m}-scheduled" for m in METHODS), *(f"{m}-dirichlet" for m in METHODS)]
     assert [path for _, path in lines] == [f"{r}/{f}" for r in runs for f in ARTIFACTS]
     assert all(len(digest) == 64 for digest, _ in lines)

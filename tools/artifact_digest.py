@@ -9,7 +9,10 @@ Then each method trains again under a scenario schedule, one range over all
 rounds whose active set is anchors 0 and 1 plus normal clients 5..29 with
 two anchors a round, and writes under `--out/<method>-scheduled/`. The
 schedule restricts the FedJETs anchors and normal clients and the
-baselines' pool. The tool prints one `sha256  method/file` line per artifact, so two
+baselines' pool. Last, each method trains on a Dirichlet partition with
+`local_iterations` unset, so shard sizes, rows per step and step counts
+differ from client to client, and writes under `--out/<method>-dirichlet/`.
+The tool prints one `sha256  method/file` line per artifact, so two
 checkouts produce byte-identical artifacts exactly when their outputs are
 identical: `diff <(python3 tools/artifact_digest.py ...) <(...)`.
 """
@@ -42,8 +45,12 @@ def main(argv=None) -> int:
     schedule = {"ranges": [{"start": 0, "end": args.rounds, "active_clients": [0, 1, *range(5, 30)]}]}
     runs = [(method, {"method": method}, None) for method in METHODS]
     runs += [(f"{method}-scheduled", {"method": method, "anchors_per_round": 2}, schedule) for method in METHODS]
+    runs += [(f"{method}-dirichlet", {"method": method}, None) for method in METHODS]
     for run, federation, scenario in runs:
-        cfg = benchmarks.synth10_config(federation={**federation, "rounds": args.rounds}, scenario=scenario)
+        extra = {}
+        if run.endswith("-dirichlet"):
+            extra = {"data": {"partition_strategy": "dirichlet"}, "training": {"local_iterations": None}}
+        cfg = benchmarks.synth10_config(federation={**federation, "rounds": args.rounds}, scenario=scenario, **extra)
         experiment.run_to_directory(cfg, out / run)
         for name in ARTIFACTS:
             digest = hashlib.sha256((out / run / name).read_bytes()).hexdigest()
