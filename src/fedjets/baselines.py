@@ -33,24 +33,18 @@ def sgd_work(mu: float = 0.0):
     return lambda shard: runtime.Work("sgd", (0,), None, mu)
 
 
-def prox_loss(params, global_params, batch, mu) -> float:
-    """The augmented objective FedProx steps descend (for gradient checks)."""
-    base = nn.loss_value(params.spec, params, batch, "ce_on_logits")
-    return base + 0.5 * mu * float(np.sum((params.values - global_params.values) ** 2))
-
-
-def avg_ensemble_predict(models: list[nn.ParamVector], inputs: np.ndarray) -> np.ndarray:
-    """Argmax of the mean of per-model softmax probabilities."""
-    if len(models) < 2:
+def avg_ensemble_predict(member_logits: list[np.ndarray]) -> np.ndarray:
+    """Argmax of the mean of the members' softmax probabilities, from each
+    member's logits on the same inputs, summed in member order."""
+    if len(member_logits) < 2:
         raise ConfigError("ensemble prediction needs at least 2 models")
-    out_dim = models[0].spec.output_dim
-    if any(params.spec.output_dim != out_dim for params in models):
+    if any(logits.shape != member_logits[0].shape for logits in member_logits):
         raise ConfigError("ensemble members must share the output dimension")
     mean = None
-    for params in models:
-        probs = nn.softmax(nn.forward(params.spec, params, inputs))
+    for logits in member_logits:
+        probs = nn.softmax(logits)
         mean = probs if mean is None else mean + probs
-    return (mean / len(models)).argmax(axis=1)
+    return (mean / len(member_logits)).argmax(axis=1)
 
 
 def baseline_plan(ctx: RunContext, t: int, *key) -> RoundPlan:

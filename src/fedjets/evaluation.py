@@ -8,6 +8,14 @@ predictions are scored. `score_test_clients` is the one pass over the test
 clients: it predicts each client once by the method's rule, and `run`'s
 metrics and `eval`'s report both read their global accuracy, zero-shot
 detail and routing from it.
+
+One forward per network per evaluation: `expert_logits` forwards each
+server network once on the whole test set, and `per_expert_acc` and every
+method's per-client rule read those logits at the client's rows; only the
+gate side runs per client. A gemm row's bits can depend on the number of
+rows in the call, so the stated tolerance is that the predicted labels equal
+those of forwarding each network on each client's own rows (tested), not
+that the logits do; logits never reach an artifact.
 """
 
 from __future__ import annotations
@@ -18,7 +26,6 @@ import numpy as np
 
 from . import nn
 from .baselines import avg_ensemble_predict
-from .central import model_accuracy
 from .data import ClientShard, LabeledDataset
 from .errors import ConfigError
 from .gating import CommonExpert, ExpertSelection, embed_inputs, gate_scores, select_topk
@@ -61,6 +68,12 @@ class RoutingReport:
         return "\n".join(lines) + "\n"
 
 
+def expert_logits(experts: list[nn.ParamVector], inputs: np.ndarray) -> list[np.ndarray]:
+    """Each network's output on all of `inputs` (`[N, C]` each): the one
+    forward per network that an evaluation makes."""
+    return [nn.forward(p.spec, p, inputs) for p in experts]
+
+
 def _predict_client(
     state: ServerState,
     common: CommonExpert,
@@ -68,12 +81,15 @@ def _predict_client(
     k: int,
     client_id: int,
     embeddings: np.ndarray | None = None,
+    expert_preds: np.ndarray | None = None,
 ):
     """Prediction path for one unseen client; sees inputs only, no labels.
     One gate forward: the top-K selection and each sample's expert read the
-    same scores.
+    same scores. A sample's label is its expert's entry in `expert_preds`
+    (`[M, n]`: every expert's predicted label for each of the client's rows).
 
-    Returns (selection, per-sample chosen expert ids, predicted labels).
+    Returns (selection, per-sample chosen expert ids, predicted labels, or
+    None without `expert_preds`).
     """
     if embeddings is None:
         embeddings = embed_inputs(common, inputs)
@@ -82,11 +98,7 @@ def _predict_client(
     cols = np.array(selection.indices, dtype=np.int64)
     # raw scores restricted to the selected set; argmax unchanged by renormalization
     chosen = cols[scores[:, cols].argmax(axis=1)]
-    preds = np.empty(inputs.shape[0], dtype=np.int64)
-    for e in np.unique(chosen):
-        rows = np.flatnonzero(chosen == e)
-        expert = state.expert_params[e]
-        preds[rows] = nn.forward(expert.spec, expert, inputs[rows]).argmax(axis=1)
+    preds = None if expert_preds is None else expert_preds[chosen, np.arange(chosen.size)]
     return selection, chosen, preds
 
 
@@ -97,17 +109,21 @@ def zero_shot_eval(
     test_ds: LabeledDataset,
     k: int,
     cache: dict[int, np.ndarray] | None = None,
+    logits: list[np.ndarray] | None = None,
 ) -> ZeroShotReport:
     """Zero-shot personalization score over unseen test clients, each
-    predicted once."""
+    predicted once. `logits` are the experts' `expert_logits` on
+    `test_ds.inputs`, computed here when not given."""
     if state.gate_params is None:
         raise ConfigError("zero-shot evaluation needs a server-side gate")
+    if logits is None:
+        logits = expert_logits(state.expert_params, test_ds.inputs)
+    table = np.stack([out.argmax(axis=1) for out in logits])  # [M, N_test] labels per expert
     per_acc, selections, chosen_map = {}, {}, {}
     for shard in sorted(test_shards, key=lambda s: s.client_id):
-        inputs = test_ds.inputs[shard.indices]
         emb = None if cache is None else cache[shard.client_id]
         selection, chosen, preds = _predict_client(
-            state, common, inputs, k, shard.client_id, embeddings=emb
+            state, common, test_ds.inputs[shard.indices], k, shard.client_id, emb, table[:, shard.indices]
         )
         labels = test_ds.labels[shard.indices]  # labels used only to score
         per_acc[shard.client_id] = float(np.mean(preds == labels))
@@ -117,16 +133,21 @@ def zero_shot_eval(
     return ZeroShotReport(per_acc, avg, selections, chosen_map)
 
 
+def _mean_client_accuracy(predict, shards: list[ClientShard], test_ds: LabeledDataset) -> float:
+    """Mean over the shards, in client order, of each one's accuracy under
+    `predict` (a function from a shard to its predicted labels)."""
+    ordered = sorted(shards, key=lambda s: s.client_id)
+    return float(np.mean([float(np.mean(predict(s) == test_ds.labels[s.indices])) for s in ordered]))
+
+
 def common_expert_accuracy(
     common: CommonExpert, test_shards: list[ClientShard], test_ds: LabeledDataset
 ) -> float:
     """The common expert's own head as the baseline classifier, scored like
-    `zero_shot_eval`: mean of the per-client accuracies on the test clients."""
-    per_acc = [
-        model_accuracy(common.params, test_ds.inputs[s.indices], test_ds.labels[s.indices])
-        for s in sorted(test_shards, key=lambda s: s.client_id)
-    ]
-    return float(np.mean(per_acc))
+    `zero_shot_eval`: one forward on the test set, then the mean of the
+    per-client accuracies on the test clients."""
+    preds = nn.forward(common.params.spec, common.params, test_ds.inputs).argmax(axis=1)
+    return _mean_client_accuracy(lambda s: preds[s.indices], test_shards, test_ds)
 
 
 def routing_ground_truth(anchor_shards: list[ClientShard]) -> dict[int, int] | None:
@@ -176,28 +197,32 @@ def per_sample_routing_report(
 # Per-method scoring of unseen test clients (all methods)
 
 
-def _fedmix_predict(ctx: RunContext, state: ServerState, shard: ClientShard) -> np.ndarray:
+def _fedmix_predict(ctx: RunContext, logits: list[np.ndarray], shard: ClientShard) -> np.ndarray:
     """FedMix zero-shot: an unseen client starts a fresh local gate and
-    predicts with the mixture over all experts (nothing to rank with)."""
+    predicts with the mixture over all experts (nothing to rank with): the
+    gate-weighted sum of the experts' logits, in expert order."""
     gate = nn.init_params(ctx.gate_spec, rng_stream(ctx.cfg.seed, "fedmix-test-gate", shard.client_id))
     weights = gate_scores(gate, ctx.test_cache[shard.client_id])
-    inputs = ctx.test_ds.inputs[shard.indices]
-    return nn.mixture_forward(ctx.expert_spec, state.expert_params, weights, inputs).argmax(axis=1)
+    combined = weights[:, 0:1] * logits[0][shard.indices]
+    for k in range(1, len(logits)):
+        combined = combined + weights[:, k : k + 1] * logits[k][shard.indices]
+    return combined.argmax(axis=1)
 
 
-def client_predictor(ctx: RunContext, state: ServerState, method: str):
+def client_predictor(ctx: RunContext, method: str, logits: list[np.ndarray]):
     """A baseline's prediction rule for one unseen test client: a function
-    from a test shard to its predicted labels; it never sees the labels.
+    from a test shard to its predicted labels, read from the server
+    networks' `expert_logits` on the test set; it never sees the labels.
     FedJETs predicts through `zero_shot_eval`."""
-    inputs = ctx.test_ds.inputs
     if method in ("fedavg", "fedprox"):
-        model = state.expert_params[0]
-        return lambda s: nn.forward(model.spec, model, inputs[s.indices]).argmax(axis=1)
-    if method == "avg_ensemble":
-        return lambda s: avg_ensemble_predict(state.expert_params, inputs[s.indices])
-    if method == "fedmix":
-        return lambda s: _fedmix_predict(ctx, state, s)
-    raise ConfigError(f"unknown method {method!r}")
+        preds = logits[0].argmax(axis=1)
+    elif method == "avg_ensemble":
+        preds = avg_ensemble_predict(logits)
+    elif method == "fedmix":
+        return lambda s: _fedmix_predict(ctx, logits, s)
+    else:
+        raise ConfigError(f"unknown method {method!r}")
+    return lambda s: preds[s.indices]
 
 
 @dataclass
@@ -212,15 +237,18 @@ class ScoringPass:
     routing: RoutingReport | None = None
 
 
-def score_test_clients(ctx: RunContext, state: ServerState, method: str) -> ScoringPass:
+def score_test_clients(
+    ctx: RunContext, state: ServerState, method: str, logits: list[np.ndarray] | None = None
+) -> ScoringPass:
     """Predict each unseen test client once by the method's rule and score
-    the predictions."""
+    the predictions. `logits` are the server networks' `expert_logits` on
+    the test set, computed here when not given."""
     shards = sorted(ctx.test_shards, key=lambda s: s.client_id)
+    if logits is None:
+        logits = expert_logits(state.expert_params, ctx.test_ds.inputs)
     if method != "fedjets":
-        predict = client_predictor(ctx, state, method)
-        per_acc = [float(np.mean(predict(s) == ctx.test_ds.labels[s.indices])) for s in shards]
-        return ScoringPass(float(np.mean(per_acc)))
-    zs = zero_shot_eval(state, ctx.common, shards, ctx.test_ds, ctx.cfg.top_k, cache=ctx.test_cache)
+        return ScoringPass(_mean_client_accuracy(client_predictor(ctx, method, logits), shards, ctx.test_ds))
+    zs = zero_shot_eval(state, ctx.common, shards, ctx.test_ds, ctx.cfg.top_k, ctx.test_cache, logits)
     truth = routing_ground_truth(ctx.anchor_shards)
     if truth is None or not set().union(*(s.label_set for s in shards)) <= set(truth):
         return ScoringPass(zs.average_accuracy, zs)
@@ -235,9 +263,9 @@ def evaluate_round(
     floats_down_cum: float,
     floats_up_cum: float,
 ) -> MetricsRecord:
-    test_ds = ctx.test_ds
-    per_expert = [model_accuracy(p, test_ds.inputs, test_ds.labels) for p in state.expert_params]
-    scores = score_test_clients(ctx, state, method)
+    logits = expert_logits(state.expert_params, ctx.test_ds.inputs)
+    per_expert = [float(np.mean(out.argmax(axis=1) == ctx.test_ds.labels)) for out in logits]
+    scores = score_test_clients(ctx, state, method, logits)
     return MetricsRecord(
         round=round_idx,
         method=method,
@@ -247,4 +275,3 @@ def evaluate_round(
         floats_down_cum=floats_down_cum,
         floats_up_cum=floats_up_cum,
     )
-

@@ -408,33 +408,6 @@ def loss_value(spec: NetSpec, params: ParamVector, batch: Batch, loss_kind: str)
     return cross_entropy(probs, batch.labels)
 
 
-def mixture_forward(
-    expert_spec: NetSpec,
-    expert_params: list[ParamVector],
-    gate_weights: np.ndarray,
-    inputs: np.ndarray,
-) -> np.ndarray:
-    """Per-sample weighted sum of expert logits.
-
-    `gate_weights[j, k]` is the gate score of sample j for the k-th expert
-    in `expert_params` (the selected-expert entries of the gate output, not
-    renormalized unless the caller chose to).
-    """
-    if len(expert_params) == 0:
-        raise ConfigError("mixture_forward needs at least one expert")
-    w = np.asarray(gate_weights, dtype=np.float64)
-    if w.ndim != 2 or w.shape[1] != len(expert_params):
-        raise ConfigError(
-            f"gate weights {w.shape} do not match {len(expert_params)} experts"
-        )
-    combined = None
-    for k, params in enumerate(expert_params):
-        logits = forward(expert_spec, params, inputs)
-        term = w[:, k : k + 1] * logits
-        combined = term if combined is None else combined + term
-    return combined
-
-
 def sgdm_step(params: np.ndarray, velocity: np.ndarray, grad: np.ndarray, lr: float, momentum: float) -> None:
     """One SGD-with-momentum step on float64 arrays, in place:
     v <- m*v + g; p <- p - lr*v. The rates are the caller's to validate."""

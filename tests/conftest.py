@@ -1,11 +1,14 @@
-"""Shared helpers: finite-difference oracles and kink-safe random nets."""
+"""Shared helpers: finite-difference oracles, kink-safe random nets, and
+reference implementations the library no longer needs (the mixture
+forward, the FedProx objective, per-client-forward test scoring)."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from fedjets import nn
+from fedjets import gating, nn
+from fedjets.errors import ConfigError
 from fedjets.seeding import rng_stream
 
 
@@ -50,6 +53,78 @@ def kink_safe_net(seed: int, dims, head: str = "logits", n: int = 6, margin: flo
         if min_hidden_preact(spec, params, inputs) >= margin:
             return spec, params, nn.Batch(inputs, labels)
     raise AssertionError("could not draw a kink-safe net; loosen the margin")
+
+
+def mixture_forward(
+    expert_spec: nn.NetSpec,
+    expert_params: list[nn.ParamVector],
+    gate_weights: np.ndarray,
+    inputs: np.ndarray,
+) -> np.ndarray:
+    """Per-sample weighted sum of expert logits.
+
+    `gate_weights[j, k]` is the gate score of sample j for the k-th expert
+    in `expert_params` (the selected-expert entries of the gate output, not
+    renormalized unless the caller chose to).
+    """
+    if len(expert_params) == 0:
+        raise ConfigError("mixture_forward needs at least one expert")
+    w = np.asarray(gate_weights, dtype=np.float64)
+    if w.ndim != 2 or w.shape[1] != len(expert_params):
+        raise ConfigError(f"gate weights {w.shape} do not match {len(expert_params)} experts")
+    combined = None
+    for k, params in enumerate(expert_params):
+        term = w[:, k : k + 1] * nn.forward(expert_spec, params, inputs)
+        combined = term if combined is None else combined + term
+    return combined
+
+
+def prox_loss(params, global_params, batch, mu) -> float:
+    """The augmented objective FedProx steps descend (for gradient checks)."""
+    base = nn.loss_value(params.spec, params, batch, "ce_on_logits")
+    return base + 0.5 * mu * float(np.sum((params.values - global_params.values) ** 2))
+
+
+def reference_predictions(ctx, state, method: str) -> dict[int, np.ndarray]:
+    """Each test client's predicted labels by the per-client-forward rules:
+    every network the rule needs is forwarded on the client's own rows."""
+    out = {}
+    for shard in sorted(ctx.test_shards, key=lambda s: s.client_id):
+        cid, x = shard.client_id, ctx.test_ds.inputs[shard.indices]
+        if method in ("fedavg", "fedprox"):
+            model = state.expert_params[0]
+            out[cid] = nn.forward(model.spec, model, x).argmax(axis=1)
+        elif method == "avg_ensemble":
+            probs = [nn.softmax(nn.forward(p.spec, p, x)) for p in state.expert_params]
+            mean = probs[0]
+            for p in probs[1:]:
+                mean = mean + p
+            out[cid] = (mean / len(probs)).argmax(axis=1)
+        elif method == "fedmix":
+            gate = nn.init_params(ctx.gate_spec, rng_stream(ctx.cfg.seed, "fedmix-test-gate", cid))
+            weights = gating.gate_scores(gate, ctx.test_cache[cid])
+            out[cid] = mixture_forward(ctx.expert_spec, state.expert_params, weights, x).argmax(axis=1)
+        else:  # fedjets: each sample's expert, forwarded on the rows routed to it
+            scores = gating.gate_scores(state.gate_params, ctx.test_cache[cid])
+            cols = np.array(gating.select_topk(scores, ctx.cfg.top_k, cid).indices, dtype=np.int64)
+            chosen = cols[scores[:, cols].argmax(axis=1)]
+            preds = np.empty(len(shard), dtype=np.int64)
+            for e in np.unique(chosen):
+                rows = np.flatnonzero(chosen == e)
+                expert = state.expert_params[e]
+                preds[rows] = nn.forward(expert.spec, expert, x[rows]).argmax(axis=1)
+            out[cid] = preds
+    return out
+
+
+def reference_common_expert_accuracy(common, test_shards, test_ds) -> float:
+    """Mean per-client accuracy of the common expert's head, forwarded on
+    each test client's own rows."""
+    per_acc = []
+    for s in sorted(test_shards, key=lambda s: s.client_id):
+        out = nn.forward(common.params.spec, common.params, test_ds.inputs[s.indices])
+        per_acc.append(float(np.mean(out.argmax(axis=1) == test_ds.labels[s.indices])))
+    return float(np.mean(per_acc))
 
 
 @pytest.fixture

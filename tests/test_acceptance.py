@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from conftest import central_diff, kink_safe_net, rel_error
+from conftest import central_diff, kink_safe_net, reference_common_expert_accuracy, rel_error
 from fedjets import benchmarks, data, evaluation, experiment, gating, nn, runtime
 from fedjets.seeding import rng_stream
 
@@ -148,7 +148,7 @@ def test_criterion_5_baseline_identities():
     spec = params.spec
     x = rng_stream(123, "ens").normal(size=(64, spec.input_dim))
     single = nn.forward(spec, params, x).argmax(axis=1)
-    ens_ok = np.array_equal(avg_ensemble_predict([params, params], x), single)
+    ens_ok = np.array_equal(avg_ensemble_predict(evaluation.expert_logits([params, params], x)), single)
 
     ok = prox_ok and mix_ok and ens_ok
     assert criterion(
@@ -230,6 +230,17 @@ def test_criterion_7_chance_common_expert_breakpoint():
     assert criterion(
         7, ok, f"chance common {common:.3f} -> fedjets {final:.3f} (need <= common + 0.050)"
     ), "synth-10 keeps an untrained extractor's embeddings class-informative; see the docstring"
+
+
+def test_common_expert_baseline_matches_per_client_forward():
+    """Criterion 7's common-expert baseline, scored from one forward on the
+    test set, equals the per-client-forward score on synth-10 and on the
+    chance half's config."""
+    chance = {"model": {"pretrain_target_accuracy": 0.1}}
+    for tag, overrides in (("fedjets-s1", {}), ("fedjets-chance-common", chance)):
+        _, ctx, _, _, _ = cached_run(tag, **overrides)
+        got = evaluation.common_expert_accuracy(ctx.common, ctx.test_shards, ctx.test_ds)
+        assert got == reference_common_expert_accuracy(ctx.common, ctx.test_shards, ctx.test_ds), tag
 
 
 def test_criterion_8_determinism():

@@ -7,8 +7,9 @@ import dataclasses
 import numpy as np
 import pytest
 
-from conftest import central_diff, kink_safe_net, rel_error
+from conftest import central_diff, kink_safe_net, prox_loss, rel_error
 from fedjets import baselines, experiment, nn, runtime
+from fedjets.evaluation import expert_logits
 from fedjets.errors import ConfigError
 from fedjets.seeding import rng_stream
 from test_runtime import mini_cfg, one_update
@@ -72,7 +73,7 @@ class TestFedProx:
         _, base_grad = nn.loss_and_grad(spec, params, batch, "ce_on_logits")
         grad = base_grad.values + mu * (params.values - anchor.values)
         fd = central_diff(
-            lambda v: baselines.prox_loss(nn.ParamVector(v, spec), anchor, batch, mu),
+            lambda v: prox_loss(nn.ParamVector(v, spec), anchor, batch, mu),
             params.values,
         )
         assert rel_error(grad, fd) < 1e-4
@@ -84,7 +85,7 @@ class TestAvgEnsemble:
         params = runtime.init_server_state(ctx).expert_params[0]
         x = rng.normal(size=(20, spec.input_dim))
         single = nn.forward(spec, params, x).argmax(axis=1)
-        ens = baselines.avg_ensemble_predict([params, params], x)
+        ens = baselines.avg_ensemble_predict(expert_logits([params, params], x))
         assert np.array_equal(ens, single)
 
     def test_hand_computed_probability_average(self):
@@ -104,22 +105,22 @@ class TestAvgEnsemble:
             + nn.softmax(nn.forward(spec, down, x))
             + nn.softmax(nn.forward(spec, flat, x))
         ) / 3
-        assert baselines.avg_ensemble_predict(models, x)[0] == mean.argmax()
+        assert baselines.avg_ensemble_predict(expert_logits(models, x))[0] == mean.argmax()
 
     def test_model_order_irrelevant(self, ctx, rng):
         spec = ctx.expert_spec
         st = runtime.init_server_state(ctx)
         models = st.expert_params[:3]
         x = rng.normal(size=(15, spec.input_dim))
-        a = baselines.avg_ensemble_predict(models, x)
-        b = baselines.avg_ensemble_predict(list(reversed(models)), x)
+        a = baselines.avg_ensemble_predict(expert_logits(models, x))
+        b = baselines.avg_ensemble_predict(expert_logits(list(reversed(models)), x))
         assert np.array_equal(a, b)
 
     def test_needs_two_models(self, ctx, rng):
         spec = ctx.expert_spec
         params = runtime.init_server_state(ctx).expert_params[0]
         with pytest.raises(ConfigError):
-            baselines.avg_ensemble_predict([params], rng.normal(size=(3, spec.input_dim)))
+            baselines.avg_ensemble_predict(expert_logits([params], rng.normal(size=(3, spec.input_dim))))
 
 
 class TestFedMix:

@@ -204,13 +204,18 @@ class TestEval:
         state, _ = experiment.load_run_state(out / "state.ckpt")
         traces = []
         forward_trace = nn._forward_trace
-        monkeypatch.setattr(nn, "_forward_trace", lambda *a: traces.append(a[0]) or forward_trace(*a))
+        monkeypatch.setattr(nn, "_forward_trace", lambda *a: traces.append(a) or forward_trace(*a))
         report = tmp_path / "report.json"
         args = ["eval", "--config", str(cfg_path), "--state", str(out / "state.ckpt"), "--report", str(report)]
         assert cli.main(args) == 0
         # building the context pretrains and embeds with the common expert; only scoring runs the gate
         gate_spec = state.gate_params.spec
-        assert sum(spec == gate_spec for spec in traces) == config_mod.load(cfg_path).data.num_test_clients
+        assert sum(a[0] == gate_spec for a in traces) == config_mod.load(cfg_path).data.num_test_clients
+        # and each server expert is forwarded once, on the whole test set
+        for expert in state.expert_params:
+            runs = [a for a in traces if np.array_equal(getattr(a[1], "values", None), expert.values)]
+            assert len(runs) == 1
+            assert runs[0][0] == expert.spec
 
 
 class TestReport:

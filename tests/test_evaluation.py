@@ -8,7 +8,8 @@ import inspect
 import numpy as np
 import pytest
 
-from fedjets import central, data, evaluation, experiment, gating, nn, runtime
+from conftest import reference_predictions
+from fedjets import baselines, central, data, evaluation, experiment, gating, nn, runtime
 from fedjets.config import ScenarioRange
 from fedjets.errors import ConfigError
 from fedjets.seeding import rng_stream
@@ -337,12 +338,100 @@ class TestEvaluateRound:
         assert history[-1].routing_acc is None
 
     def test_fedjets_scores_each_test_client_with_one_gate_forward(self, monkeypatch):
+        # and, for every method, one forward per server network on the whole test set
         ctx = experiment.build_context(mini_cfg())
-        state = runtime.init_server_state(ctx)
         traces, topk = [], []
         forward_trace, select_topk = nn._forward_trace, evaluation.select_topk
-        monkeypatch.setattr(nn, "_forward_trace", lambda *a: traces.append(a[0]) or forward_trace(*a))
+        monkeypatch.setattr(nn, "_forward_trace", lambda *a: traces.append(a) or forward_trace(*a))
         monkeypatch.setattr(evaluation, "select_topk", lambda *a, **k: topk.append(a) or select_topk(*a, **k))
-        evaluation.evaluate_round(ctx, state, "fedjets", 1, 0.0, 0.0)
-        assert sum(spec == ctx.gate_spec for spec in traces) == len(ctx.test_shards)
-        assert len(topk) == len(ctx.test_shards)
+        for method in METHODS:
+            state = baselines.make_stepper(ctx, method)[0]
+            traces.clear()
+            topk.clear()
+            evaluation.evaluate_round(ctx, state, method, 1, 0.0, 0.0)
+            experts = [a for a in traces if a[0] == ctx.expert_spec]
+            assert len(experts) == state.num_experts, method
+            assert all(a[1] is p for a, p in zip(experts, state.expert_params)), method
+            assert all(a[2].shape[0] == len(ctx.test_ds) for a in experts), method
+            gates = sum(a[0] == ctx.gate_spec for a in traces)
+            assert len(traces) == len(experts) + gates, method
+            per_client = len(ctx.test_shards) if method in ("fedjets", "fedmix") else 0
+            assert gates == per_client, method
+            assert len(topk) == (len(ctx.test_shards) if method == "fedjets" else 0), method
+
+
+METHODS = ("fedjets", "fedavg", "fedprox", "avg_ensemble", "fedmix")
+
+
+@pytest.fixture(scope="module")
+def trained():
+    """The mini context and every method's state after the mini config's rounds."""
+    ctx = experiment.build_context(mini_cfg())
+    states = {}
+    for method in METHODS:
+        state, step = baselines.make_stepper(ctx, method)
+        for t in range(ctx.cfg.rounds):
+            state, _ = step(state, t)
+        states[method] = state
+    return ctx, states
+
+
+def uneven_overlapping_shards(ctx):
+    """Test shards of 1 to 37 rows that share rows with one another (and
+    one that repeats a row), with the embedding cache to match."""
+    n = len(ctx.test_ds)
+    rng = rng_stream(3, "uneven-shards")
+    index_sets = [
+        np.array([n - 1]),
+        np.arange(0, 23),
+        np.arange(11, 48),
+        rng.choice(n, size=9, replace=False),
+        np.array([5, 5, 17, 40, 5]),
+        rng.choice(n, size=30, replace=True),
+    ]
+    shards = []
+    for i, idx in enumerate(index_sets):
+        hist = np.bincount(ctx.test_ds.labels[idx], minlength=ctx.test_ds.num_classes)
+        shards.append(data.ClientShard(500 + i, idx, hist, data.KIND_TEST))
+    cache = gating.build_embedding_cache(ctx.common, ctx.test_ds, shards)
+    return dataclasses.replace(ctx, test_shards=shards, test_cache=cache)
+
+
+class TestPredictionEquality:
+    """Gathering each client's rows from one whole-test-set forward per
+    network predicts the same labels as forwarding every network on each
+    client's own rows (the module's stated tolerance: labels equal, not
+    logits)."""
+
+    @staticmethod
+    def predictions(ctx, state, method):
+        logits = evaluation.expert_logits(state.expert_params, ctx.test_ds.inputs)
+        if method != "fedjets":
+            predict = evaluation.client_predictor(ctx, method, logits)
+            return {s.client_id: predict(s) for s in ctx.test_shards}
+        table = np.stack([out.argmax(axis=1) for out in logits])
+        return {
+            s.client_id: evaluation._predict_client(
+                state, ctx.common, ctx.test_ds.inputs[s.indices], ctx.cfg.top_k, s.client_id,
+                ctx.test_cache[s.client_id], table[:, s.indices],
+            )[2]
+            for s in ctx.test_shards
+        }
+
+    @pytest.mark.parametrize("shards", ["mini", "uneven-overlapping"])
+    @pytest.mark.parametrize("method", METHODS)
+    def test_labels_equal_per_client_forward(self, trained, method, shards):
+        ctx, states = trained
+        if shards != "mini":
+            ctx = uneven_overlapping_shards(ctx)
+        state = states[method]
+        got, want = self.predictions(ctx, state, method), reference_predictions(ctx, state, method)
+        assert sorted(got) == sorted(want) == sorted(s.client_id for s in ctx.test_shards)
+        for cid in want:
+            assert got[cid].dtype.kind == "i"
+            assert np.array_equal(got[cid], want[cid]), (method, cid)
+        # the scored pass reads the same labels
+        labels = ctx.test_ds.labels
+        shards = sorted(ctx.test_shards, key=lambda s: s.client_id)
+        per_acc = [float(np.mean(want[s.client_id] == labels[s.indices])) for s in shards]
+        assert evaluation.score_test_clients(ctx, state, method).global_acc == float(np.mean(per_acc))

@@ -6,7 +6,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from conftest import central_diff, kink_safe_net, rel_error
+from conftest import central_diff, kink_safe_net, mixture_forward, rel_error
 from fedjets import central, checkpoint, data, nn
 from fedjets.errors import ArtifactError, ConfigError, NumericError
 from fedjets.seeding import rng_stream
@@ -227,14 +227,14 @@ class TestMixtureForward:
         x = rng.normal(size=(5, 4))
         w = np.ones((5, 1))
         assert np.array_equal(
-            nn.mixture_forward(spec, [params], w, x), nn.forward(spec, params, x)
+            mixture_forward(spec, [params], w, x), nn.forward(spec, params, x)
         )
 
     def test_identical_experts_convexity(self, rng):
         spec, params = make_net(12, [4, 6, 3])
         x = rng.normal(size=(5, 4))
         w = np.column_stack([np.full(5, 0.3), np.full(5, 0.7)])
-        combined = nn.mixture_forward(spec, [params, params], w, x)
+        combined = mixture_forward(spec, [params, params], w, x)
         assert np.max(np.abs(combined - nn.forward(spec, params, x))) < 1e-12
 
     def test_matches_per_sample_sum_oracle(self, rng):
@@ -242,7 +242,7 @@ class TestMixtureForward:
         _, p2 = make_net(14, [4, 6, 3])
         x = rng.normal(size=(6, 4))
         w = rng.uniform(0.1, 0.9, size=(6, 2))
-        combined = nn.mixture_forward(spec, [p1, p2], w, x)
+        combined = mixture_forward(spec, [p1, p2], w, x)
         f1, f2 = nn.forward(spec, p1, x), nn.forward(spec, p2, x)
         manual = np.stack(
             [w[j, 0] * f1[j] + w[j, 1] * f2[j] for j in range(6)]
@@ -255,12 +255,12 @@ class TestMixtureForward:
         x = rng.normal(size=(5, 4))
         w = np.column_stack([np.zeros(5), np.ones(5)])
         assert np.array_equal(
-            nn.mixture_forward(spec, [p1, p2], w, x), nn.forward(spec, p2, x)
+            mixture_forward(spec, [p1, p2], w, x), nn.forward(spec, p2, x)
         )
 
     def test_zero_experts_rejected(self, rng):
         with pytest.raises(ConfigError):
-            nn.mixture_forward(nn.NetSpec.mlp([4, 3]), [], np.ones((2, 0)), rng.normal(size=(2, 4)))
+            mixture_forward(nn.NetSpec.mlp([4, 3]), [], np.ones((2, 0)), rng.normal(size=(2, 4)))
 
 
 class TestSGDM:

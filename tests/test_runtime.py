@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import central_diff, min_hidden_preact, rel_error
+from conftest import central_diff, min_hidden_preact, mixture_forward, rel_error
 from fedjets import baselines, benchmarks, data, experiment, gating, nn, runtime
 from fedjets.errors import ConfigError, NumericError, ProtocolError
 from fedjets.seeding import rng_stream
@@ -243,7 +243,7 @@ class TestNormalUpdate:
             p2 = nn.ParamVector(v[n_e : 2 * n_e], expert_spec)
             g = nn.ParamVector(v[2 * n_e :], gate_sp)
             w = gating.gate_scores(g, emb)[:, [0, 1]]
-            combined = nn.mixture_forward(expert_spec, [p1, p2], w, x)
+            combined = mixture_forward(expert_spec, [p1, p2], w, x)
             return nn.cross_entropy(nn.softmax(combined), y)
 
         fd = central_diff(joint_loss, joint)
@@ -279,7 +279,7 @@ class TestNormalUpdate:
             g = nn.ParamVector(v[2 * n_e :], gate_sp)
             w = gating.gate_scores(g, emb)[:, [0, 2]]
             w = w / w.sum(axis=1, keepdims=True)
-            combined = nn.mixture_forward(expert_spec, [p1, p2], w, x)
+            combined = mixture_forward(expert_spec, [p1, p2], w, x)
             return nn.cross_entropy(nn.softmax(combined), y)
 
         fd = central_diff(joint_loss, joint)
