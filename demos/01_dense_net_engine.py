@@ -32,8 +32,8 @@ for i in coords:
     up[i] += h
     down[i] -= h
     fd = (
-        nn.loss_value(spec, nn.ParamVector(up, spec), batch, "ce_on_logits")
-        - nn.loss_value(spec, nn.ParamVector(down, spec), batch, "ce_on_logits")
+        nn.loss_and_grad(spec, nn.ParamVector(up, spec), batch, "ce_on_logits")[0]
+        - nn.loss_and_grad(spec, nn.ParamVector(down, spec), batch, "ce_on_logits")[0]
     ) / (2 * h)
     worst = max(worst, abs(fd - grad.values[i]))
 print(f"finite-difference spot check, worst abs deviation: {worst:.2e}")

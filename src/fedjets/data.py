@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import checkpoint
-from .errors import ArtifactError, ConfigError
+from .errors import ArtifactError, ConfigError, NumericError
 from .seeding import rng_stream
 
 KIND_ANCHOR = "anchor"
@@ -43,6 +43,8 @@ class LabeledDataset:
         for c, idx in enumerate(self.class_index):
             if idx.size == 0:
                 raise ConfigError(f"class {c} has no samples")
+        if not np.isfinite(self.inputs).all():
+            raise NumericError("dataset inputs contain non-finite values")
 
     def __len__(self) -> int:
         return self.inputs.shape[0]
@@ -347,7 +349,7 @@ def save_feature_dataset(path, ds: LabeledDataset, meta: dict | None = None) -> 
 def load_feature_dataset(path) -> LabeledDataset:
     """Read a feature dataset written by `save_feature_dataset`; a file that
     is not one, or whose header does not describe its block, raises
-    ArtifactError."""
+    ArtifactError, and a non-finite feature a NumericError naming the block."""
     entries, blocks, meta = checkpoint.read(path)
     if meta.get("kind") != "feature_dataset" or [e["name"] for e in entries] != ["features"]:
         raise ArtifactError(f"{path}: not a feature dataset checkpoint")
@@ -357,5 +359,7 @@ def load_feature_dataset(path) -> LabeledDataset:
         if blocks[0].size != labels.size * dim:
             raise ArtifactError(f"{path}: feature block does not match {labels.size} labels x {dim}")
         return LabeledDataset(blocks[0].reshape(labels.size, dim), labels, num_classes)
+    except NumericError as exc:
+        raise exc.within(f"{path}: block 'features'") from exc
     except (ConfigError, KeyError, TypeError, ValueError) as exc:
         raise ArtifactError(f"{path}: malformed feature dataset ({exc!r})") from exc

@@ -1,4 +1,4 @@
-"""Common-expert embeddings, gate scoring, top-K selection, anchor loss.
+"""Common-expert embeddings, gate scoring, top-K selection.
 
 The common expert is a frozen feature extractor: each client embeds its
 local data once and the cache is reused for every gate decision afterwards.
@@ -95,14 +95,3 @@ def select_topk(scores: np.ndarray, k: int, client_id: int = -1) -> ExpertSelect
     chosen = np.sort(order[:k])
     return ExpertSelection(client_id, tuple(chosen.tolist()), aggregate)
 
-
-def gate_independent_loss_grad(
-    gate: nn.ParamVector, embeddings: np.ndarray, anchor_expert: int
-) -> tuple[float, nn.ParamVector]:
-    """Anchor loss: cross-entropy between the gate output and the one-hot
-    encoding of the anchor's assigned expert, averaged over the shard."""
-    if not (0 <= anchor_expert < gate.spec.output_dim):
-        raise ConfigError(f"anchor expert {anchor_expert} out of range")
-    labels = np.full(embeddings.shape[0], anchor_expert, dtype=np.int64)
-    batch = nn.Batch(embeddings, labels)
-    return nn.loss_and_grad(gate.spec, gate, batch, "ce_on_mixture")

@@ -4,30 +4,31 @@ Everything here is a pure function of its inputs. Parameters live in flat
 float64 vectors (`ParamVector`) so that federated averaging, checkpointing
 and finite-difference checks all operate on one representation. A
 ParamVector carries the NetSpec it belongs to: construction checks once that
-the values are 1-D, `spec.param_count()` long and finite, and the engine's
-entry points check only that the spec they are given is that spec.
+the values are 1-D, `spec.param_count()` long and finite, and the
+single-network API checks only that the spec it is given is that spec.
 
 Trace contract: each entry point runs the forward pass once, in
 `_forward_trace`; `backprop` consumes the `Trace` it returns and never
 recomputes it. `loss_and_grad` thus does one forward per step, and a caller
 mixing k networks takes each one's output and trace from `forward_with_trace`.
 
-Stack axis: `_forward_trace`, `forward_with_trace`, `ce_grad` and
-`backprop` also take a stack of B networks of one spec, as `[B, P]`
-parameter rows applied to `[B, n, d]` inputs; every matmul, reduction and
-elementwise op then runs per slice, so row b is bit for bit what the single
-network b gives. This is how a round's clients step as one stack. The 2-D
-case (one `ParamVector`, `[n, d]` inputs) is the single-network path that
-pretraining, evaluation and the gradient oracles use.
+Stack axis: the engine functions `_forward_trace`, `forward_with_trace`,
+`ce_grad` and `backprop` take parameter arrays only: one network's `[P]`
+values on `[n, d]` inputs, or a stack of B networks of one spec as `[B, P]`
+rows on `[B, n, d]` inputs. Every matmul, reduction and elementwise op runs
+per slice, so row b is bit for bit what network b gives alone; this is how
+a round's clients step as one stack. The single-network API (`forward`,
+`forward_to_layer`, `loss_and_grad`) checks that a ParamVector belongs to
+its spec and calls the same functions on its values.
 
-Finiteness is checked at boundaries, not per step: batch inputs, network
-outputs, each gradient `backprop` returns (scanned once, as a `ParamVector`)
-and parameters as they leave training; `sgdm_step` updates in place and
-checks nothing. Only a gradient failing its scan is re-scanned layer by
-layer, top-down, so that `NumericError.layer` names the first layer reached
-(`nonfinite_layer`). On a stack nothing is scanned: outputs and gradients
-come back raw, and the caller scans each row, so that one client's overflow
-is charged to that client alone.
+Finiteness is checked at boundaries, not per step. The engine functions
+return raw outputs and gradients; `Scan` is the one place that finds and
+names a non-finite value: each network row's first failure and, for a
+gradient, the top-most bad layer, which backprop reaches first. A stack's
+caller scans each row, so one client's overflow is charged to it alone; the
+single-network API makes one `np.isfinite` pass and builds a one-row Scan
+only when it fails. Batch inputs and ParamVectors are scanned at
+construction, and `sgdm_step` updates in place and checks nothing.
 
 Parameter layout for layer dims (d0, d1, ..., dL): for each layer l the
 weight matrix W_l of shape (d_l, d_{l+1}) in row-major order, followed by
@@ -250,21 +251,16 @@ class Trace(NamedTuple):
     acts: list[np.ndarray]
 
 
-def _forward_trace(spec: NetSpec, params, inputs: np.ndarray) -> Trace:
-    """The one forward pass every engine entry point runs. `params` is one
-    network's ParamVector with `[n, d]` inputs, or `[B, P]` rows of `spec`
-    with `[B, n, d]` inputs."""
+def _forward_trace(spec: NetSpec, values: np.ndarray, inputs: np.ndarray) -> Trace:
+    """The one forward pass every engine entry point runs, of `[P]` values on
+    `[n, d]` inputs or `[B, P]` rows of `spec` on `[B, n, d]` inputs."""
     x = np.asarray(inputs, dtype=np.float64)
     if x.ndim < 2 or x.shape[-1] != spec.input_dim:
         raise ConfigError(
             f"input shape {x.shape} incompatible with spec input dim {spec.input_dim}"
         )
-    if isinstance(params, ParamVector):
-        values = params.values
-    else:
-        values = params
-        if values.shape[-1] != spec.param_count():
-            raise ConfigError(f"parameter rows {values.shape} do not match spec ({spec.param_count()},)")
+    if values.shape[-1] != spec.param_count():
+        raise ConfigError(f"parameter rows {values.shape} do not match spec ({spec.param_count()},)")
     layers = unpack(spec, values)
     last = spec.num_layers - 1
     pre_acts = []
@@ -278,24 +274,23 @@ def _forward_trace(spec: NetSpec, params, inputs: np.ndarray) -> Trace:
     return Trace(layers, pre_acts, acts)
 
 
-def forward_with_trace(spec: NetSpec, params, inputs: np.ndarray) -> tuple[np.ndarray, Trace]:
-    """`forward`'s output together with the trace `backprop` consumes. On a
-    stack the output is returned unscanned."""
-    single = isinstance(params, ParamVector)
-    if single:
-        check_compat(spec, params, where="(forward)")
-    trace = _forward_trace(spec, params, inputs)
+def forward_with_trace(spec: NetSpec, values: np.ndarray, inputs: np.ndarray) -> tuple[np.ndarray, Trace]:
+    """The raw network output (head applied) together with the trace
+    `backprop` consumes."""
+    trace = _forward_trace(spec, values, inputs)
     out = trace.acts[-1]
     if spec.head == "softmax":
         out = softmax(out)
-    if single and not np.isfinite(out).all():
-        raise NumericError(NONFINITE_OUTPUT, context="forward")
     return out, trace
 
 
 def forward(spec: NetSpec, params: ParamVector, inputs: np.ndarray) -> np.ndarray:
     """Network output: raw logits for a `logits` head, probabilities for `softmax`."""
-    return forward_with_trace(spec, params, inputs)[0]
+    check_compat(spec, params, where="(forward)")
+    out = forward_with_trace(spec, params.values, inputs)[0]
+    if not np.isfinite(out).all():
+        raise Scan().rows(out[None], NONFINITE_OUTPUT, "forward").failures[0]
+    return out
 
 
 def forward_to_layer(spec: NetSpec, params: ParamVector, inputs: np.ndarray, layer: int) -> np.ndarray:
@@ -307,15 +302,13 @@ def forward_to_layer(spec: NetSpec, params: ParamVector, inputs: np.ndarray, lay
     check_compat(spec, params, where="(forward_to_layer)")
     if not (0 <= layer < spec.num_layers):
         raise ConfigError(f"layer index {layer} out of range for {spec.num_layers} layers")
-    return _forward_trace(spec, params, inputs).acts[layer + 1]
+    return _forward_trace(spec, params.values, inputs).acts[layer + 1]
 
 
-def backprop(spec: NetSpec, trace: Trace, output_grad: np.ndarray):
-    """Vector-Jacobian product: gradient of sum(output * output_grad) w.r.t.
-    the parameters that produced `trace`, where `output_grad` is the loss
-    gradient at the pre-head output. For one network it is a ParamVector,
-    and a non-finite gradient raises a NumericError naming the first layer,
-    top-down, where it appears. For a stack it is the raw `[B, P]` rows.
+def backprop(spec: NetSpec, trace: Trace, output_grad: np.ndarray) -> np.ndarray:
+    """Vector-Jacobian product: the raw gradient of sum(output * output_grad)
+    w.r.t. the parameters that produced `trace` (`[P]`, or `[B, P]` on a
+    stack), where `output_grad` is the loss gradient at the pre-head output.
     """
     layers, pre_acts, acts = trace
     last = spec.num_layers - 1
@@ -328,23 +321,44 @@ def backprop(spec: NetSpec, trace: Trace, output_grad: np.ndarray):
         grads[l] = (acts[l].swapaxes(-1, -2) @ dz, dz.sum(axis=-2))
         if l > 0:
             dz = dz @ layers[l][0].swapaxes(-1, -2)
-    flat = np.concatenate([part for gw, gb in grads for part in (gw.reshape(*lead, -1), gb)], axis=-1)
-    if lead:
-        return flat
-    try:
-        return ParamVector(flat, spec)
-    except NumericError:
-        raise NumericError(NONFINITE_GRADIENT, layer=nonfinite_layer(spec, flat)) from None
+    return np.concatenate([part for gw, gb in grads for part in (gw.reshape(*lead, -1), gb)], axis=-1)
 
 
-def nonfinite_layer(spec: NetSpec, flat: np.ndarray) -> int | None:
-    """The top-most layer whose weights or bias in the flat vector `flat`
-    hold a non-finite value (None if all are finite)."""
-    for l in range(spec.num_layers - 1, -1, -1):
-        w, _, end, _, _ = spec._layout[l]
-        if not np.isfinite(flat[w:end]).all():
-            return l
-    return None
+class Scan:
+    """Each network row's first non-finite value, as a NumericError: the one
+    place that finds and names one. A row keeps the first failure recorded
+    for it, so checks made in the order a network stepped alone meets them
+    name what it would raise alone. `ids` names the rows (one network by
+    default), and `failures` maps an id to its row's failure."""
+
+    def __init__(self, ids=(0,), failures: dict | None = None):
+        self.ids = ids
+        self.failures = {} if failures is None else failures
+
+    def _record(self, bad: np.ndarray, error) -> None:
+        for b in np.flatnonzero(bad):
+            self.failures.setdefault(self.ids[b], error(b))
+
+    def rows(self, values: np.ndarray, message: str, context: str | None = None) -> "Scan":
+        """Fail every row of `values` ([B, ...]) holding a non-finite value."""
+        ok = np.isfinite(values)
+        if not ok.all():
+            self._record(~ok.reshape(len(values), -1).all(axis=1), lambda b: NumericError(message, context=context))
+        return self
+
+    def grads(self, spec: NetSpec, grads: np.ndarray) -> "Scan":
+        """Fail every `[B, P]` gradient row holding a non-finite value, naming
+        the top-most layer whose weights or bias hold one: backprop, running
+        top-down, reaches that layer first."""
+        ok = np.isfinite(grads)
+        if not ok.all():
+
+            def error(b):
+                layer = max(l for l, (w, _, end, _, _) in enumerate(spec._layout) if not ok[b, w:end].all())
+                return NumericError(NONFINITE_GRADIENT, layer=layer)
+
+            self._record(~ok.all(axis=1), error)
+        return self
 
 
 def softmax_vjp(probs: np.ndarray, grad_probs: np.ndarray) -> np.ndarray:
@@ -360,13 +374,13 @@ def one_hot(labels: np.ndarray, num_classes: int) -> np.ndarray:
     return out
 
 
-def ce_grad(spec: NetSpec, params, inputs: np.ndarray, labels: np.ndarray, loss_kind: str):
-    """Softmax probabilities and the parameter gradient of the mean
+def ce_grad(spec: NetSpec, values: np.ndarray, inputs: np.ndarray, labels: np.ndarray, loss_kind: str):
+    """Softmax probabilities and the raw parameter gradient of the mean
     cross-entropy, from one forward, on one network or a stack (labels
     `[n]` or `[B, n]`). `ce_on_logits` is CE on the softmax of the output;
     `ce_on_mixture` is CE on the probabilities themselves, with the 1e-12 log
     clamp. The caller validates the head and the labels."""
-    trace = _forward_trace(spec, params, inputs)
+    trace = _forward_trace(spec, values, inputs)
     probs = softmax(trace.acts[-1])
     n = labels.shape[-1]
     if loss_kind == "ce_on_logits":
@@ -397,15 +411,11 @@ def loss_and_grad(spec: NetSpec, params: ParamVector, batch: Batch, loss_kind: s
         raise ConfigError(f"{loss_kind} requires a {head} head")
     if batch.labels.min() < 0 or batch.labels.max() >= spec.output_dim:
         raise ConfigError("batch labels out of range for network output dim")
-    probs, grad = ce_grad(spec, params, batch.inputs, batch.labels, loss_kind)
-    return cross_entropy(probs, batch.labels), grad
-
-
-def loss_value(spec: NetSpec, params: ParamVector, batch: Batch, loss_kind: str) -> float:
-    """Loss alone, on the forward path `loss_and_grad` uses (handy for oracles)."""
-    check_compat(spec, params, where="(loss)")
-    probs = softmax(_forward_trace(spec, params, batch.inputs).acts[-1])
-    return cross_entropy(probs, batch.labels)
+    probs, grad = ce_grad(spec, params.values, batch.inputs, batch.labels, loss_kind)
+    try:
+        return cross_entropy(probs, batch.labels), ParamVector(grad, spec)
+    except NumericError:
+        raise Scan().grads(spec, grad[None]).failures[0] from None
 
 
 def sgdm_step(params: np.ndarray, velocity: np.ndarray, grad: np.ndarray, lr: float, momentum: float) -> None:

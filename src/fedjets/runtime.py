@@ -20,9 +20,9 @@ into stacks of at most STACK_ROWS network rows), and `_step_group` steps
 each stack's copies as `[B, P]` arrays through the `nn` engine's stack
 axis, so each client's result is bit for bit what it gives stepped alone.
 No client is padded and no step is shared. Packets come out in client
-order. A client's first non-finite value is recorded per row, in the order
-it would meet it alone, and the first failing client in `client_ids` order
-is the one raised.
+order. The engine returns raw rows, and an `nn.Scan` over the stack records
+each client's first non-finite value, in the order it would meet it alone;
+the first failing client in `client_ids` order is the one raised.
 
 Every network is one `nn.ParamVector`, which carries its spec. Server
 networks are never updated in place (clients step stacked copies), so
@@ -238,33 +238,6 @@ class Work:
             raise ConfigError(f"unknown update kind {self.kind!r}")
 
 
-class _RowScan:
-    """Each client's first NumericError, met in the order a client stepped
-    alone would meet it: the checks of one step are made in that order, and
-    a client keeps the first one it fails. `ids` names the group's rows."""
-
-    def __init__(self, ids: list[int], failures: dict[int, NumericError]):
-        self.ids = ids
-        self.failures = failures
-
-    def _record(self, bad: np.ndarray, error) -> None:
-        for b in np.flatnonzero(bad):
-            self.failures.setdefault(self.ids[b], error(b))
-
-    def rows(self, values: np.ndarray, message: str, context: str | None = None) -> None:
-        """Fail every row of `values` ([B, ...]) holding a non-finite value."""
-        ok = np.isfinite(values)
-        if not ok.all():
-            self._record(~ok.reshape(len(values), -1).all(axis=1), lambda b: NumericError(message, context=context))
-
-    def grads(self, spec: nn.NetSpec, grads: np.ndarray) -> None:
-        """Scan `[B, P]` gradient rows as `nn.backprop` scans one gradient."""
-        ok = np.isfinite(grads)
-        if not ok.all():
-            bad = ~ok.all(axis=1)
-            self._record(bad, lambda b: NumericError(nn.NONFINITE_GRADIENT, layer=nn.nonfinite_layer(spec, grads[b])))
-
-
 def _mixture_grads(expert_spec, experts, gate_spec, gates, selected, inputs, embeddings, labels, renormalize, scan):
     """Joint mixture cross-entropy on a stack of B clients: the combined
     softmax, then K expert gradient stacks and the gate's.
@@ -333,7 +306,7 @@ def mixture_loss_and_grads(
     spec = expert_params[0].spec
     for p in expert_params:
         nn.check_compat(spec, p, where="(mixture)")
-    failures: dict[int, NumericError] = {}
+    scan = nn.Scan()
     probs_out, e_grads, g_grad = _mixture_grads(
         spec,
         [p.values[None] for p in expert_params],
@@ -344,10 +317,10 @@ def mixture_loss_and_grads(
         np.asarray(embeddings, dtype=np.float64)[None],
         np.asarray(labels)[None],
         renormalize,
-        _RowScan([0], failures),
+        scan,
     )
-    if failures:
-        raise failures[0]
+    if scan.failures:
+        raise scan.failures[0]
     loss = nn.cross_entropy(probs_out[0], labels)
     return loss, [nn.ParamVector(g[0], spec) for g in e_grads], nn.ParamVector(g_grad[0], gate.spec)
 
@@ -391,7 +364,7 @@ def _step_group(ctx: RunContext, state: ServerState, t: int, group, failures) ->
     kind, mu = works[0].kind, works[0].mu
     size = len(shards[0])
     steps, n = local_iteration_count(cfg, size), min(tr.batch_size, size)
-    scan = _RowScan([s.client_id for s in shards], failures)
+    scan = nn.Scan([s.client_id for s in shards], failures)
 
     local = [
         np.array(
@@ -401,8 +374,7 @@ def _step_group(ctx: RunContext, state: ServerState, t: int, group, failures) ->
         for s in shards
     ]
     rows = np.stack([s.indices[r] for s, r in zip(shards, local)], axis=1)  # [steps, B, n] dataset rows
-    inputs, labels = ctx.train_ds.inputs, ctx.train_ds.labels
-    x_ok = np.isfinite(inputs).all()  # else each step scans the rows it reads
+    inputs, labels = ctx.train_ds.inputs, ctx.train_ds.labels  # finite, as every LabeledDataset
 
     expert_spec = state.expert_params[works[0].experts[0]].spec
     experts = []
@@ -422,37 +394,8 @@ def _step_group(ctx: RunContext, state: ServerState, t: int, group, failures) ->
         offsets = np.cumsum([0] + [len(c) for c in caches[:-1]])
         cache = np.concatenate(caches)
         emb_rows = np.stack([r + o for r, o in zip(local, offsets)], axis=1)  # [steps, B, n] rows of `cache`
-        emb_ok = np.isfinite(cache).all()
 
-    if kind == "sgd":
-        start = experts[0].copy() if mu else None  # each client's global model, for the FedProx pull
-
-        def grads(s):
-            x = inputs[rows[s]]
-            if not x_ok:
-                scan.rows(x, nn.NONFINITE_INPUTS)
-            grad = nn.ce_grad(expert_spec, experts[0], x, labels[rows[s]], "ce_on_logits")[1]
-            scan.grads(expert_spec, grad)
-            if start is not None:
-                grad += mu * (experts[0] - start)
-            return [grad]
-
-    elif kind == "anchor":
-        targets = np.repeat(np.array([w.experts for w in works]), n, axis=1)  # [B, n]
-
-        def grads(s):
-            x, emb = inputs[rows[s]], cache[emb_rows[s]]
-            if not x_ok:
-                scan.rows(x, nn.NONFINITE_INPUTS)
-            e_grad = nn.ce_grad(expert_spec, experts[0], x, labels[rows[s]], "ce_on_logits")[1]
-            scan.grads(expert_spec, e_grad)
-            if not emb_ok:
-                scan.rows(emb, nn.NONFINITE_INPUTS)
-            g_grad = nn.ce_grad(gate_spec, gates, emb, targets, "ce_on_mixture")[1]
-            scan.grads(gate_spec, g_grad)
-            return [e_grad, g_grad]
-
-    else:
+    if kind == "mixture":
         selected = np.array([w.experts for w in works])
         renormalize = tr.renormalize_gate_weights
 
@@ -462,6 +405,26 @@ def _step_group(ctx: RunContext, state: ServerState, t: int, group, failures) ->
                 expert_spec, experts, gate_spec, gates, selected, x, emb, y, renormalize, scan
             )
             return [*e_grads, g_grad]
+
+    else:  # an anchor is an sgd client (mu = 0) whose gate also learns the anchor's expert
+        start = experts[0].copy() if mu else None  # each client's global model, for the FedProx pull
+        if kind == "anchor":
+            targets = np.repeat(np.array([w.experts for w in works]), n, axis=1)  # [B, n]
+            emb_ok = np.isfinite(cache).all()
+
+        def grads(s):
+            grad = nn.ce_grad(expert_spec, experts[0], inputs[rows[s]], labels[rows[s]], "ce_on_logits")[1]
+            scan.grads(expert_spec, grad)
+            if start is not None:
+                grad += mu * (experts[0] - start)
+            if kind == "sgd":
+                return [grad]
+            emb = cache[emb_rows[s]]
+            if not emb_ok:
+                scan.rows(emb, nn.NONFINITE_INPUTS)
+            g_grad = nn.ce_grad(gate_spec, gates, emb, targets, "ce_on_mixture")[1]
+            scan.grads(gate_spec, g_grad)
+            return [grad, g_grad]
 
     velocities = [np.zeros_like(values) for values, _, _ in nets]
     for s in range(steps):

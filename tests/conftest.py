@@ -1,6 +1,7 @@
 """Shared helpers: finite-difference oracles, kink-safe random nets, and
-reference implementations the library no longer needs (the mixture
-forward, the FedProx objective, per-client-forward test scoring)."""
+reference implementations the library no longer needs (the loss alone, the
+gate's independent loss, the mixture forward, the FedProx objective,
+per-client-forward test scoring)."""
 
 from __future__ import annotations
 
@@ -33,7 +34,7 @@ def rel_error(a: np.ndarray, b: np.ndarray) -> float:
 
 def min_hidden_preact(spec: nn.NetSpec, params: nn.ParamVector, inputs: np.ndarray) -> float:
     """Smallest |pre-activation| over all hidden relu units for this batch."""
-    pre = nn._forward_trace(spec, params, inputs).pre_acts
+    pre = nn._forward_trace(spec, params.values, inputs).pre_acts
     hidden = [np.abs(z) for z, act in zip(pre[:-1], spec.activations) if act == "relu"]
     if not hidden:
         return np.inf
@@ -53,6 +54,25 @@ def kink_safe_net(seed: int, dims, head: str = "logits", n: int = 6, margin: flo
         if min_hidden_preact(spec, params, inputs) >= margin:
             return spec, params, nn.Batch(inputs, labels)
     raise AssertionError("could not draw a kink-safe net; loosen the margin")
+
+
+def loss_value(spec: nn.NetSpec, params: nn.ParamVector, batch: nn.Batch, loss_kind: str) -> float:
+    """Loss alone, on the forward path `nn.loss_and_grad` uses (for gradient checks)."""
+    nn.check_compat(spec, params, where="(loss)")
+    probs = nn.softmax(nn._forward_trace(spec, params.values, batch.inputs).acts[-1])
+    return nn.cross_entropy(probs, batch.labels)
+
+
+def gate_independent_loss_grad(
+    gate: nn.ParamVector, embeddings: np.ndarray, anchor_expert: int
+) -> tuple[float, nn.ParamVector]:
+    """Anchor loss: cross-entropy between the gate output and the one-hot
+    encoding of the anchor's assigned expert, averaged over the shard."""
+    if not (0 <= anchor_expert < gate.spec.output_dim):
+        raise ConfigError(f"anchor expert {anchor_expert} out of range")
+    labels = np.full(embeddings.shape[0], anchor_expert, dtype=np.int64)
+    batch = nn.Batch(embeddings, labels)
+    return nn.loss_and_grad(gate.spec, gate, batch, "ce_on_mixture")
 
 
 def mixture_forward(
@@ -81,7 +101,7 @@ def mixture_forward(
 
 def prox_loss(params, global_params, batch, mu) -> float:
     """The augmented objective FedProx steps descend (for gradient checks)."""
-    base = nn.loss_value(params.spec, params, batch, "ce_on_logits")
+    base = loss_value(params.spec, params, batch, "ce_on_logits")
     return base + 0.5 * mu * float(np.sum((params.values - global_params.values) ** 2))
 
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from conftest import central_diff, kink_safe_net, reference_common_expert_accuracy, rel_error
+from conftest import central_diff, kink_safe_net, loss_value, reference_common_expert_accuracy, rel_error
 from fedjets import benchmarks, data, evaluation, experiment, gating, nn, runtime
 from fedjets.seeding import rng_stream
 
@@ -41,7 +41,7 @@ def test_criterion_1_gradient_correctness():
             assert spec.param_count() <= 500
             _, grad = nn.loss_and_grad(spec, params, batch, kind)
             fd = central_diff(
-                lambda v: nn.loss_value(spec, nn.ParamVector(v, spec), batch, kind),
+                lambda v: loss_value(spec, nn.ParamVector(v, spec), batch, kind),
                 params.values,
                 h=1e-4,
             )

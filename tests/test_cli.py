@@ -213,7 +213,7 @@ class TestEval:
         assert sum(a[0] == gate_spec for a in traces) == config_mod.load(cfg_path).data.num_test_clients
         # and each server expert is forwarded once, on the whole test set
         for expert in state.expert_params:
-            runs = [a for a in traces if np.array_equal(getattr(a[1], "values", None), expert.values)]
+            runs = [a for a in traces if np.array_equal(a[1], expert.values)]
             assert len(runs) == 1
             assert runs[0][0] == expert.spec
 
@@ -496,6 +496,22 @@ class TestExitCodes:
         rc = cli.main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "o")])
         assert rc == 4
         assert "outside [0, 6)" in capsys.readouterr().err
+
+    def test_non_finite_feature_block_is_exit_3_naming_file_and_block(self, tmp_path, capsys):
+        paths = {}
+        for name, n in [("train", 60), ("test", 30)]:
+            meta = {"kind": "feature_dataset", "num_classes": 6, "dim": 6, "labels": [i % 6 for i in range(n)]}
+            features = np.zeros(6 * n)
+            if name == "train":
+                features[7] = np.nan
+            paths[name] = tmp_path / f"{name}.ckpt"
+            checkpoint.write(paths[name], [{"name": "features"}], [features], meta)
+        cfg_path = write_mini_config(
+            tmp_path / "c.json", data={"train_features": str(paths["train"]), "test_features": str(paths["test"])}
+        )
+        rc = cli.main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "o")])
+        assert rc == 3
+        assert f"{paths['train']}: block 'features'" in capsys.readouterr().err
 
     def test_invalid_override_value_semantics(self, cfg_path, tmp_path, capsys):
         rc = cli.main(

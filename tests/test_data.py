@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from fedjets import central, data, nn
-from fedjets.errors import ArtifactError, ConfigError
+from fedjets.errors import ArtifactError, ConfigError, NumericError
 
 
 def small_ds(seed=5, per_class=40, C=6, d=8, sep=5.0):
@@ -56,6 +56,13 @@ class TestLabeledDataset:
     def test_labels_outside_class_range_rejected(self, labels):
         with pytest.raises(ConfigError):
             data.LabeledDataset(np.zeros((3, 2)), labels, 2)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_inputs_rejected(self, bad):
+        x = np.zeros((2, 2))
+        x[1, 0] = bad
+        with pytest.raises(NumericError, match="non-finite"):
+            data.LabeledDataset(x, [0, 1], 2)
 
 
 class TestPartitionQuantity:
@@ -271,6 +278,18 @@ class TestFeatureFiles:
         checkpoint.write(path, [{"name": "features"}], [np.zeros(6)], meta)
         with pytest.raises(ArtifactError, match=r"outside \[0, 2\)"):
             data.load_feature_dataset(path)
+
+    def test_non_finite_feature_is_numeric_error_naming_the_block(self, tmp_path):
+        from fedjets import checkpoint
+
+        path = tmp_path / "features.ckpt"
+        meta = {"kind": "feature_dataset", "dim": 2, "num_classes": 2, "labels": [0, 1, 1]}
+        features = np.zeros(6)
+        features[3] = np.nan
+        checkpoint.write(path, [{"name": "features"}], [features], meta)
+        with pytest.raises(NumericError) as err:
+            data.load_feature_dataset(path)
+        assert err.value.context == f"{path}: block 'features'"
 
     def test_experiment_ingests_feature_files(self, tmp_path):
         from fedjets import benchmarks, experiment

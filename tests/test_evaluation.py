@@ -351,7 +351,7 @@ class TestEvaluateRound:
             evaluation.evaluate_round(ctx, state, method, 1, 0.0, 0.0)
             experts = [a for a in traces if a[0] == ctx.expert_spec]
             assert len(experts) == state.num_experts, method
-            assert all(a[1] is p for a, p in zip(experts, state.expert_params)), method
+            assert all(a[1] is p.values for a, p in zip(experts, state.expert_params)), method
             assert all(a[2].shape[0] == len(ctx.test_ds) for a in experts), method
             gates = sum(a[0] == ctx.gate_spec for a in traces)
             assert len(traces) == len(experts) + gates, method

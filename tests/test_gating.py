@@ -1,13 +1,14 @@
-"""Common-expert embeddings, gate scoring, top-K selection, anchor loss."""
+"""Common-expert embeddings, gate scoring, top-K selection, and the
+reference anchor loss."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from conftest import central_diff, min_hidden_preact, rel_error
+from conftest import central_diff, gate_independent_loss_grad, loss_value, min_hidden_preact, rel_error
 from fedjets import data, gating, nn
-from fedjets.errors import ConfigError
+from fedjets.errors import ConfigError, NumericError
 from fedjets.seeding import rng_stream
 
 
@@ -161,6 +162,15 @@ class TestSelectTopK:
         assert np.array_equal(a.aggregate_scores, b.aggregate_scores)
 
 
+def test_overflowing_gate_scores_name_the_output():
+    spec = gating.gate_spec(2, 3)
+    gate = nn.ParamVector(np.full(spec.param_count(), 1e200), spec)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NumericError) as err:
+            gating.gate_scores(gate, np.ones((4, 2)))
+    assert (err.value.message, err.value.context, err.value.layer) == ("non-finite network output", "forward", None)
+
+
 class TestIndependentLoss:
     def test_saturated_gate_small_loss_and_gradient(self, rng):
         spec = gating.gate_spec(6, 5)
@@ -168,13 +178,13 @@ class TestIndependentLoss:
         values[-5:] = [0.0, 0.0, 0.0, 50.0, 0.0]  # output bias pins expert 3
         gate = nn.ParamVector(values, spec)
         emb = rng.normal(size=(10, 6))
-        loss, grad = gating.gate_independent_loss_grad(gate, emb, 3)
+        loss, grad = gate_independent_loss_grad(gate, emb, 3)
         assert loss < 1e-6
         assert np.linalg.norm(grad.values) < 1e-6
 
     def test_zero_params_loss_is_log_m(self, rng):
         gate = zero_gate(6, 5)
-        loss, _ = gating.gate_independent_loss_grad(gate, rng.normal(size=(8, 6)), 2)
+        loss, _ = gate_independent_loss_grad(gate, rng.normal(size=(8, 6)), 2)
         assert abs(loss - np.log(5)) < 1e-12
 
     def test_gradient_matches_central_differences(self):
@@ -185,11 +195,11 @@ class TestIndependentLoss:
                 emb = r.normal(size=(5, 5))
                 if min_hidden_preact(gate.spec, gate, emb) >= 0.05:
                     break
-            loss, grad = gating.gate_independent_loss_grad(gate, emb, 1)
+            loss, grad = gate_independent_loss_grad(gate, emb, 1)
             labels = np.full(5, 1, dtype=np.int64)
             batch = nn.Batch(emb, labels)
             fd = central_diff(
-                lambda v: nn.loss_value(gate.spec, nn.ParamVector(v, gate.spec), batch, "ce_on_mixture"),
+                lambda v: loss_value(gate.spec, nn.ParamVector(v, gate.spec), batch, "ce_on_mixture"),
                 gate.values,
             )
             assert rel_error(grad.values, fd) < 1e-4
@@ -197,7 +207,7 @@ class TestIndependentLoss:
     def test_expert_index_validated(self, rng):
         gate = random_gate(18, 6, 4)
         with pytest.raises(ConfigError):
-            gating.gate_independent_loss_grad(gate, rng.normal(size=(3, 6)), 4)
+            gate_independent_loss_grad(gate, rng.normal(size=(3, 6)), 4)
 
     def test_training_strictly_decreases_loss(self):
         # 50 full-batch steps at lr 0.001 on a fixed shard, several seeds
@@ -208,7 +218,7 @@ class TestIndependentLoss:
             velocity = np.zeros_like(gate.values)
             prev = None
             for _ in range(50):
-                loss, grad = gating.gate_independent_loss_grad(gate, emb, seed % 5)
+                loss, grad = gate_independent_loss_grad(gate, emb, seed % 5)
                 if prev is not None:
                     assert loss < prev
                 prev = loss

@@ -6,7 +6,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from conftest import central_diff, kink_safe_net, mixture_forward, rel_error
+from conftest import central_diff, kink_safe_net, loss_value, mixture_forward, rel_error
 from fedjets import central, checkpoint, data, nn
 from fedjets.errors import ArtifactError, ConfigError, NumericError
 from fedjets.seeding import rng_stream
@@ -89,6 +89,16 @@ class TestForward:
         x = rng.normal(size=(6, 4))
         assert np.array_equal(nn.forward(spec, params, x), nn.forward(spec, params, x))
 
+    @pytest.mark.parametrize("head", ["logits", "softmax"])
+    def test_output_overflow_names_the_output(self, head):
+        # finite parameters whose logits overflow to inf (the softmax head then gives NaN)
+        spec = nn.NetSpec.mlp([2, 3, 2], head=head)
+        params = nn.ParamVector(np.full(spec.param_count(), 1e200), spec)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NumericError) as err:
+                nn.forward(spec, params, np.ones((1, 2)))
+        assert (err.value.message, err.value.context, err.value.layer) == ("non-finite network output", "forward", None)
+
 
 class TestSoftmax:
     def test_symmetric_pair(self):
@@ -150,7 +160,7 @@ class TestBackward:
         expect = (np.full((2, 4), 0.25) - onehot).mean(axis=0)
         assert np.max(np.abs(bias_grad - expect)) < 1e-12
         fd = central_diff(
-            lambda v: nn.loss_value(spec, nn.ParamVector(v, params.spec), batch, "ce_on_logits"),
+            lambda v: loss_value(spec, nn.ParamVector(v, params.spec), batch, "ce_on_logits"),
             params.values,
         )
         assert rel_error(grad.values, fd) < 1e-4
@@ -174,7 +184,7 @@ class TestBackward:
             spec, params, batch = kink_safe_net(seed, [5, 8, 4], head=head)
             loss, grad = nn.loss_and_grad(spec, params, batch, kind)
             fd = central_diff(
-                lambda v: nn.loss_value(spec, nn.ParamVector(v, params.spec), batch, kind),
+                lambda v: loss_value(spec, nn.ParamVector(v, params.spec), batch, kind),
                 params.values,
             )
             assert rel_error(grad.values, fd) < 1e-4

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import central_diff, min_hidden_preact, mixture_forward, rel_error
+from conftest import central_diff, gate_independent_loss_grad, min_hidden_preact, mixture_forward, rel_error
 from fedjets import baselines, benchmarks, data, experiment, gating, nn, runtime
 from fedjets.errors import ConfigError, NumericError, ProtocolError
 from fedjets.seeding import rng_stream
@@ -123,9 +123,9 @@ class TestAnchorUpdate:
         state = runtime.init_server_state(ctx)
         shard = ctx.anchor_shards[0]
         emb = ctx.cache[shard.client_id]
-        loss_before, _ = gating.gate_independent_loss_grad(state.gate_params, emb, 0)
+        loss_before, _ = gate_independent_loss_grad(state.gate_params, emb, 0)
         pkt = fedjets_update(c, state, 0, shard)
-        loss_after, _ = gating.gate_independent_loss_grad(pkt.gate, emb, 0)
+        loss_after, _ = gate_independent_loss_grad(pkt.gate, emb, 0)
         assert loss_after <= loss_before
 
     def test_expert_update_matches_replayed_trajectory(self, ctx):
@@ -151,7 +151,7 @@ class TestAnchorUpdate:
         lr, m = cfg.training.gate_lr, cfg.training.gate_momentum
         gate, v = state.gate_params.copy(), 0.0
         for rows in batches:
-            _, grad = gating.gate_independent_loss_grad(gate, ctx.cache[shard.client_id][rows], 0)
+            _, grad = gate_independent_loss_grad(gate, ctx.cache[shard.client_id][rows], 0)
             v = m * v + grad.values
             gate = nn.ParamVector(gate.values - lr * v, gate.spec)
         assert np.array_equal(pkt.gate.values, gate.values)
