@@ -77,20 +77,20 @@ def ensemble_round(ctx: RunContext, state: ServerState, t: int) -> tuple[ServerS
 def fedmix_updates(
     ctx: RunContext,
     state: ServerState,
-    local_gates: dict[int, nn.ParamVector],
+    local_gates: dict[int, np.ndarray],
     t: int,
     client_ids: list[int],
 ) -> list[UpdatePacket]:
     """FedMix clients: each receives all M experts and trains them through
-    its persistent local gate (mixture cross-entropy). The gate is drawn on
-    the client's first activation; a trained copy replaces it in
+    its persistent local gate row (mixture cross-entropy). The gate is drawn
+    on the client's first activation; a trained copy replaces it in
     `local_gates` and never leaves the client, so no packet carries it."""
     m = tuple(range(state.num_experts))
 
     def work(shard: ClientShard) -> runtime.Work:
         gate = local_gates.get(shard.client_id)
         if gate is None:
-            gate = nn.init_params(ctx.gate_spec, rng_stream(ctx.cfg.seed, "fedmix-gate", shard.client_id))
+            gate = nn.init_params(ctx.gate_spec, rng_stream(ctx.cfg.seed, "fedmix-gate", shard.client_id)).values
         return runtime.Work("mixture", m, gate)
 
     packets = runtime.client_updates(ctx, state, t, client_ids, work)
@@ -102,7 +102,7 @@ def fedmix_updates(
 def fedmix_round(
     ctx: RunContext,
     state: ServerState,
-    local_gates: dict[int, nn.ParamVector],
+    local_gates: dict[int, np.ndarray],
     t: int,
 ) -> tuple[ServerState, RoundPlan]:
     plan = baseline_plan(ctx, t)
@@ -123,7 +123,7 @@ def make_stepper(ctx: RunContext, method: str):
     if method == "avg_ensemble":
         return state, lambda st, t: ensemble_round(ctx, st, t)
     if method == "fedmix":
-        local_gates: dict[int, nn.ParamVector] = {}
+        local_gates: dict[int, np.ndarray] = {}
         return state, lambda st, t: fedmix_round(ctx, st, local_gates, t)
     mu = fed.fedprox_mu if method == "fedprox" else 0.0
     return state, lambda st, t: fedavg_like_round(ctx, st, t, mu)

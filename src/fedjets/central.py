@@ -14,7 +14,7 @@ import numpy as np
 
 from . import nn
 from .data import LabeledDataset
-from .errors import ConfigError, NumericError
+from .errors import ConfigError
 from .seeding import rng_stream
 
 
@@ -66,9 +66,7 @@ def pretrain(
         for start in range(0, n, batch_size):
             rows = order[start : start + batch_size]
             batch = nn.Batch(train_ds.inputs[rows], train_ds.labels[rows])
-            loss, grad = nn.loss_and_grad(spec, params, batch, "ce_on_logits")
-            if not np.isfinite(loss):
-                raise NumericError("non-finite pretraining loss", context=f"epoch {epochs}")
+            _, grad = nn.loss_and_grad(spec, params, batch, "ce_on_logits")
             nn.sgdm_step(params.values, velocity, grad.values, lr, momentum)
         epochs += 1
         acc = model_accuracy(params, holdout_ds.inputs, holdout_ds.labels)

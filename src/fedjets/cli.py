@@ -12,7 +12,7 @@ import json
 import sys
 from pathlib import Path
 
-from . import checkpoint, config as config_mod, evaluation, experiment, metrics
+from . import baselines, checkpoint, config as config_mod, evaluation, experiment, metrics
 from .errors import ArtifactError, ConfigError, NumericError, ProtocolError
 
 EXIT_OK = 0
@@ -78,6 +78,11 @@ def cmd_eval(args) -> int:
         raise ConfigError(f"config seed {cfg.seed} differs from the seed {seed} the state was trained with")
     ctx = experiment.build_context(cfg)
     method = state_meta["method"]
+    fresh, _ = baselines.make_stepper(ctx, method)  # the state a run of this config starts from
+    held, built = ([p.spec for p in [*s.expert_params, s.gate_params] if p is not None] for s in (state, fresh))
+    if held != built:  # else the config scores other test clients, with networks the state does not fit
+        dims = [[s.layer_dims for s in specs] for specs in (held, built)]
+        raise ConfigError(f"state networks {dims[0]} differ from the {method} networks the config builds {dims[1]}")
     scores = evaluation.score_test_clients(ctx, state, method)
     report: dict = {
         "method": method,

@@ -1,9 +1,10 @@
 """Common-expert embeddings, gate scoring, top-K selection.
 
 The common expert is a frozen feature extractor: each client embeds its
-local data once and the cache is reused for every gate decision afterwards.
-The gate is a small MLP with a softmax head whose output dimension is the
-number of experts; it is a plain `nn.ParamVector` whose spec has that head.
+local data once, the embeddings are checked finite then, and the cache is
+reused for every gate decision afterwards. The gate is a small MLP with a
+softmax head whose output dimension is the number of experts; it is a plain
+`nn.ParamVector` whose spec has that head.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import numpy as np
 
 from . import nn
 from .data import ClientShard, LabeledDataset
-from .errors import ConfigError
+from .errors import ConfigError, NumericError
 
 
 @dataclass(frozen=True)
@@ -49,8 +50,14 @@ def embed_inputs(common: CommonExpert, inputs: np.ndarray) -> np.ndarray:
 def build_embedding_cache(
     common: CommonExpert, ds: LabeledDataset, shards: list[ClientShard]
 ) -> dict[int, np.ndarray]:
-    """Embeddings of every client's shard, row-aligned with shard.indices."""
-    return {shard.client_id: embed_inputs(common, ds.inputs[shard.indices]) for shard in shards}
+    """Every client's shard embeddings, row-aligned with shard.indices; a NumericError names the client."""
+    cache = {}
+    for shard in shards:
+        try:
+            cache[shard.client_id] = embed_inputs(common, ds.inputs[shard.indices])
+        except NumericError as exc:
+            raise exc.within(f"client {shard.client_id}") from exc
+    return cache
 
 
 def gate_spec(embed_dim: int, num_experts: int, hidden: int | None = None) -> nn.NetSpec:

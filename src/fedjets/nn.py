@@ -26,9 +26,9 @@ return raw outputs and gradients; `Scan` is the one place that finds and
 names a non-finite value: each network row's first failure and, for a
 gradient, the top-most bad layer, which backprop reaches first. A stack's
 caller scans each row, so one client's overflow is charged to it alone; the
-single-network API makes one `np.isfinite` pass and builds a one-row Scan
-only when it fails. Batch inputs and ParamVectors are scanned at
-construction, and `sgdm_step` updates in place and checks nothing.
+single-network API, `forward_to_layer`'s embeddings included, makes one
+`np.isfinite` pass and builds a one-row Scan only when it fails. Batch inputs
+and ParamVectors are scanned at construction; `sgdm_step` checks nothing.
 
 Parameter layout for layer dims (d0, d1, ..., dL): for each layer l the
 weight matrix W_l of shape (d_l, d_{l+1}) in row-major order, followed by
@@ -302,7 +302,10 @@ def forward_to_layer(spec: NetSpec, params: ParamVector, inputs: np.ndarray, lay
     check_compat(spec, params, where="(forward_to_layer)")
     if not (0 <= layer < spec.num_layers):
         raise ConfigError(f"layer index {layer} out of range for {spec.num_layers} layers")
-    return _forward_trace(spec, params.values, inputs).acts[layer + 1]
+    out = _forward_trace(spec, params.values, inputs).acts[layer + 1]
+    if not np.isfinite(out).all():  # as `forward` checks its output
+        raise Scan().rows(out[None], NONFINITE_OUTPUT, "forward").failures[0]
+    return out
 
 
 def backprop(spec: NetSpec, trace: Trace, output_grad: np.ndarray) -> np.ndarray:

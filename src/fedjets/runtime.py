@@ -24,9 +24,10 @@ order. The engine returns raw rows, and an `nn.Scan` over the stack records
 each client's first non-finite value, in the order it would meet it alone;
 the first failing client in `client_ids` order is the one raised.
 
-Every network is one `nn.ParamVector`, which carries its spec. Server
-networks are never updated in place (clients step stacked copies), so
-`aggregate` carries the ones no packet updated over by reference.
+Inside a round a network is a float64 row; packets carry the rows the kernel
+scanned finite. An `nn.ParamVector` exists only where a server state is built
+(its experts' one spec checked then), averaged or loaded, and `aggregate`
+carries the networks no packet updated over by reference.
 """
 
 from __future__ import annotations
@@ -55,6 +56,10 @@ class ServerState:
     gate_params: nn.ParamVector | None
     round: int = 0
 
+    def __post_init__(self):
+        for i, p in enumerate(self.expert_params):
+            nn.check_compat(self.expert_params[0].spec, p, where=f"(expert {i} of the server state)")
+
     @property
     def num_experts(self) -> int:
         return len(self.expert_params)
@@ -76,8 +81,8 @@ class RoundPlan:
 @dataclass
 class UpdatePacket:
     client_id: int
-    gate: nn.ParamVector | None
-    experts: dict[int, nn.ParamVector]
+    gate: np.ndarray | None
+    experts: dict[int, np.ndarray]
     num_samples: int
 
 
@@ -225,12 +230,12 @@ class Work:
       `mu * (w_local - w_global)` when `mu` is non-zero.
 
     `experts` index the round's server experts; the client steps copies of
-    them and of `gate` (None for `sgd`), and its packet carries them back.
+    them and of the `gate` row (None for `sgd`); its packet carries them back.
     """
 
     kind: str
     experts: tuple[int, ...]
-    gate: nn.ParamVector | None = None
+    gate: np.ndarray | None = None
     mu: float = 0.0
 
     def __post_init__(self):
@@ -347,20 +352,20 @@ def group_clients(ctx: RunContext, client_ids: list[int], work) -> list[list[tup
     return stacks
 
 
-def _step_group(ctx: RunContext, state: ServerState, t: int, group, failures) -> list[list[np.ndarray]]:
-    """l1 local SGDM steps of every client in `group`, as `[B, ...]` stacks.
-
+def _step_group(ctx: RunContext, state: ServerState, served, t: int, group, failures) -> list[list[np.ndarray]]:
+    """l1 local SGDM steps of every client in `group`, as `[B, ...]` stacks:
+    copies of `served` (the state's `[M, P]` expert rows) and of the gate
+    rows, under the state gate's spec or, if it has none, `ctx.gate_spec`.
     Each client draws its minibatches from its own stream keyed by (seed,
     "client", t, client id), and every net has its own velocity. Returns
-    each client's stepped rows (its experts in `Work.experts` order, then its
-    gate), and records its first NumericError in `failures`. No loss is
-    computed: a non-finite cross-entropy needs a NaN row in the softmax,
-    which makes that row's bias gradient NaN, and the gradient is scanned
-    before a client stepped alone would check its loss.
+    each client's stepped rows, scanned finite (experts in `Work.experts`
+    order, then the gate), and records its first NumericError in `failures`.
+    No loss is computed: a non-finite cross-entropy needs a NaN row in the
+    softmax, which makes that row's bias gradient NaN, and the gradient is
+    scanned before a client stepped alone would check its loss.
     """
     cfg, tr = ctx.cfg, ctx.cfg.training
-    shards = [shard for shard, _ in group]
-    works = [w for _, w in group]
+    shards, works = zip(*group)
     kind, mu = works[0].kind, works[0].mu
     size = len(shards[0])
     steps, n = local_iteration_count(cfg, size), min(tr.batch_size, size)
@@ -376,27 +381,20 @@ def _step_group(ctx: RunContext, state: ServerState, t: int, group, failures) ->
     rows = np.stack([s.indices[r] for s, r in zip(shards, local)], axis=1)  # [steps, B, n] dataset rows
     inputs, labels = ctx.train_ds.inputs, ctx.train_ds.labels  # finite, as every LabeledDataset
 
-    expert_spec = state.expert_params[works[0].experts[0]].spec
-    experts = []
-    for j in range(len(works[0].experts)):
-        sent = [state.expert_params[w.experts[j]] for w in works]
-        for p in sent:
-            nn.check_compat(expert_spec, p, where="(client group)")
-        experts.append(np.stack([p.values for p in sent]))
+    expert_spec = state.expert_params[0].spec
+    selected = np.array([w.experts for w in works])  # [B, K] server expert indices
+    experts = list(served[selected.T])  # K stacks of [B, P], one fancy index
     nets = [(e, tr.lr, tr.momentum) for e in experts]
     if kind != "sgd":
-        gate_spec = works[0].gate.spec
-        for w in works:
-            nn.check_compat(gate_spec, w.gate, where="(client group)")
-        gates = np.stack([w.gate.values for w in works])
+        gate_spec = ctx.gate_spec if state.gate_params is None else state.gate_params.spec
+        gates = np.stack([w.gate for w in works])
         nets.append((gates, tr.gate_lr, tr.gate_momentum))
         caches = [ctx.cache[s.client_id] for s in shards]
         offsets = np.cumsum([0] + [len(c) for c in caches[:-1]])
-        cache = np.concatenate(caches)
+        cache = np.concatenate(caches)  # finite: checked when the cache was built
         emb_rows = np.stack([r + o for r, o in zip(local, offsets)], axis=1)  # [steps, B, n] rows of `cache`
 
     if kind == "mixture":
-        selected = np.array([w.experts for w in works])
         renormalize = tr.renormalize_gate_weights
 
         def grads(s):
@@ -408,9 +406,7 @@ def _step_group(ctx: RunContext, state: ServerState, t: int, group, failures) ->
 
     else:  # an anchor is an sgd client (mu = 0) whose gate also learns the anchor's expert
         start = experts[0].copy() if mu else None  # each client's global model, for the FedProx pull
-        if kind == "anchor":
-            targets = np.repeat(np.array([w.experts for w in works]), n, axis=1)  # [B, n]
-            emb_ok = np.isfinite(cache).all()
+        targets = np.repeat(selected, n, axis=1) if kind == "anchor" else None  # [B, n]
 
         def grads(s):
             grad = nn.ce_grad(expert_spec, experts[0], inputs[rows[s]], labels[rows[s]], "ce_on_logits")[1]
@@ -419,10 +415,7 @@ def _step_group(ctx: RunContext, state: ServerState, t: int, group, failures) ->
                 grad += mu * (experts[0] - start)
             if kind == "sgd":
                 return [grad]
-            emb = cache[emb_rows[s]]
-            if not emb_ok:
-                scan.rows(emb, nn.NONFINITE_INPUTS)
-            g_grad = nn.ce_grad(gate_spec, gates, emb, targets, "ce_on_mixture")[1]
+            g_grad = nn.ce_grad(gate_spec, gates, cache[emb_rows[s]], targets, "ce_on_mixture")[1]
             scan.grads(gate_spec, g_grad)
             return [grad, g_grad]
 
@@ -438,29 +431,25 @@ def _step_group(ctx: RunContext, state: ServerState, t: int, group, failures) ->
 def client_updates(
     ctx: RunContext, state: ServerState, t: int, client_ids: list[int], work, scope: str | None = None
 ) -> list[UpdatePacket]:
-    """Each client's packet, in `client_ids` order: `work(shard)` says what
-    the client trains, and each group of `group_clients` steps as one stack.
+    """Each client's packet of rows, in `client_ids` order: `work(shard)` says
+    what the client trains, and each group of `group_clients` steps as one stack.
 
     The first client in `client_ids` order whose steps meet a non-finite
     value raises the NumericError it would raise stepped alone, re-raised
     naming `scope` (when given), round `t` and that client.
     """
+    served = np.stack([p.values for p in state.expert_params])  # [M, P]
     failures: dict[int, NumericError] = {}
-    stepped = {}
+    packets = {}
     for group in group_clients(ctx, client_ids, work):
-        for (shard, w), values in zip(group, _step_group(ctx, state, t, group, failures)):
-            stepped[shard.client_id] = (shard, w, values)
+        for (shard, w), rows in zip(group, _step_group(ctx, state, served, t, group, failures)):
+            gate = None if w.gate is None else rows[-1]
+            packets[shard.client_id] = UpdatePacket(shard.client_id, gate, dict(zip(w.experts, rows)), len(shard))
     where = f"round {t}" if scope is None else f"{scope} | round {t}"
     for cid in client_ids:
         if cid in failures:
             raise failures[cid].within(f"{where} | client {cid}") from failures[cid]
-    packets = []
-    for cid in client_ids:
-        shard, w, values = stepped[cid]
-        experts = {i: nn.ParamVector(v, state.expert_params[i].spec) for i, v in zip(w.experts, values)}
-        gate = None if w.gate is None else nn.ParamVector(values[-1], w.gate.spec)
-        packets.append(UpdatePacket(cid, gate, experts, len(shard)))
-    return packets
+    return [packets[cid] for cid in client_ids]
 
 
 def fedjets_work(cfg: RunConfig, state: ServerState, selections: dict[int, ExpertSelection]):
@@ -473,11 +462,11 @@ def fedjets_work(cfg: RunConfig, state: ServerState, selections: dict[int, Exper
             q = shard.assigned_expert
             if q is None or not (0 <= q < state.num_experts):
                 raise ConfigError(f"client {shard.client_id} is not a valid anchor")
-            return Work("anchor", (q,), state.gate_params)
+            return Work("anchor", (q,), state.gate_params.values)
         selection = selections[shard.client_id]
         if len(selection.indices) != cfg.federation.top_k:
             raise ConfigError(f"client {shard.client_id}: selection size {len(selection.indices)} != top_k")
-        return Work("mixture", selection.indices, state.gate_params)
+        return Work("mixture", selection.indices, state.gate_params.values)
 
     return work
 
@@ -487,21 +476,21 @@ def fedjets_work(cfg: RunConfig, state: ServerState, selections: dict[int, Exper
 
 
 def aggregate(state: ServerState, packets: list[UpdatePacket], uniform: bool = False) -> ServerState:
-    """Sample-count-weighted FedAvg of gate and expert copies.
+    """Sample-count-weighted FedAvg of the packets' gate and expert rows.
 
     Packets are folded in ascending client id so the result does not depend
-    on arrival order; networks updated by no packet carry over by reference.
+    on arrival order; each averaged network becomes one ParamVector, and those
+    updated by no packet carry over by reference. A misfit row is a ProtocolError.
     """
     ordered = sorted(packets, key=lambda p: p.client_id)
 
-    def average(name: str, current: nn.ParamVector, held: list[tuple[UpdatePacket, nn.ParamVector]]):
-        for p, params in held:
-            if params.spec != current.spec:
-                raise ProtocolError(f"client {p.client_id}: {name} spec mismatch")
+    def average(name: str, current: nn.ParamVector, held: list[tuple[UpdatePacket, np.ndarray]]):
         w = np.array([1.0 if uniform else float(p.num_samples) for p, _ in held])
-        acc = np.zeros(current.spec.param_count())
-        for wi, (_, params) in zip(w / w.sum(), held):
-            acc += wi * params.values
+        acc = np.zeros(current.values.size)
+        for wi, (p, row) in zip(w / w.sum(), held):
+            if row.shape != acc.shape:
+                raise ProtocolError(f"client {p.client_id}: {name} row {row.shape} != {acc.shape}")
+            acc += wi * row
         return nn.ParamVector(acc, current.spec)
 
     gate = state.gate_params

@@ -40,14 +40,14 @@ class TestFedAvgClient:
             _, grad = nn.loss_and_grad(ctx.expert_spec, params, b, "ce_on_logits")
             v = m * v + grad.values
             params = nn.ParamVector(params.values - lr * v, params.spec)
-        assert np.array_equal(pkt.experts[0].values, params.values)
+        assert np.array_equal(pkt.experts[0], params.values)
 
     def test_equals_fedprox_with_zero_mu(self, ctx):
         shard = ctx.normal_shards[1]
         state = runtime.init_server_state(ctx)
         a = one_update(ctx, state, 0, shard, baselines.sgd_work())
         p = one_update(ctx, state, 0, shard, baselines.sgd_work(mu=0.0))
-        assert np.array_equal(a.experts[0].values, p.experts[0].values)
+        assert np.array_equal(a.experts[0], p.experts[0])
 
 
 class TestFedProx:
@@ -64,7 +64,7 @@ class TestFedProx:
         state = runtime.init_server_state(ctx)
         global_params = state.expert_params[0]
         pkt = one_update(c, state, 0, shard, baselines.sgd_work(mu=1e6))
-        assert np.max(np.abs(pkt.experts[0].values - global_params.values)) < 1e-3
+        assert np.max(np.abs(pkt.experts[0] - global_params.values)) < 1e-3
 
     def test_prox_gradient_matches_augmented_objective(self):
         spec, params, batch = kink_safe_net(61, [4, 6, 3])
@@ -138,7 +138,7 @@ class TestFedMix:
         local_gates = {}
         state, _ = baselines.make_stepper(ctx, "fedmix")
         state2, plan0 = baselines.fedmix_round(ctx, state, local_gates, 0)
-        first = {cid: g.values.copy() for cid, g in local_gates.items()}
+        first = {cid: g.copy() for cid, g in local_gates.items()}
         _, plan1 = baselines.fedmix_round(ctx, state2, local_gates, 1)
         reactivated = set(plan0.normal_ids) & set(plan1.normal_ids)
         for cid in reactivated:
@@ -146,8 +146,8 @@ class TestFedMix:
                 ctx.gate_spec, rng_stream(ctx.cfg.seed, "fedmix-gate", cid)
             )
             # round-1 training continued from the stored gate, not a re-init
-            assert not np.array_equal(local_gates[cid].values, first[cid])
-            assert not np.array_equal(local_gates[cid].values, fresh.values)
+            assert not np.array_equal(local_gates[cid], first[cid])
+            assert not np.array_equal(local_gates[cid], fresh.values)
         # every activated client now has a stored local gate
         assert set(plan0.normal_ids) | set(plan1.normal_ids) <= set(local_gates)
 
@@ -157,7 +157,7 @@ class TestFedMix:
         state, _ = baselines.make_stepper(c, "fedmix")
         shard = c.normal_shards[0]
         gate = nn.init_params(c.gate_spec, rng_stream(cfg.seed, "fedmix-gate", shard.client_id))
-        local_gates = {shard.client_id: gate}
+        local_gates = {shard.client_id: gate.values}
         pkt = baselines.fedmix_updates(c, state, local_gates, 1, [shard.client_id])[0]
         new_gate = local_gates[shard.client_id]
 
@@ -179,9 +179,9 @@ class TestFedMix:
                 experts[j] = nn.ParamVector(experts[j].values - tr.lr * v_e[j], experts[j].spec)
             v_g = tr.gate_momentum * v_g + g_grad.values
             gate_ref = nn.ParamVector(gate_ref.values - tr.gate_lr * v_g, g_grad.spec)
-        assert np.array_equal(pkt.experts[0].values, experts[0].values)
-        assert np.array_equal(pkt.experts[1].values, experts[1].values)
-        assert np.array_equal(new_gate.values, gate_ref.values)
+        assert np.array_equal(pkt.experts[0], experts[0].values)
+        assert np.array_equal(pkt.experts[1], experts[1].values)
+        assert np.array_equal(new_gate, gate_ref.values)
 
     def test_unknown_method_rejected(self, ctx):
         with pytest.raises(ConfigError):

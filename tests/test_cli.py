@@ -10,6 +10,7 @@ import pytest
 
 from fedjets import benchmarks, central, checkpoint, cli, experiment, metrics, nn
 from fedjets import config as config_mod
+from fedjets.errors import NumericError
 from test_runtime import MINI
 
 
@@ -179,6 +180,26 @@ class TestEval:
         assert cli.main([*args, "--seed", "5"]) == 0
         last = metrics.read_jsonl(out / "metrics.jsonl")[-1]
         assert json.loads(report.read_text())["global_accuracy"] == last.global_acc
+
+    @pytest.mark.parametrize(
+        "method, override",
+        [
+            ("fedjets", "federation.num_experts=2"),  # 2 experts and a 2-way gate, other test clients
+            ("fedmix", "federation.num_experts=2"),  # a 2-way fresh gate would read 2 of the 3 experts
+            ("fedavg", "model.expert_dims=[6,10,6]"),  # the same count, another spec
+        ],
+    )
+    def test_eval_rejects_a_state_the_config_does_not_fit(self, tmp_path, capsys, method, override):
+        cfg_path = write_mini_config(tmp_path / "config.json", federation={"method": method})
+        out = tmp_path / "run"
+        assert cli.main(["run", "--config", str(cfg_path), "--out", str(out)]) == 0
+        report = tmp_path / "report.json"
+        args = ["eval", "--config", str(cfg_path), "--state", str(out / "state.ckpt"), "--report", str(report)]
+        capsys.readouterr()
+        assert cli.main([*args, "--set", override]) == 2
+        assert f"differ from the {method} networks the config builds" in capsys.readouterr().err
+        assert not report.exists()
+        assert cli.main(args) == 0
 
     @pytest.mark.parametrize("method", ["fedjets", "fedavg", "fedprox", "avg_ensemble", "fedmix"])
     def test_saved_state_reloads_bit_equal(self, tmp_path, method):
@@ -482,6 +503,23 @@ class TestExitCodes:
         rc = cli.main(["eval", "--config", str(cfg_path), "--state", str(state), "--report", str(tmp_path / "r.json")])
         assert rc == 3
         assert f"{state}: block 'expert_1'" in capsys.readouterr().err
+
+    def test_overflowing_common_expert_is_exit_3_naming_the_client(self, cfg_path, tmp_path, capsys):
+        # finite inputs that the first layer's weights overflow: the embedding
+        # is checked where it is made, and the first client's is named
+        spec = nn.NetSpec.mlp(MINI["model"]["expert_dims"])
+        values = np.zeros(spec.param_count())
+        values[: spec.layer_dims[0] * spec.layer_dims[1]] = 1e308
+        ckpt = tmp_path / "common.ckpt"
+        checkpoint.save_net(ckpt, nn.ParamVector(values, spec))
+        override = f"model.common_ckpt={ckpt}"
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NumericError) as err:
+                experiment.build_context(config_mod.load(cfg_path, [override]))
+            assert (err.value.message, err.value.context) == ("non-finite network output", "forward | client 0")
+            capsys.readouterr()
+            assert cli.main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "o"), "--set", override]) == 3
+        assert "non-finite network output | forward | client 0" in capsys.readouterr().err
 
     def test_feature_labels_past_num_classes_is_exit_4(self, tmp_path, capsys):
         paths = {}

@@ -108,8 +108,8 @@ class TestAnchorUpdate:
         state = runtime.init_server_state(ctx)
         shard = ctx.anchor_shards[1]
         pkt = fedjets_update(c, state, 0, shard)
-        assert np.array_equal(pkt.experts[1].values, state.expert_params[1].values)
-        assert np.array_equal(pkt.gate.values, state.gate_params.values)
+        assert np.array_equal(pkt.experts[1], state.expert_params[1].values)
+        assert np.array_equal(pkt.gate, state.gate_params.values)
         assert pkt.num_samples == len(shard)
 
     def test_packet_contains_only_assigned_expert(self, ctx):
@@ -125,7 +125,7 @@ class TestAnchorUpdate:
         emb = ctx.cache[shard.client_id]
         loss_before, _ = gate_independent_loss_grad(state.gate_params, emb, 0)
         pkt = fedjets_update(c, state, 0, shard)
-        loss_after, _ = gate_independent_loss_grad(pkt.gate, emb, 0)
+        loss_after, _ = gate_independent_loss_grad(nn.ParamVector(pkt.gate, state.gate_params.spec), emb, 0)
         assert loss_after <= loss_before
 
     def test_expert_update_matches_replayed_trajectory(self, ctx):
@@ -146,7 +146,7 @@ class TestAnchorUpdate:
             _, grad = nn.loss_and_grad(ctx.expert_spec, params, b, "ce_on_logits")
             v = m * v + grad.values
             params = nn.ParamVector(params.values - lr * v, params.spec)
-        assert np.array_equal(pkt.experts[0].values, params.values)
+        assert np.array_equal(pkt.experts[0], params.values)
         # and the gate, by the gate's independent loss toward expert 0
         lr, m = cfg.training.gate_lr, cfg.training.gate_momentum
         gate, v = state.gate_params.copy(), 0.0
@@ -154,7 +154,7 @@ class TestAnchorUpdate:
             _, grad = gate_independent_loss_grad(gate, ctx.cache[shard.client_id][rows], 0)
             v = m * v + grad.values
             gate = nn.ParamVector(gate.values - lr * v, gate.spec)
-        assert np.array_equal(pkt.gate.values, gate.values)
+        assert np.array_equal(pkt.gate, gate.values)
 
 
 class TestNormalUpdate:
@@ -308,14 +308,14 @@ class TestLocalSteps:
             sel = gating.select_topk(gating.gate_scores(state.gate_params, emb), 2)
             pkt = fedjets_update(ctx, state, 0, shard, sel)
         elif kind == "fedmix":
-            pkt = baselines.fedmix_updates(ctx, state, {shard.client_id: local_gate}, 0, [shard.client_id])[0]
+            pkt = baselines.fedmix_updates(ctx, state, {shard.client_id: local_gate.values}, 0, [shard.client_id])[0]
         elif kind == "fedavg":
             pkt = one_update(ctx, state, 0, shard, baselines.sgd_work())
         else:
             pkt = one_update(ctx, state, 0, shard, baselines.sgd_work(mu=0.5))
         assert self._raw(state, local_gate) == before
         i, trained = next(iter(pkt.experts.items()))
-        assert not np.array_equal(trained.values, state.expert_params[i].values)
+        assert not np.array_equal(trained, state.expert_params[i].values)
 
     def test_overflow_on_last_step_raises_naming_round_and_client(self, ctx, monkeypatch):
         # finite until the last step, whose gradient overflows the parameters;
@@ -352,8 +352,8 @@ def packet_bytes(packets):
         (
             p.client_id,
             p.num_samples,
-            None if p.gate is None else p.gate.values.tobytes(),
-            sorted((i, e.values.tobytes()) for i, e in p.experts.items()),
+            None if p.gate is None else p.gate.tobytes(),
+            sorted((i, e.tobytes()) for i, e in p.experts.items()),
         )
         for p in packets
     ]
@@ -404,7 +404,7 @@ class TestClientGroups:
         stacked = self._updates(ctx, state, 3, ids, work, together)
         single = [self._updates(ctx, state, 3, [cid], work, alone)[0] for cid in ids]
         assert packet_bytes(stacked) == packet_bytes(single)
-        assert {c: g.values.tobytes() for c, g in together.items()} == {c: g.values.tobytes() for c, g in alone.items()}
+        assert {c: g.tobytes() for c, g in together.items()} == {c: g.tobytes() for c, g in alone.items()}
 
     def test_group_cut_into_stacks_gives_the_same_packets(self, ctx, monkeypatch):
         state, ids, work = self._round(ctx, "fedjets")
@@ -434,6 +434,21 @@ class TestClientGroups:
         else:
             got = runtime.train_round(c, state, 1, ids, work)
         assert state_bytes(got) == want
+
+    def test_only_aggregate_builds_param_vectors(self, ctx, monkeypatch):
+        # a round moves rows: client_updates wraps no stepped row, and
+        # train_round builds one ParamVector per network it averaged
+        state, ids, work = self._round(ctx, "fedjets")
+        built = []
+        post_init = nn.ParamVector.__post_init__
+        monkeypatch.setattr(nn.ParamVector, "__post_init__", lambda p: built.append(p) or post_init(p))
+        runtime.client_updates(ctx, state, 0, ids, work)
+        assert built == []
+        new = runtime.train_round(ctx, state, 0, ids, work)
+        old = [*state.expert_params, state.gate_params]
+        averaged = [p for p, q in zip([*new.expert_params, new.gate_params], old) if p is not q]
+        assert len(averaged) == len(old)  # every training client stepped: each expert and the gate
+        assert sorted(map(id, built)) == sorted(map(id, averaged))
 
     def test_first_failing_client_in_order_is_named(self, ctx):
         # client 5's rows, scaled up, blow up at an earlier step than client
@@ -470,26 +485,37 @@ class TestClientGroups:
         assert err.__cause__.layer == err.layer
 
 
+class TestServerState:
+    def test_experts_of_two_specs_rejected(self, ctx):
+        # the same length, another activation: the state checks its one spec once, when built
+        state = runtime.init_server_state(ctx)
+        spec = ctx.expert_spec
+        other = nn.NetSpec(spec.layer_dims, ("identity",) * len(spec.activations), spec.head)
+        assert other.param_count() == spec.param_count()
+        experts = [state.expert_params[0], nn.ParamVector(state.expert_params[1].values, other)]
+        with pytest.raises(ConfigError, match="expert 1"):
+            runtime.ServerState(experts, state.gate_params)
+
+
 class TestAggregate:
     def _state(self, ctx):
         return runtime.init_server_state(ctx)
 
     def test_single_packet_adopted_exactly(self, ctx):
         state = self._state(ctx)
-        new_gate = nn.ParamVector(state.gate_params.values + 1.0, state.gate_params.spec)
-        new_e = nn.ParamVector(state.expert_params[1].values * 2.0, state.expert_params[1].spec)
+        new_gate = state.gate_params.values + 1.0
+        new_e = state.expert_params[1].values * 2.0
         pkt = runtime.UpdatePacket(4, new_gate, {1: new_e}, 17)
         out = runtime.aggregate(state, [pkt])
-        assert np.array_equal(out.gate_params.values, new_gate.values)
-        assert np.array_equal(out.expert_params[1].values, new_e.values)
+        assert np.array_equal(out.gate_params.values, new_gate)
+        assert np.array_equal(out.expert_params[1].values, new_e)
         assert np.array_equal(out.expert_params[0].values, state.expert_params[0].values)
         assert out.round == state.round + 1
 
     def test_equal_weights_midpoint(self, ctx):
         state = self._state(ctx)
-        h = state.expert_params[0].spec
-        a = nn.ParamVector(np.full_like(state.expert_params[0].values, 2.0), h)
-        b = nn.ParamVector(np.full_like(state.expert_params[0].values, 4.0), h)
+        a = np.full_like(state.expert_params[0].values, 2.0)
+        b = np.full_like(state.expert_params[0].values, 4.0)
         pkts = [
             runtime.UpdatePacket(3, None, {0: a}, 5),
             runtime.UpdatePacket(4, None, {0: b}, 5),
@@ -499,9 +525,8 @@ class TestAggregate:
 
     def test_one_three_weighting(self, ctx):
         state = self._state(ctx)
-        h = state.expert_params[0].spec
-        w1 = nn.ParamVector(np.ones_like(state.expert_params[0].values), h)
-        w2 = nn.ParamVector(np.full_like(state.expert_params[0].values, 5.0), h)
+        w1 = np.ones_like(state.expert_params[0].values)
+        w2 = np.full_like(state.expert_params[0].values, 5.0)
         pkts = [
             runtime.UpdatePacket(3, None, {0: w1}, 1),
             runtime.UpdatePacket(4, None, {0: w2}, 3),
@@ -511,9 +536,8 @@ class TestAggregate:
 
     def test_uniform_flag_ignores_sample_counts(self, ctx):
         state = self._state(ctx)
-        h = state.expert_params[0].spec
-        w1 = nn.ParamVector(np.zeros_like(state.expert_params[0].values), h)
-        w2 = nn.ParamVector(np.full_like(state.expert_params[0].values, 2.0), h)
+        w1 = np.zeros_like(state.expert_params[0].values)
+        w2 = np.full_like(state.expert_params[0].values, 2.0)
         pkts = [
             runtime.UpdatePacket(3, None, {0: w1}, 1),
             runtime.UpdatePacket(4, None, {0: w2}, 99),
@@ -534,11 +558,8 @@ class TestAggregate:
         pkts = []
         for cid in ids:
             subset = data.draw(st.sets(st.integers(0, state.num_experts - 1)))
-            gate = nn.ParamVector(rng.normal(size=state.gate_params.values.size), state.gate_params.spec)
-            experts = {
-                i: nn.ParamVector(rng.normal(size=state.expert_params[i].values.size), state.expert_params[i].spec)
-                for i in subset
-            }
+            gate = rng.normal(size=state.gate_params.values.size)
+            experts = {i: rng.normal(size=state.expert_params[i].values.size) for i in subset}
             pkts.append(runtime.UpdatePacket(cid, gate, experts, data.draw(st.integers(1, 500))))
         out1 = runtime.aggregate(state, pkts)
         out2 = runtime.aggregate(state, data.draw(st.permutations(pkts)))
@@ -551,13 +572,11 @@ class TestAggregate:
             assert out1.expert_params[i] is state.expert_params[i]
 
     def test_spec_mismatch_is_protocol_error(self, ctx):
+        # a row that does not fit the server network's spec
         state = self._state(ctx)
-        spec = state.expert_params[0].spec
-        other = nn.NetSpec(spec.layer_dims, ("identity",) * len(spec.activations), spec.head)
-        assert other.param_count() == spec.param_count()
-        bad = nn.ParamVector(np.zeros(other.param_count()), other)
+        bad = np.zeros(state.expert_params[0].values.size + 1)
         pkt = runtime.UpdatePacket(3, None, {0: bad}, 5)
-        with pytest.raises(ProtocolError):
+        with pytest.raises(ProtocolError, match="client 3: expert 0 row"):
             runtime.aggregate(state, [pkt])
 
 
@@ -581,8 +600,8 @@ class TestRunTraining:
         )
         (q,) = plan.anchor_ids
         pkt = fedjets_update(c, state0, 0, c.anchor_shards[q])
-        assert np.array_equal(final.expert_params[q].values, pkt.experts[q].values)
-        assert np.array_equal(final.gate_params.values, pkt.gate.values)
+        assert np.array_equal(final.expert_params[q].values, pkt.experts[q])
+        assert np.array_equal(final.gate_params.values, pkt.gate)
 
     def test_seed_repeat_bit_identical_metrics(self):
         cfg = mini_cfg()
