@@ -31,12 +31,13 @@ tests = data.make_test_clients(test, 6, 2, seed=2, training_shards=anchors)
 test_cache = gating.build_embedding_cache(common, test, tests)
 expert_spec = nn.NetSpec.mlp([D, 32, 32, C])
 experts = [nn.zeros_like(expert_spec) for _ in range(M)]
+logits = evaluation.expert_logits(experts, test.inputs)
 
 velocity = np.zeros_like(gate.values)
 for step in range(401):
     if step % 100 == 0:
         state = runtime.ServerState(experts, gate.copy())
-        zero_shot = evaluation.zero_shot_eval(state, common, tests, test, k=2, cache=test_cache)
+        zero_shot = evaluation.zero_shot_eval(state, tests, test, 2, test_cache, logits)
         report = evaluation.per_sample_routing_report(zero_shot, tests, test, truth)
         print(f"step {step:4d}: routing error {report.average_error_rate:.3f} (chance 0.80)")
     q = step % M
@@ -45,6 +46,6 @@ for step in range(401):
     nn.sgdm_step(gate.values, velocity, grad.values, 0.05, 0.0)
 
 scores = gating.gate_scores(gate, test_cache[tests[0].client_id])
-sel = gating.select_topk(scores, 2, tests[0].client_id)
+sel = gating.select_topk(scores, 2)
 print(f"test client {tests[0].client_id} holds labels {sorted(tests[0].label_set)} "
-      f"-> selected experts {sel.indices}")
+      f"-> selected experts {sel}")

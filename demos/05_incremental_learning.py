@@ -73,8 +73,7 @@ for name, ranges in schedules.items():
     )
     ctx = build_ctx(cfg)
     state, history, _ = runtime.run_training(ctx)
-    report = evaluation.zero_shot_eval(
-        state, ctx.common, ctx.test_shards, ctx.test_ds, cfg.top_k, cache=ctx.test_cache
-    )
+    logits = evaluation.expert_logits(state.expert_params, ctx.test_ds.inputs)
+    report = evaluation.zero_shot_eval(state, ctx.test_shards, ctx.test_ds, cfg.top_k, ctx.test_cache, logits)
     print(f"{name}: group-1 test accuracy after the schedule ran out: "
           f"{report.average_accuracy:.3f} (chance 0.10)")

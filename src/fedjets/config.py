@@ -174,6 +174,8 @@ class RunConfig:
             raise ConfigError("momentum values must lie in [0, 1)")
         if t.local_iterations is not None and t.local_iterations < 0:
             raise ConfigError("local_iterations must be non-negative")
+        if t.local_epochs < 0:
+            raise ConfigError(f"training.local_epochs must be non-negative, got {t.local_epochs}")
         if f.method == "fedprox" and f.fedprox_mu < 0:
             raise ConfigError("fedprox_mu must be non-negative")
         if f.method == "avg_ensemble" and f.ensemble_size < 2:

@@ -260,6 +260,9 @@ def make_anchor_shards(
     rng = rng_stream(seed, "anchors")
     if samples_per_anchor is None:
         samples_per_anchor = labels_per_anchor * (len(ds) // C)
+    least = labels_per_anchor if disjoint else 1  # a disjoint anchor holds a sample of each of its labels
+    if samples_per_anchor < least:
+        raise ConfigError(f"samples_per_anchor {samples_per_anchor} smaller than {least}, the least an anchor holds")
 
     shards = []
     if disjoint:
@@ -269,7 +272,7 @@ def make_anchor_shards(
             parts = []
             for lab, want in zip(labels, _split_evenly(samples_per_anchor, labels_per_anchor)):
                 pool = ds.class_index[lab]
-                parts.append(rng.choice(pool, size=min(max(want, 1), pool.size), replace=False))
+                parts.append(rng.choice(pool, size=min(want, pool.size), replace=False))
             shards.append(_make_shard(ds, q, np.concatenate(parts), KIND_ANCHOR, q))
     else:
         for q in range(num_experts):
@@ -282,9 +285,6 @@ def make_anchor_shards(
                 if want[lab] > 0:
                     pool = ds.class_index[lab]
                     parts.append(rng.choice(pool, size=min(want[lab], pool.size), replace=False))
-            if not parts:  # degenerate draw; fall back to one random label
-                lab = int(rng.integers(C))
-                parts.append(rng.choice(ds.class_index[lab], size=1))
             shards.append(_make_shard(ds, q, np.concatenate(parts), KIND_ANCHOR, q))
     return shards
 
@@ -309,6 +309,8 @@ def make_test_clients(
     if samples_per_client is None:
         mean_size = int(round(np.mean([len(s) for s in training_shards])))
         samples_per_client = max(labels_per_client, mean_size)
+    if samples_per_client < labels_per_client:
+        raise ConfigError(f"samples_per_client {samples_per_client} smaller than labels_per_client")
 
     rng = rng_stream(seed, "test-clients")
     shards = []
@@ -327,7 +329,7 @@ def make_test_clients(
         parts = []
         for lab, want in zip(combo, _split_evenly(samples_per_client, labels_per_client)):
             pool = ds_test.class_index[lab]
-            parts.append(rng.choice(pool, size=min(max(want, 1), pool.size), replace=False))
+            parts.append(rng.choice(pool, size=min(want, pool.size), replace=False))
         shards.append(_make_shard(ds_test, start_id + u, np.concatenate(parts), KIND_TEST))
     return shards
 

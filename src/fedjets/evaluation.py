@@ -1,13 +1,13 @@
 """Scoring of unseen test clients and per-sample routing.
 
-Test clients are never adapted. Under FedJETs the gate scores a client's
-unlabeled embeddings once; the top-K experts and each sample's expert (the
-selected expert with the highest gate score) both read those scores, and
-that expert predicts the sample. Labels enter only when the finished
-predictions are scored. `score_test_clients` is the one pass over the test
-clients: it predicts each client once by the method's rule, and `run`'s
-metrics and `eval`'s report both read their global accuracy, zero-shot
-detail and routing from it.
+Test clients are never adapted. Under FedJETs `route` scores a client's
+cached, unlabeled embeddings with the gate once; the top-K experts and each
+sample's expert (the selected expert with the highest gate score) both read
+those scores, and that expert predicts the sample. Labels enter only when
+the finished predictions are scored. `score_test_clients` is the one pass
+over the test clients: it predicts each client once by the method's rule,
+and `run`'s metrics and `eval`'s report both read their global accuracy,
+zero-shot detail and routing from it.
 
 One forward per network per evaluation: `expert_logits` forwards each
 server network once on the whole test set, and `per_expert_acc` and every
@@ -28,7 +28,7 @@ from . import nn
 from .baselines import avg_ensemble_predict
 from .data import ClientShard, LabeledDataset
 from .errors import ConfigError
-from .gating import CommonExpert, ExpertSelection, embed_inputs, gate_scores, select_topk
+from .gating import CommonExpert, gate_scores, select_topk
 from .metrics import MetricsRecord
 from .runtime import RunContext, ServerState
 from .seeding import rng_stream
@@ -38,7 +38,7 @@ from .seeding import rng_stream
 class ZeroShotReport:
     per_client_accuracy: dict[int, float]
     average_accuracy: float
-    selections: dict[int, ExpertSelection]
+    selections: dict[int, tuple[int, ...]]  # top-K expert ids
     chosen_experts: dict[int, np.ndarray]  # per-sample expert ids
 
     def to_dict(self) -> dict:
@@ -47,7 +47,7 @@ class ZeroShotReport:
             "per_client": {
                 str(cid): {
                     "accuracy": self.per_client_accuracy[cid],
-                    "selected_experts": list(self.selections[cid].indices),
+                    "selected_experts": list(self.selections[cid]),
                     "chosen_expert_per_sample": self.chosen_experts[cid].tolist(),
                 }
                 for cid in sorted(self.per_client_accuracy)
@@ -74,61 +74,38 @@ def expert_logits(experts: list[nn.ParamVector], inputs: np.ndarray) -> list[np.
     return [nn.forward(p.spec, p, inputs) for p in experts]
 
 
-def _predict_client(
-    state: ServerState,
-    common: CommonExpert,
-    inputs: np.ndarray,
-    k: int,
-    client_id: int,
-    embeddings: np.ndarray | None = None,
-    expert_preds: np.ndarray | None = None,
-):
-    """Prediction path for one unseen client; sees inputs only, no labels.
-    One gate forward: the top-K selection and each sample's expert read the
-    same scores. A sample's label is its expert's entry in `expert_preds`
-    (`[M, n]`: every expert's predicted label for each of the client's rows).
-
-    Returns (selection, per-sample chosen expert ids, predicted labels, or
-    None without `expert_preds`).
-    """
-    if embeddings is None:
-        embeddings = embed_inputs(common, inputs)
-    scores = gate_scores(state.gate_params, embeddings)
-    selection = select_topk(scores, k, client_id)
-    cols = np.array(selection.indices, dtype=np.int64)
+def route(gate: nn.ParamVector, embeddings: np.ndarray, k: int) -> tuple[tuple[int, ...], np.ndarray]:
+    """One client's routing from one gate forward on its embeddings: the
+    top-K expert ids, and each sample's expert (the selected one it scores
+    highest). Sees no labels."""
+    scores = gate_scores(gate, embeddings)
+    experts = select_topk(scores, k)
+    cols = np.array(experts, dtype=np.int64)
     # raw scores restricted to the selected set; argmax unchanged by renormalization
-    chosen = cols[scores[:, cols].argmax(axis=1)]
-    preds = None if expert_preds is None else expert_preds[chosen, np.arange(chosen.size)]
-    return selection, chosen, preds
+    return experts, cols[scores[:, cols].argmax(axis=1)]
 
 
 def zero_shot_eval(
     state: ServerState,
-    common: CommonExpert,
     test_shards: list[ClientShard],
     test_ds: LabeledDataset,
     k: int,
-    cache: dict[int, np.ndarray] | None = None,
-    logits: list[np.ndarray] | None = None,
+    cache: dict[int, np.ndarray],
+    logits: list[np.ndarray],
 ) -> ZeroShotReport:
-    """Zero-shot personalization score over unseen test clients, each
-    predicted once. `logits` are the experts' `expert_logits` on
-    `test_ds.inputs`, computed here when not given."""
+    """Zero-shot personalization score over unseen test clients, each routed
+    from its `cache` embeddings and predicted once: a sample's label is its
+    expert's argmax in `logits` (the experts' `expert_logits` on
+    `test_ds.inputs`)."""
     if state.gate_params is None:
         raise ConfigError("zero-shot evaluation needs a server-side gate")
-    if logits is None:
-        logits = expert_logits(state.expert_params, test_ds.inputs)
     table = np.stack([out.argmax(axis=1) for out in logits])  # [M, N_test] labels per expert
     per_acc, selections, chosen_map = {}, {}, {}
     for shard in sorted(test_shards, key=lambda s: s.client_id):
-        emb = None if cache is None else cache[shard.client_id]
-        selection, chosen, preds = _predict_client(
-            state, common, test_ds.inputs[shard.indices], k, shard.client_id, emb, table[:, shard.indices]
-        )
-        labels = test_ds.labels[shard.indices]  # labels used only to score
-        per_acc[shard.client_id] = float(np.mean(preds == labels))
-        selections[shard.client_id] = selection
-        chosen_map[shard.client_id] = chosen
+        cid = shard.client_id
+        selections[cid], chosen_map[cid] = route(state.gate_params, cache[cid], k)
+        preds = table[chosen_map[cid], shard.indices]
+        per_acc[cid] = float(np.mean(preds == test_ds.labels[shard.indices]))  # labels used only to score
     avg = float(np.mean(list(per_acc.values())))
     return ZeroShotReport(per_acc, avg, selections, chosen_map)
 
@@ -248,7 +225,7 @@ def score_test_clients(
         logits = expert_logits(state.expert_params, ctx.test_ds.inputs)
     if method != "fedjets":
         return ScoringPass(_mean_client_accuracy(client_predictor(ctx, method, logits), shards, ctx.test_ds))
-    zs = zero_shot_eval(state, ctx.common, shards, ctx.test_ds, ctx.cfg.top_k, ctx.test_cache, logits)
+    zs = zero_shot_eval(state, shards, ctx.test_ds, ctx.cfg.top_k, ctx.test_cache, logits)
     truth = routing_ground_truth(ctx.anchor_shards)
     if truth is None or not set().union(*(s.label_set for s in shards)) <= set(truth):
         return ScoringPass(zs.average_accuracy, zs)

@@ -26,11 +26,14 @@ def build_datasets(cfg: config_mod.RunConfig):
     if d.train_features or d.test_features:
         if not (d.train_features and d.test_features):
             raise ConfigError("feature ingestion needs both train_features and test_features")
-        train_ds = data.load_feature_dataset(d.train_features)
-        test_ds = data.load_feature_dataset(d.test_features)
-        if train_ds.num_classes != d.num_classes or train_ds.dim != d.dim:
-            raise ConfigError("feature files do not match the configured num_classes/dim")
-        return train_ds, test_ds
+        paths = (d.train_features, d.test_features)
+        datasets = tuple(data.load_feature_dataset(path) for path in paths)
+        for path, ds in zip(paths, datasets):
+            if (ds.num_classes, ds.dim) != (d.num_classes, d.dim):
+                raise ConfigError(
+                    f"{path}: {ds.num_classes} classes of dim {ds.dim}, the config has {d.num_classes} of dim {d.dim}"
+                )
+        return datasets
     means_seed = derive_seed(cfg.seed, "data-means")
     train_ds = data.synth_dataset(
         d.num_classes, d.dim, d.train_per_class, d.separation,

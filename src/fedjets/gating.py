@@ -4,7 +4,9 @@ The common expert is a frozen feature extractor: each client embeds its
 local data once, the embeddings are checked finite then, and the cache is
 reused for every gate decision afterwards. The gate is a small MLP with a
 softmax head whose output dimension is the number of experts; it is a plain
-`nn.ParamVector` whose spec has that head.
+`nn.ParamVector` whose spec has that head. A client's route is
+`select_topk` of the gate's scores on its embeddings: the sorted tuple of its
+top-K expert ids.
 """
 
 from __future__ import annotations
@@ -67,21 +69,6 @@ def gate_spec(embed_dim: int, num_experts: int, hidden: int | None = None) -> nn
     return nn.NetSpec.mlp((embed_dim, hidden, num_experts), head="softmax")
 
 
-@dataclass
-class ExpertSelection:
-    """Top-K expert choice for one client."""
-
-    client_id: int
-    indices: tuple[int, ...]
-    aggregate_scores: np.ndarray
-
-    def __post_init__(self):
-        self.indices = tuple(int(i) for i in self.indices)
-        self.aggregate_scores = np.asarray(self.aggregate_scores, dtype=np.float64)
-        if list(self.indices) != sorted(set(self.indices)):
-            raise ConfigError("selection indices must be sorted and distinct")
-
-
 def gate_scores(gate: nn.ParamVector, embeddings: np.ndarray) -> np.ndarray:
     """Per-sample softmax distribution over experts, [n x M]."""
     if gate.spec.head != "softmax":
@@ -89,16 +76,12 @@ def gate_scores(gate: nn.ParamVector, embeddings: np.ndarray) -> np.ndarray:
     return nn.forward(gate.spec, gate, embeddings)
 
 
-def select_topk(scores: np.ndarray, k: int, client_id: int = -1) -> ExpertSelection:
-    """TopK of the column-summed gate scores ([n x M], from `gate_scores`);
-    ties broken toward the lowest expert index; returned indices sorted
-    ascending."""
+def select_topk(scores: np.ndarray, k: int) -> tuple[int, ...]:
+    """The sorted ids of the top-K experts by column-summed gate scores
+    (`[n x M]`, from `gate_scores`); ties go to the lowest expert id."""
     m = scores.shape[1]
     if not (1 <= k <= m):
         raise ConfigError(f"top_k {k} out of range for {m} experts")
-    aggregate = scores.sum(axis=0)
-    # lexsort: primary key descending score, secondary ascending index
-    order = np.lexsort((np.arange(m), -aggregate))
-    chosen = np.sort(order[:k])
-    return ExpertSelection(client_id, tuple(chosen.tolist()), aggregate)
-
+    # lexsort: primary key descending summed score, secondary ascending index
+    order = np.lexsort((np.arange(m), -scores.sum(axis=0)))
+    return tuple(sorted(order[:k].tolist()))

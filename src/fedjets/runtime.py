@@ -9,6 +9,9 @@ cross-entropy). The server then averages the returned copies.
 Every method's round is a plan, then `train_round`: `active_ids` is the
 one scenario-pool lookup and `draw_clients` the one client draw; then
 `client_updates` steps the clients and `aggregate` averages their packets.
+A plan only names the active clients. A FedJETs normal client is routed
+where its `Work` is made (`fedjets_work`): the top-K of the state gate's
+scores on its cached embeddings.
 Each client draws its randomness from a stream keyed by (seed, "client",
 round, client_id), so results do not depend on the order of the updates.
 
@@ -33,7 +36,7 @@ carries the networks no packet updated over by reference.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -41,7 +44,7 @@ from . import gating, nn
 from .config import RunConfig
 from .data import KIND_ANCHOR, ClientShard, LabeledDataset
 from .errors import ConfigError, NumericError, ProtocolError
-from .gating import CommonExpert, ExpertSelection
+from .gating import CommonExpert
 from .seeding import rng_stream
 
 SETUP_ROUND = -1  # ledger row for the one-time common-expert broadcast
@@ -70,7 +73,6 @@ class RoundPlan:
     round: int
     anchor_ids: list[int]
     normal_ids: list[int]
-    selections: dict[int, ExpertSelection] = field(default_factory=dict)
 
     def __post_init__(self):
         active = list(self.anchor_ids) + list(self.normal_ids)
@@ -184,27 +186,14 @@ def draw_clients(rng: np.random.Generator, pool: list[int], n: int, t: int, what
 
 
 def plan_round(
-    t: int,
-    cfg: RunConfig,
-    rng: np.random.Generator,
-    anchor_pool: list[int],
-    normal_pool: list[int],
-    gate: nn.ParamVector | None = None,
-    embeddings: dict[int, np.ndarray] | None = None,
+    t: int, cfg: RunConfig, rng: np.random.Generator, anchor_pool: list[int], normal_pool: list[int]
 ) -> RoundPlan:
-    """Sample this round's active clients (uniform, without replacement) and,
-    when a gate is supplied, compute each normal client's expert selection."""
+    """Draw this round's active clients from `rng` (uniform, without
+    replacement): the anchors first, then the normal clients."""
     fed = cfg.federation
     anchor_ids = draw_clients(rng, anchor_pool, fed.anchors_per_round, t, "anchors")
     normal_ids = draw_clients(rng, normal_pool, fed.normals_per_round, t, "normal clients")
-
-    selections = {}
-    if gate is not None:
-        if embeddings is None:
-            raise ConfigError("expert selection requires cached embeddings")
-        for cid in normal_ids:
-            selections[cid] = gating.select_topk(gating.gate_scores(gate, embeddings[cid]), fed.top_k, cid)
-    return RoundPlan(t, anchor_ids, normal_ids, selections)
+    return RoundPlan(t, anchor_ids, normal_ids)
 
 
 # ---------------------------------------------------------------------------
@@ -452,10 +441,11 @@ def client_updates(
     return [packets[cid] for cid in client_ids]
 
 
-def fedjets_work(cfg: RunConfig, state: ServerState, selections: dict[int, ExpertSelection]):
+def fedjets_work(ctx: RunContext, state: ServerState):
     """`work(shard)` of a FedJETs round: an anchor trains its assigned
-    expert and the gate's independent loss, a normal client its selected
-    top-K experts and the gate through the mixture."""
+    expert and the gate's independent loss; a normal client trains the
+    top-K experts the state's gate picks from its cached embeddings, and
+    the gate, through the mixture."""
 
     def work(shard: ClientShard) -> Work:
         if shard.kind == KIND_ANCHOR:
@@ -463,10 +453,8 @@ def fedjets_work(cfg: RunConfig, state: ServerState, selections: dict[int, Exper
             if q is None or not (0 <= q < state.num_experts):
                 raise ConfigError(f"client {shard.client_id} is not a valid anchor")
             return Work("anchor", (q,), state.gate_params.values)
-        selection = selections[shard.client_id]
-        if len(selection.indices) != cfg.federation.top_k:
-            raise ConfigError(f"client {shard.client_id}: selection size {len(selection.indices)} != top_k")
-        return Work("mixture", selection.indices, state.gate_params.values)
+        scores = gating.gate_scores(state.gate_params, ctx.cache[shard.client_id])
+        return Work("mixture", gating.select_topk(scores, ctx.cfg.top_k), state.gate_params.values)
 
     return work
 
@@ -596,10 +584,8 @@ def fedjets_round(ctx: RunContext, state: ServerState, t: int) -> tuple[ServerSt
     normals = [s.client_id for s in ctx.normal_shards]
     anchor_pool = active_ids(cfg, t, anchors) or anchors
     rng = rng_stream(cfg.seed, "plan", t)
-    plan = plan_round(t, cfg, rng, anchor_pool, active_ids(cfg, t, normals), state.gate_params, ctx.cache)
-
-    work = fedjets_work(cfg, state, plan.selections)
-    return train_round(ctx, state, t, plan.anchor_ids + plan.normal_ids, work), plan
+    plan = plan_round(t, cfg, rng, anchor_pool, active_ids(cfg, t, normals))
+    return train_round(ctx, state, t, plan.anchor_ids + plan.normal_ids, fedjets_work(ctx, state)), plan
 
 
 def run_training(ctx: RunContext):

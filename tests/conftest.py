@@ -126,7 +126,7 @@ def reference_predictions(ctx, state, method: str) -> dict[int, np.ndarray]:
             out[cid] = mixture_forward(ctx.expert_spec, state.expert_params, weights, x).argmax(axis=1)
         else:  # fedjets: each sample's expert, forwarded on the rows routed to it
             scores = gating.gate_scores(state.gate_params, ctx.test_cache[cid])
-            cols = np.array(gating.select_topk(scores, ctx.cfg.top_k, cid).indices, dtype=np.int64)
+            cols = np.array(gating.select_topk(scores, ctx.cfg.top_k), dtype=np.int64)
             chosen = cols[scores[:, cols].argmax(axis=1)]
             preds = np.empty(len(shard), dtype=np.int64)
             for e in np.unique(chosen):

@@ -316,9 +316,8 @@ def test_criterion_9_incremental_scenario_sanity():
         gate_spec=gating.gate_spec(common.embed_dim, cfg.num_experts, cfg.model.gate_hidden),
     )
     state, history, _ = runtime.run_training(ctx)
-    report = evaluation.zero_shot_eval(
-        state, common, g1_tests, test_ds, cfg.top_k, cache=ctx.test_cache
-    )
+    logits = evaluation.expert_logits(state.expert_params, test_ds.inputs)
+    report = evaluation.zero_shot_eval(state, g1_tests, test_ds, cfg.top_k, ctx.test_cache, logits)
     acc = report.average_accuracy
     chance = 1.0 / cfg.data.num_classes
     ok = acc >= 2 * chance

@@ -535,6 +535,26 @@ class TestExitCodes:
         assert rc == 4
         assert "outside [0, 6)" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "bad, header", [("train", (7, 6)), ("test", (7, 6)), ("test", (6, 8))], ids=["train", "test", "test-dim"]
+    )
+    def test_feature_file_unlike_the_config_is_exit_2_naming_the_file(self, tmp_path, capsys, bad, header):
+        # a 7-class or dim-8 file under the 6-class, dim-6 config is refused before anything trains
+        paths = {}
+        for name, n in [("train", 60), ("test", 30)]:
+            classes, dim = header if name == bad else (6, 6)
+            labels = [i % classes for i in range(n)]
+            meta = {"kind": "feature_dataset", "num_classes": classes, "dim": dim, "labels": labels}
+            paths[name] = tmp_path / f"{name}.ckpt"
+            checkpoint.write(paths[name], [{"name": "features"}], [np.ones(dim * n)], meta)
+        cfg_path = write_mini_config(
+            tmp_path / "c.json", data={"train_features": str(paths["train"]), "test_features": str(paths["test"])}
+        )
+        rc = cli.main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert f"config error: {paths[bad]}: " in capsys.readouterr().err
+        assert not (tmp_path / "o" / "metrics.jsonl").exists()
+
     def test_non_finite_feature_block_is_exit_3_naming_file_and_block(self, tmp_path, capsys):
         paths = {}
         for name, n in [("train", 60), ("test", 30)]:
@@ -551,11 +571,19 @@ class TestExitCodes:
         assert rc == 3
         assert f"{paths['train']}: block 'features'" in capsys.readouterr().err
 
-    def test_invalid_override_value_semantics(self, cfg_path, tmp_path, capsys):
-        rc = cli.main(
-            ["run", "--config", str(cfg_path), "--out", str(tmp_path / "o"), "--set", "federation.rounds=-3"]
-        )
+    @pytest.mark.parametrize(
+        "overrides, named",
+        [
+            (["federation.rounds=-3"], "counts must be non-negative"),
+            (["training.local_iterations=null", "training.local_epochs=-1"], "training.local_epochs"),
+        ],
+        ids=["rounds", "local_epochs"],
+    )
+    def test_invalid_override_value_semantics(self, cfg_path, tmp_path, capsys, overrides, named):
+        sets = [arg for override in overrides for arg in ("--set", override)]
+        rc = cli.main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "o"), *sets])
         assert rc == 2
+        assert named in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "override", ["training.lr=NaN", "training.gate_lr=Infinity", "federation.fedprox_mu=-Infinity"]

@@ -204,6 +204,15 @@ class TestAnchors:
         )
         assert overlaps > 0  # with alpha=0.1 draws over 10 labels, this seed overlaps
 
+    @pytest.mark.parametrize("disjoint, size", [(True, 1), (True, 0), (True, -5), (False, 0), (False, -5)])
+    def test_shard_size_below_its_labels_rejected(self, disjoint, size):
+        # a disjoint anchor needs a sample of each of its 2 labels, a Dirichlet anchor one sample
+        ds = data.synth_dataset(10, 8, 50, 4.0, 2)
+        with pytest.raises(ConfigError, match=f"samples_per_anchor {size} smaller than {2 if disjoint else 1}"):
+            data.make_anchor_shards(ds, 5, 2, 23, disjoint=disjoint, samples_per_anchor=size)
+        smallest = data.make_anchor_shards(ds, 5, 2, 23, disjoint=disjoint, samples_per_anchor=2 if disjoint else 1)
+        assert [len(a) for a in smallest] == [2 if disjoint else 1] * 5
+
 
 class TestTestClients:
     def test_label_sets_unseen(self):
@@ -233,6 +242,15 @@ class TestTestClients:
         training = data.partition_quantity(ds, 1, 2, 3)
         tests = data.make_test_clients(ds, 1, 2, 11, training)
         assert tests[0].label_set != training[0].label_set
+
+    @pytest.mark.parametrize("size", [1, 0, -3])
+    def test_shard_size_below_its_labels_rejected(self, size):
+        ds = data.synth_dataset(10, 8, 60, 4.0, 4)
+        training = data.partition_quantity(ds, 20, 4, 1)
+        with pytest.raises(ConfigError, match=f"samples_per_client {size} smaller than labels_per_client"):
+            data.make_test_clients(ds, 3, 2, 3, training, samples_per_client=size)
+        smallest = data.make_test_clients(ds, 3, 2, 3, training, samples_per_client=2)
+        assert [len(t) for t in smallest] == [2, 2, 2] and all(len(t.label_set) == 2 for t in smallest)
 
     def test_exhaustion_is_config_error(self):
         ds = data.synth_dataset(2, 8, 20, 4.0, 8)

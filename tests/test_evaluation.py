@@ -61,6 +61,13 @@ def identity_common():
     return gating.CommonExpert(params, embed_layer=0)
 
 
+def zero_shot(state, common, shards, ds, k):
+    """`zero_shot_eval` scoring from the embedding cache and expert logits it reads."""
+    cache = gating.build_embedding_cache(common, ds, shards)
+    logits = evaluation.expert_logits(state.expert_params, ds.inputs)
+    return evaluation.zero_shot_eval(state, shards, ds, k, cache, logits)
+
+
 def shard_with_labels(ds, labels, n_per, client_id, kind=data.KIND_TEST, expert=None):
     rng = rng_stream(client_id, "shard")
     idx = np.concatenate([rng.choice(ds.class_index[c], size=n_per, replace=False) for c in labels])
@@ -77,7 +84,7 @@ class TestZeroShot:
             shard_with_labels(ds, (3, 5), 15, 101),
             shard_with_labels(ds, (4, 5), 15, 102),
         ]
-        report = evaluation.zero_shot_eval(state, identity_common(), shards, ds, k=2)
+        report = zero_shot(state, identity_common(), shards, ds, k=2)
         assert report.average_accuracy == 1.0
         assert all(acc == 1.0 for acc in report.per_client_accuracy.values())
         # brute-force composition check: routed specialist accuracy per client
@@ -94,7 +101,7 @@ class TestZeroShot:
         gate_spec = gating.gate_spec(D, 1, hidden=2)
         state = runtime.ServerState([params], nn.init_params(gate_spec, rng_stream(5, "g")))
         shards = [shard_with_labels(ds, (1, 4), 20, 200)]
-        report = evaluation.zero_shot_eval(state, identity_common(), shards, ds, k=1)
+        report = zero_shot(state, identity_common(), shards, ds, k=1)
         plain = central.model_accuracy(params, ds.inputs[shards[0].indices], ds.labels[shards[0].indices])
         assert report.per_client_accuracy[200] == plain
 
@@ -103,40 +110,40 @@ class TestZeroShot:
         state = perfect_state()
         state.gate_params = nn.init_params(state.gate_params.spec, rng_stream(9, "rnd-gate"))
         shards = [shard_with_labels(ds, (0, 3), 20, 300), shard_with_labels(ds, (2, 5), 20, 301)]
-        report = evaluation.zero_shot_eval(state, identity_common(), shards, ds, k=2)
+        report = zero_shot(state, identity_common(), shards, ds, k=2)
         for cid in report.per_client_accuracy:
-            assert set(report.chosen_experts[cid]) <= set(report.selections[cid].indices)
+            assert set(report.chosen_experts[cid]) <= set(report.selections[cid])
 
     def test_average_equals_mean_of_per_client(self):
         ds = onehot_dataset(seed=7)
         state = perfect_state()
         shards = [shard_with_labels(ds, (0, 2), 10, 400), shard_with_labels(ds, (1, 5), 10, 401)]
-        report = evaluation.zero_shot_eval(state, identity_common(), shards, ds, k=2)
+        report = zero_shot(state, identity_common(), shards, ds, k=2)
         assert report.average_accuracy == float(
             np.mean(list(report.per_client_accuracy.values()))
         )
 
     def test_prediction_path_sees_inputs_only(self):
-        sig = inspect.signature(evaluation._predict_client)
+        sig = inspect.signature(evaluation.route)
         assert "labels" not in sig.parameters
         # shuffling labels cannot change routing or selections
         ds = onehot_dataset(seed=8)
         state = perfect_state()
         shard = shard_with_labels(ds, (0, 4), 20, 500)
-        rep1 = evaluation.zero_shot_eval(state, identity_common(), [shard], ds, k=2)
+        rep1 = zero_shot(state, identity_common(), [shard], ds, k=2)
         shuffled = data.LabeledDataset(
             ds.inputs, np.roll(ds.labels, 1), C, [idx for idx in ds.class_index]
         )
-        rep2 = evaluation.zero_shot_eval(state, identity_common(), [shard], shuffled, k=2)
+        rep2 = zero_shot(state, identity_common(), [shard], shuffled, k=2)
         assert np.array_equal(rep1.chosen_experts[500], rep2.chosen_experts[500])
-        assert rep1.selections[500].indices == rep2.selections[500].indices
+        assert rep1.selections[500] == rep2.selections[500]
 
     def test_requires_gate(self):
         ds = onehot_dataset(seed=9)
         state = perfect_state()
         state.gate_params = None
         with pytest.raises(ConfigError):
-            evaluation.zero_shot_eval(state, identity_common(), [], ds, k=2)
+            zero_shot(state, identity_common(), [], ds, k=2)
 
 
 class TestRoutingReport:
@@ -146,8 +153,7 @@ class TestRoutingReport:
     @staticmethod
     def routing(state, common, shards, ds, label_map, k):
         """Routing of one zero-shot pass over the shards."""
-        zero_shot = evaluation.zero_shot_eval(state, common, shards, ds, k)
-        return evaluation.per_sample_routing_report(zero_shot, shards, ds, label_map)
+        return evaluation.per_sample_routing_report(zero_shot(state, common, shards, ds, k), shards, ds, label_map)
 
     def test_perfect_gate_zero_error(self):
         ds = onehot_dataset(seed=10)
@@ -211,9 +217,8 @@ class TestRoutingReport:
         state.gate_params = nn.init_params(state.gate_params.spec, rng_stream(13, "g"))
         shard = shard_with_labels(ds, (2, 4), 25, 800)
         report = self.routing(state, identity_common(), [shard], ds, self.label_map(), k=2)
-        _, chosen, _ = evaluation._predict_client(
-            state, identity_common(), ds.inputs[shard.indices], 2, 800
-        )
+        embeddings = gating.embed_inputs(identity_common(), ds.inputs[shard.indices])
+        _, chosen = evaluation.route(state.gate_params, embeddings, 2)
         truth = np.array([self.label_map()[int(l)] for l in ds.labels[shard.indices]])
         manual_correct = int(np.sum(chosen == truth))
         assert report.rows[0]["correct"] == manual_correct
@@ -410,13 +415,11 @@ class TestPredictionEquality:
             predict = evaluation.client_predictor(ctx, method, logits)
             return {s.client_id: predict(s) for s in ctx.test_shards}
         table = np.stack([out.argmax(axis=1) for out in logits])
-        return {
-            s.client_id: evaluation._predict_client(
-                state, ctx.common, ctx.test_ds.inputs[s.indices], ctx.cfg.top_k, s.client_id,
-                ctx.test_cache[s.client_id], table[:, s.indices],
-            )[2]
-            for s in ctx.test_shards
-        }
+        preds = {}
+        for s in ctx.test_shards:
+            _, chosen = evaluation.route(state.gate_params, ctx.test_cache[s.client_id], ctx.cfg.top_k)
+            preds[s.client_id] = table[chosen, s.indices]
+        return preds
 
     @pytest.mark.parametrize("shards", ["mini", "uneven-overlapping"])
     @pytest.mark.parametrize("method", METHODS)

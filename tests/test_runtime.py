@@ -62,10 +62,9 @@ def one_update(ctx, state, t, shard, work):
     return runtime.client_updates(ctx, state, t, [shard.client_id], work)[0]
 
 
-def fedjets_update(ctx, state, t, shard, selection=None):
-    """One FedJETs client's packet: an anchor, or a normal client with `selection`."""
-    selections = {} if selection is None else {shard.client_id: selection}
-    return one_update(ctx, state, t, shard, runtime.fedjets_work(ctx.cfg, state, selections))
+def fedjets_update(ctx, state, t, shard):
+    """One FedJETs client's packet: an anchor, or a normal client routed by the state's gate."""
+    return one_update(ctx, state, t, shard, runtime.fedjets_work(ctx, state))
 
 
 class TestPlanRound:
@@ -81,21 +80,23 @@ class TestPlanRound:
         assert plan.anchor_ids == [] and len(plan.normal_ids) == 3
 
     def test_fixed_seed_identical_plan_sequence(self, ctx):
-        cfg = ctx.cfg
-        gate = runtime.init_server_state(ctx).gate_params
+        cfg, shards = ctx.cfg, ctx.shards_by_id
+        state = runtime.init_server_state(ctx)
         ids = [s.client_id for s in ctx.normal_shards]
         for t in range(3):
-            a = runtime.plan_round(t, cfg, rng_stream(cfg.seed, "plan", t), [0, 1, 2], ids, gate, ctx.cache)
-            b = runtime.plan_round(t, cfg, rng_stream(cfg.seed, "plan", t), [0, 1, 2], ids, gate, ctx.cache)
+            a = runtime.plan_round(t, cfg, rng_stream(cfg.seed, "plan", t), [0, 1, 2], ids)
+            b = runtime.plan_round(t, cfg, rng_stream(cfg.seed, "plan", t), [0, 1, 2], ids)
             assert a.anchor_ids == b.anchor_ids and a.normal_ids == b.normal_ids
-            assert all(a.selections[c].indices == b.selections[c].indices for c in a.normal_ids)
+            work_a, work_b = runtime.fedjets_work(ctx, state), runtime.fedjets_work(ctx, state)
+            assert all(work_a(shards[c]).experts == work_b(shards[c]).experts for c in a.normal_ids)
 
     def test_selection_size_is_top_k(self, ctx):
         state = runtime.init_server_state(ctx)
         ids = [s.client_id for s in ctx.normal_shards]
-        plan = runtime.plan_round(0, ctx.cfg, rng_stream(9, "p"), [0, 1, 2], ids, state.gate_params, ctx.cache)
+        plan = runtime.plan_round(0, ctx.cfg, rng_stream(9, "p"), [0, 1, 2], ids)
+        work = runtime.fedjets_work(ctx, state)
         for cid in plan.normal_ids:
-            assert len(plan.selections[cid].indices) == ctx.cfg.top_k
+            assert len(work(ctx.shards_by_id[cid]).experts) == ctx.cfg.top_k
 
     def test_duplicate_active_client_rejected(self):
         with pytest.raises(ConfigError):
@@ -161,9 +162,23 @@ class TestNormalUpdate:
     def test_packet_contains_exactly_selected_experts(self, ctx):
         state = runtime.init_server_state(ctx)
         shard = ctx.normal_shards[0]
-        sel = gating.select_topk(gating.gate_scores(state.gate_params, ctx.cache[shard.client_id]), 2, shard.client_id)
-        pkt = fedjets_update(ctx, state, 0, shard, sel)
-        assert set(pkt.experts) == set(sel.indices)
+        sel = gating.select_topk(gating.gate_scores(state.gate_params, ctx.cache[shard.client_id]), 2)
+        pkt = fedjets_update(ctx, state, 0, shard)
+        assert set(pkt.experts) == set(sel)
+
+    def test_work_routes_each_normal_client_by_the_state_gate(self, ctx):
+        # the gate of the state being trained picks the experts, from the client's cached embeddings
+        state = runtime.init_server_state(ctx)
+        state.gate_params = nn.init_params(ctx.gate_spec, rng_stream(4, "routing-gate"))
+        work = runtime.fedjets_work(ctx, state)
+        picked = set()
+        for shard in ctx.normal_shards:
+            w = work(shard)
+            scores = gating.gate_scores(state.gate_params, ctx.cache[shard.client_id])
+            assert w.kind == "mixture" and w.experts == gating.select_topk(scores, ctx.cfg.top_k)
+            assert w.gate is state.gate_params.values
+            picked.add(w.experts)
+        assert len(picked) > 1
 
     def test_saturated_gate_reduces_to_single_expert_training(self, ctx):
         # output bias pins expert 1: its mixture weight is 1 - O(1e-20)
@@ -301,12 +316,10 @@ class TestLocalSteps:
         local_gate = nn.init_params(ctx.gate_spec, rng_stream(3, "local-gate"))
         before = self._raw(state, local_gate)
         anchor, shard = ctx.anchor_shards[0], ctx.normal_shards[0]
-        emb = ctx.cache[shard.client_id]
         if kind == "anchor":
             pkt = fedjets_update(ctx, state, 0, anchor)
         elif kind == "normal":
-            sel = gating.select_topk(gating.gate_scores(state.gate_params, emb), 2)
-            pkt = fedjets_update(ctx, state, 0, shard, sel)
+            pkt = fedjets_update(ctx, state, 0, shard)
         elif kind == "fedmix":
             pkt = baselines.fedmix_updates(ctx, state, {shard.client_id: local_gate.values}, 0, [shard.client_id])[0]
         elif kind == "fedavg":
@@ -376,11 +389,7 @@ class TestClientGroups:
         state, _ = baselines.make_stepper(ctx, method)
         ids = [s.client_id for s in ctx.anchor_shards + ctx.normal_shards]
         if method == "fedjets":
-            selections = {
-                s.client_id: gating.select_topk(gating.gate_scores(state.gate_params, ctx.cache[s.client_id]), 2)
-                for s in ctx.normal_shards
-            }
-            return state, ids, runtime.fedjets_work(ctx.cfg, state, selections)
+            return state, ids, runtime.fedjets_work(ctx, state)
         if method == "fedmix":
             return state, ids, None
         return state, ids, baselines.sgd_work(ctx.cfg.federation.fedprox_mu if method == "fedprox" else 0.0)

@@ -1,4 +1,4 @@
-"""Smoke test: tools/artifact_digest.py prints the same digests on a rerun."""
+"""Smoke test: tools/artifact_digest.py prints the same digests on a rerun, for every run and its eval."""
 
 from __future__ import annotations
 
@@ -25,5 +25,7 @@ def test_artifact_digest_reruns_identically(tmp_path):
     assert outputs[0] == outputs[1]
     lines = [line.split("  ") for line in outputs[0].splitlines()]
     runs = [*METHODS, *(f"{m}-scheduled" for m in METHODS), *(f"{m}-dirichlet" for m in METHODS)]
-    assert [path for _, path in lines] == [f"{r}/{f}" for r in runs for f in ARTIFACTS]
+    # each run's artifacts, then its eval report, and the routing CSV where fedjets reports routing
+    files = {r: [*ARTIFACTS, "eval.json", *(["eval.routing.csv"] if r.startswith("fedjets") else [])] for r in runs}
+    assert [path for _, path in lines] == [f"{r}/{f}" for r in runs for f in files[r]]
     assert all(len(digest) == 64 for digest, _ in lines)
