@@ -7,7 +7,7 @@ routing accuracy on held-out clients climb.
 
 import numpy as np
 
-from fedjets import central, data, evaluation, gating, nn, runtime
+from fedjets import central, data, evaluation, gating, nn
 from fedjets.seeding import rng_stream
 
 C, D, M = 10, 16, 5
@@ -29,16 +29,12 @@ cache = gating.build_embedding_cache(common, train, anchors)
 
 tests = data.make_test_clients(test, 6, 2, seed=2, training_shards=anchors)
 test_cache = gating.build_embedding_cache(common, test, tests)
-expert_spec = nn.NetSpec.mlp([D, 32, 32, C])
-experts = [nn.zeros_like(expert_spec) for _ in range(M)]
-logits = evaluation.expert_logits(experts, test.inputs)
 
 velocity = np.zeros_like(gate.values)
 for step in range(401):
     if step % 100 == 0:
-        state = runtime.ServerState(experts, gate.copy())
-        zero_shot = evaluation.zero_shot_eval(state, tests, test, 2, test_cache, logits)
-        report = evaluation.per_sample_routing_report(zero_shot, tests, test, truth)
+        chosen = {s.client_id: evaluation.route(gate, test_cache[s.client_id], 2)[1] for s in tests}
+        report = evaluation.per_sample_routing_report(chosen, tests, test, truth)
         print(f"step {step:4d}: routing error {report.average_error_rate:.3f} (chance 0.80)")
     q = step % M
     anchor = nn.Batch(cache[q], np.full(len(cache[q]), q))  # the gate learns to send anchor q to expert q

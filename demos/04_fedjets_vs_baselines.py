@@ -5,7 +5,7 @@ seed, then prints the Table-1-style comparison plus the communication
 ledger contrast. Takes a couple of minutes.
 """
 
-from fedjets import benchmarks, evaluation, experiment, runtime
+from fedjets import benchmarks, evaluation, experiment
 
 ROUNDS = 120
 rows = []
@@ -15,7 +15,7 @@ for method in ["fedjets", "fedavg", "fedprox", "avg_ensemble", "fedmix"]:
         overrides["federation"]["expert_init"] = "from_common"
     cfg = benchmarks.synth10_config(**overrides)
     ctx = experiment.build_context(cfg)
-    state, history, ledger = runtime.run_training(ctx)
+    state, history, ledger = experiment.run_training(ctx)
     final = history[-1]
     down, up = ledger.cumulative(method)
     rows.append((method, final.global_acc, final.routing_acc, down + up))

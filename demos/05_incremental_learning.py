@@ -72,8 +72,7 @@ for name, ranges in schedules.items():
         scenario={"ranges": ranges},
     )
     ctx = build_ctx(cfg)
-    state, history, _ = runtime.run_training(ctx)
-    logits = evaluation.expert_logits(state.expert_params, ctx.test_ds.inputs)
-    report = evaluation.zero_shot_eval(state, ctx.test_shards, ctx.test_ds, cfg.top_k, ctx.test_cache, logits)
+    state, history, _ = experiment.run_training(ctx)
+    report = evaluation.score_test_clients(ctx, state, "fedjets").zero_shot
     print(f"{name}: group-1 test accuracy after the schedule ran out: "
           f"{report.average_accuracy:.3f} (chance 0.10)")

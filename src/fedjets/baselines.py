@@ -1,7 +1,7 @@
 """Baselines sharing the runtime's plumbing: FedAvg, FedProx, Average
 Ensembles, and a FedMix-style all-experts mixture with per-client gates;
 `make_stepper` is the one training entry point of every method, FedJETs
-included.
+included. Every method's test-time rule is `evaluation.client_predictor`.
 
 All baselines sample their active clients uniformly from the full training
 pool (anchor shards are ordinary clients to them) through
@@ -31,20 +31,6 @@ def sgd_work(mu: float = 0.0):
     if mu < 0:
         raise ConfigError("fedprox mu must be non-negative")
     return lambda shard: runtime.Work("sgd", (0,), None, mu)
-
-
-def avg_ensemble_predict(member_logits: list[np.ndarray]) -> np.ndarray:
-    """Argmax of the mean of the members' softmax probabilities, from each
-    member's logits on the same inputs, summed in member order."""
-    if len(member_logits) < 2:
-        raise ConfigError("ensemble prediction needs at least 2 models")
-    if any(logits.shape != member_logits[0].shape for logits in member_logits):
-        raise ConfigError("ensemble members must share the output dimension")
-    mean = None
-    for logits in member_logits:
-        probs = nn.softmax(logits)
-        mean = probs if mean is None else mean + probs
-    return (mean / len(member_logits)).argmax(axis=1)
 
 
 def baseline_plan(ctx: RunContext, t: int, *key) -> RoundPlan:

@@ -109,10 +109,6 @@ class RunConfig:
         return self.data.num_clients
 
     @property
-    def num_test_clients(self) -> int:
-        return self.data.num_test_clients
-
-    @property
     def num_experts(self) -> int:
         return self.federation.num_experts
 
@@ -160,6 +156,9 @@ class RunConfig:
             raise ConfigError("alpha must be positive")
         if d.anchor_disjoint and f.num_experts * d.labels_per_anchor > d.num_classes:
             raise ConfigError("disjoint anchors need num_experts*labels_per_anchor <= num_classes")
+        for name, dims in (("expert_dims", m.expert_dims), ("common_dims", m.common_dims)):
+            if dims is not None and len(dims) < 2:
+                raise ConfigError(f"model.{name} needs an input and an output dim, got {dims}")
         if list(m.expert_dims)[0] != d.dim or list(m.expert_dims)[-1] != d.num_classes:
             raise ConfigError(
                 f"expert_dims {m.expert_dims} must map data dim {d.dim} to {d.num_classes} classes"

@@ -356,12 +356,14 @@ def load_feature_dataset(path) -> LabeledDataset:
     if meta.get("kind") != "feature_dataset" or [e["name"] for e in entries] != ["features"]:
         raise ArtifactError(f"{path}: not a feature dataset checkpoint")
     try:
-        labels = np.asarray(meta["labels"], dtype=np.int64)
-        dim, num_classes = int(meta["dim"]), int(meta["num_classes"])
+        labels, dim, num_classes = meta["labels"], meta["dim"], meta["num_classes"]
+        if type(labels) is not list or any(type(v) is not int for v in [*labels, dim, num_classes]):
+            raise ArtifactError(f"{path}: labels, dim and num_classes must be JSON ints")
+        labels = np.asarray(labels, dtype=np.int64)
         if blocks[0].size != labels.size * dim:
             raise ArtifactError(f"{path}: feature block does not match {labels.size} labels x {dim}")
         return LabeledDataset(blocks[0].reshape(labels.size, dim), labels, num_classes)
     except NumericError as exc:
         raise exc.within(f"{path}: block 'features'") from exc
-    except (ConfigError, KeyError, TypeError, ValueError) as exc:
+    except (ConfigError, KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ArtifactError(f"{path}: malformed feature dataset ({exc!r})") from exc

@@ -1,13 +1,14 @@
 """Scoring of unseen test clients and per-sample routing.
 
-Test clients are never adapted. Under FedJETs `route` scores a client's
-cached, unlabeled embeddings with the gate once; the top-K experts and each
-sample's expert (the selected expert with the highest gate score) both read
-those scores, and that expert predicts the sample. Labels enter only when
-the finished predictions are scored. `score_test_clients` is the one pass
-over the test clients: it predicts each client once by the method's rule,
-and `run`'s metrics and `eval`'s report both read their global accuracy,
-zero-shot detail and routing from it.
+Test clients are never adapted. `client_predictor` is every method's
+prediction rule for one unseen client. Under FedJETs `route` scores the
+client's cached, unlabeled embeddings with the gate once; the top-K experts
+and each sample's expert (the selected expert with the highest gate score)
+both read those scores, and that expert predicts the sample. Labels enter
+only when the finished predictions are scored. `score_test_clients` is the
+one pass over the test clients for every method: it predicts each client
+once by the method's rule, and `run`'s metrics and `eval`'s report both
+read their global accuracy, zero-shot detail and routing from it.
 
 One forward per network per evaluation: `expert_logits` forwards each
 server network once on the whole test set, and `per_expert_acc` and every
@@ -25,7 +26,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import nn
-from .baselines import avg_ensemble_predict
 from .data import ClientShard, LabeledDataset
 from .errors import ConfigError
 from .gating import CommonExpert, gate_scores, select_topk
@@ -85,46 +85,15 @@ def route(gate: nn.ParamVector, embeddings: np.ndarray, k: int) -> tuple[tuple[i
     return experts, cols[scores[:, cols].argmax(axis=1)]
 
 
-def zero_shot_eval(
-    state: ServerState,
-    test_shards: list[ClientShard],
-    test_ds: LabeledDataset,
-    k: int,
-    cache: dict[int, np.ndarray],
-    logits: list[np.ndarray],
-) -> ZeroShotReport:
-    """Zero-shot personalization score over unseen test clients, each routed
-    from its `cache` embeddings and predicted once: a sample's label is its
-    expert's argmax in `logits` (the experts' `expert_logits` on
-    `test_ds.inputs`)."""
-    if state.gate_params is None:
-        raise ConfigError("zero-shot evaluation needs a server-side gate")
-    table = np.stack([out.argmax(axis=1) for out in logits])  # [M, N_test] labels per expert
-    per_acc, selections, chosen_map = {}, {}, {}
-    for shard in sorted(test_shards, key=lambda s: s.client_id):
-        cid = shard.client_id
-        selections[cid], chosen_map[cid] = route(state.gate_params, cache[cid], k)
-        preds = table[chosen_map[cid], shard.indices]
-        per_acc[cid] = float(np.mean(preds == test_ds.labels[shard.indices]))  # labels used only to score
-    avg = float(np.mean(list(per_acc.values())))
-    return ZeroShotReport(per_acc, avg, selections, chosen_map)
-
-
-def _mean_client_accuracy(predict, shards: list[ClientShard], test_ds: LabeledDataset) -> float:
-    """Mean over the shards, in client order, of each one's accuracy under
-    `predict` (a function from a shard to its predicted labels)."""
-    ordered = sorted(shards, key=lambda s: s.client_id)
-    return float(np.mean([float(np.mean(predict(s) == test_ds.labels[s.indices])) for s in ordered]))
-
-
 def common_expert_accuracy(
     common: CommonExpert, test_shards: list[ClientShard], test_ds: LabeledDataset
 ) -> float:
     """The common expert's own head as the baseline classifier, scored like
-    `zero_shot_eval`: one forward on the test set, then the mean of the
-    per-client accuracies on the test clients."""
+    `score_test_clients`: one forward on the test set, then the mean of the
+    per-client accuracies on the test clients in client order."""
     preds = nn.forward(common.params.spec, common.params, test_ds.inputs).argmax(axis=1)
-    return _mean_client_accuracy(lambda s: preds[s.indices], test_shards, test_ds)
+    shards = sorted(test_shards, key=lambda s: s.client_id)
+    return float(np.mean([float(np.mean(preds[s.indices] == test_ds.labels[s.indices])) for s in shards]))
 
 
 def routing_ground_truth(anchor_shards: list[ClientShard]) -> dict[int, int] | None:
@@ -140,14 +109,14 @@ def routing_ground_truth(anchor_shards: list[ClientShard]) -> dict[int, int] | N
 
 
 def per_sample_routing_report(
-    zero_shot: ZeroShotReport,
+    chosen_experts: dict[int, np.ndarray],
     test_shards: list[ClientShard],
     test_ds: LabeledDataset,
     label_to_expert: dict[int, int],
 ) -> RoutingReport:
-    """A sample routes correctly iff its expert in the zero-shot pass (the
-    per-sample argmax within the client's top-K) is the ground-truth expert
-    of its label. Reads the pass's chosen experts; predicts nothing."""
+    """A sample routes correctly iff its expert in `chosen_experts` (each
+    test client's per-sample argmax within its top-K, as `route` gives it)
+    is the ground-truth expert of its label. Predicts nothing."""
     lookup = np.full(test_ds.num_classes, -1, dtype=np.int64)
     lookup[list(label_to_expert)] = list(label_to_expert.values())
     rows = []
@@ -157,7 +126,7 @@ def per_sample_routing_report(
         if (truth < 0).any():
             unknown = np.unique(labels[truth < 0]).tolist()
             raise ConfigError(f"labels {unknown} missing from the label->expert map")
-        correct = int(np.sum(zero_shot.chosen_experts[shard.client_id] == truth))
+        correct = int(np.sum(chosen_experts[shard.client_id] == truth))
         incorrect = len(shard) - correct
         rows.append(
             {
@@ -186,20 +155,33 @@ def _fedmix_predict(ctx: RunContext, logits: list[np.ndarray], shard: ClientShar
     return combined.argmax(axis=1)
 
 
-def client_predictor(ctx: RunContext, method: str, logits: list[np.ndarray]):
-    """A baseline's prediction rule for one unseen test client: a function
-    from a test shard to its predicted labels, read from the server
-    networks' `expert_logits` on the test set; it never sees the labels.
-    FedJETs predicts through `zero_shot_eval`."""
+def client_predictor(ctx: RunContext, state: ServerState, method: str, logits: list[np.ndarray]):
+    """Every method's rule for one unseen test client: a function from a test
+    shard to its predicted labels and route, read from the server networks'
+    `expert_logits` on the test set, never from labels. FedJETs routes with
+    `route` on the cached embeddings; the other methods' route is None."""
+    if method == "fedjets":
+        if state.gate_params is None:
+            raise ConfigError("zero-shot evaluation needs a server-side gate")
+        table = np.stack([out.argmax(axis=1) for out in logits])  # [M, N_test] labels per expert
+
+        def predict(s: ClientShard):
+            experts, chosen = route(state.gate_params, ctx.test_cache[s.client_id], ctx.cfg.top_k)
+            return table[chosen, s.indices], (experts, chosen)
+
+        return predict
     if method in ("fedavg", "fedprox"):
         preds = logits[0].argmax(axis=1)
-    elif method == "avg_ensemble":
-        preds = avg_ensemble_predict(logits)
+    elif method == "avg_ensemble":  # the members' mean softmax, summed in member order
+        mean = nn.softmax(logits[0])
+        for out in logits[1:]:
+            mean = mean + nn.softmax(out)
+        preds = (mean / len(logits)).argmax(axis=1)
     elif method == "fedmix":
-        return lambda s: _fedmix_predict(ctx, logits, s)
+        return lambda s: (_fedmix_predict(ctx, logits, s), None)
     else:
         raise ConfigError(f"unknown method {method!r}")
-    return lambda s: preds[s.indices]
+    return lambda s: (preds[s.indices], None)
 
 
 @dataclass
@@ -223,13 +205,20 @@ def score_test_clients(
     shards = sorted(ctx.test_shards, key=lambda s: s.client_id)
     if logits is None:
         logits = expert_logits(state.expert_params, ctx.test_ds.inputs)
+    predict = client_predictor(ctx, state, method, logits)
+    per_acc, routes = {}, {}
+    for s in shards:
+        preds, routes[s.client_id] = predict(s)
+        per_acc[s.client_id] = float(np.mean(preds == ctx.test_ds.labels[s.indices]))  # labels used only to score
+    avg = float(np.mean(list(per_acc.values())))
     if method != "fedjets":
-        return ScoringPass(_mean_client_accuracy(client_predictor(ctx, method, logits), shards, ctx.test_ds))
-    zs = zero_shot_eval(state, shards, ctx.test_ds, ctx.cfg.top_k, ctx.test_cache, logits)
+        return ScoringPass(avg)
+    chosen = {cid: r[1] for cid, r in routes.items()}
+    zs = ZeroShotReport(per_acc, avg, {cid: r[0] for cid, r in routes.items()}, chosen)
     truth = routing_ground_truth(ctx.anchor_shards)
     if truth is None or not set().union(*(s.label_set for s in shards)) <= set(truth):
-        return ScoringPass(zs.average_accuracy, zs)
-    return ScoringPass(zs.average_accuracy, zs, per_sample_routing_report(zs, shards, ctx.test_ds, truth))
+        return ScoringPass(avg, zs)
+    return ScoringPass(avg, zs, per_sample_routing_report(chosen, shards, ctx.test_ds, truth))
 
 
 def evaluate_round(

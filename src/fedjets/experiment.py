@@ -1,7 +1,7 @@
-"""Experiment assembly: datasets, shards, common expert, embeddings.
-
-Turns a validated RunConfig into a ready RunContext and handles the run
-output directory (config echo, metrics, state checkpoint, comm ledger).
+"""Experiment assembly and the training loop: turns a validated RunConfig
+into a ready RunContext (datasets, shards, common expert, embeddings), runs
+its rounds (`run_training`), and handles the run output directory (config
+echo, metrics, state checkpoint, comm ledger).
 """
 
 from __future__ import annotations
@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import central, checkpoint, config as config_mod, data, gating, metrics, nn, runtime
+from . import baselines, central, checkpoint, config as config_mod, data, evaluation, gating, metrics, nn, runtime
 from .errors import ArtifactError, ConfigError
 from .gating import CommonExpert
 from .seeding import rng_stream
@@ -205,11 +205,13 @@ def save_run_state(path, state: runtime.ServerState, cfg: config_mod.RunConfig) 
 
 def load_run_state(path) -> tuple[runtime.ServerState, dict]:
     """Read a state written by `save_run_state`. Its meta must name a method,
-    a non-negative round and an int seed. The experts share one spec: one for
-    fedavg and fedprox, two or more for avg_ensemble. A fedjets state, and no
-    other, has a gate: a softmax head scoring exactly those experts. Else it
-    is malformed."""
+    a non-negative round and an int seed. Its blocks are `expert_0` ...
+    `expert_{M-1}` in that order, then `gate` for fedjets and no other method.
+    The experts share one spec: one for fedavg and fedprox, two or more for
+    avg_ensemble. The gate is a softmax head scoring exactly those experts.
+    Else the state is malformed."""
     nets, meta = checkpoint.load_state(path)
+    names = [name for name, _ in nets]
     experts = [(name, p) for name, p in nets if name.startswith("expert_")]
     gates = [p for name, p in nets if name == "gate"]
     if not experts:
@@ -223,6 +225,8 @@ def load_run_state(path) -> tuple[runtime.ServerState, dict]:
         raise ArtifactError(f"{path}: seed must be an int, got {meta.get('seed')!r}")
     if bool(gates) != (method == "fedjets"):
         raise ArtifactError(f"{path}: a gate is {'stored' if gates else 'missing'} for method {method!r}")
+    if names != [f"expert_{i}" for i in range(len(experts))] + ["gate"] * len(gates):
+        raise ArtifactError(f"{path}: blocks {names} are not expert_0 ... expert_{{M-1}} in order, then the gate")
     if (method in ("fedavg", "fedprox") and len(experts) > 1) or (method == "avg_ensemble" and len(experts) < 2):
         raise ArtifactError(f"{path}: method {method!r} cannot hold {len(experts)} expert(s)")
     for name, p in experts:
@@ -236,13 +240,41 @@ def load_run_state(path) -> tuple[runtime.ServerState, dict]:
     return runtime.ServerState([p for _, p in experts], gate, round_idx), meta
 
 
+def run_training(ctx: runtime.RunContext):
+    """Full training: T rounds of plan -> client updates -> aggregate,
+    with metrics every eval interval and a communication ledger.
+
+    Returns (final ServerState, list[MetricsRecord], CommLedger). Every
+    method gets its initial state and round step from
+    `baselines.make_stepper`; the plumbing (ledger, metrics cadence) is
+    shared.
+    """
+    cfg = ctx.cfg
+    method = cfg.federation.method
+    ledger = runtime.CommLedger()
+    setup_down = float(cfg.num_training_clients * ctx.sizes.common)
+    for name in runtime.comm_cost(runtime.RoundPlan(0, [], []), cfg, ctx.sizes):
+        ledger.add(runtime.SETUP_ROUND, name, setup_down, 0.0)
+
+    state, stepper = baselines.make_stepper(ctx, method)
+    history = []
+    for t in range(cfg.rounds):
+        state, plan = stepper(state, t)
+        for name, (down, up) in runtime.comm_cost(plan, cfg, ctx.sizes).items():
+            ledger.add(t, name, down, up)
+        if (t + 1) % cfg.eval.interval == 0 or t == cfg.rounds - 1:
+            down_cum, up_cum = ledger.cumulative(method)
+            history.append(evaluation.evaluate_round(ctx, state, method, t + 1, down_cum, up_cum))
+    return state, history, ledger
+
+
 def run_to_directory(cfg: config_mod.RunConfig, out_dir):
     """Execute one training run and write the artifact layout:
     config.echo.json, metrics.jsonl, metrics.csv, state.ckpt, comm.csv."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     ctx = build_context(cfg)
-    state, history, ledger = runtime.run_training(ctx)
+    state, history, ledger = run_training(ctx)
     config_mod.dump(cfg, out / "config.echo.json")
     metrics.write_jsonl(out / "metrics.jsonl", history)
     metrics.write_csv(out / "metrics.csv", history, seed=cfg.seed)

@@ -9,20 +9,10 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 from .errors import ArtifactError, ConfigError
-
-JSONL_FIELDS = (
-    "round",
-    "method",
-    "global_acc",
-    "per_expert_acc",
-    "routing_acc",
-    "floats_down_cum",
-    "floats_up_cum",
-)
 
 
 @dataclass
@@ -36,16 +26,10 @@ class MetricsRecord:
     floats_up_cum: float
 
     def to_json_line(self) -> str:
-        obj = {
-            "round": self.round,
-            "method": self.method,
-            "global_acc": self.global_acc,
-            "per_expert_acc": list(self.per_expert_acc),
-            "routing_acc": self.routing_acc,
-            "floats_down_cum": self.floats_down_cum,
-            "floats_up_cum": self.floats_up_cum,
-        }
-        return json.dumps(obj, separators=(", ", ": "))
+        return json.dumps(asdict(self), separators=(", ", ": "))
+
+
+JSONL_FIELDS = tuple(f.name for f in fields(MetricsRecord))
 
 
 def _number(value, name: str, where: str) -> float:

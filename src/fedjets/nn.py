@@ -133,10 +133,17 @@ class NetSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "NetSpec":
+        """The spec `to_dict` wrote: a list of JSON ints for `layer_dims`,
+        strings for `activations` and `head`. Nothing is coerced."""
         try:
-            return cls(tuple(d["layer_dims"]), tuple(d["activations"]), d["head"])
+            dims, acts, head = d["layer_dims"], d["activations"], d["head"]
         except KeyError as exc:
             raise ConfigError(f"net spec dict missing key {exc}") from exc
+        if type(dims) is not list or any(type(v) is not int for v in dims):
+            raise ConfigError(f"layer_dims must be a list of ints, got {dims!r}")
+        if type(acts) is not list or any(type(a) is not str for a in [*acts, head]):
+            raise ConfigError(f"activations and head must be strings, got {acts!r} and {head!r}")
+        return cls(tuple(dims), tuple(acts), head)
 
 
 @dataclass

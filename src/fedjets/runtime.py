@@ -1,5 +1,6 @@
 """Round orchestration: client sampling, expert dispatch, local updates,
-FedAvg aggregation, and communication accounting.
+FedAvg aggregation, and communication accounting. `baselines` and
+`experiment.run_training` build on this module; it imports neither.
 
 One round activates N_a anchor clients (each training its pre-assigned
 expert plus the gate's independent loss) and N_c normal clients (each
@@ -528,7 +529,7 @@ def comm_cost(plan: RoundPlan, cfg: RunConfig, sizes: ModelSizes) -> dict[str, t
 
 
 # ---------------------------------------------------------------------------
-# Full training loop
+# Run context and initial states
 
 
 @dataclass
@@ -586,35 +587,3 @@ def fedjets_round(ctx: RunContext, state: ServerState, t: int) -> tuple[ServerSt
     rng = rng_stream(cfg.seed, "plan", t)
     plan = plan_round(t, cfg, rng, anchor_pool, active_ids(cfg, t, normals))
     return train_round(ctx, state, t, plan.anchor_ids + plan.normal_ids, fedjets_work(ctx, state)), plan
-
-
-def run_training(ctx: RunContext):
-    """Full training: T rounds of plan -> client updates -> aggregate,
-    with metrics every eval interval and a communication ledger.
-
-    Returns (final ServerState, list[MetricsRecord], CommLedger). Every
-    method gets its initial state and round step from
-    `baselines.make_stepper`; the plumbing (ledger, metrics cadence) is
-    shared.
-    """
-    from . import baselines, evaluation  # runtime <-> baselines/evaluation are mutually aware
-
-    cfg = ctx.cfg
-    method = cfg.federation.method
-    ledger = CommLedger()
-    setup_down = float(cfg.num_training_clients * ctx.sizes.common)
-    for name in comm_cost(RoundPlan(0, [], []), cfg, ctx.sizes):
-        ledger.add(SETUP_ROUND, name, setup_down, 0.0)
-
-    state, stepper = baselines.make_stepper(ctx, method)
-    history = []
-    for t in range(cfg.rounds):
-        state, plan = stepper(state, t)
-        costs = comm_cost(plan, cfg, ctx.sizes)
-        for name, (down, up) in costs.items():
-            ledger.add(t, name, down, up)
-        if (t + 1) % cfg.eval.interval == 0 or t == cfg.rounds - 1:
-            down_cum, up_cum = ledger.cumulative(method)
-            record = evaluation.evaluate_round(ctx, state, method, t + 1, down_cum, up_cum)
-            history.append(record)
-    return state, history, ledger

@@ -8,7 +8,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from fedjets import gating, nn
+from fedjets import data, evaluation, gating, nn, runtime
 from fedjets.errors import ConfigError
 from fedjets.seeding import rng_stream
 
@@ -135,6 +135,15 @@ def reference_predictions(ctx, state, method: str) -> dict[int, np.ndarray]:
                 preds[rows] = nn.forward(expert.spec, expert, x[rows]).argmax(axis=1)
             out[cid] = preds
     return out
+
+
+def ensemble_labels(ctx, members: list[nn.ParamVector], x: np.ndarray) -> np.ndarray:
+    """avg_ensemble's labels for the rows of `x` by `evaluation.client_predictor`,
+    the rows standing as one test client's."""
+    shard = data.ClientShard(0, np.arange(len(x)), np.zeros(1), data.KIND_TEST)
+    state = runtime.ServerState(list(members), None)
+    logits = evaluation.expert_logits(state.expert_params, x)
+    return evaluation.client_predictor(ctx, state, "avg_ensemble", logits)(shard)[0]
 
 
 def reference_common_expert_accuracy(common, test_shards, test_ds) -> float:

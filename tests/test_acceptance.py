@@ -9,7 +9,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from conftest import central_diff, kink_safe_net, loss_value, reference_common_expert_accuracy, rel_error
+from conftest import (
+    central_diff,
+    ensemble_labels,
+    kink_safe_net,
+    loss_value,
+    reference_common_expert_accuracy,
+    rel_error,
+)
 from fedjets import benchmarks, data, evaluation, experiment, gating, nn, runtime
 from fedjets.seeding import rng_stream
 
@@ -21,7 +28,7 @@ def cached_run(tag, **overrides):
     if tag not in _CACHE:
         cfg = benchmarks.synth10_config(**overrides)
         ctx = experiment.build_context(cfg)
-        state, history, ledger = runtime.run_training(ctx)
+        state, history, ledger = experiment.run_training(ctx)
         _CACHE[tag] = (cfg, ctx, state, history, ledger)
     return _CACHE[tag]
 
@@ -92,7 +99,7 @@ def test_criterion_4_communication_accounting():
         eval={"interval": 3},
     )
     ctx = experiment.build_context(toy)
-    _, _, ledger = runtime.run_training(ctx)
+    _, _, ledger = experiment.run_training(ctx)
     s = ctx.sizes
     setup = toy.data.num_clients * s.common
     per_round = {
@@ -123,7 +130,7 @@ def test_criterion_5_baseline_identities():
         eval={"interval": 3, "last_k": 4},
     )
     base_fed = {"rounds": 9, "anchors_per_round": 2, "normals_per_round": 3}
-    _, _, st_avg, h_avg, _ = cached_run("id-fedavg", **short, federation={"method": "fedavg", **base_fed})
+    _, ctx_avg, st_avg, h_avg, _ = cached_run("id-fedavg", **short, federation={"method": "fedavg", **base_fed})
     _, _, st_prox, h_prox, _ = cached_run(
         "id-fedprox", **short, federation={"method": "fedprox", "fedprox_mu": 0.0, **base_fed}
     )
@@ -142,13 +149,11 @@ def test_criterion_5_baseline_identities():
         for a, m in zip(h_avg1, h_mix1)
     ) and np.array_equal(st_avg1.expert_params[0].values, st_mix1.expert_params[0].values)
 
-    from fedjets.baselines import avg_ensemble_predict
-
     params = st_avg.expert_params[0]
     spec = params.spec
     x = rng_stream(123, "ens").normal(size=(64, spec.input_dim))
     single = nn.forward(spec, params, x).argmax(axis=1)
-    ens_ok = np.array_equal(avg_ensemble_predict(evaluation.expert_logits([params, params], x)), single)
+    ens_ok = np.array_equal(ensemble_labels(ctx_avg, [params, params], x), single)
 
     ok = prox_ok and mix_ok and ens_ok
     assert criterion(
@@ -315,10 +320,8 @@ def test_criterion_9_incremental_scenario_sanity():
         expert_spec=nn.NetSpec.mlp(cfg.model.expert_dims),
         gate_spec=gating.gate_spec(common.embed_dim, cfg.num_experts, cfg.model.gate_hidden),
     )
-    state, history, _ = runtime.run_training(ctx)
-    logits = evaluation.expert_logits(state.expert_params, test_ds.inputs)
-    report = evaluation.zero_shot_eval(state, g1_tests, test_ds, cfg.top_k, ctx.test_cache, logits)
-    acc = report.average_accuracy
+    state, history, _ = experiment.run_training(ctx)
+    acc = evaluation.score_test_clients(ctx, state, "fedjets").global_acc  # ctx's test clients are g1_tests
     chance = 1.0 / cfg.data.num_classes
     ok = acc >= 2 * chance
     assert criterion(

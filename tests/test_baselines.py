@@ -7,9 +7,8 @@ import dataclasses
 import numpy as np
 import pytest
 
-from conftest import central_diff, kink_safe_net, prox_loss, rel_error
+from conftest import central_diff, ensemble_labels, kink_safe_net, prox_loss, rel_error
 from fedjets import baselines, experiment, nn, runtime
-from fedjets.evaluation import expert_logits
 from fedjets.errors import ConfigError
 from fedjets.seeding import rng_stream
 from test_runtime import mini_cfg, one_update
@@ -85,10 +84,10 @@ class TestAvgEnsemble:
         params = runtime.init_server_state(ctx).expert_params[0]
         x = rng.normal(size=(20, spec.input_dim))
         single = nn.forward(spec, params, x).argmax(axis=1)
-        ens = baselines.avg_ensemble_predict(expert_logits([params, params], x))
+        ens = ensemble_labels(ctx, [params, params], x)
         assert np.array_equal(ens, single)
 
-    def test_hand_computed_probability_average(self):
+    def test_hand_computed_probability_average(self, ctx):
         # two confident opposite models plus an abstainer, all linear nets
         spec = nn.NetSpec.mlp([2, 2])
 
@@ -105,22 +104,16 @@ class TestAvgEnsemble:
             + nn.softmax(nn.forward(spec, down, x))
             + nn.softmax(nn.forward(spec, flat, x))
         ) / 3
-        assert baselines.avg_ensemble_predict(expert_logits(models, x))[0] == mean.argmax()
+        assert ensemble_labels(ctx, models, x)[0] == mean.argmax()
 
     def test_model_order_irrelevant(self, ctx, rng):
         spec = ctx.expert_spec
         st = runtime.init_server_state(ctx)
         models = st.expert_params[:3]
         x = rng.normal(size=(15, spec.input_dim))
-        a = baselines.avg_ensemble_predict(expert_logits(models, x))
-        b = baselines.avg_ensemble_predict(expert_logits(list(reversed(models)), x))
+        a = ensemble_labels(ctx, models, x)
+        b = ensemble_labels(ctx, list(reversed(models)), x)
         assert np.array_equal(a, b)
-
-    def test_needs_two_models(self, ctx, rng):
-        spec = ctx.expert_spec
-        params = runtime.init_server_state(ctx).expert_params[0]
-        with pytest.raises(ConfigError):
-            baselines.avg_ensemble_predict(expert_logits([params], rng.normal(size=(3, spec.input_dim))))
 
 
 class TestFedMix:

@@ -105,6 +105,26 @@ def test_load_net_rejects_a_state_and_load_state_a_feature_file(tmp_path):
         checkpoint.load_state(path)
 
 
+@pytest.mark.parametrize(
+    "net, read_as",
+    [
+        ({"layer_dims": [3.9, 4, 2], "activations": ["relu"], "head": "logits"}, nn.NetSpec.mlp([3, 4, 2])),
+        ({"layer_dims": ["3", "4", "2"], "activations": ["relu"], "head": "logits"}, nn.NetSpec.mlp([3, 4, 2])),
+        ({"layer_dims": [True, 2], "activations": [], "head": "logits"}, nn.NetSpec.mlp([1, 2])),
+        ({"layer_dims": [3, 2], "activations": "", "head": "logits"}, nn.NetSpec.mlp([3, 2])),
+    ],
+    ids=["float-dims", "string-dims", "bool-dim", "string-activations"],
+)
+def test_a_spec_that_would_load_only_coerced_is_rejected(tmp_path, net, read_as):
+    """The block fits the spec `read_as` that coercing `net` would give, so
+    only the reader's refusal to coerce rejects it (a coerced spec would be
+    written back as other bytes)."""
+    path = tmp_path / "net.ckpt"
+    checkpoint.write(path, [{"name": "net", "net": net}], [np.zeros(read_as.param_count())], {})
+    with pytest.raises(ArtifactError, match="block 'net' holds no valid network"):
+        checkpoint.load_net(path)
+
+
 def test_non_finite_block_names_the_file_and_the_block(tmp_path):
     spec = nn.NetSpec.mlp([2, 3])
     path = tmp_path / "nan.ckpt"

@@ -449,6 +449,27 @@ class TestExitCodes:
         rc, err = self._eval_edited_state(cfg_path, tmp_path, capsys, edit)
         assert rc == 4 and "expert_1 has another spec than expert_0" in err
 
+    @pytest.mark.parametrize(
+        "names",
+        [
+            ["expert_1", "expert_0", "expert_2", "gate"],
+            ["expert_0", "expert_0", "expert_2", "gate"],
+            ["expert_0", "expert_7", "expert_2", "gate"],
+            ["expert_0", "expert_1", "expert_2", "gate", "junk"],
+        ],
+        ids=["swapped", "repeated", "gap", "extra-block"],
+    )
+    def test_state_whose_blocks_are_misnamed_is_exit_4(self, cfg_path, tmp_path, capsys, names):
+        """Experts are read by name, not by position: the blocks must be
+        expert_0 ... expert_{M-1} in order, then the gate."""
+
+        def edit(nets):
+            held = [*nets.values()]
+            return list(zip(names, held + held[-1:]))  # "junk" repeats the gate
+
+        rc, err = self._eval_edited_state(cfg_path, tmp_path, capsys, edit)
+        assert rc == 4 and f"blocks {names} are not expert_0 ... expert_{{M-1}} in order" in err
+
     def test_state_with_a_logits_gate_is_exit_4(self, cfg_path, tmp_path, capsys):
         def edit(nets):
             gate = nets["gate"]
@@ -576,8 +597,10 @@ class TestExitCodes:
         [
             (["federation.rounds=-3"], "counts must be non-negative"),
             (["training.local_iterations=null", "training.local_epochs=-1"], "training.local_epochs"),
+            (["model.expert_dims=[]"], "model.expert_dims"),
+            (["model.common_dims=[]"], "model.common_dims"),
         ],
-        ids=["rounds", "local_epochs"],
+        ids=["rounds", "local_epochs", "expert_dims", "common_dims"],
     )
     def test_invalid_override_value_semantics(self, cfg_path, tmp_path, capsys, overrides, named):
         sets = [arg for override in overrides for arg in ("--set", override)]

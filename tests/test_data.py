@@ -297,6 +297,28 @@ class TestFeatureFiles:
         with pytest.raises(ArtifactError, match=r"outside \[0, 2\)"):
             data.load_feature_dataset(path)
 
+    @pytest.mark.parametrize(
+        "entry, message",
+        [
+            ({"labels": [0.5, 1.5, 0.0]}, "labels, dim and num_classes must be JSON ints"),
+            ({"labels": [0, True, 1]}, "labels, dim and num_classes must be JSON ints"),
+            ({"dim": 2.0}, "labels, dim and num_classes must be JSON ints"),
+            ({"num_classes": "2"}, "labels, dim and num_classes must be JSON ints"),
+            ({"labels": [0, 2**70, 1]}, "malformed feature dataset"),
+        ],
+        ids=["float-labels", "bool-label", "float-dim", "string-num-classes", "label-past-int64"],
+    )
+    def test_header_numbers_must_be_json_ints(self, tmp_path, entry, message):
+        """Nothing is coerced: a header that int() would read is still rejected,
+        and so is a label no int64 holds."""
+        from fedjets import checkpoint
+
+        path = tmp_path / "features.ckpt"
+        meta = {"kind": "feature_dataset", "dim": 2, "num_classes": 2, "labels": [0, 1, 1], **entry}
+        checkpoint.write(path, [{"name": "features"}], [np.zeros(6)], meta)
+        with pytest.raises(ArtifactError, match=message):
+            data.load_feature_dataset(path)
+
     def test_non_finite_feature_is_numeric_error_naming_the_block(self, tmp_path):
         from fedjets import checkpoint
 
@@ -331,9 +353,7 @@ class TestFeatureFiles:
         )
         ctx = experiment.build_context(cfg)
         assert len(ctx.train_ds) == 300
-        from fedjets import runtime
-
-        state, history, _ = runtime.run_training(ctx)
+        state, history, _ = experiment.run_training(ctx)
         assert history  # the run completes on ingested features
 
     def test_pretraining_early_stops_on_ingested_rows(self, tmp_path):

@@ -62,10 +62,24 @@ def identity_common():
 
 
 def zero_shot(state, common, shards, ds, k):
-    """`zero_shot_eval` scoring from the embedding cache and expert logits it reads."""
-    cache = gating.build_embedding_cache(common, ds, shards)
-    logits = evaluation.expert_logits(state.expert_params, ds.inputs)
-    return evaluation.zero_shot_eval(state, shards, ds, k, cache, logits)
+    """The FedJETs report of `score_test_clients` on a context whose test
+    clients are `shards` of `ds`, embedded by `common`, with top-`k` routing.
+    Its cfg is read for `top_k` only, and its gate spec not at all."""
+    cfg = mini_cfg()
+    ctx = runtime.RunContext(
+        cfg=dataclasses.replace(cfg, federation=dataclasses.replace(cfg.federation, top_k=k)),
+        train_ds=ds,
+        test_ds=ds,
+        anchor_shards=[],
+        normal_shards=[],
+        test_shards=shards,
+        common=common,
+        cache={},
+        test_cache=gating.build_embedding_cache(common, ds, shards),
+        expert_spec=state.expert_params[0].spec,
+        gate_spec=None,
+    )
+    return evaluation.score_test_clients(ctx, state, "fedjets").zero_shot
 
 
 def shard_with_labels(ds, labels, n_per, client_id, kind=data.KIND_TEST, expert=None):
@@ -152,8 +166,10 @@ class TestRoutingReport:
 
     @staticmethod
     def routing(state, common, shards, ds, label_map, k):
-        """Routing of one zero-shot pass over the shards."""
-        return evaluation.per_sample_routing_report(zero_shot(state, common, shards, ds, k), shards, ds, label_map)
+        """Routing of each shard's samples by `route` on their embeddings."""
+        cache = gating.build_embedding_cache(common, ds, shards)
+        chosen = {s.client_id: evaluation.route(state.gate_params, cache[s.client_id], k)[1] for s in shards}
+        return evaluation.per_sample_routing_report(chosen, shards, ds, label_map)
 
     def test_perfect_gate_zero_error(self):
         ds = onehot_dataset(seed=10)
@@ -246,11 +262,11 @@ class TestScenario:
     def test_single_full_range_matches_plain_training(self):
         cfg = mini_cfg()
         ctx = experiment.build_context(cfg)
-        plain = runtime.run_training(ctx)
+        plain = experiment.run_training(ctx)
         normal_ids = [s.client_id for s in ctx.normal_shards]
         full = [ScenarioRange(0, cfg.rounds, normal_ids)]
         scheduled = dataclasses.replace(ctx, cfg=dataclasses.replace(cfg, scenario=full).validate())
-        state2, history2, _ = runtime.run_training(scheduled)
+        state2, history2, _ = experiment.run_training(scheduled)
         assert [r.to_json_line() for r in plain[1]] == [r.to_json_line() for r in history2]
         for a, b in zip(plain[0].expert_params, state2.expert_params):
             assert np.array_equal(a.values, b.values)
@@ -288,7 +304,7 @@ class TestScenario:
         )
         ctx = experiment.build_context(cfg)
         with pytest.raises(ConfigError):
-            runtime.run_training(ctx)
+            experiment.run_training(ctx)
 
     def test_cyclic_disjoint_active_sets_run(self):
         cfg = mini_cfg(
@@ -299,7 +315,7 @@ class TestScenario:
             ]},
         )
         ctx = experiment.build_context(cfg)
-        state, history, _ = runtime.run_training(ctx)
+        state, history, _ = experiment.run_training(ctx)
         assert state.round == 4
         # the plans are reconstructable: rounds 0-1 can only use {3,4}
         for t in [0, 1]:
@@ -328,7 +344,7 @@ class TestEvaluateRound:
     def test_fedjets_record_schema(self):
         cfg = mini_cfg()
         ctx = experiment.build_context(cfg)
-        state, history, _ = runtime.run_training(ctx)
+        state, history, _ = experiment.run_training(ctx)
         rec = history[-1]
         assert rec.method == "fedjets"
         assert len(rec.per_expert_acc) == cfg.num_experts
@@ -338,7 +354,7 @@ class TestEvaluateRound:
     def test_fedavg_record_has_single_model(self):
         cfg = mini_cfg(federation={"method": "fedavg"})
         ctx = experiment.build_context(cfg)
-        _, history, _ = runtime.run_training(ctx)
+        _, history, _ = experiment.run_training(ctx)
         assert len(history[-1].per_expert_acc) == 1
         assert history[-1].routing_acc is None
 
@@ -411,15 +427,8 @@ class TestPredictionEquality:
     @staticmethod
     def predictions(ctx, state, method):
         logits = evaluation.expert_logits(state.expert_params, ctx.test_ds.inputs)
-        if method != "fedjets":
-            predict = evaluation.client_predictor(ctx, method, logits)
-            return {s.client_id: predict(s) for s in ctx.test_shards}
-        table = np.stack([out.argmax(axis=1) for out in logits])
-        preds = {}
-        for s in ctx.test_shards:
-            _, chosen = evaluation.route(state.gate_params, ctx.test_cache[s.client_id], ctx.cfg.top_k)
-            preds[s.client_id] = table[chosen, s.indices]
-        return preds
+        predict = evaluation.client_predictor(ctx, state, method, logits)
+        return {s.client_id: predict(s)[0] for s in ctx.test_shards}
 
     @pytest.mark.parametrize("shards", ["mini", "uneven-overlapping"])
     @pytest.mark.parametrize("method", METHODS)

@@ -593,7 +593,7 @@ class TestRunTraining:
     def test_zero_rounds_returns_initial_state(self, ctx):
         cfg = mini_cfg(federation={"rounds": 0})
         c = experiment.build_context(cfg)
-        state, history, ledger = runtime.run_training(c)
+        state, history, ledger = experiment.run_training(c)
         init = runtime.init_server_state(c)
         assert history == []
         for a, b in zip(state.expert_params, init.expert_params):
@@ -603,7 +603,7 @@ class TestRunTraining:
         cfg = mini_cfg(federation={"rounds": 1, "anchors_per_round": 1, "normals_per_round": 0})
         c = experiment.build_context(cfg)
         state0 = runtime.init_server_state(c)
-        final, history, _ = runtime.run_training(c)
+        final, history, _ = experiment.run_training(c)
         plan = runtime.plan_round(
             0, cfg, rng_stream(cfg.seed, "plan", 0), [0, 1, 2], [s.client_id for s in c.normal_shards]
         )
@@ -614,8 +614,8 @@ class TestRunTraining:
 
     def test_seed_repeat_bit_identical_metrics(self):
         cfg = mini_cfg()
-        lines1 = [r.to_json_line() for r in runtime.run_training(experiment.build_context(cfg))[1]]
-        lines2 = [r.to_json_line() for r in runtime.run_training(experiment.build_context(cfg))[1]]
+        lines1 = [r.to_json_line() for r in experiment.run_training(experiment.build_context(cfg))[1]]
+        lines2 = [r.to_json_line() for r in experiment.run_training(experiment.build_context(cfg))[1]]
         assert lines1 == lines2
 
     def test_conservation_single_client_matches_centralized(self):
@@ -636,7 +636,7 @@ class TestRunTraining:
             )
             c = experiment.build_context(cfg)
             shard = c.normal_shards[0]
-            final, _, _ = runtime.run_training(c)
+            final, _, _ = experiment.run_training(c)
 
             params = runtime.init_server_state(c).expert_params[0]
             for t in range(cfg.rounds):
@@ -664,7 +664,7 @@ class TestRunTraining:
         c = experiment.build_context(cfg)
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(NumericError) as err:
-                runtime.run_training(c)
+                experiment.run_training(c)
         training_ids = {s.client_id for s in c.anchor_shards + c.normal_shards}
         parts = err.value.context.split(" | ")
         round_part, client_part = parts[-2:]
@@ -734,7 +734,7 @@ class TestCommCost:
     def test_three_round_ledger_matches_hand_sum(self):
         cfg = mini_cfg(federation={"rounds": 3})
         c = experiment.build_context(cfg)
-        _, history, ledger = runtime.run_training(c)
+        _, history, ledger = experiment.run_training(c)
         sizes = c.sizes
         na, nc = 2, 2
         per_round_fedjets = na * (sizes.gate + sizes.expert) + nc * (sizes.gate + 2 * sizes.expert)
