@@ -54,7 +54,7 @@ SYNTH10 = {
         "batch_size": 64,
         "local_iterations": 20,
     },
-    "eval": {"interval": 10, "last_k": 10},
+    "eval": {"interval": 10},
 }
 
 

@@ -1,8 +1,8 @@
 """Command-line interface: pretrain, partition, run, eval, report.
 
 All commands are driven by one JSON config; --set dot.path=value overrides
-individual fields before validation. Exit codes: 0 success, 2 config
-error, 3 numeric error, 4 I/O error.
+individual fields before validation. Exit codes: 0 success, 1 `pretrain`
+missed its accuracy target, 2 config error, 3 numeric error, 4 I/O error.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ import json
 import sys
 from pathlib import Path
 
-from . import baselines, checkpoint, config as config_mod, evaluation, experiment, metrics
+from . import checkpoint, config as config_mod, evaluation, experiment, metrics
 from .errors import ArtifactError, ConfigError, NumericError, ProtocolError
 
 EXIT_OK = 0
@@ -72,34 +72,16 @@ def cmd_run(args) -> int:
 def cmd_eval(args) -> int:
     cfg = _load_config(args)
     state, state_meta = experiment.load_run_state(args.state)
-    if state_meta["seed"] != cfg.seed:
-        # the seed draws the data, the test clients and the common expert the state was trained against
-        seed = state_meta["seed"]
-        raise ConfigError(f"config seed {cfg.seed} differs from the seed {seed} the state was trained with")
+    experiment.check_fit(state_meta, cfg)  # before build_context: a misfit config costs no pretraining
     ctx = experiment.build_context(cfg)
     method = state_meta["method"]
-    fresh, _ = baselines.make_stepper(ctx, method)  # the state a run of this config starts from
-    held, built = ([p.spec for p in [*s.expert_params, s.gate_params] if p is not None] for s in (state, fresh))
-    if held != built:  # else the config scores other test clients, with networks the state does not fit
-        dims = [[s.layer_dims for s in specs] for specs in (held, built)]
-        raise ConfigError(f"state networks {dims[0]} differ from the {method} networks the config builds {dims[1]}")
     scores = evaluation.score_test_clients(ctx, state, method)
-    report: dict = {
-        "method": method,
-        "seed": cfg.seed,
-        "round": state.round,
-        "global_accuracy": scores.global_acc,
-    }
+    report: dict = {"method": method, "seed": cfg.seed, "round": state.round, "global_accuracy": scores.global_acc}
     if scores.zero_shot is not None:
         report["zero_shot"] = scores.zero_shot.to_dict()
-        routing = scores.routing
-        if routing is None:
-            report["routing"] = None  # disabled: no label -> expert ground truth for the test labels
-        else:
-            report["routing"] = {
-                "average_error_rate": routing.average_error_rate,
-                "rows": routing.rows,
-            }
+        report["routing"] = None  # unless the anchors give a label -> expert ground truth for every test label
+        if (routing := scores.routing) is not None:
+            report["routing"] = {"average_error_rate": routing.average_error_rate, "rows": routing.rows}
             Path(args.report).with_suffix(".routing.csv").write_text(routing.to_csv())
     Path(args.report).write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
     print(f"evaluation report -> {args.report}")

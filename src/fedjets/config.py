@@ -83,7 +83,6 @@ class TrainingConfig:
 @dataclass
 class EvalConfig:
     interval: int = 10
-    last_k: int = 10
 
 
 @dataclass
@@ -179,8 +178,8 @@ class RunConfig:
             raise ConfigError("fedprox_mu must be non-negative")
         if f.method == "avg_ensemble" and f.ensemble_size < 2:
             raise ConfigError("avg_ensemble needs ensemble_size >= 2")
-        if self.eval.interval < 1 or self.eval.last_k < 1:
-            raise ConfigError("eval interval and last_k must be positive")
+        if self.eval.interval < 1:
+            raise ConfigError("eval interval must be positive")
         if self.scenario is not None:
             prev_end = 0
             if not self.scenario:

@@ -20,6 +20,7 @@ from .seeding import rng_stream
 KIND_ANCHOR = "anchor"
 KIND_NORMAL = "normal"
 KIND_TEST = "test"
+DIRICHLET_RETRIES = 100  # redraws of the empty clients' proportion columns
 
 
 @dataclass
@@ -135,7 +136,6 @@ def partition_quantity(
     with_replacement: bool = True,
     samples_per_client: int | None = None,
     start_id: int = 0,
-    kind: str = KIND_NORMAL,
 ) -> list[ClientShard]:
     """Quantity-based label imbalance: every client holds exactly
     `labels_per_client` distinct labels, samples drawn per label."""
@@ -185,7 +185,7 @@ def partition_quantity(
                 off += want
 
     return [
-        _make_shard(ds, start_id + k, np.concatenate(picks[k]), kind)
+        _make_shard(ds, start_id + k, np.concatenate(picks[k]), KIND_NORMAL)
         for k in range(num_clients)
     ]
 
@@ -196,8 +196,6 @@ def partition_dirichlet(
     alpha: float,
     seed: int,
     start_id: int = 0,
-    kind: str = KIND_NORMAL,
-    max_retries: int = 100,
 ) -> list[ClientShard]:
     """Distribution-based label imbalance: per label, client proportions are
     Dirichlet(alpha); per-label assigned counts always sum to the label's
@@ -211,7 +209,7 @@ def partition_dirichlet(
     gammas = rng.gamma(alpha, 1.0, size=(C, num_clients))
 
     counts = None
-    for _ in range(max_retries):
+    for _ in range(DIRICHLET_RETRIES):
         w = gammas / gammas.sum(axis=1, keepdims=True)
         counts = np.zeros((C, num_clients), dtype=np.int64)
         for c in range(C):
@@ -224,7 +222,7 @@ def partition_dirichlet(
             break
         gammas[:, empty] = rng.gamma(alpha, 1.0, size=(C, empty.size))
     else:
-        raise ConfigError(f"dirichlet partition left a client empty after {max_retries} retries")
+        raise ConfigError(f"dirichlet partition left a client empty after {DIRICHLET_RETRIES} retries")
 
     picks: list[list[np.ndarray]] = [[] for _ in range(num_clients)]
     for c in range(C):
@@ -233,7 +231,7 @@ def partition_dirichlet(
             if counts[c, k] > 0:
                 picks[k].append(rng.choice(pool, size=counts[c, k], replace=False))
     return [
-        _make_shard(ds, start_id + k, np.concatenate(picks[k]), kind)
+        _make_shard(ds, start_id + k, np.concatenate(picks[k]), KIND_NORMAL)
         for k in range(num_clients)
     ]
 

@@ -191,25 +191,45 @@ def build_context(cfg: config_mod.RunConfig) -> runtime.RunContext:
     )
 
 
+def fit_record(cfg: config_mod.RunConfig) -> dict:
+    """The config fields a saved state's scores depend on: all but `federation.rounds`,
+    `federation.method` (the state stores its own), `eval` and `scenario`."""
+    record = config_mod.to_dict(cfg)
+    del record["eval"], record["scenario"], record["federation"]["rounds"], record["federation"]["method"]
+    return record
+
+
+def _leaves(tree: dict, prefix: str = "") -> dict:
+    """{dotted path: value} for every leaf of a nested dict."""
+    nested = [_leaves(v, f"{prefix}{k}.") if isinstance(v, dict) else {prefix + k: v} for k, v in tree.items()]
+    return {path: value for leaves in nested for path, value in leaves.items()}
+
+
+def check_fit(meta: dict, cfg: config_mod.RunConfig) -> None:
+    """Raise ConfigError naming each field, with both values, where `cfg` differs
+    from the `fit_record` in a state's meta. Parsed values are compared: `4` fits `4.0`."""
+    held, given = _leaves(meta["config"]), _leaves(fit_record(cfg))
+    keys = [k for k in sorted(held.keys() | given.keys()) if k not in held.keys() & given.keys() or held[k] != given[k]]
+    if keys:
+        diffs = "; ".join(f"{k}: state {held.get(k, '-')}, config {given.get(k, '-')}" for k in keys)
+        raise ConfigError(f"the config differs from the one the state was trained under: {diffs}")
+
+
 def save_run_state(path, state: runtime.ServerState, cfg: config_mod.RunConfig) -> None:
     nets = [(f"expert_{i}", p) for i, p in enumerate(state.expert_params)]
     if state.gate_params is not None:
         nets.append(("gate", state.gate_params))
-    meta = {
-        "method": cfg.federation.method,
-        "round": state.round,
-        "seed": cfg.seed,
-    }
+    meta = {"config": fit_record(cfg), "method": cfg.federation.method, "round": state.round}
     checkpoint.save_state(path, nets, meta)
 
 
 def load_run_state(path) -> tuple[runtime.ServerState, dict]:
-    """Read a state written by `save_run_state`. Its meta must name a method,
-    a non-negative round and an int seed. Its blocks are `expert_0` ...
-    `expert_{M-1}` in that order, then `gate` for fedjets and no other method.
-    The experts share one spec: one for fedavg and fedprox, two or more for
-    avg_ensemble. The gate is a softmax head scoring exactly those experts.
-    Else the state is malformed."""
+    """Read a state written by `save_run_state`. Its meta names a method, a
+    non-negative round and, as a JSON object under `config`, the `fit_record`
+    it was trained under. Its blocks are `expert_0` ... `expert_{M-1}` in that
+    order, then `gate` for fedjets and no other method. The experts share one
+    spec: one for fedavg and fedprox, two or more for avg_ensemble. The gate is
+    a softmax head scoring exactly those experts. Else the state is malformed."""
     nets, meta = checkpoint.load_state(path)
     names = [name for name, _ in nets]
     experts = [(name, p) for name, p in nets if name.startswith("expert_")]
@@ -221,8 +241,8 @@ def load_run_state(path) -> tuple[runtime.ServerState, dict]:
         raise ArtifactError(f"{path}: unknown method {method!r}")
     if type(round_idx) is not int or round_idx < 0:
         raise ArtifactError(f"{path}: round must be a non-negative int, got {round_idx!r}")
-    if type(meta.get("seed")) is not int:
-        raise ArtifactError(f"{path}: seed must be an int, got {meta.get('seed')!r}")
+    if not isinstance(meta.get("config"), dict):
+        raise ArtifactError(f"{path}: config must be a JSON object, got {meta.get('config')!r}")
     if bool(gates) != (method == "fedjets"):
         raise ArtifactError(f"{path}: a gate is {'stored' if gates else 'missing'} for method {method!r}")
     if names != [f"expert_{i}" for i in range(len(experts))] + ["gate"] * len(gates):

@@ -127,7 +127,7 @@ def test_criterion_5_baseline_identities():
         data={"train_per_class": 60, "test_per_class": 30, "num_clients": 16, "num_test_clients": 3},
         model={"pretrain_max_epochs": 6},
         training={"local_iterations": 4, "lr": 0.05},
-        eval={"interval": 3, "last_k": 4},
+        eval={"interval": 3},
     )
     base_fed = {"rounds": 9, "anchors_per_round": 2, "normals_per_round": 3}
     _, ctx_avg, st_avg, h_avg, _ = cached_run("id-fedavg", **short, federation={"method": "fedavg", **base_fed})
@@ -252,7 +252,7 @@ def test_criterion_8_determinism():
     """Two runs with identical config produce byte-identical metrics.jsonl."""
     cfg_over = dict(
         federation={"rounds": 40},
-        eval={"interval": 10, "last_k": 4},
+        eval={"interval": 10},
     )
     import tempfile
     from pathlib import Path

@@ -131,6 +131,11 @@ class TestCommonCheckpoint:
         assert cli.main(["run", "--config", str(cfg_path), "--out", str(inline)]) == 0
         args = ["run", "--config", str(cfg_path), "--out", str(loaded), "--set", f"model.common_ckpt={ckpt}"]
         assert cli.main(args) == 0
+        # a state records the config it was trained under, which names the checkpoint; blank it, keep all else
+        entries, blocks, meta = checkpoint.read(loaded / "state.ckpt")
+        assert meta["config"]["model"]["common_ckpt"] == str(ckpt)
+        meta["config"]["model"]["common_ckpt"] = None
+        checkpoint.write(loaded / "state.ckpt", entries, blocks, meta)
         for name in ["metrics.jsonl", "comm.csv", "state.ckpt"]:
             assert (loaded / name).read_bytes() == (inline / name).read_bytes(), name
 
@@ -175,7 +180,7 @@ class TestEval:
         args = ["eval", "--config", str(cfg_path), "--state", str(out / "state.ckpt"), "--report", str(report)]
         capsys.readouterr()
         assert cli.main([*args, "--seed", "6"]) == 2
-        assert "config seed 6 differs from the seed 5" in capsys.readouterr().err
+        assert "trained under: seed: state 5, config 6" in capsys.readouterr().err
         assert not report.exists()
         assert cli.main([*args, "--seed", "5"]) == 0
         last = metrics.read_jsonl(out / "metrics.jsonl")[-1]
@@ -197,7 +202,7 @@ class TestEval:
         args = ["eval", "--config", str(cfg_path), "--state", str(out / "state.ckpt"), "--report", str(report)]
         capsys.readouterr()
         assert cli.main([*args, "--set", override]) == 2
-        assert f"differ from the {method} networks the config builds" in capsys.readouterr().err
+        assert f"{override.split('=')[0]}: state " in capsys.readouterr().err
         assert not report.exists()
         assert cli.main(args) == 0
 
@@ -237,6 +242,63 @@ class TestEval:
             runs = [a for a in traces if np.array_equal(a[1], expert.values)]
             assert len(runs) == 1
             assert runs[0][0] == expert.spec
+
+
+class TestEvalFit:
+    """A state records the config it was trained under; `eval` scores it only
+    under a config that agrees on every field but `federation.rounds`,
+    `federation.method`, `eval` and `scenario`."""
+
+    @pytest.fixture(scope="class")
+    def run(self, tmp_path_factory):
+        """One MINI fedjets run (seed 5): its config path, state path and last `global_acc`."""
+        root = tmp_path_factory.mktemp("fit")
+        cfg_path, out = write_mini_config(root / "config.json"), root / "run"
+        assert cli.main(["run", "--config", str(cfg_path), "--out", str(out)]) == 0
+        return cfg_path, out / "state.ckpt", metrics.read_jsonl(out / "metrics.jsonl")[-1].global_acc
+
+    def _eval(self, run, report, *extra):
+        cfg_path, state, _ = run
+        return cli.main(["eval", "--config", str(cfg_path), "--state", str(state), "--report", str(report), *extra])
+
+    @pytest.mark.parametrize(
+        "extra, message",
+        [
+            (["--set", "data.separation=0.5"], "data.separation: state 4.0, config 0.5"),
+            (["--set", "data.test_per_class=20"], "data.test_per_class: state 15, config 20"),
+            (["--set", "federation.top_k=1"], "federation.top_k: state 2, config 1"),
+            (["--set", "training.lr=0.01"], "training.lr: state 0.05, config 0.01"),
+            (["--set", "model.pretrain_max_epochs=1"], "model.pretrain_max_epochs: state 8, config 1"),
+            (["--seed", "6"], "seed: state 5, config 6"),
+            (["--set", "federation.num_experts=2"], "federation.num_experts: state 3, config 2"),
+        ],
+        ids=["separation", "test_per_class", "top_k", "lr", "pretrain_max_epochs", "seed", "num_experts"],
+    )
+    def test_a_changed_field_is_exit_2_naming_it(self, run, tmp_path, capsys, monkeypatch, extra, message):
+        def no_context(cfg):
+            raise AssertionError("a misfit config must be rejected before build_context")
+
+        monkeypatch.setattr(experiment, "build_context", no_context)
+        capsys.readouterr()
+        assert self._eval(run, tmp_path / "r.json", *extra) == 2
+        assert f"trained under: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "r.json").exists()
+
+    @pytest.mark.parametrize(
+        "override",
+        [
+            "federation.rounds=7",
+            "eval.interval=1",
+            'scenario={"ranges":[{"start":0,"end":4,"active_clients":[0,1,5,6,7]}]}',
+            "federation.method=fedavg",  # the state's own method scores it
+            "data.separation=4",  # the run wrote 4.0: parsed values agree
+        ],
+        ids=["rounds", "eval-interval", "scenario", "method", "int-for-float"],
+    )
+    def test_an_exempt_or_equal_field_still_fits(self, run, tmp_path, override):
+        assert self._eval(run, tmp_path / "r.json", "--set", override) == 0
+        doc = json.loads((tmp_path / "r.json").read_text())
+        assert (doc["method"], doc["global_accuracy"]) == ("fedjets", run[2])
 
 
 class TestReport:
@@ -371,6 +433,12 @@ class TestExitCodes:
         assert rc == 2
         assert "typo_key" in capsys.readouterr().err
 
+    def test_eval_last_k_is_an_unknown_key(self, tmp_path, capsys):
+        # `fedjets report --last-k` is the one last-k knob; the config key was never read
+        path = write_mini_config(tmp_path / "c.json", eval={"last_k": 5})
+        assert cli.main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+        assert "eval: unknown key(s) ['last_k']" in capsys.readouterr().err
+
     def test_invalid_json_is_exit_2(self, tmp_path, capsys):
         path = tmp_path / "c.json"
         path.write_text("{not json")
@@ -424,13 +492,14 @@ class TestExitCodes:
     @staticmethod
     def _eval_edited_state(cfg_path, tmp_path, capsys, edit, **meta_edits):
         """`fedjets eval` on a run's state.ckpt whose networks `edit` rewrote
-        and whose meta entries `meta_edits` replaced; returns the exit code
-        and stderr."""
+        and whose meta entries `meta_edits` replaced (None drops an entry);
+        returns the exit code and stderr."""
         out = tmp_path / "run"
         assert cli.main(["run", "--config", str(cfg_path), "--out", str(out)]) == 0
         state = out / "state.ckpt"
         nets, meta = checkpoint.load_state(state)
-        checkpoint.save_state(state, edit(dict(nets)), {**meta, **meta_edits})
+        meta = {k: v for k, v in {**meta, **meta_edits}.items() if v is not None}
+        checkpoint.save_state(state, edit(dict(nets)), meta)
         capsys.readouterr()
         rc = cli.main(["eval", "--config", str(cfg_path), "--state", str(state), "--report", str(tmp_path / "r.json")])
         return rc, capsys.readouterr().err
@@ -486,9 +555,9 @@ class TestExitCodes:
             ("fedjets", _unchanged, {"round": -1}, "round must be a non-negative int, got -1"),
             ("fedjets", _unchanged, {"method": "foo"}, "unknown method 'foo'"),
             ("fedjets", _unchanged, {"method": 5}, "unknown method 5"),
-            ("fedjets", _unchanged, {"seed": "5"}, "seed must be an int, got '5'"),
-            ("fedjets", _unchanged, {"seed": True}, "seed must be an int, got True"),
-            ("fedjets", _unchanged, {"seed": None}, "seed must be an int, got None"),
+            ("fedjets", _unchanged, {"config": None}, "config must be a JSON object, got None"),
+            ("fedjets", _unchanged, {"config": "seed=5"}, "config must be a JSON object, got 'seed=5'"),
+            ("fedjets", _unchanged, {"config": [5]}, "config must be a JSON object, got [5]"),
             ("fedjets", _without_gate, {}, "a gate is missing for method 'fedjets'"),
             ("fedjets", _one_expert_and_its_gate, {"method": "fedavg"}, "a gate is stored for method 'fedavg'"),
             ("fedjets", _without_gate, {"method": "fedprox"}, "method 'fedprox' cannot hold 3 expert(s)"),
@@ -499,9 +568,9 @@ class TestExitCodes:
             "round-negative",
             "unknown-method",
             "method-not-a-string",
-            "seed-a-string",
-            "seed-a-bool",
-            "seed-missing",
+            "record-missing",
+            "record-a-string",
+            "record-a-list",
             "fedjets-without-gate",
             "fedavg-with-gate",
             "fedprox-with-3-experts",

@@ -38,7 +38,7 @@ MINI = dict(
         "normals_per_round": 2,
     },
     training={"lr": 0.05, "momentum": 0.9, "gate_lr": 0.01, "batch_size": 16, "local_iterations": 2},
-    eval={"interval": 2, "last_k": 5},
+    eval={"interval": 2},
 )
 
 
