@@ -18,9 +18,18 @@ spec = nn.NetSpec.mlp([8, 16, 4])
 params = nn.init_params(spec, rng_stream(0, "demo-net"))
 print(f"network {spec.layer_dims}, {spec.param_count()} parameters")
 
-batch = nn.Batch(ds.inputs[:16], ds.labels[:16])
-loss, grad = nn.loss_and_grad(spec, params, batch, "ce_on_logits")
-print(f"initial batch loss {loss:.4f} (uniform would be {np.log(4):.4f})")
+x, y = ds.inputs[:16], ds.labels[:16]
+
+
+def batch_loss(values):
+    """Mean cross-entropy on (x, y), from the softmax probabilities `ce_grad` returns."""
+    probs = nn.ce_grad(spec, values, x, y, "ce_on_logits")[0]
+    return float(-np.mean(np.log(probs[np.arange(len(y)), y])))
+
+
+# ce_grad: one forward and one backprop, on a [P] row here or on a [B, P] stack of networks
+_, grad = nn.ce_grad(spec, params.values, x, y, "ce_on_logits")
+print(f"initial batch loss {batch_loss(params.values):.4f} (uniform would be {np.log(4):.4f})")
 
 # spot-check the gradient with central differences on a few coordinates
 rng = rng_stream(0, "demo-fd")
@@ -31,20 +40,16 @@ for i in coords:
     up, down = params.values.copy(), params.values.copy()
     up[i] += h
     down[i] -= h
-    fd = (
-        nn.loss_and_grad(spec, nn.ParamVector(up, spec), batch, "ce_on_logits")[0]
-        - nn.loss_and_grad(spec, nn.ParamVector(down, spec), batch, "ce_on_logits")[0]
-    ) / (2 * h)
-    worst = max(worst, abs(fd - grad.values[i]))
+    fd = (batch_loss(up) - batch_loss(down)) / (2 * h)
+    worst = max(worst, abs(fd - grad[i]))
 print(f"finite-difference spot check, worst abs deviation: {worst:.2e}")
 
 velocity = np.zeros_like(params.values)  # SGDM steps params and velocity in place
 order = rng.permutation(len(ds))
 for step in range(300):
     rows = order[(step * 16) % (len(ds) - 16) : (step * 16) % (len(ds) - 16) + 16]
-    b = nn.Batch(ds.inputs[rows], ds.labels[rows])
-    _, g = nn.loss_and_grad(spec, params, b, "ce_on_logits")
-    nn.sgdm_step(params.values, velocity, g.values, lr=0.05, momentum=0.9)
+    _, g = nn.ce_grad(spec, params.values, ds.inputs[rows], ds.labels[rows], "ce_on_logits")
+    nn.sgdm_step(params.values, velocity, g, lr=0.05, momentum=0.9)
 
 acc = central.model_accuracy(params, holdout.inputs, holdout.labels)
 print(f"accuracy after 300 SGDM steps: {acc:.3f}")

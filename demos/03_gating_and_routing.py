@@ -37,9 +37,9 @@ for step in range(401):
         report = evaluation.per_sample_routing_report(chosen, tests, test, truth)
         print(f"step {step:4d}: routing error {report.average_error_rate:.3f} (chance 0.80)")
     q = step % M
-    anchor = nn.Batch(cache[q], np.full(len(cache[q]), q))  # the gate learns to send anchor q to expert q
-    loss, grad = nn.loss_and_grad(gate.spec, gate, anchor, "ce_on_mixture")
-    nn.sgdm_step(gate.values, velocity, grad.values, 0.05, 0.0)
+    target = np.full(len(cache[q]), q)  # the gate learns to send anchor q to expert q
+    _, grad = nn.ce_grad(gate.spec, gate.values, cache[q], target, "ce_on_mixture")
+    nn.sgdm_step(gate.values, velocity, grad, 0.05, 0.0)
 
 scores = gating.gate_scores(gate, test_cache[tests[0].client_id])
 sel = gating.select_topk(scores, 2)

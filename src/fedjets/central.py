@@ -65,9 +65,10 @@ def pretrain(
         order = rng.permutation(n)
         for start in range(0, n, batch_size):
             rows = order[start : start + batch_size]
-            batch = nn.Batch(train_ds.inputs[rows], train_ds.labels[rows])
-            _, grad = nn.loss_and_grad(spec, params, batch, "ce_on_logits")
-            nn.sgdm_step(params.values, velocity, grad.values, lr, momentum)
+            _, grad = nn.ce_grad(spec, params.values, train_ds.inputs[rows], train_ds.labels[rows], "ce_on_logits")
+            if failures := nn.Scan().grads(spec, grad[None]).failures:
+                raise failures[0].within(f"pretrain | epoch {epochs}")
+            nn.sgdm_step(params.values, velocity, grad, lr, momentum)
         epochs += 1
         acc = model_accuracy(params, holdout_ds.inputs, holdout_ds.labels)
     params.check_finite()

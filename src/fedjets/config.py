@@ -149,6 +149,10 @@ class RunConfig:
             raise ConfigError("at least one client must be active per round")
         if d.num_clients <= f.num_experts:
             raise ConfigError("num_clients must exceed num_experts (anchors are clients)")
+        if d.labels_per_anchor < 1:
+            raise ConfigError(f"data.labels_per_anchor must be at least 1, got {d.labels_per_anchor}")
+        if d.test_labels_per_client is not None and d.test_labels_per_client < 1:
+            raise ConfigError(f"data.test_labels_per_client must be null or at least 1, got {d.test_labels_per_client}")
         if d.labels_per_client > d.num_classes:
             raise ConfigError("labels_per_client exceeds num_classes")
         if d.alpha <= 0:

@@ -6,6 +6,7 @@ echo, metrics, state checkpoint, comm ledger).
 
 from __future__ import annotations
 
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -109,7 +110,7 @@ def build_shards(cfg: config_mod.RunConfig, train_ds, test_ds):
             derive_seed(cfg.seed, "partition"),
             start_id=f.num_experts,
         )
-    test_labels = d.test_labels_per_client or d.labels_per_client
+    test_labels = d.labels_per_client if d.test_labels_per_client is None else d.test_labels_per_client
     tests = data.make_test_clients(
         test_ds,
         d.num_test_clients,
@@ -158,6 +159,12 @@ def build_common(cfg: config_mod.RunConfig, train_ds) -> tuple[CommonExpert, dic
         return CommonExpert.from_net(params, m.embed_layer), {"source": str(m.common_ckpt), **meta}
 
     result = pretrain_common(cfg, train_ds)
+    if not result.reached_target:  # a run goes on with it; `fedjets pretrain` would exit 1
+        print(
+            f"common expert missed its pretraining target: held-out accuracy {result.accuracy:.4f} < "
+            f"{m.pretrain_target_accuracy} after {result.epochs} epochs",
+            file=sys.stderr,
+        )
     common = CommonExpert.from_net(result.params, m.embed_layer)
     meta = {
         "source": "inline-pretrain",

@@ -9,7 +9,7 @@ single-network API checks only that the spec it is given is that spec.
 
 Trace contract: each entry point runs the forward pass once, in
 `_forward_trace`; `backprop` consumes the `Trace` it returns and never
-recomputes it. `loss_and_grad` thus does one forward per step, and a caller
+recomputes it. `ce_grad` thus does one forward per step, and a caller
 mixing k networks takes each one's output and trace from `forward_with_trace`.
 
 Stack axis: the engine functions `_forward_trace`, `forward_with_trace`,
@@ -17,9 +17,9 @@ Stack axis: the engine functions `_forward_trace`, `forward_with_trace`,
 values on `[n, d]` inputs, or a stack of B networks of one spec as `[B, P]`
 rows on `[B, n, d]` inputs. Every matmul, reduction and elementwise op runs
 per slice, so row b is bit for bit what network b gives alone; this is how
-a round's clients step as one stack. The single-network API (`forward`,
-`forward_to_layer`, `loss_and_grad`) checks that a ParamVector belongs to
-its spec and calls the same functions on its values.
+a round's clients step as one stack. Pretraining calls `ce_grad` on its one
+`[P]` row. The single-network API (`forward`, `forward_to_layer`) checks that
+a ParamVector belongs to its spec and calls the same functions on its values.
 
 Finiteness is checked at boundaries, not per step. The engine functions
 return raw outputs and gradients; `Scan` is the one place that finds and
@@ -27,8 +27,8 @@ names a non-finite value: each network row's first failure and, for a
 gradient, the top-most bad layer, which backprop reaches first. A stack's
 caller scans each row, so one client's overflow is charged to it alone; the
 single-network API, `forward_to_layer`'s embeddings included, makes one
-`np.isfinite` pass and builds a one-row Scan only when it fails. Batch inputs
-and ParamVectors are scanned at construction; `sgdm_step` checks nothing.
+`np.isfinite` pass and builds a one-row Scan only when it fails. ParamVectors
+are scanned at construction; `sgdm_step` checks nothing.
 
 Parameter layout for layer dims (d0, d1, ..., dL): for each layer l the
 weight matrix W_l of shape (d_l, d_{l+1}) in row-major order, followed by
@@ -49,10 +49,8 @@ LOG_CLAMP = 1e-12
 
 HIDDEN_ACTIVATIONS = ("relu", "identity")
 OUTPUT_HEADS = ("logits", "softmax")
-LOSS_KINDS = ("ce_on_logits", "ce_on_mixture")
 
 # What each finiteness check raises, on one network or for one stack row.
-NONFINITE_INPUTS = "batch inputs contain non-finite values"
 NONFINITE_OUTPUT = "non-finite network output"
 NONFINITE_GRADIENT = "non-finite gradient"
 NONFINITE_PARAMS = "ParamVector contains non-finite values"
@@ -169,27 +167,6 @@ class ParamVector:
         return ParamVector(self.values.copy(), self.spec)
 
 
-@dataclass
-class Batch:
-    """Labeled minibatch: inputs [n x d], integer class labels [n]."""
-
-    inputs: np.ndarray
-    labels: np.ndarray
-
-    def __post_init__(self):
-        self.inputs = np.asarray(self.inputs, dtype=np.float64)
-        self.labels = np.asarray(self.labels, dtype=np.int64)
-        if self.inputs.ndim != 2 or self.inputs.shape[0] < 1:
-            raise ConfigError(f"batch inputs must be [n x d] with n >= 1, got {self.inputs.shape}")
-        if self.labels.shape != (self.inputs.shape[0],):
-            raise ConfigError("batch labels must be one integer per input row")
-        if not np.isfinite(self.inputs).all():
-            raise NumericError(NONFINITE_INPUTS)
-
-    def __len__(self) -> int:
-        return self.inputs.shape[0]
-
-
 def check_compat(spec: NetSpec, params: ParamVector, *, where: str = "") -> None:
     """Raise ConfigError unless `params` belongs to `spec`."""
     if params.spec is not spec and params.spec != spec:
@@ -206,10 +183,6 @@ def init_params(spec: NetSpec, rng: np.random.Generator) -> ParamVector:
         chunks.append(rng.uniform(-a, a, size=fan_in * fan_out))
         chunks.append(np.zeros(fan_out))
     return ParamVector(np.concatenate(chunks), spec)
-
-
-def zeros_like(spec: NetSpec) -> ParamVector:
-    return ParamVector(np.zeros(spec.param_count()), spec)
 
 
 def unpack(spec: NetSpec, values: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -234,18 +207,6 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     z = z - z.max(axis=-1, keepdims=True)
     e = np.exp(z)
     return e / e.sum(axis=-1, keepdims=True)
-
-
-def cross_entropy(probs: np.ndarray, labels: np.ndarray) -> float:
-    """Mean negative log-probability of the true labels.
-
-    Probabilities are clamped at 1e-12 before the log; rows are expected to
-    be (approximately) normalized but this is not re-checked here.
-    """
-    p = np.asarray(probs, dtype=np.float64)
-    y = np.asarray(labels, dtype=np.int64)
-    picked = p[np.arange(p.shape[0]), y]
-    return float(-np.mean(np.log(np.maximum(picked, LOG_CLAMP))))
 
 
 class Trace(NamedTuple):
@@ -404,28 +365,6 @@ def ce_grad(spec: NetSpec, values: np.ndarray, inputs: np.ndarray, labels: np.nd
         dprobs.reshape(-1, spec.output_dim)[rows[live], cols[live]] = -1.0 / (n * picked[live])
         dz = softmax_vjp(probs, dprobs)
     return probs, backprop(spec, trace, dz)
-
-
-def loss_and_grad(spec: NetSpec, params: ParamVector, batch: Batch, loss_kind: str):
-    """Mean cross-entropy loss and its parameter gradient, from one forward.
-
-    `ce_on_logits` (requires a `logits` head): CE applied to softmax of the
-    network output. `ce_on_mixture` (requires a `softmax` head): CE applied
-    directly to the probability output, with the 1e-12 log clamp.
-    """
-    check_compat(spec, params, where="(backward)")
-    if loss_kind not in LOSS_KINDS:
-        raise ConfigError(f"unknown loss kind {loss_kind!r}")
-    head = "logits" if loss_kind == "ce_on_logits" else "softmax"
-    if spec.head != head:
-        raise ConfigError(f"{loss_kind} requires a {head} head")
-    if batch.labels.min() < 0 or batch.labels.max() >= spec.output_dim:
-        raise ConfigError("batch labels out of range for network output dim")
-    probs, grad = ce_grad(spec, params.values, batch.inputs, batch.labels, loss_kind)
-    try:
-        return cross_entropy(probs, batch.labels), ParamVector(grad, spec)
-    except NumericError:
-        raise Scan().grads(spec, grad[None]).failures[0] from None
 
 
 def sgdm_step(params: np.ndarray, velocity: np.ndarray, grad: np.ndarray, lr: float, momentum: float) -> None:

@@ -27,6 +27,8 @@ No client is padded and no step is shared. Packets come out in client
 order. The engine returns raw rows, and an `nn.Scan` over the stack records
 each client's first non-finite value, in the order it would meet it alone;
 the first failing client in `client_ids` order is the one raised.
+`nn.ce_grad` and `_mixture_grads` are the only training gradients; one
+client alone is a stack of one.
 
 Inside a round a network is a float64 row; packets carry the rows the kernel
 scanned finite. An `nn.ParamVector` exists only where a server state is built
@@ -281,43 +283,6 @@ def _mixture_grads(expert_spec, experts, gate_spec, gates, selected, inputs, emb
     gate_grad = nn.backprop(gate_spec, gate_trace, dz_gate)
     scan.grads(gate_spec, gate_grad)
     return probs_out, expert_grads, gate_grad
-
-
-def mixture_loss_and_grads(
-    expert_params: list[nn.ParamVector],
-    gate: nn.ParamVector,
-    selected: tuple[int, ...],
-    inputs: np.ndarray,
-    embeddings: np.ndarray,
-    labels: np.ndarray,
-    renormalize: bool = False,
-):
-    """Joint mixture cross-entropy of one client: loss, per-expert
-    gradients, gate gradient. It is the group kernel's mixture on a stack of
-    one, and raises the first NumericError that client meets."""
-    k = len(selected)
-    if k == 0 or len(expert_params) != k:
-        raise ConfigError("selection and expert parameter list must match and be non-empty")
-    spec = expert_params[0].spec
-    for p in expert_params:
-        nn.check_compat(spec, p, where="(mixture)")
-    scan = nn.Scan()
-    probs_out, e_grads, g_grad = _mixture_grads(
-        spec,
-        [p.values[None] for p in expert_params],
-        gate.spec,
-        gate.values[None],
-        np.array([selected]),
-        np.asarray(inputs, dtype=np.float64)[None],
-        np.asarray(embeddings, dtype=np.float64)[None],
-        np.asarray(labels)[None],
-        renormalize,
-        scan,
-    )
-    if scan.failures:
-        raise scan.failures[0]
-    loss = nn.cross_entropy(probs_out[0], labels)
-    return loss, [nn.ParamVector(g[0], spec) for g in e_grads], nn.ParamVector(g_grad[0], gate.spec)
 
 
 def group_clients(ctx: RunContext, client_ids: list[int], work) -> list[list[tuple[ClientShard, Work]]]:

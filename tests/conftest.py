@@ -1,7 +1,8 @@
-"""Shared helpers: finite-difference oracles, kink-safe random nets, and
-reference implementations the library no longer needs (the loss alone, the
-gate's independent loss, the mixture forward, the FedProx objective,
-per-client-forward test scoring)."""
+"""Shared helpers: finite-difference oracles, kink-safe random nets, the
+kernel's gradients of one network or client (a stack of one, as a round
+steps it), and reference implementations the library no longer needs (the
+cross-entropy and the loss alone, the gate's independent loss, the mixture
+forward, the FedProx objective, per-client-forward test scoring)."""
 
 from __future__ import annotations
 
@@ -42,7 +43,7 @@ def min_hidden_preact(spec: nn.NetSpec, params: nn.ParamVector, inputs: np.ndarr
 
 
 def kink_safe_net(seed: int, dims, head: str = "logits", n: int = 6, margin: float = 0.05):
-    """Random net + batch with every relu pre-activation at least `margin`
+    """Random net, inputs and labels with every relu pre-activation at least `margin`
     from zero, so an h=1e-4 central-difference stencil cannot cross a kink.
     Redraws deterministically until safe."""
     spec = nn.NetSpec.mlp(dims, head=head)
@@ -52,27 +53,47 @@ def kink_safe_net(seed: int, dims, head: str = "logits", n: int = 6, margin: flo
         inputs = rng.normal(size=(n, spec.input_dim))
         labels = rng.integers(0, spec.output_dim, size=n)
         if min_hidden_preact(spec, params, inputs) >= margin:
-            return spec, params, nn.Batch(inputs, labels)
+            return spec, params, inputs, labels
     raise AssertionError("could not draw a kink-safe net; loosen the margin")
 
 
-def loss_value(spec: nn.NetSpec, params: nn.ParamVector, batch: nn.Batch, loss_kind: str) -> float:
-    """Loss alone, on the forward path `nn.loss_and_grad` uses (for gradient checks)."""
-    nn.check_compat(spec, params, where="(loss)")
-    probs = nn.softmax(nn._forward_trace(spec, params.values, batch.inputs).acts[-1])
-    return nn.cross_entropy(probs, batch.labels)
+def cross_entropy(probs: np.ndarray, labels: np.ndarray) -> float:
+    """Mean negative log-probability of the true labels, each clamped at 1e-12."""
+    picked = probs[np.arange(len(labels)), labels]
+    return float(-np.mean(np.log(np.maximum(picked, nn.LOG_CLAMP))))
+
+
+def loss_value(spec: nn.NetSpec, params: nn.ParamVector, inputs: np.ndarray, labels: np.ndarray) -> float:
+    """Loss alone, on the forward path `nn.ce_grad` runs (for gradient checks):
+    CE on the softmax of the pre-head output, which is a softmax head's own output."""
+    return cross_entropy(nn.softmax(nn._forward_trace(spec, params.values, inputs).acts[-1]), labels)
+
+
+def ce_grad(spec: nn.NetSpec, params: nn.ParamVector, inputs, labels, loss_kind: str) -> np.ndarray:
+    """`nn.ce_grad`'s gradient of one network, on a stack of one."""
+    return nn.ce_grad(spec, params.values[None], inputs[None], labels[None], loss_kind)[1][0]
+
+
+def mixture_grads(experts, gate, selected, inputs, embeddings, labels, renormalize=False, scan=None):
+    """`runtime._mixture_grads` of one client, on a stack of one: the mixture's
+    probabilities, each expert's gradient and the gate's."""
+    vals = [e.values[None] for e in experts]
+    probs, e_grads, g_grad = runtime._mixture_grads(
+        experts[0].spec, vals, gate.spec, gate.values[None], np.array([selected]),
+        inputs[None], embeddings[None], labels[None], renormalize, nn.Scan() if scan is None else scan,
+    )
+    return probs[0], [g[0] for g in e_grads], g_grad[0]
 
 
 def gate_independent_loss_grad(
     gate: nn.ParamVector, embeddings: np.ndarray, anchor_expert: int
-) -> tuple[float, nn.ParamVector]:
+) -> tuple[float, np.ndarray]:
     """Anchor loss: cross-entropy between the gate output and the one-hot
     encoding of the anchor's assigned expert, averaged over the shard."""
     if not (0 <= anchor_expert < gate.spec.output_dim):
         raise ConfigError(f"anchor expert {anchor_expert} out of range")
     labels = np.full(embeddings.shape[0], anchor_expert, dtype=np.int64)
-    batch = nn.Batch(embeddings, labels)
-    return nn.loss_and_grad(gate.spec, gate, batch, "ce_on_mixture")
+    return loss_value(gate.spec, gate, embeddings, labels), ce_grad(gate.spec, gate, embeddings, labels, "ce_on_mixture")
 
 
 def mixture_forward(
@@ -99,9 +120,9 @@ def mixture_forward(
     return combined
 
 
-def prox_loss(params, global_params, batch, mu) -> float:
+def prox_loss(params, global_params, inputs, labels, mu) -> float:
     """The augmented objective FedProx steps descend (for gradient checks)."""
-    base = loss_value(params.spec, params, batch, "ce_on_logits")
+    base = loss_value(params.spec, params, inputs, labels)
     return base + 0.5 * mu * float(np.sum((params.values - global_params.values) ** 2))
 
 

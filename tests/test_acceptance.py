@@ -10,6 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from conftest import (
+    ce_grad,
     central_diff,
     ensemble_labels,
     kink_safe_net,
@@ -44,15 +45,15 @@ def test_criterion_1_gradient_correctness():
     worst = 0.0
     for seed in range(10):
         for kind, head in [("ce_on_logits", "logits"), ("ce_on_mixture", "softmax")]:
-            spec, params, batch = kink_safe_net(seed, [6, 10, 5], head=head, n=5)
+            spec, params, x, y = kink_safe_net(seed, [6, 10, 5], head=head, n=5)
             assert spec.param_count() <= 500
-            _, grad = nn.loss_and_grad(spec, params, batch, kind)
+            grad = ce_grad(spec, params, x, y, kind)
             fd = central_diff(
-                lambda v: loss_value(spec, nn.ParamVector(v, spec), batch, kind),
+                lambda v: loss_value(spec, nn.ParamVector(v, spec), x, y),
                 params.values,
                 h=1e-4,
             )
-            worst = max(worst, rel_error(grad.values, fd))
+            worst = max(worst, rel_error(grad, fd))
     ok = worst < 1e-4
     assert criterion(1, ok, f"gradient check worst relative error {worst:.2e} (need < 1e-4)")
 

@@ -7,7 +7,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from conftest import central_diff, ensemble_labels, kink_safe_net, prox_loss, rel_error
+from conftest import ce_grad, central_diff, ensemble_labels, kink_safe_net, mixture_grads, prox_loss, rel_error
 from fedjets import baselines, experiment, nn, runtime
 from fedjets.errors import ConfigError
 from fedjets.seeding import rng_stream
@@ -33,11 +33,8 @@ class TestFedAvgClient:
         lr, m = cfg.training.lr, cfg.training.momentum
         params, v = global_params.copy(), 0.0
         for rows in batches:
-            b = nn.Batch(
-                ctx.train_ds.inputs[shard.indices[rows]], ctx.train_ds.labels[shard.indices[rows]]
-            )
-            _, grad = nn.loss_and_grad(ctx.expert_spec, params, b, "ce_on_logits")
-            v = m * v + grad.values
+            x, y = ctx.train_ds.inputs[shard.indices[rows]], ctx.train_ds.labels[shard.indices[rows]]
+            v = m * v + ce_grad(ctx.expert_spec, params, x, y, "ce_on_logits")
             params = nn.ParamVector(params.values - lr * v, params.spec)
         assert np.array_equal(pkt.experts[0], params.values)
 
@@ -66,13 +63,12 @@ class TestFedProx:
         assert np.max(np.abs(pkt.experts[0] - global_params.values)) < 1e-3
 
     def test_prox_gradient_matches_augmented_objective(self):
-        spec, params, batch = kink_safe_net(61, [4, 6, 3])
+        spec, params, x, y = kink_safe_net(61, [4, 6, 3])
         anchor = nn.ParamVector(params.values + 0.05, spec)
         mu = 0.7
-        _, base_grad = nn.loss_and_grad(spec, params, batch, "ce_on_logits")
-        grad = base_grad.values + mu * (params.values - anchor.values)
+        grad = ce_grad(spec, params, x, y, "ce_on_logits") + mu * (params.values - anchor.values)
         fd = central_diff(
-            lambda v: prox_loss(nn.ParamVector(v, spec), anchor, batch, mu),
+            lambda v: prox_loss(nn.ParamVector(v, spec), anchor, x, y, mu),
             params.values,
         )
         assert rel_error(grad, fd) < 1e-4
@@ -166,12 +162,12 @@ class TestFedMix:
             x = c.train_ds.inputs[shard.indices[rows]]
             y = c.train_ds.labels[shard.indices[rows]]
             emb = c.cache[shard.client_id][rows]
-            _, e_grads, g_grad = runtime.mixture_loss_and_grads([experts[0], experts[1]], gate_ref, (0, 1), x, emb, y)
+            _, e_grads, g_grad = mixture_grads([experts[0], experts[1]], gate_ref, (0, 1), x, emb, y)
             for j in (0, 1):
-                v_e[j] = tr.momentum * v_e[j] + e_grads[j].values
+                v_e[j] = tr.momentum * v_e[j] + e_grads[j]
                 experts[j] = nn.ParamVector(experts[j].values - tr.lr * v_e[j], experts[j].spec)
-            v_g = tr.gate_momentum * v_g + g_grad.values
-            gate_ref = nn.ParamVector(gate_ref.values - tr.gate_lr * v_g, g_grad.spec)
+            v_g = tr.gate_momentum * v_g + g_grad
+            gate_ref = nn.ParamVector(gate_ref.values - tr.gate_lr * v_g, gate_ref.spec)
         assert np.array_equal(pkt.experts[0], experts[0].values)
         assert np.array_equal(pkt.experts[1], experts[1].values)
         assert np.array_equal(new_gate, gate_ref.values)

@@ -95,7 +95,7 @@ def test_version_1_files_rejected(tmp_path):
 
 def test_load_net_rejects_a_state_and_load_state_a_feature_file(tmp_path):
     spec = nn.NetSpec.mlp([2, 3])
-    params = nn.zeros_like(spec)
+    params = nn.ParamVector(np.zeros(spec.param_count()), spec)
     path = tmp_path / "x.ckpt"
     checkpoint.save_state(path, [("expert_0", params), ("expert_1", params)])
     with pytest.raises(ArtifactError):

@@ -79,6 +79,16 @@ class TestRun:
         echoed = json.loads((out / "config.echo.json").read_text())
         assert echoed["seed"] == 9
 
+    def test_run_says_when_its_common_expert_missed_the_target(self, cfg_path, tmp_path, capsys):
+        # the MINI config meets its 0.8 target; with no epochs the init is kept, and the run goes on
+        assert cli.main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "met")]) == 0
+        assert "pretraining target" not in capsys.readouterr().err
+        sets = ["--set", "model.pretrain_max_epochs=0"]
+        assert cli.main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "missed"), *sets]) == 0
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("common expert missed its pretraining target: held-out accuracy 0.")
+        assert line.endswith(" < 0.8 after 0 epochs")
+
 
 class TestPretrain:
     def test_chance_target_stops_immediately(self, cfg_path, tmp_path, capsys):
@@ -117,6 +127,15 @@ class TestPretrain:
         err = capsys.readouterr()
         assert "not reached" in err.err
         assert ckpt.exists()  # checkpoint still written with achieved accuracy
+
+    @pytest.mark.parametrize("command, out", [("pretrain", "c.ckpt"), ("run", "o")])
+    def test_non_finite_gradient_is_exit_3_naming_the_epoch(self, cfg_path, tmp_path, capsys, command, out):
+        # pretraining as `pretrain` runs it and as `run` runs it inline
+        sets = ["--set", "training.lr=1e200"]
+        with np.errstate(over="ignore", invalid="ignore"):
+            rc = cli.main([command, "--config", str(cfg_path), "--out", str(tmp_path / out), *sets])
+        assert rc == 3
+        assert capsys.readouterr().err == "numeric error: non-finite gradient | layer=1 | pretrain | epoch 0\n"
 
 
 class TestCommonCheckpoint:
@@ -350,7 +369,8 @@ def _first_expert(nets):
 def _one_expert_and_its_gate(nets):
     """expert_0 and a softmax gate that scores one expert."""
     spec = nets["gate"].spec
-    gate = nn.zeros_like(nn.NetSpec(spec.layer_dims[:-1] + (1,), spec.activations, "softmax"))
+    gate_spec = nn.NetSpec(spec.layer_dims[:-1] + (1,), spec.activations, "softmax")
+    gate = nn.ParamVector(np.zeros(gate_spec.param_count()), gate_spec)
     return _first_expert(nets) + [("gate", gate)]
 
 
@@ -485,7 +505,7 @@ class TestExitCodes:
     def test_state_without_experts_is_exit_4(self, cfg_path, tmp_path):
         state = tmp_path / "common.ckpt"  # a single-network checkpoint is no server state
         spec = nn.NetSpec.mlp([4, 3])
-        checkpoint.save_net(state, nn.zeros_like(spec))
+        checkpoint.save_net(state, nn.ParamVector(np.zeros(spec.param_count()), spec))
         rc = cli.main(["eval", "--config", str(cfg_path), "--state", str(state), "--report", str(tmp_path / "r.json")])
         assert rc == 4
 
@@ -513,7 +533,8 @@ class TestExitCodes:
     def test_state_with_an_expert_of_another_spec_is_exit_4(self, cfg_path, tmp_path, capsys):
         def edit(nets):
             other = nn.NetSpec.mlp([6, 4, 6])
-            return [*nets.items()][:1] + [("expert_1", nn.zeros_like(other))] + [*nets.items()][2:]
+            expert_1 = nn.ParamVector(np.zeros(other.param_count()), other)
+            return [*nets.items()][:1] + [("expert_1", expert_1)] + [*nets.items()][2:]
 
         rc, err = self._eval_edited_state(cfg_path, tmp_path, capsys, edit)
         assert rc == 4 and "expert_1 has another spec than expert_0" in err
@@ -668,8 +689,15 @@ class TestExitCodes:
             (["training.local_iterations=null", "training.local_epochs=-1"], "training.local_epochs"),
             (["model.expert_dims=[]"], "model.expert_dims"),
             (["model.common_dims=[]"], "model.common_dims"),
+            (["data.labels_per_anchor=0"], "data.labels_per_anchor"),
+            (["data.labels_per_anchor=-1"], "data.labels_per_anchor"),
+            (["data.test_labels_per_client=-2"], "data.test_labels_per_client"),
+            (["data.test_labels_per_client=0"], "data.test_labels_per_client"),
         ],
-        ids=["rounds", "local_epochs", "expert_dims", "common_dims"],
+        ids=[
+            "rounds", "local_epochs", "expert_dims", "common_dims",
+            "labels_per_anchor-0", "labels_per_anchor-neg", "test_labels_per_client-neg", "test_labels_per_client-0",
+        ],
     )
     def test_invalid_override_value_semantics(self, cfg_path, tmp_path, capsys, overrides, named):
         sets = [arg for override in overrides for arg in ("--set", override)]

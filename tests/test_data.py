@@ -273,7 +273,7 @@ class TestFeatureFiles:
         from fedjets import checkpoint
 
         spec = nn.NetSpec.mlp([4, 3])
-        params = nn.zeros_like(spec)
+        params = nn.ParamVector(np.zeros(spec.param_count()), spec)
         path = tmp_path / "net.ckpt"
         checkpoint.save_net(path, params)
         with pytest.raises(ArtifactError):

@@ -185,7 +185,7 @@ class TestRoutingReport:
         # per-sample argmax lands on expert 0; balanced groups -> 2/3 error here
         ds = onehot_dataset(per_class=100, seed=11)
         state = perfect_state()
-        state.gate_params = nn.zeros_like(state.gate_params.spec)
+        state.gate_params = nn.ParamVector(np.zeros_like(state.gate_params.values), state.gate_params.spec)
         shards = [
             shard_with_labels(ds, GROUPS[q], 80, 700 + q) for q in range(M)
         ]
@@ -208,7 +208,8 @@ class TestRoutingReport:
         ds = data.LabeledDataset(np.concatenate(inputs), np.concatenate(labels), C10)
         expert_spec = nn.NetSpec.mlp([C10, C10])
         gate_sp = gating.gate_spec(C10, M5)
-        state = runtime.ServerState([nn.zeros_like(expert_spec) for _ in range(M5)], nn.zeros_like(gate_sp))
+        experts = [nn.ParamVector(np.zeros(expert_spec.param_count()), expert_spec) for _ in range(M5)]
+        state = runtime.ServerState(experts, nn.ParamVector(np.zeros(gate_sp.param_count()), gate_sp))
         common_spec = nn.NetSpec.mlp([C10, C10])
         common = gating.CommonExpert(
             nn.ParamVector(np.concatenate([np.eye(C10).ravel(), np.zeros(C10)]), common_spec),

@@ -31,7 +31,7 @@ def random_gate(seed, embed_dim, m, hidden=None):
 
 def zero_gate(embed_dim, m):
     spec = gating.gate_spec(embed_dim, m)
-    return nn.zeros_like(spec)
+    return nn.ParamVector(np.zeros(spec.param_count()), spec)
 
 
 class TestEmbedding:
@@ -94,7 +94,7 @@ class TestGateScores:
     def test_gate_requires_softmax_head(self):
         spec = nn.NetSpec.mlp([6, 8, 4])
         with pytest.raises(ConfigError):
-            gating.gate_scores(nn.zeros_like(spec), np.zeros((2, 6)))
+            gating.gate_scores(nn.ParamVector(np.zeros(spec.param_count()), spec), np.zeros((2, 6)))
 
 
 class TestSelectTopK:
@@ -179,7 +179,7 @@ class TestIndependentLoss:
         emb = rng.normal(size=(10, 6))
         loss, grad = gate_independent_loss_grad(gate, emb, 3)
         assert loss < 1e-6
-        assert np.linalg.norm(grad.values) < 1e-6
+        assert np.linalg.norm(grad) < 1e-6
 
     def test_zero_params_loss_is_log_m(self, rng):
         gate = zero_gate(6, 5)
@@ -196,12 +196,8 @@ class TestIndependentLoss:
                     break
             loss, grad = gate_independent_loss_grad(gate, emb, 1)
             labels = np.full(5, 1, dtype=np.int64)
-            batch = nn.Batch(emb, labels)
-            fd = central_diff(
-                lambda v: loss_value(gate.spec, nn.ParamVector(v, gate.spec), batch, "ce_on_mixture"),
-                gate.values,
-            )
-            assert rel_error(grad.values, fd) < 1e-4
+            fd = central_diff(lambda v: loss_value(gate.spec, nn.ParamVector(v, gate.spec), emb, labels), gate.values)
+            assert rel_error(grad, fd) < 1e-4
 
     def test_expert_index_validated(self, rng):
         gate = random_gate(18, 6, 4)
@@ -221,4 +217,4 @@ class TestIndependentLoss:
                 if prev is not None:
                     assert loss < prev
                 prev = loss
-                nn.sgdm_step(gate.values, velocity, grad.values, 0.001, 0.0)
+                nn.sgdm_step(gate.values, velocity, grad, 0.001, 0.0)

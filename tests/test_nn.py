@@ -6,7 +6,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from conftest import central_diff, kink_safe_net, loss_value, mixture_forward, rel_error
+from conftest import ce_grad, central_diff, cross_entropy, kink_safe_net, loss_value, mixture_forward, rel_error
 from fedjets import central, checkpoint, data, nn
 from fedjets.errors import ArtifactError, ConfigError, NumericError
 from fedjets.seeding import rng_stream
@@ -68,7 +68,7 @@ class TestForward:
 
     def test_zero_params_zero_logits(self, rng):
         spec = nn.NetSpec.mlp([4, 6, 3])
-        params = nn.zeros_like(spec)
+        params = nn.ParamVector(np.zeros(spec.param_count()), spec)
         x = rng.normal(size=(5, 4))
         assert np.all(nn.forward(spec, params, x) == 0.0)
 
@@ -127,43 +127,42 @@ class TestSoftmax:
 class TestCrossEntropy:
     def test_one_hot_correct_is_zero(self):
         probs = np.eye(4)[[0, 2, 3]]
-        assert nn.cross_entropy(probs, np.array([0, 2, 3])) == 0.0
+        assert cross_entropy(probs, np.array([0, 2, 3])) == 0.0
 
     def test_uniform_is_log_c(self):
         probs = np.full((6, 4), 0.25)
         labels = np.array([0, 1, 2, 3, 0, 1])
-        assert abs(nn.cross_entropy(probs, labels) - np.log(4)) < 1e-12
+        assert abs(cross_entropy(probs, labels) - np.log(4)) < 1e-12
 
     def test_matches_direct_sum_oracle(self, rng):
         raw = rng.uniform(0.01, 1.0, size=(5, 6))
         probs = raw / raw.sum(axis=1, keepdims=True)
         labels = rng.integers(0, 6, size=5)
         manual = -sum(np.log(probs[i, labels[i]]) for i in range(5)) / 5
-        assert abs(nn.cross_entropy(probs, labels) - manual) < 1e-12
+        assert abs(cross_entropy(probs, labels) - manual) < 1e-12
 
     def test_clamp_keeps_loss_finite(self):
         probs = np.array([[1.0, 0.0]])
-        assert np.isfinite(nn.cross_entropy(probs, np.array([1])))
+        assert np.isfinite(cross_entropy(probs, np.array([1])))
 
 
 class TestBackward:
     def test_zero_weight_linear_net_bias_gradient(self):
         # zero net -> uniform softmax; dL/db = mean(p - onehot)
         spec = nn.NetSpec.mlp([3, 4])
-        params = nn.zeros_like(spec)
+        params = nn.ParamVector(np.zeros(spec.param_count()), spec)
         x = np.array([[1.0, 2.0, -1.0], [-1.0, -2.0, 1.0]])  # symmetric batch
         labels = np.array([0, 1])
-        batch = nn.Batch(x, labels)
-        grad = nn.loss_and_grad(spec, params, batch, "ce_on_logits")[1]
-        _, bias_grad = nn.unpack(spec, grad.values)[0]
+        grad = ce_grad(spec, params, x, labels, "ce_on_logits")
+        _, bias_grad = nn.unpack(spec, grad)[0]
         onehot = np.eye(4)[labels]
         expect = (np.full((2, 4), 0.25) - onehot).mean(axis=0)
         assert np.max(np.abs(bias_grad - expect)) < 1e-12
         fd = central_diff(
-            lambda v: loss_value(spec, nn.ParamVector(v, params.spec), batch, "ce_on_logits"),
+            lambda v: loss_value(spec, nn.ParamVector(v, params.spec), x, labels),
             params.values,
         )
-        assert rel_error(grad.values, fd) < 1e-4
+        assert rel_error(grad, fd) < 1e-4
 
     def test_gradient_near_zero_at_minimum(self):
         # hugely confident correct logits: loss and gradient both ~ 0
@@ -172,63 +171,46 @@ class TestBackward:
             np.concatenate([np.array([[40.0, -40.0], [-40.0, 40.0]]).ravel(), np.zeros(2)]),
             spec,
         )
-        batch = nn.Batch(np.array([[1.0, 0.0], [0.0, 1.0]]), np.array([0, 1]))
-        grad = nn.loss_and_grad(spec, params, batch, "ce_on_logits")[1]
-        assert np.linalg.norm(grad.values) < 1e-8
+        grad = ce_grad(spec, params, np.array([[1.0, 0.0], [0.0, 1.0]]), np.array([0, 1]), "ce_on_logits")
+        assert np.linalg.norm(grad) < 1e-8
 
     @pytest.mark.parametrize("kind,head", [("ce_on_logits", "logits"), ("ce_on_mixture", "softmax")])
     def test_matches_central_differences(self, kind, head):
         # relu kinks would invalidate the h=1e-4 stencil; nets are drawn
         # kink-safe (see conftest)
         for seed in range(4):
-            spec, params, batch = kink_safe_net(seed, [5, 8, 4], head=head)
-            loss, grad = nn.loss_and_grad(spec, params, batch, kind)
+            spec, params, x, y = kink_safe_net(seed, [5, 8, 4], head=head)
+            grad = ce_grad(spec, params, x, y, kind)
             fd = central_diff(
-                lambda v: loss_value(spec, nn.ParamVector(v, params.spec), batch, kind),
+                lambda v: loss_value(spec, nn.ParamVector(v, params.spec), x, y),
                 params.values,
             )
-            assert rel_error(grad.values, fd) < 1e-4
+            assert rel_error(grad, fd) < 1e-4
 
-    def test_loss_kind_head_mismatch_rejected(self):
-        spec, params = make_net(1, [3, 4])
-        batch = nn.Batch(np.zeros((2, 3)), np.array([0, 1]))
-        with pytest.raises(ConfigError):
-            nn.loss_and_grad(spec, params, batch, "ce_on_mixture")[1]
-
-    def test_unknown_loss_kind_rejected(self):
-        spec, params = make_net(1, [3, 4])
-        batch = nn.Batch(np.zeros((2, 3)), np.array([0, 1]))
-        with pytest.raises(ConfigError):
-            nn.loss_and_grad(spec, params, batch, "mse")[1]
-
-    def test_loss_and_grad_runs_one_forward(self, monkeypatch):
-        spec, params, batch = kink_safe_net(3, [5, 8, 4])
+    def test_ce_grad_runs_one_forward(self, monkeypatch):
+        spec, params, x, y = kink_safe_net(3, [5, 8, 4])
         traces = []
         forward_trace = nn._forward_trace
         monkeypatch.setattr(nn, "_forward_trace", lambda *a: traces.append(a) or forward_trace(*a))
-        nn.loss_and_grad(spec, params, batch, "ce_on_logits")
+        nn.ce_grad(spec, params.values, x, y, "ce_on_logits")
         assert len(traces) == 1
 
     def test_top_layer_overflow_names_top_layer(self):
         # every layer's gradient turns non-finite; backprop reaches the top
-        # layer first, so that is the one named
+        # layer first, so that is the one the scan names
         spec = nn.NetSpec.mlp([2, 3, 3, 2])
         params = nn.ParamVector(np.full(spec.param_count(), 1e200), spec)
-        batch = nn.Batch(np.array([[1.0, 1.0]]), np.array([0]))
         with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(NumericError) as err:
-                nn.loss_and_grad(spec, params, batch, "ce_on_logits")
-        assert err.value.layer == spec.num_layers - 1
+            grad = ce_grad(spec, params, np.array([[1.0, 1.0]]), np.array([0]), "ce_on_logits")
+        err = nn.Scan().grads(spec, grad[None]).failures[0]
+        assert (err.message, err.layer) == (nn.NONFINITE_GRADIENT, spec.num_layers - 1)
 
     def test_non_finite_gradient_names_layer(self):
         spec = nn.NetSpec.mlp([2, 2, 2])
-        values = np.full(spec.param_count(), 1e200)
-        params = nn.ParamVector(values, spec)
-        batch = nn.Batch(np.array([[1.0, 1.0]]), np.array([0]))
+        params = nn.ParamVector(np.full(spec.param_count(), 1e200), spec)
         with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(NumericError) as err:
-                nn.loss_and_grad(spec, params, batch, "ce_on_logits")[1]
-        assert err.value.layer is not None
+            grad = ce_grad(spec, params, np.array([[1.0, 1.0]]), np.array([0]), "ce_on_logits")
+        assert nn.Scan().grads(spec, grad[None]).failures[0].layer is not None
 
 
 class TestMixtureForward:
@@ -382,9 +364,9 @@ class TestCheckpoint:
 
 class TestPurity:
     def test_backward_bit_identical_on_repeat(self):
-        spec, params, batch = kink_safe_net(99, [4, 6, 3])
-        g1 = nn.loss_and_grad(spec, params, batch, "ce_on_logits")[1]
-        g2 = nn.loss_and_grad(spec, params, batch, "ce_on_logits")[1]
-        assert np.array_equal(g1.values, g2.values)
+        spec, params, x, y = kink_safe_net(99, [4, 6, 3])
+        g1 = ce_grad(spec, params, x, y, "ce_on_logits")
+        g2 = ce_grad(spec, params, x, y, "ce_on_logits")
+        assert np.array_equal(g1, g2)
         # inputs untouched
         assert np.all(np.isfinite(params.values))

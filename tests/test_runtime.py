@@ -10,7 +10,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import central_diff, gate_independent_loss_grad, min_hidden_preact, mixture_forward, rel_error
+from conftest import (
+    ce_grad,
+    central_diff,
+    cross_entropy,
+    gate_independent_loss_grad,
+    loss_value,
+    min_hidden_preact,
+    mixture_forward,
+    mixture_grads,
+    rel_error,
+)
 from fedjets import baselines, benchmarks, data, experiment, gating, nn, runtime
 from fedjets.errors import ConfigError, NumericError, ProtocolError
 from fedjets.seeding import rng_stream
@@ -143,9 +153,8 @@ class TestAnchorUpdate:
         lr, m = cfg.training.lr, cfg.training.momentum
         params, v = state.expert_params[0].copy(), 0.0
         for rows in batches:
-            b = nn.Batch(ctx.train_ds.inputs[shard.indices[rows]], ctx.train_ds.labels[shard.indices[rows]])
-            _, grad = nn.loss_and_grad(ctx.expert_spec, params, b, "ce_on_logits")
-            v = m * v + grad.values
+            x, y = ctx.train_ds.inputs[shard.indices[rows]], ctx.train_ds.labels[shard.indices[rows]]
+            v = m * v + ce_grad(ctx.expert_spec, params, x, y, "ce_on_logits")
             params = nn.ParamVector(params.values - lr * v, params.spec)
         assert np.array_equal(pkt.experts[0], params.values)
         # and the gate, by the gate's independent loss toward expert 0
@@ -153,7 +162,7 @@ class TestAnchorUpdate:
         gate, v = state.gate_params.copy(), 0.0
         for rows in batches:
             _, grad = gate_independent_loss_grad(gate, ctx.cache[shard.client_id][rows], 0)
-            v = m * v + grad.values
+            v = m * v + grad
             gate = nn.ParamVector(gate.values - lr * v, gate.spec)
         assert np.array_equal(pkt.gate, gate.values)
 
@@ -191,12 +200,10 @@ class TestNormalUpdate:
         emb = ctx.cache[shard.client_id]
         x = ctx.train_ds.inputs[shard.indices]
         y = ctx.train_ds.labels[shard.indices]
-        loss, e_grads, g_grad = runtime.mixture_loss_and_grads([state.expert_params[1]], gate, (1,), x, emb, y)
-        plain_loss, plain_grad = nn.loss_and_grad(
-            ctx.expert_spec, state.expert_params[1], nn.Batch(x, y), "ce_on_logits"
-        )
-        assert abs(loss - plain_loss) < 1e-6
-        assert np.max(np.abs(e_grads[0].values - plain_grad.values)) < 1e-6
+        probs, e_grads, _ = mixture_grads([state.expert_params[1]], gate, (1,), x, emb, y)
+        plain_grad = ce_grad(ctx.expert_spec, state.expert_params[1], x, y, "ce_on_logits")
+        assert abs(cross_entropy(probs, y) - loss_value(ctx.expert_spec, state.expert_params[1], x, y)) < 1e-6
+        assert np.max(np.abs(e_grads[0] - plain_grad)) < 1e-6
 
     @pytest.mark.parametrize("k", [2, 5])  # fedjets' top-2 step, fedmix's all-M step
     def test_mixture_runs_one_forward_per_network(self, k, monkeypatch):
@@ -209,7 +216,7 @@ class TestNormalUpdate:
         experts = [nn.init_params(expert_spec, r) for _ in range(k)]
         gate = nn.init_params(gate_sp, r)
         x, emb, y = r.normal(size=(6, 4)), r.normal(size=(6, 3)), r.integers(0, 3, size=6)
-        runtime.mixture_loss_and_grads(experts, gate, tuple(range(k)), x, emb, y)
+        mixture_grads(experts, gate, tuple(range(k)), x, emb, y)
         assert len(traces) == k + 1
 
     def test_top_layer_overflow_names_top_layer(self):
@@ -222,10 +229,10 @@ class TestNormalUpdate:
         gate_sp = gating.gate_spec(2, 2)
         gate = nn.init_params(gate_sp, rng_stream(9, "overflow-gate"))
         x, emb, y = np.array([[1.0, 0.0]]), np.array([[0.5, -0.3]]), np.array([1])
+        scan = nn.Scan()
         with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(NumericError) as err:
-                runtime.mixture_loss_and_grads([expert, expert], gate, (0, 1), x, emb, y)
-        assert err.value.layer == gate_sp.num_layers - 1
+            mixture_grads([expert, expert], gate, (0, 1), x, emb, y, scan=scan)
+        assert scan.failures[0].layer == gate_sp.num_layers - 1
 
     def test_joint_gradient_matches_central_differences(self):
         # 2 experts + gate, < 300 parameters total, drawn kink-safe
@@ -249,7 +256,7 @@ class TestNormalUpdate:
         total = 2 * expert_spec.param_count() + gate_sp.param_count()
         assert total < 300
 
-        loss, e_grads, g_grad = runtime.mixture_loss_and_grads([e1, e2], gate, (0, 1), x, emb, y)
+        probs, e_grads, g_grad = mixture_grads([e1, e2], gate, (0, 1), x, emb, y)
         joint = np.concatenate([e1.values, e2.values, gate.values])
         n_e = expert_spec.param_count()
 
@@ -259,12 +266,12 @@ class TestNormalUpdate:
             g = nn.ParamVector(v[2 * n_e :], gate_sp)
             w = gating.gate_scores(g, emb)[:, [0, 1]]
             combined = mixture_forward(expert_spec, [p1, p2], w, x)
-            return nn.cross_entropy(nn.softmax(combined), y)
+            return cross_entropy(nn.softmax(combined), y)
 
         fd = central_diff(joint_loss, joint)
-        analytic = np.concatenate([e_grads[0].values, e_grads[1].values, g_grad.values])
+        analytic = np.concatenate([e_grads[0], e_grads[1], g_grad])
         assert rel_error(analytic, fd) < 1e-4
-        assert abs(loss - joint_loss(joint)) < 1e-12
+        assert abs(cross_entropy(probs, y) - joint_loss(joint)) < 1e-12
 
     def test_renormalized_gradient_matches_central_differences(self):
         expert_spec = nn.NetSpec.mlp([4, 5, 3])
@@ -284,7 +291,7 @@ class TestNormalUpdate:
             )
             if safe >= 0.05:
                 break
-        loss, e_grads, g_grad = runtime.mixture_loss_and_grads([e1, e2], gate, (0, 2), x, emb, y, renormalize=True)
+        _, e_grads, g_grad = mixture_grads([e1, e2], gate, (0, 2), x, emb, y, renormalize=True)
         joint = np.concatenate([e1.values, e2.values, gate.values])
         n_e = expert_spec.param_count()
 
@@ -295,10 +302,10 @@ class TestNormalUpdate:
             w = gating.gate_scores(g, emb)[:, [0, 2]]
             w = w / w.sum(axis=1, keepdims=True)
             combined = mixture_forward(expert_spec, [p1, p2], w, x)
-            return nn.cross_entropy(nn.softmax(combined), y)
+            return cross_entropy(nn.softmax(combined), y)
 
         fd = central_diff(joint_loss, joint)
-        analytic = np.concatenate([e_grads[0].values, e_grads[1].values, g_grad.values])
+        analytic = np.concatenate([e_grads[0], e_grads[1], g_grad])
         assert rel_error(analytic, fd) < 1e-4
 
 
@@ -644,11 +651,8 @@ class TestRunTraining:
                 batches = runtime.minibatch_indices(len(shard), cfg.training.batch_size, rng, 4)
                 v = 0.0  # SGDM written out: v = m*v + g; p = p - lr*v
                 for rows in batches:
-                    b = nn.Batch(
-                        c.train_ds.inputs[shard.indices[rows]], c.train_ds.labels[shard.indices[rows]]
-                    )
-                    _, grad = nn.loss_and_grad(c.expert_spec, params, b, "ce_on_logits")
-                    v = momentum * v + grad.values
+                    x, y = c.train_ds.inputs[shard.indices[rows]], c.train_ds.labels[shard.indices[rows]]
+                    v = momentum * v + ce_grad(c.expert_spec, params, x, y, "ce_on_logits")
                     params = nn.ParamVector(params.values - cfg.training.lr * v, params.spec)
             assert np.array_equal(final.expert_params[0].values, params.values)
 
