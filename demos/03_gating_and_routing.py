@@ -33,7 +33,7 @@ test_cache = gating.build_embedding_cache(common, test, tests)
 velocity = np.zeros_like(gate.values)
 for step in range(401):
     if step % 100 == 0:
-        chosen = {s.client_id: evaluation.route(gate, test_cache[s.client_id], 2)[1] for s in tests}
+        chosen = {s.client_id: gating.route(gate, test_cache[s.client_id], 2)[1] for s in tests}
         report = evaluation.per_sample_routing_report(chosen, tests, test, truth)
         print(f"step {step:4d}: routing error {report.average_error_rate:.3f} (chance 0.80)")
     q = step % M
@@ -41,7 +41,6 @@ for step in range(401):
     _, grad = nn.ce_grad(gate.spec, gate.values, cache[q], target, "ce_on_mixture")
     nn.sgdm_step(gate.values, velocity, grad, 0.05, 0.0)
 
-scores = gating.gate_scores(gate, test_cache[tests[0].client_id])
-sel = gating.select_topk(scores, 2)
+sel = gating.route(gate, test_cache[tests[0].client_id], 2)[0]
 print(f"test client {tests[0].client_id} holds labels {sorted(tests[0].label_set)} "
       f"-> selected experts {sel}")

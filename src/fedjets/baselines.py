@@ -27,9 +27,7 @@ from .seeding import rng_stream
 def sgd_work(mu: float = 0.0):
     """`work(shard)` of a FedAvg round: local SGDM on cross-entropy of the
     server's expert 0. FedProx is mu > 0: each step adds the pull
-    mu*(w_local - w_global) to the gradient."""
-    if mu < 0:
-        raise ConfigError("fedprox mu must be non-negative")
+    mu*(w_local - w_global) to the gradient; the config keeps mu >= 0."""
     return lambda shard: runtime.Work("sgd", (0,), None, mu)
 
 

@@ -20,7 +20,7 @@ from .seeding import rng_stream
 
 def model_accuracy(params: nn.ParamVector, inputs: np.ndarray, labels: np.ndarray) -> float:
     """Fraction of argmax predictions matching the labels."""
-    out = nn.forward(params.spec, params, inputs)
+    out = nn.forward(params.spec, params.values, inputs)
     return float(np.mean(out.argmax(axis=1) == labels))
 
 
@@ -48,10 +48,6 @@ def pretrain(
     The held-out accuracy is checked before the first epoch too, so a
     chance-level target returns the freshly initialized network.
     """
-    if not (0.0 <= target_accuracy <= 1.0):
-        raise ConfigError("target accuracy must lie in [0, 1]")
-    if max_epochs < 0:
-        raise ConfigError("max_epochs must be non-negative")
     if not (0.0 < lr < math.inf and 0.0 <= momentum < 1.0):
         raise ConfigError(f"need a finite lr > 0 and momentum in [0, 1), got lr={lr}, momentum={momentum}")
     rng = rng_stream(seed, "pretrain")

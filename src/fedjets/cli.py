@@ -27,9 +27,9 @@ def _load_config(args) -> config_mod.RunConfig:
 
 def cmd_pretrain(args) -> int:
     cfg = _load_config(args)
-    target = args.target_acc if args.target_acc is not None else cfg.model.pretrain_target_accuracy
+    target = cfg.model.pretrain_target_accuracy
     train_ds, _ = experiment.build_datasets(cfg)
-    result = experiment.pretrain_common(cfg, train_ds, target, args.epochs)
+    result = experiment.pretrain_common(cfg, train_ds)
     meta = {
         "achieved_accuracy": result.accuracy,
         "target_accuracy": target,
@@ -113,8 +113,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("pretrain", help="centrally pretrain the common expert")
     add_common(p)
-    p.add_argument("--target-acc", type=float, default=None, help="held-out accuracy target")
-    p.add_argument("--epochs", type=int, default=None, help="epoch cap")
     p.add_argument("--out", required=True, help="output checkpoint path")
     p.set_defaults(func=cmd_pretrain)
 

@@ -170,6 +170,12 @@ class RunConfig:
             list(m.common_dims)[0] != d.dim or list(m.common_dims)[-1] != d.num_classes
         ):
             raise ConfigError("common_dims must map data dim to num_classes")
+        if m.gate_hidden is not None and m.gate_hidden < 1:
+            raise ConfigError(f"model.gate_hidden must be null or at least 1, got {m.gate_hidden}")
+        if m.pretrain_max_epochs < 0:
+            raise ConfigError(f"model.pretrain_max_epochs must be non-negative, got {m.pretrain_max_epochs}")
+        if not 0 <= m.pretrain_target_accuracy <= 1:
+            raise ConfigError(f"model.pretrain_target_accuracy must lie in [0, 1], got {m.pretrain_target_accuracy}")
         if t.lr <= 0 or t.gate_lr <= 0 or t.batch_size < 1:
             raise ConfigError("lr, gate_lr must be positive and batch_size >= 1")
         if not (0 <= t.momentum < 1) or not (0 <= t.gate_momentum < 1):

@@ -1,14 +1,14 @@
 """Scoring of unseen test clients and per-sample routing.
 
 Test clients are never adapted. `client_predictor` is every method's
-prediction rule for one unseen client. Under FedJETs `route` scores the
-client's cached, unlabeled embeddings with the gate once; the top-K experts
-and each sample's expert (the selected expert with the highest gate score)
-both read those scores, and that expert predicts the sample. Labels enter
-only when the finished predictions are scored. `score_test_clients` is the
-one pass over the test clients for every method: it predicts each client
-once by the method's rule, and `run`'s metrics and `eval`'s report both
-read their global accuracy, zero-shot detail and routing from it.
+prediction rule for one unseen client. Under FedJETs `gating.route` scores
+the client's cached, unlabeled embeddings with the gate once; the top-K
+experts and each sample's expert (the selected expert with the highest gate
+score) both read those scores, and that expert predicts the sample. Labels
+enter only when the finished predictions are scored. `score_test_clients`
+is the one pass over the test clients for every method: it predicts each
+client once by the method's rule, and `run`'s metrics and `eval`'s report
+both read their global accuracy, zero-shot detail and routing from it.
 
 One forward per network per evaluation: `expert_logits` forwards each
 server network once on the whole test set, and `per_expert_acc` and every
@@ -28,7 +28,7 @@ import numpy as np
 from . import nn
 from .data import ClientShard, LabeledDataset
 from .errors import ConfigError
-from .gating import CommonExpert, gate_scores, select_topk
+from .gating import CommonExpert, gate_scores, route
 from .metrics import MetricsRecord
 from .runtime import RunContext, ServerState
 from .seeding import rng_stream
@@ -71,18 +71,7 @@ class RoutingReport:
 def expert_logits(experts: list[nn.ParamVector], inputs: np.ndarray) -> list[np.ndarray]:
     """Each network's output on all of `inputs` (`[N, C]` each): the one
     forward per network that an evaluation makes."""
-    return [nn.forward(p.spec, p, inputs) for p in experts]
-
-
-def route(gate: nn.ParamVector, embeddings: np.ndarray, k: int) -> tuple[tuple[int, ...], np.ndarray]:
-    """One client's routing from one gate forward on its embeddings: the
-    top-K expert ids, and each sample's expert (the selected one it scores
-    highest). Sees no labels."""
-    scores = gate_scores(gate, embeddings)
-    experts = select_topk(scores, k)
-    cols = np.array(experts, dtype=np.int64)
-    # raw scores restricted to the selected set; argmax unchanged by renormalization
-    return experts, cols[scores[:, cols].argmax(axis=1)]
+    return [nn.forward(p.spec, p.values, inputs) for p in experts]
 
 
 def common_expert_accuracy(
@@ -91,7 +80,7 @@ def common_expert_accuracy(
     """The common expert's own head as the baseline classifier, scored like
     `score_test_clients`: one forward on the test set, then the mean of the
     per-client accuracies on the test clients in client order."""
-    preds = nn.forward(common.params.spec, common.params, test_ds.inputs).argmax(axis=1)
+    preds = nn.forward(common.params.spec, common.params.values, test_ds.inputs).argmax(axis=1)
     shards = sorted(test_shards, key=lambda s: s.client_id)
     return float(np.mean([float(np.mean(preds[s.indices] == test_ds.labels[s.indices])) for s in shards]))
 
@@ -115,8 +104,8 @@ def per_sample_routing_report(
     label_to_expert: dict[int, int],
 ) -> RoutingReport:
     """A sample routes correctly iff its expert in `chosen_experts` (each
-    test client's per-sample argmax within its top-K, as `route` gives it)
-    is the ground-truth expert of its label. Predicts nothing."""
+    test client's per-sample argmax within its top-K, as `gating.route`
+    gives it) is the ground-truth expert of its label. Predicts nothing."""
     lookup = np.full(test_ds.num_classes, -1, dtype=np.int64)
     lookup[list(label_to_expert)] = list(label_to_expert.values())
     rows = []
@@ -159,7 +148,7 @@ def client_predictor(ctx: RunContext, state: ServerState, method: str, logits: l
     """Every method's rule for one unseen test client: a function from a test
     shard to its predicted labels and route, read from the server networks'
     `expert_logits` on the test set, never from labels. FedJETs routes with
-    `route` on the cached embeddings; the other methods' route is None."""
+    `gating.route` on the cached embeddings; other methods' route is None."""
     if method == "fedjets":
         if state.gate_params is None:
             raise ConfigError("zero-shot evaluation needs a server-side gate")

@@ -123,19 +123,17 @@ def build_shards(cfg: config_mod.RunConfig, train_ds, test_ds):
     return anchors, normals, tests
 
 
-def pretrain_common(
-    cfg: config_mod.RunConfig, train_ds, target: float | None = None, epochs: int | None = None
-) -> central.PretrainResult:
-    """Pretrain the common expert centrally on `pretrain_split(cfg, train_ds)`.
-    `target` and `epochs` override the config's accuracy target and epoch cap."""
+def pretrain_common(cfg: config_mod.RunConfig, train_ds) -> central.PretrainResult:
+    """Pretrain the common expert centrally on `pretrain_split(cfg, train_ds)`,
+    to the config's accuracy target within its epoch cap."""
     m = cfg.model
     fit_ds, valid_ds = pretrain_split(cfg, train_ds)
     return central.pretrain(
         nn.NetSpec.mlp(m.common_dims or m.expert_dims),
         fit_ds,
         valid_ds,
-        m.pretrain_target_accuracy if target is None else target,
-        m.pretrain_max_epochs if epochs is None else epochs,
+        m.pretrain_target_accuracy,
+        m.pretrain_max_epochs,
         cfg.training.lr,
         cfg.training.momentum,
         cfg.training.batch_size,

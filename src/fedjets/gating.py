@@ -4,9 +4,10 @@ The common expert is a frozen feature extractor: each client embeds its
 local data once, the embeddings are checked finite then, and the cache is
 reused for every gate decision afterwards. The gate is a small MLP with a
 softmax head whose output dimension is the number of experts; it is a plain
-`nn.ParamVector` whose spec has that head. A client's route is
-`select_topk` of the gate's scores on its embeddings: the sorted tuple of its
-top-K expert ids.
+`nn.ParamVector` whose spec has that head. A client's route is `route`
+on its embeddings: `select_topk` of the gate's scores, the sorted tuple of
+its top-K expert ids, and each sample's expert among them. Training and
+zero-shot testing both route with it.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ class CommonExpert:
 
 def embed_inputs(common: CommonExpert, inputs: np.ndarray) -> np.ndarray:
     """One-time inference: activations of the common expert at embed_layer."""
-    return nn.forward_to_layer(common.params.spec, common.params, inputs, common.embed_layer)
+    return nn.forward(common.params.spec, common.params.values, inputs, common.embed_layer)
 
 
 def build_embedding_cache(
@@ -73,7 +74,7 @@ def gate_scores(gate: nn.ParamVector, embeddings: np.ndarray) -> np.ndarray:
     """Per-sample softmax distribution over experts, [n x M]."""
     if gate.spec.head != "softmax":
         raise ConfigError("gate network must have a softmax head")
-    return nn.forward(gate.spec, gate, embeddings)
+    return nn.forward(gate.spec, gate.values, embeddings)
 
 
 def select_topk(scores: np.ndarray, k: int) -> tuple[int, ...]:
@@ -85,3 +86,14 @@ def select_topk(scores: np.ndarray, k: int) -> tuple[int, ...]:
     # lexsort: primary key descending summed score, secondary ascending index
     order = np.lexsort((np.arange(m), -scores.sum(axis=0)))
     return tuple(sorted(order[:k].tolist()))
+
+
+def route(gate: nn.ParamVector, embeddings: np.ndarray, k: int) -> tuple[tuple[int, ...], np.ndarray]:
+    """One client's routing from one gate forward on its embeddings: the
+    top-K expert ids, and each sample's expert (the selected one it scores
+    highest). Sees no labels."""
+    scores = gate_scores(gate, embeddings)
+    experts = select_topk(scores, k)
+    cols = np.array(experts, dtype=np.int64)
+    # raw scores restricted to the selected set; argmax unchanged by renormalization
+    return experts, cols[scores[:, cols].argmax(axis=1)]

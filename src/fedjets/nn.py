@@ -4,8 +4,8 @@ Everything here is a pure function of its inputs. Parameters live in flat
 float64 vectors (`ParamVector`) so that federated averaging, checkpointing
 and finite-difference checks all operate on one representation. A
 ParamVector carries the NetSpec it belongs to: construction checks once that
-the values are 1-D, `spec.param_count()` long and finite, and the
-single-network API checks only that the spec it is given is that spec.
+the values are 1-D, `spec.param_count()` long and finite. The engine takes
+`(spec, values)`, never a ParamVector, and checks only the rows' length.
 
 Trace contract: each entry point runs the forward pass once, in
 `_forward_trace`; `backprop` consumes the `Trace` it returns and never
@@ -13,22 +13,22 @@ recomputes it. `ce_grad` thus does one forward per step, and a caller
 mixing k networks takes each one's output and trace from `forward_with_trace`.
 
 Stack axis: the engine functions `_forward_trace`, `forward_with_trace`,
-`ce_grad` and `backprop` take parameter arrays only: one network's `[P]`
-values on `[n, d]` inputs, or a stack of B networks of one spec as `[B, P]`
-rows on `[B, n, d]` inputs. Every matmul, reduction and elementwise op runs
-per slice, so row b is bit for bit what network b gives alone; this is how
-a round's clients step as one stack. Pretraining calls `ce_grad` on its one
-`[P]` row. The single-network API (`forward`, `forward_to_layer`) checks that
-a ParamVector belongs to its spec and calls the same functions on its values.
+`forward`, `ce_grad` and `backprop` take parameter arrays only: one
+network's `[P]` values on `[n, d]` inputs, or a stack of B networks of one
+spec as `[B, P]` rows on `[B, n, d]` inputs. Every matmul, reduction and
+elementwise op runs per slice, so row b is bit for bit what network b gives
+alone; this is how a round's clients step as one stack. Pretraining calls
+`ce_grad` on its one `[P]` row; evaluation, routing and embedding call
+`forward` on a network's `[P]` values, with `layer` for an embedding.
 
 Finiteness is checked at boundaries, not per step. The engine functions
 return raw outputs and gradients; `Scan` is the one place that finds and
 names a non-finite value: each network row's first failure and, for a
 gradient, the top-most bad layer, which backprop reaches first. A stack's
-caller scans each row, so one client's overflow is charged to it alone; the
-single-network API, `forward_to_layer`'s embeddings included, makes one
-`np.isfinite` pass and builds a one-row Scan only when it fails. ParamVectors
-are scanned at construction; `sgdm_step` checks nothing.
+caller scans each row, so one client's overflow is charged to it alone;
+`forward`, embeddings included, makes one `np.isfinite` pass and builds a
+one-row Scan only when it fails. ParamVectors are scanned at construction;
+`sgdm_step` checks nothing.
 
 Parameter layout for layer dims (d0, d1, ..., dL): for each layer l the
 weight matrix W_l of shape (d_l, d_{l+1}) in row-major order, followed by
@@ -167,12 +167,6 @@ class ParamVector:
         return ParamVector(self.values.copy(), self.spec)
 
 
-def check_compat(spec: NetSpec, params: ParamVector, *, where: str = "") -> None:
-    """Raise ConfigError unless `params` belongs to `spec`."""
-    if params.spec is not spec and params.spec != spec:
-        raise ConfigError(f"parameter/spec mismatch {where}".strip())
-
-
 def init_params(spec: NetSpec, rng: np.random.Generator) -> ParamVector:
     """Per-layer uniform weights in [-a, a] with a = sqrt(6/(fan_in+fan_out)); zero biases."""
     dims = spec.layer_dims
@@ -252,26 +246,16 @@ def forward_with_trace(spec: NetSpec, values: np.ndarray, inputs: np.ndarray) ->
     return out, trace
 
 
-def forward(spec: NetSpec, params: ParamVector, inputs: np.ndarray) -> np.ndarray:
-    """Network output: raw logits for a `logits` head, probabilities for `softmax`."""
-    check_compat(spec, params, where="(forward)")
-    out = forward_with_trace(spec, params.values, inputs)[0]
+def forward(spec: NetSpec, values: np.ndarray, inputs: np.ndarray, layer: int | None = None) -> np.ndarray:
+    """The output of `[P]` values or `[B, P]` rows of `spec` on `inputs`:
+    raw logits for a `logits` head, probabilities for `softmax`. With
+    `layer` (0-based, in range), the activations after that layer instead,
+    with no head applied. A non-finite result raises a one-row Scan failure."""
+    if layer is None:
+        out = forward_with_trace(spec, values, inputs)[0]
+    else:
+        out = _forward_trace(spec, values, inputs).acts[layer + 1]
     if not np.isfinite(out).all():
-        raise Scan().rows(out[None], NONFINITE_OUTPUT, "forward").failures[0]
-    return out
-
-
-def forward_to_layer(spec: NetSpec, params: ParamVector, inputs: np.ndarray, layer: int) -> np.ndarray:
-    """Activations after layer `layer` (0-based), before the output head.
-
-    For hidden layers this is the post-activation value; for the final
-    layer it is the raw pre-head output.
-    """
-    check_compat(spec, params, where="(forward_to_layer)")
-    if not (0 <= layer < spec.num_layers):
-        raise ConfigError(f"layer index {layer} out of range for {spec.num_layers} layers")
-    out = _forward_trace(spec, params.values, inputs).acts[layer + 1]
-    if not np.isfinite(out).all():  # as `forward` checks its output
         raise Scan().rows(out[None], NONFINITE_OUTPUT, "forward").failures[0]
     return out
 

@@ -11,8 +11,8 @@ Every method's round is a plan, then `train_round`: `active_ids` is the
 one scenario-pool lookup and `draw_clients` the one client draw; then
 `client_updates` steps the clients and `aggregate` averages their packets.
 A plan only names the active clients. A FedJETs normal client is routed
-where its `Work` is made (`fedjets_work`): the top-K of the state gate's
-scores on its cached embeddings.
+where its `Work` is made (`fedjets_work`): the top-K of `gating.route`,
+the one routing rule, with the state's gate on its cached embeddings.
 Each client draws its randomness from a stream keyed by (seed, "client",
 round, client_id), so results do not depend on the order of the updates.
 
@@ -64,7 +64,8 @@ class ServerState:
 
     def __post_init__(self):
         for i, p in enumerate(self.expert_params):
-            nn.check_compat(self.expert_params[0].spec, p, where=f"(expert {i} of the server state)")
+            if p.spec != self.expert_params[0].spec:
+                raise ConfigError(f"parameter/spec mismatch (expert {i} of the server state)")
 
     @property
     def num_experts(self) -> int:
@@ -419,8 +420,8 @@ def fedjets_work(ctx: RunContext, state: ServerState):
             if q is None or not (0 <= q < state.num_experts):
                 raise ConfigError(f"client {shard.client_id} is not a valid anchor")
             return Work("anchor", (q,), state.gate_params.values)
-        scores = gating.gate_scores(state.gate_params, ctx.cache[shard.client_id])
-        return Work("mixture", gating.select_topk(scores, ctx.cfg.top_k), state.gate_params.values)
+        experts = gating.route(state.gate_params, ctx.cache[shard.client_id], ctx.cfg.top_k)[0]
+        return Work("mixture", experts, state.gate_params.values)
 
     return work
 

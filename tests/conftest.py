@@ -115,7 +115,7 @@ def mixture_forward(
         raise ConfigError(f"gate weights {w.shape} do not match {len(expert_params)} experts")
     combined = None
     for k, params in enumerate(expert_params):
-        term = w[:, k : k + 1] * nn.forward(expert_spec, params, inputs)
+        term = w[:, k : k + 1] * nn.forward(expert_spec, params.values, inputs)
         combined = term if combined is None else combined + term
     return combined
 
@@ -134,9 +134,9 @@ def reference_predictions(ctx, state, method: str) -> dict[int, np.ndarray]:
         cid, x = shard.client_id, ctx.test_ds.inputs[shard.indices]
         if method in ("fedavg", "fedprox"):
             model = state.expert_params[0]
-            out[cid] = nn.forward(model.spec, model, x).argmax(axis=1)
+            out[cid] = nn.forward(model.spec, model.values, x).argmax(axis=1)
         elif method == "avg_ensemble":
-            probs = [nn.softmax(nn.forward(p.spec, p, x)) for p in state.expert_params]
+            probs = [nn.softmax(nn.forward(p.spec, p.values, x)) for p in state.expert_params]
             mean = probs[0]
             for p in probs[1:]:
                 mean = mean + p
@@ -153,7 +153,7 @@ def reference_predictions(ctx, state, method: str) -> dict[int, np.ndarray]:
             for e in np.unique(chosen):
                 rows = np.flatnonzero(chosen == e)
                 expert = state.expert_params[e]
-                preds[rows] = nn.forward(expert.spec, expert, x[rows]).argmax(axis=1)
+                preds[rows] = nn.forward(expert.spec, expert.values, x[rows]).argmax(axis=1)
             out[cid] = preds
     return out
 
@@ -172,7 +172,7 @@ def reference_common_expert_accuracy(common, test_shards, test_ds) -> float:
     each test client's own rows."""
     per_acc = []
     for s in sorted(test_shards, key=lambda s: s.client_id):
-        out = nn.forward(common.params.spec, common.params, test_ds.inputs[s.indices])
+        out = nn.forward(common.params.spec, common.params.values, test_ds.inputs[s.indices])
         per_acc.append(float(np.mean(out.argmax(axis=1) == test_ds.labels[s.indices])))
     return float(np.mean(per_acc))
 

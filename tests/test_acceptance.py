@@ -153,7 +153,7 @@ def test_criterion_5_baseline_identities():
     params = st_avg.expert_params[0]
     spec = params.spec
     x = rng_stream(123, "ens").normal(size=(64, spec.input_dim))
-    single = nn.forward(spec, params, x).argmax(axis=1)
+    single = nn.forward(spec, params.values, x).argmax(axis=1)
     ens_ok = np.array_equal(ensemble_labels(ctx_avg, [params, params], x), single)
 
     ok = prox_ok and mix_ok and ens_ok

@@ -47,11 +47,10 @@ class TestFedAvgClient:
 
 
 class TestFedProx:
-    def test_negative_mu_rejected(self, ctx):
-        shard = ctx.normal_shards[0]
-        state = runtime.init_server_state(ctx)
-        with pytest.raises(ConfigError):
-            one_update(ctx, state, 0, shard, baselines.sgd_work(mu=-1.0))
+    def test_negative_mu_rejected(self):
+        # checked once, by the config: fedprox is the one method with a non-zero mu
+        with pytest.raises(ConfigError, match="fedprox_mu must be non-negative"):
+            mini_cfg(federation={"method": "fedprox", "fedprox_mu": -1.0})
 
     def test_huge_mu_pins_local_to_global(self, ctx):
         # with lr*mu < 1 the proximal pull dominates: displacement ~ |g|/mu
@@ -79,7 +78,7 @@ class TestAvgEnsemble:
         spec = ctx.expert_spec
         params = runtime.init_server_state(ctx).expert_params[0]
         x = rng.normal(size=(20, spec.input_dim))
-        single = nn.forward(spec, params, x).argmax(axis=1)
+        single = nn.forward(spec, params.values, x).argmax(axis=1)
         ens = ensemble_labels(ctx, [params, params], x)
         assert np.array_equal(ens, single)
 
@@ -96,9 +95,9 @@ class TestAvgEnsemble:
         x = np.array([[1.0, 0.0]])
         models = [up, down, flat]
         mean = (
-            nn.softmax(nn.forward(spec, up, x))
-            + nn.softmax(nn.forward(spec, down, x))
-            + nn.softmax(nn.forward(spec, flat, x))
+            nn.softmax(nn.forward(spec, up.values, x))
+            + nn.softmax(nn.forward(spec, down.values, x))
+            + nn.softmax(nn.forward(spec, flat.values, x))
         ) / 3
         assert ensemble_labels(ctx, models, x)[0] == mean.argmax()
 

@@ -94,7 +94,7 @@ class TestPretrain:
     def test_chance_target_stops_immediately(self, cfg_path, tmp_path, capsys):
         ckpt = tmp_path / "common.ckpt"
         rc = cli.main(
-            ["pretrain", "--config", str(cfg_path), "--target-acc", "0.05", "--out", str(ckpt)]
+            ["pretrain", "--config", str(cfg_path), "--set", "model.pretrain_target_accuracy=0.05", "--out", str(ckpt)]
         )
         assert rc == 0
         _, meta = checkpoint.load_net(ckpt)
@@ -102,15 +102,17 @@ class TestPretrain:
 
     def test_monotone_epoch_budget(self, cfg_path, tmp_path):
         low, high = tmp_path / "low.ckpt", tmp_path / "high.ckpt"
-        assert cli.main(["pretrain", "--config", str(cfg_path), "--target-acc", "0.5", "--out", str(low)]) == 0
-        assert cli.main(["pretrain", "--config", str(cfg_path), "--target-acc", "0.8", "--out", str(high)]) == 0
+        target = "model.pretrain_target_accuracy="
+        assert cli.main(["pretrain", "--config", str(cfg_path), "--set", target + "0.5", "--out", str(low)]) == 0
+        assert cli.main(["pretrain", "--config", str(cfg_path), "--set", target + "0.8", "--out", str(high)]) == 0
         _, meta_low = checkpoint.load_net(low)
         _, meta_high = checkpoint.load_net(high)
         assert meta_low["epochs"] <= meta_high["epochs"]
 
     def test_header_accuracy_matches_reevaluation(self, cfg_path, tmp_path):
         ckpt = tmp_path / "c.ckpt"
-        assert cli.main(["pretrain", "--config", str(cfg_path), "--target-acc", "0.7", "--out", str(ckpt)]) == 0
+        sets = ["--set", "model.pretrain_target_accuracy=0.7"]
+        assert cli.main(["pretrain", "--config", str(cfg_path), *sets, "--out", str(ckpt)]) == 0
         params, meta = checkpoint.load_net(ckpt)
         cfg = config_mod.load(cfg_path)
         _, valid = experiment.pretrain_split(cfg, experiment.build_datasets(cfg)[0])
@@ -120,9 +122,8 @@ class TestPretrain:
 
     def test_unreachable_target_reports_and_exits_nonzero(self, cfg_path, tmp_path, capsys):
         ckpt = tmp_path / "c.ckpt"
-        rc = cli.main(
-            ["pretrain", "--config", str(cfg_path), "--target-acc", "1.0", "--epochs", "1", "--out", str(ckpt)]
-        )
+        sets = ["--set", "model.pretrain_target_accuracy=1.0", "--set", "model.pretrain_max_epochs=1"]
+        rc = cli.main(["pretrain", "--config", str(cfg_path), *sets, "--out", str(ckpt)])
         assert rc == 1
         err = capsys.readouterr()
         assert "not reached" in err.err
@@ -693,10 +694,15 @@ class TestExitCodes:
             (["data.labels_per_anchor=-1"], "data.labels_per_anchor"),
             (["data.test_labels_per_client=-2"], "data.test_labels_per_client"),
             (["data.test_labels_per_client=0"], "data.test_labels_per_client"),
+            (["model.gate_hidden=0"], "model.gate_hidden"),
+            (["model.pretrain_max_epochs=-1"], "model.pretrain_max_epochs"),
+            (["model.pretrain_target_accuracy=-0.1"], "model.pretrain_target_accuracy"),
+            (["model.pretrain_target_accuracy=1.5"], "model.pretrain_target_accuracy"),
         ],
         ids=[
             "rounds", "local_epochs", "expert_dims", "common_dims",
             "labels_per_anchor-0", "labels_per_anchor-neg", "test_labels_per_client-neg", "test_labels_per_client-0",
+            "gate_hidden", "pretrain_max_epochs", "pretrain_target_accuracy-neg", "pretrain_target_accuracy-above-1",
         ],
     )
     def test_invalid_override_value_semantics(self, cfg_path, tmp_path, capsys, overrides, named):

@@ -138,7 +138,7 @@ class TestZeroShot:
         )
 
     def test_prediction_path_sees_inputs_only(self):
-        sig = inspect.signature(evaluation.route)
+        sig = inspect.signature(gating.route)
         assert "labels" not in sig.parameters
         # shuffling labels cannot change routing or selections
         ds = onehot_dataset(seed=8)
@@ -166,9 +166,9 @@ class TestRoutingReport:
 
     @staticmethod
     def routing(state, common, shards, ds, label_map, k):
-        """Routing of each shard's samples by `route` on their embeddings."""
+        """Routing of each shard's samples by `gating.route` on their embeddings."""
         cache = gating.build_embedding_cache(common, ds, shards)
-        chosen = {s.client_id: evaluation.route(state.gate_params, cache[s.client_id], k)[1] for s in shards}
+        chosen = {s.client_id: gating.route(state.gate_params, cache[s.client_id], k)[1] for s in shards}
         return evaluation.per_sample_routing_report(chosen, shards, ds, label_map)
 
     def test_perfect_gate_zero_error(self):
@@ -235,7 +235,7 @@ class TestRoutingReport:
         shard = shard_with_labels(ds, (2, 4), 25, 800)
         report = self.routing(state, identity_common(), [shard], ds, self.label_map(), k=2)
         embeddings = gating.embed_inputs(identity_common(), ds.inputs[shard.indices])
-        _, chosen = evaluation.route(state.gate_params, embeddings, 2)
+        _, chosen = gating.route(state.gate_params, embeddings, 2)
         truth = np.array([self.label_map()[int(l)] for l in ds.labels[shard.indices]])
         manual_correct = int(np.sum(chosen == truth))
         assert report.rows[0]["correct"] == manual_correct
@@ -363,9 +363,9 @@ class TestEvaluateRound:
         # and, for every method, one forward per server network on the whole test set
         ctx = experiment.build_context(mini_cfg())
         traces, topk = [], []
-        forward_trace, select_topk = nn._forward_trace, evaluation.select_topk
+        forward_trace, select_topk = nn._forward_trace, gating.select_topk
         monkeypatch.setattr(nn, "_forward_trace", lambda *a: traces.append(a) or forward_trace(*a))
-        monkeypatch.setattr(evaluation, "select_topk", lambda *a, **k: topk.append(a) or select_topk(*a, **k))
+        monkeypatch.setattr(gating, "select_topk", lambda *a, **k: topk.append(a) or select_topk(*a, **k))
         for method in METHODS:
             state = baselines.make_stepper(ctx, method)[0]
             traces.clear()

@@ -88,7 +88,7 @@ class TestGateScores:
         x = rng.normal(size=(5, 6))
         plain_spec = nn.NetSpec.mlp(gate.spec.layer_dims)  # same net, logits head
         plain = nn.ParamVector(gate.values.copy(), plain_spec)
-        oracle = nn.softmax(nn.forward(plain_spec, plain, x))
+        oracle = nn.softmax(nn.forward(plain_spec, plain.values, x))
         assert np.max(np.abs(gating.gate_scores(gate, x) - oracle)) < 1e-12
 
     def test_gate_requires_softmax_head(self):

@@ -1,10 +1,18 @@
-"""Smoke test: tools/artifact_digest.py prints the same digests on a rerun, for every run and its eval."""
+"""Smoke tests of the tools around the library: tools/artifact_digest.py
+prints the same digests on a rerun, for every run and its eval; the
+benchmark's tracer (perfbench/tracer.py) wraps a run without changing it."""
 
 from __future__ import annotations
 
+import importlib.util
 import subprocess
 import sys
 from pathlib import Path
+
+import numpy as np
+
+import fedjets
+from fedjets import benchmarks, experiment
 
 ROOT = Path(__file__).resolve().parents[1]
 METHODS = ("fedjets", "fedavg", "fedprox", "avg_ensemble", "fedmix")
@@ -29,3 +37,24 @@ def test_artifact_digest_reruns_identically(tmp_path):
     files = {r: [*ARTIFACTS, "eval.json", *(["eval.routing.csv"] if r.startswith("fedjets") else [])] for r in runs}
     assert [path for _, path in lines] == [f"{r}/{f}" for r in runs for f in files[r]]
     assert all(len(digest) == 64 for digest, _ in lines)
+
+
+def test_traced_run_equals_untraced_run():
+    """The benchmark's traced run goes through the same code: with the tracer
+    installed around `run_training` (rounds and the closing evaluation), the
+    metrics and the state are unchanged, and the engine's FLOPs are counted."""
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", ROOT / "perfbench" / "tracer.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    ctx = experiment.build_context(benchmarks.synth10_config(federation={"rounds": 2}))
+    state, history, ledger = experiment.run_training(ctx)
+    tracer = tracing.Tracer(fedjets)
+    with tracer:
+        traced_state, traced_history, traced_ledger = experiment.run_training(ctx)
+    assert traced_history == history and traced_ledger.rows == ledger.rows
+    nets = [p.values for p in (*state.expert_params, state.gate_params)]
+    traced_nets = [p.values for p in (*traced_state.expert_params, traced_state.gate_params)]
+    assert all(map(np.array_equal, traced_nets, nets))
+    profile = tracer.profile()
+    assert profile.calls["evaluation.evaluate_round"] == 1
+    assert profile.counters["nn.flop"] > 0
