@@ -1,7 +1,8 @@
 """Baselines sharing the runtime's plumbing: FedAvg, FedProx, Average
 Ensembles, and a FedMix-style all-experts mixture with per-client gates;
 `make_stepper` is the one training entry point of every method, FedJETs
-included. Every method's test-time rule is `evaluation.client_predictor`.
+included. Every method's test-time rule is `evaluation.client_predictor`,
+which scores a stack of test clients at a time (FedMix: fresh test gates).
 
 All baselines sample their active clients uniformly from the full training
 pool (anchor shards are ordinary clients to them) through

@@ -1,22 +1,21 @@
 """Scoring of unseen test clients and per-sample routing.
 
 Test clients are never adapted. `client_predictor` is every method's
-prediction rule for one unseen client. Under FedJETs `gating.route` scores
-the client's cached, unlabeled embeddings with the gate once; the top-K
-experts and each sample's expert (the selected expert with the highest gate
-score) both read those scores, and that expert predicts the sample. Labels
-enter only when the finished predictions are scored. `score_test_clients`
-is the one pass over the test clients for every method: it predicts each
-client once by the method's rule, and `run`'s metrics and `eval`'s report
-both read their global accuracy, zero-shot detail and routing from it.
+prediction rule for a stack of unseen clients, and `score_test_clients` the
+one pass over them that `run`'s metrics and `eval`'s report both read. Under
+FedJETs the gate scores the clients' cached, unlabeled embeddings, and
+`gating.route` reads each client's top-K experts and each sample's expert
+(the selected one with the highest score) from them; that expert predicts
+the sample. Labels enter only when the finished predictions are scored.
 
 One forward per network per evaluation: `expert_logits` forwards each
-server network once on the whole test set, and `per_expert_acc` and every
-method's per-client rule read those logits at the client's rows; only the
-gate side runs per client. A gemm row's bits can depend on the number of
-rows in the call, so the stated tolerance is that the predicted labels equal
-those of forwarding each network on each client's own rows (tested), not
-that the logits do; logits never reach an artifact.
+server network once on the whole test set, and every rule reads those
+logits at the clients' rows. The gate side runs once per stack of
+`client_stacks` on `[T, n, e]` embeddings, FedJETs' gate broadcast as T rows
+or FedMix's test gates (drawn once per run context) as `[T, P_g]` rows; each
+row is bit for bit its client's own forward. A gemm row's bits can depend on
+the number of rows in a call, so the tolerance is that the labels equal
+those of forwarding each network on each client's own rows (tested).
 """
 
 from __future__ import annotations
@@ -25,10 +24,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import nn
+from . import gating, nn, runtime
 from .data import ClientShard, LabeledDataset
 from .errors import ConfigError
-from .gating import CommonExpert, gate_scores, route
+from .gating import CommonExpert
 from .metrics import MetricsRecord
 from .runtime import RunContext, ServerState
 from .seeding import rng_stream
@@ -97,34 +96,35 @@ def routing_ground_truth(anchor_shards: list[ClientShard]) -> dict[int, int] | N
     return mapping
 
 
+def client_stacks(test_shards: list[ClientShard]) -> list[tuple[list[ClientShard], np.ndarray]]:
+    """The test clients as stacks that score as one: each stack's shards, of
+    one size n (so none is padded) and in client order, cut by
+    `runtime.cut_stacks`, and their `[T, n]` rows of the test set."""
+    groups: dict[int, list[ClientShard]] = {}
+    for s in sorted(test_shards, key=lambda s: s.client_id):
+        groups.setdefault(len(s), []).append(s)
+    return [(cut, np.stack([s.indices for s in cut])) for n, g in groups.items() for cut in runtime.cut_stacks(g, n)]
+
+
 def per_sample_routing_report(
-    chosen_experts: dict[int, np.ndarray],
-    test_shards: list[ClientShard],
-    test_ds: LabeledDataset,
-    label_to_expert: dict[int, int],
+    stacks: list, chosen_experts: list[np.ndarray], test_ds: LabeledDataset, label_to_expert: dict[int, int]
 ) -> RoutingReport:
-    """A sample routes correctly iff its expert in `chosen_experts` (each
-    test client's per-sample argmax within its top-K, as `gating.route`
-    gives it) is the ground-truth expert of its label. Predicts nothing."""
+    """A sample routes correctly iff its expert in `chosen_experts` (each of
+    the `client_stacks`' `[T, n]` per-sample experts, from `gating.route`) is
+    the ground-truth expert of its label. Predicts nothing."""
     lookup = np.full(test_ds.num_classes, -1, dtype=np.int64)
     lookup[list(label_to_expert)] = list(label_to_expert.values())
     rows = []
-    for shard in sorted(test_shards, key=lambda s: s.client_id):
-        labels = test_ds.labels[shard.indices]
+    for (shards, idx), chosen in zip(stacks, chosen_experts):
+        labels = test_ds.labels[idx]
         truth = lookup[labels]
         if (truth < 0).any():
             unknown = np.unique(labels[truth < 0]).tolist()
             raise ConfigError(f"labels {unknown} missing from the label->expert map")
-        correct = int(np.sum(chosen_experts[shard.client_id] == truth))
-        incorrect = len(shard) - correct
-        rows.append(
-            {
-                "client": shard.client_id,
-                "incorrect": incorrect,
-                "correct": correct,
-                "error_rate": incorrect / len(shard),
-            }
-        )
+        n = idx.shape[1]
+        for s, c in zip(shards, (chosen == truth).sum(axis=1).tolist()):
+            rows.append({"client": s.client_id, "incorrect": n - c, "correct": c, "error_rate": (n - c) / n})
+    rows.sort(key=lambda r: r["client"])
     return RoutingReport(rows, float(np.mean([r["error_rate"] for r in rows])))
 
 
@@ -132,31 +132,23 @@ def per_sample_routing_report(
 # Per-method scoring of unseen test clients (all methods)
 
 
-def _fedmix_predict(ctx: RunContext, logits: list[np.ndarray], shard: ClientShard) -> np.ndarray:
-    """FedMix zero-shot: an unseen client starts a fresh local gate and
-    predicts with the mixture over all experts (nothing to rank with): the
-    gate-weighted sum of the experts' logits, in expert order."""
-    gate = nn.init_params(ctx.gate_spec, rng_stream(ctx.cfg.seed, "fedmix-test-gate", shard.client_id))
-    weights = gate_scores(gate, ctx.test_cache[shard.client_id])
-    combined = weights[:, 0:1] * logits[0][shard.indices]
-    for k in range(1, len(logits)):
-        combined = combined + weights[:, k : k + 1] * logits[k][shard.indices]
-    return combined.argmax(axis=1)
-
-
 def client_predictor(ctx: RunContext, state: ServerState, method: str, logits: list[np.ndarray]):
-    """Every method's rule for one unseen test client: a function from a test
-    shard to its predicted labels and route, read from the server networks'
-    `expert_logits` on the test set, never from labels. FedJETs routes with
-    `gating.route` on the cached embeddings; other methods' route is None."""
+    """Every method's rule for unseen test clients: a function from a stack's
+    shards and rows (`client_stacks`) to its `[T, n]` predicted labels and
+    route, read from the server networks' `expert_logits` on the test set,
+    never from labels. FedJETs' route is `gating.route`'s; others' is None."""
+
+    def embedded(shards):  # [T, n, e]
+        return np.stack([ctx.test_cache[s.client_id] for s in shards])
+
     if method == "fedjets":
         if state.gate_params is None:
             raise ConfigError("zero-shot evaluation needs a server-side gate")
         table = np.stack([out.argmax(axis=1) for out in logits])  # [M, N_test] labels per expert
 
-        def predict(s: ClientShard):
-            experts, chosen = route(state.gate_params, ctx.test_cache[s.client_id], ctx.cfg.top_k)
-            return table[chosen, s.indices], (experts, chosen)
+        def predict(shards, idx):
+            experts, chosen = gating.route(gating.gate_scores(state.gate_params, embedded(shards)), ctx.cfg.top_k)
+            return table[chosen, idx], (experts, chosen)
 
         return predict
     if method in ("fedavg", "fedprox"):
@@ -166,11 +158,23 @@ def client_predictor(ctx: RunContext, state: ServerState, method: str, logits: l
         for out in logits[1:]:
             mean = mean + nn.softmax(out)
         preds = (mean / len(logits)).argmax(axis=1)
-    elif method == "fedmix":
-        return lambda s: (_fedmix_predict(ctx, logits, s), None)
+    elif method == "fedmix":  # a fresh gate per client, drawn once per context, weights all experts' logits
+        if ctx.fedmix_test_gates is None:
+            streams = {s.client_id: rng_stream(ctx.cfg.seed, "fedmix-test-gate", s.client_id) for s in ctx.test_shards}
+            ctx.fedmix_test_gates = {cid: nn.init_params(ctx.gate_spec, rng).values for cid, rng in streams.items()}
+
+        def predict(shards, idx):
+            gates = np.stack([ctx.fedmix_test_gates[s.client_id] for s in shards])
+            weights = nn.forward(ctx.gate_spec, gates, embedded(shards))  # [T, n, M]
+            combined = weights[..., 0:1] * logits[0][idx]
+            for k in range(1, len(logits)):
+                combined = combined + weights[..., k : k + 1] * logits[k][idx]
+            return combined.argmax(axis=-1), None
+
+        return predict
     else:
         raise ConfigError(f"unknown method {method!r}")
-    return lambda s: (preds[s.indices], None)
+    return lambda shards, idx: (preds[idx], None)
 
 
 @dataclass
@@ -188,26 +192,31 @@ class ScoringPass:
 def score_test_clients(
     ctx: RunContext, state: ServerState, method: str, logits: list[np.ndarray] | None = None
 ) -> ScoringPass:
-    """Predict each unseen test client once by the method's rule and score
-    the predictions. `logits` are the server networks' `expert_logits` on
-    the test set, computed here when not given."""
-    shards = sorted(ctx.test_shards, key=lambda s: s.client_id)
+    """Predict each unseen test client once by the method's rule, a stack at
+    a time, and score the predictions. `logits` are the server networks'
+    `expert_logits` on the test set, computed here when not given."""
     if logits is None:
         logits = expert_logits(state.expert_params, ctx.test_ds.inputs)
     predict = client_predictor(ctx, state, method, logits)
-    per_acc, routes = {}, {}
-    for s in shards:
-        preds, routes[s.client_id] = predict(s)
-        per_acc[s.client_id] = float(np.mean(preds == ctx.test_ds.labels[s.indices]))  # labels used only to score
+    stacks = client_stacks(ctx.test_shards)
+    per_acc, selections, per_sample, chosen = {}, {}, {}, []
+    for shards, idx in stacks:
+        preds, route = predict(shards, idx)
+        cids = [s.client_id for s in shards]
+        per_acc.update(zip(cids, (preds == ctx.test_ds.labels[idx]).mean(axis=1).tolist()))  # labels used only to score
+        if route is not None:
+            selections.update(zip(cids, map(tuple, route[0].tolist())))
+            per_sample.update(zip(cids, route[1]))
+            chosen.append(route[1])
+    per_acc = dict(sorted(per_acc.items()))
     avg = float(np.mean(list(per_acc.values())))
     if method != "fedjets":
         return ScoringPass(avg)
-    chosen = {cid: r[1] for cid, r in routes.items()}
-    zs = ZeroShotReport(per_acc, avg, {cid: r[0] for cid, r in routes.items()}, chosen)
+    zs = ZeroShotReport(per_acc, avg, dict(sorted(selections.items())), dict(sorted(per_sample.items())))
     truth = routing_ground_truth(ctx.anchor_shards)
-    if truth is None or not set().union(*(s.label_set for s in shards)) <= set(truth):
+    if truth is None or not set().union(*(s.label_set for s in ctx.test_shards)) <= set(truth):
         return ScoringPass(avg, zs)
-    return ScoringPass(avg, zs, per_sample_routing_report(chosen, shards, ctx.test_ds, truth))
+    return ScoringPass(avg, zs, per_sample_routing_report(stacks, chosen, ctx.test_ds, truth))
 
 
 def evaluate_round(

@@ -4,10 +4,10 @@ The common expert is a frozen feature extractor: each client embeds its
 local data once, the embeddings are checked finite then, and the cache is
 reused for every gate decision afterwards. The gate is a small MLP with a
 softmax head whose output dimension is the number of experts; it is a plain
-`nn.ParamVector` whose spec has that head. A client's route is `route`
-on its embeddings: `select_topk` of the gate's scores, the sorted tuple of
-its top-K expert ids, and each sample's expert among them. Training and
-zero-shot testing both route with it.
+`nn.ParamVector` whose spec has that head. `route` on the gate's scores is
+the one routing rule, for one client or a stack: each client's top-K expert
+ids and each sample's expert among them. Training (a client at a time,
+through `select_topk`) and zero-shot testing (a stack at a time) use it.
 """
 
 from __future__ import annotations
@@ -71,29 +71,29 @@ def gate_spec(embed_dim: int, num_experts: int, hidden: int | None = None) -> nn
 
 
 def gate_scores(gate: nn.ParamVector, embeddings: np.ndarray) -> np.ndarray:
-    """Per-sample softmax distribution over experts, [n x M]."""
+    """Per-sample softmax distribution over experts, `[n, M]` on one client's
+    `[n, e]` embeddings, or `[T, n, M]` on T clients' (the gate broadcast as T rows)."""
     if gate.spec.head != "softmax":
         raise ConfigError("gate network must have a softmax head")
-    return nn.forward(gate.spec, gate.values, embeddings)
+    values = gate.values if embeddings.ndim == 2 else np.broadcast_to(gate.values, (len(embeddings), gate.values.size))
+    return nn.forward(gate.spec, values, embeddings)
+
+
+def route(scores: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The routing rule, on gate scores `[n, M]` or a stack's `[..., n, M]`:
+    each client's top-K expert ids `[..., K]`, ascending, by column-summed
+    score with ties to the lowest id, and each sample's expert `[..., n]`,
+    the selected one it scores highest. Sees no labels."""
+    m = scores.shape[-1]
+    if not (1 <= k <= m):
+        raise ConfigError(f"top_k {k} out of range for {m} experts")
+    # a stable sort keeps equal sums in ascending expert id
+    experts = np.sort(np.argsort(-scores.sum(axis=-2), axis=-1, kind="stable")[..., :k], axis=-1)
+    selected = (experts[..., None] == np.arange(m)).any(axis=-2)  # [..., M]
+    # raw scores restricted to the selected set; argmax unchanged by renormalization
+    return experts, np.where(selected[..., None, :], scores, -np.inf).argmax(axis=-1)
 
 
 def select_topk(scores: np.ndarray, k: int) -> tuple[int, ...]:
-    """The sorted ids of the top-K experts by column-summed gate scores
-    (`[n x M]`, from `gate_scores`); ties go to the lowest expert id."""
-    m = scores.shape[1]
-    if not (1 <= k <= m):
-        raise ConfigError(f"top_k {k} out of range for {m} experts")
-    # lexsort: primary key descending summed score, secondary ascending index
-    order = np.lexsort((np.arange(m), -scores.sum(axis=0)))
-    return tuple(sorted(order[:k].tolist()))
-
-
-def route(gate: nn.ParamVector, embeddings: np.ndarray, k: int) -> tuple[tuple[int, ...], np.ndarray]:
-    """One client's routing from one gate forward on its embeddings: the
-    top-K expert ids, and each sample's expert (the selected one it scores
-    highest). Sees no labels."""
-    scores = gate_scores(gate, embeddings)
-    experts = select_topk(scores, k)
-    cols = np.array(experts, dtype=np.int64)
-    # raw scores restricted to the selected set; argmax unchanged by renormalization
-    return experts, cols[scores[:, cols].argmax(axis=1)]
+    """One client's top-K expert ids by `route`, from its `[n, M]` gate scores."""
+    return tuple(route(scores, k)[0].tolist())

@@ -12,7 +12,7 @@ one scenario-pool lookup and `draw_clients` the one client draw; then
 `client_updates` steps the clients and `aggregate` averages their packets.
 A plan only names the active clients. A FedJETs normal client is routed
 where its `Work` is made (`fedjets_work`): the top-K of `gating.route`,
-the one routing rule, with the state's gate on its cached embeddings.
+the one routing rule, on the state gate's scores of its cached embeddings.
 Each client draws its randomness from a stream keyed by (seed, "client",
 round, client_id), so results do not depend on the order of the updates.
 
@@ -39,7 +39,7 @@ carries the networks no packet updated over by reference.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -303,9 +303,14 @@ def group_clients(ctx: RunContext, client_ids: list[int], work) -> list[list[tup
         groups.setdefault(key, []).append((shard, w))
     stacks = []
     for (kind, k, _, n, _), members in groups.items():
-        per_stack = max(1, STACK_ROWS // ((k + (kind != "sgd")) * n))
-        stacks += [members[i : i + per_stack] for i in range(0, len(members), per_stack)]
+        stacks += cut_stacks(members, (k + (kind != "sgd")) * n)
     return stacks
+
+
+def cut_stacks(members: list, rows: int) -> list[list]:
+    """`members`, in order, in stacks of at most STACK_ROWS rows at `rows` a member (one member at least)."""
+    per_stack = max(1, STACK_ROWS // rows)
+    return [members[i : i + per_stack] for i in range(0, len(members), per_stack)]
 
 
 def _step_group(ctx: RunContext, state: ServerState, served, t: int, group, failures) -> list[list[np.ndarray]]:
@@ -420,7 +425,7 @@ def fedjets_work(ctx: RunContext, state: ServerState):
             if q is None or not (0 <= q < state.num_experts):
                 raise ConfigError(f"client {shard.client_id} is not a valid anchor")
             return Work("anchor", (q,), state.gate_params.values)
-        experts = gating.route(state.gate_params, ctx.cache[shard.client_id], ctx.cfg.top_k)[0]
+        experts = gating.select_topk(gating.gate_scores(state.gate_params, ctx.cache[shard.client_id]), ctx.cfg.top_k)
         return Work("mixture", experts, state.gate_params.values)
 
     return work
@@ -500,7 +505,7 @@ def comm_cost(plan: RoundPlan, cfg: RunConfig, sizes: ModelSizes) -> dict[str, t
 
 @dataclass
 class RunContext:
-    """Prepared inputs for one training run."""
+    """Prepared inputs for one run; evaluation draws FedMix's test gates into it on first use."""
 
     cfg: RunConfig
     train_ds: LabeledDataset
@@ -513,6 +518,7 @@ class RunContext:
     test_cache: dict[int, np.ndarray]
     expert_spec: nn.NetSpec
     gate_spec: nn.NetSpec
+    fedmix_test_gates: dict[int, np.ndarray] | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def shards_by_id(self) -> dict[int, ClientShard]:

@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import json
+import math
 import struct
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from fedjets import benchmarks, central, checkpoint, cli, experiment, metrics, nn
+from fedjets import benchmarks, central, checkpoint, cli, experiment, metrics, nn, runtime
 from fedjets import config as config_mod
 from fedjets.errors import NumericError
 from test_runtime import MINI
@@ -244,7 +246,7 @@ class TestEval:
             assert loaded.gate_params is None
         assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
 
-    def test_eval_makes_one_gate_forward_per_test_client(self, cfg_path, tmp_path, monkeypatch):
+    def test_eval_makes_one_gate_forward_per_test_stack(self, cfg_path, tmp_path, monkeypatch):
         out = tmp_path / "run"
         assert cli.main(["run", "--config", str(cfg_path), "--out", str(out)]) == 0
         state, _ = experiment.load_run_state(out / "state.ckpt")
@@ -254,9 +256,13 @@ class TestEval:
         report = tmp_path / "report.json"
         args = ["eval", "--config", str(cfg_path), "--state", str(out / "state.ckpt"), "--report", str(report)]
         assert cli.main(args) == 0
-        # building the context pretrains and embeds with the common expert; only scoring runs the gate
-        gate_spec = state.gate_params.spec
-        assert sum(a[0] == gate_spec for a in traces) == config_mod.load(cfg_path).data.num_test_clients
+        # building the context pretrains and embeds with the common expert; only scoring runs the gate,
+        # once per stack of test clients of one shard size, on all of them
+        gates = [a for a in traces if a[0] == state.gate_params.spec]
+        per_client = json.loads(report.read_text())["zero_shot"]["per_client"].values()
+        sizes = Counter(len(c["chosen_expert_per_sample"]) for c in per_client)
+        assert len(gates) == sum(math.ceil(t / max(1, runtime.STACK_ROWS // n)) for n, t in sizes.items())
+        assert sum(a[2].shape[0] for a in gates) == config_mod.load(cfg_path).data.num_test_clients
         # and each server expert is forwarded once, on the whole test set
         for expert in state.expert_params:
             runs = [a for a in traces if np.array_equal(a[1], expert.values)]

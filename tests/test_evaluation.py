@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import dataclasses
 import inspect
+import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -166,10 +168,13 @@ class TestRoutingReport:
 
     @staticmethod
     def routing(state, common, shards, ds, label_map, k):
-        """Routing of each shard's samples by `gating.route` on their embeddings."""
+        """Routing of each shard's samples by `gating.route` on the gate's
+        scores of their embeddings, a stack of test clients at a time."""
         cache = gating.build_embedding_cache(common, ds, shards)
-        chosen = {s.client_id: gating.route(state.gate_params, cache[s.client_id], k)[1] for s in shards}
-        return evaluation.per_sample_routing_report(chosen, shards, ds, label_map)
+        stacks = evaluation.client_stacks(shards)
+        embedded = [np.stack([cache[s.client_id] for s in members]) for members, _ in stacks]
+        chosen = [gating.route(gating.gate_scores(state.gate_params, emb), k)[1] for emb in embedded]
+        return evaluation.per_sample_routing_report(stacks, chosen, ds, label_map)
 
     def test_perfect_gate_zero_error(self):
         ds = onehot_dataset(seed=10)
@@ -235,7 +240,7 @@ class TestRoutingReport:
         shard = shard_with_labels(ds, (2, 4), 25, 800)
         report = self.routing(state, identity_common(), [shard], ds, self.label_map(), k=2)
         embeddings = gating.embed_inputs(identity_common(), ds.inputs[shard.indices])
-        _, chosen = gating.route(state.gate_params, embeddings, 2)
+        _, chosen = gating.route(gating.gate_scores(state.gate_params, embeddings), 2)
         truth = np.array([self.label_map()[int(l)] for l in ds.labels[shard.indices]])
         manual_correct = int(np.sum(chosen == truth))
         assert report.rows[0]["correct"] == manual_correct
@@ -359,27 +364,32 @@ class TestEvaluateRound:
         assert len(history[-1].per_expert_acc) == 1
         assert history[-1].routing_acc is None
 
-    def test_fedjets_scores_each_test_client_with_one_gate_forward(self, monkeypatch):
+    @pytest.mark.parametrize("stack_rows", [runtime.STACK_ROWS, 30])
+    def test_gate_side_runs_once_per_test_stack(self, monkeypatch, stack_rows):
         # and, for every method, one forward per server network on the whole test set
         ctx = experiment.build_context(mini_cfg())
-        traces, topk = [], []
-        forward_trace, select_topk = nn._forward_trace, gating.select_topk
+        monkeypatch.setattr(runtime, "STACK_ROWS", stack_rows)
+        sizes = Counter(len(s) for s in ctx.test_shards)
+        stacks = sum(math.ceil(t / max(1, stack_rows // n)) for n, t in sizes.items())
+        assert stacks == (2 if stack_rows == 30 else 1)  # mini: two test clients of 30 rows
+        traces, routes = [], []
+        forward_trace, route = nn._forward_trace, gating.route
         monkeypatch.setattr(nn, "_forward_trace", lambda *a: traces.append(a) or forward_trace(*a))
-        monkeypatch.setattr(gating, "select_topk", lambda *a, **k: topk.append(a) or select_topk(*a, **k))
+        monkeypatch.setattr(gating, "route", lambda *a, **k: routes.append(a) or route(*a, **k))
         for method in METHODS:
             state = baselines.make_stepper(ctx, method)[0]
             traces.clear()
-            topk.clear()
+            routes.clear()
             evaluation.evaluate_round(ctx, state, method, 1, 0.0, 0.0)
             experts = [a for a in traces if a[0] == ctx.expert_spec]
             assert len(experts) == state.num_experts, method
             assert all(a[1] is p.values for a, p in zip(experts, state.expert_params)), method
             assert all(a[2].shape[0] == len(ctx.test_ds) for a in experts), method
-            gates = sum(a[0] == ctx.gate_spec for a in traces)
-            assert len(traces) == len(experts) + gates, method
-            per_client = len(ctx.test_shards) if method in ("fedjets", "fedmix") else 0
-            assert gates == per_client, method
-            assert len(topk) == (len(ctx.test_shards) if method == "fedjets" else 0), method
+            gates = [a for a in traces if a[0] == ctx.gate_spec]
+            assert len(traces) == len(experts) + len(gates), method
+            assert len(gates) == (stacks if method in ("fedjets", "fedmix") else 0), method
+            assert sum(a[2].shape[0] for a in gates) == (len(ctx.test_shards) if gates else 0), method
+            assert len(routes) == (stacks if method == "fedjets" else 0), method
 
 
 METHODS = ("fedjets", "fedavg", "fedprox", "avg_ensemble", "fedmix")
@@ -400,7 +410,8 @@ def trained():
 
 def uneven_overlapping_shards(ctx):
     """Test shards of 1 to 37 rows that share rows with one another (and
-    one that repeats a row), with the embedding cache to match."""
+    some that repeat a row), three sizes held by two clients each, with the
+    embedding cache to match."""
     n = len(ctx.test_ds)
     rng = rng_stream(3, "uneven-shards")
     index_sets = [
@@ -410,6 +421,9 @@ def uneven_overlapping_shards(ctx):
         rng.choice(n, size=9, replace=False),
         np.array([5, 5, 17, 40, 5]),
         rng.choice(n, size=30, replace=True),
+        np.array([0]),
+        np.arange(23, 46),
+        rng.choice(n, size=9, replace=True),
     ]
     shards = []
     for i, idx in enumerate(index_sets):
@@ -427,16 +441,22 @@ class TestPredictionEquality:
 
     @staticmethod
     def predictions(ctx, state, method):
+        """Each test client's labels from the stacked scoring path."""
         logits = evaluation.expert_logits(state.expert_params, ctx.test_ds.inputs)
         predict = evaluation.client_predictor(ctx, state, method, logits)
-        return {s.client_id: predict(s)[0] for s in ctx.test_shards}
+        out = {}
+        for members, idx in evaluation.client_stacks(ctx.test_shards):
+            out.update(zip((s.client_id for s in members), predict(members, idx)[0]))
+        return out
 
-    @pytest.mark.parametrize("shards", ["mini", "uneven-overlapping"])
+    @pytest.mark.parametrize("shards", ["mini", "uneven-overlapping", "uneven-overlapping-cut"])
     @pytest.mark.parametrize("method", METHODS)
-    def test_labels_equal_per_client_forward(self, trained, method, shards):
+    def test_labels_equal_per_client_forward(self, trained, monkeypatch, method, shards):
         ctx, states = trained
         if shards != "mini":
             ctx = uneven_overlapping_shards(ctx)
+        if shards.endswith("-cut"):  # groups cut into several stacks
+            monkeypatch.setattr(runtime, "STACK_ROWS", 9)
         state = states[method]
         got, want = self.predictions(ctx, state, method), reference_predictions(ctx, state, method)
         assert sorted(got) == sorted(want) == sorted(s.client_id for s in ctx.test_shards)
@@ -448,3 +468,73 @@ class TestPredictionEquality:
         shards = sorted(ctx.test_shards, key=lambda s: s.client_id)
         per_acc = [float(np.mean(want[s.client_id] == labels[s.indices])) for s in shards]
         assert evaluation.score_test_clients(ctx, state, method).global_acc == float(np.mean(per_acc))
+
+
+class TestStackedGateSide:
+    """Each stack's gate forward gives every client bit for bit the scores
+    of `gating.gate_scores` on its own embeddings: FedJETs' one test gate,
+    FedMix's per-client test gates."""
+
+    @pytest.mark.parametrize("stack_rows", [1024, 9])
+    @pytest.mark.parametrize("method", ["fedjets", "fedmix"])
+    def test_stacked_gate_scores_equal_per_client(self, trained, monkeypatch, method, stack_rows):
+        ctx, states = trained
+        ctx = uneven_overlapping_shards(ctx)
+        monkeypatch.setattr(runtime, "STACK_ROWS", stack_rows)
+        stacks = evaluation.client_stacks(ctx.test_shards)
+        sizes = Counter(len(s) for s in ctx.test_shards)
+        assert max(sizes.values()) > 1  # some stack holds more than one client ...
+        assert len(stacks) == (len(sizes) if stack_rows == 1024 else len(sizes) + 2)  # ... or is cut in two
+        calls, forward = [], nn.forward
+
+        def spy(*args):
+            calls.append((args, forward(*args)))
+            return calls[-1][1]
+
+        monkeypatch.setattr(nn, "forward", spy)
+        evaluation.score_test_clients(ctx, states[method], method)
+        gate_calls = [(a, out) for a, out in calls if a[0] == ctx.gate_spec]
+        assert len(gate_calls) == len(stacks)
+        for (members, idx), ((_, _, emb), scores) in zip(stacks, gate_calls):
+            assert emb.shape[:2] == idx.shape and scores.shape[:2] == idx.shape
+            for shard, row in zip(members, scores):
+                cid = shard.client_id
+                if method == "fedjets":
+                    gate = states[method].gate_params
+                else:
+                    gate = nn.init_params(ctx.gate_spec, rng_stream(ctx.cfg.seed, "fedmix-test-gate", cid))
+                assert np.array_equal(row, gating.gate_scores(gate, ctx.test_cache[cid])), (method, cid)
+
+
+class TestFedMixTestGates:
+    def test_drawn_once_per_run_context(self, monkeypatch):
+        drawn = []
+        init_params = nn.init_params
+        monkeypatch.setattr(nn, "init_params", lambda spec, rng: drawn.append(spec) or init_params(spec, rng))
+        ctx = experiment.build_context(mini_cfg())
+        assert ctx.fedmix_test_gates is None and ctx.gate_spec not in drawn
+        state = baselines.make_stepper(ctx, "fedmix")[0]
+        drawn.clear()
+        first = evaluation.evaluate_round(ctx, state, "fedmix", 1, 0.0, 0.0)
+        assert drawn == [ctx.gate_spec] * len(ctx.test_shards)
+        drawn.clear()
+        assert evaluation.evaluate_round(ctx, state, "fedmix", 1, 0.0, 0.0) == first
+        assert drawn == []
+
+        def stream_rows(c):
+            return {
+                s.client_id: init_params(c.gate_spec, rng_stream(c.cfg.seed, "fedmix-test-gate", s.client_id)).values
+                for s in c.test_shards
+            }
+
+        want = stream_rows(ctx)
+        assert sorted(ctx.fedmix_test_gates) == sorted(want)
+        assert all(np.array_equal(ctx.fedmix_test_gates[cid], row) for cid, row in want.items())
+        # a changed cfg draws again, from its own seed's streams
+        other = dataclasses.replace(ctx, cfg=mini_cfg(seed=6))
+        assert other.fedmix_test_gates is None
+        evaluation.evaluate_round(other, state, "fedmix", 1, 0.0, 0.0)
+        assert drawn == [ctx.gate_spec] * len(ctx.test_shards)
+        want6 = stream_rows(other)
+        assert all(np.array_equal(other.fedmix_test_gates[cid], row) for cid, row in want6.items())
+        assert not any(np.array_equal(want[cid], want6[cid]) for cid in want)

@@ -5,6 +5,9 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from conftest import central_diff, gate_independent_loss_grad, loss_value, min_hidden_preact, rel_error
 from fedjets import data, gating, nn
@@ -159,6 +162,37 @@ class TestSelectTopK:
         a = gating.select_topk(gating.gate_scores(gate, emb), 3)
         b = gating.select_topk(gating.gate_scores(gate, emb), 3)
         assert a == b
+
+
+def lexsort_route(scores: np.ndarray, k: int):
+    """One client's route by the per-client rule `gating.route` replaced: a
+    lexsort on (descending column sum, ascending id), then each sample's
+    argmax among the selected columns."""
+    order = np.lexsort((np.arange(scores.shape[1]), -scores.sum(axis=0)))
+    cols = np.array(sorted(order[:k].tolist()), dtype=np.int64)
+    return cols, cols[scores[:, cols].argmax(axis=1)]
+
+
+class TestStackedRoute:
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_stack_equals_per_client_lexsort(self, data_):
+        t, n, m = (data_.draw(st.integers(1, hi)) for hi in (4, 6, 5))
+        k = data_.draw(st.integers(1, m))
+        # few distinct values, so exact column-sum ties are common
+        values = st.sampled_from([0.0, 0.1, 0.25, 0.5, 1.0 / 3.0])
+        scores = data_.draw(hnp.arrays(np.float64, (t, n, m), elements=values))
+        experts, chosen = gating.route(scores, k)
+        assert experts.shape == (t, k) and chosen.shape == (t, n)
+        for b in range(t):
+            want_experts, want_chosen = lexsort_route(scores[b], k)
+            assert np.array_equal(experts[b], want_experts)
+            assert np.array_equal(chosen[b], want_chosen)
+            assert gating.select_topk(scores[b], k) == tuple(want_experts.tolist())
+
+    def test_stacked_scores_out_of_range_k(self):
+        with pytest.raises(ConfigError, match="top_k 4 out of range for 3 experts"):
+            gating.route(np.full((2, 5, 3), 1.0 / 3.0), 4)
 
 
 def test_overflowing_gate_scores_name_the_output():
