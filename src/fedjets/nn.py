@@ -11,6 +11,7 @@ Trace contract: each entry point runs the forward pass once, in
 `_forward_trace`; `backprop` consumes the `Trace` it returns and never
 recomputes it. `ce_grad` thus does one forward per step, and a caller
 mixing k networks takes each one's output and trace from `forward_with_trace`.
+A trace keeps one array per layer: a ReLU is written over its layer's output.
 
 Stack axis: the engine functions `_forward_trace`, `forward_with_trace`,
 `forward`, `ce_grad` and `backprop` take parameter arrays only: one
@@ -204,12 +205,11 @@ def softmax(logits: np.ndarray) -> np.ndarray:
 
 
 class Trace(NamedTuple):
-    """What one forward pass keeps for backprop: the per-layer (W, b) views
-    into the parameters, each layer's pre-activation, and the activations
-    (acts[0] is the input, acts[l+1] the output of layer l, no head applied)."""
+    """What one forward pass keeps for backprop: the (W, b) views and the
+    activations only (acts[0] the input, acts[l+1] layer l's output, no head).
+    Backprop masks a ReLU on acts[l+1] > 0, as on its pre-activation > 0."""
 
     layers: list[tuple[np.ndarray, np.ndarray]]
-    pre_acts: list[np.ndarray]
     acts: list[np.ndarray]
 
 
@@ -225,15 +225,14 @@ def _forward_trace(spec: NetSpec, values: np.ndarray, inputs: np.ndarray) -> Tra
         raise ConfigError(f"parameter rows {values.shape} do not match spec ({spec.param_count()},)")
     layers = unpack(spec, values)
     last = spec.num_layers - 1
-    pre_acts = []
     acts = [x]
-    h = x
     for l, (w, b) in enumerate(layers):
-        z = h @ w + b
-        pre_acts.append(z)
-        h = np.maximum(z, 0.0) if l < last and spec.activations[l] == "relu" else z
-        acts.append(h)
-    return Trace(layers, pre_acts, acts)
+        z = acts[-1] @ w
+        z += b
+        if l < last and spec.activations[l] == "relu":
+            np.maximum(z, 0.0, out=z)
+        acts.append(z)
+    return Trace(layers, acts)
 
 
 def forward_with_trace(spec: NetSpec, values: np.ndarray, inputs: np.ndarray) -> tuple[np.ndarray, Trace]:
@@ -265,14 +264,14 @@ def backprop(spec: NetSpec, trace: Trace, output_grad: np.ndarray) -> np.ndarray
     w.r.t. the parameters that produced `trace` (`[P]`, or `[B, P]` on a
     stack), where `output_grad` is the loss gradient at the pre-head output.
     """
-    layers, pre_acts, acts = trace
+    layers, acts = trace
     last = spec.num_layers - 1
     grads = [None] * spec.num_layers
     dz = np.asarray(output_grad, dtype=np.float64)
     lead = dz.shape[:-2]
     for l in range(last, -1, -1):
         if l < last and spec.activations[l] == "relu":
-            dz = dz * (pre_acts[l] > 0.0)
+            dz = dz * (acts[l + 1] > 0.0)
         grads[l] = (acts[l].swapaxes(-1, -2) @ dz, dz.sum(axis=-2))
         if l > 0:
             dz = dz @ layers[l][0].swapaxes(-1, -2)

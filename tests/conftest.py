@@ -34,9 +34,15 @@ def rel_error(a: np.ndarray, b: np.ndarray) -> float:
 
 
 def min_hidden_preact(spec: nn.NetSpec, params: nn.ParamVector, inputs: np.ndarray) -> float:
-    """Smallest |pre-activation| over all hidden relu units for this batch."""
-    pre = nn._forward_trace(spec, params.values, inputs).pre_acts
-    hidden = [np.abs(z) for z, act in zip(pre[:-1], spec.activations) if act == "relu"]
+    """Smallest |pre-activation| over all hidden relu units for this batch,
+    computed here (`h @ W + b` per layer), since the trace keeps none."""
+    hidden, h = [], inputs
+    for (w, b), act in zip(nn.unpack(spec, params.values)[:-1], spec.activations):
+        z = h @ w + b
+        if act == "relu":
+            hidden.append(np.abs(z))
+            z = np.maximum(z, 0.0)
+        h = z
     if not hidden:
         return np.inf
     return float(min(np.min(h) for h in hidden))

@@ -210,6 +210,62 @@ class TestBackward:
         assert nn.Scan().grads(spec, grad[None]).failures[0].layer is not None
 
 
+class TestReluMask:
+    """The trace keeps no pre-activation: backprop masks a ReLU on its
+    activation being > 0. That mask has the bits of one taken on the
+    pre-activation at 0.0, -0.0, -1e-300 and NaN, on one network and on a stack."""
+
+    SPEC = nn.NetSpec.mlp([3, 6, 2])
+    EDGES = np.array([0.0, -0.0, -1e-300, np.nan])
+
+    @staticmethod
+    def _values(stack: int | None):
+        rng = rng_stream(7, "relu-mask")
+        rows = rng.normal(size=(stack or 1, TestReluMask.SPEC.param_count()))
+        x = rng.normal(size=(stack or 1, 5, 3))
+        g = rng.normal(size=(stack or 1, 5, 2))
+        return (rows, x, g) if stack else (rows[0], x[0], g[0])
+
+    @staticmethod
+    def _oracle(values, x, pre, out_grad):
+        """Backprop of the one-hidden-layer SPEC, masking on `pre > 0`."""
+        w1 = nn.unpack(TestReluMask.SPEC, values)[1][0]
+        h = np.maximum(pre, 0.0)
+        dz = (out_grad @ w1.swapaxes(-1, -2)) * (pre > 0.0)
+        parts = (x.swapaxes(-1, -2) @ dz, dz.sum(axis=-2), h.swapaxes(-1, -2) @ out_grad, out_grad.sum(axis=-2))
+        return np.concatenate([p.reshape(*out_grad.shape[:-2], -1) for p in parts], axis=-1)
+
+    @pytest.mark.parametrize("stack", [None, 2])
+    def test_given_preactivations(self, stack):
+        # -0.0 never leaves a matmul plus a bias, so the trace is built here
+        # as the forward writes it: the ReLU of the pre-activation
+        values, x, g = self._values(stack)
+        layers = nn.unpack(self.SPEC, values)
+        (w0, b0), (w1, b1) = layers
+        pre = x @ w0 + b0
+        pre[..., :4] = self.EDGES
+        assert np.signbit(pre[..., 1]).all() and np.isnan(pre[..., 3]).all()
+        act = np.maximum(pre, 0.0)
+        trace = nn.Trace(layers, [x, act, act @ w1 + b1])
+        got = nn.backprop(self.SPEC, trace, g)
+        assert got.tobytes() == self._oracle(values, x, pre, g).tobytes()
+
+    @pytest.mark.parametrize("stack", [None, 2])
+    def test_through_the_forward(self, stack):
+        # zero weights into units 0-3 leave the bias as their pre-activation
+        values, x, g = self._values(stack)
+        (w0, b0), _ = nn.unpack(self.SPEC, values)
+        w0[..., :4] = 0.0
+        b0[..., :4] = self.EDGES
+        pre = x @ w0 + b0  # the oracle's own pre-activations
+        assert (pre[..., 2] == -1e-300).all() and np.isnan(pre[..., 3]).all()
+        _, trace = nn.forward_with_trace(self.SPEC, values, x)
+        assert len(trace.acts) == self.SPEC.num_layers + 1  # one array per layer, the input first
+        assert trace.acts[1].tobytes() == np.maximum(pre, 0.0).tobytes()
+        got = nn.backprop(self.SPEC, trace, g)
+        assert got.tobytes() == self._oracle(values, x, pre, g).tobytes()
+
+
 class TestMixtureForward:
     def test_single_expert_weight_one(self, rng):
         spec, params = make_net(11, [4, 6, 3])

@@ -430,6 +430,24 @@ class TestClientGroups:
         assert [len(stack) for stack in runtime.group_clients(ctx, ids, work)] == [3, 2, 2, 1]
         assert packet_bytes(runtime.client_updates(ctx, state, 2, ids, work)) == packet_bytes(whole)
 
+    def test_default_cap_steps_a_synth10_fedmix_draw_as_one_stack(self):
+        # K = M = 5 and the gate: ten normal clients of 36 rows a step are
+        # 2,160 network rows, five anchors with 400-row shards (64 rows a step) 1,920
+        c = experiment.build_context(benchmarks.synth10_config(federation={"method": "fedmix"}))
+        state, _ = baselines.make_stepper(c, "fedmix")
+        normals = [s.client_id for s in c.normal_shards[:10]]
+        anchors = [s.client_id for s in c.anchor_shards]
+        ids = normals + anchors
+        assert [len(c.shards_by_id[i]) for i in ids] == [36] * 10 + [400] * 5
+        kinds = runtime.Work("mixture", tuple(range(5)), None)
+        groups = runtime.group_clients(c, ids, lambda shard: kinds)
+        assert [[s.client_id for s, _ in g] for g in groups] == [normals, anchors]
+        together, alone = {}, {}
+        stacked = baselines.fedmix_updates(c, state, together, 1, ids)
+        single = [baselines.fedmix_updates(c, state, alone, 1, [cid])[0] for cid in ids]
+        assert packet_bytes(stacked) == packet_bytes(single)
+        assert {i: g.tobytes() for i, g in together.items()} == {i: g.tobytes() for i, g in alone.items()}
+
     @pytest.mark.parametrize("method", ["fedjets", "fedavg", "fedprox", "fedmix"])
     def test_several_groups_aggregate_unchanged(self, method):
         # unequal shards: rows per step and step counts differ between clients
