@@ -364,7 +364,7 @@ class TestEvaluateRound:
         assert len(history[-1].per_expert_acc) == 1
         assert history[-1].routing_acc is None
 
-    @pytest.mark.parametrize("stack_rows", [runtime.STACK_ROWS, 30])
+    @pytest.mark.parametrize("stack_rows", [1024, runtime.STACK_ROWS, 30])
     def test_gate_side_runs_once_per_test_stack(self, monkeypatch, stack_rows):
         # and, for every method, one forward per server network on the whole test set
         ctx = experiment.build_context(mini_cfg())
