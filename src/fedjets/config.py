@@ -18,27 +18,47 @@ from .errors import ConfigError
 METHODS = ("fedjets", "fedavg", "fedprox", "avg_ensemble", "fedmix")
 EXPERT_INITS = ("scratch", "from_common")
 PARTITION_STRATEGIES = ("quantity", "dirichlet")
+SECTIONS = ("data", "model", "federation", "training", "eval")
 
 
+def _at_least(n) -> dict:
+    return {"bound": f"at least {n}", "admits": lambda v: v >= n}
+
+
+def _above(x) -> dict:
+    return {"bound": f"> {x}", "admits": lambda v: v > x}
+
+
+def _within(lo, hi, end: str = ")") -> dict:
+    """[lo, hi) by default, [lo, hi] with end="]"."""
+    return {"bound": f"in [{lo}, {hi}{end}", "admits": lambda v: lo <= v < hi or (end == "]" and v == hi)}
+
+
+def _one_of(options) -> dict:
+    return {"bound": " | ".join(f'"{o}"' for o in options), "admits": options.__contains__}
+
+
+# Each scalar field states its bound beside its default; `RunConfig.validate`
+# enforces them all in one walk. A null value passes where the type allows it.
 @dataclass
 class DataConfig:
-    num_classes: int = 10
-    dim: int = 16
-    train_per_class: int = 200
-    test_per_class: int = 100
-    separation: float = 6.0
-    num_clients: int = 60
-    num_test_clients: int = 10
-    partition_strategy: str = "quantity"
-    labels_per_client: int = 4
-    alpha: float = 0.1
+    num_classes: int = field(default=10, metadata=_at_least(2))
+    dim: int = field(default=16, metadata=_at_least(2))
+    train_per_class: int = field(default=200, metadata=_at_least(2))
+    test_per_class: int = field(default=100, metadata=_at_least(2))
+    separation: float = field(default=6.0, metadata=_at_least(0))
+    num_clients: int = field(default=60, metadata=_at_least(2))
+    num_test_clients: int = field(default=10, metadata=_at_least(1))
+    partition_strategy: str = field(default="quantity", metadata=_one_of(PARTITION_STRATEGIES))
+    labels_per_client: int = field(default=4, metadata=_at_least(1))
+    alpha: float = field(default=0.1, metadata=_above(0))
     with_replacement: bool = True
-    samples_per_client: int | None = None
-    test_labels_per_client: int | None = None
-    test_samples_per_client: int | None = None
-    labels_per_anchor: int = 2
+    samples_per_client: int | None = field(default=None, metadata=_at_least(1))
+    test_labels_per_client: int | None = field(default=None, metadata=_at_least(1))
+    test_samples_per_client: int | None = field(default=None, metadata=_at_least(1))
+    labels_per_anchor: int = field(default=2, metadata=_at_least(1))
     anchor_disjoint: bool = True
-    samples_per_anchor: int | None = None
+    samples_per_anchor: int | None = field(default=None, metadata=_at_least(1))
     train_features: str | None = None
     test_features: str | None = None
 
@@ -47,42 +67,42 @@ class DataConfig:
 class ModelConfig:
     expert_dims: list[int] = field(default_factory=lambda: [16, 32, 32, 10])
     common_dims: list[int] | None = None
-    embed_layer: int | None = None
-    gate_hidden: int | None = None
+    embed_layer: int | None = field(default=None, metadata=_at_least(0))
+    gate_hidden: int | None = field(default=None, metadata=_at_least(1))
     common_ckpt: str | None = None
-    pretrain_target_accuracy: float = 0.9
-    pretrain_max_epochs: int = 60
+    pretrain_target_accuracy: float = field(default=0.9, metadata=_within(0, 1, "]"))
+    pretrain_max_epochs: int = field(default=60, metadata=_at_least(0))
 
 
 @dataclass
 class FederationConfig:
-    method: str = "fedjets"
-    rounds: int = 300
-    num_experts: int = 5
-    top_k: int = 2
-    anchors_per_round: int = 5
-    normals_per_round: int = 5
-    expert_init: str = "scratch"
-    fedprox_mu: float = 0.01
-    ensemble_size: int = 2
+    method: str = field(default="fedjets", metadata=_one_of(METHODS))
+    rounds: int = field(default=300, metadata=_at_least(0))
+    num_experts: int = field(default=5, metadata=_at_least(1))
+    top_k: int = field(default=2, metadata=_at_least(1))
+    anchors_per_round: int = field(default=5, metadata=_at_least(0))
+    normals_per_round: int = field(default=5, metadata=_at_least(0))
+    expert_init: str = field(default="scratch", metadata=_one_of(EXPERT_INITS))
+    fedprox_mu: float = field(default=0.01, metadata=_at_least(0))
+    ensemble_size: int = field(default=2, metadata=_at_least(2))  # every run's ledger books avg_ensemble
     uniform_weighting: bool = False
 
 
 @dataclass
 class TrainingConfig:
-    lr: float = 0.01
-    momentum: float = 0.9
-    gate_lr: float = 0.001
-    gate_momentum: float = 0.0
-    batch_size: int = 256
-    local_epochs: int = 1
-    local_iterations: int | None = None
+    lr: float = field(default=0.01, metadata=_above(0))
+    momentum: float = field(default=0.9, metadata=_within(0, 1))
+    gate_lr: float = field(default=0.001, metadata=_above(0))
+    gate_momentum: float = field(default=0.0, metadata=_within(0, 1))
+    batch_size: int = field(default=256, metadata=_at_least(1))
+    local_epochs: int = field(default=1, metadata=_at_least(0))
+    local_iterations: int | None = field(default=None, metadata=_at_least(0))
     renormalize_gate_weights: bool = False
 
 
 @dataclass
 class EvalConfig:
-    interval: int = 10
+    interval: int = field(default=10, metadata=_at_least(1))
 
 
 @dataclass
@@ -120,27 +140,19 @@ class RunConfig:
         return self.federation.rounds
 
     def validate(self) -> "RunConfig":
-        d, m, f, t = self.data, self.model, self.federation, self.training
-        for name in ("data", "model", "federation", "training", "eval"):
-            for key, value in vars(getattr(self, name)).items():
+        """Check every field against its declared bound in one walk, then the rules relating fields."""
+        for name in SECTIONS:
+            section = getattr(self, name)
+            for spec in dataclasses.fields(section):
+                value, bound = getattr(section, spec.name), spec.metadata.get("bound")
                 if isinstance(value, float) and not math.isfinite(value):
-                    raise ConfigError(f"{name}.{key} must be finite, got {value}")
-        if f.method not in METHODS:
-            raise ConfigError(f"unknown method {f.method!r}; expected one of {METHODS}")
-        if f.expert_init not in EXPERT_INITS:
-            raise ConfigError(f"unknown expert_init {f.expert_init!r}")
-        if d.partition_strategy not in PARTITION_STRATEGIES:
-            raise ConfigError(f"unknown partition_strategy {d.partition_strategy!r}")
-        if min(f.rounds, f.num_experts, f.top_k, d.num_clients) < 0:
-            raise ConfigError("counts must be non-negative")
-        if d.num_test_clients < 1:
-            raise ConfigError("num_test_clients must be at least 1: every method is scored on the test clients")
-        if f.num_experts < 1 or f.top_k < 1:
-            raise ConfigError("num_experts and top_k must be positive")
+                    bound = "finite"
+                elif bound is None or value is None or spec.metadata["admits"](value):
+                    continue
+                raise ConfigError(f"{name}.{spec.name} must be {bound}; got {value!r}")
+        d, m, f = self.data, self.model, self.federation
         if f.top_k > f.num_experts:
             raise ConfigError(f"top_k {f.top_k} exceeds num_experts {f.num_experts}")
-        if f.anchors_per_round < 0 or f.normals_per_round < 0:
-            raise ConfigError("per-round client counts must be non-negative")
         if f.anchors_per_round > f.num_experts:
             raise ConfigError("anchors_per_round exceeds the number of anchor clients")
         if f.anchors_per_round + f.normals_per_round > d.num_clients:
@@ -149,47 +161,21 @@ class RunConfig:
             raise ConfigError("at least one client must be active per round")
         if d.num_clients <= f.num_experts:
             raise ConfigError("num_clients must exceed num_experts (anchors are clients)")
-        if d.labels_per_anchor < 1:
-            raise ConfigError(f"data.labels_per_anchor must be at least 1, got {d.labels_per_anchor}")
-        if d.test_labels_per_client is not None and d.test_labels_per_client < 1:
-            raise ConfigError(f"data.test_labels_per_client must be null or at least 1, got {d.test_labels_per_client}")
         if d.labels_per_client > d.num_classes:
             raise ConfigError("labels_per_client exceeds num_classes")
-        if d.alpha <= 0:
-            raise ConfigError("alpha must be positive")
         if d.anchor_disjoint and f.num_experts * d.labels_per_anchor > d.num_classes:
             raise ConfigError("disjoint anchors need num_experts*labels_per_anchor <= num_classes")
         for name, dims in (("expert_dims", m.expert_dims), ("common_dims", m.common_dims)):
-            if dims is not None and len(dims) < 2:
-                raise ConfigError(f"model.{name} needs an input and an output dim, got {dims}")
-        if list(m.expert_dims)[0] != d.dim or list(m.expert_dims)[-1] != d.num_classes:
+            if dims is not None and (len(dims) < 2 or min(dims) < 1 or (dims[0], dims[-1]) != (d.dim, d.num_classes)):
+                raise ConfigError(
+                    f"model.{name} must be dims of at least 1 from data.dim {d.dim} to data.num_classes "
+                    f"{d.num_classes}; got {dims}"
+                )
+        layers = len(m.common_dims or m.expert_dims) - 1
+        if m.embed_layer is not None and not m.common_ckpt and m.embed_layer >= layers:
             raise ConfigError(
-                f"expert_dims {m.expert_dims} must map data dim {d.dim} to {d.num_classes} classes"
+                f"model.embed_layer must be below {layers}, the common expert's layer count; got {m.embed_layer}"
             )
-        if m.common_dims is not None and (
-            list(m.common_dims)[0] != d.dim or list(m.common_dims)[-1] != d.num_classes
-        ):
-            raise ConfigError("common_dims must map data dim to num_classes")
-        if m.gate_hidden is not None and m.gate_hidden < 1:
-            raise ConfigError(f"model.gate_hidden must be null or at least 1, got {m.gate_hidden}")
-        if m.pretrain_max_epochs < 0:
-            raise ConfigError(f"model.pretrain_max_epochs must be non-negative, got {m.pretrain_max_epochs}")
-        if not 0 <= m.pretrain_target_accuracy <= 1:
-            raise ConfigError(f"model.pretrain_target_accuracy must lie in [0, 1], got {m.pretrain_target_accuracy}")
-        if t.lr <= 0 or t.gate_lr <= 0 or t.batch_size < 1:
-            raise ConfigError("lr, gate_lr must be positive and batch_size >= 1")
-        if not (0 <= t.momentum < 1) or not (0 <= t.gate_momentum < 1):
-            raise ConfigError("momentum values must lie in [0, 1)")
-        if t.local_iterations is not None and t.local_iterations < 0:
-            raise ConfigError("local_iterations must be non-negative")
-        if t.local_epochs < 0:
-            raise ConfigError(f"training.local_epochs must be non-negative, got {t.local_epochs}")
-        if f.method == "fedprox" and f.fedprox_mu < 0:
-            raise ConfigError("fedprox_mu must be non-negative")
-        if f.method == "avg_ensemble" and f.ensemble_size < 2:
-            raise ConfigError("avg_ensemble needs ensemble_size >= 2")
-        if self.eval.interval < 1:
-            raise ConfigError("eval interval must be positive")
         if self.scenario is not None:
             prev_end = 0
             if not self.scenario:

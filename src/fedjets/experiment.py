@@ -6,6 +6,7 @@ echo, metrics, state checkpoint, comm ledger).
 
 from __future__ import annotations
 
+import hashlib
 import sys
 from pathlib import Path
 
@@ -198,8 +199,14 @@ def build_context(cfg: config_mod.RunConfig) -> runtime.RunContext:
 
 def fit_record(cfg: config_mod.RunConfig) -> dict:
     """The config fields a saved state's scores depend on: all but `federation.rounds`,
-    `federation.method` (the state stores its own), `eval` and `scenario`."""
+    `federation.method` (the state stores its own), `eval` and `scenario`. When the
+    config names files by path, `sha256` maps each such field to its file's digest."""
     record = config_mod.to_dict(cfg)
+    d, m = cfg.data, cfg.model
+    named = {"model.common_ckpt": m.common_ckpt, "data.train_features": d.train_features,
+             "data.test_features": d.test_features}
+    if digests := {k: hashlib.sha256(Path(v).read_bytes()).hexdigest() for k, v in named.items() if v}:
+        record["sha256"] = digests
     del record["eval"], record["scenario"], record["federation"]["rounds"], record["federation"]["method"]
     return record
 
@@ -212,7 +219,8 @@ def _leaves(tree: dict, prefix: str = "") -> dict:
 
 def check_fit(meta: dict, cfg: config_mod.RunConfig) -> None:
     """Raise ConfigError naming each field, with both values, where `cfg` differs
-    from the `fit_record` in a state's meta. Parsed values are compared: `4` fits `4.0`."""
+    from the `fit_record` in a state's meta, a named file's digest included (`sha256.data.train_features`).
+    Parsed values are compared: `4` fits `4.0`."""
     held, given = _leaves(meta["config"]), _leaves(fit_record(cfg))
     keys = [k for k in sorted(held.keys() | given.keys()) if k not in held.keys() & given.keys() or held[k] != given[k]]
     if keys:

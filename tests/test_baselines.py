@@ -48,8 +48,8 @@ class TestFedAvgClient:
 
 class TestFedProx:
     def test_negative_mu_rejected(self):
-        # checked once, by the config: fedprox is the one method with a non-zero mu
-        with pytest.raises(ConfigError, match="fedprox_mu must be non-negative"):
+        # checked once, by the config, under every method
+        with pytest.raises(ConfigError, match="federation.fedprox_mu must be at least 0; got -1.0"):
             mini_cfg(federation={"method": "fedprox", "fedprox_mu": -1.0})
 
     def test_huge_mu_pins_local_to_global(self, ctx):

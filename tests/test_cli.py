@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import struct
@@ -10,7 +11,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from fedjets import benchmarks, central, checkpoint, cli, experiment, metrics, nn, runtime
+from fedjets import benchmarks, central, checkpoint, cli, data, experiment, metrics, nn, runtime
 from fedjets import config as config_mod
 from fedjets.errors import NumericError
 from test_runtime import MINI
@@ -153,9 +154,11 @@ class TestCommonCheckpoint:
         assert cli.main(["run", "--config", str(cfg_path), "--out", str(inline)]) == 0
         args = ["run", "--config", str(cfg_path), "--out", str(loaded), "--set", f"model.common_ckpt={ckpt}"]
         assert cli.main(args) == 0
-        # a state records the config it was trained under, which names the checkpoint; blank it, keep all else
+        # a state records the config it was trained under, which names the checkpoint and its digest;
+        # blank both, keep all else
         entries, blocks, meta = checkpoint.read(loaded / "state.ckpt")
         assert meta["config"]["model"]["common_ckpt"] == str(ckpt)
+        assert meta["config"].pop("sha256") == {"model.common_ckpt": hashlib.sha256(ckpt.read_bytes()).hexdigest()}
         meta["config"]["model"]["common_ckpt"] = None
         checkpoint.write(loaded / "state.ckpt", entries, blocks, meta)
         for name in ["metrics.jsonl", "comm.csv", "state.ckpt"]:
@@ -325,6 +328,60 @@ class TestEvalFit:
         assert self._eval(run, tmp_path / "r.json", "--set", override) == 0
         doc = json.loads((tmp_path / "r.json").read_text())
         assert (doc["method"], doc["global_accuracy"]) == ("fedjets", run[2])
+
+
+class TestEvalFitFiles:
+    """A state trained under files named by path records each file's sha256, so
+    `eval` refuses a state whose feature file or common checkpoint changed in place."""
+
+    @pytest.fixture
+    def run(self, tmp_path):
+        """One MINI fedjets run on feature files, from a pretrained common checkpoint:
+        its config path, state path, file paths by field and last `global_acc`."""
+        files = {
+            "data.train_features": tmp_path / "train.ckpt",
+            "data.test_features": tmp_path / "test.ckpt",
+            "model.common_ckpt": tmp_path / "common.ckpt",
+        }
+        for name, per_class, seed in [("data.train_features", 30, 1), ("data.test_features", 15, 2)]:
+            data.save_feature_dataset(files[name], data.synth_dataset(6, 6, per_class, 4.0, seed, means_seed=0))
+        features = {"train_features": str(files["data.train_features"]), "test_features": str(files["data.test_features"])}
+        cfg_path = write_mini_config(tmp_path / "config.json", data=features)
+        assert cli.main(["pretrain", "--config", str(cfg_path), "--out", str(files["model.common_ckpt"])]) == 0
+        cfg_path = write_mini_config(cfg_path, data=features, model={"common_ckpt": str(files["model.common_ckpt"])})
+        out = tmp_path / "run"
+        assert cli.main(["run", "--config", str(cfg_path), "--out", str(out)]) == 0
+        return cfg_path, out / "state.ckpt", files, metrics.read_jsonl(out / "metrics.jsonl")[-1].global_acc
+
+    @staticmethod
+    def _eval(run, report):
+        cfg_path, state, _, _ = run
+        return cli.main(["eval", "--config", str(cfg_path), "--state", str(state), "--report", str(report)])
+
+    @pytest.mark.parametrize("field", ["data.train_features", "data.test_features", "model.common_ckpt"])
+    def test_a_file_rewritten_with_other_bytes_is_exit_2_naming_it(
+        self, run, tmp_path, capsys, monkeypatch, field
+    ):
+        path = run[2][field]
+        before = hashlib.sha256(path.read_bytes()).hexdigest()
+        entries, blocks, meta = checkpoint.read(path)
+        checkpoint.write(path, entries, [blocks[0] + 0.25, *blocks[1:]], meta)
+        after = hashlib.sha256(path.read_bytes()).hexdigest()
+
+        def no_context(cfg):
+            raise AssertionError("a misfit file must be refused before build_context")
+
+        monkeypatch.setattr(experiment, "build_context", no_context)
+        capsys.readouterr()
+        assert self._eval(run, tmp_path / "r.json") == 2
+        assert f"trained under: sha256.{field}: state {before}, config {after}" in capsys.readouterr().err
+        assert not (tmp_path / "r.json").exists()
+
+    def test_files_rewritten_with_the_same_bytes_still_fit(self, run, tmp_path):
+        for path in run[2].values():
+            path.write_bytes(path.read_bytes())
+        assert self._eval(run, tmp_path / "r.json") == 0
+        assert json.loads((tmp_path / "r.json").read_text())["global_accuracy"] == run[3]
 
 
 class TestReport:
@@ -692,7 +749,7 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         "overrides, named",
         [
-            (["federation.rounds=-3"], "counts must be non-negative"),
+            (["federation.rounds=-3"], "federation.rounds"),
             (["training.local_iterations=null", "training.local_epochs=-1"], "training.local_epochs"),
             (["model.expert_dims=[]"], "model.expert_dims"),
             (["model.common_dims=[]"], "model.common_dims"),
@@ -704,14 +761,22 @@ class TestExitCodes:
             (["model.pretrain_max_epochs=-1"], "model.pretrain_max_epochs"),
             (["model.pretrain_target_accuracy=-0.1"], "model.pretrain_target_accuracy"),
             (["model.pretrain_target_accuracy=1.5"], "model.pretrain_target_accuracy"),
+            # every run's ledger books avg_ensemble, and the bound holds whatever the method
+            (["federation.ensemble_size=-1"], "federation.ensemble_size"),
+            (["federation.fedprox_mu=-5"], "federation.fedprox_mu"),
         ],
         ids=[
             "rounds", "local_epochs", "expert_dims", "common_dims",
             "labels_per_anchor-0", "labels_per_anchor-neg", "test_labels_per_client-neg", "test_labels_per_client-0",
             "gate_hidden", "pretrain_max_epochs", "pretrain_target_accuracy-neg", "pretrain_target_accuracy-above-1",
+            "ensemble_size-fedjets", "fedprox_mu-fedjets",
         ],
     )
-    def test_invalid_override_value_semantics(self, cfg_path, tmp_path, capsys, overrides, named):
+    def test_invalid_override_value_semantics(self, cfg_path, tmp_path, capsys, monkeypatch, overrides, named):
+        def no_context(cfg):
+            raise AssertionError("an invalid value must be refused before build_context")
+
+        monkeypatch.setattr(experiment, "build_context", no_context)
         sets = [arg for override in overrides for arg in ("--set", override)]
         rc = cli.main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "o"), *sets])
         assert rc == 2
