@@ -28,14 +28,14 @@ gate = nn.init_params(gating.gate_spec(common.embed_dim, M), rng_stream(0, "g"))
 cache = gating.build_embedding_cache(common, train, anchors)
 
 tests = data.make_test_clients(test, 6, 2, seed=2, training_shards=anchors)
-test_cache = gating.build_embedding_cache(common, test, tests)
+test_embeddings = gating.embed_inputs(common, test.inputs)  # the test set, embedded once
 stacks = evaluation.client_stacks(tests)  # (shards, rows): test clients of one shard size, scored as one
-embedded = [np.stack([test_cache[s.client_id] for s in shards]) for shards, _ in stacks]
 
 velocity = np.zeros_like(gate.values)
 for step in range(401):
     if step % 100 == 0:
-        chosen = [gating.route(gating.gate_scores(gate, emb), 2)[1] for emb in embedded]
+        scores = gating.gate_scores(gate, test_embeddings)  # one gate forward; each client routes on its rows
+        chosen = [gating.route(scores[idx], 2)[1] for _, idx in stacks]
         report = evaluation.per_sample_routing_report(stacks, chosen, test, truth)
         print(f"step {step:4d}: routing error {report.average_error_rate:.3f} (chance 0.80)")
     q = step % M
@@ -43,6 +43,6 @@ for step in range(401):
     _, grad = nn.ce_grad(gate.spec, gate.values, cache[q], target, "ce_on_mixture")
     nn.sgdm_step(gate.values, velocity, grad, 0.05, 0.0)
 
-sel = gating.select_topk(gating.gate_scores(gate, test_cache[tests[0].client_id]), 2)
+sel = gating.select_topk(gating.gate_scores(gate, test_embeddings[tests[0].indices]), 2)
 print(f"test client {tests[0].client_id} holds labels {sorted(tests[0].label_set)} "
       f"-> selected experts {sel}")

@@ -151,31 +151,34 @@ class RunConfig:
                     continue
                 raise ConfigError(f"{name}.{spec.name} must be {bound}; got {value!r}")
         d, m, f = self.data, self.model, self.federation
-        if f.top_k > f.num_experts:
-            raise ConfigError(f"top_k {f.top_k} exceeds num_experts {f.num_experts}")
-        if f.anchors_per_round > f.num_experts:
-            raise ConfigError("anchors_per_round exceeds the number of anchor clients")
-        if f.anchors_per_round + f.normals_per_round > d.num_clients:
-            raise ConfigError("active clients per round exceed the training pool")
-        if f.anchors_per_round + f.normals_per_round < 1:
-            raise ConfigError("at least one client must be active per round")
-        if d.num_clients <= f.num_experts:
-            raise ConfigError("num_clients must exceed num_experts (anchors are clients)")
-        if d.labels_per_client > d.num_classes:
-            raise ConfigError("labels_per_client exceeds num_classes")
-        if d.anchor_disjoint and f.num_experts * d.labels_per_anchor > d.num_classes:
-            raise ConfigError("disjoint anchors need num_experts*labels_per_anchor <= num_classes")
-        for name, dims in (("expert_dims", m.expert_dims), ("common_dims", m.common_dims)):
-            if dims is not None and (len(dims) < 2 or min(dims) < 1 or (dims[0], dims[-1]) != (d.dim, d.num_classes)):
-                raise ConfigError(
-                    f"model.{name} must be dims of at least 1 from data.dim {d.dim} to data.num_classes "
-                    f"{d.num_classes}; got {dims}"
-                )
+        experts, classes = f"federation.num_experts ({f.num_experts})", f"data.num_classes ({d.num_classes})"
+        per_round = "federation.anchors_per_round + federation.normals_per_round"
+        n_a, active = f.anchors_per_round, f.anchors_per_round + f.normals_per_round
+        test_key = "data.labels_per_client" if d.test_labels_per_client is None else "data.test_labels_per_client"
+        test_labels, disjoint = d.test_labels_per_client or d.labels_per_client, f.num_experts * d.labels_per_anchor
+        span = f"dims of at least 1 from data.dim {d.dim} to data.num_classes {d.num_classes}"
+        spans = [dims is None or (len(dims) > 1 and min(dims) > 0 and (dims[0], dims[-1]) == (d.dim, d.num_classes))
+                 for dims in (m.expert_dims, m.common_dims)]
         layers = len(m.common_dims or m.expert_dims) - 1
-        if m.embed_layer is not None and not m.common_ckpt and m.embed_layer >= layers:
-            raise ConfigError(
-                f"model.embed_layer must be below {layers}, the common expert's layer count; got {m.embed_layer}"
-            )
+        for holds, key, bound, value in [  # the rules relating fields, in order
+            (f.top_k <= f.num_experts, "federation.top_k", f"at most {experts}", f.top_k),
+            (n_a <= f.num_experts, "federation.anchors_per_round", f"at most {experts}", n_a),
+            (active <= d.num_clients, per_round, f"at most data.num_clients ({d.num_clients})", active),
+            (active >= 1, per_round, "at least 1", active),
+            (d.num_clients > f.num_experts, "data.num_clients", f"above {experts}", d.num_clients),
+            (d.labels_per_client <= d.num_classes, "data.labels_per_client", f"at most {classes}", d.labels_per_client),
+            (test_labels <= d.num_classes, test_key, f"at most {classes}", test_labels),
+            ((d.test_samples_per_client or test_labels) >= test_labels, "data.test_samples_per_client",
+             f"at least {test_key} ({test_labels})", d.test_samples_per_client),
+            (not d.anchor_disjoint or disjoint <= d.num_classes, "federation.num_experts * data.labels_per_anchor",
+             f"at most {classes} with data.anchor_disjoint", disjoint),
+            (spans[0], "model.expert_dims", span, m.expert_dims),
+            (spans[1], "model.common_dims", span, m.common_dims),
+            (m.embed_layer is None or bool(m.common_ckpt) or m.embed_layer < layers, "model.embed_layer",
+             f"below {layers}, the common expert's layer count", m.embed_layer),
+        ]:
+            if not holds:
+                raise ConfigError(f"{key} must be {bound}; got {value!r}")
         if self.scenario is not None:
             prev_end = 0
             if not self.scenario:

@@ -3,19 +3,20 @@
 Test clients are never adapted. `client_predictor` is every method's
 prediction rule for a stack of unseen clients, and `score_test_clients` the
 one pass over them that `run`'s metrics and `eval`'s report both read. Under
-FedJETs the gate scores the clients' cached, unlabeled embeddings, and
-`gating.route` reads each client's top-K experts and each sample's expert
-(the selected one with the highest score) from them; that expert predicts
-the sample. Labels enter only when the finished predictions are scored.
+FedJETs the gate scores the clients' unlabeled embeddings, and `gating.route`
+reads each client's top-K experts and each sample's expert (the selected one
+with the highest score) from them; that expert predicts the sample. Labels
+enter only when the finished predictions are scored.
 
-One forward per network per evaluation: `expert_logits` forwards each
-server network once on the whole test set, and every rule reads those
-logits at the clients' rows. The gate side runs once per stack of
-`client_stacks` on `[T, n, e]` embeddings, FedJETs' gate broadcast as T rows
-or FedMix's test gates (drawn once per run context) as `[T, P_g]` rows; each
-row is bit for bit its client's own forward. A gemm row's bits can depend on
-the number of rows in a call, so the tolerance is that the labels equal
-those of forwarding each network on each client's own rows (tested).
+One forward per network per evaluation: `expert_logits` forwards each server
+network once on the whole test set, FedJETs' gate runs once on the test
+set's one embedding, and every rule reads them at the rows of a stack of
+`client_stacks`. A run context keeps what no server state changes, from its
+first evaluation on: the stacks, the routing ground truth, and FedMix's
+test-gate weights, each stack's `[T, P_g]` gates forwarded as one, bit for
+bit each client's own forward. A gemm row's bits can depend on the number of
+rows in a call, so the tolerance is that routes and labels equal those of
+forwarding each network on each client's own rows (tested).
 """
 
 from __future__ import annotations
@@ -132,22 +133,29 @@ def per_sample_routing_report(
 # Per-method scoring of unseen test clients (all methods)
 
 
+def _test_side(ctx: RunContext) -> tuple[list, dict[int, int] | None]:
+    """The test clients' `client_stacks`, and the anchors' `routing_ground_truth`
+    when it maps every test label (else None: no routing report); made once per context."""
+    if ctx.test_side is None:
+        truth = routing_ground_truth(ctx.anchor_shards)
+        covered = truth is not None and set().union(*(s.label_set for s in ctx.test_shards)) <= set(truth)
+        ctx.test_side = (client_stacks(ctx.test_shards), truth if covered else None)
+    return ctx.test_side
+
+
 def client_predictor(ctx: RunContext, state: ServerState, method: str, logits: list[np.ndarray]):
     """Every method's rule for unseen test clients: a function from a stack's
     shards and rows (`client_stacks`) to its `[T, n]` predicted labels and
     route, read from the server networks' `expert_logits` on the test set,
     never from labels. FedJETs' route is `gating.route`'s; others' is None."""
-
-    def embedded(shards):  # [T, n, e]
-        return np.stack([ctx.test_cache[s.client_id] for s in shards])
-
     if method == "fedjets":
         if state.gate_params is None:
             raise ConfigError("zero-shot evaluation needs a server-side gate")
         table = np.stack([out.argmax(axis=1) for out in logits])  # [M, N_test] labels per expert
+        scores = gating.gate_scores(state.gate_params, ctx.test_embeddings)  # [N_test, M]
 
         def predict(shards, idx):
-            experts, chosen = gating.route(gating.gate_scores(state.gate_params, embedded(shards)), ctx.cfg.top_k)
+            experts, chosen = gating.route(scores[idx], ctx.cfg.top_k)
             return table[chosen, idx], (experts, chosen)
 
         return predict
@@ -158,14 +166,17 @@ def client_predictor(ctx: RunContext, state: ServerState, method: str, logits: l
         for out in logits[1:]:
             mean = mean + nn.softmax(out)
         preds = (mean / len(logits)).argmax(axis=1)
-    elif method == "fedmix":  # a fresh gate per client, drawn once per context, weights all experts' logits
-        if ctx.fedmix_test_gates is None:
-            streams = {s.client_id: rng_stream(ctx.cfg.seed, "fedmix-test-gate", s.client_id) for s in ctx.test_shards}
-            ctx.fedmix_test_gates = {cid: nn.init_params(ctx.gate_spec, rng).values for cid, rng in streams.items()}
+    elif method == "fedmix":  # a fresh gate per client, forwarded once per context, weights all experts
+        if ctx.fedmix_test_weights is None:
+            test_weights = {}
+            for shards, idx in _test_side(ctx)[0]:
+                streams = {s.client_id: rng_stream(ctx.cfg.seed, "fedmix-test-gate", s.client_id) for s in shards}
+                gates = np.stack([nn.init_params(ctx.gate_spec, rng).values for rng in streams.values()])
+                test_weights.update(zip(streams, nn.forward(ctx.gate_spec, gates, ctx.test_embeddings[idx])))
+            ctx.fedmix_test_weights = test_weights
 
         def predict(shards, idx):
-            gates = np.stack([ctx.fedmix_test_gates[s.client_id] for s in shards])
-            weights = nn.forward(ctx.gate_spec, gates, embedded(shards))  # [T, n, M]
+            weights = np.stack([ctx.fedmix_test_weights[s.client_id] for s in shards])  # [T, n, M]
             combined = weights[..., 0:1] * logits[0][idx]
             for k in range(1, len(logits)):
                 combined = combined + weights[..., k : k + 1] * logits[k][idx]
@@ -198,7 +209,7 @@ def score_test_clients(
     if logits is None:
         logits = expert_logits(state.expert_params, ctx.test_ds.inputs)
     predict = client_predictor(ctx, state, method, logits)
-    stacks = client_stacks(ctx.test_shards)
+    stacks, truth = _test_side(ctx)
     per_acc, selections, per_sample, chosen = {}, {}, {}, []
     for shards, idx in stacks:
         preds, route = predict(shards, idx)
@@ -213,10 +224,8 @@ def score_test_clients(
     if method != "fedjets":
         return ScoringPass(avg)
     zs = ZeroShotReport(per_acc, avg, dict(sorted(selections.items())), dict(sorted(per_sample.items())))
-    truth = routing_ground_truth(ctx.anchor_shards)
-    if truth is None or not set().union(*(s.label_set for s in ctx.test_shards)) <= set(truth):
-        return ScoringPass(avg, zs)
-    return ScoringPass(avg, zs, per_sample_routing_report(stacks, chosen, ctx.test_ds, truth))
+    routing = None if truth is None else per_sample_routing_report(stacks, chosen, ctx.test_ds, truth)
+    return ScoringPass(avg, zs, routing)
 
 
 def evaluate_round(

@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from . import baselines, central, checkpoint, config as config_mod, data, evaluation, gating, metrics, nn, runtime
-from .errors import ArtifactError, ConfigError
+from .errors import ArtifactError, ConfigError, NumericError
 from .gating import CommonExpert
 from .seeding import rng_stream
 
@@ -178,10 +178,11 @@ def build_context(cfg: config_mod.RunConfig) -> runtime.RunContext:
     train_ds, test_ds = build_datasets(cfg)
     anchors, normals, tests = build_shards(cfg, train_ds, test_ds)
     common, _ = build_common(cfg, train_ds)
-    expert_spec = nn.NetSpec.mlp(cfg.model.expert_dims)
-    g_spec = gating.gate_spec(common.embed_dim, cfg.num_experts, cfg.model.gate_hidden)
     cache = gating.build_embedding_cache(common, train_ds, anchors + normals)
-    test_cache = gating.build_embedding_cache(common, test_ds, tests)
+    try:
+        test_embeddings = gating.embed_inputs(common, test_ds.inputs)
+    except NumericError as exc:
+        raise exc.within("test set") from exc
     return runtime.RunContext(
         cfg=cfg,
         train_ds=train_ds,
@@ -191,9 +192,9 @@ def build_context(cfg: config_mod.RunConfig) -> runtime.RunContext:
         test_shards=tests,
         common=common,
         cache=cache,
-        test_cache=test_cache,
-        expert_spec=expert_spec,
-        gate_spec=g_spec,
+        test_embeddings=test_embeddings,
+        expert_spec=nn.NetSpec.mlp(cfg.model.expert_dims),
+        gate_spec=gating.gate_spec(common.embed_dim, cfg.num_experts, cfg.model.gate_hidden),
     )
 
 

@@ -1,13 +1,14 @@
 """Common-expert embeddings, gate scoring, top-K selection.
 
-The common expert is a frozen feature extractor: each client embeds its
-local data once, the embeddings are checked finite then, and the cache is
-reused for every gate decision afterwards. The gate is a small MLP with a
-softmax head whose output dimension is the number of experts; it is a plain
-`nn.ParamVector` whose spec has that head. `route` on the gate's scores is
-the one routing rule, for one client or a stack: each client's top-K expert
-ids and each sample's expert among them. Training (a client at a time,
-through `select_topk`) and zero-shot testing (a stack at a time) use it.
+The common expert is a frozen feature extractor: each training client embeds
+its local data once, and the test set is embedded once as a whole; the
+embeddings are checked finite then and reused for every gate decision. The
+gate is a small MLP with a softmax head whose output dimension is the number
+of experts; it is a plain `nn.ParamVector` whose spec has that head. `route`
+on the gate's scores is the one routing rule, for one client or a stack:
+each client's top-K expert ids and each sample's expert among them. Training
+(a client at a time, through `select_topk`) and zero-shot testing (a stack
+at a time) use it.
 """
 
 from __future__ import annotations
@@ -71,12 +72,11 @@ def gate_spec(embed_dim: int, num_experts: int, hidden: int | None = None) -> nn
 
 
 def gate_scores(gate: nn.ParamVector, embeddings: np.ndarray) -> np.ndarray:
-    """Per-sample softmax distribution over experts, `[n, M]` on one client's
-    `[n, e]` embeddings, or `[T, n, M]` on T clients' (the gate broadcast as T rows)."""
+    """Per-sample softmax distribution over experts, `[..., n, M]` on
+    `[..., n, e]` embeddings: one client's rows, or the whole test set's."""
     if gate.spec.head != "softmax":
         raise ConfigError("gate network must have a softmax head")
-    values = gate.values if embeddings.ndim == 2 else np.broadcast_to(gate.values, (len(embeddings), gate.values.size))
-    return nn.forward(gate.spec, values, embeddings)
+    return nn.forward(gate.spec, gate.values, embeddings)
 
 
 def route(scores: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:

@@ -505,7 +505,9 @@ def comm_cost(plan: RoundPlan, cfg: RunConfig, sizes: ModelSizes) -> dict[str, t
 
 @dataclass
 class RunContext:
-    """Prepared inputs for one run; evaluation draws FedMix's test gates into it on first use."""
+    """Prepared inputs for one run; the test set is embedded once, `[N_test, e]`. `evaluation` keeps in it,
+    from first use, the test side no server state changes, which pays from a context's second evaluation
+    on; `dataclasses.replace` starts that afresh."""
 
     cfg: RunConfig
     train_ds: LabeledDataset
@@ -515,10 +517,11 @@ class RunContext:
     test_shards: list[ClientShard]
     common: CommonExpert
     cache: dict[int, np.ndarray]
-    test_cache: dict[int, np.ndarray]
+    test_embeddings: np.ndarray
     expert_spec: nn.NetSpec
     gate_spec: nn.NetSpec
-    fedmix_test_gates: dict[int, np.ndarray] | None = field(default=None, init=False, repr=False, compare=False)
+    test_side: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    fedmix_test_weights: dict[int, np.ndarray] | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def shards_by_id(self) -> dict[int, ClientShard]:

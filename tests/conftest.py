@@ -132,27 +132,30 @@ def prox_loss(params, global_params, inputs, labels, mu) -> float:
     return base + 0.5 * mu * float(np.sum((params.values - global_params.values) ** 2))
 
 
-def reference_predictions(ctx, state, method: str) -> dict[int, np.ndarray]:
-    """Each test client's predicted labels by the per-client-forward rules:
-    every network the rule needs is forwarded on the client's own rows."""
+def reference_predictions(ctx, state, method: str) -> dict[int, tuple[np.ndarray, tuple | None]]:
+    """Each test client's predicted labels and route by the per-client-forward
+    rules: every network the rule needs, the common expert's embedding
+    included, is forwarded on the client's own rows. The route, FedJETs' only,
+    is the client's top-K expert ids and each sample's expert."""
     out = {}
     for shard in sorted(ctx.test_shards, key=lambda s: s.client_id):
         cid, x = shard.client_id, ctx.test_ds.inputs[shard.indices]
+        route = None
         if method in ("fedavg", "fedprox"):
             model = state.expert_params[0]
-            out[cid] = nn.forward(model.spec, model.values, x).argmax(axis=1)
+            preds = nn.forward(model.spec, model.values, x).argmax(axis=1)
         elif method == "avg_ensemble":
             probs = [nn.softmax(nn.forward(p.spec, p.values, x)) for p in state.expert_params]
             mean = probs[0]
             for p in probs[1:]:
                 mean = mean + p
-            out[cid] = (mean / len(probs)).argmax(axis=1)
+            preds = (mean / len(probs)).argmax(axis=1)
         elif method == "fedmix":
             gate = nn.init_params(ctx.gate_spec, rng_stream(ctx.cfg.seed, "fedmix-test-gate", cid))
-            weights = gating.gate_scores(gate, ctx.test_cache[cid])
-            out[cid] = mixture_forward(ctx.expert_spec, state.expert_params, weights, x).argmax(axis=1)
+            weights = gating.gate_scores(gate, gating.embed_inputs(ctx.common, x))
+            preds = mixture_forward(ctx.expert_spec, state.expert_params, weights, x).argmax(axis=1)
         else:  # fedjets: each sample's expert, forwarded on the rows routed to it
-            scores = gating.gate_scores(state.gate_params, ctx.test_cache[cid])
+            scores = gating.gate_scores(state.gate_params, gating.embed_inputs(ctx.common, x))
             cols = np.array(gating.select_topk(scores, ctx.cfg.top_k), dtype=np.int64)
             chosen = cols[scores[:, cols].argmax(axis=1)]
             preds = np.empty(len(shard), dtype=np.int64)
@@ -160,7 +163,8 @@ def reference_predictions(ctx, state, method: str) -> dict[int, np.ndarray]:
                 rows = np.flatnonzero(chosen == e)
                 expert = state.expert_params[e]
                 preds[rows] = nn.forward(expert.spec, expert.values, x[rows]).argmax(axis=1)
-            out[cid] = preds
+            route = (tuple(cols.tolist()), chosen)
+        out[cid] = (preds, route)
     return out
 
 

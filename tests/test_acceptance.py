@@ -317,7 +317,7 @@ def test_criterion_9_incremental_scenario_sanity():
         test_shards=g1_tests,
         common=common,
         cache=gating.build_embedding_cache(common, train_ds, anchors + normals),
-        test_cache=gating.build_embedding_cache(common, test_ds, g1_tests),
+        test_embeddings=gating.embed_inputs(common, test_ds.inputs),
         expert_spec=nn.NetSpec.mlp(cfg.model.expert_dims),
         gate_spec=gating.gate_spec(common.embed_dim, cfg.num_experts, cfg.model.gate_hidden),
     )

@@ -4,14 +4,12 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
 import struct
-from collections import Counter
 
 import numpy as np
 import pytest
 
-from fedjets import benchmarks, central, checkpoint, cli, data, experiment, metrics, nn, runtime
+from fedjets import benchmarks, central, checkpoint, cli, data, experiment, metrics, nn
 from fedjets import config as config_mod
 from fedjets.errors import NumericError
 from test_runtime import MINI
@@ -249,7 +247,7 @@ class TestEval:
             assert loaded.gate_params is None
         assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
 
-    def test_eval_makes_one_gate_forward_per_test_stack(self, cfg_path, tmp_path, monkeypatch):
+    def test_eval_makes_one_gate_forward_on_the_test_set(self, cfg_path, tmp_path, monkeypatch):
         out = tmp_path / "run"
         assert cli.main(["run", "--config", str(cfg_path), "--out", str(out)]) == 0
         state, _ = experiment.load_run_state(out / "state.ckpt")
@@ -260,12 +258,12 @@ class TestEval:
         args = ["eval", "--config", str(cfg_path), "--state", str(out / "state.ckpt"), "--report", str(report)]
         assert cli.main(args) == 0
         # building the context pretrains and embeds with the common expert; only scoring runs the gate,
-        # once per stack of test clients of one shard size, on all of them
+        # once, on the whole test set's embeddings, whose rows every test client routes on
         gates = [a for a in traces if a[0] == state.gate_params.spec]
-        per_client = json.loads(report.read_text())["zero_shot"]["per_client"].values()
-        sizes = Counter(len(c["chosen_expert_per_sample"]) for c in per_client)
-        assert len(gates) == sum(math.ceil(t / max(1, runtime.STACK_ROWS // n)) for n, t in sizes.items())
-        assert sum(a[2].shape[0] for a in gates) == config_mod.load(cfg_path).data.num_test_clients
+        cfg = config_mod.load(cfg_path)
+        test_rows = cfg.data.num_classes * cfg.data.test_per_class
+        assert [a[2].shape for a in gates] == [(test_rows, state.gate_params.spec.input_dim)]
+        assert json.loads(report.read_text())["zero_shot"]["per_client"]
         # and each server expert is forwarded once, on the whole test set
         for expert in state.expert_params:
             runs = [a for a in traces if np.array_equal(a[1], expert.values)]
@@ -695,6 +693,28 @@ class TestExitCodes:
             capsys.readouterr()
             assert cli.main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "o"), "--set", override]) == 3
         assert "non-finite network output | forward | client 0" in capsys.readouterr().err
+
+    def test_overflowing_test_embedding_is_exit_3_naming_the_test_set(self, cfg_path, tmp_path, capsys, monkeypatch):
+        # the test set is embedded once, as a whole: finite test inputs that the common expert's first layer
+        # overflows, while every training client's embedding stays finite, name the test set
+        spec = nn.NetSpec.mlp(MINI["model"]["expert_dims"])
+        values = np.zeros(spec.param_count())
+        values[: spec.layer_dims[0] * spec.layer_dims[1]] = 1.0
+        ckpt = tmp_path / "common.ckpt"
+        checkpoint.save_net(ckpt, nn.ParamVector(values, spec))
+        build_datasets = experiment.build_datasets
+
+        def huge_test_inputs(cfg):
+            train_ds, test_ds = build_datasets(cfg)
+            huge = np.full_like(test_ds.inputs, 1e308)
+            return train_ds, data.LabeledDataset(huge, test_ds.labels, test_ds.num_classes)
+
+        monkeypatch.setattr(experiment, "build_datasets", huge_test_inputs)
+        args = ["run", "--config", str(cfg_path), "--out", str(tmp_path / "o"), "--set", f"model.common_ckpt={ckpt}"]
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert cli.main(args) == 3
+        assert "non-finite network output | forward | test set" in capsys.readouterr().err
+        assert not (tmp_path / "o" / "metrics.jsonl").exists()
 
     def test_feature_labels_past_num_classes_is_exit_4(self, tmp_path, capsys):
         paths = {}

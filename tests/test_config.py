@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from fedjets import cli, experiment
+from fedjets import benchmarks, cli, experiment
 from fedjets import config as config_mod
 from test_cli import write_mini_config
 
@@ -113,3 +113,51 @@ def test_readme_schema_states_every_field_and_its_bound():
                 if bound is not None and bound not in schema[a:b]:
                     missing.append(f"{key}: {bound}")
     assert missing == []
+
+
+PAIR = "federation.anchors_per_round + federation.normals_per_round"
+
+
+NUM_EXPERTS, NUM_CLASSES = "federation.num_experts (5)", "data.num_classes (10)"
+
+
+@pytest.mark.parametrize(
+    "overrides, message",
+    [
+        (["federation.top_k=6"], f"federation.top_k must be at most {NUM_EXPERTS}; got 6"),
+        (["federation.anchors_per_round=6"], f"federation.anchors_per_round must be at most {NUM_EXPERTS}; got 6"),
+        (["federation.normals_per_round=56"], f"{PAIR} must be at most data.num_clients (60); got 61"),
+        (["federation.anchors_per_round=0", "federation.normals_per_round=0"], f"{PAIR} must be at least 1; got 0"),
+        (["data.num_clients=5", "federation.normals_per_round=0"],
+         f"data.num_clients must be above {NUM_EXPERTS}; got 5"),
+        (["data.labels_per_client=11"], f"data.labels_per_client must be at most {NUM_CLASSES}; got 11"),
+        (["data.test_labels_per_client=11"], f"data.test_labels_per_client must be at most {NUM_CLASSES}; got 11"),
+        (["data.test_samples_per_client=1"],
+         "data.test_samples_per_client must be at least data.test_labels_per_client (2); got 1"),
+        # with no test label count of their own, test clients draw data.labels_per_client labels
+        (["data.test_labels_per_client=null", "data.test_samples_per_client=3"],
+         "data.test_samples_per_client must be at least data.labels_per_client (4); got 3"),
+        (["data.labels_per_anchor=3"],
+         f"federation.num_experts * data.labels_per_anchor must be at most {NUM_CLASSES} with data.anchor_disjoint; "
+         "got 15"),
+        (["model.expert_dims=[16, 10, 9]"],
+         "model.expert_dims must be dims of at least 1 from data.dim 16 to data.num_classes 10; got [16, 10, 9]"),
+        (["model.embed_layer=3"], "model.embed_layer must be below 3, the common expert's layer count; got 3"),
+    ],
+    ids=[
+        "top_k", "anchors_per_round", "active-above-pool", "active-none", "num_clients", "labels_per_client",
+        "test_labels_per_client", "test_samples_per_client", "test_samples_per_client-default-labels",
+        "disjoint-anchors", "expert_dims", "embed_layer",
+    ],
+)
+def test_a_broken_cross_field_rule_is_exit_2_naming_both_fields(tmp_path, capsys, monkeypatch, overrides, message):
+    # on synth-10: 5 experts, 60 clients, 10 classes, 4 labels a client, 2 a test client, 2 an anchor
+    def no_context(cfg):
+        raise AssertionError("a broken cross-field rule must be refused before build_context")
+
+    monkeypatch.setattr(experiment, "build_context", no_context)
+    cfg_path = tmp_path / "synth10.json"
+    config_mod.dump(benchmarks.synth10_config(), cfg_path)
+    sets = [arg for override in overrides for arg in ("--set", override)]
+    assert cli.main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "o"), *sets]) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"

@@ -77,7 +77,7 @@ def zero_shot(state, common, shards, ds, k):
         test_shards=shards,
         common=common,
         cache={},
-        test_cache=gating.build_embedding_cache(common, ds, shards),
+        test_embeddings=gating.embed_inputs(common, ds.inputs),
         expert_spec=state.expert_params[0].spec,
         gate_spec=None,
     )
@@ -169,11 +169,10 @@ class TestRoutingReport:
     @staticmethod
     def routing(state, common, shards, ds, label_map, k):
         """Routing of each shard's samples by `gating.route` on the gate's
-        scores of their embeddings, a stack of test clients at a time."""
-        cache = gating.build_embedding_cache(common, ds, shards)
+        scores of the embedded dataset, a stack of test clients at a time."""
+        scores = gating.gate_scores(state.gate_params, gating.embed_inputs(common, ds.inputs))
         stacks = evaluation.client_stacks(shards)
-        embedded = [np.stack([cache[s.client_id] for s in members]) for members, _ in stacks]
-        chosen = [gating.route(gating.gate_scores(state.gate_params, emb), k)[1] for emb in embedded]
+        chosen = [gating.route(scores[idx], k)[1] for _, idx in stacks]
         return evaluation.per_sample_routing_report(stacks, chosen, ds, label_map)
 
     def test_perfect_gate_zero_error(self):
@@ -366,9 +365,10 @@ class TestEvaluateRound:
 
     @pytest.mark.parametrize("stack_rows", [1024, runtime.STACK_ROWS, 30])
     def test_gate_side_runs_once_per_test_stack(self, monkeypatch, stack_rows):
-        # and, for every method, one forward per server network on the whole test set
-        ctx = experiment.build_context(mini_cfg())
+        # FedJETs routes once per stack on its gate's one forward on the test embeddings, FedMix
+        # forwards a stack's test gates once; every method forwards each server network once on the test set
         monkeypatch.setattr(runtime, "STACK_ROWS", stack_rows)
+        ctx = experiment.build_context(mini_cfg())
         sizes = Counter(len(s) for s in ctx.test_shards)
         stacks = sum(math.ceil(t / max(1, stack_rows // n)) for n, t in sizes.items())
         assert stacks == (2 if stack_rows == 30 else 1)  # mini: two test clients of 30 rows
@@ -387,9 +387,29 @@ class TestEvaluateRound:
             assert all(a[2].shape[0] == len(ctx.test_ds) for a in experts), method
             gates = [a for a in traces if a[0] == ctx.gate_spec]
             assert len(traces) == len(experts) + len(gates), method
-            assert len(gates) == (stacks if method in ("fedjets", "fedmix") else 0), method
-            assert sum(a[2].shape[0] for a in gates) == (len(ctx.test_shards) if gates else 0), method
+            if method == "fedjets":
+                [(_, values, emb)] = gates
+                assert values is state.gate_params.values and emb is ctx.test_embeddings
+            else:
+                assert len(gates) == (stacks if method == "fedmix" else 0), method
+                assert sum(a[2].shape[0] for a in gates) == (len(ctx.test_shards) if gates else 0), method
             assert len(routes) == (stacks if method == "fedjets" else 0), method
+
+    def test_forwards_per_evaluation(self, monkeypatch):
+        # M expert forwards and, under FedJETs, one gate forward per evaluation; FedMix forwards its
+        # test gates once per stack on a context's first evaluation only
+        ctx = experiment.build_context(mini_cfg())
+        stacks = len(evaluation.client_stacks(ctx.test_shards))
+        calls, forward = [], nn.forward
+        monkeypatch.setattr(nn, "forward", lambda *a: calls.append(a[0]) or forward(*a))
+        for method in METHODS:
+            state = baselines.make_stepper(ctx, method)[0]
+            gates = {"fedjets": [1, 1], "fedmix": [stacks, 0]}.get(method, [0, 0])
+            for gate_forwards in gates:
+                calls.clear()
+                evaluation.evaluate_round(ctx, state, method, 1, 0.0, 0.0)
+                assert len(calls) == state.num_experts + gate_forwards, method
+                assert calls.count(ctx.gate_spec) == gate_forwards, method
 
 
 METHODS = ("fedjets", "fedavg", "fedprox", "avg_ensemble", "fedmix")
@@ -410,8 +430,8 @@ def trained():
 
 def uneven_overlapping_shards(ctx):
     """Test shards of 1 to 37 rows that share rows with one another (and
-    some that repeat a row), three sizes held by two clients each, with the
-    embedding cache to match."""
+    some that repeat a row), three sizes held by two clients each, in a
+    replaced context (no test side made yet)."""
     n = len(ctx.test_ds)
     rng = rng_stream(3, "uneven-shards")
     index_sets = [
@@ -429,58 +449,64 @@ def uneven_overlapping_shards(ctx):
     for i, idx in enumerate(index_sets):
         hist = np.bincount(ctx.test_ds.labels[idx], minlength=ctx.test_ds.num_classes)
         shards.append(data.ClientShard(500 + i, idx, hist, data.KIND_TEST))
-    cache = gating.build_embedding_cache(ctx.common, ctx.test_ds, shards)
-    return dataclasses.replace(ctx, test_shards=shards, test_cache=cache)
+    return dataclasses.replace(ctx, test_shards=shards)
 
 
 class TestPredictionEquality:
     """Gathering each client's rows from one whole-test-set forward per
-    network predicts the same labels as forwarding every network on each
-    client's own rows (the module's stated tolerance: labels equal, not
-    logits)."""
+    network, the gate on the test set's one embedding included, predicts the
+    same routes and labels as forwarding every network, the common expert
+    included, on each client's own rows (the module's stated tolerance:
+    routes and labels equal, not logits)."""
 
     @staticmethod
     def predictions(ctx, state, method):
-        """Each test client's labels from the stacked scoring path."""
+        """Each test client's labels and route from the stacked scoring path."""
         logits = evaluation.expert_logits(state.expert_params, ctx.test_ds.inputs)
         predict = evaluation.client_predictor(ctx, state, method, logits)
         out = {}
         for members, idx in evaluation.client_stacks(ctx.test_shards):
-            out.update(zip((s.client_id for s in members), predict(members, idx)[0]))
+            labels, route = predict(members, idx)
+            routes = [None] * len(members) if route is None else zip(map(tuple, route[0].tolist()), route[1])
+            out.update(zip((s.client_id for s in members), zip(labels, routes)))
         return out
 
     @pytest.mark.parametrize("shards", ["mini", "uneven-overlapping", "uneven-overlapping-cut"])
     @pytest.mark.parametrize("method", METHODS)
     def test_labels_equal_per_client_forward(self, trained, monkeypatch, method, shards):
         ctx, states = trained
-        if shards != "mini":
-            ctx = uneven_overlapping_shards(ctx)
         if shards.endswith("-cut"):  # groups cut into several stacks
             monkeypatch.setattr(runtime, "STACK_ROWS", 9)
+        ctx = dataclasses.replace(ctx) if shards == "mini" else uneven_overlapping_shards(ctx)
         state = states[method]
         got, want = self.predictions(ctx, state, method), reference_predictions(ctx, state, method)
         assert sorted(got) == sorted(want) == sorted(s.client_id for s in ctx.test_shards)
-        for cid in want:
-            assert got[cid].dtype.kind == "i"
-            assert np.array_equal(got[cid], want[cid]), (method, cid)
+        for cid, (labels, route) in want.items():
+            assert got[cid][0].dtype.kind == "i"
+            assert np.array_equal(got[cid][0], labels), (method, cid)
+            if route is None:
+                assert got[cid][1] is None, (method, cid)
+            else:  # FedJETs: the same top-K and the same expert for every sample
+                assert got[cid][1][0] == route[0] and np.array_equal(got[cid][1][1], route[1]), (method, cid)
         # the scored pass reads the same labels
         labels = ctx.test_ds.labels
         shards = sorted(ctx.test_shards, key=lambda s: s.client_id)
-        per_acc = [float(np.mean(want[s.client_id] == labels[s.indices])) for s in shards]
+        per_acc = [float(np.mean(want[s.client_id][0] == labels[s.indices])) for s in shards]
         assert evaluation.score_test_clients(ctx, state, method).global_acc == float(np.mean(per_acc))
 
 
 class TestStackedGateSide:
-    """Each stack's gate forward gives every client bit for bit the scores
-    of `gating.gate_scores` on its own embeddings: FedJETs' one test gate,
-    FedMix's per-client test gates."""
+    """FedMix forwards each stack's test gates once, and every client gets bit
+    for bit the scores of `gating.gate_scores` of its own gate on its own rows
+    of the test embeddings. FedJETs forwards its gate once, on all of them,
+    and each client's route equals its own forward's."""
 
     @pytest.mark.parametrize("stack_rows", [1024, 9])
     @pytest.mark.parametrize("method", ["fedjets", "fedmix"])
     def test_stacked_gate_scores_equal_per_client(self, trained, monkeypatch, method, stack_rows):
         ctx, states = trained
-        ctx = uneven_overlapping_shards(ctx)
         monkeypatch.setattr(runtime, "STACK_ROWS", stack_rows)
+        ctx = uneven_overlapping_shards(ctx)
         stacks = evaluation.client_stacks(ctx.test_shards)
         sizes = Counter(len(s) for s in ctx.test_shards)
         assert max(sizes.values()) > 1  # some stack holds more than one client ...
@@ -494,16 +520,24 @@ class TestStackedGateSide:
         monkeypatch.setattr(nn, "forward", spy)
         evaluation.score_test_clients(ctx, states[method], method)
         gate_calls = [(a, out) for a, out in calls if a[0] == ctx.gate_spec]
+        if method == "fedjets":
+            gate = states[method].gate_params
+            [((_, values, emb), scores)] = gate_calls
+            assert values is gate.values and emb is ctx.test_embeddings
+            for members, idx in stacks:
+                for shard, rows in zip(members, idx):
+                    own = gating.route(gating.gate_scores(gate, ctx.test_embeddings[rows]), ctx.cfg.top_k)
+                    got = gating.route(scores[rows], ctx.cfg.top_k)
+                    assert all(np.array_equal(a, b) for a, b in zip(got, own)), shard.client_id
+            return
         assert len(gate_calls) == len(stacks)
         for (members, idx), ((_, _, emb), scores) in zip(stacks, gate_calls):
             assert emb.shape[:2] == idx.shape and scores.shape[:2] == idx.shape
             for shard, row in zip(members, scores):
                 cid = shard.client_id
-                if method == "fedjets":
-                    gate = states[method].gate_params
-                else:
-                    gate = nn.init_params(ctx.gate_spec, rng_stream(ctx.cfg.seed, "fedmix-test-gate", cid))
-                assert np.array_equal(row, gating.gate_scores(gate, ctx.test_cache[cid])), (method, cid)
+                gate = nn.init_params(ctx.gate_spec, rng_stream(ctx.cfg.seed, "fedmix-test-gate", cid))
+                assert np.array_equal(row, gating.gate_scores(gate, ctx.test_embeddings[shard.indices])), cid
+                assert np.array_equal(ctx.fedmix_test_weights[cid], row), cid
 
 
 class TestFedMixTestGates:
@@ -512,29 +546,37 @@ class TestFedMixTestGates:
         init_params = nn.init_params
         monkeypatch.setattr(nn, "init_params", lambda spec, rng: drawn.append(spec) or init_params(spec, rng))
         ctx = experiment.build_context(mini_cfg())
-        assert ctx.fedmix_test_gates is None and ctx.gate_spec not in drawn
+        assert ctx.fedmix_test_weights is None and ctx.test_side is None and ctx.gate_spec not in drawn
         state = baselines.make_stepper(ctx, "fedmix")[0]
         drawn.clear()
         first = evaluation.evaluate_round(ctx, state, "fedmix", 1, 0.0, 0.0)
         assert drawn == [ctx.gate_spec] * len(ctx.test_shards)
         drawn.clear()
+        weights = ctx.fedmix_test_weights
         assert evaluation.evaluate_round(ctx, state, "fedmix", 1, 0.0, 0.0) == first
-        assert drawn == []
+        assert drawn == [] and ctx.fedmix_test_weights is weights
 
-        def stream_rows(c):
+        def own_forwards(c):
+            """Each test client's stream-drawn gate forwarded alone on its rows of the test embeddings."""
             return {
-                s.client_id: init_params(c.gate_spec, rng_stream(c.cfg.seed, "fedmix-test-gate", s.client_id)).values
+                s.client_id: nn.forward(
+                    c.gate_spec,
+                    init_params(c.gate_spec, rng_stream(c.cfg.seed, "fedmix-test-gate", s.client_id)).values,
+                    c.test_embeddings[s.indices],
+                )
                 for s in c.test_shards
             }
 
-        want = stream_rows(ctx)
-        assert sorted(ctx.fedmix_test_gates) == sorted(want)
-        assert all(np.array_equal(ctx.fedmix_test_gates[cid], row) for cid, row in want.items())
-        # a changed cfg draws again, from its own seed's streams
+        want = own_forwards(ctx)
+        assert sorted(ctx.fedmix_test_weights) == sorted(want)
+        assert all(np.array_equal(ctx.fedmix_test_weights[cid], w) for cid, w in want.items())
+        # a replaced context, here with a changed cfg, draws again, from its own seed's streams
         other = dataclasses.replace(ctx, cfg=mini_cfg(seed=6))
-        assert other.fedmix_test_gates is None
+        assert other.fedmix_test_weights is None and other.test_side is None
         evaluation.evaluate_round(other, state, "fedmix", 1, 0.0, 0.0)
         assert drawn == [ctx.gate_spec] * len(ctx.test_shards)
-        want6 = stream_rows(other)
-        assert all(np.array_equal(other.fedmix_test_gates[cid], row) for cid, row in want6.items())
+        want6 = own_forwards(other)
+        assert sorted(other.fedmix_test_weights) == sorted(want6)
+        assert all(np.array_equal(other.fedmix_test_weights[cid], w) for cid, w in want6.items())
         assert not any(np.array_equal(want[cid], want6[cid]) for cid in want)
+        assert ctx.fedmix_test_weights is weights  # the first context keeps its own
