@@ -23,12 +23,13 @@ x, y = ds.inputs[:16], ds.labels[:16]
 
 def batch_loss(values):
     """Mean cross-entropy on (x, y), from the softmax probabilities `ce_grad` returns."""
-    probs = nn.ce_grad(spec, values, x, y, "ce_on_logits")[0]
+    probs = nn.ce_grad(spec, nn.unpack(spec, values), x, y, "ce_on_logits")[0]
     return float(-np.mean(np.log(probs[np.arange(len(y)), y])))
 
 
-# ce_grad: one forward and one backprop, on a [P] row here or on a [B, P] stack of networks
-_, grad = nn.ce_grad(spec, params.values, x, y, "ce_on_logits")
+# ce_grad: one forward and one backprop, on the layer views of a [P] row here or of a [B, P] stack
+layers = nn.unpack(spec, params.values)  # views: sgdm_step's in-place writes show in them
+_, grad = nn.ce_grad(spec, layers, x, y, "ce_on_logits")
 print(f"initial batch loss {batch_loss(params.values):.4f} (uniform would be {np.log(4):.4f})")
 
 # spot-check the gradient with central differences on a few coordinates
@@ -48,7 +49,7 @@ velocity = np.zeros_like(params.values)  # SGDM steps params and velocity in pla
 order = rng.permutation(len(ds))
 for step in range(300):
     rows = order[(step * 16) % (len(ds) - 16) : (step * 16) % (len(ds) - 16) + 16]
-    _, g = nn.ce_grad(spec, params.values, ds.inputs[rows], ds.labels[rows], "ce_on_logits")
+    _, g = nn.ce_grad(spec, layers, ds.inputs[rows], ds.labels[rows], "ce_on_logits")
     nn.sgdm_step(params.values, velocity, g, lr=0.05, momentum=0.9)
 
 acc = central.model_accuracy(params, holdout.inputs, holdout.labels)

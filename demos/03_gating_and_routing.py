@@ -32,6 +32,7 @@ test_embeddings = gating.embed_inputs(common, test.inputs)  # the test set, embe
 stacks = evaluation.client_stacks(tests)  # (shards, rows): test clients of one shard size, scored as one
 
 velocity = np.zeros_like(gate.values)
+layers = nn.unpack(gate.spec, gate.values)  # bound once; sgdm_step updates gate.values in place
 for step in range(401):
     if step % 100 == 0:
         scores = gating.gate_scores(gate, test_embeddings)  # one gate forward; each client routes on its rows
@@ -40,7 +41,7 @@ for step in range(401):
         print(f"step {step:4d}: routing error {report.average_error_rate:.3f} (chance 0.80)")
     q = step % M
     target = np.full(len(cache[q]), q)  # the gate learns to send anchor q to expert q
-    _, grad = nn.ce_grad(gate.spec, gate.values, cache[q], target, "ce_on_mixture")
+    _, grad = nn.ce_grad(gate.spec, layers, cache[q], target, "ce_on_mixture")
     nn.sgdm_step(gate.values, velocity, grad, 0.05, 0.0)
 
 sel = gating.select_topk(gating.gate_scores(gate, test_embeddings[tests[0].indices]), 2)

@@ -53,6 +53,7 @@ def pretrain(
     rng = rng_stream(seed, "pretrain")
     params = nn.init_params(spec, rng)
     velocity = np.zeros_like(params.values)
+    layers = nn.unpack(spec, params.values)  # bound once: sgdm_step writes the values in place
     n = len(train_ds)
 
     acc = model_accuracy(params, holdout_ds.inputs, holdout_ds.labels)
@@ -61,7 +62,7 @@ def pretrain(
         order = rng.permutation(n)
         for start in range(0, n, batch_size):
             rows = order[start : start + batch_size]
-            _, grad = nn.ce_grad(spec, params.values, train_ds.inputs[rows], train_ds.labels[rows], "ce_on_logits")
+            _, grad = nn.ce_grad(spec, layers, train_ds.inputs[rows], train_ds.labels[rows], "ce_on_logits")
             if failures := nn.Scan().grads(spec, grad[None]).failures:
                 raise failures[0].within(f"pretrain | epoch {epochs}")
             nn.sgdm_step(params.values, velocity, grad, lr, momentum)

@@ -154,6 +154,7 @@ class RunConfig:
         experts, classes = f"federation.num_experts ({f.num_experts})", f"data.num_classes ({d.num_classes})"
         per_round = "federation.anchors_per_round + federation.normals_per_round"
         n_a, active = f.anchors_per_round, f.anchors_per_round + f.normals_per_round
+        lpc, lpa = d.labels_per_client, d.labels_per_anchor
         test_key = "data.labels_per_client" if d.test_labels_per_client is None else "data.test_labels_per_client"
         test_labels, disjoint = d.test_labels_per_client or d.labels_per_client, f.num_experts * d.labels_per_anchor
         span = f"dims of at least 1 from data.dim {d.dim} to data.num_classes {d.num_classes}"
@@ -167,11 +168,15 @@ class RunConfig:
             (active >= 1, per_round, "at least 1", active),
             (d.num_clients > f.num_experts, "data.num_clients", f"above {experts}", d.num_clients),
             (d.labels_per_client <= d.num_classes, "data.labels_per_client", f"at most {classes}", d.labels_per_client),
+            (d.partition_strategy != "quantity" or (d.samples_per_client or lpc) >= lpc, "data.samples_per_client",
+             f"at least data.labels_per_client ({lpc}) with data.partition_strategy 'quantity'", d.samples_per_client),
             (test_labels <= d.num_classes, test_key, f"at most {classes}", test_labels),
             ((d.test_samples_per_client or test_labels) >= test_labels, "data.test_samples_per_client",
              f"at least {test_key} ({test_labels})", d.test_samples_per_client),
             (not d.anchor_disjoint or disjoint <= d.num_classes, "federation.num_experts * data.labels_per_anchor",
              f"at most {classes} with data.anchor_disjoint", disjoint),
+            (not d.anchor_disjoint or (d.samples_per_anchor or lpa) >= lpa, "data.samples_per_anchor",
+             f"at least data.labels_per_anchor ({lpa}) with data.anchor_disjoint", d.samples_per_anchor),
             (spans[0], "model.expert_dims", span, m.expert_dims),
             (spans[1], "model.common_dims", span, m.common_dims),
             (m.embed_layer is None or bool(m.common_ckpt) or m.embed_layer < layers, "model.embed_layer",

@@ -5,22 +5,23 @@ float64 vectors (`ParamVector`) so that federated averaging, checkpointing
 and finite-difference checks all operate on one representation. A
 ParamVector carries the NetSpec it belongs to: construction checks once that
 the values are 1-D, `spec.param_count()` long and finite. The engine takes
-`(spec, values)`, never a ParamVector, and checks only the rows' length.
+`(spec, values)` or their layer views, never a ParamVector.
 
 Trace contract: each entry point runs the forward pass once, in
 `_forward_trace`; `backprop` consumes the `Trace` it returns and never
 recomputes it. `ce_grad` thus does one forward per step, and a caller
 mixing k networks takes each one's output and trace from `forward_with_trace`.
-A trace keeps one array per layer: a ReLU is written over its layer's output.
+A trace keeps one array per layer: a ReLU is written over its layer's output,
+and a softmax head over the top activation, which backprop never reads.
 
-Stack axis: the engine functions `_forward_trace`, `forward_with_trace`,
-`forward`, `ce_grad` and `backprop` take parameter arrays only: one
-network's `[P]` values on `[n, d]` inputs, or a stack of B networks of one
-spec as `[B, P]` rows on `[B, n, d]` inputs. Every matmul, reduction and
-elementwise op runs per slice, so row b is bit for bit what network b gives
-alone; this is how a round's clients step as one stack. Pretraining calls
-`ce_grad` on its one `[P]` row; evaluation, routing and embedding call
-`forward` on a network's `[P]` values, with `layer` for an embedding.
+Stack axis: `_forward_trace`, `forward_with_trace` and `ce_grad` take the
+layer views `unpack` makes (checking the rows' length) of one network's `[P]`
+values on `[n, d]` inputs, or of a stack of B networks of one spec as `[B, P]`
+rows on `[B, n, d]` inputs. Every matmul, reduction and elementwise op runs
+per slice, so row b is bit for bit what network b gives alone; this is how a
+round's clients step as one stack. A stepping caller binds each network once:
+`sgdm_step` writes the rows in place, so the views stay current. Evaluation,
+routing and embedding call `forward` on values, which binds them itself.
 
 Finiteness is checked at boundaries, not per step. The engine functions
 return raw outputs and gradients; `Scan` is the one place that finds and
@@ -181,9 +182,11 @@ def init_params(spec: NetSpec, rng: np.random.Generator) -> ParamVector:
 
 
 def unpack(spec: NetSpec, values: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Split a flat vector into per-layer (W, b) views. Stacked `[..., P]`
-    rows give `[..., fan_in, fan_out]` weights and `[..., 1, fan_out]` biases,
-    so that `h @ W + b` works on either."""
+    """Split a flat vector into per-layer (W, b) views, which an in-place update
+    of `values` keeps current. Stacked `[..., P]` rows give `[..., fan_in, fan_out]`
+    weights and `[..., 1, fan_out]` biases, so that `h @ W + b` works on either."""
+    if values.shape[-1] != spec.param_count():
+        raise ConfigError(f"parameter rows {values.shape} do not match spec ({spec.param_count()},)")
     if values.ndim == 1:
         return [
             (values[w:b].reshape(fan_in, fan_out), values[b:end])
@@ -198,32 +201,34 @@ def unpack(spec: NetSpec, values: np.ndarray) -> list[tuple[np.ndarray, np.ndarr
 
 def softmax(logits: np.ndarray) -> np.ndarray:
     """Row-wise softmax, stabilized by subtracting each row's max."""
-    z = np.asarray(logits, dtype=np.float64)
-    z = z - z.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=-1, keepdims=True)
+    return _softmax_in_place(np.array(logits, dtype=np.float64))
+
+
+def _softmax_in_place(z: np.ndarray) -> np.ndarray:
+    """`softmax` written over the float64 array `z`, bit for bit."""
+    z -= z.max(axis=-1, keepdims=True)
+    np.exp(z, out=z)
+    z /= z.sum(axis=-1, keepdims=True)
+    return z
 
 
 class Trace(NamedTuple):
     """What one forward pass keeps for backprop: the (W, b) views and the
-    activations only (acts[0] the input, acts[l+1] layer l's output, no head).
-    Backprop masks a ReLU on acts[l+1] > 0, as on its pre-activation > 0."""
+    activations (acts[0] the input, acts[l+1] layer l's output, a softmax written
+    over the top one). Backprop masks a ReLU on acts[l+1] > 0, as on its pre-activation > 0."""
 
     layers: list[tuple[np.ndarray, np.ndarray]]
     acts: list[np.ndarray]
 
 
-def _forward_trace(spec: NetSpec, values: np.ndarray, inputs: np.ndarray) -> Trace:
-    """The one forward pass every engine entry point runs, of `[P]` values on
-    `[n, d]` inputs or `[B, P]` rows of `spec` on `[B, n, d]` inputs."""
+def _forward_trace(spec: NetSpec, layers: list[tuple[np.ndarray, np.ndarray]], inputs: np.ndarray) -> Trace:
+    """The one forward pass every engine entry point runs, on the views of `[P]`
+    values on `[n, d]` inputs or of `[B, P]` rows of `spec` on `[B, n, d]` inputs."""
     x = np.asarray(inputs, dtype=np.float64)
     if x.ndim < 2 or x.shape[-1] != spec.input_dim:
         raise ConfigError(
             f"input shape {x.shape} incompatible with spec input dim {spec.input_dim}"
         )
-    if values.shape[-1] != spec.param_count():
-        raise ConfigError(f"parameter rows {values.shape} do not match spec ({spec.param_count()},)")
-    layers = unpack(spec, values)
     last = spec.num_layers - 1
     acts = [x]
     for l, (w, b) in enumerate(layers):
@@ -235,13 +240,13 @@ def _forward_trace(spec: NetSpec, values: np.ndarray, inputs: np.ndarray) -> Tra
     return Trace(layers, acts)
 
 
-def forward_with_trace(spec: NetSpec, values: np.ndarray, inputs: np.ndarray) -> tuple[np.ndarray, Trace]:
-    """The raw network output (head applied) together with the trace
-    `backprop` consumes."""
-    trace = _forward_trace(spec, values, inputs)
+def forward_with_trace(spec: NetSpec, layers: list, inputs: np.ndarray) -> tuple[np.ndarray, Trace]:
+    """The raw network output of `layers` (head applied) together with the
+    trace `backprop` consumes."""
+    trace = _forward_trace(spec, layers, inputs)
     out = trace.acts[-1]
     if spec.head == "softmax":
-        out = softmax(out)
+        _softmax_in_place(out)
     return out, trace
 
 
@@ -250,10 +255,11 @@ def forward(spec: NetSpec, values: np.ndarray, inputs: np.ndarray, layer: int | 
     raw logits for a `logits` head, probabilities for `softmax`. With
     `layer` (0-based, in range), the activations after that layer instead,
     with no head applied. A non-finite result raises a one-row Scan failure."""
+    layers = unpack(spec, values)
     if layer is None:
-        out = forward_with_trace(spec, values, inputs)[0]
+        out = forward_with_trace(spec, layers, inputs)[0]
     else:
-        out = _forward_trace(spec, values, inputs).acts[layer + 1]
+        out = _forward_trace(spec, layers, inputs).acts[layer + 1]
     if not np.isfinite(out).all():
         raise Scan().rows(out[None], NONFINITE_OUTPUT, "forward").failures[0]
     return out
@@ -271,7 +277,7 @@ def backprop(spec: NetSpec, trace: Trace, output_grad: np.ndarray) -> np.ndarray
     lead = dz.shape[:-2]
     for l in range(last, -1, -1):
         if l < last and spec.activations[l] == "relu":
-            dz = dz * (acts[l + 1] > 0.0)
+            dz *= acts[l + 1] > 0.0  # dz is this call's `dz @ W.T`, never `output_grad`
         grads[l] = (acts[l].swapaxes(-1, -2) @ dz, dz.sum(axis=-2))
         if l > 0:
             dz = dz @ layers[l][0].swapaxes(-1, -2)
@@ -321,26 +327,21 @@ def softmax_vjp(probs: np.ndarray, grad_probs: np.ndarray) -> np.ndarray:
     return probs * (grad_probs - inner)
 
 
-def one_hot(labels: np.ndarray, num_classes: int) -> np.ndarray:
-    """`[..., n, num_classes]` float64 one-hot rows of integer labels `[..., n]`."""
-    out = np.zeros((*labels.shape, num_classes))
-    out.reshape(-1, num_classes)[np.arange(labels.size), labels.reshape(-1)] = 1.0
-    return out
-
-
-def ce_grad(spec: NetSpec, values: np.ndarray, inputs: np.ndarray, labels: np.ndarray, loss_kind: str):
+def ce_grad(spec: NetSpec, layers: list, inputs: np.ndarray, labels: np.ndarray, loss_kind: str):
     """Softmax probabilities and the raw parameter gradient of the mean
-    cross-entropy, from one forward, on one network or a stack (labels
-    `[n]` or `[B, n]`). `ce_on_logits` is CE on the softmax of the output;
-    `ce_on_mixture` is CE on the probabilities themselves, with the 1e-12 log
-    clamp. The caller validates the head and the labels."""
-    trace = _forward_trace(spec, values, inputs)
-    probs = softmax(trace.acts[-1])
+    cross-entropy, from one forward of `layers`, on one network or a stack
+    (labels `[n]` or `[B, n]`). `ce_on_logits` is CE on the softmax of the
+    output; `ce_on_mixture` is CE on the probabilities themselves, with the
+    1e-12 log clamp. The caller validates the head and the labels."""
+    trace = _forward_trace(spec, layers, inputs)
+    probs = _softmax_in_place(trace.acts[-1])
     n = labels.shape[-1]
+    rows, cols = np.arange(labels.size), labels.reshape(-1)  # each label's entry in the [-1, C] view
     if loss_kind == "ce_on_logits":
-        dz = (probs - one_hot(labels, spec.output_dim)) / n
+        dz = probs.copy()  # (probs - one_hot(labels)) / n
+        dz.reshape(-1, spec.output_dim)[rows, cols] -= 1.0
+        dz /= n
     else:
-        rows, cols = np.arange(labels.size), labels.reshape(-1)  # each label's entry in the [-1, C] view
         picked = probs.reshape(-1, spec.output_dim)[rows, cols]
         dprobs = np.zeros_like(probs)
         # clamped entries contribute zero gradient

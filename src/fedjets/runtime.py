@@ -21,9 +21,9 @@ update as a `Work` (anchor, mixture or sgd); `group_clients` puts the
 clients that share the update kind, the rows per step
 (`min(batch_size, len(shard))`) and the step count into one group (cut
 into stacks of at most STACK_ROWS network rows), and `_step_group` steps
-each stack's copies as `[B, P]` arrays through the `nn` engine's stack
-axis, so each client's result is bit for bit what it gives stepped alone.
-No client is padded and no step is shared. Packets come out in client
+each stack's copies as `[B, P]` arrays, on layer views bound once per stack,
+through the `nn` engine's stack axis, so each client's result is bit for bit
+what it gives stepped alone. No client is padded and no step is shared. Packets come out in client
 order. The engine returns raw rows, and an `nn.Scan` over the stack records
 each client's first non-finite value, in the order it would meet it alone;
 the first failing client in `client_ids` order is the one raised.
@@ -151,16 +151,11 @@ def local_iteration_count(cfg: RunConfig, shard_size: int) -> int:
 
 
 def minibatch_indices(n: int, batch_size: int, rng: np.random.Generator, count: int) -> list[np.ndarray]:
-    """`count` minibatches of row indices; reshuffles at epoch boundaries."""
-    if batch_size >= n:
-        return [rng.permutation(n) for _ in range(count)]
-    batches = []
-    order = rng.permutation(n)
-    pos = 0
+    """`count` minibatches of row indices; reshuffles at epoch boundaries (every batch when batch_size >= n)."""
+    batches, pos = [], n
     for _ in range(count):
         if pos + batch_size > n:
-            order = rng.permutation(n)
-            pos = 0
+            order, pos = rng.permutation(n), 0
         batches.append(order[pos : pos + batch_size])
         pos += batch_size
     return batches
@@ -236,24 +231,24 @@ class Work:
             raise ConfigError(f"unknown update kind {self.kind!r}")
 
 
-def _mixture_grads(expert_spec, experts, gate_spec, gates, selected, inputs, embeddings, labels, renormalize, scan):
+def _mixture_grads(expert_spec, experts, gate_spec, gate, at_selected, inputs, embeddings, labels, renormalize, scan):
     """Joint mixture cross-entropy on a stack of B clients: the combined
     softmax, then K expert gradient stacks and the gate's.
 
-    `experts` lists K `[B, P]` stacks (each client's k-th selected expert),
-    `gates` is `[B, P_g]` and `selected` the `[B, K]` expert indices. The
-    combined logits are sum_k w_k * f_k(x) with w the `selected` columns of
-    the gate softmax (renormalized over the selection only when asked);
-    gradients flow into both the experts and the gate. Non-finite outputs
-    and gradients are recorded on `scan`.
+    `experts` lists the layer views of K `[B, P]` stacks (each client's k-th
+    selected expert), `gate` those of the `[B, P_g]` gates; `at_selected`
+    indexes the `[B, n, K]` gate columns of the clients' selected experts, and
+    its (client, row) parts a `[B, n]` label. The combined logits are sum_k
+    w_k * f_k(x) with w those gate softmax columns (renormalized over the
+    selection only when asked); gradients flow into both the experts and the
+    gate. Non-finite outputs and gradients are recorded on `scan`.
     """
     n = labels.shape[-1]
     # one forward per network; backprop reuses each trace
-    probs_full, gate_trace = nn.forward_with_trace(gate_spec, gates, embeddings)  # [B, n, M]
+    probs_full, gate_trace = nn.forward_with_trace(gate_spec, gate, embeddings)  # [B, n, M]
     expert_logits, expert_traces = zip(*(nn.forward_with_trace(expert_spec, e, inputs) for e in experts))
     for out in (probs_full, *expert_logits):
         scan.rows(out, nn.NONFINITE_OUTPUT, "forward")
-    at_selected = (np.arange(len(selected))[:, None, None], np.arange(n)[:, None], selected[:, None, :])
     w_raw = probs_full[at_selected]  # [B, n, K]
     if renormalize:
         denom = w_raw.sum(axis=-1, keepdims=True)
@@ -261,9 +256,13 @@ def _mixture_grads(expert_spec, experts, gate_spec, gates, selected, inputs, emb
     else:
         w = w_raw
 
-    combined = sum(w[..., j : j + 1] * logits for j, logits in enumerate(expert_logits))
+    combined = w[..., :1] * expert_logits[0]
+    for j in range(1, len(expert_logits)):
+        combined += w[..., j : j + 1] * expert_logits[j]
     probs_out = nn.softmax(combined)
-    delta = (probs_out - nn.one_hot(labels, probs_out.shape[-1])) / n  # dL/d(combined)
+    delta = probs_out.copy()  # dL/d(combined) = (probs_out - one_hot(labels)) / n
+    delta[(*at_selected[:2], labels[..., None])] -= 1.0
+    delta /= n
 
     expert_grads = [
         nn.backprop(expert_spec, trace, w[..., j : j + 1] * delta) for j, trace in enumerate(expert_traces)
@@ -345,11 +344,13 @@ def _step_group(ctx: RunContext, state: ServerState, served, t: int, group, fail
     expert_spec = state.expert_params[0].spec
     selected = np.array([w.experts for w in works])  # [B, K] server expert indices
     experts = list(served[selected.T])  # K stacks of [B, P], one fancy index
-    nets = [(e, tr.lr, tr.momentum) for e in experts]
+    nets = [(e, tr.lr, tr.momentum) for e in experts]  # each net's views are bound once: sgdm_step steps it in place
+    expert_layers = [nn.unpack(expert_spec, e) for e in experts]
     if kind != "sgd":
         gate_spec = ctx.gate_spec if state.gate_params is None else state.gate_params.spec
         gates = np.stack([w.gate for w in works])
         nets.append((gates, tr.gate_lr, tr.gate_momentum))
+        gate_layers = nn.unpack(gate_spec, gates)
         caches = [ctx.cache[s.client_id] for s in shards]
         offsets = np.cumsum([0] + [len(c) for c in caches[:-1]])
         cache = np.concatenate(caches)  # finite: checked when the cache was built
@@ -357,11 +358,12 @@ def _step_group(ctx: RunContext, state: ServerState, served, t: int, group, fail
 
     if kind == "mixture":
         renormalize = tr.renormalize_gate_weights
+        at_selected = (np.arange(len(shards))[:, None, None], np.arange(n)[:, None], selected[:, None, :])
 
         def grads(s):
             x, emb, y = inputs[rows[s]], cache[emb_rows[s]], labels[rows[s]]
             _, e_grads, g_grad = _mixture_grads(
-                expert_spec, experts, gate_spec, gates, selected, x, emb, y, renormalize, scan
+                expert_spec, expert_layers, gate_spec, gate_layers, at_selected, x, emb, y, renormalize, scan
             )
             return [*e_grads, g_grad]
 
@@ -370,13 +372,13 @@ def _step_group(ctx: RunContext, state: ServerState, served, t: int, group, fail
         targets = np.repeat(selected, n, axis=1) if kind == "anchor" else None  # [B, n]
 
         def grads(s):
-            grad = nn.ce_grad(expert_spec, experts[0], inputs[rows[s]], labels[rows[s]], "ce_on_logits")[1]
+            grad = nn.ce_grad(expert_spec, expert_layers[0], inputs[rows[s]], labels[rows[s]], "ce_on_logits")[1]
             scan.grads(expert_spec, grad)
             if start is not None:
                 grad += mu * (experts[0] - start)
             if kind == "sgd":
                 return [grad]
-            g_grad = nn.ce_grad(gate_spec, gates, cache[emb_rows[s]], targets, "ce_on_mixture")[1]
+            g_grad = nn.ce_grad(gate_spec, gate_layers, cache[emb_rows[s]], targets, "ce_on_mixture")[1]
             scan.grads(gate_spec, g_grad)
             return [grad, g_grad]
 

@@ -1,8 +1,9 @@
 """Shared helpers: finite-difference oracles, kink-safe random nets, the
 kernel's gradients of one network or client (a stack of one, as a round
-steps it), and reference implementations the library no longer needs (the
-cross-entropy and the loss alone, the gate's independent loss, the mixture
-forward, the FedProx objective, per-client-forward test scoring)."""
+steps it), what the engine's layer views hold, and reference implementations
+the library no longer needs (the cross-entropy and the loss alone, one-hot
+labels, the two-branch minibatch draw, the gate's independent loss, the
+mixture forward, the FedProx objective, per-client-forward test scoring)."""
 
 from __future__ import annotations
 
@@ -63,6 +64,41 @@ def kink_safe_net(seed: int, dims, head: str = "logits", n: int = 6, margin: flo
     raise AssertionError("could not draw a kink-safe net; loosen the margin")
 
 
+def packed(layers) -> np.ndarray:
+    """The flat `[P]` values (or `[B, P]` rows) that `nn.unpack` split into `layers`."""
+    lead = layers[0][0].shape[:-2]
+    return np.concatenate([part.reshape(*lead, -1) for w, b in layers for part in (w, b)], axis=-1)
+
+
+def views_of(layers, values: np.ndarray) -> bool:
+    """Whether every weight and bias of `layers` shares memory with `values`."""
+    return all(np.shares_memory(part, values) for w, b in layers for part in (w, b))
+
+
+def one_hot(labels: np.ndarray, num_classes: int) -> np.ndarray:
+    """`[..., n, num_classes]` float64 one-hot rows of integer labels `[..., n]`."""
+    out = np.zeros((*labels.shape, num_classes))
+    out.reshape(-1, num_classes)[np.arange(labels.size), labels.reshape(-1)] = 1.0
+    return out
+
+
+def minibatch_indices_two_branch(n: int, batch_size: int, rng: np.random.Generator, count: int) -> list[np.ndarray]:
+    """`runtime.minibatch_indices` as it was written with two branches: a fresh
+    permutation per batch when `batch_size >= n`, else one up front."""
+    if batch_size >= n:
+        return [rng.permutation(n) for _ in range(count)]
+    batches = []
+    order = rng.permutation(n)
+    pos = 0
+    for _ in range(count):
+        if pos + batch_size > n:
+            order = rng.permutation(n)
+            pos = 0
+        batches.append(order[pos : pos + batch_size])
+        pos += batch_size
+    return batches
+
+
 def cross_entropy(probs: np.ndarray, labels: np.ndarray) -> float:
     """Mean negative log-probability of the true labels, each clamped at 1e-12."""
     picked = probs[np.arange(len(labels)), labels]
@@ -72,20 +108,21 @@ def cross_entropy(probs: np.ndarray, labels: np.ndarray) -> float:
 def loss_value(spec: nn.NetSpec, params: nn.ParamVector, inputs: np.ndarray, labels: np.ndarray) -> float:
     """Loss alone, on the forward path `nn.ce_grad` runs (for gradient checks):
     CE on the softmax of the pre-head output, which is a softmax head's own output."""
-    return cross_entropy(nn.softmax(nn._forward_trace(spec, params.values, inputs).acts[-1]), labels)
+    return cross_entropy(nn.softmax(nn._forward_trace(spec, nn.unpack(spec, params.values), inputs).acts[-1]), labels)
 
 
 def ce_grad(spec: nn.NetSpec, params: nn.ParamVector, inputs, labels, loss_kind: str) -> np.ndarray:
     """`nn.ce_grad`'s gradient of one network, on a stack of one."""
-    return nn.ce_grad(spec, params.values[None], inputs[None], labels[None], loss_kind)[1][0]
+    return nn.ce_grad(spec, nn.unpack(spec, params.values[None]), inputs[None], labels[None], loss_kind)[1][0]
 
 
 def mixture_grads(experts, gate, selected, inputs, embeddings, labels, renormalize=False, scan=None):
     """`runtime._mixture_grads` of one client, on a stack of one: the mixture's
     probabilities, each expert's gradient and the gate's."""
-    vals = [e.values[None] for e in experts]
+    layers = [nn.unpack(e.spec, e.values[None]) for e in experts]
+    at_selected = (np.zeros((1, 1, 1), dtype=np.intp), np.arange(len(labels))[:, None], np.array([[selected]]))
     probs, e_grads, g_grad = runtime._mixture_grads(
-        experts[0].spec, vals, gate.spec, gate.values[None], np.array([selected]),
+        experts[0].spec, layers, gate.spec, nn.unpack(gate.spec, gate.values[None]), at_selected,
         inputs[None], embeddings[None], labels[None], renormalize, nn.Scan() if scan is None else scan,
     )
     return probs[0], [g[0] for g in e_grads], g_grad[0]

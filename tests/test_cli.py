@@ -9,6 +9,7 @@ import struct
 import numpy as np
 import pytest
 
+from conftest import packed
 from fedjets import benchmarks, central, checkpoint, cli, data, experiment, metrics, nn
 from fedjets import config as config_mod
 from fedjets.errors import NumericError
@@ -266,7 +267,7 @@ class TestEval:
         assert json.loads(report.read_text())["zero_shot"]["per_client"]
         # and each server expert is forwarded once, on the whole test set
         for expert in state.expert_params:
-            runs = [a for a in traces if np.array_equal(a[1], expert.values)]
+            runs = [a for a in traces if np.array_equal(packed(a[1]), expert.values)]
             assert len(runs) == 1
             assert runs[0][0] == expert.spec
 

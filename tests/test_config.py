@@ -140,6 +140,11 @@ NUM_EXPERTS, NUM_CLASSES = "federation.num_experts (5)", "data.num_classes (10)"
         (["data.labels_per_anchor=3"],
          f"federation.num_experts * data.labels_per_anchor must be at most {NUM_CLASSES} with data.anchor_disjoint; "
          "got 15"),
+        (["data.samples_per_client=1"],
+         "data.samples_per_client must be at least data.labels_per_client (4) with data.partition_strategy "
+         "'quantity'; got 1"),
+        (["data.samples_per_anchor=1"],
+         "data.samples_per_anchor must be at least data.labels_per_anchor (2) with data.anchor_disjoint; got 1"),
         (["model.expert_dims=[16, 10, 9]"],
          "model.expert_dims must be dims of at least 1 from data.dim 16 to data.num_classes 10; got [16, 10, 9]"),
         (["model.embed_layer=3"], "model.embed_layer must be below 3, the common expert's layer count; got 3"),
@@ -147,7 +152,7 @@ NUM_EXPERTS, NUM_CLASSES = "federation.num_experts (5)", "data.num_classes (10)"
     ids=[
         "top_k", "anchors_per_round", "active-above-pool", "active-none", "num_clients", "labels_per_client",
         "test_labels_per_client", "test_samples_per_client", "test_samples_per_client-default-labels",
-        "disjoint-anchors", "expert_dims", "embed_layer",
+        "disjoint-anchors", "samples_per_client", "samples_per_anchor", "expert_dims", "embed_layer",
     ],
 )
 def test_a_broken_cross_field_rule_is_exit_2_naming_both_fields(tmp_path, capsys, monkeypatch, overrides, message):
@@ -161,3 +166,15 @@ def test_a_broken_cross_field_rule_is_exit_2_naming_both_fields(tmp_path, capsys
     sets = [arg for override in overrides for arg in ("--set", override)]
     assert cli.main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "o"), *sets]) == 2
     assert capsys.readouterr().err == f"config error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        {"partition_strategy": "dirichlet", "samples_per_client": 1},  # a Dirichlet partition ignores the field
+        {"anchor_disjoint": False, "samples_per_anchor": 1},  # a non-disjoint anchor may hold one sample
+    ],
+    ids=["dirichlet-samples_per_client", "overlapping-anchors-samples_per_anchor"],
+)
+def test_the_sample_count_rules_hold_only_where_they_bind(data):
+    benchmarks.synth10_config(data=data).validate()

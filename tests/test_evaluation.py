@@ -10,7 +10,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from conftest import reference_predictions
+from conftest import reference_predictions, views_of
 from fedjets import baselines, central, data, evaluation, experiment, gating, nn, runtime
 from fedjets.config import ScenarioRange
 from fedjets.errors import ConfigError
@@ -383,13 +383,13 @@ class TestEvaluateRound:
             evaluation.evaluate_round(ctx, state, method, 1, 0.0, 0.0)
             experts = [a for a in traces if a[0] == ctx.expert_spec]
             assert len(experts) == state.num_experts, method
-            assert all(a[1] is p.values for a, p in zip(experts, state.expert_params)), method
+            assert all(views_of(a[1], p.values) for a, p in zip(experts, state.expert_params)), method
             assert all(a[2].shape[0] == len(ctx.test_ds) for a in experts), method
             gates = [a for a in traces if a[0] == ctx.gate_spec]
             assert len(traces) == len(experts) + len(gates), method
             if method == "fedjets":
-                [(_, values, emb)] = gates
-                assert values is state.gate_params.values and emb is ctx.test_embeddings
+                [(_, layers, emb)] = gates
+                assert views_of(layers, state.gate_params.values) and emb is ctx.test_embeddings
             else:
                 assert len(gates) == (stacks if method == "fedmix" else 0), method
                 assert sum(a[2].shape[0] for a in gates) == (len(ctx.test_shards) if gates else 0), method

@@ -6,7 +6,16 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from conftest import ce_grad, central_diff, cross_entropy, kink_safe_net, loss_value, mixture_forward, rel_error
+from conftest import (
+    ce_grad,
+    central_diff,
+    cross_entropy,
+    kink_safe_net,
+    loss_value,
+    mixture_forward,
+    one_hot,
+    rel_error,
+)
 from fedjets import central, checkpoint, data, nn
 from fedjets.errors import ArtifactError, ConfigError, NumericError
 from fedjets.seeding import rng_stream
@@ -80,6 +89,41 @@ class TestForward:
         spec, params = make_net(7, [4, 6, 3])
         with pytest.raises(ConfigError):
             nn.forward(spec, params.values, rng.normal(size=(5, 3)))
+
+    @pytest.mark.parametrize("rows", [(7,), (2, 9)])
+    def test_unpack_checks_the_row_length(self, rows):
+        spec = nn.NetSpec.mlp([4, 6, 3])
+        with pytest.raises(ConfigError, match=r"parameter rows .* do not match spec \(51,\)"):
+            nn.unpack(spec, np.zeros(rows))
+
+    @pytest.mark.parametrize("stack", [None, 3])
+    def test_layer_views_share_the_rows(self, stack):
+        # an in-place step on the rows shows in views bound before it
+        spec = nn.NetSpec.mlp([4, 6, 3])
+        values = rng_stream(4, "views").normal(size=(stack or 1, spec.param_count()))
+        values = values if stack else values[0]
+        layers = nn.unpack(spec, values)
+        nn.sgdm_step(values, np.zeros_like(values), np.ones_like(values), 0.5, 0.0)
+        fresh = nn.unpack(spec, values)
+        assert all(np.shares_memory(part, values) for w, b in layers for part in (w, b))
+        assert [(w.tobytes(), b.tobytes()) for w, b in layers] == [(w.tobytes(), b.tobytes()) for w, b in fresh]
+
+    @pytest.mark.parametrize("stack", [None, 3])
+    def test_softmax_head_is_the_softmax_of_the_pre_head_output(self, stack):
+        # the head is written in place over the top activation; the oracle computes that output itself
+        spec = nn.NetSpec.mlp([4, 6, 5, 3], head="softmax")
+        r = rng_stream(5, "softmax-head")
+        values = r.normal(size=(stack or 1, spec.param_count()))
+        x = r.normal(size=(stack or 1, 7, 4))
+        values, x = (values, x) if stack else (values[0], x[0])
+        h = x
+        for l, (w, b) in enumerate(nn.unpack(spec, values)):
+            h = h @ w + b
+            if l < spec.num_layers - 1:
+                h = np.maximum(h, 0.0)
+        out, trace = nn.forward_with_trace(spec, nn.unpack(spec, values), x)
+        assert out.tobytes() == nn.softmax(h).tobytes()
+        assert out is trace.acts[-1]
 
     def test_deterministic(self, rng):
         spec, params = make_net(3, [4, 5, 3])
@@ -184,13 +228,42 @@ class TestBackward:
             )
             assert rel_error(grad, fd) < 1e-4
 
+    @pytest.mark.parametrize("stack", [None, 2])
+    @pytest.mark.parametrize("activation", ["relu", "identity"])
+    def test_backprop_leaves_the_output_gradient_unchanged(self, stack, activation):
+        spec = nn.NetSpec.mlp([4, 6, 5, 3], activation)
+        r = rng_stream(6, "output-grad")
+        values = r.normal(size=(stack or 1, spec.param_count()))
+        x, g = r.normal(size=(stack or 1, 7, 4)), r.normal(size=(stack or 1, 7, 3))
+        values, x, g = (values, x, g) if stack else (values[0], x[0], g[0])
+        before = g.tobytes()
+        _, trace = nn.forward_with_trace(spec, nn.unpack(spec, values), x)
+        nn.backprop(spec, trace, g)
+        assert g.tobytes() == before
+
+    @pytest.mark.parametrize("stack", [None, 2])
+    def test_ce_grad_is_backprop_of_the_one_hot_gradient(self, stack):
+        # the loss gradient subtracts 1.0 at each label in place: bit for bit (softmax - one_hot) / n
+        spec = nn.NetSpec.mlp([4, 6, 3])
+        r = rng_stream(7, "one-hot")
+        values = r.normal(size=(stack or 1, spec.param_count()))
+        x, y = r.normal(size=(stack or 1, 5, 4)), r.integers(0, 3, size=(stack or 1, 5))
+        values, x, y = (values, x, y) if stack else (values[0], x[0], y[0])
+        layers = nn.unpack(spec, values)
+        probs, grad = nn.ce_grad(spec, layers, x, y, "ce_on_logits")
+        out, trace = nn.forward_with_trace(spec, layers, x)
+        want = nn.softmax(out)
+        assert probs.tobytes() == want.tobytes()
+        assert grad.tobytes() == nn.backprop(spec, trace, (want - one_hot(y, 3)) / 5).tobytes()
+
     def test_ce_grad_runs_one_forward(self, monkeypatch):
         spec, params, x, y = kink_safe_net(3, [5, 8, 4])
         traces = []
         forward_trace = nn._forward_trace
         monkeypatch.setattr(nn, "_forward_trace", lambda *a: traces.append(a) or forward_trace(*a))
-        nn.ce_grad(spec, params.values, x, y, "ce_on_logits")
-        assert len(traces) == 1
+        layers = nn.unpack(spec, params.values)
+        nn.ce_grad(spec, layers, x, y, "ce_on_logits")
+        assert len(traces) == 1 and traces[0][1] is layers
 
     def test_top_layer_overflow_names_top_layer(self):
         # every layer's gradient turns non-finite; backprop reaches the top
@@ -259,7 +332,7 @@ class TestReluMask:
         b0[..., :4] = self.EDGES
         pre = x @ w0 + b0  # the oracle's own pre-activations
         assert (pre[..., 2] == -1e-300).all() and np.isnan(pre[..., 3]).all()
-        _, trace = nn.forward_with_trace(self.SPEC, values, x)
+        _, trace = nn.forward_with_trace(self.SPEC, nn.unpack(self.SPEC, values), x)
         assert len(trace.acts) == self.SPEC.num_layers + 1  # one array per layer, the input first
         assert trace.acts[1].tobytes() == np.maximum(pre, 0.0).tobytes()
         got = nn.backprop(self.SPEC, trace, g)

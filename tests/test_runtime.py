@@ -17,9 +17,11 @@ from conftest import (
     gate_independent_loss_grad,
     loss_value,
     min_hidden_preact,
+    minibatch_indices_two_branch,
     mixture_forward,
     mixture_grads,
     rel_error,
+    views_of,
 )
 from fedjets import baselines, benchmarks, data, experiment, gating, nn, runtime
 from fedjets.errors import ConfigError, NumericError, ProtocolError
@@ -218,6 +220,8 @@ class TestNormalUpdate:
         x, emb, y = r.normal(size=(6, 4)), r.normal(size=(6, 3)), r.integers(0, 3, size=6)
         mixture_grads(experts, gate, tuple(range(k)), x, emb, y)
         assert len(traces) == k + 1
+        # the gate first, then each expert, each forwarded on views of its own row
+        assert all(views_of(a[1], p.values) for a, p in zip(traces, [gate, *experts], strict=True))
 
     def test_top_layer_overflow_names_top_layer(self):
         # finite outputs whose logit gap overflows the gate's gradient: every
@@ -385,6 +389,53 @@ def state_bytes(state):
 
 
 UNEQUAL = dict(data={"partition_strategy": "dirichlet", "alpha": 1.0}, training={"local_iterations": None})
+
+
+class Rebound:
+    """Layer views unpacked afresh from `values` at every access: a kernel
+    handed these re-unpacks its networks before every step."""
+
+    def __init__(self, unpack, spec, values):
+        self.unpack, self.spec, self.values = unpack, spec, values
+
+    def __iter__(self):
+        return iter(self.unpack(self.spec, self.values))
+
+    def __getitem__(self, l):
+        return self.unpack(self.spec, self.values)[l]
+
+
+class TestBoundViews:
+    """A stack binds each network's layer views once and steps its flat rows
+    in place; that is bit for bit stepping on views made afresh every step."""
+
+    @staticmethod
+    def _rounds(ctx, method, rounds=3):
+        state, step = baselines.make_stepper(ctx, method)
+        for t in range(rounds):
+            state = step(state, t)[0]
+        return state_bytes(state)
+
+    @pytest.mark.parametrize("method", ["fedjets", "fedprox", "fedmix"])
+    def test_views_bound_once_step_as_views_rebound_every_step(self, ctx, monkeypatch, method):
+        once = self._rounds(ctx, method)
+        kinds, fresh = set(), []
+        step_group, unpack = runtime._step_group, nn.unpack
+
+        def spy(ctx, state, served, t, group, failures):
+            kinds.add(group[0][1].kind)
+            return step_group(ctx, state, served, t, group, failures)
+
+        def unpack_afresh(spec, values):
+            fresh.append(spec)
+            return unpack(spec, values)
+
+        monkeypatch.setattr(runtime, "_step_group", spy)
+        monkeypatch.setattr(nn, "unpack", lambda spec, values: Rebound(unpack_afresh, spec, values))
+        assert self._rounds(ctx, method) == once
+        assert kinds == {"fedjets": {"anchor", "mixture"}, "fedprox": {"sgd"}, "fedmix": {"mixture"}}[method]
+        steps = runtime.local_iteration_count(ctx.cfg, len(ctx.normal_shards[0]))
+        assert len(fresh) >= 3 * steps  # each round's steps unpacked afresh
 
 
 class TestClientGroups:
@@ -788,6 +839,15 @@ class TestLocalIterations:
     def test_explicit_override(self):
         cfg = mini_cfg(training={"local_iterations": 7})
         assert runtime.local_iteration_count(cfg, 1000) == 7
+
+    @pytest.mark.parametrize("n, batch, count", [(10, 3, 7), (10, 10, 4), (10, 16, 4), (10, 3, 0)])
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_minibatches_match_the_two_branch_draw(self, n, batch, count, seed):
+        # batch below, at and above n, and no batch: the same draws in the same order
+        got = runtime.minibatch_indices(n, batch, rng_stream(seed, "mb"), count)
+        want = minibatch_indices_two_branch(n, batch, rng_stream(seed, "mb"), count)
+        assert [b.tolist() for b in got] == [b.tolist() for b in want]
+        assert len(got) == count
 
     def test_minibatches_cover_epoch_without_repeats(self):
         rng = rng_stream(3, "mb")
