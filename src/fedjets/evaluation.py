@@ -8,15 +8,19 @@ reads each client's top-K experts and each sample's expert (the selected one
 with the highest score) from them; that expert predicts the sample. Labels
 enter only when the finished predictions are scored.
 
-One forward per network per evaluation: `expert_logits` forwards each server
-network once on the whole test set, FedJETs' gate runs once on the test
-set's one embedding, and every rule reads them at the rows of a stack of
-`client_stacks`. A run context keeps what no server state changes, from its
-first evaluation on: the stacks, the routing ground truth, and FedMix's
-test-gate weights, each stack's `[T, P_g]` gates forwarded as one, bit for
-bit each client's own forward. A gemm row's bits can depend on the number of
-rows in a call, so the tolerance is that routes and labels equal those of
-forwarding each network on each client's own rows (tested).
+One forward and one argmax per network per evaluation: `expert_outputs`
+forwards each server network once on the whole test set and takes its
+labels once, FedJETs' gate runs once on the test set's one embedding, and
+every rule reads them at the rows of a stack of `client_stacks`. FedMix
+sums class-major, each expert's `[C, N_test]` transpose gathered at a
+stack's rows in one take, so each sample adds the same products in the
+same (expert) order as a `[T, n, C]` gather. A run context keeps what no server state changes, from
+its first evaluation on: the stacks, the routing ground truth, and FedMix's
+test-gate weights (`[M, T, n]` a stack), each stack's `[T, P_g]` gates
+forwarded as one, bit for bit each client's own forward. A gemm row's bits
+can depend on the number of rows in a call, so the tolerance is that routes
+and labels equal those of forwarding each network on each client's own
+rows (tested).
 """
 
 from __future__ import annotations
@@ -68,10 +72,12 @@ class RoutingReport:
         return "\n".join(lines) + "\n"
 
 
-def expert_logits(experts: list[nn.ParamVector], inputs: np.ndarray) -> list[np.ndarray]:
-    """Each network's output on all of `inputs` (`[N, C]` each): the one
-    forward per network that an evaluation makes."""
-    return [nn.forward(p.spec, p.values, inputs) for p in experts]
+def expert_outputs(experts: list[nn.ParamVector], inputs: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
+    """Each network's output on all of `inputs` (`[N, C]` each) and its
+    labels (`[M, N]`): the one forward and the one argmax per network that
+    an evaluation makes."""
+    logits = [nn.forward(p.spec, p.values, inputs) for p in experts]
+    return logits, np.stack([out.argmax(axis=1) for out in logits])
 
 
 def common_expert_accuracy(
@@ -143,24 +149,24 @@ def _test_side(ctx: RunContext) -> tuple[list, dict[int, int] | None]:
     return ctx.test_side
 
 
-def client_predictor(ctx: RunContext, state: ServerState, method: str, logits: list[np.ndarray]):
+def client_predictor(ctx: RunContext, state: ServerState, method: str, logits: list[np.ndarray], labels: np.ndarray):
     """Every method's rule for unseen test clients: a function from a stack's
     shards and rows (`client_stacks`) to its `[T, n]` predicted labels and
-    route, read from the server networks' `expert_logits` on the test set,
-    never from labels. FedJETs' route is `gating.route`'s; others' is None."""
+    route, read from the server networks' `expert_outputs` on the test set
+    (their logits and their `[M, N_test]` labels), never from the test
+    labels. FedJETs' route is `gating.route`'s; others' is None."""
     if method == "fedjets":
         if state.gate_params is None:
             raise ConfigError("zero-shot evaluation needs a server-side gate")
-        table = np.stack([out.argmax(axis=1) for out in logits])  # [M, N_test] labels per expert
         scores = gating.gate_scores(state.gate_params, ctx.test_embeddings)  # [N_test, M]
 
         def predict(shards, idx):
             experts, chosen = gating.route(scores[idx], ctx.cfg.top_k)
-            return table[chosen, idx], (experts, chosen)
+            return labels[chosen, idx], (experts, chosen)
 
         return predict
     if method in ("fedavg", "fedprox"):
-        preds = logits[0].argmax(axis=1)
+        preds = labels[0]
     elif method == "avg_ensemble":  # the members' mean softmax, summed in member order
         mean = nn.softmax(logits[0])
         for out in logits[1:]:
@@ -172,15 +178,21 @@ def client_predictor(ctx: RunContext, state: ServerState, method: str, logits: l
             for shards, idx in _test_side(ctx)[0]:
                 streams = {s.client_id: rng_stream(ctx.cfg.seed, "fedmix-test-gate", s.client_id) for s in shards}
                 gates = np.stack([nn.init_params(ctx.gate_spec, rng).values for rng in streams.values()])
-                test_weights.update(zip(streams, nn.forward(ctx.gate_spec, gates, ctx.test_embeddings[idx])))
+                out = nn.forward(ctx.gate_spec, gates, ctx.test_embeddings[idx])  # [T, n, M]
+                test_weights[tuple(streams)] = np.ascontiguousarray(out.transpose(2, 0, 1))  # [M, T, n]
             ctx.fedmix_test_weights = test_weights
+        classes = [np.ascontiguousarray(out.T) for out in logits]  # [C, N_test] each: summed class-major
 
         def predict(shards, idx):
-            weights = np.stack([ctx.fedmix_test_weights[s.client_id] for s in shards])  # [T, n, M]
-            combined = weights[..., 0:1] * logits[0][idx]
-            for k in range(1, len(logits)):
-                combined = combined + weights[..., k : k + 1] * logits[k][idx]
-            return combined.argmax(axis=-1), None
+            rows = idx.reshape(-1)
+            weights = ctx.fedmix_test_weights[tuple(s.client_id for s in shards)].reshape(len(logits), -1)
+            combined = np.take(classes[0], rows, axis=1)  # [C, T*n]
+            combined *= weights[0]
+            for out, w in zip(classes[1:], weights[1:]):
+                term = np.take(out, rows, axis=1)
+                term *= w
+                combined += term
+            return combined.argmax(axis=0).reshape(idx.shape), None
 
         return predict
     else:
@@ -201,14 +213,14 @@ class ScoringPass:
 
 
 def score_test_clients(
-    ctx: RunContext, state: ServerState, method: str, logits: list[np.ndarray] | None = None
+    ctx: RunContext, state: ServerState, method: str, outputs: tuple[list[np.ndarray], np.ndarray] | None = None
 ) -> ScoringPass:
     """Predict each unseen test client once by the method's rule, a stack at
-    a time, and score the predictions. `logits` are the server networks'
-    `expert_logits` on the test set, computed here when not given."""
-    if logits is None:
-        logits = expert_logits(state.expert_params, ctx.test_ds.inputs)
-    predict = client_predictor(ctx, state, method, logits)
+    a time, and score the predictions. `outputs` are the server networks'
+    `expert_outputs` on the test set, computed here when not given."""
+    if outputs is None:
+        outputs = expert_outputs(state.expert_params, ctx.test_ds.inputs)
+    predict = client_predictor(ctx, state, method, *outputs)
     stacks, truth = _test_side(ctx)
     per_acc, selections, per_sample, chosen = {}, {}, {}, []
     for shards, idx in stacks:
@@ -236,14 +248,13 @@ def evaluate_round(
     floats_down_cum: float,
     floats_up_cum: float,
 ) -> MetricsRecord:
-    logits = expert_logits(state.expert_params, ctx.test_ds.inputs)
-    per_expert = [float(np.mean(out.argmax(axis=1) == ctx.test_ds.labels)) for out in logits]
-    scores = score_test_clients(ctx, state, method, logits)
+    outputs = expert_outputs(state.expert_params, ctx.test_ds.inputs)
+    scores = score_test_clients(ctx, state, method, outputs)
     return MetricsRecord(
         round=round_idx,
         method=method,
         global_acc=scores.global_acc,
-        per_expert_acc=per_expert,
+        per_expert_acc=(outputs[1] == ctx.test_ds.labels).mean(axis=1).tolist(),
         routing_acc=None if scores.routing is None else 1.0 - scores.routing.average_error_rate,
         floats_down_cum=floats_down_cum,
         floats_up_cum=floats_up_cum,

@@ -90,6 +90,11 @@ def read_jsonl(path) -> list[MetricsRecord]:
     return out
 
 
+def _cell(value) -> str:
+    """A number as its JSON line writes it: an np.float64 as the float it holds."""
+    return repr(float(value)) if isinstance(value, float) else repr(value)
+
+
 def write_csv(path, records: list[MetricsRecord], seed: int | None = None) -> None:
     n_experts = max((len(r.per_expert_acc) for r in records), default=0)
     lines = []
@@ -102,12 +107,12 @@ def write_csv(path, records: list[MetricsRecord], seed: int | None = None) -> No
         row = [
             str(r.round),
             r.method,
-            repr(r.global_acc),
-            "" if r.routing_acc is None else repr(r.routing_acc),
-            repr(r.floats_down_cum),
-            repr(r.floats_up_cum),
+            _cell(r.global_acc),
+            "" if r.routing_acc is None else _cell(r.routing_acc),
+            _cell(r.floats_down_cum),
+            _cell(r.floats_up_cum),
         ]
-        row += [repr(v) for v in r.per_expert_acc]
+        row += [_cell(v) for v in r.per_expert_acc]
         row += [""] * (n_experts - len(r.per_expert_acc))
         lines.append(",".join(row))
     Path(path).write_text("\n".join(lines) + "\n")

@@ -322,9 +322,12 @@ class Scan:
 
 
 def softmax_vjp(probs: np.ndarray, grad_probs: np.ndarray) -> np.ndarray:
-    """Backprop through a row-wise softmax: dL/dz = p * (g - sum(g*p))."""
+    """Backprop through a row-wise softmax: dL/dz = (g - sum(g*p)) * p,
+    written over `grad_probs` (the caller's own fresh array) and returned."""
     inner = np.sum(grad_probs * probs, axis=-1, keepdims=True)
-    return probs * (grad_probs - inner)
+    grad_probs -= inner
+    grad_probs *= probs
+    return grad_probs
 
 
 def ce_grad(spec: NetSpec, layers: list, inputs: np.ndarray, labels: np.ndarray, loss_kind: str):

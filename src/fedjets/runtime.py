@@ -150,15 +150,14 @@ def local_iteration_count(cfg: RunConfig, shard_size: int) -> int:
     return t.local_epochs * math.ceil(shard_size / t.batch_size)
 
 
-def minibatch_indices(n: int, batch_size: int, rng: np.random.Generator, count: int) -> list[np.ndarray]:
-    """`count` minibatches of row indices; reshuffles at epoch boundaries (every batch when batch_size >= n)."""
-    batches, pos = [], n
-    for _ in range(count):
-        if pos + batch_size > n:
-            order, pos = rng.permutation(n), 0
-        batches.append(order[pos : pos + batch_size])
-        pos += batch_size
-    return batches
+def minibatch_indices(n: int, batch_size: int, rng: np.random.Generator, count: int) -> np.ndarray:
+    """`count` minibatches of row indices, `[count, min(batch_size, n)]`: each epoch's permutation of the
+    n rows (all drawn in one call, each as `rng.permutation(n)` would) cut into its whole batches."""
+    size = min(batch_size, n)
+    per_epoch = n // size
+    epochs = -(-count // per_epoch)
+    orders = rng.permuted(np.broadcast_to(np.arange(n), (epochs, n)), axis=1)
+    return orders[:, : per_epoch * size].reshape(-1, size)[:count]
 
 
 # ---------------------------------------------------------------------------
@@ -332,11 +331,7 @@ def _step_group(ctx: RunContext, state: ServerState, served, t: int, group, fail
     scan = nn.Scan([s.client_id for s in shards], failures)
 
     local = [
-        np.array(
-            minibatch_indices(len(s), tr.batch_size, rng_stream(cfg.seed, "client", t, s.client_id), steps),
-            dtype=np.intp,
-        ).reshape(steps, n)
-        for s in shards
+        minibatch_indices(len(s), tr.batch_size, rng_stream(cfg.seed, "client", t, s.client_id), steps) for s in shards
     ]
     rows = np.stack([s.indices[r] for s, r in zip(shards, local)], axis=1)  # [steps, B, n] dataset rows
     inputs, labels = ctx.train_ds.inputs, ctx.train_ds.labels  # finite, as every LabeledDataset
@@ -523,7 +518,7 @@ class RunContext:
     expert_spec: nn.NetSpec
     gate_spec: nn.NetSpec
     test_side: tuple | None = field(default=None, init=False, repr=False, compare=False)
-    fedmix_test_weights: dict[int, np.ndarray] | None = field(default=None, init=False, repr=False, compare=False)
+    fedmix_test_weights: dict[tuple[int, ...], np.ndarray] | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def shards_by_id(self) -> dict[int, ClientShard]:

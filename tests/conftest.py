@@ -210,8 +210,8 @@ def ensemble_labels(ctx, members: list[nn.ParamVector], x: np.ndarray) -> np.nda
     the rows standing as one test client's, a stack of one."""
     shard = data.ClientShard(0, np.arange(len(x)), np.zeros(1), data.KIND_TEST)
     state = runtime.ServerState(list(members), None)
-    logits = evaluation.expert_logits(state.expert_params, x)
-    return evaluation.client_predictor(ctx, state, "avg_ensemble", logits)([shard], shard.indices[None])[0][0]
+    outputs = evaluation.expert_outputs(state.expert_params, x)
+    return evaluation.client_predictor(ctx, state, "avg_ensemble", *outputs)([shard], shard.indices[None])[0][0]
 
 
 def reference_common_expert_accuracy(common, test_shards, test_ds) -> float:

@@ -408,6 +408,18 @@ class TestReport:
         b = lines[2].split(",")[1:]
         assert a == b
 
+    def test_numpy_floats_write_the_bytes_of_python_floats(self, tmp_path):
+        # metrics.csv mirrors metrics.jsonl: an np.float64 is written as the float it holds
+        def record(num):
+            return metrics.MetricsRecord(10, "fedjets", num(0.604), [num(0.5), num(1 / 3)], num(0.95), num(1e3), 0.0)
+
+        for name, num in [("py", float), ("np", np.float64)]:
+            metrics.write_csv(tmp_path / f"{name}.csv", [record(num), record(num)], seed=5)
+            metrics.write_jsonl(tmp_path / f"{name}.jsonl", [record(num)])
+        assert (tmp_path / "np.csv").read_bytes() == (tmp_path / "py.csv").read_bytes()
+        assert (tmp_path / "np.jsonl").read_bytes() == (tmp_path / "py.jsonl").read_bytes()
+        assert "np.float64" not in (tmp_path / "np.csv").read_text()
+
     def test_schema_mismatch_names_file_and_line(self, tmp_path, capsys):
         bad = tmp_path / "bad.jsonl"
         bad.write_text('{"round": 1, "method": "x"}\n')

@@ -395,6 +395,38 @@ class TestEvaluateRound:
                 assert sum(a[2].shape[0] for a in gates) == (len(ctx.test_shards) if gates else 0), method
             assert len(routes) == (stacks if method == "fedjets" else 0), method
 
+    def test_labels_taken_once_per_network(self, monkeypatch):
+        # per_expert_acc, FedJETs' label table and the FedAvg/FedProx predictions read one argmax per network
+        taken = []
+
+        class Logits(np.ndarray):
+            """A network's test-set output that records each argmax taken on it."""
+
+            def argmax(self, *args, **kwargs):
+                taken.append(self)
+                return np.asarray(self).argmax(*args, **kwargs)
+
+        ctx = experiment.build_context(mini_cfg())
+        outs, forward = [], nn.forward
+
+        def spy(spec, *args):
+            out = forward(spec, *args)
+            if spec == ctx.expert_spec:
+                outs.append(out.view(Logits))
+                return outs[-1]
+            return out
+
+        monkeypatch.setattr(nn, "forward", spy)
+        for method in METHODS:
+            state = baselines.make_stepper(ctx, method)[0]
+            outs.clear()
+            taken.clear()
+            record = evaluation.evaluate_round(ctx, state, method, 1, 0.0, 0.0)
+            assert len(outs) == state.num_experts, method
+            assert [sum(a is out for a in taken) for out in outs] == [1] * len(outs), method
+            want = [float(np.mean(np.asarray(out).argmax(axis=1) == ctx.test_ds.labels)) for out in outs]
+            assert record.per_expert_acc == want and all(type(v) is float for v in record.per_expert_acc), method
+
     def test_forwards_per_evaluation(self, monkeypatch):
         # M expert forwards and, under FedJETs, one gate forward per evaluation; FedMix forwards its
         # test gates once per stack on a context's first evaluation only
@@ -462,8 +494,8 @@ class TestPredictionEquality:
     @staticmethod
     def predictions(ctx, state, method):
         """Each test client's labels and route from the stacked scoring path."""
-        logits = evaluation.expert_logits(state.expert_params, ctx.test_ds.inputs)
-        predict = evaluation.client_predictor(ctx, state, method, logits)
+        outputs = evaluation.expert_outputs(state.expert_params, ctx.test_ds.inputs)
+        predict = evaluation.client_predictor(ctx, state, method, *outputs)
         out = {}
         for members, idx in evaluation.client_stacks(ctx.test_shards):
             labels, route = predict(members, idx)
@@ -531,13 +563,46 @@ class TestStackedGateSide:
                     assert all(np.array_equal(a, b) for a, b in zip(got, own)), shard.client_id
             return
         assert len(gate_calls) == len(stacks)
+        assert sorted(ctx.fedmix_test_weights) == sorted(tuple(s.client_id for s in m) for m, _ in stacks)
         for (members, idx), ((_, _, emb), scores) in zip(stacks, gate_calls):
             assert emb.shape[:2] == idx.shape and scores.shape[:2] == idx.shape
-            for shard, row in zip(members, scores):
+            kept = ctx.fedmix_test_weights[tuple(s.client_id for s in members)]  # [M, T, n]
+            assert kept.shape == (ctx.cfg.num_experts, *idx.shape) and kept.flags.c_contiguous
+            for t, (shard, row) in enumerate(zip(members, scores)):
                 cid = shard.client_id
                 gate = nn.init_params(ctx.gate_spec, rng_stream(ctx.cfg.seed, "fedmix-test-gate", cid))
                 assert np.array_equal(row, gating.gate_scores(gate, ctx.test_embeddings[shard.indices])), cid
-                assert np.array_equal(ctx.fedmix_test_weights[cid], row), cid
+                assert np.array_equal(kept[:, t].T, row), cid
+
+    @pytest.mark.parametrize("stack_rows", [1024, 9])
+    def test_class_major_fedmix_labels_equal_expert_order_reference(self, trained, monkeypatch, stack_rows):
+        # gathering `[T, n, C]` logits and summing the weighted experts in expert order gives the same labels;
+        # a tie goes to the lowest class
+        ctx, states = trained
+        monkeypatch.setattr(runtime, "STACK_ROWS", stack_rows)
+        ctx = uneven_overlapping_shards(ctx)
+        state = states["fedmix"]
+        logits, labels = evaluation.expert_outputs(state.expert_params, ctx.test_ds.inputs)
+        predict = evaluation.client_predictor(ctx, state, "fedmix", logits, labels)
+        by_client = fedmix_weights_by_client(ctx)
+        stacks = evaluation.client_stacks(ctx.test_shards)
+        for members, idx in stacks:
+            weights = np.stack([by_client[s.client_id] for s in members])  # [T, n, M]
+            combined = weights[..., 0:1] * logits[0][idx]
+            for k in range(1, len(logits)):
+                combined = combined + weights[..., k : k + 1] * logits[k][idx]
+            got, route = predict(members, idx)
+            assert route is None and got.shape == idx.shape
+            assert np.array_equal(got, combined.argmax(axis=-1))
+        flat = [nn.ParamVector(np.zeros_like(p.values), p.spec) for p in state.expert_params]  # every class ties
+        outputs = evaluation.expert_outputs(flat, ctx.test_ds.inputs)
+        predict = evaluation.client_predictor(ctx, runtime.ServerState(flat, None), "fedmix", *outputs)
+        assert all(not predict(members, idx)[0].any() for members, idx in stacks)
+
+
+def fedmix_weights_by_client(ctx):
+    """Each test client's `[n, M]` FedMix gate weights, read from the context's `[M, T, n]` stacks."""
+    return {cid: w[:, t].T for cids, w in ctx.fedmix_test_weights.items() for t, cid in enumerate(cids)}
 
 
 class TestFedMixTestGates:
@@ -568,15 +633,17 @@ class TestFedMixTestGates:
             }
 
         want = own_forwards(ctx)
-        assert sorted(ctx.fedmix_test_weights) == sorted(want)
-        assert all(np.array_equal(ctx.fedmix_test_weights[cid], w) for cid, w in want.items())
+        got = fedmix_weights_by_client(ctx)
+        assert sorted(got) == sorted(want)
+        assert all(np.array_equal(got[cid], w) for cid, w in want.items())
         # a replaced context, here with a changed cfg, draws again, from its own seed's streams
         other = dataclasses.replace(ctx, cfg=mini_cfg(seed=6))
         assert other.fedmix_test_weights is None and other.test_side is None
         evaluation.evaluate_round(other, state, "fedmix", 1, 0.0, 0.0)
         assert drawn == [ctx.gate_spec] * len(ctx.test_shards)
         want6 = own_forwards(other)
-        assert sorted(other.fedmix_test_weights) == sorted(want6)
-        assert all(np.array_equal(other.fedmix_test_weights[cid], w) for cid, w in want6.items())
+        got6 = fedmix_weights_by_client(other)
+        assert sorted(got6) == sorted(want6)
+        assert all(np.array_equal(got6[cid], w) for cid, w in want6.items())
         assert not any(np.array_equal(want[cid], want6[cid]) for cid in want)
         assert ctx.fedmix_test_weights is weights  # the first context keeps its own

@@ -843,11 +843,23 @@ class TestLocalIterations:
     @pytest.mark.parametrize("n, batch, count", [(10, 3, 7), (10, 10, 4), (10, 16, 4), (10, 3, 0)])
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
     def test_minibatches_match_the_two_branch_draw(self, n, batch, count, seed):
-        # batch below, at and above n, and no batch: the same draws in the same order
-        got = runtime.minibatch_indices(n, batch, rng_stream(seed, "mb"), count)
-        want = minibatch_indices_two_branch(n, batch, rng_stream(seed, "mb"), count)
-        assert [b.tolist() for b in got] == [b.tolist() for b in want]
-        assert len(got) == count
+        # batch below, at and above n, and no batch: the same draws in the same order, and the generator
+        # left where the two-branch draw leaves it (untouched when there is no batch); then a sweep of
+        # 200 random cases of the same kinds per parameter set
+        sweep = rng_stream(seed, "mb-sweep")
+        cases = [(n, batch, count, seed)]
+        for _ in range(200):
+            size = int(sweep.integers(1, 40))
+            below, above = int(sweep.integers(1, size + 1)), size + int(sweep.integers(1, 9))
+            batch_size = (below, size, above)[sweep.integers(3)]
+            cases.append((size, batch_size, int(sweep.integers(0, 12)), int(sweep.integers(2**31))))
+        for n, batch, count, seed in cases:
+            rng, ref = rng_stream(seed, "mb"), rng_stream(seed, "mb")
+            got = runtime.minibatch_indices(n, batch, rng, count)
+            want = minibatch_indices_two_branch(n, batch, ref, count) if count else []
+            assert got.shape == (count, min(batch, n)), (n, batch, count)
+            assert [b.tolist() for b in got] == [b.tolist() for b in want], (n, batch, count, seed)
+            assert rng.bit_generator.state == ref.bit_generator.state, (n, batch, count, seed)
 
     def test_minibatches_cover_epoch_without_repeats(self):
         rng = rng_stream(3, "mb")
