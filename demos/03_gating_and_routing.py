@@ -1,6 +1,6 @@
 """How the gate learns to route: common-expert embeddings + anchor loss.
 
-Pretrains a common expert, embeds every anchor shard once, then trains the
+Pretrains a common expert, embeds the training set once, then trains the
 gate on nothing but the anchors' independent loss and watches per-sample
 routing accuracy on held-out clients climb.
 """
@@ -25,7 +25,7 @@ truth = evaluation.routing_ground_truth(anchors)
 print("label -> expert map:", truth)
 
 gate = nn.init_params(gating.gate_spec(common.embed_dim, M), rng_stream(0, "g"))
-cache = gating.build_embedding_cache(common, train, anchors)
+train_embeddings = gating.embed_inputs(common, train.inputs)  # the training set, embedded once
 
 tests = data.make_test_clients(test, 6, 2, seed=2, training_shards=anchors)
 test_embeddings = gating.embed_inputs(common, test.inputs)  # the test set, embedded once
@@ -40,8 +40,9 @@ for step in range(401):
         report = evaluation.per_sample_routing_report(stacks, chosen, test, truth)
         print(f"step {step:4d}: routing error {report.average_error_rate:.3f} (chance 0.80)")
     q = step % M
-    target = np.full(len(cache[q]), q)  # the gate learns to send anchor q to expert q
-    _, grad = nn.ce_grad(gate.spec, layers, cache[q], target, "ce_on_mixture")
+    emb = train_embeddings[anchors[q].indices]  # anchor q's rows
+    target = np.full(len(emb), q)  # the gate learns to send anchor q to expert q
+    _, grad = nn.ce_grad(gate.spec, layers, emb, target, "ce_on_mixture")
     nn.sgdm_step(gate.values, velocity, grad, 0.05, 0.0)
 
 sel = gating.select_topk(gating.gate_scores(gate, test_embeddings[tests[0].indices]), 2)

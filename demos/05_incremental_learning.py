@@ -44,7 +44,7 @@ def build_ctx(cfg):
         normal_shards=g1 + g2,
         test_shards=tests,
         common=common,
-        cache=gating.build_embedding_cache(common, train_ds, anchors + g1 + g2),
+        train_embeddings=gating.embed_inputs(common, train_ds.inputs),
         test_embeddings=gating.embed_inputs(common, test_ds.inputs),
         expert_spec=nn.NetSpec.mlp(cfg.model.expert_dims),
         gate_spec=gating.gate_spec(common.embed_dim, cfg.num_experts, cfg.model.gate_hidden),

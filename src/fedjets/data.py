@@ -21,6 +21,7 @@ KIND_ANCHOR = "anchor"
 KIND_NORMAL = "normal"
 KIND_TEST = "test"
 DIRICHLET_RETRIES = 100  # redraws of the empty clients' proportion columns
+TEST_LABEL_SET_TRIES = 1000  # draws per test client of a label set no training shard holds
 
 
 @dataclass
@@ -295,7 +296,6 @@ def make_test_clients(
     training_shards: list[ClientShard],
     samples_per_client: int | None = None,
     start_id: int = 0,
-    max_tries: int = 1000,
 ) -> list[ClientShard]:
     """Unseen test clients: each holds a random combination of
     `labels_per_client` labels whose label SET never occurs among the
@@ -314,7 +314,7 @@ def make_test_clients(
     shards = []
     for u in range(num_test_clients):
         combo = None
-        for _ in range(max_tries):
+        for _ in range(TEST_LABEL_SET_TRIES):
             cand = frozenset(rng.choice(C, size=labels_per_client, replace=False).tolist())
             if cand not in seen:
                 combo = sorted(cand)
@@ -322,7 +322,7 @@ def make_test_clients(
         if combo is None:
             raise ConfigError(
                 f"could not find an unseen {labels_per_client}-label combination "
-                f"after {max_tries} tries (test client {u})"
+                f"after {TEST_LABEL_SET_TRIES} tries (test client {u})"
             )
         parts = []
         for lab, want in zip(combo, _split_evenly(samples_per_client, labels_per_client)):

@@ -178,11 +178,12 @@ def build_context(cfg: config_mod.RunConfig) -> runtime.RunContext:
     train_ds, test_ds = build_datasets(cfg)
     anchors, normals, tests = build_shards(cfg, train_ds, test_ds)
     common, _ = build_common(cfg, train_ds)
-    cache = gating.build_embedding_cache(common, train_ds, anchors + normals)
-    try:
-        test_embeddings = gating.embed_inputs(common, test_ds.inputs)
-    except NumericError as exc:
-        raise exc.within("test set") from exc
+    embeddings = []
+    for name, ds in (("training set", train_ds), ("test set", test_ds)):
+        try:
+            embeddings.append(gating.embed_inputs(common, ds.inputs))
+        except NumericError as exc:
+            raise exc.within(name) from exc
     return runtime.RunContext(
         cfg=cfg,
         train_ds=train_ds,
@@ -191,8 +192,8 @@ def build_context(cfg: config_mod.RunConfig) -> runtime.RunContext:
         normal_shards=normals,
         test_shards=tests,
         common=common,
-        cache=cache,
-        test_embeddings=test_embeddings,
+        train_embeddings=embeddings[0],
+        test_embeddings=embeddings[1],
         expert_spec=nn.NetSpec.mlp(cfg.model.expert_dims),
         gate_spec=gating.gate_spec(common.embed_dim, cfg.num_experts, cfg.model.gate_hidden),
     )

@@ -1,14 +1,19 @@
 """Common-expert embeddings, gate scoring, top-K selection.
 
-The common expert is a frozen feature extractor: each training client embeds
-its local data once, and the test set is embedded once as a whole; the
-embeddings are checked finite then and reused for every gate decision. The
-gate is a small MLP with a softmax head whose output dimension is the number
-of experts; it is a plain `nn.ParamVector` whose spec has that head. `route`
-on the gate's scores is the one routing rule, for one client or a stack:
-each client's top-K expert ids and each sample's expert among them. Training
-(a client at a time, through `select_topk`) and zero-shot testing (a stack
-at a time) use it.
+The common expert is a frozen feature extractor, so a sample's embedding
+does not depend on the client that holds it: the training set and the test
+set are each embedded once, as a whole (`embed_inputs`), checked finite
+then, and a client's embeddings are its rows of its set's. A client's rows
+of the whole-set product equal its own forward bit for bit, except where
+BLAS takes another path: a one-row client embedded alone is a
+matrix-vector product, and its row of the whole-set matrix product may
+differ from it in the last bits (3.6e-15 on synth-10's Dirichlet
+partition). The gate is a small MLP with a softmax head whose output
+dimension is the number of experts; it is a plain `nn.ParamVector` whose
+spec has that head. `route` on the gate's scores is the one routing rule,
+for one client or a stack: each client's top-K expert ids and each sample's
+expert among them. Training (a client at a time, through `select_topk`) and
+zero-shot testing (a stack at a time) use it.
 """
 
 from __future__ import annotations
@@ -18,8 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import nn
-from .data import ClientShard, LabeledDataset
-from .errors import ConfigError, NumericError
+from .errors import ConfigError
 
 
 @dataclass(frozen=True)
@@ -49,19 +53,6 @@ class CommonExpert:
 def embed_inputs(common: CommonExpert, inputs: np.ndarray) -> np.ndarray:
     """One-time inference: activations of the common expert at embed_layer."""
     return nn.forward(common.params.spec, common.params.values, inputs, common.embed_layer)
-
-
-def build_embedding_cache(
-    common: CommonExpert, ds: LabeledDataset, shards: list[ClientShard]
-) -> dict[int, np.ndarray]:
-    """Every client's shard embeddings, row-aligned with shard.indices; a NumericError names the client."""
-    cache = {}
-    for shard in shards:
-        try:
-            cache[shard.client_id] = embed_inputs(common, ds.inputs[shard.indices])
-        except NumericError as exc:
-            raise exc.within(f"client {shard.client_id}") from exc
-    return cache
 
 
 def gate_spec(embed_dim: int, num_experts: int, hidden: int | None = None) -> nn.NetSpec:

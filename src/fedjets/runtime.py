@@ -12,23 +12,25 @@ one scenario-pool lookup and `draw_clients` the one client draw; then
 `client_updates` steps the clients and `aggregate` averages their packets.
 A plan only names the active clients. A FedJETs normal client is routed
 where its `Work` is made (`fedjets_work`): the top-K of `gating.route`,
-the one routing rule, on the state gate's scores of its cached embeddings.
-Each client draws its randomness from a stream keyed by (seed, "client",
-round, client_id), so results do not depend on the order of the updates.
+the one routing rule, on the state gate's scores of its rows of
+`RunContext.train_embeddings`. Each client draws its randomness from a
+stream keyed by (seed, "client", round, client_id), so results do not
+depend on the order of the updates.
 
-Local training is one group kernel. A method describes each client's
-update as a `Work` (anchor, mixture or sgd); `group_clients` puts the
-clients that share the update kind, the rows per step
-(`min(batch_size, len(shard))`) and the step count into one group (cut
-into stacks of at most STACK_ROWS network rows), and `_step_group` steps
-each stack's copies as `[B, P]` arrays, on layer views bound once per stack,
-through the `nn` engine's stack axis, so each client's result is bit for bit
-what it gives stepped alone. No client is padded and no step is shared. Packets come out in client
-order. The engine returns raw rows, and an `nn.Scan` over the stack records
-each client's first non-finite value, in the order it would meet it alone;
-the first failing client in `client_ids` order is the one raised.
-`nn.ce_grad` and `_mixture_grads` are the only training gradients; one
-client alone is a stack of one.
+Local training is one group kernel. A method describes each client's update
+as a `Work` (anchor, mixture or sgd); `group_clients` puts the clients that
+share the update kind, the rows per step (`min(batch_size, len(shard))`) and
+the step count into one group (cut into stacks of at most STACK_ROWS network
+rows), and `_step_group` steps each stack's copies as `[B, P]` arrays, on
+layer views bound once per stack, through the `nn` engine's stack axis, so
+each client's result is bit for bit what it gives stepped alone. One
+`[steps, B, n]` array of dataset rows gathers each step's inputs, labels and
+gate inputs (`train_embeddings`). No client is padded and no step is shared.
+Packets come out in client order. The engine returns raw rows, and an
+`nn.Scan` over the stack records each client's first non-finite value, in
+the order it would meet it alone; the first failing client in `client_ids`
+order is the one raised. `nn.ce_grad` and `_mixture_grads` are the only
+training gradients; one client alone is a stack of one.
 
 Inside a round a network is a float64 row; packets carry the rows the kernel
 scanned finite. An `nn.ParamVector` exists only where a server state is built
@@ -334,7 +336,7 @@ def _step_group(ctx: RunContext, state: ServerState, served, t: int, group, fail
         minibatch_indices(len(s), tr.batch_size, rng_stream(cfg.seed, "client", t, s.client_id), steps) for s in shards
     ]
     rows = np.stack([s.indices[r] for s, r in zip(shards, local)], axis=1)  # [steps, B, n] dataset rows
-    inputs, labels = ctx.train_ds.inputs, ctx.train_ds.labels  # finite, as every LabeledDataset
+    inputs, labels = ctx.train_ds.inputs, ctx.train_ds.labels  # finite, as every LabeledDataset and embedding
 
     expert_spec = state.expert_params[0].spec
     selected = np.array([w.experts for w in works])  # [B, K] server expert indices
@@ -346,17 +348,13 @@ def _step_group(ctx: RunContext, state: ServerState, served, t: int, group, fail
         gates = np.stack([w.gate for w in works])
         nets.append((gates, tr.gate_lr, tr.gate_momentum))
         gate_layers = nn.unpack(gate_spec, gates)
-        caches = [ctx.cache[s.client_id] for s in shards]
-        offsets = np.cumsum([0] + [len(c) for c in caches[:-1]])
-        cache = np.concatenate(caches)  # finite: checked when the cache was built
-        emb_rows = np.stack([r + o for r, o in zip(local, offsets)], axis=1)  # [steps, B, n] rows of `cache`
 
     if kind == "mixture":
         renormalize = tr.renormalize_gate_weights
         at_selected = (np.arange(len(shards))[:, None, None], np.arange(n)[:, None], selected[:, None, :])
 
         def grads(s):
-            x, emb, y = inputs[rows[s]], cache[emb_rows[s]], labels[rows[s]]
+            x, emb, y = inputs[rows[s]], ctx.train_embeddings[rows[s]], labels[rows[s]]
             _, e_grads, g_grad = _mixture_grads(
                 expert_spec, expert_layers, gate_spec, gate_layers, at_selected, x, emb, y, renormalize, scan
             )
@@ -373,7 +371,7 @@ def _step_group(ctx: RunContext, state: ServerState, served, t: int, group, fail
                 grad += mu * (experts[0] - start)
             if kind == "sgd":
                 return [grad]
-            g_grad = nn.ce_grad(gate_spec, gate_layers, cache[emb_rows[s]], targets, "ce_on_mixture")[1]
+            g_grad = nn.ce_grad(gate_spec, gate_layers, ctx.train_embeddings[rows[s]], targets, "ce_on_mixture")[1]
             scan.grads(gate_spec, g_grad)
             return [grad, g_grad]
 
@@ -413,7 +411,7 @@ def client_updates(
 def fedjets_work(ctx: RunContext, state: ServerState):
     """`work(shard)` of a FedJETs round: an anchor trains its assigned
     expert and the gate's independent loss; a normal client trains the
-    top-K experts the state's gate picks from its cached embeddings, and
+    top-K experts the state's gate picks from its embedding rows, and
     the gate, through the mixture."""
 
     def work(shard: ClientShard) -> Work:
@@ -422,8 +420,8 @@ def fedjets_work(ctx: RunContext, state: ServerState):
             if q is None or not (0 <= q < state.num_experts):
                 raise ConfigError(f"client {shard.client_id} is not a valid anchor")
             return Work("anchor", (q,), state.gate_params.values)
-        experts = gating.select_topk(gating.gate_scores(state.gate_params, ctx.cache[shard.client_id]), ctx.cfg.top_k)
-        return Work("mixture", experts, state.gate_params.values)
+        scores = gating.gate_scores(state.gate_params, ctx.train_embeddings[shard.indices])
+        return Work("mixture", gating.select_topk(scores, ctx.cfg.top_k), state.gate_params.values)
 
     return work
 
@@ -502,9 +500,9 @@ def comm_cost(plan: RoundPlan, cfg: RunConfig, sizes: ModelSizes) -> dict[str, t
 
 @dataclass
 class RunContext:
-    """Prepared inputs for one run; the test set is embedded once, `[N_test, e]`. `evaluation` keeps in it,
-    from first use, the test side no server state changes, which pays from a context's second evaluation
-    on; `dataclasses.replace` starts that afresh."""
+    """Prepared inputs for one run; each dataset is embedded once, `[N_train, e]` and `[N_test, e]`, and a
+    client's embeddings are its rows. `evaluation` keeps in it, from first use, the test side no server state
+    changes, which pays from a context's second evaluation on; `dataclasses.replace` starts that afresh."""
 
     cfg: RunConfig
     train_ds: LabeledDataset
@@ -513,7 +511,7 @@ class RunContext:
     normal_shards: list[ClientShard]
     test_shards: list[ClientShard]
     common: CommonExpert
-    cache: dict[int, np.ndarray]
+    train_embeddings: np.ndarray
     test_embeddings: np.ndarray
     expert_spec: nn.NetSpec
     gate_spec: nn.NetSpec

@@ -316,7 +316,7 @@ def test_criterion_9_incremental_scenario_sanity():
         normal_shards=normals,
         test_shards=g1_tests,
         common=common,
-        cache=gating.build_embedding_cache(common, train_ds, anchors + normals),
+        train_embeddings=gating.embed_inputs(common, train_ds.inputs),
         test_embeddings=gating.embed_inputs(common, test_ds.inputs),
         expert_spec=nn.NetSpec.mlp(cfg.model.expert_dims),
         gate_spec=gating.gate_spec(common.embed_dim, cfg.num_experts, cfg.model.gate_hidden),

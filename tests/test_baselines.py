@@ -160,7 +160,7 @@ class TestFedMix:
         for rows in runtime.minibatch_indices(len(shard), cfg.training.batch_size, rng, iters):
             x = c.train_ds.inputs[shard.indices[rows]]
             y = c.train_ds.labels[shard.indices[rows]]
-            emb = c.cache[shard.client_id][rows]
+            emb = c.train_embeddings[shard.indices[rows]]
             _, e_grads, g_grad = mixture_grads([experts[0], experts[1]], gate_ref, (0, 1), x, emb, y)
             for j in (0, 1):
                 v_e[j] = tr.momentum * v_e[j] + e_grads[j]

@@ -690,9 +690,9 @@ class TestExitCodes:
         assert rc == 3
         assert f"{state}: block 'expert_1'" in capsys.readouterr().err
 
-    def test_overflowing_common_expert_is_exit_3_naming_the_client(self, cfg_path, tmp_path, capsys):
+    def test_overflowing_common_expert_is_exit_3_naming_the_training_set(self, cfg_path, tmp_path, capsys):
         # finite inputs that the first layer's weights overflow: the embedding
-        # is checked where it is made, and the first client's is named
+        # is checked where it is made, and the training set, embedded first, is named
         spec = nn.NetSpec.mlp(MINI["model"]["expert_dims"])
         values = np.zeros(spec.param_count())
         values[: spec.layer_dims[0] * spec.layer_dims[1]] = 1e308
@@ -702,14 +702,14 @@ class TestExitCodes:
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(NumericError) as err:
                 experiment.build_context(config_mod.load(cfg_path, [override]))
-            assert (err.value.message, err.value.context) == ("non-finite network output", "forward | client 0")
+            assert (err.value.message, err.value.context) == ("non-finite network output", "forward | training set")
             capsys.readouterr()
             assert cli.main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "o"), "--set", override]) == 3
-        assert "non-finite network output | forward | client 0" in capsys.readouterr().err
+        assert "non-finite network output | forward | training set" in capsys.readouterr().err
 
     def test_overflowing_test_embedding_is_exit_3_naming_the_test_set(self, cfg_path, tmp_path, capsys, monkeypatch):
         # the test set is embedded once, as a whole: finite test inputs that the common expert's first layer
-        # overflows, while every training client's embedding stays finite, name the test set
+        # overflows, while the training set's embedding stays finite, name the test set
         spec = nn.NetSpec.mlp(MINI["model"]["expert_dims"])
         values = np.zeros(spec.param_count())
         values[: spec.layer_dims[0] * spec.layer_dims[1]] = 1.0

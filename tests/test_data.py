@@ -255,8 +255,8 @@ class TestTestClients:
     def test_exhaustion_is_config_error(self):
         ds = data.synth_dataset(2, 8, 20, 4.0, 8)
         training = data.partition_quantity(ds, 1, 2, 3)  # the only 2-of-2 combo
-        with pytest.raises(ConfigError):
-            data.make_test_clients(ds, 1, 2, 0, training, max_tries=50)
+        with pytest.raises(ConfigError, match=f"after {data.TEST_LABEL_SET_TRIES} tries"):
+            data.make_test_clients(ds, 1, 2, 0, training)
 
 
 class TestFeatureFiles:

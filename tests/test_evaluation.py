@@ -68,6 +68,7 @@ def zero_shot(state, common, shards, ds, k):
     clients are `shards` of `ds`, embedded by `common`, with top-`k` routing.
     Its cfg is read for `top_k` only, and its gate spec not at all."""
     cfg = mini_cfg()
+    embeddings = gating.embed_inputs(common, ds.inputs)
     ctx = runtime.RunContext(
         cfg=dataclasses.replace(cfg, federation=dataclasses.replace(cfg.federation, top_k=k)),
         train_ds=ds,
@@ -76,8 +77,8 @@ def zero_shot(state, common, shards, ds, k):
         normal_shards=[],
         test_shards=shards,
         common=common,
-        cache={},
-        test_embeddings=gating.embed_inputs(common, ds.inputs),
+        train_embeddings=embeddings,
+        test_embeddings=embeddings,
         expert_spec=state.expert_params[0].spec,
         gate_spec=None,
     )

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from conftest import central_diff, gate_independent_loss_grad, loss_value, min_hidden_preact, rel_error
-from fedjets import data, gating, nn
+from fedjets import benchmarks, data, experiment, gating, nn
 from fedjets.errors import ConfigError, NumericError
 from fedjets.seeding import rng_stream
 
@@ -37,20 +37,24 @@ def zero_gate(embed_dim, m):
     return nn.ParamVector(np.zeros(spec.param_count()), spec)
 
 
+def synth10_context(seed, partition):
+    return experiment.build_context(benchmarks.synth10_config(seed=seed, data={"partition_strategy": partition}))
+
+
 class TestEmbedding:
     def test_identity_net_embeds_raw_inputs(self, rng):
         common = identity_common(5)
         ds = data.synth_dataset(3, 5, 10, 2.0, 1)
         shard = data.partition_quantity(ds, 1, 3, 0)[0]
-        emb = gating.build_embedding_cache(common, ds, [shard])[shard.client_id]
-        assert np.array_equal(emb, ds.inputs[shard.indices])
+        emb = gating.embed_inputs(common, ds.inputs)  # the whole set, as a run context embeds it
+        assert np.array_equal(emb[shard.indices], ds.inputs[shard.indices])
+        assert np.array_equal(emb, ds.inputs)
 
     def test_repeated_call_identical(self):
         common = random_common(2, [6, 8, 8, 4])
         ds = data.synth_dataset(4, 6, 10, 2.0, 2)
-        shard = data.partition_quantity(ds, 1, 2, 0)[0]
-        a = gating.build_embedding_cache(common, ds, [shard])[shard.client_id]
-        b = gating.build_embedding_cache(common, ds, [shard])[shard.client_id]
+        a = gating.embed_inputs(common, ds.inputs)
+        b = gating.embed_inputs(common, ds.inputs)
         assert np.array_equal(a, b)
 
     def test_matches_truncated_forward_oracle(self, rng):
@@ -66,13 +70,34 @@ class TestEmbedding:
         with pytest.raises(ConfigError):
             gating.embed_inputs(common, rng.normal(size=(3, 5)))
 
-    def test_cache_covers_every_shard(self):
-        common = random_common(5, [6, 8, 4])
-        ds = data.synth_dataset(4, 6, 20, 3.0, 3)
-        shards = data.partition_quantity(ds, 4, 2, 1)
-        cache = gating.build_embedding_cache(common, ds, shards)
-        for s in shards:
-            assert cache[s.client_id].shape == (len(s), common.embed_dim)
+    def test_training_set_embedding_covers_every_row(self):
+        # one row per training sample, in a shard or not, so every shard reads its rows
+        ctx = synth10_context(1, "quantity")
+        assert ctx.train_embeddings.shape == (len(ctx.train_ds.labels), ctx.common.embed_dim)
+        for s in ctx.anchor_shards + ctx.normal_shards:
+            assert ctx.train_embeddings[s.indices].shape == (len(s), ctx.common.embed_dim)
+
+
+class TestWholeSetTolerance:
+    """A training client's rows of the one training-set embedding against the
+    client's own forward: equal bit for bit on synth-10's quantity partition;
+    within 1e-12 on its Dirichlet one, whose one-row client embedded alone is a
+    matrix-vector product and in the whole set one row of a matrix product."""
+
+    @pytest.mark.parametrize("seed", range(1, 9))
+    def test_quantity_clients_read_their_own_forward_bit_for_bit(self, seed):
+        ctx = synth10_context(seed, "quantity")
+        for s in ctx.anchor_shards + ctx.normal_shards:
+            own = gating.embed_inputs(ctx.common, ctx.train_ds.inputs[s.indices])
+            assert np.array_equal(ctx.train_embeddings[s.indices], own), f"client {s.client_id}"
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_dirichlet_clients_agree_within_1e_12(self, seed):
+        ctx = synth10_context(seed, "dirichlet")
+        assert min(len(s) for s in ctx.normal_shards) == 1  # the gemv case is present
+        for s in ctx.anchor_shards + ctx.normal_shards:
+            own = gating.embed_inputs(ctx.common, ctx.train_ds.inputs[s.indices])
+            assert np.max(np.abs(ctx.train_embeddings[s.indices] - own)) <= 1e-12, f"client {s.client_id}"
 
 
 class TestGateScores:

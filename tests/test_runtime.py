@@ -135,7 +135,7 @@ class TestAnchorUpdate:
         c = dataclasses.replace(ctx, cfg=mini_cfg(training={"gate_lr": 0.001, "local_iterations": 4}))
         state = runtime.init_server_state(ctx)
         shard = ctx.anchor_shards[0]
-        emb = ctx.cache[shard.client_id]
+        emb = ctx.train_embeddings[shard.indices]
         loss_before, _ = gate_independent_loss_grad(state.gate_params, emb, 0)
         pkt = fedjets_update(c, state, 0, shard)
         loss_after, _ = gate_independent_loss_grad(nn.ParamVector(pkt.gate, state.gate_params.spec), emb, 0)
@@ -163,7 +163,7 @@ class TestAnchorUpdate:
         lr, m = cfg.training.gate_lr, cfg.training.gate_momentum
         gate, v = state.gate_params.copy(), 0.0
         for rows in batches:
-            _, grad = gate_independent_loss_grad(gate, ctx.cache[shard.client_id][rows], 0)
+            _, grad = gate_independent_loss_grad(gate, ctx.train_embeddings[shard.indices[rows]], 0)
             v = m * v + grad
             gate = nn.ParamVector(gate.values - lr * v, gate.spec)
         assert np.array_equal(pkt.gate, gate.values)
@@ -173,19 +173,19 @@ class TestNormalUpdate:
     def test_packet_contains_exactly_selected_experts(self, ctx):
         state = runtime.init_server_state(ctx)
         shard = ctx.normal_shards[0]
-        sel = gating.select_topk(gating.gate_scores(state.gate_params, ctx.cache[shard.client_id]), 2)
+        sel = gating.select_topk(gating.gate_scores(state.gate_params, ctx.train_embeddings[shard.indices]), 2)
         pkt = fedjets_update(ctx, state, 0, shard)
         assert set(pkt.experts) == set(sel)
 
     def test_work_routes_each_normal_client_by_the_state_gate(self, ctx):
-        # the gate of the state being trained picks the experts, from the client's cached embeddings
+        # the gate of the state being trained picks the experts, from the client's rows of the training-set embedding
         state = runtime.init_server_state(ctx)
         state.gate_params = nn.init_params(ctx.gate_spec, rng_stream(4, "routing-gate"))
         work = runtime.fedjets_work(ctx, state)
         picked = set()
         for shard in ctx.normal_shards:
             w = work(shard)
-            scores = gating.gate_scores(state.gate_params, ctx.cache[shard.client_id])
+            scores = gating.gate_scores(state.gate_params, ctx.train_embeddings[shard.indices])
             assert w.kind == "mixture" and w.experts == gating.select_topk(scores, ctx.cfg.top_k)
             assert w.gate is state.gate_params.values
             picked.add(w.experts)
@@ -199,7 +199,7 @@ class TestNormalUpdate:
         state = runtime.init_server_state(ctx)
         gate = nn.ParamVector(values, state.gate_params.spec)
         shard = ctx.normal_shards[1]
-        emb = ctx.cache[shard.client_id]
+        emb = ctx.train_embeddings[shard.indices]
         x = ctx.train_ds.inputs[shard.indices]
         y = ctx.train_ds.labels[shard.indices]
         probs, e_grads, _ = mixture_grads([state.expert_params[1]], gate, (1,), x, emb, y)
