@@ -29,16 +29,15 @@ train_embeddings = gating.embed_inputs(common, train.inputs)  # the training set
 
 tests = data.make_test_clients(test, 6, 2, seed=2, training_shards=anchors)
 test_embeddings = gating.embed_inputs(common, test.inputs)  # the test set, embedded once
-stacks = evaluation.client_stacks(tests)  # (shards, rows): test clients of one shard size, scored as one
+stacks = evaluation.client_stacks(tests, test, truth)  # test clients of one shard size, with each row's true expert
 
 velocity = np.zeros_like(gate.values)
 layers = nn.unpack(gate.spec, gate.values)  # bound once; sgdm_step updates gate.values in place
 for step in range(401):
     if step % 100 == 0:
         scores = gating.gate_scores(gate, test_embeddings)  # one gate forward; each client routes on its rows
-        chosen = [gating.route(scores[idx], 2)[1] for _, idx in stacks]
-        report = evaluation.per_sample_routing_report(stacks, chosen, test, truth)
-        print(f"step {step:4d}: routing error {report.average_error_rate:.3f} (chance 0.80)")
+        wrong = [(gating.route(scores[s.rows], 2)[1] != s.truth).mean(axis=1) for s in stacks]  # per client
+        print(f"step {step:4d}: routing error {np.concatenate(wrong).mean():.3f} (chance 0.80)")
     q = step % M
     emb = train_embeddings[anchors[q].indices]  # anchor q's rows
     target = np.full(len(emb), q)  # the gate learns to send anchor q to expert q

@@ -73,6 +73,6 @@ for name, ranges in schedules.items():
     )
     ctx = build_ctx(cfg)
     state, history, _ = experiment.run_training(ctx)
-    report = evaluation.score_test_clients(ctx, state, "fedjets").zero_shot
+    scores = evaluation.score_test_clients(ctx, state, "fedjets")
     print(f"{name}: group-1 test accuracy after the schedule ran out: "
-          f"{report.average_accuracy:.3f} (chance 0.10)")
+          f"{scores.global_acc:.3f} (chance 0.10)")

@@ -12,6 +12,8 @@ import json
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from . import checkpoint, config as config_mod, evaluation, experiment, metrics
 from .errors import ArtifactError, ConfigError, NumericError, ProtocolError
 
@@ -77,8 +79,18 @@ def cmd_eval(args) -> int:
     method = state_meta["method"]
     scores = evaluation.score_test_clients(ctx, state, method)
     report: dict = {"method": method, "seed": cfg.seed, "round": state.round, "global_accuracy": scores.global_acc}
-    if scores.zero_shot is not None:
-        report["zero_shot"] = scores.zero_shot.to_dict()
+    if scores.selections is not None:  # FedJETs: each client's route
+        report["zero_shot"] = {
+            "average_accuracy": scores.global_acc,
+            "per_client": {
+                str(cid): {
+                    "accuracy": acc,
+                    "selected_experts": list(scores.selections[cid]),
+                    "chosen_expert_per_sample": scores.chosen_experts[cid].tolist(),
+                }
+                for cid, acc in scores.per_client_accuracy.items()
+            },
+        }
         report["routing"] = None  # unless the anchors give a label -> expert ground truth for every test label
         if (routing := scores.routing) is not None:
             report["routing"] = {"average_error_rate": routing.average_error_rate, "rows": routing.rows}
@@ -144,7 +156,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        with np.errstate(over="ignore", invalid="ignore"):  # nn.Scan names a non-finite value, as exit 3
+            return args.func(args)
     except (ConfigError, ProtocolError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

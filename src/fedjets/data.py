@@ -129,6 +129,20 @@ def _split_evenly(total: int, parts: int) -> list[int]:
     return [base + (1 if i < rem else 0) for i in range(parts)]
 
 
+def _split_by(props: np.ndarray, budget: int) -> np.ndarray:
+    """`budget` cut by proportions: floors of the cumulative shares, the last one pinned at `budget`."""
+    bounds = np.floor(np.cumsum(props) * budget).astype(np.int64)
+    bounds[-1] = budget
+    return np.diff(bounds, prepend=0)
+
+
+def _draw_per_label(rng: np.random.Generator, ds: LabeledDataset, wants) -> np.ndarray:
+    """One shard's rows: for each (label, count) pair with a positive count,
+    that many distinct rows of the label (all of them if it has fewer)."""
+    pools = [(ds.class_index[lab], want) for lab, want in wants if want > 0]
+    return np.concatenate([rng.choice(pool, size=min(want, pool.size), replace=False) for pool, want in pools])
+
+
 def partition_quantity(
     ds: LabeledDataset,
     num_clients: int,
@@ -160,14 +174,10 @@ def partition_quantity(
         for labels in client_labels
     ]
 
-    picks: list[list[np.ndarray]] = [[] for _ in range(num_clients)]
     if with_replacement:
-        for k in range(num_clients):
-            for lab, want in quotas[k].items():
-                pool = ds.class_index[lab]
-                take = min(want, pool.size)
-                picks[k].append(rng.choice(pool, size=take, replace=False))
+        rows = [_draw_per_label(rng, ds, q.items()) for q in quotas]
     else:
+        picks: list[list[np.ndarray]] = [[] for _ in range(num_clients)]
         for lab in range(C):
             holders = [k for k in range(num_clients) if lab in quotas[k]]
             if not holders:
@@ -184,11 +194,8 @@ def partition_quantity(
                 want = quotas[k][lab]
                 picks[k].append(order[off : off + want])
                 off += want
-
-    return [
-        _make_shard(ds, start_id + k, np.concatenate(picks[k]), KIND_NORMAL)
-        for k in range(num_clients)
-    ]
+        rows = [np.concatenate(p) for p in picks]
+    return [_make_shard(ds, start_id + k, idx, KIND_NORMAL) for k, idx in enumerate(rows)]
 
 
 def partition_dirichlet(
@@ -214,10 +221,7 @@ def partition_dirichlet(
         w = gammas / gammas.sum(axis=1, keepdims=True)
         counts = np.zeros((C, num_clients), dtype=np.int64)
         for c in range(C):
-            budget = ds.class_index[c].size
-            bounds = np.floor(np.cumsum(w[c]) * budget).astype(np.int64)
-            bounds[-1] = budget
-            counts[c] = np.diff(bounds, prepend=0)
+            counts[c] = _split_by(w[c], ds.class_index[c].size)
         empty = np.flatnonzero(counts.sum(axis=0) == 0)
         if empty.size == 0:
             break
@@ -268,23 +272,12 @@ def make_anchor_shards(
         order = rng.permutation(C)[: num_experts * labels_per_anchor]
         for q in range(num_experts):
             labels = order[q * labels_per_anchor : (q + 1) * labels_per_anchor]
-            parts = []
-            for lab, want in zip(labels, _split_evenly(samples_per_anchor, labels_per_anchor)):
-                pool = ds.class_index[lab]
-                parts.append(rng.choice(pool, size=min(want, pool.size), replace=False))
-            shards.append(_make_shard(ds, q, np.concatenate(parts), KIND_ANCHOR, q))
+            wants = zip(labels, _split_evenly(samples_per_anchor, labels_per_anchor))
+            shards.append(_make_shard(ds, q, _draw_per_label(rng, ds, wants), KIND_ANCHOR, q))
     else:
         for q in range(num_experts):
-            props = rng.dirichlet(np.full(C, 0.1))
-            bounds = np.floor(np.cumsum(props) * samples_per_anchor).astype(np.int64)
-            bounds[-1] = samples_per_anchor
-            want = np.diff(bounds, prepend=0)
-            parts = []
-            for lab in range(C):
-                if want[lab] > 0:
-                    pool = ds.class_index[lab]
-                    parts.append(rng.choice(pool, size=min(want[lab], pool.size), replace=False))
-            shards.append(_make_shard(ds, q, np.concatenate(parts), KIND_ANCHOR, q))
+            wants = enumerate(_split_by(rng.dirichlet(np.full(C, 0.1)), samples_per_anchor))
+            shards.append(_make_shard(ds, q, _draw_per_label(rng, ds, wants), KIND_ANCHOR, q))
     return shards
 
 
@@ -324,11 +317,8 @@ def make_test_clients(
                 f"could not find an unseen {labels_per_client}-label combination "
                 f"after {TEST_LABEL_SET_TRIES} tries (test client {u})"
             )
-        parts = []
-        for lab, want in zip(combo, _split_evenly(samples_per_client, labels_per_client)):
-            pool = ds_test.class_index[lab]
-            parts.append(rng.choice(pool, size=min(want, pool.size), replace=False))
-        shards.append(_make_shard(ds_test, start_id + u, np.concatenate(parts), KIND_TEST))
+        wants = zip(combo, _split_evenly(samples_per_client, labels_per_client))
+        shards.append(_make_shard(ds_test, start_id + u, _draw_per_label(rng, ds_test, wants), KIND_TEST))
     return shards
 
 

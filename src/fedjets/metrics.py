@@ -122,8 +122,6 @@ def best_of_last(records: list[MetricsRecord], last_k: int) -> float:
     """Best global accuracy among the last `last_k` evaluation records."""
     if last_k < 1:
         raise ConfigError(f"last_k must be at least 1, got {last_k}")
-    if not records:
-        raise ArtifactError("metrics file holds no records")
     tail = records[-last_k:]
     return max(r.global_acc for r in tail)
 

@@ -501,8 +501,8 @@ def comm_cost(plan: RoundPlan, cfg: RunConfig, sizes: ModelSizes) -> dict[str, t
 @dataclass
 class RunContext:
     """Prepared inputs for one run; each dataset is embedded once, `[N_train, e]` and `[N_test, e]`, and a
-    client's embeddings are its rows. `evaluation` keeps in it, from first use, the test side no server state
-    changes, which pays from a context's second evaluation on; `dataclasses.replace` starts that afresh."""
+    client's embeddings are its rows. `evaluation` keeps in it, from first use, the test clients' stacks, which
+    no server state changes; `dataclasses.replace` starts them afresh."""
 
     cfg: RunConfig
     train_ds: LabeledDataset
@@ -515,8 +515,7 @@ class RunContext:
     test_embeddings: np.ndarray
     expert_spec: nn.NetSpec
     gate_spec: nn.NetSpec
-    test_side: tuple | None = field(default=None, init=False, repr=False, compare=False)
-    fedmix_test_weights: dict[tuple[int, ...], np.ndarray] | None = field(default=None, init=False, repr=False, compare=False)
+    test_stacks: list | None = field(default=None, init=False, repr=False, compare=False)  # [evaluation.ClientStack]
 
     @property
     def shards_by_id(self) -> dict[int, ClientShard]:

@@ -211,7 +211,8 @@ def ensemble_labels(ctx, members: list[nn.ParamVector], x: np.ndarray) -> np.nda
     shard = data.ClientShard(0, np.arange(len(x)), np.zeros(1), data.KIND_TEST)
     state = runtime.ServerState(list(members), None)
     outputs = evaluation.expert_outputs(state.expert_params, x)
-    return evaluation.client_predictor(ctx, state, "avg_ensemble", *outputs)([shard], shard.indices[None])[0][0]
+    stack = evaluation.ClientStack([shard], shard.indices[None], None)  # no labels: a rule never reads them
+    return evaluation.client_predictor(ctx, state, "avg_ensemble", *outputs)(stack)[0][0]
 
 
 def reference_common_expert_accuracy(common, test_shards, test_ds) -> float:

@@ -4,12 +4,17 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from conftest import packed
+import fedjets
 from fedjets import benchmarks, central, checkpoint, cli, data, experiment, metrics, nn
 from fedjets import config as config_mod
 from fedjets.errors import NumericError
@@ -139,6 +144,20 @@ class TestPretrain:
             rc = cli.main([command, "--config", str(cfg_path), "--out", str(tmp_path / out), *sets])
         assert rc == 3
         assert capsys.readouterr().err == "numeric error: non-finite gradient | layer=1 | pretrain | epoch 0\n"
+
+    def test_diverging_run_prints_the_error_line_alone(self, tmp_path):
+        # in a process of its own, where numpy's RuntimeWarnings would reach stderr as a user sees them
+        cfg_path = tmp_path / "synth10.json"
+        cfg_path.write_text(json.dumps(benchmarks.synth10_dict()))
+        src = str(Path(fedjets.__file__).resolve().parents[1])
+        path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+        env = {**os.environ, "PYTHONPATH": path, "PYTHONWARNINGS": "default"}
+        args = ["run", "--config", str(cfg_path), "--out", str(tmp_path / "o"), "--set", "training.lr=1e300"]
+        proc = subprocess.run(
+            [sys.executable, "-m", "fedjets.cli", *args], capture_output=True, text=True, env=env, timeout=300
+        )
+        assert proc.returncode == 3
+        assert proc.stderr == "numeric error: non-finite gradient | layer=2 | pretrain | epoch 0\n"
 
 
 class TestCommonCheckpoint:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -212,6 +214,43 @@ class TestAnchors:
             data.make_anchor_shards(ds, 5, 2, 23, disjoint=disjoint, samples_per_anchor=size)
         smallest = data.make_anchor_shards(ds, 5, 2, 23, disjoint=disjoint, samples_per_anchor=2 if disjoint else 1)
         assert [len(a) for a in smallest] == [2 if disjoint else 1] * 5
+
+
+def shard_digest(shards) -> str:
+    """sha256 of each shard's client id and row indices, in shard order."""
+    h = hashlib.sha256()
+    for s in shards:
+        h.update(np.int64(s.client_id).tobytes())
+        h.update(s.indices.astype("<i8").tobytes())
+    return h.hexdigest()
+
+
+class TestPinnedDraws:
+    """The shard rows of draws the synth-10 digests do not cover, pinned to
+    the bytes of a seeded draw: the Dirichlet anchors (one with a label pool
+    smaller than its share) and the quantity partition without replacement."""
+
+    @pytest.mark.parametrize(
+        "make, digest",
+        [
+            (
+                lambda ds: data.make_anchor_shards(ds, 5, 2, seed=4, disjoint=False),
+                "5915614b294f0006b5683a9989ecccf722a104eb37fd1c39d99fdf93a81746d1",
+            ),
+            (
+                lambda ds: data.make_anchor_shards(ds, 5, 2, seed=4, disjoint=False, samples_per_anchor=500),
+                "bcb9096d5a39d0846e73f433301fc7cc8207ef141435d0640b16c48e3060f2af",
+            ),
+            (
+                lambda ds: data.partition_quantity(ds, 6, 3, seed=5, with_replacement=False, samples_per_client=40),
+                "966466ff36046585eadd155b11e5cb1c3913d5eefd02defa14af43984bd7f896",
+            ),
+        ],
+        ids=["dirichlet-anchors", "dirichlet-anchors-500", "quantity-without-replacement"],
+    )
+    def test_rows_equal_the_pinned_draw(self, make, digest):
+        ds = data.synth_dataset(10, 8, 60, 4.0, 3)
+        assert shard_digest(make(ds)) == digest
 
 
 class TestTestClients:

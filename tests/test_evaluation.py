@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 import inspect
 import math
@@ -63,17 +64,18 @@ def identity_common():
     return gating.CommonExpert(params, embed_layer=0)
 
 
-def zero_shot(state, common, shards, ds, k):
-    """The FedJETs report of `score_test_clients` on a context whose test
-    clients are `shards` of `ds`, embedded by `common`, with top-`k` routing.
-    Its cfg is read for `top_k` only, and its gate spec not at all."""
+def zero_shot(state, common, shards, ds, k, anchors=()):
+    """The FedJETs pass of `score_test_clients` on a context whose test
+    clients are `shards` of `ds`, embedded by `common`, with top-`k` routing
+    and the ground truth of `anchors`. Its cfg is read for `top_k` only, and
+    its gate spec not at all."""
     cfg = mini_cfg()
     embeddings = gating.embed_inputs(common, ds.inputs)
     ctx = runtime.RunContext(
         cfg=dataclasses.replace(cfg, federation=dataclasses.replace(cfg.federation, top_k=k)),
         train_ds=ds,
         test_ds=ds,
-        anchor_shards=[],
+        anchor_shards=list(anchors),
         normal_shards=[],
         test_shards=shards,
         common=common,
@@ -82,7 +84,7 @@ def zero_shot(state, common, shards, ds, k):
         expert_spec=state.expert_params[0].spec,
         gate_spec=None,
     )
-    return evaluation.score_test_clients(ctx, state, "fedjets").zero_shot
+    return evaluation.score_test_clients(ctx, state, "fedjets")
 
 
 def shard_with_labels(ds, labels, n_per, client_id, kind=data.KIND_TEST, expert=None):
@@ -102,7 +104,7 @@ class TestZeroShot:
             shard_with_labels(ds, (4, 5), 15, 102),
         ]
         report = zero_shot(state, identity_common(), shards, ds, k=2)
-        assert report.average_accuracy == 1.0
+        assert report.global_acc == 1.0
         assert all(acc == 1.0 for acc in report.per_client_accuracy.values())
         # brute-force composition check: routed specialist accuracy per client
         for cid, chosen in report.chosen_experts.items():
@@ -136,7 +138,7 @@ class TestZeroShot:
         state = perfect_state()
         shards = [shard_with_labels(ds, (0, 2), 10, 400), shard_with_labels(ds, (1, 5), 10, 401)]
         report = zero_shot(state, identity_common(), shards, ds, k=2)
-        assert report.average_accuracy == float(
+        assert report.global_acc == float(
             np.mean(list(report.per_client_accuracy.values()))
         )
 
@@ -169,12 +171,14 @@ class TestRoutingReport:
 
     @staticmethod
     def routing(state, common, shards, ds, label_map, k):
-        """Routing of each shard's samples by `gating.route` on the gate's
-        scores of the embedded dataset, a stack of test clients at a time."""
-        scores = gating.gate_scores(state.gate_params, gating.embed_inputs(common, ds.inputs))
-        stacks = evaluation.client_stacks(shards)
-        chosen = [gating.route(scores[idx], k)[1] for _, idx in stacks]
-        return evaluation.per_sample_routing_report(stacks, chosen, ds, label_map)
+        """The routing report of the FedJETs pass over `shards`, whose ground
+        truth comes from one anchor per expert of `label_map`, holding that
+        expert's labels."""
+        experts = {}
+        for lab, q in label_map.items():
+            experts.setdefault(q, []).append(lab)
+        anchors = [shard_with_labels(ds, labs, 1, q, kind=data.KIND_ANCHOR, expert=q) for q, labs in experts.items()]
+        return zero_shot(state, common, shards, ds, k, anchors).routing
 
     def test_perfect_gate_zero_error(self):
         ds = onehot_dataset(seed=10)
@@ -247,12 +251,12 @@ class TestRoutingReport:
         assert report.rows[0]["incorrect"] == len(shard) - manual_correct
 
     def test_unmapped_label_is_config_error(self):
+        # a map that misses a test label gives no routing report, as `run` and `eval` have it
         ds = onehot_dataset(seed=13)
         state = perfect_state()
         shard = shard_with_labels(ds, (0, 5), 10, 900)
         partial = {0: 0, 1: 0, 2: 1, 3: 1}  # labels 4,5 missing
-        with pytest.raises(ConfigError):
-            self.routing(state, identity_common(), [shard], ds, partial, k=2)
+        assert self.routing(state, identity_common(), [shard], ds, partial, k=2) is None
 
     def test_ground_truth_requires_disjoint_anchors(self):
         ds = onehot_dataset(seed=14)
@@ -432,7 +436,7 @@ class TestEvaluateRound:
         # M expert forwards and, under FedJETs, one gate forward per evaluation; FedMix forwards its
         # test gates once per stack on a context's first evaluation only
         ctx = experiment.build_context(mini_cfg())
-        stacks = len(evaluation.client_stacks(ctx.test_shards))
+        stacks = len(evaluation.client_stacks(ctx.test_shards, ctx.test_ds))
         calls, forward = [], nn.forward
         monkeypatch.setattr(nn, "forward", lambda *a: calls.append(a[0]) or forward(*a))
         for method in METHODS:
@@ -443,6 +447,31 @@ class TestEvaluateRound:
                 evaluation.evaluate_round(ctx, state, method, 1, 0.0, 0.0)
                 assert len(calls) == state.num_experts + gate_forwards, method
                 assert calls.count(ctx.gate_spec) == gate_forwards, method
+
+    def test_test_labels_gathered_once_per_context(self):
+        # the first evaluation gathers each stack's test labels; later ones score on the same arrays
+        gathered = []
+
+        class Labels(np.ndarray):
+            """The test set's labels, recording each index taken of them."""
+
+            def __getitem__(self, key):
+                gathered.append(key)
+                return super().__getitem__(key)
+
+        ctx = experiment.build_context(mini_cfg())
+        test_ds = copy.copy(ctx.test_ds)
+        test_ds.labels = test_ds.labels.view(Labels)
+        ctx = dataclasses.replace(ctx, test_ds=test_ds)
+        for i, method in enumerate(METHODS):
+            state = baselines.make_stepper(ctx, method)[0]
+            evaluation.evaluate_round(ctx, state, method, 1, 0.0, 0.0)
+            assert len(gathered) == (len(ctx.test_stacks) if i == 0 else 0), method
+            labels = [s.labels for s in ctx.test_stacks]
+            gathered.clear()
+            evaluation.evaluate_round(ctx, state, method, 1, 0.0, 0.0)
+            assert gathered == [], method
+            assert all(s.labels is a for s, a in zip(ctx.test_stacks, labels, strict=True)), method
 
 
 METHODS = ("fedjets", "fedavg", "fedprox", "avg_ensemble", "fedmix")
@@ -498,10 +527,10 @@ class TestPredictionEquality:
         outputs = evaluation.expert_outputs(state.expert_params, ctx.test_ds.inputs)
         predict = evaluation.client_predictor(ctx, state, method, *outputs)
         out = {}
-        for members, idx in evaluation.client_stacks(ctx.test_shards):
-            labels, route = predict(members, idx)
-            routes = [None] * len(members) if route is None else zip(map(tuple, route[0].tolist()), route[1])
-            out.update(zip((s.client_id for s in members), zip(labels, routes)))
+        for stack in evaluation.client_stacks(ctx.test_shards, ctx.test_ds):
+            labels, route = predict(stack)
+            routes = [None] * len(stack.shards) if route is None else zip(map(tuple, route[0].tolist()), route[1])
+            out.update(zip((s.client_id for s in stack.shards), zip(labels, routes)))
         return out
 
     @pytest.mark.parametrize("shards", ["mini", "uneven-overlapping", "uneven-overlapping-cut"])
@@ -540,7 +569,7 @@ class TestStackedGateSide:
         ctx, states = trained
         monkeypatch.setattr(runtime, "STACK_ROWS", stack_rows)
         ctx = uneven_overlapping_shards(ctx)
-        stacks = evaluation.client_stacks(ctx.test_shards)
+        stacks = evaluation.client_stacks(ctx.test_shards, ctx.test_ds)
         sizes = Counter(len(s) for s in ctx.test_shards)
         assert max(sizes.values()) > 1  # some stack holds more than one client ...
         assert len(stacks) == (len(sizes) if stack_rows == 1024 else len(sizes) + 2)  # ... or is cut in two
@@ -557,19 +586,19 @@ class TestStackedGateSide:
             gate = states[method].gate_params
             [((_, values, emb), scores)] = gate_calls
             assert values is gate.values and emb is ctx.test_embeddings
-            for members, idx in stacks:
-                for shard, rows in zip(members, idx):
+            for stack in stacks:
+                for shard, rows in zip(stack.shards, stack.rows):
                     own = gating.route(gating.gate_scores(gate, ctx.test_embeddings[rows]), ctx.cfg.top_k)
                     got = gating.route(scores[rows], ctx.cfg.top_k)
                     assert all(np.array_equal(a, b) for a, b in zip(got, own)), shard.client_id
             return
         assert len(gate_calls) == len(stacks)
-        assert sorted(ctx.fedmix_test_weights) == sorted(tuple(s.client_id for s in m) for m, _ in stacks)
-        for (members, idx), ((_, _, emb), scores) in zip(stacks, gate_calls):
-            assert emb.shape[:2] == idx.shape and scores.shape[:2] == idx.shape
-            kept = ctx.fedmix_test_weights[tuple(s.client_id for s in members)]  # [M, T, n]
-            assert kept.shape == (ctx.cfg.num_experts, *idx.shape) and kept.flags.c_contiguous
-            for t, (shard, row) in enumerate(zip(members, scores)):
+        assert [s.shards for s in ctx.test_stacks] == [s.shards for s in stacks]
+        for stack, ((_, _, emb), scores) in zip(ctx.test_stacks, gate_calls):
+            assert emb.shape[:2] == stack.rows.shape and scores.shape[:2] == stack.rows.shape
+            kept = stack.fedmix_weights  # [M, T, n]
+            assert kept.shape == (ctx.cfg.num_experts, *stack.rows.shape) and kept.flags.c_contiguous
+            for t, (shard, row) in enumerate(zip(stack.shards, scores)):
                 cid = shard.client_id
                 gate = nn.init_params(ctx.gate_spec, rng_stream(ctx.cfg.seed, "fedmix-test-gate", cid))
                 assert np.array_equal(row, gating.gate_scores(gate, ctx.test_embeddings[shard.indices])), cid
@@ -585,25 +614,25 @@ class TestStackedGateSide:
         state = states["fedmix"]
         logits, labels = evaluation.expert_outputs(state.expert_params, ctx.test_ds.inputs)
         predict = evaluation.client_predictor(ctx, state, "fedmix", logits, labels)
-        by_client = fedmix_weights_by_client(ctx)
-        stacks = evaluation.client_stacks(ctx.test_shards)
-        for members, idx in stacks:
-            weights = np.stack([by_client[s.client_id] for s in members])  # [T, n, M]
+        stacks = evaluation.client_stacks(ctx.test_shards, ctx.test_ds)
+        for stack in stacks:
+            got, route = predict(stack)
+            weights = stack.fedmix_weights.transpose(1, 2, 0)  # [T, n, M], drawn by the prediction
+            idx = stack.rows
             combined = weights[..., 0:1] * logits[0][idx]
             for k in range(1, len(logits)):
                 combined = combined + weights[..., k : k + 1] * logits[k][idx]
-            got, route = predict(members, idx)
             assert route is None and got.shape == idx.shape
             assert np.array_equal(got, combined.argmax(axis=-1))
         flat = [nn.ParamVector(np.zeros_like(p.values), p.spec) for p in state.expert_params]  # every class ties
         outputs = evaluation.expert_outputs(flat, ctx.test_ds.inputs)
         predict = evaluation.client_predictor(ctx, runtime.ServerState(flat, None), "fedmix", *outputs)
-        assert all(not predict(members, idx)[0].any() for members, idx in stacks)
+        assert all(not predict(stack)[0].any() for stack in stacks)
 
 
 def fedmix_weights_by_client(ctx):
     """Each test client's `[n, M]` FedMix gate weights, read from the context's `[M, T, n]` stacks."""
-    return {cid: w[:, t].T for cids, w in ctx.fedmix_test_weights.items() for t, cid in enumerate(cids)}
+    return {s.client_id: st.fedmix_weights[:, t].T for st in ctx.test_stacks for t, s in enumerate(st.shards)}
 
 
 class TestFedMixTestGates:
@@ -612,15 +641,15 @@ class TestFedMixTestGates:
         init_params = nn.init_params
         monkeypatch.setattr(nn, "init_params", lambda spec, rng: drawn.append(spec) or init_params(spec, rng))
         ctx = experiment.build_context(mini_cfg())
-        assert ctx.fedmix_test_weights is None and ctx.test_side is None and ctx.gate_spec not in drawn
+        assert ctx.test_stacks is None and ctx.gate_spec not in drawn
         state = baselines.make_stepper(ctx, "fedmix")[0]
         drawn.clear()
         first = evaluation.evaluate_round(ctx, state, "fedmix", 1, 0.0, 0.0)
         assert drawn == [ctx.gate_spec] * len(ctx.test_shards)
         drawn.clear()
-        weights = ctx.fedmix_test_weights
+        weights = [s.fedmix_weights for s in ctx.test_stacks]
         assert evaluation.evaluate_round(ctx, state, "fedmix", 1, 0.0, 0.0) == first
-        assert drawn == [] and ctx.fedmix_test_weights is weights
+        assert drawn == [] and all(s.fedmix_weights is w for s, w in zip(ctx.test_stacks, weights, strict=True))
 
         def own_forwards(c):
             """Each test client's stream-drawn gate forwarded alone on its rows of the test embeddings."""
@@ -639,7 +668,7 @@ class TestFedMixTestGates:
         assert all(np.array_equal(got[cid], w) for cid, w in want.items())
         # a replaced context, here with a changed cfg, draws again, from its own seed's streams
         other = dataclasses.replace(ctx, cfg=mini_cfg(seed=6))
-        assert other.fedmix_test_weights is None and other.test_side is None
+        assert other.test_stacks is None
         evaluation.evaluate_round(other, state, "fedmix", 1, 0.0, 0.0)
         assert drawn == [ctx.gate_spec] * len(ctx.test_shards)
         want6 = own_forwards(other)
@@ -647,4 +676,4 @@ class TestFedMixTestGates:
         assert sorted(got6) == sorted(want6)
         assert all(np.array_equal(got6[cid], w) for cid, w in want6.items())
         assert not any(np.array_equal(want[cid], want6[cid]) for cid in want)
-        assert ctx.fedmix_test_weights is weights  # the first context keeps its own
+        assert all(s.fedmix_weights is w for s, w in zip(ctx.test_stacks, weights))  # the first context keeps its own

@@ -1,6 +1,7 @@
 """Smoke tests of the tools around the library: tools/artifact_digest.py
 prints the same digests on a rerun, for every run and its eval; the
-benchmark's tracer (perfbench/tracer.py) wraps a run without changing it."""
+benchmark's tracer (perfbench/tracer.py) wraps a run without changing it;
+every benchmark workload (perfbench/workloads.py) runs without a failure."""
 
 from __future__ import annotations
 
@@ -10,6 +11,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import fedjets
 from fedjets import benchmarks, experiment
@@ -58,3 +60,32 @@ def test_traced_run_equals_untraced_run():
     profile = tracer.profile()
     assert profile.calls["evaluation.evaluate_round"] == 1
     assert profile.counters["nn.flop"] > 0
+
+
+def load_perfbench(name: str):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", ROOT / "perfbench" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up there
+    spec.loader.exec_module(module)
+    return module
+
+
+WORKLOADS = load_perfbench("workloads")
+
+
+@pytest.mark.parametrize("name", sorted(WORKLOADS.WORKLOADS))
+def test_benchmark_workload_runs_without_failures(tmp_path, name):
+    """The benchmark's set-up, its untimed preparation and two operations
+    (two episodes of a training workload) of each workload, at 2 rounds,
+    count no failed operation: the library still serves what it calls."""
+    workload = WORKLOADS.WORKLOADS[name](1, tmp_path, rounds=2)
+    workload.setup()
+    phase = WORKLOADS.Phase()
+    workload.prepare(phase)
+    for _ in range(2):
+        if hasattr(workload, "episode"):
+            workload.episode(phase)
+        else:
+            workload.operation(phase)
+    assert phase.attempted > 0
+    assert phase.failed == 0, "\n".join(phase.errors)
