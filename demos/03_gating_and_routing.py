@@ -44,6 +44,6 @@ for step in range(401):
     _, grad = nn.ce_grad(gate.spec, layers, emb, target, "ce_on_mixture")
     nn.sgdm_step(gate.values, velocity, grad, 0.05, 0.0)
 
-sel = gating.select_topk(gating.gate_scores(gate, test_embeddings[tests[0].indices]), 2)
+sel, _ = gating.route(gating.gate_scores(gate, test_embeddings[tests[0].indices]), 2)
 print(f"test client {tests[0].client_id} holds labels {sorted(tests[0].label_set)} "
-      f"-> selected experts {sel}")
+      f"-> selected experts {sel.tolist()}")

@@ -28,7 +28,7 @@ def group_shards(ds, labels, ids, samples_each, seed):
 def build_ctx(cfg):
     train_ds, test_ds = experiment.build_datasets(cfg)
     anchors = data.make_anchor_shards(
-        train_ds, cfg.num_experts, 2, experiment.derive_seed(cfg.seed, "anchors"), disjoint=True
+        train_ds, cfg.federation.num_experts, 2, experiment.derive_seed(cfg.seed, "anchors"), disjoint=True
     )
     g1 = group_shards(train_ds, range(0, 5), range(5, 19), 36, 1)
     g2 = group_shards(train_ds, range(5, 10), range(19, 33), 36, 2)
@@ -47,7 +47,7 @@ def build_ctx(cfg):
         train_embeddings=gating.embed_inputs(common, train_ds.inputs),
         test_embeddings=gating.embed_inputs(common, test_ds.inputs),
         expert_spec=nn.NetSpec.mlp(cfg.model.expert_dims),
-        gate_spec=gating.gate_spec(common.embed_dim, cfg.num_experts, cfg.model.gate_hidden),
+        gate_spec=gating.gate_spec(common.embed_dim, cfg.federation.num_experts, cfg.model.gate_hidden),
     )
 
 

@@ -7,11 +7,11 @@ which scores a stack of test clients at a time (FedMix: fresh test gates).
 All baselines sample their active clients uniformly from the full training
 pool (anchor shards are ordinary clients to them) through
 `runtime.active_ids` and `runtime.draw_clients`, reuse the same client RNG
-streams, and run each round through `runtime.client_updates` (FedMix,
-whose trained gates stay on the clients) or `runtime.train_round`, so
-method differences are isolated to the update rule itself: each method
-names a `runtime.Work` per client, and the runtime's group kernel steps
-them.
+streams, and step their clients through `runtime.client_updates` and
+average them in one `runtime.aggregate` (`runtime.train_round` does both
+for FedAvg and FedProx), so method differences are isolated to the update
+rule itself: each method names a `runtime.Work` per client, and the
+runtime's group kernel steps them.
 """
 
 from __future__ import annotations
@@ -25,11 +25,11 @@ from .runtime import RoundPlan, RunContext, ServerState, UpdatePacket
 from .seeding import rng_stream
 
 
-def sgd_work(mu: float = 0.0):
+def sgd_work(mu: float = 0.0, expert: int = 0):
     """`work(shard)` of a FedAvg round: local SGDM on cross-entropy of the
-    server's expert 0. FedProx is mu > 0: each step adds the pull
+    server's `expert`. FedProx is mu > 0: each step adds the pull
     mu*(w_local - w_global) to the gradient; the config keeps mu >= 0."""
-    return lambda shard: runtime.Work("sgd", (0,), None, mu)
+    return lambda shard: runtime.Work("sgd", (expert,), None, mu)
 
 
 def baseline_plan(ctx: RunContext, t: int, *key) -> RoundPlan:
@@ -48,15 +48,15 @@ def fedavg_like_round(ctx: RunContext, state: ServerState, t: int, mu: float) ->
 
 
 def ensemble_round(ctx: RunContext, state: ServerState, t: int) -> tuple[ServerState, RoundPlan]:
-    """Each ensemble member runs an independent FedAvg round with its own
-    client draw (different random seeds per member)."""
+    """Each ensemble member m runs an independent FedAvg round with its own
+    client draw: its clients step expert m, and one `aggregate` averages each
+    member over its own packets (a client drawn twice sends one per member).
+    Members step in order, so a failure names its member."""
     plans = [baseline_plan(ctx, t, m) for m in range(state.num_experts)]
-    members = []
-    for m, (member, plan) in enumerate(zip(state.expert_params, plans)):
-        member_state = ServerState([member], None, state.round)
-        member_state = runtime.train_round(ctx, member_state, t, plan.normal_ids, sgd_work(), f"ensemble member {m}")
-        members.append(member_state.expert_params[0])
-    return ServerState(members, None, state.round + 1), plans[0]
+    packets = []
+    for m, plan in enumerate(plans):
+        packets += runtime.client_updates(ctx, state, t, plan.normal_ids, sgd_work(expert=m), f"ensemble member {m}")
+    return runtime.aggregate(state, packets, ctx.cfg.federation.uniform_weighting), plans[0]
 
 
 def fedmix_updates(

@@ -67,7 +67,7 @@ def cmd_partition(args) -> int:
 def cmd_run(args) -> int:
     cfg = _load_config(args)
     experiment.run_to_directory(cfg, args.out)
-    print(f"run complete: method={cfg.federation.method} rounds={cfg.rounds} -> {args.out}")
+    print(f"run complete: method={cfg.federation.method} rounds={cfg.federation.rounds} -> {args.out}")
     return EXIT_OK
 
 

@@ -77,7 +77,7 @@ class ModelConfig:
 @dataclass
 class FederationConfig:
     method: str = field(default="fedjets", metadata=_one_of(METHODS))
-    rounds: int = field(default=300, metadata=_at_least(0))
+    rounds: int = field(default=300, metadata=_at_least(1))
     num_experts: int = field(default=5, metadata=_at_least(1))
     top_k: int = field(default=2, metadata=_at_least(1))
     anchors_per_round: int = field(default=5, metadata=_at_least(0))
@@ -122,22 +122,10 @@ class RunConfig:
     scenario: list[ScenarioRange] | None = None
     seed: int = 0
 
-    # Shorthand aliases matching the federation nomenclature.
     @property
     def num_training_clients(self) -> int:
+        """`data.num_clients`, anchors included (`perfbench/workloads.py` reads this name)."""
         return self.data.num_clients
-
-    @property
-    def num_experts(self) -> int:
-        return self.federation.num_experts
-
-    @property
-    def top_k(self) -> int:
-        return self.federation.top_k
-
-    @property
-    def rounds(self) -> int:
-        return self.federation.rounds
 
     def validate(self) -> "RunConfig":
         """Check every field against its declared bound in one walk, then the rules relating fields."""

@@ -138,7 +138,7 @@ def client_predictor(ctx: RunContext, state: ServerState, method: str, logits: l
         scores = gating.gate_scores(state.gate_params, ctx.test_embeddings)  # [N_test, M]
 
         def predict(stack):
-            experts, chosen = gating.route(scores[stack.rows], ctx.cfg.top_k)
+            experts, chosen = gating.route(scores[stack.rows], ctx.cfg.federation.top_k)
             return labels[chosen, stack.rows], (experts, chosen)
 
         return predict

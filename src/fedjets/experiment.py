@@ -195,7 +195,7 @@ def build_context(cfg: config_mod.RunConfig) -> runtime.RunContext:
         train_embeddings=embeddings[0],
         test_embeddings=embeddings[1],
         expert_spec=nn.NetSpec.mlp(cfg.model.expert_dims),
-        gate_spec=gating.gate_spec(common.embed_dim, cfg.num_experts, cfg.model.gate_hidden),
+        gate_spec=gating.gate_spec(common.embed_dim, cfg.federation.num_experts, cfg.model.gate_hidden),
     )
 
 
@@ -293,11 +293,11 @@ def run_training(ctx: runtime.RunContext):
 
     state, stepper = baselines.make_stepper(ctx, method)
     history = []
-    for t in range(cfg.rounds):
+    for t in range(cfg.federation.rounds):
         state, plan = stepper(state, t)
         for name, (down, up) in runtime.comm_cost(plan, cfg, ctx.sizes).items():
             ledger.add(t, name, down, up)
-        if (t + 1) % cfg.eval.interval == 0 or t == cfg.rounds - 1:
+        if (t + 1) % cfg.eval.interval == 0 or t == cfg.federation.rounds - 1:
             down_cum, up_cum = ledger.cumulative(method)
             history.append(evaluation.evaluate_round(ctx, state, method, t + 1, down_cum, up_cum))
     return state, history, ledger

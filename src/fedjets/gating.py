@@ -12,7 +12,7 @@ partition). The gate is a small MLP with a softmax head whose output
 dimension is the number of experts; it is a plain `nn.ParamVector` whose
 spec has that head. `route` on the gate's scores is the one routing rule,
 for one client or a stack: each client's top-K expert ids and each sample's
-expert among them. Training (a client at a time, through `select_topk`) and
+expert among them. Training (a client at a time, taking the ids) and
 zero-shot testing (a stack at a time) use it.
 """
 
@@ -84,7 +84,3 @@ def route(scores: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     # raw scores restricted to the selected set; argmax unchanged by renormalization
     return experts, np.where(selected[..., None, :], scores, -np.inf).argmax(axis=-1)
 
-
-def select_topk(scores: np.ndarray, k: int) -> tuple[int, ...]:
-    """One client's top-K expert ids by `route`, from its `[n, M]` gate scores."""
-    return tuple(route(scores, k)[0].tolist())

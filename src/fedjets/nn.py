@@ -15,11 +15,11 @@ A trace keeps one array per layer: a ReLU is written over its layer's output,
 and a softmax head over the top activation, which backprop never reads.
 
 Stack axis: `_forward_trace`, `forward_with_trace` and `ce_grad` take the
-layer views `unpack` makes (checking the rows' length) of one network's `[P]`
-values on `[n, d]` inputs, or of a stack of B networks of one spec as `[B, P]`
-rows on `[B, n, d]` inputs. Every matmul, reduction and elementwise op runs
-per slice, so row b is bit for bit what network b gives alone; this is how a
-round's clients step as one stack. A stepping caller binds each network once:
+views `unpack` makes of `[..., P]` rows: B networks of one spec as `[B, P]`
+rows on `[B, n, d]` inputs, or one network's `[P]` row (an empty lead) on
+`[n, d]` inputs. Every matmul, reduction and elementwise op runs per slice,
+so row b is bit for bit what network b gives alone; this is how a round's
+clients step as one stack. A stepping caller binds each network once:
 `sgdm_step` writes the rows in place, so the views stay current. Evaluation,
 routing and embedding call `forward` on values, which binds them itself.
 
@@ -183,15 +183,11 @@ def init_params(spec: NetSpec, rng: np.random.Generator) -> ParamVector:
 
 def unpack(spec: NetSpec, values: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
     """Split a flat vector into per-layer (W, b) views, which an in-place update
-    of `values` keeps current. Stacked `[..., P]` rows give `[..., fan_in, fan_out]`
-    weights and `[..., 1, fan_out]` biases, so that `h @ W + b` works on either."""
+    of `values` keeps current: `[..., P]` rows give `[..., fan_in, fan_out]` weights
+    and `[..., 1, fan_out]` biases, which `h @ W + b` broadcasts; a `[P]` row has
+    an empty lead."""
     if values.shape[-1] != spec.param_count():
         raise ConfigError(f"parameter rows {values.shape} do not match spec ({spec.param_count()},)")
-    if values.ndim == 1:
-        return [
-            (values[w:b].reshape(fan_in, fan_out), values[b:end])
-            for w, b, end, fan_in, fan_out in spec._layout
-        ]
     lead = values.shape[:-1]
     return [
         (values[..., w:b].reshape(*lead, fan_in, fan_out), values[..., None, b:end])
@@ -222,8 +218,7 @@ class Trace(NamedTuple):
 
 
 def _forward_trace(spec: NetSpec, layers: list[tuple[np.ndarray, np.ndarray]], inputs: np.ndarray) -> Trace:
-    """The one forward pass every engine entry point runs, on the views of `[P]`
-    values on `[n, d]` inputs or of `[B, P]` rows of `spec` on `[B, n, d]` inputs."""
+    """The one forward pass every engine entry point runs, on `unpack`'s views of `[..., P]` rows."""
     x = np.asarray(inputs, dtype=np.float64)
     if x.ndim < 2 or x.shape[-1] != spec.input_dim:
         raise ConfigError(

@@ -7,15 +7,15 @@ expert plus the gate's independent loss) and N_c normal clients (each
 jointly training its top-K experts and the gate through the mixture
 cross-entropy). The server then averages the returned copies.
 
-Every method's round is a plan, then `train_round`: `active_ids` is the
-one scenario-pool lookup and `draw_clients` the one client draw; then
-`client_updates` steps the clients and `aggregate` averages their packets.
-A plan only names the active clients. A FedJETs normal client is routed
-where its `Work` is made (`fedjets_work`): the top-K of `gating.route`,
-the one routing rule, on the state gate's scores of its rows of
-`RunContext.train_embeddings`. Each client draws its randomness from a
-stream keyed by (seed, "client", round, client_id), so results do not
-depend on the order of the updates.
+Every method's round is a plan, then `client_updates` steps the clients and
+one `aggregate` averages their packets (`train_round` does both).
+`active_ids` is the one scenario-pool lookup and `draw_clients` the one
+client draw. A plan only names the active clients. A FedJETs normal client
+is routed where its `Work` is made (`fedjets_work`): the top-K of
+`gating.route`, the one routing rule, on the state gate's scores of its
+rows of `RunContext.train_embeddings`. Each client draws its randomness
+from a stream keyed by (seed, "client", round, client_id), so results do
+not depend on the order of the updates.
 
 Local training is one group kernel. A method describes each client's update
 as a `Work` (anchor, mixture or sgd); `group_clients` puts the clients that
@@ -421,7 +421,8 @@ def fedjets_work(ctx: RunContext, state: ServerState):
                 raise ConfigError(f"client {shard.client_id} is not a valid anchor")
             return Work("anchor", (q,), state.gate_params.values)
         scores = gating.gate_scores(state.gate_params, ctx.train_embeddings[shard.indices])
-        return Work("mixture", gating.select_topk(scores, ctx.cfg.top_k), state.gate_params.values)
+        experts = gating.route(scores, ctx.cfg.federation.top_k)[0]
+        return Work("mixture", tuple(experts.tolist()), state.gate_params.values)
 
     return work
 
@@ -541,7 +542,7 @@ def init_expert(ctx: RunContext, stream_index: int) -> nn.ParamVector:
 
 
 def init_server_state(ctx: RunContext) -> ServerState:
-    experts = [init_expert(ctx, i) for i in range(ctx.cfg.num_experts)]
+    experts = [init_expert(ctx, i) for i in range(ctx.cfg.federation.num_experts)]
     gate = nn.init_params(ctx.gate_spec, rng_stream(ctx.cfg.seed, "gate-init"))
     return ServerState(experts, gate, 0)
 

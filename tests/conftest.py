@@ -193,7 +193,7 @@ def reference_predictions(ctx, state, method: str) -> dict[int, tuple[np.ndarray
             preds = mixture_forward(ctx.expert_spec, state.expert_params, weights, x).argmax(axis=1)
         else:  # fedjets: each sample's expert, forwarded on the rows routed to it
             scores = gating.gate_scores(state.gate_params, gating.embed_inputs(ctx.common, x))
-            cols = np.array(gating.select_topk(scores, ctx.cfg.top_k), dtype=np.int64)
+            cols = np.array(topk_ids(scores, ctx.cfg.federation.top_k), dtype=np.int64)
             chosen = cols[scores[:, cols].argmax(axis=1)]
             preds = np.empty(len(shard), dtype=np.int64)
             for e in np.unique(chosen):
@@ -203,6 +203,12 @@ def reference_predictions(ctx, state, method: str) -> dict[int, tuple[np.ndarray
             route = (tuple(cols.tolist()), chosen)
         out[cid] = (preds, route)
     return out
+
+
+def topk_ids(scores: np.ndarray, k: int) -> tuple[int, ...]:
+    """One client's top-K expert ids by `gating.route`, from its `[n, M]` gate
+    scores, as the tuple `runtime.fedjets_work` trains."""
+    return tuple(gating.route(scores, k)[0].tolist())
 
 
 def ensemble_labels(ctx, members: list[nn.ParamVector], x: np.ndarray) -> np.ndarray:

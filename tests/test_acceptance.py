@@ -298,7 +298,7 @@ def test_criterion_9_incremental_scenario_sanity():
     )
     train_ds, test_ds = experiment.build_datasets(cfg)
     anchors = data.make_anchor_shards(
-        train_ds, cfg.num_experts, cfg.data.labels_per_anchor,
+        train_ds, cfg.federation.num_experts, cfg.data.labels_per_anchor,
         experiment.derive_seed(cfg.seed, "anchors"), disjoint=True,
     )
     normals = _group_shards(train_ds, list(range(0, 5)), group1_ids, 2, 36, 71) + _group_shards(
@@ -319,7 +319,7 @@ def test_criterion_9_incremental_scenario_sanity():
         train_embeddings=gating.embed_inputs(common, train_ds.inputs),
         test_embeddings=gating.embed_inputs(common, test_ds.inputs),
         expert_spec=nn.NetSpec.mlp(cfg.model.expert_dims),
-        gate_spec=gating.gate_spec(common.embed_dim, cfg.num_experts, cfg.model.gate_hidden),
+        gate_spec=gating.gate_spec(common.embed_dim, cfg.federation.num_experts, cfg.model.gate_hidden),
     )
     state, history, _ = experiment.run_training(ctx)
     acc = evaluation.score_test_clients(ctx, state, "fedjets").global_acc  # ctx's test clients are g1_tests

@@ -110,6 +110,24 @@ class TestAvgEnsemble:
         b = ensemble_labels(ctx, list(reversed(models)), x)
         assert np.array_equal(a, b)
 
+    def test_round_equals_one_fedavg_round_per_member(self, ctx):
+        # the reference: each member a one-expert state of its own, through its own FedAvg round
+        state, step = baselines.make_stepper(ctx, "avg_ensemble")
+        members, shared = list(state.expert_params), set()
+        for t in range(ctx.cfg.federation.rounds):
+            state, plan = step(state, t)
+            plans = [baselines.baseline_plan(ctx, t, m) for m in range(len(members))]
+            members = [
+                runtime.train_round(ctx, runtime.ServerState([p], None, t), t, draw.normal_ids, baselines.sgd_work())
+                .expert_params[0]
+                for p, draw in zip(members, plans)
+            ]
+            shared |= set(plans[0].normal_ids) & set(plans[1].normal_ids)
+            assert plan == plans[0] and state.round == t + 1
+            for got, want in zip(state.expert_params, members, strict=True):
+                assert got.values.tobytes() == want.values.tobytes()
+        assert shared  # some client trained both members in one round
+
 
 class TestFedMix:
     def test_client_receives_all_experts_and_keeps_gate_local(self, ctx):
@@ -120,7 +138,7 @@ class TestFedMix:
         costs = runtime.comm_cost(plan, cfg, ctx.sizes)
         n = len(plan.normal_ids)
         # all M experts per client, independent of top_k
-        assert costs["fedmix"][0] == n * cfg.num_experts * ctx.sizes.expert
+        assert costs["fedmix"][0] == n * cfg.federation.num_experts * ctx.sizes.expert
 
     def test_local_gate_persists_across_activations(self, ctx):
         local_gates = {}

@@ -156,8 +156,10 @@ class TestPretrain:
         proc = subprocess.run(
             [sys.executable, "-m", "fedjets.cli", *args], capture_output=True, text=True, env=env, timeout=300
         )
+        line = "numeric error: non-finite gradient | layer=2 | pretrain | epoch 0"
         assert proc.returncode == 3
-        assert proc.stderr == "numeric error: non-finite gradient | layer=2 | pretrain | epoch 0\n"
+        assert proc.stderr == line + "\n"
+        assert line in readme_cli_text()
 
 
 class TestCommonCheckpoint:
@@ -472,6 +474,47 @@ def _record_line(**fields):
     """A metrics record as a JSON line, with `fields` replaced."""
     record = metrics.MetricsRecord(10, "fedjets", 0.9, [0.5, 0.6], 0.95, 100.0, 50.0)
     return json.dumps({**json.loads(record.to_json_line()), **fields})
+
+
+def readme_cli_text() -> str:
+    """The README's CLI section, its whitespace runs made single spaces."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    return " ".join(readme.split("\n## CLI\n")[1].split("\n## ")[0].split())
+
+
+SYNTH10 = ["--config", "synth10.json"]
+PRETRAIN_MISS = ["--set", "model.pretrain_target_accuracy=1.0", "--set", "model.pretrain_max_epochs=1"]
+
+
+class TestDocumentedExits:
+    """Each exit the README's CLI section shows, run as it shows it: the code,
+    and its stderr line alone. The exit-3 example is
+    `TestPretrain::test_diverging_run_prints_the_error_line_alone`."""
+
+    @pytest.mark.parametrize(
+        "argv, code, line",
+        [
+            (["run", *SYNTH10, "--out", "o", "--set", "federation.top_k=6"], 2,
+             "config error: federation.top_k must be at most federation.num_experts (5); got 6"),
+            (["run", *SYNTH10, "--out", "o", "--set", "federation.rounds=0"], 2,
+             "config error: federation.rounds must be at least 1; got 0"),
+            (["report", "--last-k", "0", "metrics.jsonl"], 2, "config error: last_k must be at least 1, got 0"),
+            (["report", "bad.jsonl"], 4, "i/o error: bad.jsonl:2: round must be an int, got 'x'"),
+            (["partition", "--config", "absent.json"], 4,
+             "i/o error: [Errno 2] No such file or directory: 'absent.json'"),
+            (["pretrain", *SYNTH10, "--out", "common.ckpt", *PRETRAIN_MISS], 1,
+             "target 1.0 not reached within 1 epochs"),
+        ],
+        ids=["cross-field-rule", "zero-rounds", "last-k", "malformed-metrics-line", "missing-config", "pretrain-miss"],
+    )
+    def test_stderr_is_the_documented_line_alone(self, tmp_path, monkeypatch, capsys, argv, code, line):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "synth10.json").write_text(json.dumps(benchmarks.synth10_dict()))
+        (tmp_path / "metrics.jsonl").write_text(_record_line() + "\n")
+        (tmp_path / "bad.jsonl").write_text(_record_line() + "\n" + _record_line(round="x") + "\n")
+        assert cli.main(argv) == code
+        assert capsys.readouterr().err == line + "\n"
+        assert line in readme_cli_text()
 
 
 class TestExitCodes:

@@ -274,7 +274,7 @@ class TestScenario:
         ctx = experiment.build_context(cfg)
         plain = experiment.run_training(ctx)
         normal_ids = [s.client_id for s in ctx.normal_shards]
-        full = [ScenarioRange(0, cfg.rounds, normal_ids)]
+        full = [ScenarioRange(0, cfg.federation.rounds, normal_ids)]
         scheduled = dataclasses.replace(ctx, cfg=dataclasses.replace(cfg, scenario=full).validate())
         state2, history2, _ = experiment.run_training(scheduled)
         assert [r.to_json_line() for r in plain[1]] == [r.to_json_line() for r in history2]
@@ -357,7 +357,7 @@ class TestEvaluateRound:
         state, history, _ = experiment.run_training(ctx)
         rec = history[-1]
         assert rec.method == "fedjets"
-        assert len(rec.per_expert_acc) == cfg.num_experts
+        assert len(rec.per_expert_acc) == cfg.federation.num_experts
         assert rec.routing_acc is not None
         assert 0.0 <= rec.global_acc <= 1.0
 
@@ -484,7 +484,7 @@ def trained():
     states = {}
     for method in METHODS:
         state, step = baselines.make_stepper(ctx, method)
-        for t in range(ctx.cfg.rounds):
+        for t in range(ctx.cfg.federation.rounds):
             state, _ = step(state, t)
         states[method] = state
     return ctx, states
@@ -588,8 +588,8 @@ class TestStackedGateSide:
             assert values is gate.values and emb is ctx.test_embeddings
             for stack in stacks:
                 for shard, rows in zip(stack.shards, stack.rows):
-                    own = gating.route(gating.gate_scores(gate, ctx.test_embeddings[rows]), ctx.cfg.top_k)
-                    got = gating.route(scores[rows], ctx.cfg.top_k)
+                    own = gating.route(gating.gate_scores(gate, ctx.test_embeddings[rows]), ctx.cfg.federation.top_k)
+                    got = gating.route(scores[rows], ctx.cfg.federation.top_k)
                     assert all(np.array_equal(a, b) for a, b in zip(got, own)), shard.client_id
             return
         assert len(gate_calls) == len(stacks)
@@ -597,7 +597,7 @@ class TestStackedGateSide:
         for stack, ((_, _, emb), scores) in zip(ctx.test_stacks, gate_calls):
             assert emb.shape[:2] == stack.rows.shape and scores.shape[:2] == stack.rows.shape
             kept = stack.fedmix_weights  # [M, T, n]
-            assert kept.shape == (ctx.cfg.num_experts, *stack.rows.shape) and kept.flags.c_contiguous
+            assert kept.shape == (ctx.cfg.federation.num_experts, *stack.rows.shape) and kept.flags.c_contiguous
             for t, (shard, row) in enumerate(zip(stack.shards, scores)):
                 cid = shard.client_id
                 gate = nn.init_params(ctx.gate_spec, rng_stream(ctx.cfg.seed, "fedmix-test-gate", cid))

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from conftest import central_diff, gate_independent_loss_grad, loss_value, min_hidden_preact, rel_error
+from conftest import central_diff, gate_independent_loss_grad, loss_value, min_hidden_preact, rel_error, topk_ids
 from fedjets import benchmarks, data, experiment, gating, nn
 from fedjets.errors import ConfigError, NumericError
 from fedjets.seeding import rng_stream
@@ -128,7 +128,7 @@ class TestGateScores:
 class TestSelectTopK:
     def test_uniform_scores_tie_break_lowest_indices(self, rng):
         gate = zero_gate(6, 5)
-        sel = gating.select_topk(gating.gate_scores(gate, rng.normal(size=(10, 6))), 2)
+        sel = topk_ids(gating.gate_scores(gate, rng.normal(size=(10, 6))), 2)
         assert sel == (0, 1)
 
     def test_dominant_expert_always_selected(self):
@@ -146,7 +146,7 @@ class TestSelectTopK:
         x, score = best
         assert score > 0.5, "could not craft a dominant-expert embedding"
         emb = np.repeat(x, 8, axis=0)
-        sel = gating.select_topk(gating.gate_scores(gate, emb), 2)
+        sel = topk_ids(gating.gate_scores(gate, emb), 2)
         # brute-force oracle: column sums sorted
         agg = gating.gate_scores(gate, emb).sum(axis=0)
         order = sorted(range(5), key=lambda i: (-agg[i], i))
@@ -155,37 +155,31 @@ class TestSelectTopK:
 
     def test_k_equals_m_selects_all(self, rng):
         gate = random_gate(13, 6, 4)
-        sel = gating.select_topk(gating.gate_scores(gate, rng.normal(size=(6, 6))), 4)
+        sel = topk_ids(gating.gate_scores(gate, rng.normal(size=(6, 6))), 4)
         assert sel == (0, 1, 2, 3)
 
     def test_k_out_of_range(self, rng):
         gate = random_gate(14, 6, 4)
         with pytest.raises(ConfigError):
-            gating.select_topk(gating.gate_scores(gate, rng.normal(size=(6, 6))), 5)
+            topk_ids(gating.gate_scores(gate, rng.normal(size=(6, 6))), 5)
 
     def test_permuting_expert_columns_permutes_selection(self, rng):
         gate = random_gate(15, 6, 5)
         emb = rng.normal(size=(12, 6))
-        sel = gating.select_topk(gating.gate_scores(gate, emb), 2)
+        sel = topk_ids(gating.gate_scores(gate, emb), 2)
         perm = np.array([3, 0, 4, 1, 2])  # expert i -> position perm[i]
-        layers = nn.unpack(gate.spec, gate.values.copy())
-        w_out, b_out = layers[-1]
-        w_new, b_new = w_out.copy(), b_out.copy()
-        w_new[:, perm] = w_out
-        b_new[perm] = b_out
-        permuted_values = np.concatenate(
-            [np.concatenate([w.ravel(), b]) for w, b in layers[:-1]]
-            + [np.concatenate([w_new.ravel(), b_new])]
-        )
+        permuted_values = gate.values.copy()
+        for out in nn.unpack(gate.spec, permuted_values)[-1]:  # the head's views: weights, then bias
+            out[..., perm] = out.copy()
         gate_p = nn.ParamVector(permuted_values, gate.spec)
-        sel_p = gating.select_topk(gating.gate_scores(gate_p, emb), 2)
+        sel_p = topk_ids(gating.gate_scores(gate_p, emb), 2)
         assert sel_p == tuple(sorted(int(perm[i]) for i in sel))
 
     def test_same_inputs_same_selection(self, rng):
         gate = random_gate(16, 6, 5)
         emb = rng.normal(size=(9, 6))
-        a = gating.select_topk(gating.gate_scores(gate, emb), 3)
-        b = gating.select_topk(gating.gate_scores(gate, emb), 3)
+        a = topk_ids(gating.gate_scores(gate, emb), 3)
+        b = topk_ids(gating.gate_scores(gate, emb), 3)
         assert a == b
 
 
@@ -213,7 +207,7 @@ class TestStackedRoute:
             want_experts, want_chosen = lexsort_route(scores[b], k)
             assert np.array_equal(experts[b], want_experts)
             assert np.array_equal(chosen[b], want_chosen)
-            assert gating.select_topk(scores[b], k) == tuple(want_experts.tolist())
+            assert topk_ids(scores[b], k) == tuple(want_experts.tolist())
 
     def test_stacked_scores_out_of_range_k(self):
         with pytest.raises(ConfigError, match="top_k 4 out of range for 3 experts"):
