@@ -4,14 +4,12 @@ Ensembles, and a FedMix-style all-experts mixture with per-client gates;
 included. Every method's test-time rule is `evaluation.client_predictor`,
 which scores a stack of test clients at a time (FedMix: fresh test gates).
 
-All baselines sample their active clients uniformly from the full training
-pool (anchor shards are ordinary clients to them) through
-`runtime.active_ids` and `runtime.draw_clients`, reuse the same client RNG
-streams, and step their clients through `runtime.client_updates` and
-average them in one `runtime.aggregate` (`runtime.train_round` does both
-for FedAvg and FedProx), so method differences are isolated to the update
-rule itself: each method names a `runtime.Work` per client, and the
-runtime's group kernel steps them.
+Baselines draw their clients through `runtime.active_ids` and
+`runtime.draw_clients`, reuse the same client RNG streams, and step their
+clients through `runtime.client_updates` and average them in one
+`runtime.aggregate` (`runtime.train_round` does both for FedAvg and
+FedProx), so method differences are isolated to the update rule itself:
+each method names a `runtime.Work` per client.
 """
 
 from __future__ import annotations

@@ -1,20 +1,6 @@
-"""The binary container every fedjets artifact is stored in.
-
-    magic    4 bytes  b"FJST"
-    version  u16 LE   (currently 2)
-    hdr_len  u32 LE
-    header   hdr_len bytes of canonical JSON: {"blocks": [{"name": ...}, ...], "meta": {...}}
-    blocks   per header entry, in order: a u32 LE value count, then that
-             many little-endian float64 values
-
-Sorted keys and compact separators make the header canonical, so writing
-back what was read reproduces a file's bytes, and float64 blocks read back
-bit for bit. Anything that does not parse exactly, version-1 files (float32
-blocks, the single-network magic b"FJET") included, raises ArtifactError.
-A server state (`state.ckpt`) holds one block per network, each entry
-carrying its spec under "net"; a single network (`common.ckpt`) is one such
-block named "net"; a feature dataset is one block named "features".
-"""
+"""The binary container every fedjets artifact is stored in, and the
+server-state and single-network files built on it; the README's "Binary
+formats" states the layout and what each reader refuses."""
 
 from __future__ import annotations
 

@@ -1,9 +1,5 @@
-"""Command-line interface: pretrain, partition, run, eval, report.
-
-All commands are driven by one JSON config; --set dot.path=value overrides
-individual fields before validation. Exit codes: 0 success, 1 `pretrain`
-missed its accuracy target, 2 config error, 3 numeric error, 4 I/O error.
-"""
+"""Command-line interface: pretrain, partition, run, eval, report. The
+README's "CLI" section states each command's exits and stderr lines."""
 
 from __future__ import annotations
 
@@ -101,7 +97,9 @@ def cmd_eval(args) -> int:
 
 
 def cmd_report(args) -> int:
-    rows = metrics.report_rows(args.metrics, last_k=args.last_k)
+    if args.last_k < 1:
+        raise ConfigError(f"--last-k must be at least 1; got {args.last_k}")
+    rows = metrics.report_rows(args.metrics, args.last_k)
     text = metrics.render_report_csv(rows)
     if args.out:
         Path(args.out).write_text(text)

@@ -1,9 +1,6 @@
-"""Run configuration: one JSON document, strictly validated.
-
-Sections: data, model, federation, training, eval, scenario, plus the
-top-level seed. Unknown keys are rejected anywhere in the tree so a typo
-cannot silently fall back to a default.
-"""
+"""Run configuration: one JSON document, strictly validated. Unknown keys
+are rejected anywhere in the tree so a typo cannot silently fall back to a
+default."""
 
 from __future__ import annotations
 
@@ -250,14 +247,15 @@ def from_dict(raw: dict) -> RunConfig:
 
 
 def _range_dicts(obj):
-    if isinstance(obj, dict):
-        extra = set(obj) - {"ranges"}
-        if extra:
-            raise ConfigError(f"scenario: unknown key(s) {sorted(extra)}")
-        obj = obj.get("ranges", [])
-    if not isinstance(obj, list):
-        raise ConfigError("scenario must be a list of ranges or {'ranges': [...]}")
-    return obj
+    if not isinstance(obj, dict):
+        raise ConfigError(f"scenario must be null or {{'ranges': [...]}}; got {type(obj).__name__}")
+    extra = set(obj) - {"ranges"}
+    if extra:
+        raise ConfigError(f"scenario: unknown key(s) {sorted(extra)}")
+    ranges = obj.get("ranges", [])
+    if not isinstance(ranges, list):
+        raise ConfigError(f"scenario.ranges must be a list; got {type(ranges).__name__}")
+    return ranges
 
 
 def to_dict(cfg: RunConfig) -> dict:

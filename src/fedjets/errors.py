@@ -1,8 +1,5 @@
-"""Exception hierarchy shared by all fedjets modules.
-
-Exit-code mapping used by the CLI: ConfigError/ProtocolError -> 2,
-NumericError -> 3, ArtifactError (and OSError) -> 4.
-"""
+"""Exception hierarchy shared by all fedjets modules; `cli.main` maps each
+class to its exit code."""
 
 from __future__ import annotations
 

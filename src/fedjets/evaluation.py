@@ -1,24 +1,23 @@
 """Scoring of unseen test clients and per-sample routing.
 
-Test clients are never adapted. `client_predictor` is every method's
-prediction rule for a stack of unseen clients, and `score_test_clients` the
-one pass over them that `run`'s metrics and `eval`'s report both read. Under
-FedJETs the gate scores the clients' unlabeled embeddings, and `gating.route`
-reads each client's top-K experts and each sample's expert (the selected one
-with the highest score) from them; that expert predicts the sample. Labels
-enter only when the finished predictions are scored.
+`client_predictor` is every method's prediction rule for a stack of unseen
+clients, and `score_test_clients` the one pass over them that `run`'s
+metrics and `eval`'s report both read. One forward and one argmax per
+network per evaluation: `expert_outputs` forwards each server network once
+on the whole test set and takes its labels once, FedJETs' gate runs once
+on the test set's one embedding, and every rule reads them at a
+`ClientStack`'s rows.
 
-One forward and one argmax per network per evaluation: `expert_outputs`
-forwards each server network once on the whole test set and takes its
-labels once, FedJETs' gate runs once on the test set's one embedding, and
-every rule reads them at a `ClientStack`'s rows. A run context keeps its
-stacks, which no server state changes (README: "The state-free test
-side"). FedMix draws a stack's T test gates from their client streams and
-forwards them as one, `[T, P_g]` rows on `[T, n, e]` embeddings, on the
-stack's first prediction, and keeps the weights expert-major: it sums
-class-major, each expert's `[C, N_test]` transpose gathered at the stack's
-rows in one take, so each sample adds the same products in the same
-(expert) order as a `[T, n, C]` gather.
+The test side is made once per run context: the first evaluation keeps the
+`ClientStack`s in `RunContext.test_stacks`, and FedMix keeps each stack's
+test-gate weights from its first prediction. They depend only on the seed,
+the client ids and the test embeddings, so no server state changes them,
+and a later evaluation gathers no test label and draws no gate. FedMix
+draws a stack's T test gates from their client streams and forwards them as
+one, `[T, P_g]` rows on `[T, n, e]` embeddings, and keeps the weights
+expert-major: it sums class-major, each expert's `[C, N_test]` transpose
+gathered at the stack's rows in one take, so each sample adds the same
+products in the same (expert) order as a `[T, n, C]` gather.
 """
 
 from __future__ import annotations

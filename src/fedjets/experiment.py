@@ -239,12 +239,8 @@ def save_run_state(path, state: runtime.ServerState, cfg: config_mod.RunConfig) 
 
 
 def load_run_state(path) -> tuple[runtime.ServerState, dict]:
-    """Read a state written by `save_run_state`. Its meta names a method, a
-    non-negative round and, as a JSON object under `config`, the `fit_record`
-    it was trained under. Its blocks are `expert_0` ... `expert_{M-1}` in that
-    order, then `gate` for fedjets and no other method. The experts share one
-    spec: one for fedavg and fedprox, two or more for avg_ensemble. The gate is
-    a softmax head scoring exactly those experts. Else the state is malformed."""
+    """Read a state written by `save_run_state`; a state that does not fit
+    the README's "Binary formats" and "Eval report" is an ArtifactError."""
     nets, meta = checkpoint.load_state(path)
     names = [name for name, _ in nets]
     experts = [(name, p) for name, p in nets if name.startswith("expert_")]

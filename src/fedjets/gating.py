@@ -1,19 +1,15 @@
-"""Common-expert embeddings, gate scoring, top-K selection.
+"""Common-expert embeddings, gate scoring and routing.
 
 The common expert is a frozen feature extractor, so a sample's embedding
 does not depend on the client that holds it: the training set and the test
 set are each embedded once, as a whole (`embed_inputs`), checked finite
-then, and a client's embeddings are its rows of its set's. A client's rows
-of the whole-set product equal its own forward bit for bit, except where
-BLAS takes another path: a one-row client embedded alone is a
-matrix-vector product, and its row of the whole-set matrix product may
-differ from it in the last bits (3.6e-15 on synth-10's Dirichlet
-partition). The gate is a small MLP with a softmax head whose output
-dimension is the number of experts; it is a plain `nn.ParamVector` whose
-spec has that head. `route` on the gate's scores is the one routing rule,
-for one client or a stack: each client's top-K expert ids and each sample's
-expert among them. Training (a client at a time, taking the ids) and
-zero-shot testing (a stack at a time) use it.
+then, and a client's embeddings are its rows of its set's. Those rows equal
+the client's own forward except where BLAS takes another path: a one-row
+client embedded alone is a matrix-vector product, and its row of the
+whole-set matrix product may differ from it in the last bits. The gate is
+an `nn.ParamVector` whose spec has a softmax head with one output per
+expert. `route` on its scores is the one routing rule, for one client
+(training, taking the ids) or a stack (zero-shot testing).
 """
 
 from __future__ import annotations

@@ -12,7 +12,7 @@ import math
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
-from .errors import ArtifactError, ConfigError
+from .errors import ArtifactError
 
 
 @dataclass
@@ -120,13 +120,11 @@ def write_csv(path, records: list[MetricsRecord], seed: int | None = None) -> No
 
 def best_of_last(records: list[MetricsRecord], last_k: int) -> float:
     """Best global accuracy among the last `last_k` evaluation records."""
-    if last_k < 1:
-        raise ConfigError(f"last_k must be at least 1, got {last_k}")
     tail = records[-last_k:]
     return max(r.global_acc for r in tail)
 
 
-def report_rows(paths, last_k: int = 10) -> list[dict]:
+def report_rows(paths, last_k: int) -> list[dict]:
     """One comparison row per metrics file: method, best-of-last-k accuracy,
     final cumulative communication."""
     rows = []

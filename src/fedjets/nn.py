@@ -24,13 +24,12 @@ clients step as one stack. A stepping caller binds each network once:
 routing and embedding call `forward` on values, which binds them itself.
 
 Finiteness is checked at boundaries, not per step. The engine functions
-return raw outputs and gradients; `Scan` is the one place that finds and
-names a non-finite value: each network row's first failure and, for a
-gradient, the top-most bad layer, which backprop reaches first. A stack's
-caller scans each row, so one client's overflow is charged to it alone;
-`forward`, embeddings included, makes one `np.isfinite` pass and builds a
-one-row Scan only when it fails. ParamVectors are scanned at construction;
-`sgdm_step` checks nothing.
+return raw outputs and gradients, and a stack's caller scans each row with
+`Scan`, so one client's overflow is charged to it alone; a gradient's error
+names the top-most bad layer, which backprop reaches first. `forward`,
+embeddings included, makes one `np.isfinite` pass and builds a one-row Scan
+only when it fails. ParamVectors are scanned at construction; `sgdm_step`
+checks nothing.
 
 Parameter layout for layer dims (d0, d1, ..., dL): for each layer l the
 weight matrix W_l of shape (d_l, d_{l+1}) in row-major order, followed by

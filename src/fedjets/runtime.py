@@ -2,11 +2,6 @@
 FedAvg aggregation, and communication accounting. `baselines` and
 `experiment.run_training` build on this module; it imports neither.
 
-One round activates N_a anchor clients (each training its pre-assigned
-expert plus the gate's independent loss) and N_c normal clients (each
-jointly training its top-K experts and the gate through the mixture
-cross-entropy). The server then averages the returned copies.
-
 Every method's round is a plan, then `client_updates` steps the clients and
 one `aggregate` averages their packets (`train_round` does both).
 `active_ids` is the one scenario-pool lookup and `draw_clients` the one
@@ -34,8 +29,7 @@ training gradients; one client alone is a stack of one.
 
 Inside a round a network is a float64 row; packets carry the rows the kernel
 scanned finite. An `nn.ParamVector` exists only where a server state is built
-(its experts' one spec checked then), averaged or loaded, and `aggregate`
-carries the networks no packet updated over by reference.
+(its experts' one spec checked then), averaged or loaded.
 """
 
 from __future__ import annotations

@@ -498,14 +498,19 @@ class TestDocumentedExits:
              "config error: federation.top_k must be at most federation.num_experts (5); got 6"),
             (["run", *SYNTH10, "--out", "o", "--set", "federation.rounds=0"], 2,
              "config error: federation.rounds must be at least 1; got 0"),
-            (["report", "--last-k", "0", "metrics.jsonl"], 2, "config error: last_k must be at least 1, got 0"),
+            (["report", "--last-k", "0", "metrics.jsonl"], 2, "config error: --last-k must be at least 1; got 0"),
+            # refused before any file is read
+            (["report", "--last-k", "0", "absent.jsonl"], 2, "config error: --last-k must be at least 1; got 0"),
             (["report", "bad.jsonl"], 4, "i/o error: bad.jsonl:2: round must be an int, got 'x'"),
             (["partition", "--config", "absent.json"], 4,
              "i/o error: [Errno 2] No such file or directory: 'absent.json'"),
             (["pretrain", *SYNTH10, "--out", "common.ckpt", *PRETRAIN_MISS], 1,
              "target 1.0 not reached within 1 epochs"),
         ],
-        ids=["cross-field-rule", "zero-rounds", "last-k", "malformed-metrics-line", "missing-config", "pretrain-miss"],
+        ids=[
+            "cross-field-rule", "zero-rounds", "last-k", "last-k-absent-file", "malformed-metrics-line",
+            "missing-config", "pretrain-miss",
+        ],
     )
     def test_stderr_is_the_documented_line_alone(self, tmp_path, monkeypatch, capsys, argv, code, line):
         monkeypatch.chdir(tmp_path)
@@ -568,7 +573,7 @@ class TestExitCodes:
         accs = [0.9, 0.5, 0.6]
         metrics.write_jsonl(path, [metrics.MetricsRecord(10 * i, "fedavg", a, [a], None, 0.0, 0.0) for i, a in enumerate(accs)])
         assert cli.main(["report", f"--last-k={last_k}", str(path)]) == 2
-        assert "last_k must be at least 1" in capsys.readouterr().err
+        assert f"--last-k must be at least 1; got {last_k}" in capsys.readouterr().err
 
     def test_scenario_id_outside_the_training_clients_is_exit_2(self, cfg_path, tmp_path, capsys):
         schedule = '{"ranges":[{"start":0,"end":4,"active_clients":[3,4,5,6,7,999,-3]}]}'
@@ -896,6 +901,7 @@ class TestExitCodes:
             "federation.uniform_weighting=1",
             "model.expert_dims=[6,\"8\",6]",
             "data.train_features=3",
+            'scenario=[{"start":0,"end":4,"active_clients":[3,4]}]',  # a bare list of ranges, not {"ranges": [...]}
         ],
     )
     def test_mistyped_value_is_exit_2(self, cfg_path, tmp_path, capsys, override):

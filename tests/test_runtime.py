@@ -459,9 +459,12 @@ class TestClientGroups:
             return baselines.fedmix_updates(ctx, state, local_gates, t, ids)
         return runtime.client_updates(ctx, state, t, ids, work)
 
-    @pytest.mark.parametrize("kind", ["anchor", "normal", "fedavg", "fedprox", "fedmix"])
+    @pytest.mark.parametrize("kind", ["anchor", "normal", "normal-renormalized", "fedavg", "fedprox", "fedmix"])
     def test_group_equals_stacks_of_one(self, ctx, kind):
-        method = {"anchor": "fedjets", "normal": "fedjets"}.get(kind, kind)
+        if kind == "normal-renormalized":
+            training = dataclasses.replace(ctx.cfg.training, renormalize_gate_weights=True)
+            ctx = dataclasses.replace(ctx, cfg=dataclasses.replace(ctx.cfg, training=training))
+        method = "fedjets" if kind.startswith(("anchor", "normal")) else kind
         state, ids, work = self._round(ctx, method)
         ids = [cid for cid in ids if (ctx.shards_by_id[cid].kind == "anchor") == (kind == "anchor")]
         assert len(ids) >= 3
