@@ -17,7 +17,8 @@ draws a stack's T test gates from their client streams and forwards them as
 one, `[T, P_g]` rows on `[T, n, e]` embeddings, and keeps the weights
 expert-major: it sums class-major, each expert's `[C, N_test]` transpose
 gathered at the stack's rows in one take, so each sample adds the same
-products in the same (expert) order as a `[T, n, C]` gather.
+products in the same (expert) order as a `[T, n, C]` gather, and labels
+each sample by `nn.first_argmax` of that `[C, T*n]` mix.
 """
 
 from __future__ import annotations
@@ -165,7 +166,7 @@ def client_predictor(ctx: RunContext, state: ServerState, method: str, logits: l
                 term = np.take(out, rows, axis=1)
                 term *= w
                 combined += term
-            return combined.argmax(axis=0).reshape(stack.rows.shape), None
+            return nn.first_argmax(combined).reshape(stack.rows.shape), None
 
         return predict
     else:

@@ -70,13 +70,19 @@ def route(scores: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     """The routing rule, on gate scores `[n, M]` or a stack's `[..., n, M]`:
     each client's top-K expert ids `[..., K]`, ascending, by column-summed
     score with ties to the lowest id, and each sample's expert `[..., n]`,
-    the selected one it scores highest. Sees no labels."""
+    the selected one it scores highest, the lowest id on a tie. Sees no
+    labels. It sums a sample-major copy and picks by `nn.first_argmax` on
+    an expert-major one (the `nn` reduction rule); with M = 1 a stack's
+    sums add in another order, but they cannot change a route."""
     m = scores.shape[-1]
     if not (1 <= k <= m):
         raise ConfigError(f"top_k {k} out of range for {m} experts")
+    sums = np.moveaxis(scores, -2, 0).copy().sum(axis=0)
     # a stable sort keeps equal sums in ascending expert id
-    experts = np.sort(np.argsort(-scores.sum(axis=-2), axis=-1, kind="stable")[..., :k], axis=-1)
+    experts = np.sort(np.argsort(-sums, axis=-1, kind="stable")[..., :k], axis=-1)
     selected = (experts[..., None] == np.arange(m)).any(axis=-2)  # [..., M]
     # raw scores restricted to the selected set; argmax unchanged by renormalization
-    return experts, np.where(selected[..., None, :], scores, -np.inf).argmax(axis=-1)
+    by_expert = np.moveaxis(scores, -1, 0).copy()  # [M, ..., n]
+    by_expert[~np.moveaxis(selected, -1, 0)] = -np.inf
+    return experts, nn.first_argmax(by_expert)
 

@@ -23,6 +23,15 @@ clients step as one stack. A stepping caller binds each network once:
 `sgdm_step` writes the rows in place, so the views stay current. Evaluation,
 routing and embedding call `forward` on values, which binds them itself.
 
+Long axes: a max or an argmax over a short last axis (a softmax's classes,
+a route's experts) is taken over the leading axis of a contiguous moved
+copy, `first_argmax` for the argmax, so numpy makes a few passes over long
+rows instead of one call per short row. This is bit for bit: a max, and the
+first index that reaches it, do not depend on the order the values are read.
+Sums keep numpy's order: a sum along the last axis stays there, and a column
+sum moves its axis to the front only where numpy already adds its rows one
+after another.
+
 Finiteness is checked at boundaries, not per step. The engine functions
 return raw outputs and gradients, and a stack's caller scans each row with
 `Scan`, so one client's overflow is charged to it alone; a gradient's error
@@ -39,7 +48,7 @@ the bias b_l of length d_{l+1}.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -130,10 +139,12 @@ class NetSpec:
             "head": self.head,
         }
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "NetSpec":
+    @staticmethod
+    def from_dict(d: dict) -> "NetSpec":
         """The spec `to_dict` wrote: a list of JSON ints for `layer_dims`,
-        strings for `activations` and `head`. Nothing is coerced."""
+        strings for `activations` and `head`. Nothing is coerced, and equal
+        dicts give one shared spec, so a process builds each architecture
+        (and its layout) once."""
         try:
             dims, acts, head = d["layer_dims"], d["activations"], d["head"]
         except KeyError as exc:
@@ -142,7 +153,11 @@ class NetSpec:
             raise ConfigError(f"layer_dims must be a list of ints, got {dims!r}")
         if type(acts) is not list or any(type(a) is not str for a in [*acts, head]):
             raise ConfigError(f"activations and head must be strings, got {acts!r} and {head!r}")
-        return cls(tuple(dims), tuple(acts), head)
+        return _shared_spec(tuple(dims), tuple(acts), head)
+
+
+# Keyed after `from_dict`'s type checks: a bool or float dim, equal to an int as a key, never reaches it.
+_shared_spec = cache(NetSpec)
 
 
 @dataclass
@@ -201,10 +216,22 @@ def softmax(logits: np.ndarray) -> np.ndarray:
 
 def _softmax_in_place(z: np.ndarray) -> np.ndarray:
     """`softmax` written over the float64 array `z`, bit for bit."""
-    z -= z.max(axis=-1, keepdims=True)
+    z -= z.T.copy().max(axis=0).T[..., None]  # the max over classes, leading in the reversed copy
     np.exp(z, out=z)
     z /= z.sum(axis=-1, keepdims=True)
     return z
+
+
+def first_argmax(a: np.ndarray) -> np.ndarray:
+    """`a.argmax(axis=0)` of a NaN-free `a`, from one max over the leading
+    axis: the number of leading rows that miss it."""
+    miss = a != a.max(axis=0)
+    run = miss[0].copy()  # where every row so far misses
+    count = run.astype(np.intp)
+    for row in miss[1:-1]:
+        run &= row
+        count += run
+    return count
 
 
 class Trace(NamedTuple):

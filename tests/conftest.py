@@ -3,7 +3,8 @@ kernel's gradients of one network or client (a stack of one, as a round
 steps it), what the engine's layer views hold, and reference implementations
 the library no longer needs (the cross-entropy and the loss alone, one-hot
 labels, the two-branch minibatch draw, the gate's independent loss, the
-mixture forward, the FedProx objective, per-client-forward test scoring)."""
+mixture forward, the FedProx objective, per-client-forward test scoring,
+the route by row-wise reductions)."""
 
 from __future__ import annotations
 
@@ -203,6 +204,15 @@ def reference_predictions(ctx, state, method: str) -> dict[int, tuple[np.ndarray
             route = (tuple(cols.tolist()), chosen)
         out[cid] = (preds, route)
     return out
+
+
+def row_wise_route(scores: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """`gating.route` as it was written with numpy's row-wise reductions: the
+    column sum as `sum(axis=-2)`, each sample's expert as `argmax(axis=-1)`."""
+    m = scores.shape[-1]
+    experts = np.sort(np.argsort(-scores.sum(axis=-2), axis=-1, kind="stable")[..., :k], axis=-1)
+    selected = (experts[..., None] == np.arange(m)).any(axis=-2)
+    return experts, np.where(selected[..., None, :], scores, -np.inf).argmax(axis=-1)
 
 
 def topk_ids(scores: np.ndarray, k: int) -> tuple[int, ...]:

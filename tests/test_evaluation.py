@@ -604,17 +604,24 @@ class TestStackedGateSide:
                 assert np.array_equal(row, gating.gate_scores(gate, ctx.test_embeddings[shard.indices])), cid
                 assert np.array_equal(kept[:, t].T, row), cid
 
+    @pytest.mark.parametrize("logits_from", ["trained", "tied"])
     @pytest.mark.parametrize("stack_rows", [1024, 9])
-    def test_class_major_fedmix_labels_equal_expert_order_reference(self, trained, monkeypatch, stack_rows):
+    def test_class_major_fedmix_labels_equal_expert_order_reference(
+        self, trained, monkeypatch, stack_rows, logits_from
+    ):
         # gathering `[T, n, C]` logits and summing the weighted experts in expert order gives the same labels;
-        # a tie goes to the lowest class
+        # a tie goes to the lowest class, as `argmax(axis=0)` of the class-major mix gives it
         ctx, states = trained
         monkeypatch.setattr(runtime, "STACK_ROWS", stack_rows)
         ctx = uneven_overlapping_shards(ctx)
         state = states["fedmix"]
         logits, labels = evaluation.expert_outputs(state.expert_params, ctx.test_ds.inputs)
+        if logits_from == "tied":  # 0/1 logits: two classes with equal logits under every expert tie in the mix
+            r = rng_stream(7, "tied-logits")
+            logits = [r.integers(0, 2, size=out.shape).astype(np.float64) for out in logits]
         predict = evaluation.client_predictor(ctx, state, "fedmix", logits, labels)
         stacks = evaluation.client_stacks(ctx.test_shards, ctx.test_ds)
+        ties = 0
         for stack in stacks:
             got, route = predict(stack)
             weights = stack.fedmix_weights.transpose(1, 2, 0)  # [T, n, M], drawn by the prediction
@@ -624,6 +631,10 @@ class TestStackedGateSide:
                 combined = combined + weights[..., k : k + 1] * logits[k][idx]
             assert route is None and got.shape == idx.shape
             assert np.array_equal(got, combined.argmax(axis=-1))
+            mix = combined.reshape(-1, combined.shape[-1]).T  # [C, T*n]
+            assert np.array_equal(got.reshape(-1), mix.argmax(axis=0))
+            ties += int(((mix == mix.max(axis=0)).sum(axis=0) > 1).sum())
+        assert ties > 0 or logits_from == "trained"
         flat = [nn.ParamVector(np.zeros_like(p.values), p.spec) for p in state.expert_params]  # every class ties
         outputs = evaluation.expert_outputs(flat, ctx.test_ds.inputs)
         predict = evaluation.client_predictor(ctx, runtime.ServerState(flat, None), "fedmix", *outputs)

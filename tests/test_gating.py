@@ -9,7 +9,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from conftest import central_diff, gate_independent_loss_grad, loss_value, min_hidden_preact, rel_error, topk_ids
+from conftest import (
+    central_diff,
+    gate_independent_loss_grad,
+    loss_value,
+    min_hidden_preact,
+    rel_error,
+    row_wise_route,
+    topk_ids,
+)
 from fedjets import benchmarks, data, experiment, gating, nn
 from fedjets.errors import ConfigError, NumericError
 from fedjets.seeding import rng_stream
@@ -208,6 +216,17 @@ class TestStackedRoute:
             assert np.array_equal(experts[b], want_experts)
             assert np.array_equal(chosen[b], want_chosen)
             assert topk_ids(scores[b], k) == tuple(want_experts.tolist())
+
+    @pytest.mark.parametrize("lead", [(1,), (7,), (66,), (1, 1), (3, 7), (62, 66)], ids=str)
+    @pytest.mark.parametrize("m", [1, 2, 5])
+    def test_equals_the_row_wise_rule(self, m, lead):
+        # scores rounded to 0.1: the sums depend on their order, and samples and sums tie often
+        for trial in range(4):
+            scores = np.round(rng_stream(trial, "tied-scores", m, *lead).dirichlet(np.ones(m), size=lead), 1)
+            for k in range(1, m + 1):
+                got, want = gating.route(scores, k), row_wise_route(scores, k)
+                for a, b in zip(got, want, strict=True):
+                    assert a.dtype == b.dtype and a.shape == b.shape and np.array_equal(a, b), (trial, k)
 
     def test_stacked_scores_out_of_range_k(self):
         with pytest.raises(ConfigError, match="top_k 4 out of range for 3 experts"):

@@ -16,7 +16,7 @@ from conftest import (
     one_hot,
     rel_error,
 )
-from fedjets import central, checkpoint, data, nn
+from fedjets import benchmarks, central, checkpoint, data, experiment, nn, runtime
 from fedjets.errors import ArtifactError, ConfigError, NumericError
 from fedjets.seeding import rng_stream
 
@@ -42,6 +42,51 @@ class TestNetSpec:
     def test_activation_arity_checked(self):
         with pytest.raises(ConfigError):
             nn.NetSpec((4, 3, 2), ("relu", "relu"))
+
+    def test_equal_dicts_give_one_shared_spec(self):
+        d = {"layer_dims": [7, 9, 3], "activations": ["relu"], "head": "softmax"}
+        spec = nn.NetSpec.from_dict(d)
+        assert nn.NetSpec.from_dict(dict(d, layer_dims=[7, 9, 3])) is spec
+        assert nn.NetSpec.from_dict(spec.to_dict()) is spec
+        assert spec == nn.NetSpec.mlp([7, 9, 3], head="softmax") and spec.param_count() == 7 * 9 + 9 + 9 * 3 + 3
+
+    @pytest.mark.parametrize("change", [{"head": "logits"}, {"layer_dims": [7, 9, 4]}, {"activations": ["identity"]}])
+    def test_another_architecture_gives_another_spec(self, change):
+        d = {"layer_dims": [7, 9, 3], "activations": ["relu"], "head": "softmax"}
+        other = nn.NetSpec.from_dict(dict(d, **change))
+        assert other is not nn.NetSpec.from_dict(d) and other != nn.NetSpec.from_dict(d)
+        assert other.to_dict() == dict(d, **change)
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            ({"layer_dims": [True, 2]}, "layer_dims must be a list of ints, got [True, 2]"),
+            ({"layer_dims": [1.0, 2]}, "layer_dims must be a list of ints, got [1.0, 2]"),
+            ({"head": 1}, "activations and head must be strings, got [] and 1"),
+            ({"head": None}, "net spec dict missing key 'head'"),
+            ({"head": "probs"}, "unknown output head 'probs'"),
+        ],
+        ids=["bool-dim", "float-dim", "int-head", "missing-head", "unknown-head"],
+    )
+    def test_strict_rejections_outlast_a_shared_spec(self, change, message):
+        # the int spec that each input equals as a cache key is shared first
+        d = {"layer_dims": [1, 2], "activations": [], "head": "logits"}
+        assert nn.NetSpec.from_dict(d) is nn.NetSpec.from_dict(dict(d))
+        bad = {key: value for key, value in dict(d, **change).items() if value is not None}
+        for _ in range(2):
+            with pytest.raises(ConfigError) as err:
+                nn.NetSpec.from_dict(bad)
+            assert str(err.value) == message
+
+    def test_experts_of_a_loaded_state_share_one_spec(self, tmp_path):
+        ctx = experiment.build_context(benchmarks.synth10_config())
+        state = runtime.init_server_state(ctx)
+        experiment.save_run_state(tmp_path / "state.ckpt", state, ctx.cfg)
+        loaded, _ = experiment.load_run_state(tmp_path / "state.ckpt")
+        again, _ = experiment.load_run_state(tmp_path / "state.ckpt")
+        experts = loaded.expert_params + again.expert_params
+        assert len(experts) == 2 * state.num_experts and all(p.spec is experts[0].spec for p in experts)
+        assert experts[0].spec == ctx.expert_spec and again.gate_params.spec is loaded.gate_params.spec
 
 
 class TestParamVector:
@@ -155,6 +200,17 @@ class TestSoftmax:
         expect = np.exp(z) / np.exp(z).sum()
         assert np.max(np.abs(nn.softmax(z[None, :]) - expect)) < 1e-9
 
+    @pytest.mark.parametrize("lead", [(6,), (1000,), (3, 6), (10, 36)], ids=str)
+    @pytest.mark.parametrize("c", [1, 2, 5, 10])
+    def test_bit_for_bit_the_row_max_formula(self, c, lead):
+        r = rng_stream(c, "softmax-ties", *lead)
+        tied = np.round(r.normal(size=(*lead, c)), 0)  # rows whose max ties
+        zeros = np.where(r.random((*lead, c)) < 0.5, -0.0, 0.0)
+        huge = r.choice([-1e300, -1e30, 0.0, 1e30, 1e300], size=(*lead, c))
+        for z in (tied, zeros, huge):
+            e = np.exp(z - z.max(axis=-1, keepdims=True))
+            assert nn.softmax(z).tobytes() == (e / e.sum(axis=-1, keepdims=True)).tobytes()
+
     def test_rows_sum_to_one_and_shift_invariant(self, rng):
         for trial in range(25):
             z = rng_stream(trial, "sm").normal(size=(4, 7)) * 10
@@ -163,6 +219,14 @@ class TestSoftmax:
             shifted = nn.softmax(z + rng_stream(trial, "shift").normal() * 5)
             assert np.max(np.abs(p - shifted)) < 1e-9
             assert np.all(p > 0.0) and np.all(p < 1.0)
+
+
+@pytest.mark.parametrize("rows", [1, 2, 5, 10, 300])
+def test_first_argmax_is_the_leading_axis_argmax(rows):
+    r = rng_stream(rows, "first-argmax")
+    for a in (np.round(r.normal(size=(rows, 40)), 0), r.choice([-np.inf, -0.0, 0.0, np.inf], size=(rows, 3, 8))):
+        got = nn.first_argmax(a)
+        assert got.dtype == np.intp and np.array_equal(got, a.argmax(axis=0))
 
 
 class TestCrossEntropy:
