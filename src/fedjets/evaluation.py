@@ -6,7 +6,11 @@ metrics and `eval`'s report both read. One forward and one argmax per
 network per evaluation: `expert_outputs` forwards each server network once
 on the whole test set and takes its labels once, FedJETs' gate runs once
 on the test set's one embedding, and every rule reads them at a
-`ClientStack`'s rows.
+`ClientStack`'s rows. The pass fills arrays in client order, each stack's
+clients at their `ClientStack.slots`, so a record, the mean of the ordered
+accuracies (and routing error rates), builds no per-client mapping. The
+`ScoringPass` views by client id, which `eval`'s report reads, are derived
+from those arrays when first read.
 
 The test side is made once per run context: the first evaluation keeps the
 `ClientStack`s in `RunContext.test_stacks`, and FedMix keeps each stack's
@@ -24,6 +28,7 @@ each sample by `nn.first_argmax` of that `[C, T*n]` mix.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -83,10 +88,12 @@ def routing_ground_truth(anchor_shards: list[ClientShard]) -> dict[int, int] | N
 @dataclass
 class ClientStack:
     """Test clients that score as one: their shards, of one size n and in
-    client order, and per `[T, n]` test-set row its label and its
-    ground-truth expert. FedMix fills in its test gates' weights."""
+    client order, each client's place among all test clients in client
+    order, and per `[T, n]` test-set row its label and its ground-truth
+    expert. FedMix fills in its test gates' weights."""
 
     shards: list[ClientShard]
+    slots: np.ndarray  # [T], into the client-ordered arrays of a `ScoringPass`
     rows: np.ndarray  # [T, n]
     labels: np.ndarray  # [T, n], read only to score
     truth: np.ndarray | None = None  # [T, n]; None unless the label -> expert map covers every test label
@@ -103,15 +110,17 @@ def client_stacks(
     if label_to_expert is not None and set().union(*(s.label_set for s in test_shards)) <= set(label_to_expert):
         lookup = np.zeros(test_ds.num_classes, dtype=np.int64)
         lookup[list(label_to_expert)] = list(label_to_expert.values())
-    groups: dict[int, list[ClientShard]] = {}
-    for s in sorted(test_shards, key=lambda s: s.client_id):
-        groups.setdefault(len(s), []).append(s)
+    groups: dict[int, list[tuple[int, ClientShard]]] = {}
+    for slot, s in enumerate(sorted(test_shards, key=lambda s: s.client_id)):
+        groups.setdefault(len(s), []).append((slot, s))
     stacks = []
     for n, group in groups.items():
         for cut in runtime.cut_stacks(group, n):
-            rows = np.stack([s.indices for s in cut])
+            slots, shards = zip(*cut)
+            rows = np.stack([s.indices for s in shards])
             labels = test_ds.labels[rows]
-            stacks.append(ClientStack(cut, rows, labels, None if lookup is None else lookup[labels]))
+            truth = None if lookup is None else lookup[labels]
+            stacks.append(ClientStack(list(shards), np.array(slots), rows, labels, truth))
     return stacks
 
 
@@ -176,17 +185,61 @@ def client_predictor(ctx: RunContext, state: ServerState, method: str, logits: l
 
 @dataclass
 class ScoringPass:
-    """What one pass over the unseen test clients gives: every method's
-    per-client accuracies and their mean; under FedJETs also each client's
-    top-K experts and each sample's expert and, when the anchors give ground
-    truth for every test label, the per-sample routing of the same
-    predictions."""
+    """What one pass over the unseen test clients gives, as arrays in client
+    order: every method's per-client accuracies and their mean; under FedJETs
+    also each stack's route and, when the anchors give ground truth for every
+    test label, each client's correctly routed samples, its routing error
+    rate and their mean. The per-client views, keyed by client id in client
+    order, are derived from these when first read."""
 
+    stacks: list[ClientStack]  # the context's test side
     global_acc: float
-    per_client_accuracy: dict[int, float]
-    selections: dict[int, tuple[int, ...]] | None = None  # top-K expert ids
-    chosen_experts: dict[int, np.ndarray] | None = None  # per-sample expert ids
-    routing: RoutingReport | None = None
+    accuracy: np.ndarray  # [N_clients]
+    routes: list[tuple[np.ndarray, np.ndarray]] | None = None  # per stack: `gating.route`'s [T, K] and [T, n]
+    correct: np.ndarray | None = None  # [N_clients]
+    error_rate: np.ndarray | None = None  # [N_clients]
+    average_error_rate: float | None = None
+
+    def _in_client_order(self, per_stack) -> list:
+        """Per-stack sequences of per-client items as one list in client order."""
+        out = [None] * len(self.accuracy)
+        for stack, items in zip(self.stacks, per_stack, strict=True):
+            for slot, item in zip(stack.slots.tolist(), items):
+                out[slot] = item
+        return out
+
+    @cached_property
+    def shards(self) -> list[ClientShard]:
+        return self._in_client_order(stack.shards for stack in self.stacks)
+
+    @cached_property
+    def per_client_accuracy(self) -> dict[int, float]:
+        return {s.client_id: acc for s, acc in zip(self.shards, self.accuracy.tolist())}
+
+    @cached_property
+    def selections(self) -> dict[int, tuple[int, ...]] | None:
+        """Each client's top-K expert ids."""
+        if self.routes is None:
+            return None
+        top = self._in_client_order(experts.tolist() for experts, _ in self.routes)
+        return {s.client_id: tuple(ids) for s, ids in zip(self.shards, top)}
+
+    @cached_property
+    def chosen_experts(self) -> dict[int, np.ndarray] | None:
+        """Each client's per-sample expert ids."""
+        if self.routes is None:
+            return None
+        return {s.client_id: c for s, c in zip(self.shards, self._in_client_order(c for _, c in self.routes))}
+
+    @cached_property
+    def routing(self) -> RoutingReport | None:
+        if self.average_error_rate is None:
+            return None
+        rows = [
+            {"client": s.client_id, "incorrect": len(s) - c, "correct": c, "error_rate": e}
+            for s, c, e in zip(self.shards, self.correct.tolist(), self.error_rate.tolist())
+        ]
+        return RoutingReport(rows, self.average_error_rate)
 
 
 def score_test_clients(
@@ -198,26 +251,26 @@ def score_test_clients(
     if outputs is None:
         outputs = expert_outputs(state.expert_params, ctx.test_ds.inputs)
     predict = client_predictor(ctx, state, method, *outputs)
-    per_acc, selections, per_sample, routing = {}, {}, {}, []
-    for stack in _test_side(ctx):
+    stacks = _test_side(ctx)
+    accuracy, routes = np.empty(len(ctx.test_shards)), []
+    correct, error_rate = np.empty(len(accuracy), dtype=np.int64), np.empty(len(accuracy))
+    for stack in stacks:
         preds, route = predict(stack)
-        cids = [s.client_id for s in stack.shards]
-        per_acc.update(zip(cids, (preds == stack.labels).mean(axis=1).tolist()))
+        accuracy[stack.slots] = (preds == stack.labels).mean(axis=1)
         if route is None:
             continue
-        selections.update(zip(cids, map(tuple, route[0].tolist())))
-        per_sample.update(zip(cids, route[1]))
+        routes.append(route)
         if stack.truth is not None:  # a sample routes correctly iff its expert is its label's
             n = stack.rows.shape[1]
-            for cid, c in zip(cids, (route[1] == stack.truth).sum(axis=1).tolist()):
-                routing.append({"client": cid, "incorrect": n - c, "correct": c, "error_rate": (n - c) / n})
-    per_acc = dict(sorted(per_acc.items()))
-    scores = ScoringPass(float(np.mean(list(per_acc.values()))), per_acc)
+            hits = (route[1] == stack.truth).sum(axis=1)
+            correct[stack.slots] = hits
+            error_rate[stack.slots] = (n - hits) / n
+    scores = ScoringPass(stacks, float(np.mean(accuracy)), accuracy)
     if method == "fedjets":
-        scores.selections, scores.chosen_experts = dict(sorted(selections.items())), dict(sorted(per_sample.items()))
-    if routing:
-        routing.sort(key=lambda r: r["client"])
-        scores.routing = RoutingReport(routing, float(np.mean([r["error_rate"] for r in routing])))
+        scores.routes = routes
+        if stacks and stacks[0].truth is not None:  # every stack has ground truth, or none
+            scores.correct, scores.error_rate = correct, error_rate
+            scores.average_error_rate = float(np.mean(error_rate))
     return scores
 
 
@@ -236,7 +289,7 @@ def evaluate_round(
         method=method,
         global_acc=scores.global_acc,
         per_expert_acc=(outputs[1] == ctx.test_ds.labels).mean(axis=1).tolist(),
-        routing_acc=None if scores.routing is None else 1.0 - scores.routing.average_error_rate,
+        routing_acc=None if scores.average_error_rate is None else 1.0 - scores.average_error_rate,
         floats_down_cum=floats_down_cum,
         floats_up_cum=floats_up_cum,
     )

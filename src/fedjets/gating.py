@@ -8,8 +8,8 @@ the client's own forward except where BLAS takes another path: a one-row
 client embedded alone is a matrix-vector product, and its row of the
 whole-set matrix product may differ from it in the last bits. The gate is
 an `nn.ParamVector` whose spec has a softmax head with one output per
-expert. `route` on its scores is the one routing rule, for one client
-(training, taking the ids) or a stack (zero-shot testing).
+expert. `route` on its scores is the one routing rule, for a stack of test
+clients; training takes only its top-K half, `top_experts`, for one client.
 """
 
 from __future__ import annotations
@@ -66,23 +66,28 @@ def gate_scores(gate: nn.ParamVector, embeddings: np.ndarray) -> np.ndarray:
     return nn.forward(gate.spec, gate.values, embeddings)
 
 
-def route(scores: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """The routing rule, on gate scores `[n, M]` or a stack's `[..., n, M]`:
-    each client's top-K expert ids `[..., K]`, ascending, by column-summed
-    score with ties to the lowest id, and each sample's expert `[..., n]`,
-    the selected one it scores highest, the lowest id on a tie. Sees no
-    labels. It sums a sample-major copy and picks by `nn.first_argmax` on
-    an expert-major one (the `nn` reduction rule); with M = 1 a stack's
-    sums add in another order, but they cannot change a route."""
+def top_experts(scores: np.ndarray, k: int) -> np.ndarray:
+    """Each client's top-K expert ids `[..., K]` on gate scores `[n, M]` or a
+    stack's `[..., n, M]`, ascending, by column-summed score with ties to the
+    lowest id: the half of `route` that training reads. It sums a
+    sample-major copy (the `nn` reduction rule); with M = 1 a stack's sums
+    add in another order, but they cannot change a route."""
     m = scores.shape[-1]
     if not (1 <= k <= m):
         raise ConfigError(f"top_k {k} out of range for {m} experts")
     sums = np.moveaxis(scores, -2, 0).copy().sum(axis=0)
     # a stable sort keeps equal sums in ascending expert id
-    experts = np.sort(np.argsort(-sums, axis=-1, kind="stable")[..., :k], axis=-1)
-    selected = (experts[..., None] == np.arange(m)).any(axis=-2)  # [..., M]
+    return np.sort(np.argsort(-sums, axis=-1, kind="stable")[..., :k], axis=-1)
+
+
+def route(scores: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The routing rule, on gate scores `[n, M]` or a stack's `[..., n, M]`:
+    each client's `top_experts`, and each sample's expert `[..., n]`, the
+    selected one it scores highest, the lowest id on a tie, picked by
+    `nn.first_argmax` on an expert-major copy. Sees no labels."""
+    experts = top_experts(scores, k)
+    selected = (experts[..., None] == np.arange(scores.shape[-1])).any(axis=-2)  # [..., M]
     # raw scores restricted to the selected set; argmax unchanged by renormalization
     by_expert = np.moveaxis(scores, -1, 0).copy()  # [M, ..., n]
     by_expert[~np.moveaxis(selected, -1, 0)] = -np.inf
     return experts, nn.first_argmax(by_expert)
-

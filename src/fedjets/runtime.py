@@ -6,8 +6,8 @@ Every method's round is a plan, then `client_updates` steps the clients and
 one `aggregate` averages their packets (`train_round` does both).
 `active_ids` is the one scenario-pool lookup and `draw_clients` the one
 client draw. A plan only names the active clients. A FedJETs normal client
-is routed where its `Work` is made (`fedjets_work`): the top-K of
-`gating.route`, the one routing rule, on the state gate's scores of its
+is routed where its `Work` is made (`fedjets_work`): `gating.top_experts`,
+the top-K half of the one routing rule, on the state gate's scores of its
 rows of `RunContext.train_embeddings`. Each client draws its randomness
 from a stream keyed by (seed, "client", round, client_id), so results do
 not depend on the order of the updates.
@@ -415,7 +415,7 @@ def fedjets_work(ctx: RunContext, state: ServerState):
                 raise ConfigError(f"client {shard.client_id} is not a valid anchor")
             return Work("anchor", (q,), state.gate_params.values)
         scores = gating.gate_scores(state.gate_params, ctx.train_embeddings[shard.indices])
-        experts = gating.route(scores, ctx.cfg.federation.top_k)[0]
+        experts = gating.top_experts(scores, ctx.cfg.federation.top_k)
         return Work("mixture", tuple(experts.tolist()), state.gate_params.values)
 
     return work

@@ -8,6 +8,8 @@ the route by row-wise reductions)."""
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 
@@ -216,9 +218,49 @@ def row_wise_route(scores: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def topk_ids(scores: np.ndarray, k: int) -> tuple[int, ...]:
-    """One client's top-K expert ids by `gating.route`, from its `[n, M]` gate
-    scores, as the tuple `runtime.fedjets_work` trains."""
-    return tuple(gating.route(scores, k)[0].tolist())
+    """One client's top-K expert ids by `gating.top_experts`, from its `[n, M]`
+    gate scores, as the tuple `runtime.fedjets_work` trains."""
+    return tuple(gating.top_experts(scores, k).tolist())
+
+
+@dataclass
+class DictScoringPass:
+    """The views of a scoring pass, each built as a dict by client id."""
+
+    global_acc: float
+    per_client_accuracy: dict[int, float]
+    selections: dict[int, tuple[int, ...]] | None = None
+    chosen_experts: dict[int, np.ndarray] | None = None
+    routing: evaluation.RoutingReport | None = None
+
+
+def dict_scoring_pass(ctx, state, method: str) -> DictScoringPass:
+    """`evaluation.score_test_clients` as it was written with per-client
+    dicts: each stack's clients added to dicts, sorted by client id, and the
+    means taken over the sorted values."""
+    outputs = evaluation.expert_outputs(state.expert_params, ctx.test_ds.inputs)
+    predict = evaluation.client_predictor(ctx, state, method, *outputs)
+    per_acc, selections, per_sample, routing = {}, {}, {}, []
+    for stack in evaluation._test_side(ctx):
+        preds, route = predict(stack)
+        cids = [s.client_id for s in stack.shards]
+        per_acc.update(zip(cids, (preds == stack.labels).mean(axis=1).tolist()))
+        if route is None:
+            continue
+        selections.update(zip(cids, map(tuple, route[0].tolist())))
+        per_sample.update(zip(cids, route[1]))
+        if stack.truth is not None:
+            n = stack.rows.shape[1]
+            for cid, c in zip(cids, (route[1] == stack.truth).sum(axis=1).tolist()):
+                routing.append({"client": cid, "incorrect": n - c, "correct": c, "error_rate": (n - c) / n})
+    per_acc = dict(sorted(per_acc.items()))
+    scores = DictScoringPass(float(np.mean(list(per_acc.values()))), per_acc)
+    if method == "fedjets":
+        scores.selections, scores.chosen_experts = dict(sorted(selections.items())), dict(sorted(per_sample.items()))
+    if routing:
+        routing.sort(key=lambda r: r["client"])
+        scores.routing = evaluation.RoutingReport(routing, float(np.mean([r["error_rate"] for r in routing])))
+    return scores
 
 
 def ensemble_labels(ctx, members: list[nn.ParamVector], x: np.ndarray) -> np.ndarray:
@@ -227,7 +269,8 @@ def ensemble_labels(ctx, members: list[nn.ParamVector], x: np.ndarray) -> np.nda
     shard = data.ClientShard(0, np.arange(len(x)), np.zeros(1), data.KIND_TEST)
     state = runtime.ServerState(list(members), None)
     outputs = evaluation.expert_outputs(state.expert_params, x)
-    stack = evaluation.ClientStack([shard], shard.indices[None], None)  # no labels: a rule never reads them
+    # no labels: a rule never reads them
+    stack = evaluation.ClientStack([shard], np.zeros(1, dtype=np.int64), shard.indices[None], None)
     return evaluation.client_predictor(ctx, state, "avg_ensemble", *outputs)(stack)[0][0]
 
 

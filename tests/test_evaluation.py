@@ -5,16 +5,18 @@ from __future__ import annotations
 import copy
 import dataclasses
 import inspect
+import json
 import math
 from collections import Counter
 
 import numpy as np
 import pytest
 
-from conftest import reference_predictions, views_of
-from fedjets import baselines, central, data, evaluation, experiment, gating, nn, runtime
+from conftest import dict_scoring_pass, reference_predictions, views_of
+from fedjets import baselines, benchmarks, central, cli, data, evaluation, experiment, gating, nn, runtime
 from fedjets.config import ScenarioRange
 from fedjets.errors import ConfigError
+from fedjets.metrics import MetricsRecord
 from fedjets.seeding import rng_stream
 from test_runtime import mini_cfg
 
@@ -688,3 +690,110 @@ class TestFedMixTestGates:
         assert all(np.array_equal(got6[cid], w) for cid, w in want6.items())
         assert not any(np.array_equal(want[cid], want6[cid]) for cid in want)
         assert all(s.fedmix_weights is w for s, w in zip(ctx.test_stacks, weights))  # the first context keeps its own
+
+
+@pytest.fixture(scope="module")
+def synth10():
+    """The synth-10 context with 100 unseen test clients and every method's state after 2 rounds."""
+    ctx = experiment.build_context(benchmarks.synth10_config(data={"num_test_clients": 100}, federation={"rounds": 2}))
+    states = {}
+    for method in METHODS:
+        state, step = baselines.make_stepper(ctx, method)
+        for t in range(ctx.cfg.federation.rounds):
+            state, _ = step(state, t)
+        states[method] = state
+    return ctx, states
+
+
+def eval_report(scores, method: str, seed: int, round_idx: int) -> tuple[str, str | None]:
+    """The text of `fedjets eval`'s report and routing CSV, built from a pass's views by client id."""
+    report = {"method": method, "seed": seed, "round": round_idx, "global_accuracy": scores.global_acc}
+    csv = None
+    if scores.selections is not None:
+        report["zero_shot"] = {
+            "average_accuracy": scores.global_acc,
+            "per_client": {
+                str(cid): {
+                    "accuracy": acc,
+                    "selected_experts": list(scores.selections[cid]),
+                    "chosen_expert_per_sample": scores.chosen_experts[cid].tolist(),
+                }
+                for cid, acc in scores.per_client_accuracy.items()
+            },
+        }
+        report["routing"] = None
+        if scores.routing is not None:
+            report["routing"] = {"average_error_rate": scores.routing.average_error_rate, "rows": scores.routing.rows}
+            csv = scores.routing.to_csv()
+    return json.dumps(report, indent=2, sort_keys=True) + "\n", csv
+
+
+class TestClientOrderedPass:
+    """The pass fills arrays in client order and derives the views by client
+    id on read: every view, the mean accuracy and the routing average equal
+    those of the pass that built per-client dicts and sorted them, exactly."""
+
+    @pytest.mark.parametrize("shards", ["synth10-100", "uneven-cut"])
+    @pytest.mark.parametrize("method", METHODS)
+    def test_equals_the_dict_building_pass(self, synth10, trained, monkeypatch, method, shards):
+        if shards == "synth10-100":
+            ctx, states = synth10
+            ctx = dataclasses.replace(ctx)
+            assert len(ctx.test_shards) == 100
+        else:  # 9 clients of 6 sizes: the stacks go by size, not by client id, and the size-23 pair is cut in two
+            monkeypatch.setattr(runtime, "STACK_ROWS", 30)
+            ctx, states = trained
+            ctx = uneven_overlapping_shards(ctx)
+        state = states[method]
+        got = evaluation.score_test_clients(ctx, state, method)
+        if shards == "uneven-cut":
+            order = [s.client_id for stack in ctx.test_stacks for s in stack.shards]
+            assert order != sorted(order)
+            assert Counter(stack.rows.shape[1] for stack in ctx.test_stacks)[23] == 2
+        want = dict_scoring_pass(dataclasses.replace(ctx), state, method)
+        assert got.global_acc == want.global_acc
+        assert list(got.per_client_accuracy.items()) == list(want.per_client_accuracy.items())
+        if method != "fedjets":
+            assert got.selections is got.chosen_experts is got.routing is want.routing is None
+        else:
+            assert list(got.selections.items()) == list(want.selections.items())
+            assert list(got.chosen_experts) == list(want.chosen_experts)
+            assert all(np.array_equal(got.chosen_experts[cid], c) for cid, c in want.chosen_experts.items())
+            assert want.routing is not None
+            assert got.average_error_rate == got.routing.average_error_rate == want.routing.average_error_rate
+            assert got.routing.rows == want.routing.rows
+            assert got.routing.to_csv() == want.routing.to_csv()
+        record = evaluation.evaluate_round(ctx, state, method, 7, 11.0, 13.0)
+        per_expert = (evaluation.expert_outputs(state.expert_params, ctx.test_ds.inputs)[1] == ctx.test_ds.labels)
+        routing_acc = None if want.routing is None else 1.0 - want.routing.average_error_rate
+        want_record = MetricsRecord(7, method, want.global_acc, per_expert.mean(axis=1).tolist(), routing_acc, 11.0, 13.0)
+        assert record.to_json_line() == want_record.to_json_line()
+
+    def test_evaluate_round_builds_no_per_client_view(self, synth10, monkeypatch):
+        ctx, states = synth10
+        ctx = dataclasses.replace(ctx)
+        built, read, passes, RoutingReport = [], [], [], evaluation.RoutingReport
+        monkeypatch.setattr(evaluation, "RoutingReport", lambda *args: built.append(args))
+        for name in ("shards", "per_client_accuracy", "selections", "chosen_experts", "routing"):
+            monkeypatch.setattr(evaluation.ScoringPass, name, property(lambda p, name=name: read.append(name)))
+        score = evaluation.score_test_clients
+        monkeypatch.setattr(evaluation, "score_test_clients", lambda *args: passes.append(score(*args)) or passes[-1])
+        records = {m: evaluation.evaluate_round(ctx, states[m], m, 2, 0.0, 0.0) for m in METHODS}
+        assert records["fedjets"].routing_acc is not None
+        assert built == [] and read == [] and len(passes) == len(METHODS)
+        for p in passes:  # nothing keyed by client: the pass holds arrays, the stacks and floats
+            assert not any(isinstance(v, (dict, RoutingReport)) for v in vars(p).values())
+
+    def test_eval_writes_the_dict_building_report(self, tmp_path):
+        cfg = benchmarks.synth10_config(data={"num_test_clients": 100}, federation={"rounds": 2})
+        out = tmp_path / "run"
+        experiment.run_to_directory(cfg, out)
+        report = tmp_path / "eval.json"
+        argv = ["eval", "--config", str(out / "config.echo.json"), "--state", str(out / "state.ckpt")]
+        assert cli.main([*argv, "--report", str(report)]) == 0
+        state, _ = experiment.load_run_state(out / "state.ckpt")
+        want = dict_scoring_pass(experiment.build_context(cfg), state, "fedjets")
+        text, csv = eval_report(want, "fedjets", cfg.seed, state.round)
+        assert csv is not None
+        assert report.read_text() == text
+        assert report.with_suffix(".routing.csv").read_text() == csv

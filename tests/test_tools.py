@@ -167,3 +167,26 @@ def test_bench_pairs_summary_line_and_failures():
         "parent: 0 failed of 100 attempted",
         "change: 2 failed of 100 attempted",
     ]
+
+
+def test_bench_pairs_a_run_that_exits_non_zero_is_not_correct(capsys):
+    """A side's run that exits non-zero loses no finished pair: it prints its
+    exit code and stderr tail, counts as a run of its side that is not
+    correct, and the summary reads the pairs that finished."""
+    stderr = "".join(f"line {i}\n" for i in range(8)) + "ImportError: cannot import name 'top_experts'\n"
+    done = subprocess.CompletedProcess(["perfbench/run.py"], 1, stdout="", stderr=stderr)
+    failed = BENCH_PAIRS.run_result(done, "change")
+    assert failed["correct"] is False and failed["metrics"] is None
+    printed = capsys.readouterr().out.splitlines()
+    assert printed[0] == "# change: exited 1"
+    assert printed[1:] == [f"#   line {i}" for i in range(4, 8)] + ["#   ImportError: cannot import name 'top_experts'"]
+    ok = subprocess.CompletedProcess(["perfbench/run.py"], 0, stdout=json.dumps(canned(7.0)) + "\n", stderr="")
+    assert BENCH_PAIRS.run_result(ok, "parent") == canned(7.0)
+    assert capsys.readouterr().out.startswith("# parent: {")
+    feeds = {"parent": iter([canned(ms) for ms in PARENT_MS[:3]]), "change": iter([canned(6.5), failed, canned(6.3)])}
+    results = BENCH_PAIRS.run_pairs(lambda side: next(feeds[side]), 3)
+    lines = BENCH_PAIRS.summary(END_TO_END, results["parent"], results["change"])
+    assert lines[0].endswith("change won 2 of 2, gain not shown")
+    assert lines[2:] == ["parent: 0 failed of 150 attempted", "change: 0 failed of 100 attempted, 1 of 3 runs exited non-zero"]
+    parent_only = BENCH_PAIRS.summary(END_TO_END, [canned(7.0)], [failed])
+    assert parent_only[:2] == [f"{m['name']}: no pair of runs finished, gain not shown" for m in END_TO_END]

@@ -11,8 +11,11 @@ neither side) and whether a gain holds: at least ten pairs ran, the change won
 at least nine tenths of them, the medians are further apart, in the metric's
 better direction, than the parent's quartiles, and every run of the change
 was `correct` (run.py's flag: no failed operation and every metric finite).
-It also prints each side's failed operations. It uses the standard library
-only.
+A run that exits non-zero counts as a run of its side that is not `correct`:
+the tool prints its exit code and the tail of its stderr, leaves its pair
+out of the medians and the wins, and goes on. It also prints each side's
+failed operations and runs that exited non-zero. It uses the standard
+library only.
 """
 
 from __future__ import annotations
@@ -27,11 +30,25 @@ from pathlib import Path
 SIDES = ("parent", "change")
 MIN_PAIRS = 10
 WIN_SHARE = 0.9
+STDERR_TAIL = 5  # lines of a failing run's stderr printed
 
 
 def result_of(stdout: str) -> dict:
     """The result object `perfbench/run.py` prints as its last line."""
     return json.loads(stdout.strip().splitlines()[-1])
+
+
+def run_result(done: subprocess.CompletedProcess, side: str) -> dict:
+    """A side's result from its finished `perfbench/run.py`, printed as a
+    comment line. A run that exited non-zero is not `correct` and has no
+    metrics; its exit code and the tail of its stderr are printed instead."""
+    if done.returncode != 0:
+        tail = done.stderr.strip().splitlines()[-STDERR_TAIL:]
+        print(f"# {side}: exited {done.returncode}", *(f"#   {line}" for line in tail), sep="\n", flush=True)
+        return {"correct": False, "attempted": 0, "failed": 0, "metrics": None}
+    result = result_of(done.stdout)
+    print(f"# {side}: " + json.dumps({k: v["value"] for k, v in result["metrics"].items()}), flush=True)
+    return result
 
 
 def run_pairs(run, pairs: int) -> dict[str, list[dict]]:
@@ -53,13 +70,18 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
 
 def summary(metrics: list[dict], parent: list[dict], change: list[dict]) -> list[str]:
     """One line per end-to-end metric (`name`, `unit`, `better` as in
-    BENCHMARK.json) over pairs of result objects, then each side's failures."""
+    BENCHMARK.json) over the pairs of result objects in which both runs
+    finished, then each side's failures."""
     lines = []
     sound = all(r["correct"] for r in change)
+    finished = [(x, y) for x, y in zip(parent, change, strict=True) if x["metrics"] and y["metrics"]]
     for metric in metrics:
         name, sign = metric["name"], 1.0 if metric["better"] == "higher" else -1.0
-        a = [r["metrics"][name]["value"] for r in parent]
-        b = [r["metrics"][name]["value"] for r in change]
+        if not finished:
+            lines.append(f"{name}: no pair of runs finished, gain not shown")
+            continue
+        a = [x["metrics"][name]["value"] for x, _ in finished]
+        b = [y["metrics"][name]["value"] for _, y in finished]
         (pq1, pm, pq3), (cq1, cm, cq3) = quartiles(a), quartiles(b)
         wins = sum(sign * (y - x) > 0 for x, y in zip(a, b, strict=True))
         holds = sound and len(a) >= MIN_PAIRS and wins >= WIN_SHARE * len(a) and sign * (cm - pm) > pq3 - pq1
@@ -69,7 +91,9 @@ def summary(metrics: list[dict], parent: list[dict], change: list[dict]) -> list
             f"change/parent {cm / pm:.4f}, change won {wins} of {len(a)}, gain {'holds' if holds else 'not shown'}"
         )
     for side, runs in zip(SIDES, (parent, change)):
-        lines.append(f"{side}: {sum(r['failed'] for r in runs)} failed of {sum(r['attempted'] for r in runs)} attempted")
+        line = f"{side}: {sum(r['failed'] for r in runs)} failed of {sum(r['attempted'] for r in runs)} attempted"
+        exits = sum(r["metrics"] is None for r in runs)
+        lines.append(line + (f", {exits} of {len(runs)} runs exited non-zero" if exits else ""))
     return lines
 
 
@@ -88,10 +112,7 @@ def main(argv=None) -> int:
     def run(side: str) -> dict:
         command = [sys.executable, "perfbench/run.py", "--workload", args.workload, "--seed", str(args.seed)]
         command += ["--seconds", str(seconds), "--trace", "0"]
-        done = subprocess.run(command, cwd=roots[side], capture_output=True, text=True, check=True)
-        result = result_of(done.stdout)
-        print(f"# {side}: " + json.dumps({k: v["value"] for k, v in result["metrics"].items()}), flush=True)
-        return result
+        return run_result(subprocess.run(command, cwd=roots[side], capture_output=True, text=True), side)
 
     results = run_pairs(run, args.pairs)
     print(f"{args.workload}, seed {args.seed}, {seconds:g} s runs, {args.pairs} pairs")
