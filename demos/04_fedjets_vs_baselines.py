@@ -21,7 +21,7 @@ for method in ["fedjets", "fedavg", "fedprox", "avg_ensemble", "fedmix"]:
     rows.append((method, final.global_acc, final.routing_acc, down + up))
     print(f"{method:13s} done: zero-shot {final.global_acc:.3f}")
 
-common_acc = evaluation.common_expert_accuracy(ctx.common, ctx.test_shards, ctx.test_ds)
+common_acc = evaluation.common_expert_accuracy(ctx)
 
 print(f"\ncommon expert baseline zero-shot accuracy: {common_acc:.3f}")
 print(f"\n{'method':13s} {'zero-shot':>10s} {'routing':>9s} {'floats moved':>14s}")

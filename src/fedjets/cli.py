@@ -74,23 +74,9 @@ def cmd_eval(args) -> int:
     ctx = experiment.build_context(cfg)
     method = state_meta["method"]
     scores = evaluation.score_test_clients(ctx, state, method)
-    report: dict = {"method": method, "seed": cfg.seed, "round": state.round, "global_accuracy": scores.global_acc}
-    if scores.selections is not None:  # FedJETs: each client's route
-        report["zero_shot"] = {
-            "average_accuracy": scores.global_acc,
-            "per_client": {
-                str(cid): {
-                    "accuracy": acc,
-                    "selected_experts": list(scores.selections[cid]),
-                    "chosen_expert_per_sample": scores.chosen_experts[cid].tolist(),
-                }
-                for cid, acc in scores.per_client_accuracy.items()
-            },
-        }
-        report["routing"] = None  # unless the anchors give a label -> expert ground truth for every test label
-        if (routing := scores.routing) is not None:
-            report["routing"] = {"average_error_rate": routing.average_error_rate, "rows": routing.rows}
-            Path(args.report).with_suffix(".routing.csv").write_text(routing.to_csv())
+    report, routing_csv = evaluation.eval_report(scores, method, cfg.seed, state.round)
+    if routing_csv is not None:
+        Path(args.report).with_suffix(".routing.csv").write_text(routing_csv)
     Path(args.report).write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
     print(f"evaluation report -> {args.report}")
     return EXIT_OK

@@ -8,9 +8,8 @@ on the whole test set and takes its labels once, FedJETs' gate runs once
 on the test set's one embedding, and every rule reads them at a
 `ClientStack`'s rows. The pass fills arrays in client order, each stack's
 clients at their `ClientStack.slots`, so a record, the mean of the ordered
-accuracies (and routing error rates), builds no per-client mapping. The
-`ScoringPass` views by client id, which `eval`'s report reads, are derived
-from those arrays when first read.
+accuracies (and routing error rates), builds no per-client mapping;
+`eval_report` walks the same arrays once for `eval`'s report.
 
 The test side is made once per run context: the first evaluation keeps the
 `ClientStack`s in `RunContext.test_stacks`, and FedMix keeps each stack's
@@ -27,31 +26,16 @@ each sample by `nn.first_argmax` of that `[C, T*n]` mix.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import gating, nn, runtime
 from .data import ClientShard, LabeledDataset
 from .errors import ConfigError
-from .gating import CommonExpert
 from .metrics import MetricsRecord
 from .runtime import RunContext, ServerState
 from .seeding import rng_stream
-
-
-@dataclass
-class RoutingReport:
-    rows: list[dict] = field(default_factory=list)  # client, incorrect, correct, error_rate
-    average_error_rate: float = 0.0
-
-    def to_csv(self) -> str:
-        lines = ["client,incorrect,correct,error_rate"]
-        for r in self.rows:
-            lines.append(f"{r['client']},{r['incorrect']},{r['correct']},{r['error_rate']!r}")
-        lines.append(f"average,,,{self.average_error_rate!r}")
-        return "\n".join(lines) + "\n"
 
 
 def expert_outputs(experts: list[nn.ParamVector], inputs: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
@@ -60,17 +44,6 @@ def expert_outputs(experts: list[nn.ParamVector], inputs: np.ndarray) -> tuple[l
     an evaluation makes."""
     logits = [nn.forward(p.spec, p.values, inputs) for p in experts]
     return logits, np.stack([out.argmax(axis=1) for out in logits])
-
-
-def common_expert_accuracy(
-    common: CommonExpert, test_shards: list[ClientShard], test_ds: LabeledDataset
-) -> float:
-    """The common expert's own head as the baseline classifier, scored like
-    `score_test_clients`: one forward on the test set, then the mean of the
-    per-client accuracies on the test clients in client order."""
-    preds = nn.forward(common.params.spec, common.params.values, test_ds.inputs).argmax(axis=1)
-    shards = sorted(test_shards, key=lambda s: s.client_id)
-    return float(np.mean([float(np.mean(preds[s.indices] == test_ds.labels[s.indices])) for s in shards]))
 
 
 def routing_ground_truth(anchor_shards: list[ClientShard]) -> dict[int, int] | None:
@@ -189,8 +162,7 @@ class ScoringPass:
     order: every method's per-client accuracies and their mean; under FedJETs
     also each stack's route and, when the anchors give ground truth for every
     test label, each client's correctly routed samples, its routing error
-    rate and their mean. The per-client views, keyed by client id in client
-    order, are derived from these when first read."""
+    rate and their mean."""
 
     stacks: list[ClientStack]  # the context's test side
     global_acc: float
@@ -199,47 +171,6 @@ class ScoringPass:
     correct: np.ndarray | None = None  # [N_clients]
     error_rate: np.ndarray | None = None  # [N_clients]
     average_error_rate: float | None = None
-
-    def _in_client_order(self, per_stack) -> list:
-        """Per-stack sequences of per-client items as one list in client order."""
-        out = [None] * len(self.accuracy)
-        for stack, items in zip(self.stacks, per_stack, strict=True):
-            for slot, item in zip(stack.slots.tolist(), items):
-                out[slot] = item
-        return out
-
-    @cached_property
-    def shards(self) -> list[ClientShard]:
-        return self._in_client_order(stack.shards for stack in self.stacks)
-
-    @cached_property
-    def per_client_accuracy(self) -> dict[int, float]:
-        return {s.client_id: acc for s, acc in zip(self.shards, self.accuracy.tolist())}
-
-    @cached_property
-    def selections(self) -> dict[int, tuple[int, ...]] | None:
-        """Each client's top-K expert ids."""
-        if self.routes is None:
-            return None
-        top = self._in_client_order(experts.tolist() for experts, _ in self.routes)
-        return {s.client_id: tuple(ids) for s, ids in zip(self.shards, top)}
-
-    @cached_property
-    def chosen_experts(self) -> dict[int, np.ndarray] | None:
-        """Each client's per-sample expert ids."""
-        if self.routes is None:
-            return None
-        return {s.client_id: c for s, c in zip(self.shards, self._in_client_order(c for _, c in self.routes))}
-
-    @cached_property
-    def routing(self) -> RoutingReport | None:
-        if self.average_error_rate is None:
-            return None
-        rows = [
-            {"client": s.client_id, "incorrect": len(s) - c, "correct": c, "error_rate": e}
-            for s, c, e in zip(self.shards, self.correct.tolist(), self.error_rate.tolist())
-        ]
-        return RoutingReport(rows, self.average_error_rate)
 
 
 def score_test_clients(
@@ -272,6 +203,39 @@ def score_test_clients(
             scores.correct, scores.error_rate = correct, error_rate
             scores.average_error_rate = float(np.mean(error_rate))
     return scores
+
+
+def common_expert_accuracy(ctx: RunContext) -> float:
+    """The common expert's own head as the baseline classifier, scored by the
+    FedAvg rule in the one scoring pass: the mean of its per-client
+    accuracies on the unseen test clients."""
+    return score_test_clients(ctx, ServerState([ctx.common.params], None), "fedavg").global_acc
+
+
+def eval_report(scores: ScoringPass, method: str, seed: int, round_idx: int) -> tuple[dict, str | None]:
+    """`fedjets eval`'s report and, when routing has ground truth, the text of
+    its routing CSV, read from one pass's client-ordered arrays."""
+    report = {"method": method, "seed": seed, "round": round_idx, "global_accuracy": scores.global_acc}
+    if scores.routes is None:  # FedJETs alone routes
+        return report, None
+    accuracy, clients = scores.accuracy.tolist(), [None] * len(scores.accuracy)  # (shard, entry) by slot
+    for stack, (experts, chosen) in zip(scores.stacks, scores.routes, strict=True):
+        for slot, s, top, per_sample in zip(stack.slots.tolist(), stack.shards, experts.tolist(), chosen.tolist()):
+            entry = {"accuracy": accuracy[slot], "selected_experts": top, "chosen_expert_per_sample": per_sample}
+            clients[slot] = (s, entry)
+    per_client = {str(s.client_id): entry for s, entry in clients}
+    report["zero_shot"] = {"average_accuracy": scores.global_acc, "per_client": per_client}
+    report["routing"] = None  # unless the anchors give a label -> expert ground truth for every test label
+    if scores.average_error_rate is None:
+        return report, None
+    rows = [
+        {"client": s.client_id, "incorrect": len(s) - c, "correct": c, "error_rate": e}
+        for (s, _), c, e in zip(clients, scores.correct.tolist(), scores.error_rate.tolist())
+    ]
+    report["routing"] = {"average_error_rate": scores.average_error_rate, "rows": rows}
+    lines = [f"{r['client']},{r['incorrect']},{r['correct']},{r['error_rate']!r}" for r in rows]
+    csv = "\n".join(["client,incorrect,correct,error_rate", *lines, f"average,,,{scores.average_error_rate!r}"])
+    return report, csv + "\n"
 
 
 def evaluate_round(

@@ -231,7 +231,8 @@ class DictScoringPass:
     per_client_accuracy: dict[int, float]
     selections: dict[int, tuple[int, ...]] | None = None
     chosen_experts: dict[int, np.ndarray] | None = None
-    routing: evaluation.RoutingReport | None = None
+    routing: list[dict] | None = None  # per client: client, incorrect, correct, error_rate
+    average_error_rate: float | None = None
 
 
 def dict_scoring_pass(ctx, state, method: str) -> DictScoringPass:
@@ -259,7 +260,7 @@ def dict_scoring_pass(ctx, state, method: str) -> DictScoringPass:
         scores.selections, scores.chosen_experts = dict(sorted(selections.items())), dict(sorted(per_sample.items()))
     if routing:
         routing.sort(key=lambda r: r["client"])
-        scores.routing = evaluation.RoutingReport(routing, float(np.mean([r["error_rate"] for r in routing])))
+        scores.routing, scores.average_error_rate = routing, float(np.mean([r["error_rate"] for r in routing]))
     return scores
 
 

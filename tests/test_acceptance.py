@@ -61,7 +61,7 @@ def test_criterion_1_gradient_correctness():
 def test_criterion_2_routing_specialization():
     """Final per-sample routing error on synth-10 below 5% (chance is 80%)."""
     _, ctx, state, history, _ = cached_run("fedjets-s1")
-    err = evaluation.score_test_clients(ctx, state, "fedjets").routing.average_error_rate
+    err = evaluation.score_test_clients(ctx, state, "fedjets").average_error_rate
     ok = err < 0.05
     assert criterion(
         2, ok, f"routing error {err:.3%} (need < 5%; chance level is 80.0%)"
@@ -199,7 +199,7 @@ def test_criterion_7_common_expert_breakpoint():
     The chance-level half is `test_criterion_7_chance_common_expert_breakpoint`.
     """
     _, ctx, _, hist, _ = cached_run("fedjets-s1")
-    common = evaluation.common_expert_accuracy(ctx.common, ctx.test_shards, ctx.test_ds)
+    common = evaluation.common_expert_accuracy(ctx)
     final = hist[-1].global_acc
     ok = common >= 0.90 and final > common
     assert criterion(
@@ -230,7 +230,7 @@ def test_criterion_7_chance_common_expert_breakpoint():
     is committed as feature files for `train_features`/`test_features`.
     """
     _, ctx, _, hist, _ = cached_run("fedjets-chance-common", model={"pretrain_target_accuracy": 0.1})
-    common = evaluation.common_expert_accuracy(ctx.common, ctx.test_shards, ctx.test_ds)
+    common = evaluation.common_expert_accuracy(ctx)
     final = hist[-1].global_acc
     ok = final <= common + 0.05
     assert criterion(
@@ -245,7 +245,7 @@ def test_common_expert_baseline_matches_per_client_forward():
     chance = {"model": {"pretrain_target_accuracy": 0.1}}
     for tag, overrides in (("fedjets-s1", {}), ("fedjets-chance-common", chance)):
         _, ctx, _, _, _ = cached_run(tag, **overrides)
-        got = evaluation.common_expert_accuracy(ctx.common, ctx.test_shards, ctx.test_ds)
+        got = evaluation.common_expert_accuracy(ctx)
         assert got == reference_common_expert_accuracy(ctx.common, ctx.test_shards, ctx.test_ds), tag
 
 

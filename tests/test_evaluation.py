@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import copy
 import dataclasses
+import functools
 import inspect
 import json
 import math
@@ -89,6 +90,12 @@ def zero_shot(state, common, shards, ds, k, anchors=()):
     return evaluation.score_test_clients(ctx, state, "fedjets")
 
 
+def per_client(scores) -> dict[int, dict]:
+    """Each client's `zero_shot` entry of `evaluation.eval_report`, by client id."""
+    report, _ = evaluation.eval_report(scores, "fedjets", 0, 0)
+    return {int(cid): entry for cid, entry in report["zero_shot"]["per_client"].items()}
+
+
 def shard_with_labels(ds, labels, n_per, client_id, kind=data.KIND_TEST, expert=None):
     rng = rng_stream(client_id, "shard")
     idx = np.concatenate([rng.choice(ds.class_index[c], size=n_per, replace=False) for c in labels])
@@ -107,13 +114,14 @@ class TestZeroShot:
         ]
         report = zero_shot(state, identity_common(), shards, ds, k=2)
         assert report.global_acc == 1.0
-        assert all(acc == 1.0 for acc in report.per_client_accuracy.values())
+        clients = per_client(report)
+        assert all(entry["accuracy"] == 1.0 for entry in clients.values())
         # brute-force composition check: routed specialist accuracy per client
-        for cid, chosen in report.chosen_experts.items():
+        for cid, entry in clients.items():
             shard = next(s for s in shards if s.client_id == cid)
             labels = ds.labels[shard.indices]
             expect = np.array([c // 2 for c in labels])
-            assert np.array_equal(chosen, expect)
+            assert np.array_equal(entry["chosen_expert_per_sample"], expect)
 
     def test_single_expert_single_k_equals_plain_eval(self):
         ds = onehot_dataset(seed=3)
@@ -124,7 +132,7 @@ class TestZeroShot:
         shards = [shard_with_labels(ds, (1, 4), 20, 200)]
         report = zero_shot(state, identity_common(), shards, ds, k=1)
         plain = central.model_accuracy(params, ds.inputs[shards[0].indices], ds.labels[shards[0].indices])
-        assert report.per_client_accuracy[200] == plain
+        assert per_client(report)[200]["accuracy"] == plain
 
     def test_chosen_experts_subset_of_selection(self):
         ds = onehot_dataset(seed=6)
@@ -132,8 +140,8 @@ class TestZeroShot:
         state.gate_params = nn.init_params(state.gate_params.spec, rng_stream(9, "rnd-gate"))
         shards = [shard_with_labels(ds, (0, 3), 20, 300), shard_with_labels(ds, (2, 5), 20, 301)]
         report = zero_shot(state, identity_common(), shards, ds, k=2)
-        for cid in report.per_client_accuracy:
-            assert set(report.chosen_experts[cid]) <= set(report.selections[cid])
+        for entry in per_client(report).values():
+            assert set(entry["chosen_expert_per_sample"]) <= set(entry["selected_experts"])
 
     def test_average_equals_mean_of_per_client(self):
         ds = onehot_dataset(seed=7)
@@ -141,7 +149,7 @@ class TestZeroShot:
         shards = [shard_with_labels(ds, (0, 2), 10, 400), shard_with_labels(ds, (1, 5), 10, 401)]
         report = zero_shot(state, identity_common(), shards, ds, k=2)
         assert report.global_acc == float(
-            np.mean(list(report.per_client_accuracy.values()))
+            np.mean([entry["accuracy"] for entry in per_client(report).values()])
         )
 
     def test_prediction_path_sees_inputs_only(self):
@@ -156,8 +164,9 @@ class TestZeroShot:
             ds.inputs, np.roll(ds.labels, 1), C, [idx for idx in ds.class_index]
         )
         rep2 = zero_shot(state, identity_common(), [shard], shuffled, k=2)
-        assert np.array_equal(rep1.chosen_experts[500], rep2.chosen_experts[500])
-        assert rep1.selections[500] == rep2.selections[500]
+        got1, got2 = per_client(rep1)[500], per_client(rep2)[500]
+        assert np.array_equal(got1["chosen_expert_per_sample"], got2["chosen_expert_per_sample"])
+        assert got1["selected_experts"] == got2["selected_experts"]
 
     def test_requires_gate(self):
         ds = onehot_dataset(seed=9)
@@ -173,22 +182,23 @@ class TestRoutingReport:
 
     @staticmethod
     def routing(state, common, shards, ds, label_map, k):
-        """The routing report of the FedJETs pass over `shards`, whose ground
-        truth comes from one anchor per expert of `label_map`, holding that
-        expert's labels."""
+        """The `routing` entry of `evaluation.eval_report` for the FedJETs pass
+        over `shards`, whose ground truth comes from one anchor per expert of
+        `label_map`, holding that expert's labels."""
         experts = {}
         for lab, q in label_map.items():
             experts.setdefault(q, []).append(lab)
         anchors = [shard_with_labels(ds, labs, 1, q, kind=data.KIND_ANCHOR, expert=q) for q, labs in experts.items()]
-        return zero_shot(state, common, shards, ds, k, anchors).routing
+        scores = zero_shot(state, common, shards, ds, k, anchors)
+        return evaluation.eval_report(scores, "fedjets", 0, 0)[0]["routing"]
 
     def test_perfect_gate_zero_error(self):
         ds = onehot_dataset(seed=10)
         state = perfect_state()
         shards = [shard_with_labels(ds, (0, 2), 20, 600), shard_with_labels(ds, (1, 3), 20, 601)]
         report = self.routing(state, identity_common(), shards, ds, self.label_map(), k=2)
-        assert report.average_error_rate == 0.0
-        for row in report.rows:
+        assert report["average_error_rate"] == 0.0
+        for row in report["rows"]:
             assert row["incorrect"] == 0
 
     def test_uniform_gate_chance_error(self):
@@ -202,8 +212,8 @@ class TestRoutingReport:
         ]
         report = self.routing(state, identity_common(), shards, ds, self.label_map(), k=2)
         chance_error = 1.0 - 1.0 / M
-        assert abs(report.average_error_rate - chance_error) <= 0.05
-        total = sum(r["correct"] + r["incorrect"] for r in report.rows)
+        assert abs(report["average_error_rate"] - chance_error) <= 0.05
+        total = sum(r["correct"] + r["incorrect"] for r in report["rows"])
         assert total == 3 * 160
 
     def test_chance_error_five_experts_large_sample(self):
@@ -235,9 +245,9 @@ class TestRoutingReport:
             shards.append(data.ClientShard(900 + q, idx, hist, data.KIND_TEST))
         label_map = {c: c // 2 for c in range(C10)}
         report = self.routing(state, common, shards, ds, label_map, k=2)
-        total = sum(r["correct"] + r["incorrect"] for r in report.rows)
+        total = sum(r["correct"] + r["incorrect"] for r in report["rows"])
         assert total >= 2000
-        assert abs(report.average_error_rate - 0.8) <= 0.05
+        assert abs(report["average_error_rate"] - 0.8) <= 0.05
 
     def test_counts_match_exhaustive_scan(self):
         ds = onehot_dataset(seed=12)
@@ -249,8 +259,8 @@ class TestRoutingReport:
         _, chosen = gating.route(gating.gate_scores(state.gate_params, embeddings), 2)
         truth = np.array([self.label_map()[int(l)] for l in ds.labels[shard.indices]])
         manual_correct = int(np.sum(chosen == truth))
-        assert report.rows[0]["correct"] == manual_correct
-        assert report.rows[0]["incorrect"] == len(shard) - manual_correct
+        assert report["rows"][0]["correct"] == manual_correct
+        assert report["rows"][0]["incorrect"] == len(shard) - manual_correct
 
     def test_unmapped_label_is_config_error(self):
         # a map that misses a test label gives no routing report, as `run` and `eval` have it
@@ -705,8 +715,8 @@ def synth10():
     return ctx, states
 
 
-def eval_report(scores, method: str, seed: int, round_idx: int) -> tuple[str, str | None]:
-    """The text of `fedjets eval`'s report and routing CSV, built from a pass's views by client id."""
+def reference_eval_report(scores, method: str, seed: int, round_idx: int) -> tuple[str, str | None]:
+    """The text of `fedjets eval`'s report and routing CSV, built from a dict-building pass's views by client id."""
     report = {"method": method, "seed": seed, "round": round_idx, "global_accuracy": scores.global_acc}
     csv = None
     if scores.selections is not None:
@@ -723,15 +733,27 @@ def eval_report(scores, method: str, seed: int, round_idx: int) -> tuple[str, st
         }
         report["routing"] = None
         if scores.routing is not None:
-            report["routing"] = {"average_error_rate": scores.routing.average_error_rate, "rows": scores.routing.rows}
-            csv = scores.routing.to_csv()
+            report["routing"] = {"average_error_rate": scores.average_error_rate, "rows": scores.routing}
+            lines = ["client,incorrect,correct,error_rate"]
+            lines += [f"{r['client']},{r['incorrect']},{r['correct']},{r['error_rate']!r}" for r in scores.routing]
+            csv = "\n".join([*lines, f"average,,,{scores.average_error_rate!r}"]) + "\n"
     return json.dumps(report, indent=2, sort_keys=True) + "\n", csv
 
 
+def client_ids(scores) -> list[int]:
+    """A pass's client ids in client order, placed by each stack's slots."""
+    ids = [None] * len(scores.accuracy)
+    for stack in scores.stacks:
+        for slot, s in zip(stack.slots.tolist(), stack.shards):
+            ids[slot] = s.client_id
+    return ids
+
+
 class TestClientOrderedPass:
-    """The pass fills arrays in client order and derives the views by client
-    id on read: every view, the mean accuracy and the routing average equal
-    those of the pass that built per-client dicts and sorted them, exactly."""
+    """The pass fills arrays in client order, and `evaluation.eval_report`
+    walks them once: the accuracies by client id, every report entry, the
+    mean accuracy and the routing average equal those of the pass that built
+    per-client dicts and sorted them, exactly."""
 
     @pytest.mark.parametrize("shards", ["synth10-100", "uneven-cut"])
     @pytest.mark.parametrize("method", METHODS)
@@ -752,48 +774,56 @@ class TestClientOrderedPass:
             assert Counter(stack.rows.shape[1] for stack in ctx.test_stacks)[23] == 2
         want = dict_scoring_pass(dataclasses.replace(ctx), state, method)
         assert got.global_acc == want.global_acc
-        assert list(got.per_client_accuracy.items()) == list(want.per_client_accuracy.items())
+        assert list(zip(client_ids(got), got.accuracy.tolist())) == list(want.per_client_accuracy.items())
+        report, csv = evaluation.eval_report(got, method, 5, 7)
         if method != "fedjets":
-            assert got.selections is got.chosen_experts is got.routing is want.routing is None
+            assert got.routes is got.average_error_rate is want.selections is want.routing is None
+            assert "zero_shot" not in report and "routing" not in report and csv is None
         else:
-            assert list(got.selections.items()) == list(want.selections.items())
-            assert list(got.chosen_experts) == list(want.chosen_experts)
-            assert all(np.array_equal(got.chosen_experts[cid], c) for cid, c in want.chosen_experts.items())
+            clients = {int(cid): e for cid, e in report["zero_shot"]["per_client"].items()}
+            assert [(cid, e["accuracy"]) for cid, e in clients.items()] == list(want.per_client_accuracy.items())
+            assert [(cid, tuple(e["selected_experts"])) for cid, e in clients.items()] == list(want.selections.items())
+            assert list(clients) == list(want.chosen_experts)
+            chosen = {cid: e["chosen_expert_per_sample"] for cid, e in clients.items()}
+            assert all(np.array_equal(chosen[cid], c) for cid, c in want.chosen_experts.items())
             assert want.routing is not None
-            assert got.average_error_rate == got.routing.average_error_rate == want.routing.average_error_rate
-            assert got.routing.rows == want.routing.rows
-            assert got.routing.to_csv() == want.routing.to_csv()
+            assert got.average_error_rate == report["routing"]["average_error_rate"] == want.average_error_rate
+            assert report["routing"]["rows"] == want.routing
+            assert csv == reference_eval_report(want, method, 5, 7)[1]
+        assert json.dumps(report, indent=2, sort_keys=True) + "\n" == reference_eval_report(want, method, 5, 7)[0]
         record = evaluation.evaluate_round(ctx, state, method, 7, 11.0, 13.0)
         per_expert = (evaluation.expert_outputs(state.expert_params, ctx.test_ds.inputs)[1] == ctx.test_ds.labels)
-        routing_acc = None if want.routing is None else 1.0 - want.routing.average_error_rate
+        routing_acc = None if want.routing is None else 1.0 - want.average_error_rate
         want_record = MetricsRecord(7, method, want.global_acc, per_expert.mean(axis=1).tolist(), routing_acc, 11.0, 13.0)
         assert record.to_json_line() == want_record.to_json_line()
 
     def test_evaluate_round_builds_no_per_client_view(self, synth10, monkeypatch):
         ctx, states = synth10
         ctx = dataclasses.replace(ctx)
-        built, read, passes, RoutingReport = [], [], [], evaluation.RoutingReport
-        monkeypatch.setattr(evaluation, "RoutingReport", lambda *args: built.append(args))
-        for name in ("shards", "per_client_accuracy", "selections", "chosen_experts", "routing"):
-            monkeypatch.setattr(evaluation.ScoringPass, name, property(lambda p, name=name: read.append(name)))
+        built, passes = [], []
+        monkeypatch.setattr(evaluation, "eval_report", lambda *args: built.append(args))
         score = evaluation.score_test_clients
         monkeypatch.setattr(evaluation, "score_test_clients", lambda *args: passes.append(score(*args)) or passes[-1])
         records = {m: evaluation.evaluate_round(ctx, states[m], m, 2, 0.0, 0.0) for m in METHODS}
         assert records["fedjets"].routing_acc is not None
-        assert built == [] and read == [] and len(passes) == len(METHODS)
+        assert built == [] and len(passes) == len(METHODS)
+        derived = (property, functools.cached_property)
+        assert [n for n, v in vars(evaluation.ScoringPass).items() if isinstance(v, derived)] == []  # no view to read
         for p in passes:  # nothing keyed by client: the pass holds arrays, the stacks and floats
-            assert not any(isinstance(v, (dict, RoutingReport)) for v in vars(p).values())
+            assert not any(isinstance(v, dict) for v in vars(p).values())
 
-    def test_eval_writes_the_dict_building_report(self, tmp_path):
-        cfg = benchmarks.synth10_config(data={"num_test_clients": 100}, federation={"rounds": 2})
+    @pytest.mark.parametrize("method", METHODS)
+    def test_eval_writes_the_dict_building_report(self, tmp_path, method):
+        cfg = benchmarks.synth10_config(data={"num_test_clients": 100}, federation={"method": method, "rounds": 2})
         out = tmp_path / "run"
         experiment.run_to_directory(cfg, out)
         report = tmp_path / "eval.json"
         argv = ["eval", "--config", str(out / "config.echo.json"), "--state", str(out / "state.ckpt")]
         assert cli.main([*argv, "--report", str(report)]) == 0
         state, _ = experiment.load_run_state(out / "state.ckpt")
-        want = dict_scoring_pass(experiment.build_context(cfg), state, "fedjets")
-        text, csv = eval_report(want, "fedjets", cfg.seed, state.round)
-        assert csv is not None
+        want = dict_scoring_pass(experiment.build_context(cfg), state, method)
+        text, csv = reference_eval_report(want, method, cfg.seed, state.round)
+        assert (csv is not None) == (method == "fedjets")
         assert report.read_text() == text
-        assert report.with_suffix(".routing.csv").read_text() == csv
+        routing_csv = report.with_suffix(".routing.csv")
+        assert (routing_csv.read_text() if routing_csv.exists() else None) == csv

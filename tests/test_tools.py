@@ -3,7 +3,8 @@ prints the same digests on a rerun, for every run and its eval; the
 benchmark's tracer (perfbench/tracer.py) wraps a run without changing it;
 every benchmark workload (perfbench/workloads.py) runs without a failure;
 tools/bench_pairs.py alternates its runs and summarizes canned results by
-the gain rule (it never runs the benchmark here)."""
+the gain rule (it never runs the benchmark here); tools/ab_inprocess.py
+compares this checkout with itself in this process."""
 
 from __future__ import annotations
 
@@ -190,3 +191,16 @@ def test_bench_pairs_a_run_that_exits_non_zero_is_not_correct(capsys):
     assert lines[2:] == ["parent: 0 failed of 150 attempted", "change: 0 failed of 100 attempted, 1 of 3 runs exited non-zero"]
     parent_only = BENCH_PAIRS.summary(END_TO_END, [canned(7.0)], [failed])
     assert parent_only[:2] == [f"{m['name']}: no pair of runs finished, gain not shown" for m in END_TO_END]
+
+
+AB_INPROCESS = load_module("tools", "ab_inprocess")
+
+
+def test_ab_inprocess_finds_this_checkout_identical_to_itself(capsys):
+    argv = ["--parent", str(ROOT), "--change", str(ROOT), "--methods", "fedjets", "--rounds", "2", "--reps", "2"]
+    assert AB_INPROCESS.main(argv) == 0
+    [line] = capsys.readouterr().out.splitlines()
+    assert line.startswith("fedjets: parent ") and " ms per 2 rounds + 1 evaluation, change/parent " in line
+    assert "(median of 2 paired ratios), change won " in line
+    assert line.endswith(" of 2, expert rows identical, record line identical")
+    assert not any(name.split(".")[0] in ("fedjets_parent", "fedjets_change") for name in sys.modules)
